@@ -1,10 +1,14 @@
 // Microbenchmarks: per-algorithm scaling on synthetic random hypergraphs
 // (items = 4m, edge size ~ sqrt(m)); complements the wall-clock
-// Tables 4-6 with statistically stable per-call numbers. Uses system
-// google-benchmark when available; otherwise the built-in mini harness
-// (bench/mini_benchmark.h) keeps the target building and running.
+// Tables 4-6 with statistically stable per-call numbers. The
+// BM_Conflict* rows time the market layer's conflict-set construction —
+// prepare one query, then probe it over the whole support — on the
+// skewed instance. Uses system google-benchmark when available;
+// otherwise the built-in mini harness (bench/mini_benchmark.h) keeps the
+// target building and running.
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #ifdef QP_HAVE_GOOGLE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -15,6 +19,9 @@
 #include "common/rng.h"
 #include "core/algorithms.h"
 #include "core/valuation.h"
+#include "market/conflict.h"
+#include "market/support.h"
+#include "workloads/world_queries.h"
 
 namespace qp::core {
 namespace {
@@ -110,5 +117,74 @@ BENCHMARK(BM_Revenue)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace qp::core
+
+namespace qp::market {
+namespace {
+
+// The skewed instance with a support of 1200 deltas, as the pricing
+// service benchmark (perfbench/) serves it. Query templates, by
+// benchmark argument: 0 = the Country-City join
+// ("select T.District from Country C, City T where C.Code = ... and
+// C.Capital = T.ID"), 1 = the per-country City projection
+// ("select * from City where CountryCode = ...").
+struct ConflictInstance {
+  workload::WorkloadInstance w;
+  SupportSet support;
+  std::vector<const db::BoundQuery*> templates;
+};
+
+const ConflictInstance& SkewedConflictInstance() {
+  static const ConflictInstance instance = [] {
+    ConflictInstance out;
+    auto w = workload::MakeSkewedWorkload(7);
+    QP_CHECK_OK(w.status());
+    out.w = std::move(*w);
+    Rng rng(Mix64(7 ^ 0x5eedULL));
+    auto support = GenerateSupport(*out.w.database, {.size = 1200}, rng);
+    QP_CHECK_OK(support.status());
+    out.support = std::move(*support);
+    for (const char* prefix :
+         {"select T.District from Country C, City T where C.Code = ",
+          "select * from City where CountryCode = "}) {
+      for (size_t i = 0; i < out.w.sql.size(); ++i) {
+        if (out.w.sql[i].rfind(prefix, 0) == 0) {
+          out.templates.push_back(&out.w.queries[i]);
+          break;
+        }
+      }
+    }
+    return out;
+  }();
+  return instance;
+}
+
+void BM_ConflictPrepare(benchmark::State& state) {
+  const ConflictInstance& inst = SkewedConflictInstance();
+  const db::BoundQuery& query = *inst.templates[state.range(0)];
+  for (auto _ : state) {
+    PreparedConflictQuery prepared(*inst.w.database, query);
+    benchmark::DoNotOptimize(prepared.is_fallback());
+  }
+}
+BENCHMARK(BM_ConflictPrepare)->Arg(0)->Arg(1);
+
+// One pass over the support, as a conflict-set build makes per query.
+void BM_ConflictProbe(benchmark::State& state) {
+  const ConflictInstance& inst = SkewedConflictInstance();
+  PreparedConflictQuery prepared(*inst.w.database,
+                                 *inst.templates[state.range(0)]);
+  ConflictStats stats;
+  for (auto _ : state) {
+    int conflicts = 0;
+    for (const CellDelta& delta : inst.support) {
+      conflicts += prepared.Probe(delta, stats) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(conflicts);
+  }
+}
+BENCHMARK(BM_ConflictProbe)->Arg(0)->Arg(1);
+
+}  // namespace
+}  // namespace qp::market
 
 BENCHMARK_MAIN();

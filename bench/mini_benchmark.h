@@ -116,7 +116,12 @@ inline int RunAll() {
     if (arg_sets.empty()) arg_sets.push_back({});
     for (const std::vector<int64_t>& args : arg_sets) {
       std::string label = b.name;
-      for (int64_t a : args) label += "/" + std::to_string(a);
+      // Two appends, not "/" + ...: GCC 12 reports a false -Wrestrict on
+      // the concatenation at -O3 (bug 105329).
+      for (int64_t a : args) {
+        label += '/';
+        label += std::to_string(a);
+      }
       State state(args);
       b.fn(state);
       double per_iter =

@@ -1,7 +1,10 @@
 #include "market/conflict.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "db/delta_overlay.h"
@@ -70,6 +73,23 @@ struct GroupState {
 
 using GroupMap = std::map<db::Row, GroupState, RowLess>;
 
+// Flat hash index over one join column, in CSR form: bucket b holds
+// rows[starts[b] .. starts[b+1]), the rows whose key hashes to
+// Hash() & mask, in ascending row order. A bucket may mix keys, so a
+// probe confirms every candidate with Value::Compare; since equal values
+// hash equally, the confirmed rows are exactly the rows with an equal
+// key, ascending — the sequence a per-hash map of row lists gives.
+struct JoinIndex {
+  uint64_t mask = 0;
+  std::vector<int> starts;
+  std::vector<int> rows;
+
+  std::span<const int> Bucket(uint64_t hash) const {
+    const size_t b = static_cast<size_t>(hash & mask);
+    return {rows.data() + starts[b], rows.data() + starts[b + 1]};
+  }
+};
+
 }  // namespace
 
 // All prepared state is written during construction and only read by
@@ -82,13 +102,13 @@ class PreparedConflictQuery::Impl {
        const db::DeltaOverlay* build_overlay)
       : db_(db), query_(query) {
     Classify();
+    BuildSensitivity();
     if (fallback_) {
       base_result_ = build_overlay != nullptr
                          ? db::Evaluate(query_, db_, *build_overlay)
                          : db::Evaluate(query_, db_);
       return;
     }
-    BuildSensitivity();
     if (two_tables_) BuildJoinIndexes(build_overlay);
     if (grouped_) {
       BuildGroups(build_overlay);
@@ -101,19 +121,20 @@ class PreparedConflictQuery::Impl {
 
   bool Probe(const CellDelta& delta, ConflictStats& stats,
              const db::DeltaOverlay* committed) const {
-    if (fallback_) {
-      ++stats.probes;
-      db::DeltaOverlay probe = OverlayOf(delta);
-      probe.set_parent(committed);
-      db::ResultTable perturbed = db::Evaluate(query_, db_, probe);
-      return !perturbed.Equals(base_result_);
-    }
+    // A cell the query never reads cannot change its result — LIMIT and
+    // float aggregates included — so pruning comes before either engine.
     int slot = SlotOfTable(delta.table);
     if (slot < 0 || !IsSensitive(slot, delta.column)) {
       ++stats.pruned;
       return false;
     }
     ++stats.probes;
+    if (fallback_) {
+      db::DeltaOverlay probe = OverlayOf(delta);
+      probe.set_parent(committed);
+      db::ResultTable perturbed = db::Evaluate(query_, db_, probe);
+      return !perturbed.Equals(base_result_);
+    }
     return grouped_ ? ProbeGrouped(delta, slot, committed)
                     : ProbeProjection(delta, slot, committed);
   }
@@ -194,86 +215,79 @@ class PreparedConflictQuery::Impl {
   }
 
   void BuildJoinIndexes(const db::DeltaOverlay* bo) {
-    const db::Table& t0 = TableOfSlot(0);
-    const db::Table& t1 = TableOfSlot(1);
     join_col0_ = query_.join_left;  // table 0 columns start at flat 0
     join_col1_ = query_.join_right - query_.column_offsets[1];
-    for (int r = 0; r < t0.num_rows(); ++r) {
-      index0_[CellAt(bo, 0, r, join_col0_).Hash()].push_back(r);
-    }
-    for (int r = 0; r < t1.num_rows(); ++r) {
-      index1_[CellAt(bo, 1, r, join_col1_).Hash()].push_back(r);
-    }
+    index0_ = BuildJoinIndex(bo, 0, join_col0_);
+    index1_ = BuildJoinIndex(bo, 1, join_col1_);
   }
 
-  // The probed row of slot `slot`, read through the committed overlay
-  // `co` with `delta` patched on top when given. Self-joins are rejected
-  // at validation, so a delta patches exactly one slot and join partners
-  // read base+committed only.
-  // Only the query's sensitive columns are copied — the full set the
+  // Counting sort of the slot's rows by key bucket (power-of-two bucket
+  // count >= rows); the row-order scatter keeps each bucket ascending.
+  JoinIndex BuildJoinIndex(const db::DeltaOverlay* bo, int slot,
+                           int col) const {
+    const int n = TableOfSlot(slot).num_rows();
+    const size_t buckets = std::bit_ceil(static_cast<size_t>(std::max(n, 1)));
+    JoinIndex index;
+    index.mask = buckets - 1;
+    index.starts.assign(buckets + 1, 0);
+    std::vector<uint32_t> bucket_of(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      bucket_of[r] =
+          static_cast<uint32_t>(CellAt(bo, slot, r, col).Hash() & index.mask);
+      ++index.starts[bucket_of[r] + 1];
+    }
+    std::partial_sum(index.starts.begin(), index.starts.end(),
+                     index.starts.begin());
+    std::vector<int> next(index.starts.begin(), index.starts.end() - 1);
+    index.rows.resize(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r) index.rows[next[bucket_of[r]]++] = r;
+    return index;
+  }
+
+  // Writes row `row` of slot `slot` into `input` at the slot's flat
+  // offset, read through the committed overlay `co` with `delta` patched
+  // on top when given. Self-joins are rejected at validation, so a delta
+  // patches exactly one slot and join partners read base+committed only.
+  // Only the query's sensitive columns are written — the full set the
   // predicate / projection / grouping / join machinery can read — so a
-  // probe on a wide table costs O(columns the query touches), not
-  // O(table width); the rest stay NULL and are never inspected.
-  db::Row ProbedRow(int row, int slot, const CellDelta* delta,
-                    const db::DeltaOverlay* co) const {
-    const db::Row& base = TableOfSlot(slot).row(row);
-    db::Row r(base.size());
-    const int table = query_.table_indices[slot];
-    for (int c : needed_[slot]) {
-      const db::Value* patched =
-          co != nullptr ? co->Find(table, row, c) : nullptr;
-      r[static_cast<size_t>(c)] = patched != nullptr ? *patched : base[c];
-    }
-    if (delta != nullptr) r[static_cast<size_t>(delta->column)] = delta->new_value;
-    return r;
+  // row costs O(columns the query touches), not O(table width); the
+  // buffer's other cells stay NULL.
+  void FillSlot(db::Row& input, int slot, int row, const CellDelta* delta,
+                const db::DeltaOverlay* co) const {
+    const int offset = query_.column_offsets[slot];
+    for (int c : needed_[slot]) input[offset + c] = CellAt(co, slot, row, c);
+    if (delta != nullptr) input[offset + delta->column] = delta->new_value;
   }
 
-  // Joined + filtered input rows involving row `row` of table `slot`,
-  // evaluated against base+`co` with `delta` (when non-null) overlaid on
-  // that row. Purely functional: no shared state is touched.
-  std::vector<db::Row> AffectedInputRows(int row, int slot,
-                                         const CellDelta* delta,
-                                         const db::DeltaOverlay* co) const {
-    std::vector<db::Row> inputs;
-    if (!two_tables_) {
-      db::Row r = ProbedRow(row, /*slot=*/0, delta, co);
-      if (query_.predicate == nullptr || query_.predicate->EvaluateBool(r)) {
-        inputs.push_back(std::move(r));
+  // Calls `visit(input)` for every joined + filtered input row involving
+  // row `row` of slot `slot`, evaluated against base+`co` with `delta`
+  // (when non-null) overlaid on that row; join partners come in
+  // ascending row order. Every input is assembled in `buffer` (one row of
+  // query_.total_columns, reused across partners), so visit must copy
+  // what it keeps. Purely functional: no shared state is touched.
+  template <typename Visit>
+  void ForEachAffectedInput(int row, int slot, const CellDelta* delta,
+                            const db::DeltaOverlay* co, db::Row& buffer,
+                            Visit&& visit) const {
+    FillSlot(buffer, slot, row, delta, co);
+    if (two_tables_) {
+      const int other = 1 - slot;
+      const db::Value& key =
+          buffer[slot == 0 ? query_.join_left : query_.join_right];
+      const JoinIndex& index = slot == 0 ? index1_ : index0_;
+      const int other_col = slot == 0 ? join_col1_ : join_col0_;
+      for (int partner : index.Bucket(key.Hash())) {
+        if (key.Compare(CellAt(co, other, partner, other_col)) != 0) continue;
+        FillSlot(buffer, other, partner, nullptr, co);
+        if (Passes(buffer)) visit(buffer);
       }
-      return inputs;
+    } else if (Passes(buffer)) {
+      visit(buffer);
     }
-    db::Row scratch;
-    if (slot == 0) {
-      db::Row left = ProbedRow(row, 0, delta, co);
-      const db::Value& key = left[join_col0_];
-      auto it = index1_.find(key.Hash());
-      if (it == index1_.end()) return inputs;
-      for (int r1 : it->second) {
-        if (key.Compare(CellAt(co, 1, r1, join_col1_)) != 0) continue;
-        db::Row joined = left;
-        const db::Row& right = RowAt(co, 1, r1, scratch);
-        joined.insert(joined.end(), right.begin(), right.end());
-        if (query_.predicate == nullptr ||
-            query_.predicate->EvaluateBool(joined)) {
-          inputs.push_back(std::move(joined));
-        }
-      }
-    } else {
-      db::Row right = ProbedRow(row, 1, delta, co);
-      const db::Value& key = right[join_col1_];
-      auto it = index0_.find(key.Hash());
-      if (it == index0_.end()) return inputs;
-      for (int r0 : it->second) {
-        if (key.Compare(CellAt(co, 0, r0, join_col0_)) != 0) continue;
-        db::Row joined = RowAt(co, 0, r0, scratch);
-        joined.insert(joined.end(), right.begin(), right.end());
-        if (query_.predicate == nullptr ||
-            query_.predicate->EvaluateBool(joined)) {
-          inputs.push_back(std::move(joined));
-        }
-      }
-    }
-    return inputs;
+  }
+
+  bool Passes(const db::Row& input) const {
+    return query_.predicate == nullptr || query_.predicate->EvaluateBool(input);
   }
 
   // --- projection (non-aggregate) mode -------------------------------------
@@ -309,34 +323,23 @@ class PreparedConflictQuery::Impl {
 
   bool ProbeProjection(const CellDelta& delta, int slot,
                        const db::DeltaOverlay* co) const {
-    if (!two_tables_) {
-      bool old_present = row_present_[delta.row];
-      uint64_t old_hash = row_hash_[delta.row];
-      db::Row patched = ProbedRow(delta.row, 0, &delta, co);
-      bool new_present = query_.predicate == nullptr ||
-                         query_.predicate->EvaluateBool(patched);
-      uint64_t new_hash =
-          new_present
-              ? db::ResultTable::RowHash(db::ProjectInputRow(query_, patched))
-              : 0;
-      std::vector<uint64_t> removed, added;
-      if (old_present) removed.push_back(old_hash);
-      if (new_present) added.push_back(new_hash);
-      return ContributionsDiffer(removed, added);
+    db::Row buffer(static_cast<size_t>(query_.total_columns));
+    auto hashes_of = [&](const CellDelta* patch) {
+      std::vector<uint64_t> hashes;
+      ForEachAffectedInput(
+          delta.row, slot, patch, co, buffer, [&](const db::Row& input) {
+            hashes.push_back(
+                db::ResultTable::RowHash(db::ProjectInputRow(query_, input)));
+          });
+      return hashes;
+    };
+    std::vector<uint64_t> removed;
+    if (two_tables_) {
+      removed = hashes_of(nullptr);
+    } else if (row_present_[delta.row]) {
+      removed.push_back(row_hash_[delta.row]);
     }
-    std::vector<db::Row> old_inputs =
-        AffectedInputRows(delta.row, slot, nullptr, co);
-    std::vector<db::Row> new_inputs =
-        AffectedInputRows(delta.row, slot, &delta, co);
-    std::vector<uint64_t> removed, added;
-    removed.reserve(old_inputs.size());
-    added.reserve(new_inputs.size());
-    for (const db::Row& r : old_inputs) {
-      removed.push_back(db::ResultTable::RowHash(db::ProjectInputRow(query_, r)));
-    }
-    for (const db::Row& r : new_inputs) {
-      added.push_back(db::ResultTable::RowHash(db::ProjectInputRow(query_, r)));
-    }
+    std::vector<uint64_t> added = hashes_of(&delta);
     return ContributionsDiffer(removed, added);
   }
 
@@ -504,10 +507,14 @@ class PreparedConflictQuery::Impl {
 
   bool ProbeGrouped(const CellDelta& delta, int slot,
                     const db::DeltaOverlay* co) const {
-    std::vector<db::Row> old_inputs =
-        AffectedInputRows(delta.row, slot, nullptr, co);
-    std::vector<db::Row> new_inputs =
-        AffectedInputRows(delta.row, slot, &delta, co);
+    db::Row buffer(static_cast<size_t>(query_.total_columns));
+    std::vector<db::Row> old_inputs, new_inputs;
+    ForEachAffectedInput(
+        delta.row, slot, nullptr, co, buffer,
+        [&](const db::Row& input) { old_inputs.push_back(input); });
+    ForEachAffectedInput(
+        delta.row, slot, &delta, co, buffer,
+        [&](const db::Row& input) { new_inputs.push_back(input); });
     if (old_inputs == new_inputs) return false;
 
     std::vector<db::Row> keys;
@@ -541,7 +548,7 @@ class PreparedConflictQuery::Impl {
   std::vector<int> needed_[2];  // sensitive column indices, ascending
   db::ResultTable base_result_;
 
-  std::unordered_map<uint64_t, std::vector<int>> index0_, index1_;
+  JoinIndex index0_, index1_;
   int join_col0_ = -1, join_col1_ = -1;
 
   std::vector<char> row_present_;

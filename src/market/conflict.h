@@ -12,14 +12,26 @@
 //
 //  * ConflictSetEngine / PreparedConflictQuery — prepares per-query state
 //    once (per-row contribution hashes, group aggregate states with exact
-//    integer accumulators, join-key indexes) and answers each delta in
+//    integer accumulators, join indexes) and answers each delta in
 //    O(1)-ish: recompute only the patched row's (or its join partners')
 //    contribution, apply the affected groups' updates to a local copy,
-//    compare the visible output. Falls back to full overlay re-evaluation
-//    for LIMIT queries and SUM/AVG over double columns (where incremental
-//    float accumulation could drift from the reference evaluator).
-//    Prepared state is immutable after construction, so one
-//    PreparedConflictQuery may be probed from many threads at once.
+//    compare the visible output. A delta on a column the query never
+//    reads is pruned before anything else: it cannot change the result.
+//    Queries the incremental path cannot answer exactly — LIMIT, and
+//    SUM/AVG over double columns (where incremental float accumulation
+//    could drift from the reference evaluator) — fall back to full
+//    overlay re-evaluation, but only for the deltas that survive the
+//    same pruning. Prepared state is immutable after construction, so
+//    one PreparedConflictQuery may be probed from many threads at once.
+//
+//    Each join index is flat (CSR): one array of row ids grouped by
+//    bucket = key Hash() & mask (a power-of-two bucket count no smaller
+//    than the table), ascending within a bucket, plus the bucket start
+//    offsets — two arrays per table instead of a vector per key. A
+//    bucket may mix keys; probes confirm each candidate with
+//    Value::Compare, so join partners come out in ascending row order.
+//    Probes assemble each joined input row in one reused buffer holding
+//    only the columns the query reads.
 //
 // tests/market/conflict_test.cc checks that both engines match each other
 // *and* the pre-overlay apply/evaluate/revert semantics bit-for-bit over
@@ -66,7 +78,7 @@ std::vector<uint32_t> NaiveConflictSet(const db::Database& db,
 struct ConflictStats {
   int64_t probes = 0;            // sensitive deltas actually probed
   int64_t pruned = 0;            // deltas skipped by column sensitivity
-  int64_t fallback_queries = 0;  // queries handled by full re-evaluation
+  int64_t fallback_queries = 0;  // queries whose probes re-evaluate fully
 
   ConflictStats& Merge(const ConflictStats& other) {
     probes += other.probes;
@@ -100,8 +112,8 @@ class PreparedConflictQuery {
   PreparedConflictQuery(const PreparedConflictQuery&) = delete;
   PreparedConflictQuery& operator=(const PreparedConflictQuery&) = delete;
 
-  /// True when the query is answered by full overlay re-evaluation
-  /// (LIMIT, double SUM/AVG).
+  /// True when the query's sensitive deltas are answered by full overlay
+  /// re-evaluation (LIMIT, double SUM/AVG).
   bool is_fallback() const;
 
   /// Whether applying `delta` changes the query's visible result.

@@ -1,7 +1,10 @@
 #include "market/conflict.h"
 
 #include <atomic>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "db/eval.h"
 #include "db/parser.h"
 #include "tests/testing/test_db.h"
+#include "workloads/world_queries.h"
 
 namespace qp::market {
 namespace {
@@ -246,6 +250,119 @@ TEST(ConflictSetTest, InsensitiveColumnsArePruned) {
   EXPECT_TRUE(engine.ConflictSet(*query, support).empty());
   EXPECT_EQ(engine.stats().pruned, 1);
   EXPECT_EQ(engine.stats().probes, 0);
+}
+
+TEST(ConflictSetTest, FallbackQueriesArePrunedBySensitivity) {
+  // LIMIT and double-AVG queries re-evaluate the whole query per probe,
+  // but a delta on a cell they never read is pruned before that.
+  auto db = db::testing::MakeTestDatabase();
+  // Tables: 0 = Country(Code, Name, Continent, Population,
+  // LifeExpectancy), 1 = City, 2 = CountryLanguage.
+  const SupportSet support{
+      CellDelta{1, 4, 3, db::Value::Int(1)},            // City.Population
+      CellDelta{2, 0, 1, db::Value::Str("French")},     // CL.Language
+      CellDelta{0, 4, 3, db::Value::Int(1)},            // BRA Population
+      CellDelta{0, 5, 4, db::Value::Real(90.0)},        // IND LifeExpectancy
+  };
+  struct Case {
+    const char* sql;
+    std::vector<uint32_t> conflicts;
+    int64_t pruned;
+  };
+  const Case cases[] = {
+      // Reads every Country column; BRA is in the first two rows by Code.
+      {"select * from Country limit 2", {2}, 2},
+      // Reads only LifeExpectancy: the Population delta is pruned too.
+      {"select avg(LifeExpectancy) from Country", {3}, 3},
+  };
+  for (const Case& c : cases) {
+    auto query = db::ParseQuery(c.sql, *db);
+    ASSERT_TRUE(query.ok()) << c.sql;
+    ConflictSetEngine engine(db.get());
+    ConflictStats stats;
+    const auto conflicts = engine.ConflictSet(*query, support, stats);
+    EXPECT_EQ(conflicts, NaiveConflictSet(*db, *query, support)) << c.sql;
+    EXPECT_EQ(conflicts, c.conflicts) << c.sql;
+    EXPECT_EQ(stats.fallback_queries, 1) << c.sql;
+    EXPECT_EQ(stats.pruned, c.pruned) << c.sql;
+    EXPECT_EQ(stats.probes, static_cast<int64_t>(support.size()) - c.pruned)
+        << c.sql;
+  }
+}
+
+TEST(ConflictSetTest, WorldScaleMatchesNaive) {
+  // The flat join index at the skewed instance's scale: City's 4000 rows
+  // and Country's 239 keys put many different keys in shared buckets,
+  // where MakeTestDatabase's handful of rows share a few at most.
+  auto w = workload::MakeSkewedWorkload(7);
+  ASSERT_TRUE(w.ok()) << w.status();
+  const db::Database& db = *w->database;
+  Rng rng(713);
+  auto generated = GenerateSupport(db, {.size = 120, .max_retries = 32}, rng);
+  ASSERT_TRUE(generated.ok());
+  SupportSet support = std::move(*generated);
+  // Join-key deltas copy the key of another row of the same column, so
+  // join partners move between buckets.
+  const std::pair<const char*, const char*> kJoinKeys[] = {
+      {"Country", "Code"},
+      {"Country", "Capital"},
+      {"City", "ID"},
+      {"CountryLanguage", "CountryCode"}};
+  for (int i = 0; i < 32; ++i) {
+    const auto& [table_name, column_name] = kJoinKeys[i % 4];
+    const int t = db.FindTableIndex(table_name);
+    const db::Table& table = db.table(t);
+    const int c = table.schema().FindColumn(column_name);
+    const auto row = static_cast<int>(rng.UniformInt(0, table.num_rows() - 1));
+    const auto from = static_cast<int>(rng.UniformInt(0, table.num_rows() - 1));
+    support.push_back(CellDelta{t, row, c, table.cell(from, c)});
+  }
+
+  // Per template, the first query whose literal names a country or
+  // language of a row the support touches (so conflicts occur), plus the
+  // LIMIT query. One per template keeps the naive oracle — a full join
+  // per delta — to a few seconds under the sanitizers.
+  std::set<std::string> touched;
+  for (const CellDelta& d : support) {
+    const db::Table& table = db.table(d.table);
+    for (const char* column : {"Code", "CountryCode", "Language"}) {
+      const int c = table.schema().FindColumn(column);
+      if (c >= 0) touched.insert("'" + table.cell(d.row, c).as_string() + "'");
+    }
+  }
+  const char* kTemplates[] = {
+      "select T.District from Country C, City T where C.Code = ",
+      "select Name from Country, CountryLanguage where Code = CountryCode "
+      "and Language = ",
+      "select C.Name from Country C, CountryLanguage L where C.Code = "
+      "L.CountryCode and L.Language = ",
+      "select * from City where CountryCode = ",
+  };
+  std::vector<size_t> picked;
+  for (const char* prefix : kTemplates) {
+    const size_t before = picked.size();
+    for (size_t i = 0; i < w->sql.size() && picked.size() == before; ++i) {
+      const std::string& sql = w->sql[i];
+      if (sql.rfind(prefix, 0) != 0) continue;
+      const size_t open = sql.find('\'');
+      const std::string literal =
+          sql.substr(open, sql.find('\'', open + 1) - open + 1);
+      if (touched.count(literal) != 0) picked.push_back(i);
+    }
+    EXPECT_EQ(picked.size(), before + 1) << prefix;
+  }
+  for (size_t i = 0; i < w->sql.size(); ++i) {
+    if (w->sql[i].find(" limit ") != std::string::npos) picked.push_back(i);
+  }
+
+  ConflictSetEngine engine(&db);
+  size_t conflicts = 0;
+  for (size_t i : picked) {
+    const auto naive = NaiveConflictSet(db, w->queries[i], support);
+    EXPECT_EQ(engine.ConflictSet(w->queries[i], support), naive) << w->sql[i];
+    conflicts += naive.size();
+  }
+  EXPECT_GT(conflicts, 0u);
 }
 
 TEST(ConflictSetTest, KnownConflicts) {
