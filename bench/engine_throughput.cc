@@ -35,24 +35,17 @@
 //                        lps_solved pins at 0 (nothing repriced) and the
 //                        revenue bits match the live book exactly, at a
 //                        fraction of solve-sharded's cost
-//   publish-deepcopy     --publishes single-buyer appends through a
-//                        consolidate_every=1 engine — every generation
-//                        deep-copies a full PriceBookSnapshot (the
-//                        pre-delta publish path)
-//   publish-delta        the same appends through the delta-chain engine
-//                        (default consolidate cadence): compact delta
-//                        records between consolidations. The bench
-//                        hard-fails unless the two engines' final books
-//                        quote bit-identically over every corpus bundle
-//                        AND the delta run allocated strictly fewer
-//                        bytes (global operator-new accounting)
-//   mixed-readwrite-deepcopy / mixed-readwrite
-//                        the same publish stream with --qthreads reader
+//   publish              --publishes single-buyer appends through a
+//                        fresh engine: each one reprices and publishes a
+//                        whole PriceBookSnapshot
+//   mixed-readwrite      the same publish stream with --qthreads reader
 //                        threads hammering QuoteBundle throughout (the
 //                        sustained mixed update+quote regime); seconds
 //                        is the writer's wall clock, quote throughput
 //                        and epoch-pin counters are printed, and the
-//                        final books are again checked bit-identical
+//                        bench hard-fails unless the final book quotes
+//                        bit-identically to the publish phase's over
+//                        every corpus bundle
 //   churn-updates        sustained catalog churn: --churn-writers threads
 //                        race --churn-updates seller deltas (the
 //                        workload's own support cells) through
@@ -79,7 +72,6 @@
 // they are deterministic and pinned, but deliberately NOT compared to the
 // monolithic rows — per-shard optimization is allowed to beat the single
 // global book.
-#include <stdlib.h>
 
 #include <algorithm>
 #include <atomic>
@@ -87,7 +79,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -101,57 +92,6 @@
 #include "serve/persist/checkpoint.h"
 #include "serve/pricing_engine.h"
 #include "serve/sharded_engine.h"
-
-// Operator-new accounting for the publish-cost phases: the bench
-// compares bytes allocated by delta-chain publishes against deep-copy
-// publishes. The counters are thread-local — uncontended, so the
-// instrumentation does not perturb the allocation-heavy timed phases —
-// and the publish loops run (and read them) on the main thread.
-namespace {
-thread_local uint64_t tl_alloc_bytes = 0;
-thread_local uint64_t tl_alloc_calls = 0;
-
-void* CountedAlloc(std::size_t size) {
-  tl_alloc_bytes += size;
-  ++tl_alloc_calls;
-  void* p = std::malloc(size != 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::align_val_t alignment) {
-  tl_alloc_bytes += size;
-  ++tl_alloc_calls;
-  void* p = nullptr;
-  std::size_t align =
-      std::max(sizeof(void*), static_cast<std::size_t>(alignment));
-  if (posix_memalign(&p, align, size != 0 ? size : align) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t alignment) {
-  return CountedAlignedAlloc(size, alignment);
-}
-void* operator new[](std::size_t size, std::align_val_t alignment) {
-  return CountedAlignedAlloc(size, alignment);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace qp::bench {
 namespace {
@@ -536,56 +476,61 @@ int Main(int argc, char** argv) {
     std::filesystem::remove_all(ckpt_dir, ec);
   }
 
-  // Phase 7: publish cost, delta-chain vs deep-copy. Two fresh engines
-  // replay the same deterministic stream — the grown corpus's initial
-  // edges, then --publishes single-buyer appends cycling the arrival
-  // edges — differing ONLY in consolidate cadence. Books are
-  // bit-identical by contract; the bench hard-fails if they are not, or
-  // if the delta path did not allocate strictly fewer bytes.
+  // Phases 7 and 8: publish cost. A fresh engine seeded with the grown
+  // corpus's initial edges replays --publishes single-buyer appends
+  // cycling the arrival edges — first alone, then with --qthreads
+  // readers quoting throughout. Readers never perturb the books, so the
+  // two runs must end on bit-identical books.
   const int publishes = flags.GetInt("publishes", 64);
   std::vector<std::vector<uint32_t>> corpus;
   corpus.reserve(static_cast<size_t>(engine.hypergraph().num_edges()));
   for (int e = 0; e < engine.hypergraph().num_edges(); ++e) {
     corpus.push_back(engine.hypergraph().edge(e));
   }
-  // One publish = one appended buyer: edge and valuation at stream
-  // position i (cycling the arrival window when it exists).
-  auto stream_edge = [&](int i) -> const std::vector<uint32_t>& {
-    if (arrivals > 0) return corpus[static_cast<size_t>(initial + i % arrivals)];
-    return corpus[static_cast<size_t>(i) % corpus.size()];
-  };
-  auto stream_valuation = [&](int i) {
-    return arrivals > 0 ? arrival_v[static_cast<size_t>(i % arrivals)] : 1.0;
-  };
-  auto make_seeded = [&](uint32_t consolidate_every) {
-    serve::EngineOptions opts = engine_options;
-    opts.consolidate_every = consolidate_every;
-    auto e = std::make_unique<serve::PricingEngine>(
-        market.instance.database.get(), market.support, opts);
-    std::vector<std::vector<uint32_t>> seed_edges(
-        corpus.begin(), corpus.begin() + initial);
-    QP_CHECK_OK(e->AppendBuyersPrecomputed(std::move(seed_edges), initial_v));
-    return e;
-  };
   struct PublishRun {
     std::unique_ptr<serve::PricingEngine> engine;
     double seconds = 0.0;
-    uint64_t bytes = 0;
-    uint64_t allocs = 0;
+    uint64_t quotes = 0;
   };
-  auto run_publishes = [&](uint32_t consolidate_every) {
+  // Seconds is the writer's wall clock (the readers never block it).
+  auto run_publishes = [&](int reader_threads) {
     PublishRun run;
-    run.engine = make_seeded(consolidate_every);
-    uint64_t bytes0 = tl_alloc_bytes;
-    uint64_t allocs0 = tl_alloc_calls;
+    run.engine = std::make_unique<serve::PricingEngine>(
+        market.instance.database.get(), market.support, engine_options);
+    std::vector<std::vector<uint32_t>> seed_edges(corpus.begin(),
+                                                  corpus.begin() + initial);
+    QP_CHECK_OK(
+        run.engine->AppendBuyersPrecomputed(std::move(seed_edges), initial_v));
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> served{0};
+    std::vector<std::thread> readers;
+    readers.reserve(static_cast<size_t>(reader_threads));
+    for (int t = 0; t < reader_threads; ++t) {
+      readers.emplace_back([&, t] {
+        uint64_t local = 0;
+        for (size_t i = static_cast<size_t>(t);
+             !stop.load(std::memory_order_acquire); ++i) {
+          run.engine->QuoteBundle(corpus[i % corpus.size()]);
+          ++local;
+        }
+        served.fetch_add(local, std::memory_order_relaxed);
+      });
+    }
+    // One publish = one appended buyer: edge and valuation at stream
+    // position i (cycling the arrival window when it exists).
     Stopwatch timer;
     for (int i = 0; i < publishes; ++i) {
-      QP_CHECK_OK(run.engine->AppendBuyersPrecomputed(
-          {stream_edge(i)}, {stream_valuation(i)}));
+      const std::vector<uint32_t>& edge =
+          arrivals > 0 ? corpus[static_cast<size_t>(initial + i % arrivals)]
+                       : corpus[static_cast<size_t>(i) % corpus.size()];
+      const double valuation =
+          arrivals > 0 ? arrival_v[static_cast<size_t>(i % arrivals)] : 1.0;
+      QP_CHECK_OK(run.engine->AppendBuyersPrecomputed({edge}, {valuation}));
     }
     run.seconds = timer.ElapsedSeconds();
-    run.bytes = tl_alloc_bytes - bytes0;
-    run.allocs = tl_alloc_calls - allocs0;
+    stop.store(true, std::memory_order_release);
+    for (std::thread& r : readers) r.join();
+    run.quotes = served.load();
     return run;
   };
   // Bit-identity or bust: every corpus bundle must quote the same bits
@@ -599,114 +544,35 @@ int Main(int argc, char** argv) {
       if (std::bit_cast<uint64_t>(qa.price) !=
               std::bit_cast<uint64_t>(qb.price) ||
           qa.version != qb.version || qa.algorithm != qb.algorithm) {
-        std::cerr << phase
-                  << ": delta-chain book diverges from deep-copy book\n";
+        std::cerr << phase << ": book diverges from its reference book\n";
         return false;
       }
     }
     return true;
   };
 
-  PublishRun deep = run_publishes(1);
-  PublishRun delta = run_publishes(engine_options.consolidate_every);
-  if (!check_books_identical(*delta.engine, *deep.engine, "publish-delta")) {
-    return 1;
-  }
-  if (delta.bytes >= deep.bytes) {
-    std::cerr << StrFormat(
-        "publish-delta: expected fewer allocated bytes than deep-copy "
-        "(%llu >= %llu)\n",
-        static_cast<unsigned long long>(delta.bytes),
-        static_cast<unsigned long long>(deep.bytes));
-    return 1;
-  }
-  double publish_revenue = deep.engine->snapshot()->best().revenue;
-  recorder.Add(instance_name, "publish-deepcopy", deep.seconds, publishes,
-               publish_revenue);
-  recorder.Add(instance_name, "publish-delta", delta.seconds, publishes,
-               publish_revenue);
-  serve::EngineStats delta_stats = delta.engine->stats();
-  std::cout << StrFormat(
-      "publish cost: %d publishes deep-copy %.3fs / %.0f KB vs delta %.3fs "
-      "/ %.0f KB (%llu bases + %llu deltas, %llu fallbacks)\n",
-      publishes, deep.seconds, deep.bytes / 1024.0, delta.seconds,
-      delta.bytes / 1024.0,
-      static_cast<unsigned long long>(delta_stats.publish.bases),
-      static_cast<unsigned long long>(delta_stats.publish.deltas),
-      static_cast<unsigned long long>(delta_stats.publish.fallbacks));
-  // Both runs reprice identically (bit-identical solves), so the byte
-  // difference is publish cost alone; wall clock is dominated by the
-  // (identical) reprice work and reported per publish for both.
-  std::cout << StrFormat(
-      "publish cost: delta chains save %.1f KB and %.1f allocations per "
-      "publish (append wall %.2f ms/publish vs %.2f deep-copy)\n",
-      (deep.bytes - delta.bytes) / 1024.0 / publishes,
-      static_cast<double>(deep.allocs > delta.allocs
-                              ? deep.allocs - delta.allocs
-                              : 0) /
-          publishes,
-      delta.seconds * 1e3 / publishes, deep.seconds * 1e3 / publishes);
-
-  // Phase 8: the sustained mixed regime — the same publish stream with
-  // --qthreads readers quoting throughout. Seconds is the writer's wall
-  // clock (the readers never block it); quote throughput and the
-  // epoch-pin counters (the refcount-free hot path) are printed.
-  struct MixedRun {
-    std::unique_ptr<serve::PricingEngine> engine;
-    double seconds = 0.0;
-    uint64_t quotes = 0;
-  };
-  auto run_mixed = [&](uint32_t consolidate_every) {
-    MixedRun run;
-    run.engine = make_seeded(consolidate_every);
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> served{0};
-    std::vector<std::thread> readers;
-    readers.reserve(static_cast<size_t>(quote_threads));
-    for (int t = 0; t < quote_threads; ++t) {
-      readers.emplace_back([&, t] {
-        uint64_t local = 0;
-        for (size_t i = static_cast<size_t>(t);
-             !stop.load(std::memory_order_acquire); ++i) {
-          run.engine->QuoteBundle(corpus[i % corpus.size()]);
-          ++local;
-        }
-        served.fetch_add(local, std::memory_order_relaxed);
-      });
-    }
-    Stopwatch timer;
-    for (int i = 0; i < publishes; ++i) {
-      QP_CHECK_OK(run.engine->AppendBuyersPrecomputed(
-          {stream_edge(i)}, {stream_valuation(i)}));
-    }
-    run.seconds = timer.ElapsedSeconds();
-    stop.store(true, std::memory_order_release);
-    for (std::thread& r : readers) r.join();
-    run.quotes = served.load();
-    return run;
-  };
-  MixedRun mixed_deep = run_mixed(1);
-  MixedRun mixed_delta = run_mixed(engine_options.consolidate_every);
-  if (!check_books_identical(*mixed_delta.engine, *mixed_deep.engine,
+  PublishRun publish = run_publishes(0);
+  PublishRun mixed = run_publishes(quote_threads);
+  if (!check_books_identical(*mixed.engine, *publish.engine,
                              "mixed-readwrite")) {
     return 1;
   }
-  recorder.Add(instance_name, "mixed-readwrite-deepcopy", mixed_deep.seconds,
-               publishes, publish_revenue);
-  recorder.Add(instance_name, "mixed-readwrite", mixed_delta.seconds,
-               publishes, publish_revenue);
-  serve::EngineStats mixed_stats = mixed_delta.engine->stats();
+  double publish_revenue = publish.engine->snapshot()->best().revenue;
+  recorder.Add(instance_name, "publish", publish.seconds, publishes,
+               publish_revenue);
+  recorder.Add(instance_name, "mixed-readwrite", mixed.seconds, publishes,
+               publish_revenue);
   std::cout << StrFormat(
-      "mixed read/write: %d publishes under %d reader thread(s): deep-copy "
-      "%.3fs (%.0f quotes/s) vs delta %.3fs (%.0f quotes/s)\n",
-      publishes, quote_threads, mixed_deep.seconds,
-      mixed_deep.seconds > 0 ? mixed_deep.quotes / mixed_deep.seconds : 0.0,
-      mixed_delta.seconds,
-      mixed_delta.seconds > 0 ? mixed_delta.quotes / mixed_delta.seconds : 0.0);
+      "publish cost: %d publishes %.3fs (append wall %.2f ms/publish)\n",
+      publishes, publish.seconds, publish.seconds * 1e3 / publishes);
+  serve::EngineStats mixed_stats = mixed.engine->stats();
   std::cout << StrFormat(
-      "mixed read/write: delta engine served %llu quotes via %llu epoch "
-      "pins (%llu chains retired, %llu reclaimed, %llu pending)\n",
-      static_cast<unsigned long long>(mixed_delta.quotes),
+      "mixed read/write: %d publishes under %d reader thread(s): %.3fs, "
+      "%llu quotes (%.0f quotes/s) via %llu epoch pins (%llu snapshots "
+      "retired, %llu reclaimed, %llu pending)\n",
+      publishes, quote_threads, mixed.seconds,
+      static_cast<unsigned long long>(mixed.quotes),
+      mixed.seconds > 0 ? mixed.quotes / mixed.seconds : 0.0,
       static_cast<unsigned long long>(mixed_stats.epoch.pins),
       static_cast<unsigned long long>(mixed_stats.epoch.retired),
       static_cast<unsigned long long>(mixed_stats.epoch.reclaimed),

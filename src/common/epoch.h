@@ -1,5 +1,5 @@
 // Epoch-based memory reclamation for single-writer / many-reader
-// structures (the serving engine's delta-chain price books).
+// structures (the serving engine's price books, the versioned catalog).
 //
 // The problem: a writer unlinks a node that lock-free readers may still
 // be traversing. shared_ptr solves it with two atomic refcount updates

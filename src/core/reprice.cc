@@ -1,15 +1,11 @@
 #include "core/reprice.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
-
-#include "core/pricing.h"
 
 #include "common/stopwatch.h"
 #include "core/lpip_sweep.h"
@@ -240,129 +236,6 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
       AssembleAllResults(hypergraph, v, std::move(lpip), std::move(cip));
   state.last.seconds = timer.ElapsedSeconds();
   return results;
-}
-
-// --- structured book deltas ---------------------------------------------
-
-namespace {
-
-// Bitwise double equality: the delta-chain contract is bit-identity, so
-// -0.0 != +0.0 here (value-equal but not bit-equal) and a patch is
-// emitted whenever the stored representation moved.
-bool BitEqual(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-bool BitEqual(const std::vector<std::vector<double>>& a,
-              const std::vector<std::vector<double>>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      if (!BitEqual(a[i][j], b[i][j])) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::optional<BookDelta> DiffResults(const std::vector<PricingResult>& prev,
-                                     const std::vector<PricingResult>& next) {
-  if (prev.size() != next.size() || next.empty()) return std::nullopt;
-  BookDelta delta;
-  delta.patches.resize(next.size());
-  for (size_t i = 0; i < next.size(); ++i) {
-    if (prev[i].algorithm != next[i].algorithm) return std::nullopt;
-    if (prev[i].pricing == nullptr || next[i].pricing == nullptr) {
-      return std::nullopt;
-    }
-    ResultPatch& patch = delta.patches[i];
-    patch.revenue = next[i].revenue;
-    patch.seconds = next[i].seconds;
-    patch.lps_solved = next[i].lps_solved;
-    const PricingFunction* a = prev[i].pricing.get();
-    const PricingFunction* b = next[i].pricing.get();
-    if (const auto* ub = dynamic_cast<const UniformBundlePricing*>(b)) {
-      const auto* ua = dynamic_cast<const UniformBundlePricing*>(a);
-      if (ua == nullptr) return std::nullopt;
-      if (!BitEqual(ua->bundle_price(), ub->bundle_price())) {
-        patch.kind = ResultPatch::Kind::kBundlePrice;
-        patch.bundle_price = ub->bundle_price();
-      }
-    } else if (const auto* ib = dynamic_cast<const ItemPricing*>(b)) {
-      const auto* ia = dynamic_cast<const ItemPricing*>(a);
-      if (ia == nullptr || ia->weights().size() != ib->weights().size()) {
-        return std::nullopt;
-      }
-      const std::vector<double>& wa = ia->weights();
-      const std::vector<double>& wb = ib->weights();
-      size_t changed = 0;
-      for (size_t j = 0; j < wb.size(); ++j) {
-        changed += BitEqual(wa[j], wb[j]) ? 0 : 1;
-      }
-      if (changed == 0) {
-        // kNone
-      } else if (changed * 4 <= wb.size()) {
-        patch.kind = ResultPatch::Kind::kSparseWeights;
-        patch.sparse.reserve(changed);
-        for (size_t j = 0; j < wb.size(); ++j) {
-          if (!BitEqual(wa[j], wb[j])) {
-            patch.sparse.emplace_back(static_cast<uint32_t>(j), wb[j]);
-          }
-        }
-      } else {
-        patch.kind = ResultPatch::Kind::kFullWeights;
-        patch.weights = wb;
-      }
-    } else if (const auto* xb = dynamic_cast<const XosPricing*>(b)) {
-      const auto* xa = dynamic_cast<const XosPricing*>(a);
-      if (xa == nullptr) return std::nullopt;
-      if (!BitEqual(xa->components(), xb->components())) {
-        patch.kind = ResultPatch::Kind::kXos;
-        patch.components = xb->components();
-      }
-    } else {
-      return std::nullopt;
-    }
-  }
-  for (size_t i = 0; i < next.size(); ++i) {
-    if (delta.best < 0 ||
-        next[i].revenue > next[static_cast<size_t>(delta.best)].revenue) {
-      delta.best = static_cast<int>(i);
-    }
-  }
-  return delta;
-}
-
-void ApplyResultPatch(const ResultPatch& patch, PricingResult& result) {
-  result.revenue = patch.revenue;
-  result.seconds = patch.seconds;
-  result.lps_solved = patch.lps_solved;
-  switch (patch.kind) {
-    case ResultPatch::Kind::kNone:
-      break;
-    case ResultPatch::Kind::kBundlePrice:
-      result.pricing = std::make_unique<UniformBundlePricing>(
-          patch.bundle_price);
-      break;
-    case ResultPatch::Kind::kSparseWeights: {
-      const auto* ip = dynamic_cast<const ItemPricing*>(result.pricing.get());
-      if (ip == nullptr) std::abort();  // patch/result type mismatch
-      std::vector<double> weights = ip->weights();
-      for (const auto& [item, weight] : patch.sparse) {
-        weights[item] = weight;
-      }
-      result.pricing = std::make_unique<ItemPricing>(std::move(weights));
-      break;
-    }
-    case ResultPatch::Kind::kFullWeights:
-      result.pricing = std::make_unique<ItemPricing>(patch.weights);
-      break;
-    case ResultPatch::Kind::kXos:
-      result.pricing = std::make_unique<XosPricing>(patch.components);
-      break;
-  }
 }
 
 }  // namespace qp::core

@@ -39,9 +39,6 @@
 #ifndef QP_CORE_REPRICE_H_
 #define QP_CORE_REPRICE_H_
 
-#include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/algorithms.h"
@@ -137,66 +134,6 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
                                               int first_new_edge,
                                               const AlgorithmOptions& options,
                                               RepriceState& state);
-
-// --- structured book deltas (the serving layer's delta-chain publishes) --
-//
-// A reprice usually moves only a few numbers: most appends leave most
-// LPIP thresholds, item weights and XOS components bit-for-bit unchanged
-// (that reuse is the whole point of RepriceAfterAppend). DiffResults
-// turns two consecutive generations into a sparse per-result patch so
-// the serving layer can publish a compact delta record instead of
-// deep-copying all six PricingResults; ApplyResultPatch replays a patch
-// onto the previous generation, reproducing the next generation exactly
-// (bit-identical pricing parameters and scalars).
-
-/// Patch taking one PricingResult from generation g to g+1. The scalar
-/// fields (revenue / seconds / lps_solved) always carry g+1's values;
-/// `kind` says how the pricing function's parameters changed. Equality
-/// is bitwise (via the double's bit pattern), so an applied patch — and
-/// any lazy resolution over a chain of patches — reproduces g+1's
-/// prices bit for bit.
-struct ResultPatch {
-  enum class Kind : uint8_t {
-    kNone = 0,       // pricing parameters unchanged
-    kBundlePrice,    // UniformBundlePricing: replacement scalar
-    kSparseWeights,  // ItemPricing: (item, weight) pairs, ascending items
-    kFullWeights,    // ItemPricing: dense replacement (most items moved)
-    kXos,            // XosPricing: full component replacement
-  };
-  Kind kind = Kind::kNone;
-  double bundle_price = 0.0;
-  std::vector<std::pair<uint32_t, double>> sparse;
-  std::vector<double> weights;
-  std::vector<std::vector<double>> components;
-  double revenue = 0.0;
-  double seconds = 0.0;
-  int lps_solved = 0;
-};
-
-/// One generation's patches: one ResultPatch per result, in result
-/// order, plus the serving pick over the patched generation so readers
-/// never re-scan revenues.
-struct BookDelta {
-  std::vector<ResultPatch> patches;
-  /// argmax revenue over the patched generation, first result wins ties
-  /// — the same rule PriceBookSnapshot applies at construction.
-  int best = -1;
-};
-
-/// Diffs consecutive generations of the same instance. Returns nullopt
-/// when the vectors are not patchable — size or algorithm mismatch, an
-/// unrecognized pricing type, or an ItemPricing whose item count changed
-/// — in which case the caller should publish a full snapshot instead.
-/// Sparse weight patches fall back to dense replacement when more than a
-/// quarter of the items moved (a (item, weight) pair costs two dense
-/// slots; UIP's uniform weight moves every item at once).
-std::optional<BookDelta> DiffResults(const std::vector<PricingResult>& prev,
-                                     const std::vector<PricingResult>& next);
-
-/// Replays `patch` onto `result` in place (pricing parameters and
-/// scalars). After ApplyResultPatch(DiffResults(prev, next)->patches[i],
-/// prev[i]), prev[i] prices every bundle bit-identically to next[i].
-void ApplyResultPatch(const ResultPatch& patch, PricingResult& result);
 
 }  // namespace qp::core
 

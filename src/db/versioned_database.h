@@ -6,8 +6,8 @@
 // `db::Database` in place, which forced a quiescence contract — no
 // concurrent Quote/Purchase while a delta landed, because probers read
 // base cells lock-free. VersionedDatabase makes catalog churn a
-// publish, not a mutation, reusing the exact shape the delta-chain
-// price books use (serve/delta_book.h):
+// publish, not a mutation, reusing the exact shape the serving engine's
+// price books use (serve/pricing_engine.h):
 //
 //  * The base Database object is immortal and, between folds, const.
 //  * Committed deltas accumulate in a `Generation`: an immutable

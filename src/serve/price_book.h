@@ -2,13 +2,12 @@
 //
 // A snapshot freezes one pricing generation: every algorithm's
 // PricingResult, the generation number, and the reprice cost that
-// produced it. Snapshots are the *consolidated* form of the engine's
-// delta-chain price book (serve/delta_book.h): the writer publishes a
-// full snapshot as the chain's base every consolidate_every generations
-// and compact delta records in between; BookView::Materialize folds a
-// chain back into a standalone snapshot bit-identical to a cold one.
-// Retired bases are reclaimed by common::EpochManager once every pinned
-// reader epoch advances — readers no longer bump a shared_ptr per pin.
+// produced it. The engine publishes one whole snapshot per generation
+// (the writer moves its reprice results in, so a publish copies
+// nothing) behind an atomic head pointer; readers pin a
+// common::EpochManager epoch instead of bumping a shared_ptr, and a
+// replaced snapshot is reclaimed once every reader pinned before the
+// swap has left.
 #ifndef QP_SERVE_PRICE_BOOK_H_
 #define QP_SERVE_PRICE_BOOK_H_
 
@@ -45,7 +44,7 @@ struct Quote {
 class PriceBookSnapshot {
  public:
   /// Deep-copies `results` (PricingResult::Clone) so the caller — the
-  /// engine's writer, a bench harness — retains its own results.
+  /// engine's standalone snapshot() copy, a test — retains its own.
   /// `results` must be non-empty: a book with nothing to serve is a
   /// construction bug, checked here (abort) so best() never indexes out
   /// of bounds.
@@ -62,9 +61,8 @@ class PriceBookSnapshot {
     Seal();
   }
 
-  /// Move-in overload for callers that already own a private copy (chain
-  /// consolidation, restore): no second deep copy. Same non-empty
-  /// contract.
+  /// Move-in overload for callers that already own their results (the
+  /// engine's publish and restore): no copy. Same non-empty contract.
   PriceBookSnapshot(uint64_t version, std::vector<core::PricingResult>&& results,
                     const core::RepriceStats& reprice_stats, uint32_t num_items,
                     int num_edges)

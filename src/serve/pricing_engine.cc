@@ -1,18 +1,13 @@
 #include "serve/pricing_engine.h"
 
-#include <optional>
 #include <utility>
 
 namespace qp::serve {
 
 namespace {
 
-std::vector<core::PricingResult> CloneResults(
-    const std::vector<core::PricingResult>& results) {
-  std::vector<core::PricingResult> out;
-  out.reserve(results.size());
-  for (const core::PricingResult& r : results) out.push_back(r.Clone());
-  return out;
+void DeleteBook(void* book) {
+  delete static_cast<const PriceBookSnapshot*>(book);
 }
 
 }  // namespace
@@ -32,8 +27,7 @@ PricingEngine::PricingEngine(const db::Database* db,
                                db, epochs_, options_.fold_every)
                          : nullptr),
       catalog_(catalog != nullptr ? catalog : owned_catalog_.get()),
-      builder_(db, std::move(support), options_.build, catalog_),
-      chain_(epochs_) {
+      builder_(db, std::move(support), options_.build, catalog_) {
   // Never let the algorithm layer see stale caller-side precompute: the
   // reprice state owns classes and valuation order for this instance.
   options_.algorithms.lpip.classes = nullptr;
@@ -42,6 +36,10 @@ PricingEngine::PricingEngine(const db::Database* db,
   options_.algorithms.lpip.sorted_order = nullptr;
   std::lock_guard<std::mutex> lock(writer_mutex_);
   RepriceAndPublish(/*first_new_edge=*/0);
+}
+
+PricingEngine::~PricingEngine() {
+  delete head_.load(std::memory_order_relaxed);
 }
 
 Status PricingEngine::AppendBuyers(const std::vector<db::BoundQuery>& queries,
@@ -115,12 +113,14 @@ persist::ShardState PricingEngine::CaptureState() const {
   }
   state.valuations = valuations_;
   state.reprice = reprice_;
-  // The writer's working copy IS the consolidated view of the published
-  // chain (the diff anchor every delta was computed against), so
-  // checkpoint bytes stay a pure function of logical state — identical
-  // to serializing a materialized snapshot, without folding the chain.
-  state.results = CloneResults(working_results_);
-  state.book_stats = published_stats_;
+  // Writer-side, so the head cannot be retired under us: only the writer
+  // publishes.
+  const PriceBookSnapshot& head = *head_.load(std::memory_order_relaxed);
+  state.results.reserve(head.results().size());
+  for (const core::PricingResult& r : head.results()) {
+    state.results.push_back(r.Clone());
+  }
+  state.book_stats = head.reprice_stats();
   return state;
 }
 
@@ -154,15 +154,11 @@ Status PricingEngine::RestoreState(persist::ShardState state) {
   reprice_ = std::move(state.reprice);
   version_ = state.version;
   total_lps_solved_ = state.total_lps_solved;
-  // The restored book becomes the new consolidated base (the previous
-  // chain — the constructor's empty generation — retires through the
-  // epoch manager) and the state's results become the working copy.
-  published_stats_ = state.book_stats;
-  chain_.PublishBase(std::make_unique<const PriceBookSnapshot>(
-      version_, state.results, state.book_stats, num_items, num_edges));
-  working_results_ = std::move(state.results);
-  deltas_since_base_ = 0;
-  ++base_publishes_;
+  // The restored book replaces the constructor's empty generation, which
+  // retires through the epoch manager.
+  Publish(std::make_unique<const PriceBookSnapshot>(
+      version_, std::move(state.results), state.book_stats, num_items,
+      num_edges));
   return Status::OK();
 }
 
@@ -178,58 +174,39 @@ void PricingEngine::RepriceAndPublish(int first_new_edge) {
   }
   total_lps_solved_ += reprice_.last.lps_solved;
   ++version_;
-  PublishResults(std::move(results), reprice_.last);
+  Publish(std::make_unique<const PriceBookSnapshot>(
+      version_, std::move(results), reprice_.last, hypergraph.num_items(),
+      hypergraph.num_edges()));
 }
 
-void PricingEngine::PublishResults(std::vector<core::PricingResult> results,
-                                   const core::RepriceStats& reprice_stats) {
-  const uint32_t cadence =
-      options_.consolidate_every == 0 ? 1 : options_.consolidate_every;
-  // A base goes out when there is nothing to patch against, when deltas
-  // are disabled (cadence 1 = the deep-copy baseline), or when the chain
-  // is full — the consolidation trigger.
-  bool publish_base =
-      !chain_.has_base() || cadence <= 1 || deltas_since_base_ >= cadence;
-  std::optional<core::BookDelta> delta;
-  if (!publish_base) {
-    delta = core::DiffResults(working_results_, results);
-    if (!delta.has_value()) {
-      publish_base = true;
-      ++diff_fallbacks_;
-    }
-  }
-  working_results_ = std::move(results);
-  published_stats_ = reprice_stats;
-  const core::Hypergraph& hypergraph = builder_.hypergraph();
-  if (publish_base) {
-    // One deep copy per consolidation (amortized over the chain) instead
-    // of one per publish: the snapshot clones the working copy via the
-    // move-in constructor.
-    chain_.PublishBase(std::make_unique<const PriceBookSnapshot>(
-        version_, CloneResults(working_results_), reprice_stats,
-        hypergraph.num_items(), hypergraph.num_edges()));
-    deltas_since_base_ = 0;
-    ++base_publishes_;
-  } else {
-    chain_.PublishDelta(version_, std::move(*delta), reprice_stats,
-                        hypergraph.num_edges());
-    ++deltas_since_base_;
-    ++delta_publishes_;
+void PricingEngine::Publish(std::unique_ptr<const PriceBookSnapshot> next) {
+  const PriceBookSnapshot* old =
+      head_.exchange(next.release(), std::memory_order_acq_rel);
+  ++publishes_;
+  if (old != nullptr) {
+    // The replaced snapshot is unreachable from head_ but may still be
+    // read by readers pinned at the current epoch: retire it, advance the
+    // epoch, and free whatever no pinned reader can reach.
+    epochs_->Retire(const_cast<PriceBookSnapshot*>(old), &DeleteBook);
+    epochs_->BumpEpoch();
+    epochs_->Reclaim();
   }
 }
 
 std::shared_ptr<const PriceBookSnapshot> PricingEngine::snapshot() const {
   common::EpochManager::Guard guard(*epochs_);
-  return chain_.view().Materialize();
+  const PriceBookSnapshot& head = book();
+  return std::make_shared<const PriceBookSnapshot>(
+      head.version(), head.results(), head.reprice_stats(), head.num_items(),
+      head.num_edges());
 }
 
 Quote PricingEngine::QuoteBundle(const std::vector<uint32_t>& bundle) const {
   // The quote hot path: one epoch pin (an uncontended slot store — no
-  // shared_ptr refcount traffic), one head load, resolve over the chain.
+  // shared_ptr refcount traffic), one head load.
   common::EpochManager::Guard guard(*epochs_);
-  BookView view = chain_.view();
   quotes_served_.fetch_add(1, std::memory_order_relaxed);
-  return view.QuoteBundle(bundle);
+  return book().QuoteBundle(bundle);
 }
 
 std::vector<Quote> PricingEngine::QuoteBatch(
@@ -237,12 +214,12 @@ std::vector<Quote> PricingEngine::QuoteBatch(
   // One epoch pin + one stats update for the whole batch: every quote
   // prices against the same generation no matter what the writer does.
   common::EpochManager::Guard guard(*epochs_);
-  BookView view = chain_.view();
+  const PriceBookSnapshot& head = book();
   quotes_served_.fetch_add(bundles.size(), std::memory_order_relaxed);
   std::vector<Quote> quotes;
   quotes.reserve(bundles.size());
   for (const std::vector<uint32_t>& bundle : bundles) {
-    quotes.push_back(view.QuoteBundle(bundle));
+    quotes.push_back(head.QuoteBundle(bundle));
   }
   return quotes;
 }
@@ -253,7 +230,7 @@ PurchaseOutcome PricingEngine::Purchase(const db::BoundQuery& query,
   outcome.valuation = valuation;
   // Reader side, end to end: the probe pins a catalog generation and
   // reads base+overlay through per-delta overlays, the quote pins an
-  // epoch over the published chain, and the sale lands in atomic
+  // epoch over the published book, and the sale lands in atomic
   // counters — no writer mutex (and no shared_ptr refcounts) anywhere.
   uint64_t pinned_generation = 0;
   outcome.bundle = builder_.ConflictSetFor(query, &pinned_generation);
@@ -268,7 +245,7 @@ PurchaseOutcome PricingEngine::Purchase(const db::BoundQuery& query,
   }
   {
     common::EpochManager::Guard guard(*epochs_);
-    outcome.quote = chain_.view().QuoteBundle(outcome.bundle);
+    outcome.quote = book().QuoteBundle(outcome.bundle);
   }
   quotes_served_.fetch_add(1, std::memory_order_relaxed);
   outcome.accepted = outcome.quote.price <= valuation + core::kSellTolerance;
@@ -296,10 +273,7 @@ EngineStats PricingEngine::stats() const {
   out.conflict = builder_.stats();
   out.incidence = builder_.hypergraph().incidence_maintenance();
   out.prepared = builder_.prepared_stats();
-  out.publish.bases = base_publishes_;
-  out.publish.deltas = delta_publishes_;
-  out.publish.fallbacks = diff_fallbacks_;
-  out.publish.chain_length = chain_.chain_length();
+  out.publish.bases = publishes_;
   out.epoch = epochs_->stats();
   const db::VersionedDatabase::Stats catalog = catalog_->stats();
   out.catalog.generations_published = catalog.generations_published;

@@ -7,23 +7,20 @@
 //
 //  * Readers (any thread, lock-free): QuoteBundle / QuoteBatch /
 //    Purchase pin an epoch (common::EpochManager — one uncontended store,
-//    no shared_ptr refcounts on the hot path), load the delta-chain
-//    book's head (serve/delta_book.h) and resolve prices over
-//    base+deltas, bit-identical to the consolidated snapshot. Purchase's
-//    conflict probing views support deltas through read-only overlays
-//    (market/conflict.h), so computing a buyer's bundle never touches
-//    the shared database, and sale accounting lands in atomic counters.
-//    A pinned reader keeps its generation reachable even while the
-//    writer publishes and consolidates past it.
+//    no shared_ptr refcounts on the hot path), load the head
+//    PriceBookSnapshot and price against it. Purchase's conflict probing
+//    views support deltas through read-only overlays (market/conflict.h),
+//    so computing a buyer's bundle never touches the shared database,
+//    and sale accounting lands in atomic counters. A pinned reader keeps
+//    its generation alive even while the writer publishes past it.
 //  * The writer (serialized on an internal mutex): AppendBuyers extends
 //    the hypergraph through market::IncrementalBuilder (edge construction
 //    fans out over BuildOptions::num_threads; conflict sets are
 //    bit-identical for every thread count), repriced either incrementally
-//    (core::RepriceAfterAppend — refined classes, reused LPIP thresholds,
-//    warm-started CIP bases) or from scratch, then publishes either a
-//    compact delta record (core::DiffResults against the writer's
-//    working copy) or — every consolidate_every generations — a fresh
-//    consolidated base snapshot; replaced chains retire through the
+//    (core::RepriceAfterAppend — refined classes and reused LPIP
+//    thresholds; CIP replays its cold capacity grid) or from scratch,
+//    then moves the results into a fresh immutable snapshot, publishes it
+//    with one atomic head store and retires the replaced one through the
 //    epoch manager.
 //
 // This is the architectural seam later scaling work builds on: sharding
@@ -50,7 +47,6 @@
 #include "db/versioned_database.h"
 #include "market/incremental_builder.h"
 #include "market/support.h"
-#include "serve/delta_book.h"
 #include "serve/persist/state_io.h"
 #include "serve/price_book.h"
 
@@ -66,19 +62,11 @@ struct EngineOptions {
   /// false = every AppendBuyers runs a full cold solve (the baseline the
   /// engine_throughput bench compares against).
   bool incremental_reprice = true;
-  /// Delta-chain publish cadence: a consolidated base snapshot is
-  /// published when the chain holds this many delta records (so a base
-  /// lands every consolidate_every + 1 generations). 1 publishes a full
-  /// snapshot every generation — the pre-delta deep-copy behavior, the
-  /// baseline the publish-cost bench phases compare against. Books are
-  /// bit-identical for every value.
-  uint32_t consolidate_every = 8;
-  /// Catalog fold cadence (mirrors consolidate_every on the data side):
-  /// ApplySellerDelta folds the accumulated overlay into the base
-  /// database once it holds this many distinct cells — gated on reader
-  /// drain, retried on the next delta when readers are still pinned.
-  /// <= 0 never folds (the overlay grows without bound). Logical reads
-  /// are identical for every value.
+  /// Catalog fold cadence: ApplySellerDelta folds the accumulated
+  /// overlay into the base database once it holds this many distinct
+  /// cells — gated on reader drain, retried on the next delta when
+  /// readers are still pinned. <= 0 never folds (the overlay grows
+  /// without bound). Logical reads are identical for every value.
   int fold_every = 32;
 };
 
@@ -120,17 +108,16 @@ struct EngineStats {
   /// prepared probing state; invalidated — selectively — by
   /// ApplySellerDelta).
   market::PreparedQueryCache::Stats prepared;
-  /// Delta-chain publish accounting.
+  /// Publish accounting. Every generation publishes one whole snapshot,
+  /// counted in `bases`. `deltas`, `fallbacks` and `chain_length` are
+  /// always 0; they stay because existing stats readers (the service
+  /// benchmark's runner) still read them.
   struct PublishStats {
-    /// Consolidated base snapshots published (includes the constructor's
-    /// empty generation and diff fallbacks).
+    /// Snapshots published (includes the constructor's empty generation
+    /// and a restore).
     uint64_t bases = 0;
-    /// Compact delta records published.
     uint64_t deltas = 0;
-    /// Publishes that wanted a delta but fell back to a base because the
-    /// generations were not patchable (DiffResults returned nullopt).
     uint64_t fallbacks = 0;
-    /// Delta records above the current base (a gauge).
     uint32_t chain_length = 0;
   };
   PublishStats publish;
@@ -194,17 +181,24 @@ class PricingEngine {
       std::vector<std::vector<uint32_t>> conflict_sets,
       const core::Valuations& valuations);
 
-  /// Current book as a standalone consolidated snapshot; lock-free.
-  /// Materializes the delta chain (a deep copy, bit-identical to the
-  /// chain's resolution) — the compatibility / slow path; hot serving
-  /// paths quote through the chain without copying. Hold the returned
-  /// pointer to keep pricing against one consistent generation.
+  /// Frees the head snapshot. No reader may remain pinned on it.
+  ~PricingEngine();
+
+  PricingEngine(const PricingEngine&) = delete;
+  PricingEngine& operator=(const PricingEngine&) = delete;
+
+  /// Current book as a standalone copy of the head snapshot; lock-free.
+  /// A deep copy (inspection, tests, benches); the serving paths price
+  /// against the pinned head without copying. Hold the returned pointer
+  /// to keep pricing against one consistent generation.
   std::shared_ptr<const PriceBookSnapshot> snapshot() const;
 
-  /// Current book as a zero-copy chain view. The caller must hold a
-  /// Guard on epochs() for the view's whole lifetime (the sharded
+  /// Current head snapshot, without copying. The caller must hold a
+  /// Guard on epochs() for as long as it uses the book (the sharded
   /// router's merged view pins one guard over every shard).
-  BookView book_view() const { return chain_.view(); }
+  const PriceBookSnapshot& book() const {
+    return *head_.load(std::memory_order_acquire);
+  }
 
   /// The engine's epoch manager (shared or owned).
   common::EpochManager& epochs() const { return *epochs_; }
@@ -295,21 +289,19 @@ class PricingEngine {
   /// writer_mutex_.
   void RepriceAndPublish(int first_new_edge);
 
-  /// Publishes `results` as this generation's book: a delta record when
-  /// the chain has room and the diff is patchable, a consolidated base
-  /// otherwise. Takes ownership of `results` into the writer's working
-  /// copy. Caller holds writer_mutex_.
-  void PublishResults(std::vector<core::PricingResult> results,
-                      const core::RepriceStats& reprice_stats);
+  /// Makes `next` the head and retires the replaced snapshot to the
+  /// epoch manager, advancing the epoch and reclaiming whatever no pinned
+  /// reader can still reach. Caller holds writer_mutex_.
+  void Publish(std::unique_ptr<const PriceBookSnapshot> next);
 
   const db::Database* db_;
   EngineOptions options_;
 
   mutable std::mutex writer_mutex_;
-  /// Epoch-based reclamation for retired chains and catalog generations:
-  /// owned unless the constructor was handed a shared manager. Declared
-  /// before the catalog, builder and chain so their retirements die
-  /// first.
+  /// Epoch-based reclamation for retired snapshots and catalog
+  /// generations: owned unless the constructor was handed a shared
+  /// manager. Declared before the catalog and builder so their
+  /// retirements die first.
   std::unique_ptr<common::EpochManager> owned_epochs_;
   common::EpochManager* epochs_;
   /// Versioned catalog over db_: owned unless the constructor was handed
@@ -323,19 +315,10 @@ class PricingEngine {
   uint64_t version_ = 0;
   int total_lps_solved_ = 0;
 
-  PriceBookChain chain_;
-  /// The writer's full working copy of the published generation: the
-  /// diff anchor for delta publishes and the consolidated view persist
-  /// captures (bit-identical to folding the chain). Guarded by
-  /// writer_mutex_.
-  std::vector<core::PricingResult> working_results_;
-  /// Reprice stats of the published head (persist capture reads these
-  /// instead of materializing the chain). Guarded by writer_mutex_.
-  core::RepriceStats published_stats_;
-  uint32_t deltas_since_base_ = 0;
-  uint64_t base_publishes_ = 0;
-  uint64_t delta_publishes_ = 0;
-  uint64_t diff_fallbacks_ = 0;
+  /// The published generation. Stored by the writer (under
+  /// writer_mutex_), loaded by readers under an epoch Guard.
+  std::atomic<const PriceBookSnapshot*> head_{nullptr};
+  uint64_t publishes_ = 0;
 
   mutable std::atomic<uint64_t> quotes_served_{0};
   // Reader-side sale accounting: Purchase runs without the writer mutex,

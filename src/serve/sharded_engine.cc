@@ -1,6 +1,5 @@
 #include "serve/sharded_engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -9,31 +8,26 @@
 
 namespace qp::serve {
 
-const PriceBookSnapshot& MergedBookView::shard(int s) const {
-  if (materialized_.empty()) materialized_.resize(views_.size());
-  auto& slot = materialized_[static_cast<size_t>(s)];
-  if (slot == nullptr) slot = views_[static_cast<size_t>(s)].Materialize();
-  return *slot;
-}
-
 uint64_t MergedBookView::version() const {
   uint64_t total = 0;
-  for (const BookView& view : views_) total += view.version();
+  for (const PriceBookSnapshot* book : books_) total += book->version();
   return total;
 }
 
 std::vector<uint64_t> MergedBookView::version_vector() const {
   std::vector<uint64_t> versions;
-  versions.reserve(views_.size());
-  for (const BookView& view : views_) versions.push_back(view.version());
+  versions.reserve(books_.size());
+  for (const PriceBookSnapshot* book : books_) {
+    versions.push_back(book->version());
+  }
   return versions;
 }
 
 double MergedBookView::best_revenue() const {
   std::vector<double> parts;
-  parts.reserve(views_.size());
-  for (const BookView& view : views_) {
-    parts.push_back(view.num_edges() > 0 ? view.best_revenue() : 0.0);
+  parts.reserve(books_.size());
+  for (const PriceBookSnapshot* book : books_) {
+    parts.push_back(book->num_edges() > 0 ? book->best().revenue : 0.0);
   }
   return core::AdditivePrice(parts);
 }
@@ -52,16 +46,14 @@ void MergedBookView::QuoteBundleInto(const std::vector<uint32_t>& bundle,
   partition_->SplitBundleInto(bundle, &scratch->parts);
   scratch->prices.clear();
   scratch->labels.clear();
-  for (size_t s = 0; s < views_.size(); ++s) {
+  for (size_t s = 0; s < books_.size(); ++s) {
     if (scratch->parts[s].empty()) continue;
-    const BookView& view = views_[s];
-    // Per-shard quote without the intermediate Quote: the price is the
-    // serving result's bundle price and the label is the base snapshot's
-    // algorithm name (stable while the view's pin is held) — exactly
-    // what BookView::QuoteBundle packages.
-    scratch->prices.push_back(
-        view.PriceBundle(view.best_index(), scratch->parts[s]));
-    scratch->labels.push_back(&view.best_algorithm());
+    // Per-shard quote without the intermediate Quote: the serving
+    // result's bundle price and algorithm name (stable while the view's
+    // pin is held) — exactly what PriceBookSnapshot::QuoteBundle packages.
+    const core::PricingResult& serving = books_[s]->best();
+    scratch->prices.push_back(serving.pricing->Price(scratch->parts[s]));
+    scratch->labels.push_back(&serving.algorithm);
   }
   if (touched_shards != nullptr) {
     *touched_shards = static_cast<int>(scratch->prices.size());
@@ -70,8 +62,8 @@ void MergedBookView::QuoteBundleInto(const std::vector<uint32_t>& bundle,
     // Nothing touched (empty bundle): report the serving algorithms of
     // every shard so a one-shard router matches the monolithic engine's
     // empty-bundle quote exactly.
-    for (const BookView& view : views_) {
-      scratch->labels.push_back(&view.best_algorithm());
+    for (const PriceBookSnapshot* book : books_) {
+      scratch->labels.push_back(&book->best().algorithm);
     }
   }
   out->price = core::AdditivePrice(scratch->prices);
@@ -79,8 +71,8 @@ void MergedBookView::QuoteBundleInto(const std::vector<uint32_t>& bundle,
   // The scalar version is monotone but collidable across shard-version
   // vectors; the vector is the collision-free stamp (see version()).
   out->shard_versions.clear();
-  for (const BookView& view : views_) {
-    out->shard_versions.push_back(view.version());
+  for (const PriceBookSnapshot* book : books_) {
+    out->shard_versions.push_back(book->version());
   }
   core::MergeAlgorithmLabelsInto(scratch->labels, &out->algorithm);
 }
@@ -226,12 +218,11 @@ void ShardedPricingEngine::SnapshotInto(MergedBookView* view) const {
   // releasing the view's old pin, so heads loaded below are never
   // reclaimable in between.
   view->guard_ = common::EpochManager::Guard(epochs_);
-  view->views_.resize(shards_.size());
+  view->books_.resize(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    view->views_[s] = shards_[s]->book_view();
+    view->books_[s] = &shards_[s]->book();
   }
   view->partition_ = &partition_;
-  if (!view->materialized_.empty()) view->materialized_.clear();
 }
 
 Quote ShardedPricingEngine::QuoteBundle(
@@ -509,10 +500,6 @@ ShardedEngineStats ShardedPricingEngine::stats() const {
     out.merged.incidence.merges += es.incidence.merges;
     out.merged.prepared.Merge(es.prepared);
     out.merged.publish.bases += es.publish.bases;
-    out.merged.publish.deltas += es.publish.deltas;
-    out.merged.publish.fallbacks += es.publish.fallbacks;
-    out.merged.publish.chain_length =
-        std::max(out.merged.publish.chain_length, es.publish.chain_length);
     out.shards.push_back(std::move(es));
   }
   // Shards share the router's epoch manager and versioned catalog, so

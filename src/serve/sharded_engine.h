@@ -16,7 +16,7 @@
 //    Routing is decided serially in arrival order before the fan-out, so
 //    published books are bit-identical for every thread count.
 //  * Readers pin a MergedBookView: ONE epoch pin (the shards share the
-//    router's common::EpochManager) plus one delta-chain head load per
+//    router's common::EpochManager) plus one snapshot head load per
 //    shard, all lock-free — no shared_ptr refcounts anywhere on the
 //    quote path. A bundle of global item ids splits into per-shard
 //    local bundles; its price is the sum of the owning shards' quotes in
@@ -62,7 +62,6 @@
 #include "db/versioned_database.h"
 #include "market/incremental_builder.h"
 #include "market/support_partitioner.h"
-#include "serve/delta_book.h"
 #include "serve/price_book.h"
 #include "serve/pricing_engine.h"
 
@@ -120,10 +119,10 @@ struct ShardedEngineStats {
 };
 
 /// An immutable view over one pinned generation per shard: a single
-/// epoch Guard (the shards share the router's manager) plus one
-/// delta-chain BookView per shard. Holding the view keeps every shard's
-/// generation alive; `partition` must outlive the view (it lives in the
-/// router). Lock-free to obtain and use; move-only (it carries the pin).
+/// epoch Guard (the shards share the router's manager) plus one head
+/// snapshot per shard. Holding the view keeps every shard's generation
+/// alive; the partition must outlive the view (it lives in the router).
+/// Lock-free to obtain and use; move-only (it carries the pin).
 class MergedBookView {
  public:
   /// Empty, unpinned view — a slot for ShardedPricingEngine::SnapshotInto
@@ -131,24 +130,11 @@ class MergedBookView {
   /// before the first SnapshotInto is undefined.
   MergedBookView() = default;
 
-  MergedBookView(common::EpochManager::Guard guard,
-                 std::vector<BookView> views,
-                 const market::SupportPartition* partition)
-      : guard_(std::move(guard)),
-        views_(std::move(views)),
-        partition_(partition) {}
+  int num_shards() const { return static_cast<int>(books_.size()); }
 
-  int num_shards() const { return static_cast<int>(views_.size()); }
-
-  /// One shard's book as a standalone consolidated snapshot,
-  /// materialized lazily on first access and cached for the view's
-  /// lifetime (a deep copy — compatibility / inspection path; quoting
-  /// goes through the chain views without copying).
-  const PriceBookSnapshot& shard(int s) const;
-
-  /// One shard's zero-copy chain view (valid while this view lives).
-  const BookView& shard_view(int s) const {
-    return views_[static_cast<size_t>(s)];
+  /// One shard's pinned snapshot (valid while this view lives).
+  const PriceBookSnapshot& shard(int s) const {
+    return *books_[static_cast<size_t>(s)];
   }
 
   /// Sum of shard versions; monotone across any shard's publish, but NOT
@@ -181,8 +167,8 @@ class MergedBookView {
   struct QuoteScratch {
     std::vector<std::vector<uint32_t>> parts;
     std::vector<double> prices;
-    /// Pointers into the pinned views' base snapshots — valid only
-    /// within one QuoteBundleInto call.
+    /// Pointers into the pinned snapshots — valid only within one
+    /// QuoteBundleInto call.
     std::vector<const std::string*> labels;
   };
 
@@ -199,11 +185,8 @@ class MergedBookView {
   friend class ShardedPricingEngine;  // SnapshotInto re-pins in place
 
   common::EpochManager::Guard guard_;
-  std::vector<BookView> views_;
+  std::vector<const PriceBookSnapshot*> books_;
   const market::SupportPartition* partition_ = nullptr;
-  /// Lazy per-shard materialization cache for shard(); indexed like
-  /// views_, filled on demand.
-  mutable std::vector<std::shared_ptr<const PriceBookSnapshot>> materialized_;
 };
 
 class ShardedPricingEngine {
@@ -390,8 +373,8 @@ class ShardedPricingEngine {
   ShardedEngineOptions options_;
 
   /// One epoch manager for the whole router: every shard retires its
-  /// chains here and a merged view pins it once. Declared before the
-  /// shards so it outlives their chains.
+  /// snapshots here and a merged view pins it once. Declared before the
+  /// shards so it outlives their books.
   mutable common::EpochManager epochs_;
   /// One versioned catalog for the whole router: the global prober and
   /// every shard resolve cell reads through it, and ApplySellerDelta is

@@ -88,7 +88,6 @@ Market MakeMarket(int fold_every) {
   ShardedEngineOptions options;
   options.engine.algorithms.lpip.max_candidates = 0;
   options.engine.algorithms.lpip.chain_length = 1;
-  options.engine.consolidate_every = 4;
   options.engine.fold_every = fold_every;
   m.engine = std::make_unique<ShardedPricingEngine>(
       m.db.get(),

@@ -1,13 +1,18 @@
 // PricingEngine acceptance tests: (a) concurrent quoting against
 // atomically swapped snapshots is safe while the writer republishes,
 // (b) incremental repricing after a buyer append matches a cold
-// RunAllAlgorithms on the grown instance within 1e-9, and (c) the
-// incremental path solves strictly fewer LPs than full recompute.
+// RunAllAlgorithms on the grown instance within 1e-9, (c) the
+// incremental path solves strictly fewer LPs than full recompute, and
+// (d) the quote path pins epochs instead of refcounts, every publish
+// retires exactly one snapshot, and a pinned reader keeps its
+// generation until it lets go.
 #include "serve/pricing_engine.h"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -19,6 +24,8 @@
 #include "core/algorithms.h"
 #include "db/parser.h"
 #include "market/support.h"
+#include "market/support_partitioner.h"
+#include "serve/sharded_engine.h"
 #include "tests/testing/test_db.h"
 
 namespace qp::serve {
@@ -220,6 +227,126 @@ TEST(PricingEngineTest, SnapshotsAreImmutableAcrossPublishes) {
   Quote after = pinned->QuoteBundle(bundle);
   EXPECT_EQ(after.version, before.version);
   EXPECT_DOUBLE_EQ(after.price, before.price);
+}
+
+TEST(PricingEngineTest, EmptySnapshotDies) {
+  core::RepriceStats stats;
+  std::vector<core::PricingResult> none;
+  EXPECT_DEATH(PriceBookSnapshot(1, std::move(none), stats, 10, 0),
+               "no results");
+}
+
+// The refcount-free hot path is observable: every QuoteBundle /
+// QuoteBatch / merged snapshot takes exactly one epoch pin.
+TEST(PricingEngineTest, QuotePathPinsEpochsNotRefcounts) {
+  Market m = MakeMarket();
+  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
+  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+
+  uint64_t pins = engine.stats().epoch.pins;
+  const int kQuotes = 25;
+  for (int i = 0; i < kQuotes; ++i) engine.QuoteBundle({0, 1, 2});
+  EXPECT_EQ(engine.stats().epoch.pins, pins + kQuotes);
+
+  // A batch amortizes: one pin for the whole span.
+  std::vector<std::vector<uint32_t>> bundles(10, {1, 2});
+  pins = engine.stats().epoch.pins;
+  engine.QuoteBatch(bundles);
+  EXPECT_EQ(engine.stats().epoch.pins, pins + 1);
+
+  // Sharded: one pin per merged view, covering every shard.
+  ShardedEngineOptions options;
+  options.engine = MatchedOptions(true);
+  ShardedPricingEngine router(
+      m.db.get(),
+      market::SupportPartitioner::FromQueries(m.db.get(), m.support,
+                                              m.initial_queries, {},
+                                              {.num_shards = 3}),
+      options);
+  QP_CHECK_OK(router.AppendBuyers(m.initial_queries, m.initial_valuations));
+  uint64_t router_pins = router.stats().merged.epoch.pins;
+  MergedBookView view = router.snapshot();
+  EXPECT_EQ(router.stats().merged.epoch.pins, router_pins + 1);
+}
+
+// Every publish retires exactly the snapshot it replaces, and with no
+// reader pinned the writer reclaims it on the spot. Without seller
+// deltas the catalog retires nothing, so the epoch counters see only
+// books.
+TEST(PricingEngineTest, EveryPublishRetiresOneSnapshotAndReclaims) {
+  Market m = MakeMarket();
+  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.epoch.retired, 0u);  // the first book replaced nothing
+  EXPECT_EQ(stats.publish.bases, 1u);
+
+  std::vector<db::BoundQuery> queries = m.initial_queries;
+  queries.insert(queries.end(), m.late_queries.begin(), m.late_queries.end());
+  core::Valuations valuations = m.initial_valuations;
+  valuations.insert(valuations.end(), m.late_valuations.begin(),
+                    m.late_valuations.end());
+  for (size_t b = 0; b < queries.size(); ++b) {
+    uint64_t retired = engine.stats().epoch.retired;
+    QP_CHECK_OK(engine.AppendBuyers({queries[b]}, {valuations[b]}));
+    stats = engine.stats();
+    EXPECT_EQ(stats.epoch.retired, retired + 1);
+    EXPECT_EQ(stats.epoch.reclaimed, stats.epoch.retired);
+    EXPECT_EQ(stats.epoch.pending, 0u);
+  }
+  EXPECT_EQ(stats.publish.bases, 1u + queries.size());
+  EXPECT_EQ(stats.publish.deltas, 0u);
+  EXPECT_EQ(stats.publish.fallbacks, 0u);
+  EXPECT_EQ(stats.publish.chain_length, 0u);
+}
+
+// A reader holding a merged view across publishes keeps pricing its own
+// generation bit for bit; the replaced snapshots stay pending while it
+// holds the pin and are reclaimed by the first publish after it lets go.
+TEST(PricingEngineTest, HeldMergedViewSurvivesPublishesUntilReleased) {
+  Market m = MakeMarket();
+  ShardedEngineOptions options;
+  options.engine = MatchedOptions(true);
+  std::vector<db::BoundQuery> queries = m.initial_queries;
+  queries.insert(queries.end(), m.late_queries.begin(), m.late_queries.end());
+  ShardedPricingEngine router(
+      m.db.get(),
+      market::SupportPartitioner::FromQueries(m.db.get(), m.support, queries,
+                                              {}, {.num_shards = 2}),
+      options);
+  QP_CHECK_OK(router.AppendBuyers(m.initial_queries, m.initial_valuations));
+
+  std::vector<std::vector<uint32_t>> bundles = {{}, {0, 1, 2}};
+  for (uint32_t i = 0; i < m.support.size(); i += 7) bundles.push_back({i});
+  std::vector<uint32_t> strided;
+  for (uint32_t i = 0; i < m.support.size(); i += 11) strided.push_back(i);
+  bundles.push_back(strided);
+
+  auto view = std::make_unique<MergedBookView>(router.snapshot());
+  const std::vector<uint64_t> held_versions = view->version_vector();
+  std::vector<Quote> held;
+  for (const std::vector<uint32_t>& bundle : bundles) {
+    held.push_back(view->QuoteBundle(bundle));
+  }
+
+  for (size_t b = 0; b < m.late_queries.size(); ++b) {
+    QP_CHECK_OK(router.AppendBuyers({m.late_queries[b]},
+                                    {m.late_valuations[b]}));
+    EXPECT_NE(router.snapshot().version_vector(), held_versions);
+    EXPECT_GT(router.stats().merged.epoch.pending, 0u);
+    for (size_t i = 0; i < bundles.size(); ++i) {
+      Quote again = view->QuoteBundle(bundles[i]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(again.price),
+                std::bit_cast<uint64_t>(held[i].price));
+      EXPECT_EQ(again.shard_versions, held[i].shard_versions);
+      EXPECT_EQ(again.algorithm, held[i].algorithm);
+    }
+  }
+
+  view.reset();
+  QP_CHECK_OK(router.AppendBuyers({m.initial_queries[0]}, {1.0}));
+  common::EpochManager::Stats epoch = router.stats().merged.epoch;
+  EXPECT_EQ(epoch.pending, 0u);
+  EXPECT_EQ(epoch.reclaimed, epoch.retired);
 }
 
 TEST(PricingEngineTest, ConcurrentQuotesAreRaceFreeWhileWriterPublishes) {
