@@ -3,7 +3,10 @@
 // Tables 4-6 with statistically stable per-call numbers. The
 // BM_Conflict* rows time the market layer's conflict-set construction —
 // prepare one query, then probe it over the whole support — on the
-// skewed instance. Uses system google-benchmark when available;
+// skewed instance. BM_Crc32 and BM_DeserializeShardState time the
+// durability layer's recovery read: the checksum every persisted byte
+// goes through, and decoding one real shard checkpoint file. Uses system
+// google-benchmark when available;
 // otherwise the built-in mini harness (bench/mini_benchmark.h) keeps the
 // target building and running.
 #include <algorithm>
@@ -20,7 +23,11 @@
 #include "core/algorithms.h"
 #include "core/valuation.h"
 #include "market/conflict.h"
+#include "market/hypergraph_builder.h"
 #include "market/support.h"
+#include "serve/persist/format.h"
+#include "serve/persist/state_io.h"
+#include "serve/pricing_engine.h"
 #include "workloads/world_queries.h"
 
 namespace qp::core {
@@ -186,5 +193,52 @@ BENCHMARK(BM_ConflictProbe)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace qp::market
+
+namespace qp::serve::persist {
+namespace {
+
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(31);
+  std::vector<uint8_t> buffer(256 << 10);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buffer));
+  }
+}
+BENCHMARK(BM_Crc32);
+
+// One shard checkpoint file as the engine writes it: a single-shard
+// engine over the skewed instance holding the first 300 corpus buyers
+// (as many as the pricing service benchmark seeds its book with).
+void BM_DeserializeShardState(benchmark::State& state) {
+  static const std::vector<uint8_t> file = [] {
+    const market::ConflictInstance& inst = market::SkewedConflictInstance();
+    std::vector<db::BoundQuery> queries(inst.w.queries.begin(),
+                                        inst.w.queries.begin() + 300);
+    market::BuildResult built =
+        market::BuildHypergraph(*inst.w.database, queries, inst.support);
+    Rng rng(300);
+    core::Valuations valuations;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      valuations.push_back(rng.UniformReal(1.0, 100.0));
+    }
+    EngineOptions options;
+    options.algorithms.lpip.max_candidates = 12;
+    PricingEngine engine(inst.w.database.get(), inst.support, options);
+    QP_CHECK_OK(engine.AppendBuyersPrecomputed(std::move(built.conflict_sets),
+                                               valuations));
+    auto bytes = SerializeShardState(engine.CaptureState());
+    QP_CHECK_OK(bytes.status());
+    return std::move(*bytes);
+  }();
+  for (auto _ : state) {
+    auto shard = DeserializeShardState(file);
+    benchmark::DoNotOptimize(shard.ok());
+  }
+}
+BENCHMARK(BM_DeserializeShardState);
+
+}  // namespace
+}  // namespace qp::serve::persist
 
 BENCHMARK_MAIN();

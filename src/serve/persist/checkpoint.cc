@@ -27,11 +27,6 @@ constexpr uint32_t kMaxRecordBytes = 64u << 20;
 /// u8 type + u64 op_id: the smallest valid record body.
 constexpr uint32_t kMinRecordBytes = 9;
 
-uint32_t ReadU32At(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
 void PutAppendPayload(WireWriter& w,
                       const std::vector<std::vector<uint32_t>>& conflict_sets,
                       const core::Valuations& valuations) {
@@ -147,24 +142,25 @@ Result<Journal> ReadJournal(const std::string& path) {
     // A record that does not fully parse and checksum is the torn tail:
     // the crash signature, not an error. Everything before it is valid.
     if (data.size() - pos < 4) break;
-    const uint32_t len = ReadU32At(data.data() + pos);
+    const uint32_t len = LoadLe32(data.data() + pos);
     if (len < kMinRecordBytes || len > kMaxRecordBytes ||
         data.size() - pos - 4 < static_cast<size_t>(len) + 4) {
       break;
     }
     const uint8_t* body = data.data() + pos + 4;
-    if (Crc32(body, len) != ReadU32At(body + len)) break;
+    if (Crc32(body, len) != LoadLe32(body + len)) break;
     WireReader r(body, len);
     JournalOp op;
     op.type = r.U8();
     op.op_id = r.U64();
     if (op.type == kAppendOp) {
-      uint32_t n = r.U32();
-      if (r.ok()) op.conflict_sets.reserve(n);
+      // Each buyer takes at least a u32 edge count and an f64 valuation.
+      uint32_t n = r.Count(4 + 8);
+      op.conflict_sets.reserve(n);
       for (uint32_t i = 0; i < n && r.ok(); ++i) {
         op.conflict_sets.push_back(r.U32Vec());
       }
-      if (r.ok()) op.valuations.reserve(n);
+      op.valuations.reserve(n);
       for (uint32_t i = 0; i < n && r.ok(); ++i) {
         op.valuations.push_back(r.F64());
       }

@@ -14,25 +14,44 @@
 namespace qp::serve::persist {
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][b] is the CRC state after byte b followed by k zero bytes,
+// so one step folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ c;
+    const uint32_t hi = LoadLe32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -34,11 +34,23 @@ inline constexpr uint64_t kFileMagic = 0x0000535245505051ULL;  // "QPPERS\0\0"
 /// Bumped on incompatible layout changes; readers reject other versions.
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size`
-/// bytes, seeded with `seed` so checksums can be chained across buffers.
+/// CRC-32/ISO-HDLC — the zlib/PNG/IEEE 802.3 CRC: reflected polynomial
+/// 0xEDB88320, init and xorout 0xFFFFFFFF, check value 0xCBF43926 for
+/// "123456789" — over `size` bytes, seeded with `seed` so checksums can
+/// be chained across buffers (Crc32(b, Crc32(a)) == Crc32(a + b)). The
+/// implementation is slicing-by-8 (eight bytes per step through eight
+/// 256-entry tables). It returns the same value as the bytewise table
+/// loop on every input, so it is not part of the format: kFormatVersion
+/// stays 1 and files written by either loop read back under the other.
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
   return Crc32(data.data(), data.size(), seed);
+}
+
+/// The little-endian u32 at `p`; the caller bounds the read.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t(p[0]) | uint32_t(p[1]) << 8 | uint32_t(p[2]) << 16 |
+         uint32_t(p[3]) << 24;
 }
 
 /// Appends one checksummed section ([tag][len][payload][crc]) to `out`.

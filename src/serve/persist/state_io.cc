@@ -27,15 +27,21 @@ constexpr uint8_t kUniformBundle = 1;
 constexpr uint8_t kItemPricing = 2;
 constexpr uint8_t kXosPricing = 3;
 
+// Smallest encodings of the variable-size elements, the per-element
+// bound WireReader::Count checks a decoded count against.
+constexpr size_t kMinVecBytes = 4;         // u32 count of an empty vector
+constexpr size_t kMinCandidateBytes = 12;  // f64 threshold + empty weights
+constexpr size_t kMinResultBytes = 25;     // "" + kNoPricing + 2 f64 + u32
+constexpr size_t kMinCellDeltaBytes = 13;  // 3 u32 + kNull type tag
+
 void PutF64Vec(WireWriter& w, const std::vector<double>& v) {
   w.U32(static_cast<uint32_t>(v.size()));
   for (double x : v) w.F64(x);
 }
 
 std::vector<double> GetF64Vec(WireReader& r) {
-  uint32_t n = r.U32();
+  uint32_t n = r.Count(8);
   std::vector<double> v;
-  if (!r.ok()) return v;
   v.reserve(n);
   for (uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.F64());
   return v;
@@ -80,9 +86,9 @@ Result<std::unique_ptr<core::PricingFunction>> GetPricing(WireReader& r) {
       return std::unique_ptr<core::PricingFunction>(
           std::make_unique<core::ItemPricing>(GetF64Vec(r)));
     case kXosPricing: {
-      uint32_t n = r.U32();
+      uint32_t n = r.Count(kMinVecBytes);
       std::vector<std::vector<double>> components;
-      if (r.ok()) components.reserve(n);
+      components.reserve(n);
       for (uint32_t i = 0; i < n && r.ok(); ++i) {
         components.push_back(GetF64Vec(r));
       }
@@ -238,8 +244,8 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data) {
         break;
       }
       case kEdgesSection: {
-        uint32_t n = r.U32();
-        if (r.ok()) state.edges.reserve(n);
+        uint32_t n = r.Count(kMinVecBytes);
+        state.edges.reserve(n);
         for (uint32_t i = 0; i < n && r.ok(); ++i) {
           state.edges.push_back(r.U32Vec());
         }
@@ -255,16 +261,14 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data) {
         state.reprice.classes.class_of_item = r.U32Vec();
         state.reprice.classes.class_size = r.U32Vec();
         state.reprice.classes.class_rep = r.U32Vec();
-        uint32_t num_edge_classes = r.U32();
-        if (r.ok()) {
-          state.reprice.classes.edge_classes.reserve(num_edge_classes);
-        }
+        uint32_t num_edge_classes = r.Count(kMinVecBytes);
+        state.reprice.classes.edge_classes.reserve(num_edge_classes);
         for (uint32_t i = 0; i < num_edge_classes && r.ok(); ++i) {
           state.reprice.classes.edge_classes.push_back(r.U32Vec());
         }
         state.reprice.order = ToInt(r.U32Vec());
-        uint32_t num_candidates = r.U32();
-        if (r.ok()) state.reprice.lpip.reserve(num_candidates);
+        uint32_t num_candidates = r.Count(kMinCandidateBytes);
+        state.reprice.lpip.reserve(num_candidates);
         for (uint32_t i = 0; i < num_candidates && r.ok(); ++i) {
           core::RepriceState::LpipCandidate candidate;
           candidate.threshold = r.F64();
@@ -277,8 +281,8 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data) {
         break;
       }
       case kBookSection: {
-        uint32_t n = r.U32();
-        if (r.ok()) state.results.reserve(n);
+        uint32_t n = r.Count(kMinResultBytes);
+        state.results.reserve(n);
         for (uint32_t i = 0; i < n && r.ok(); ++i) {
           core::PricingResult result;
           result.algorithm = r.String();
@@ -348,8 +352,8 @@ Result<Manifest> DeserializeManifest(const std::vector<uint8_t>& data) {
   manifest.shard_versions = r.U64Vec();
   manifest.partition_fingerprint = r.U64();
   manifest.shard_file_crcs = r.U32Vec();
-  uint32_t num_deltas = r.U32();
-  if (r.ok()) manifest.seller_deltas.reserve(num_deltas);
+  uint32_t num_deltas = r.Count(kMinCellDeltaBytes);
+  manifest.seller_deltas.reserve(num_deltas);
   for (uint32_t i = 0; i < num_deltas && r.ok(); ++i) {
     QP_ASSIGN_OR_RETURN(market::CellDelta delta, GetCellDelta(r));
     manifest.seller_deltas.push_back(std::move(delta));

@@ -238,6 +238,17 @@ class WireReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  /// Reads a u32 element count and latches failure (returning 0) unless
+  /// that many elements of at least `min_elem_bytes` each fit in the
+  /// bytes left — the check to make before a count sizes a reserve().
+  uint32_t Count(size_t min_elem_bytes) {
+    uint32_t n = U32();
+    if (!ok_ || (size_ - pos_) / min_elem_bytes < n) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
   std::string String() {
     uint32_t n = U32();
     if (!Need(n)) return {};
@@ -254,22 +265,16 @@ class WireReader {
   /// retained) — the server's zero-allocation decode path. Identical
   /// validation and failure latching; U32Vec delegates here.
   bool U32VecInto(std::vector<uint32_t>* out) {
-    uint32_t n = U32();
-    if (!ok_ || size_ - pos_ < size_t(n) * 4) {
-      ok_ = false;
-      return false;
-    }
+    uint32_t n = Count(4);
+    if (!ok_) return false;
     out->clear();
     out->reserve(n);
     for (uint32_t i = 0; i < n; ++i) out->push_back(U32());
     return true;
   }
   std::vector<uint64_t> U64Vec() {
-    uint32_t n = U32();
-    if (!ok_ || size_ - pos_ < size_t(n) * 8) {
-      ok_ = false;
-      return {};
-    }
+    uint32_t n = Count(8);
+    if (!ok_) return {};
     std::vector<uint64_t> v;
     v.reserve(n);
     for (uint32_t i = 0; i < n; ++i) v.push_back(U64());

@@ -1,6 +1,7 @@
 // Durability suite (serve/persist). The contracts pinned here:
 //  (a) the checkpoint/journal format detects corruption: section CRCs,
-//      file-kind tags, torn journal tails;
+//      file-kind tags, torn journal tails — and CRC-valid bytes with
+//      absurd element counts decode to an error Status, never a throw;
 //  (b) crash recovery (checkpoint + write-ahead journal replay into a
 //      fresh engine) reproduces the pre-crash books BIT FOR BIT —
 //      versions, prices, serialized shard state — including seller
@@ -19,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,7 +185,229 @@ void FlipByteInFile(const std::string& path, size_t offset_from_mid) {
   QP_CHECK_OK(WriteFileAtomic(path, *bytes, /*fsync_file=*/false));
 }
 
+/// Bit-at-a-time CRC-32/ISO-HDLC, the definition Crc32 must match.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  return out;
+}
+
+// Shard-file section tags (state_io.cc).
+constexpr uint32_t kEdgesTag = 2;
+constexpr uint32_t kValuationsTag = 3;
+constexpr uint32_t kRepriceTag = 4;
+constexpr uint32_t kBookTag = 5;
+constexpr uint32_t kHugeCount = 0xFFFFFFFFu;
+
+/// A file of kind `kind` whose only section is `payload`, CRC-sealed.
+std::vector<uint8_t> OneSectionFile(uint32_t kind, uint32_t tag,
+                                    const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> file;
+  AppendFileHeader(kind, &file);
+  AppendSection(tag, payload, &file);
+  return file;
+}
+
+/// A journal record ([len][body][crc]) around a raw body.
+std::vector<uint8_t> SealRecord(const std::vector<uint8_t>& body) {
+  std::vector<uint8_t> record;
+  record.reserve(body.size() + 8);
+  rpc::WireWriter w(&record);
+  w.U32(static_cast<uint32_t>(body.size()));
+  record.insert(record.end(), body.begin(), body.end());
+  w.U32(Crc32(body));
+  return record;
+}
+
+/// The bytes of a shard file whose edges section claims 2^32 - 1 edges.
+std::vector<uint8_t> HugeEdgeCountShardFile() {
+  std::vector<uint8_t> payload;
+  rpc::WireWriter(&payload).U32(kHugeCount);
+  return OneSectionFile(kShardFileKind, kEdgesTag, payload);
+}
+
+/// Overwrites shard `s` of checkpoint directory `ckdir` with `bytes` and
+/// re-seals its MANIFEST's whole-file CRC over them, so only the shard
+/// decoder can reject the checkpoint.
+void ReplaceShardFileResealed(const std::string& ckdir, uint32_t s,
+                              const std::vector<uint8_t>& bytes) {
+  auto manifest_bytes = ReadFile(ckdir + "/MANIFEST");
+  QP_CHECK_OK(manifest_bytes.status());
+  auto manifest = DeserializeManifest(*manifest_bytes);
+  QP_CHECK_OK(manifest.status());
+  manifest->shard_file_crcs[s] = Crc32(bytes);
+  QP_CHECK_OK(WriteFileAtomic(
+      ckdir + "/shard-" + std::to_string(s) + ".ckpt", bytes, false));
+  QP_CHECK_OK(WriteFileAtomic(ckdir + "/MANIFEST",
+                              SerializeManifest(*manifest), false));
+}
+
 // --- (a) format --------------------------------------------------------
+
+TEST(PersistFormatTest, Crc32KnownAnswersAndSeedChaining) {
+  const std::string check = "123456789";
+  const auto* digits = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(Crc32(digits, check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(std::vector<uint8_t>{}), 0u);
+
+  // Crc32(b, Crc32(a)) == Crc32(a + b) at every split point.
+  std::vector<uint8_t> data = RandomBytes(100, 11);
+  const uint32_t whole = Crc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t head = Crc32(data.data(), split);
+    EXPECT_EQ(Crc32(data.data() + split, data.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
+TEST(PersistFormatTest, Crc32MatchesBitwiseReference) {
+  // Every length 0-64 at every offset 0-7 covers each tail length and
+  // each alignment of the 8-byte blocks.
+  std::vector<uint8_t> data = RandomBytes(64 + 8, 12);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(data.data() + offset, len),
+                ReferenceCrc32(data.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  std::vector<uint8_t> big = RandomBytes(1 << 20, 13);
+  EXPECT_EQ(Crc32(big), ReferenceCrc32(big.data(), big.size()));
+}
+
+TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
+  // CRC-valid payloads whose element count (2^32 - 1) exceeds the bytes
+  // behind it, one per counted field of a shard file.
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> shard_sections;
+  auto add = [&](uint32_t tag, auto&& write) {
+    std::vector<uint8_t> payload;
+    rpc::WireWriter w(&payload);
+    write(w);
+    shard_sections.emplace_back(tag, std::move(payload));
+  };
+  add(kEdgesTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
+  add(kValuationsTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
+  add(kRepriceTag, [](rpc::WireWriter& w) {  // edge_classes
+    for (int i = 0; i < 3; ++i) w.U32(0);
+    w.U32(kHugeCount);
+  });
+  add(kRepriceTag, [](rpc::WireWriter& w) {  // LPIP candidates
+    for (int i = 0; i < 5; ++i) w.U32(0);
+    w.U32(kHugeCount);
+  });
+  add(kBookTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
+  add(kBookTag, [](rpc::WireWriter& w) {  // item-pricing weights
+    w.U32(1);
+    w.String("");
+    w.U8(2);
+    w.U32(kHugeCount);
+  });
+  add(kBookTag, [](rpc::WireWriter& w) {  // XOS components
+    w.U32(1);
+    w.String("");
+    w.U8(3);
+    w.U32(kHugeCount);
+  });
+  add(kBookTag, [](rpc::WireWriter& w) {  // one XOS component's weights
+    w.U32(1);
+    w.String("");
+    w.U8(3);
+    w.U32(1);
+    w.U32(kHugeCount);
+  });
+  for (size_t i = 0; i < shard_sections.size(); ++i) {
+    const auto& [tag, payload] = shard_sections[i];
+    EXPECT_EQ(DeserializeShardState(
+                  OneSectionFile(kShardFileKind, tag, payload))
+                  .status()
+                  .code(),
+              StatusCode::kInternal)
+        << "case " << i;
+  }
+
+  std::vector<uint8_t> manifest;
+  {
+    rpc::WireWriter w(&manifest);
+    w.U64(1);  // checkpoint_seq
+    w.U64(0);  // last_op_id
+    w.U32(0);  // num_shards
+    w.U32(0);  // shard_versions
+    w.U64(0);  // partition_fingerprint
+    w.U32(0);  // shard_file_crcs
+    w.U32(kHugeCount);  // seller_deltas
+  }
+  EXPECT_EQ(DeserializeManifest(
+                OneSectionFile(kManifestFileKind, 1, manifest))
+                .status()
+                .code(),
+            StatusCode::kInternal);
+
+  std::string dir = FreshDir("huge_journal");
+  fs::create_directories(dir);
+  std::vector<uint8_t> body;
+  {
+    rpc::WireWriter w(&body);
+    w.U8(kAppendOp);
+    w.U64(1);
+    w.U32(kHugeCount);  // conflict sets (and as many valuations)
+  }
+  QP_CHECK_OK(
+      WriteFileAtomic(dir + "/journal-1.log", SealRecord(body), false));
+  EXPECT_EQ(ReadJournal(dir + "/journal-1.log").status().code(),
+            StatusCode::kInternal);
+}
+
+TEST(PersistFormatTest, RandomSealedPayloadsNeverThrow) {
+  // Bytes skewed toward 0-2 so counts are often small and decoding
+  // reaches deep into each layout; the rest are uniform.
+  Rng rng(2024);
+  auto random_payload = [&rng](size_t max_len) {
+    std::vector<uint8_t> payload(
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(max_len))));
+    for (uint8_t& b : payload) {
+      b = static_cast<uint8_t>(rng.Bernoulli(0.5) ? rng.UniformInt(0, 2)
+                                                  : rng.UniformInt(0, 255));
+    }
+    return payload;
+  };
+  for (int iter = 0; iter < 300; ++iter) {
+    for (uint32_t tag = 1; tag <= 6; ++tag) {
+      std::vector<uint8_t> file =
+          OneSectionFile(kShardFileKind, tag, random_payload(64));
+      EXPECT_NO_THROW((void)DeserializeShardState(file)) << "tag " << tag;
+    }
+    std::vector<uint8_t> manifest =
+        OneSectionFile(kManifestFileKind, 1, random_payload(64));
+    EXPECT_NO_THROW((void)DeserializeManifest(manifest));
+  }
+
+  std::string dir = FreshDir("random_journal");
+  fs::create_directories(dir);
+  const std::string path = dir + "/journal-1.log";
+  for (int iter = 0; iter < 300; ++iter) {
+    std::vector<uint8_t> body;
+    rpc::WireWriter w(&body);
+    w.U8(static_cast<uint8_t>(rng.UniformInt(kAppendOp, kSellerDeltaOp + 1)));
+    w.U64(static_cast<uint64_t>(iter) + 1);
+    std::vector<uint8_t> tail = random_payload(64);
+    body.insert(body.end(), tail.begin(), tail.end());
+    QP_CHECK_OK(WriteFileAtomic(path, SealRecord(body), false));
+    EXPECT_NO_THROW((void)ReadJournal(path)) << "iter " << iter;
+  }
+}
 
 TEST(PersistFormatTest, SectionsRoundTripAndDetectCorruption) {
   std::vector<uint8_t> file;
@@ -493,6 +717,28 @@ TEST(PersistRecoveryTest, FallsBackPastCorruptAndUncommittedCheckpoints) {
   a.Append(2, 2);  // checkpoint 3
   a.Append(4, 2);  // checkpoint 4
   EXPECT_EQ(manager.stats().last_checkpoint_seq, 4u);
+
+  // A CRC-valid shard file with an absurd edge count, committed by a
+  // manifest that matches its bytes: only the decoder can reject it, and
+  // it must fail that checkpoint (not throw out of Recover), so recovery
+  // falls back to seq 3. The committed files are put back afterwards.
+  {
+    const std::string ckdir = dir + "/checkpoint-4";
+    auto shard_bytes = ReadFile(ckdir + "/shard-0.ckpt");
+    auto manifest_bytes = ReadFile(ckdir + "/MANIFEST");
+    QP_CHECK_OK(shard_bytes.status());
+    QP_CHECK_OK(manifest_bytes.status());
+    ReplaceShardFileResealed(ckdir, 0, HugeEdgeCountShardFile());
+    auto huge = Recover(dir);
+    QP_CHECK_OK(huge.status());
+    EXPECT_EQ(huge->checkpoint_seq, 3);
+    EXPECT_EQ(huge->corrupt_checkpoints_skipped, 1);
+    World h;
+    QP_CHECK_OK(h.engine->RestoreFromCheckpoint(*huge, h.db.get()));
+    ExpectEnginesIdentical(*a.engine, *h.engine);
+    QP_CHECK_OK(WriteFileAtomic(ckdir + "/shard-0.ckpt", *shard_bytes, false));
+    QP_CHECK_OK(WriteFileAtomic(ckdir + "/MANIFEST", *manifest_bytes, false));
+  }
 
   // Bit-rot the newest checkpoint's shard file: its whole-file CRC no
   // longer matches the manifest, so recovery falls back to seq 3 and
