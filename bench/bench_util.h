@@ -60,7 +60,8 @@ struct LoadOptions {
 
 /// A workload's raw market inputs: the generated database + bound query
 /// set plus the support, *before* conflict-set computation — what the
-/// serving-engine benches feed to serve::PricingEngine query by query.
+/// serving-engine benches feed to serve::ShardedPricingEngine query by
+/// query.
 struct WorkloadMarket {
   workload::WorkloadInstance instance;
   market::SupportSet support;

@@ -152,34 +152,48 @@ int Main(int argc, char** argv) {
             << market.support_size << " initial=" << initial << " arrivals="
             << arrivals << " ===\n";
 
+  // The single-market rows run through a one-shard router (the pricing
+  // service's one engine surface); --threads also fans out its probes.
+  serve::ShardedEngineOptions single_options;
+  single_options.engine = engine_options;
+  single_options.num_threads = engine_options.build.num_threads;
+  auto one_shard = [&](const WorkloadMarket& m) {
+    return std::make_unique<serve::ShardedPricingEngine>(
+        m.instance.database.get(),
+        market::SupportPartitioner::Partition(m.support, {},
+                                              {.num_shards = 1}),
+        single_options);
+  };
+
   // Phase 1: seed the engine with the initial buyer set.
-  serve::PricingEngine engine(market.instance.database.get(), market.support,
-                              engine_options);
+  std::unique_ptr<serve::ShardedPricingEngine> engine = one_shard(market);
+  // Writer-side views of the single market (hypergraph, valuations, book).
+  const serve::PricingEngine& shard = engine->shard(0);
   {
     std::vector<db::BoundQuery> q(queries.begin(), queries.begin() + initial);
-    QP_CHECK_OK(engine.AppendBuyers(q, initial_v));
+    QP_CHECK_OK(engine->AppendBuyers(q, initial_v));
   }
-  auto seeded = engine.snapshot();
-  core::RepriceStats seed_stats = engine.stats().last_reprice;
+  auto seeded = shard.snapshot();
+  core::RepriceStats seed_stats = shard.stats().last_reprice;
   recorder.Add(instance_name, "solve-initial", seed_stats.seconds,
                seed_stats.lps_solved, seeded->best().revenue);
   std::cout << StrFormat(
       "initial solve: %.3fs, %d LPs, best %s revenue %.2f (hypergraph: %s)\n",
       seed_stats.seconds, seed_stats.lps_solved,
       seeded->best().algorithm.c_str(), seeded->best().revenue,
-      engine.hypergraph().StatsString().c_str());
+      shard.hypergraph().StatsString().c_str());
 
   // Phase 2: concurrent quote serving against the published snapshot.
   std::vector<std::vector<uint32_t>> bundles;
-  for (int e = 0; e < engine.hypergraph().num_edges(); ++e) {
-    bundles.push_back(engine.hypergraph().edge(e));
+  for (int e = 0; e < shard.hypergraph().num_edges(); ++e) {
+    bundles.push_back(shard.hypergraph().edge(e));
   }
   double quote_seconds = 0.0;
   if (!bundles.empty() && quotes > 0) {
     common::ThreadPool pool(quote_threads);
     Stopwatch timer;
     pool.ParallelFor(quotes, [&](int i) {
-      engine.QuoteBundle(bundles[static_cast<size_t>(i) % bundles.size()]);
+      engine->QuoteBundle(bundles[static_cast<size_t>(i) % bundles.size()]);
     });
     quote_seconds = timer.ElapsedSeconds();
   }
@@ -201,7 +215,7 @@ int Main(int argc, char** argv) {
     const int calls = (quotes + quote_batch - 1) / quote_batch;
     common::ThreadPool pool(quote_threads);
     Stopwatch timer;
-    pool.ParallelFor(calls, [&](int) { engine.QuoteBatch(batch); });
+    pool.ParallelFor(calls, [&](int) { engine->QuoteBatch(batch); });
     batch_seconds = timer.ElapsedSeconds();
   }
   recorder.Add(instance_name, "quote-batch", batch_seconds, 0,
@@ -229,7 +243,7 @@ int Main(int argc, char** argv) {
     std::atomic<int64_t> accepted{0};
     Stopwatch timer;
     pool.ParallelFor(purchases, [&](int i) {
-      serve::PurchaseOutcome outcome = engine.Purchase(
+      serve::PurchaseOutcome outcome = engine->Purchase(
           queries[static_cast<size_t>(i) % num_queries], purchase_v[i]);
       if (outcome.accepted) accepted.fetch_add(1, std::memory_order_relaxed);
     });
@@ -252,7 +266,7 @@ int Main(int argc, char** argv) {
       conc_seconds > 0 ? purchases / conc_seconds : 0.0,
       conc_seconds > 0 ? serial_seconds / conc_seconds : 0.0,
       static_cast<int>(conc_accepted));
-  market::PreparedQueryCache::Stats prepared = engine.stats().prepared;
+  market::PreparedQueryCache::Stats prepared = engine->stats().merged.prepared;
   std::cout << StrFormat(
       "prepared cache: %d hits, %d misses, %d evictions, %d entries "
       "(cap %d)\n",
@@ -271,14 +285,14 @@ int Main(int argc, char** argv) {
                                   queries.begin() + end);
     core::Valuations v(arrival_v.begin() + (begin - initial),
                        arrival_v.begin() + (end - initial));
-    QP_CHECK_OK(engine.AppendBuyers(q, v));
-    core::RepriceStats stats = engine.stats().last_reprice;
+    QP_CHECK_OK(engine->AppendBuyers(q, v));
+    core::RepriceStats stats = shard.stats().last_reprice;
     reprice_seconds += stats.seconds;
     reprice_lps += stats.lps_solved;
     reused += stats.lpip_reused;
   }
   recorder.Add(instance_name, "reprice-incremental", reprice_seconds,
-               reprice_lps, engine.snapshot()->best().revenue);
+               reprice_lps, shard.snapshot()->best().revenue);
   std::cout << StrFormat(
       "incremental reprice: %d batches in %.3fs, %d LPs (%d thresholds "
       "reused)\n",
@@ -290,8 +304,8 @@ int Main(int argc, char** argv) {
   int cold_lps = 0;
   double cold_revenue = 0.0;
   {
-    const core::Hypergraph& grown = engine.hypergraph();
-    const core::Valuations& all_v = engine.valuations();
+    const core::Hypergraph& grown = shard.hypergraph();
+    const core::Valuations& all_v = shard.valuations();
     for (int b = 0; b < batches; ++b) {
       int end = initial + std::min(arrivals, (b + 1) * batch);
       core::Hypergraph prefix(grown.num_items());
@@ -317,15 +331,15 @@ int Main(int argc, char** argv) {
       batches, cold_seconds, cold_lps,
       reprice_seconds > 0 ? cold_seconds / reprice_seconds : 0.0);
 
-  // Phase 5: the same market through the sharded router. The partition
-  // is seeded with the full corpus's conflict sets (the grown monolithic
+  // Phase 5: the same market through a many-shard router. The partition
+  // is seeded with the full corpus's conflict sets (the grown one-shard
   // engine's edges), so every query — initial and arrival — is
   // partition-respecting and routing never clips an edge.
   if (shards > 1) {
     std::vector<std::vector<uint32_t>> seed_edges;
-    seed_edges.reserve(static_cast<size_t>(engine.hypergraph().num_edges()));
-    for (int e = 0; e < engine.hypergraph().num_edges(); ++e) {
-      seed_edges.push_back(engine.hypergraph().edge(e));
+    seed_edges.reserve(static_cast<size_t>(shard.hypergraph().num_edges()));
+    for (int e = 0; e < shard.hypergraph().num_edges(); ++e) {
+      seed_edges.push_back(shard.hypergraph().edge(e));
     }
     market::SupportPartition partition =
         market::SupportPartitioner::Partition(market.support, seed_edges,
@@ -483,20 +497,19 @@ int Main(int argc, char** argv) {
   // two runs must end on bit-identical books.
   const int publishes = flags.GetInt("publishes", 64);
   std::vector<std::vector<uint32_t>> corpus;
-  corpus.reserve(static_cast<size_t>(engine.hypergraph().num_edges()));
-  for (int e = 0; e < engine.hypergraph().num_edges(); ++e) {
-    corpus.push_back(engine.hypergraph().edge(e));
+  corpus.reserve(static_cast<size_t>(shard.hypergraph().num_edges()));
+  for (int e = 0; e < shard.hypergraph().num_edges(); ++e) {
+    corpus.push_back(shard.hypergraph().edge(e));
   }
   struct PublishRun {
-    std::unique_ptr<serve::PricingEngine> engine;
+    std::unique_ptr<serve::ShardedPricingEngine> engine;
     double seconds = 0.0;
     uint64_t quotes = 0;
   };
   // Seconds is the writer's wall clock (the readers never block it).
   auto run_publishes = [&](int reader_threads) {
     PublishRun run;
-    run.engine = std::make_unique<serve::PricingEngine>(
-        market.instance.database.get(), market.support, engine_options);
+    run.engine = one_shard(market);
     std::vector<std::vector<uint32_t>> seed_edges(corpus.begin(),
                                                   corpus.begin() + initial);
     QP_CHECK_OK(
@@ -535,8 +548,8 @@ int Main(int argc, char** argv) {
   };
   // Bit-identity or bust: every corpus bundle must quote the same bits
   // from both engines (price, generation, serving algorithm).
-  auto check_books_identical = [&](const serve::PricingEngine& a,
-                                   const serve::PricingEngine& b,
+  auto check_books_identical = [&](const serve::ShardedPricingEngine& a,
+                                   const serve::ShardedPricingEngine& b,
                                    const char* phase) {
     for (const std::vector<uint32_t>& bundle : corpus) {
       serve::Quote qa = a.QuoteBundle(bundle);
@@ -557,7 +570,8 @@ int Main(int argc, char** argv) {
                              "mixed-readwrite")) {
     return 1;
   }
-  double publish_revenue = publish.engine->snapshot()->best().revenue;
+  double publish_revenue =
+      publish.engine->shard(0).snapshot()->best().revenue;
   recorder.Add(instance_name, "publish", publish.seconds, publishes,
                publish_revenue);
   recorder.Add(instance_name, "mixed-readwrite", mixed.seconds, publishes,
@@ -565,7 +579,7 @@ int Main(int argc, char** argv) {
   std::cout << StrFormat(
       "publish cost: %d publishes %.3fs (append wall %.2f ms/publish)\n",
       publishes, publish.seconds, publish.seconds * 1e3 / publishes);
-  serve::EngineStats mixed_stats = mixed.engine->stats();
+  serve::EngineStats mixed_stats = mixed.engine->stats().merged;
   std::cout << StrFormat(
       "mixed read/write: %d publishes under %d reader thread(s): %.3fs, "
       "%llu quotes (%.0f quotes/s) via %llu epoch pins (%llu snapshots "
@@ -619,8 +633,7 @@ int Main(int argc, char** argv) {
     // corpus edges probed against the original market seed these twins'
     // bit-identical copies too.
     auto seed_engine = [&](WorkloadMarket& m) {
-      auto e = std::make_unique<serve::PricingEngine>(
-          m.instance.database.get(), m.support, engine_options);
+      auto e = one_shard(m);
       std::vector<std::vector<uint32_t>> seed_edges(
           corpus.begin(), corpus.begin() + initial);
       QP_CHECK_OK(e->AppendBuyersPrecomputed(std::move(seed_edges),
@@ -702,9 +715,10 @@ int Main(int argc, char** argv) {
       return 1;
     }
 
-    serve::EngineStats::CatalogStats cat = churned->stats().catalog;
-    serve::EngineStats::CatalogStats ref_cat = reference->stats().catalog;
-    double churn_revenue = churned->snapshot()->best().revenue;
+    serve::EngineStats::CatalogStats cat = churned->stats().merged.catalog;
+    serve::EngineStats::CatalogStats ref_cat =
+        reference->stats().merged.catalog;
+    double churn_revenue = churned->shard(0).snapshot()->best().revenue;
     recorder.Add(instance_name, "churn-updates", churn_wall,
                  static_cast<int>(deltas.size()), churn_revenue);
     recorder.Add(instance_name, "churn-quotes", churn_wall, 0, churn_revenue);
@@ -738,7 +752,7 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(cat.staleness_samples));
   }
 
-  serve::EngineStats stats = engine.stats();
+  serve::EngineStats stats = engine->stats().merged;
   std::cout << StrFormat(
       "engine: version %llu, %llu quotes served, %d LPs total, incidence "
       "%d merge(s)/%d build(s)\n",

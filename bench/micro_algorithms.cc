@@ -224,7 +224,9 @@ void BM_DeserializeShardState(benchmark::State& state) {
     }
     EngineOptions options;
     options.algorithms.lpip.max_candidates = 12;
-    PricingEngine engine(inst.w.database.get(), inst.support, options);
+    common::EpochManager epochs;
+    PricingEngine engine(inst.w.database.get(), inst.support, options,
+                         epochs);
     QP_CHECK_OK(engine.AppendBuyersPrecomputed(std::move(built.conflict_sets),
                                                valuations));
     auto bytes = SerializeShardState(engine.CaptureState());

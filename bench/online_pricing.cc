@@ -11,7 +11,8 @@
 #include "common/hash.h"
 #include "common/str_util.h"
 #include "core/online.h"
-#include "serve/pricing_engine.h"
+#include "market/support_partitioner.h"
+#include "serve/sharded_engine.h"
 
 namespace qp::bench {
 namespace {
@@ -69,8 +70,10 @@ int Main(int argc, char** argv) {
   WorkloadMarket market =
       LoadWorkloadMarket("skewed", {.support = 400, .seed = seed});
   const int cohort = std::min<int>(60, market.instance.queries.size());
-  serve::PricingEngine engine(market.instance.database.get(), market.support,
-                              {});
+  serve::ShardedPricingEngine engine(
+      market.instance.database.get(),
+      market::SupportPartitioner::Partition(market.support, {},
+                                            {.num_shards = 1}));
   {
     std::vector<db::BoundQuery> queries(market.instance.queries.begin(),
                                         market.instance.queries.begin() +
@@ -85,7 +88,7 @@ int Main(int argc, char** argv) {
   TablePrinter engine_table({"buyer stream", "bundle price (book)",
                              "engine revenue", "EXP3 revenue",
                              "EXP3 / engine"});
-  const std::vector<uint32_t> bundle = engine.hypergraph().edge(0);
+  const std::vector<uint32_t> bundle = engine.shard(0).hypergraph().edge(0);
   const double posted = engine.QuoteBundle(bundle).price;
   for (const Stream& stream : streams) {
     Rng rng(Mix64(seed ^ HashBytes(stream.label)));

@@ -422,8 +422,9 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
           std::to_string(state.shards.size()) + " shards, engine has " +
           std::to_string(shards_.size()));
     }
-    // Warm shard by shard: each shard serves again (TryQuote*/Purchase)
-    // the moment its state lands, while the rest answer Unavailable.
+    // Warm shard by shard: each shard serves again (TryQuoteBatchInto,
+    // Purchase) the moment its state lands, while the rest answer
+    // Unavailable.
     BeginRestore();
     for (size_t s = 0; s < shards_.size(); ++s) {
       QP_RETURN_IF_ERROR(shards_[s]->RestoreState(std::move(state.shards[s])));

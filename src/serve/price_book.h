@@ -27,16 +27,16 @@ namespace qp::serve {
 /// One priced answer, stamped with the generation that produced it.
 struct Quote {
   double price = 0.0;
-  /// The producing generation. For a single engine this is the snapshot
-  /// version; for a merged (sharded) quote it is the SUM of shard
+  /// The producing generation. For a quote priced against one snapshot
+  /// this is its version; for a router (merged) quote it is the SUM of shard
   /// versions — monotone across any shard's publish but NOT collision
   /// free (shard A +1 / shard B -1 sums the same). Version-polling
   /// clients must compare `shard_versions`, which distinct shard
   /// generations can never alias.
   uint64_t version = 0;
-  /// Per-shard snapshot versions in ascending shard order; empty for
-  /// quotes served by a single (unsharded) engine. The RPC layer stamps
-  /// wire responses with this vector.
+  /// Per-shard snapshot versions in ascending shard order; empty for a
+  /// quote priced against one snapshot (PriceBookSnapshot::QuoteBundle).
+  /// The RPC layer stamps wire responses with this vector.
   std::vector<uint64_t> shard_versions;
   std::string algorithm;  // which pricing served this quote
 };

@@ -59,11 +59,17 @@ void MergedBookView::QuoteBundleInto(const std::vector<uint32_t>& bundle,
     *touched_shards = static_cast<int>(scratch->prices.size());
   }
   if (scratch->labels.empty()) {
-    // Nothing touched (empty bundle): report the serving algorithms of
-    // every shard so a one-shard router matches the monolithic engine's
-    // empty-bundle quote exactly.
+    // Nothing touched (an empty bundle): report the serving algorithms of
+    // every shard. A one-shard router is exactly its book, so it also
+    // charges the book's empty-bundle price (uniform bundle pricing
+    // charges its price even for no items); across several shards no
+    // single book prices the empty bundle, and it is free.
     for (const PriceBookSnapshot* book : books_) {
       scratch->labels.push_back(&book->best().algorithm);
+    }
+    if (books_.size() == 1) {
+      scratch->prices.push_back(
+          books_[0]->best().pricing->Price(scratch->parts[0]));
     }
   }
   out->price = core::AdditivePrice(scratch->prices);
@@ -95,12 +101,11 @@ ShardedPricingEngine::ShardedPricingEngine(const db::Database* db,
               &catalog_) {
   shards_.reserve(static_cast<size_t>(partition_.num_shards));
   for (int s = 0; s < partition_.num_shards; ++s) {
-    // Shards share the router's epoch manager (a merged view costs one
-    // pin, not one per shard) and the router's versioned catalog (one
-    // committed-delta overlay across every shard's probes).
+    // Shards share the router's epoch manager: a merged view costs one
+    // pin, not one per shard.
     shards_.push_back(std::make_unique<PricingEngine>(
         db_, partition_.shard_support[static_cast<size_t>(s)],
-        options_.engine, &epochs_, &catalog_));
+        options_.engine, epochs_));
   }
   shard_edge_counts_.assign(shards_.size(), 0);
   shard_ready_ = std::make_unique<std::atomic<bool>[]>(shards_.size());
@@ -118,8 +123,8 @@ Status ShardedPricingEngine::AppendBuyers(
   }
   if (queries.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  // One probe per query against the GLOBAL support — the same probe work
-  // the monolithic engine would do — fanned over the router's threads.
+  // One probe per query against the GLOBAL support, fanned over the
+  // router's threads.
   return AppendRouted(prober_.ComputeConflictSets(queries), valuations);
 }
 
@@ -227,44 +232,66 @@ void ShardedPricingEngine::SnapshotInto(MergedBookView* view) const {
 
 Quote ShardedPricingEngine::QuoteBundle(
     const std::vector<uint32_t>& bundle) const {
-  MergedBookView view = snapshot();
-  quotes_served_.fetch_add(1, std::memory_order_relaxed);
-  int touched = 0;
-  Quote quote = view.QuoteBundle(bundle, &touched);
-  if (touched > 1) {
-    cross_shard_quotes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return quote;
+  QuoteBatchScratch scratch;
+  PriceInto({&bundle, 1}, /*gated=*/false, &scratch);
+  return std::move(scratch.quotes[0]);
 }
 
 std::vector<Quote> ShardedPricingEngine::QuoteBatch(
     std::span<const std::vector<uint32_t>> bundles) const {
-  // One view pin (one snapshot load per shard) + one stats update for the
-  // whole batch; every quote carries the same merged generation.
-  MergedBookView view = snapshot();
-  quotes_served_.fetch_add(bundles.size(), std::memory_order_relaxed);
-  std::vector<Quote> quotes;
-  quotes.reserve(bundles.size());
-  uint64_t crossing = 0;
-  for (const std::vector<uint32_t>& bundle : bundles) {
+  QuoteBatchScratch scratch;
+  PriceInto(bundles, /*gated=*/false, &scratch);
+  return std::move(scratch.quotes);
+}
+
+void ShardedPricingEngine::TryQuoteBatchInto(
+    std::span<const std::vector<uint32_t>> bundles,
+    QuoteBatchScratch* scratch) const {
+  PriceInto(bundles, /*gated=*/true, scratch);
+}
+
+void ShardedPricingEngine::PriceInto(
+    std::span<const std::vector<uint32_t>> bundles, bool gated,
+    QuoteBatchScratch* scratch) const {
+  // Grow-only result storage: shrinking would destroy Quote elements and
+  // forfeit their string/vector capacity when the batch size fluctuates.
+  if (scratch->quotes.size() < bundles.size()) {
+    scratch->quotes.resize(bundles.size());
+  }
+  if (scratch->statuses.size() < bundles.size()) {
+    scratch->statuses.resize(bundles.size());
+  }
+  // One pinned view for the whole batch: every quote carries the same
+  // merged generation. The warm gate costs one load per batch while
+  // every shard is warm (the steady state).
+  SnapshotInto(&scratch->view);
+  gated = gated && cold_shards_.load(std::memory_order_acquire) > 0;
+  uint64_t served = 0, crossing = 0;
+  for (size_t i = 0; i < bundles.size(); ++i) {
+    scratch->statuses[i] = gated ? ReadyFor(bundles[i]) : Status::OK();
+    if (!scratch->statuses[i].ok()) continue;
     int touched = 0;
-    quotes.push_back(view.QuoteBundle(bundle, &touched));
+    scratch->view.QuoteBundleInto(bundles[i], &scratch->split,
+                                  &scratch->quotes[i], &touched);
+    ++served;
     if (touched > 1) ++crossing;
   }
+  // The quotes are self-contained copies: drop the pin now, so an idle
+  // scratch never holds back reclamation or a catalog fold.
+  scratch->view.guard_.Release();
+  quotes_served_.fetch_add(served, std::memory_order_relaxed);
   if (crossing > 0) {
     cross_shard_quotes_.fetch_add(crossing, std::memory_order_relaxed);
   }
-  return quotes;
 }
 
 PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
                                                double valuation) {
   PurchaseOutcome outcome;
   outcome.valuation = valuation;
-  // Reader side end to end, like the monolithic engine: the global probe
-  // reads the const database through overlays (prepared state shared via
-  // the router's cache), the quote pins one view, and the sale lands in
-  // atomic counters.
+  // Reader side end to end: the global probe reads the const database
+  // through overlays (prepared state shared via the router's cache), the
+  // quote pins one view, and the sale lands in atomic counters.
   uint64_t pinned_generation = 0;
   outcome.bundle = prober_.ConflictSetFor(query, &pinned_generation);
   // Staleness sample: committed generations the pinned probe could not
@@ -277,19 +304,13 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
                                   prev_max, behind,
                                   std::memory_order_relaxed)) {
   }
-  outcome.status = ReadyFor(outcome.bundle);
-  if (!outcome.status.ok()) {
-    // The buyer saw no quote (a cold shard would misprice the bundle);
-    // no purchase is recorded.
-    return outcome;
-  }
-  MergedBookView view = snapshot();
-  int touched = 0;
-  outcome.quote = view.QuoteBundle(outcome.bundle, &touched);
-  if (touched > 1) {
-    cross_shard_quotes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  quotes_served_.fetch_add(1, std::memory_order_relaxed);
+  QuoteBatchScratch priced;
+  PriceInto({&outcome.bundle, 1}, /*gated=*/true, &priced);
+  outcome.status = std::move(priced.statuses[0]);
+  // A cold shard would misprice the bundle: the buyer saw no quote and
+  // no purchase is recorded.
+  if (!outcome.status.ok()) return outcome;
+  outcome.quote = std::move(priced.quotes[0]);
   outcome.accepted = outcome.quote.price <= valuation + core::kSellTolerance;
   purchases_.fetch_add(1, std::memory_order_relaxed);
   if (outcome.accepted) {
@@ -312,8 +333,8 @@ Status ShardedPricingEngine::ApplySellerDelta(db::Database& db,
   if (log_ != nullptr) {
     QP_RETURN_IF_ERROR(log_->LogSellerDelta(delta));
   }
-  // Invalidate every cache BEFORE the single catalog commit, keyed to
-  // the generation it will publish: a probe pinned on the pre-commit
+  // Invalidate the cache BEFORE the single catalog commit, keyed to the
+  // generation it will publish: a probe pinned on the pre-commit
   // head may keep (or even re-insert) pre-edit prepared state — correct
   // for its generation — while any probe that pins the new head rebuilds.
   // Selective: only prepared entries whose SensitiveColumns contain the
@@ -322,9 +343,6 @@ Status ShardedPricingEngine::ApplySellerDelta(db::Database& db,
   // commit and fold, so the head cannot be retired under the writer.
   const uint64_t next_generation = catalog_.head()->number + 1;
   prober_.InvalidatePreparedQueriesFor(delta, next_generation);
-  for (const auto& shard : shards_) {
-    shard->InvalidatePreparedQueriesFor(delta, next_generation);
-  }
   catalog_.Commit(db, delta.table, delta.row, delta.column, delta.new_value);
   return Status::OK();
 }
@@ -351,8 +369,9 @@ void ShardedPricingEngine::FinishShardRestore(int s) {
 
 Status ShardedPricingEngine::ReadyFor(
     const std::vector<uint32_t>& bundle) const {
-  if (cold_shards_.load(std::memory_order_acquire) == 0) return Status::OK();
   for (uint32_t item : bundle) {
+    // Wire bundles carry arbitrary ids; out-of-range ones touch no shard.
+    if (item >= partition_.num_items()) continue;
     int s = partition_.shard_of_item[item];
     if (!shard_ready_[static_cast<size_t>(s)].load(
             std::memory_order_acquire)) {
@@ -362,90 +381,6 @@ Status ShardedPricingEngine::ReadyFor(
     }
   }
   return Status::OK();
-}
-
-Result<Quote> ShardedPricingEngine::TryQuoteBundle(
-    const std::vector<uint32_t>& bundle) const {
-  QP_RETURN_IF_ERROR(ReadyFor(bundle));
-  return QuoteBundle(bundle);
-}
-
-std::vector<Result<Quote>> ShardedPricingEngine::TryQuoteBatch(
-    std::span<const std::vector<uint32_t>> bundles) const {
-  std::vector<Result<Quote>> out;
-  out.reserve(bundles.size());
-  if (cold_shards_.load(std::memory_order_acquire) == 0) {
-    // All warm (the steady state): one pinned view, exactly QuoteBatch.
-    for (Quote& quote : QuoteBatch(bundles)) out.push_back(std::move(quote));
-    return out;
-  }
-  MergedBookView view = snapshot();
-  uint64_t crossing = 0, served = 0;
-  for (const std::vector<uint32_t>& bundle : bundles) {
-    Status ready = ReadyFor(bundle);
-    if (!ready.ok()) {
-      out.push_back(std::move(ready));
-      continue;
-    }
-    int touched = 0;
-    out.push_back(view.QuoteBundle(bundle, &touched));
-    ++served;
-    if (touched > 1) ++crossing;
-  }
-  quotes_served_.fetch_add(served, std::memory_order_relaxed);
-  if (crossing > 0) {
-    cross_shard_quotes_.fetch_add(crossing, std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void ShardedPricingEngine::TryQuoteBatchInto(
-    std::span<const std::vector<uint32_t>> bundles,
-    QuoteBatchScratch* scratch) const {
-  // Grow-only result storage: shrinking would destroy Quote elements and
-  // forfeit their string/vector capacity when the batch size fluctuates.
-  if (scratch->quotes.size() < bundles.size()) {
-    scratch->quotes.resize(bundles.size());
-  }
-  if (scratch->statuses.size() < bundles.size()) {
-    scratch->statuses.resize(bundles.size());
-  }
-  SnapshotInto(&scratch->view);
-  if (cold_shards_.load(std::memory_order_acquire) == 0) {
-    // All warm (the steady state): one pinned view, exactly QuoteBatch —
-    // and no allocation once the scratch is at high-water capacity.
-    quotes_served_.fetch_add(bundles.size(), std::memory_order_relaxed);
-    uint64_t crossing = 0;
-    for (size_t i = 0; i < bundles.size(); ++i) {
-      scratch->statuses[i] = Status::OK();
-      int touched = 0;
-      scratch->view.QuoteBundleInto(bundles[i], &scratch->split,
-                                    &scratch->quotes[i], &touched);
-      if (touched > 1) ++crossing;
-    }
-    if (crossing > 0) {
-      cross_shard_quotes_.fetch_add(crossing, std::memory_order_relaxed);
-    }
-    return;
-  }
-  uint64_t crossing = 0, served = 0;
-  for (size_t i = 0; i < bundles.size(); ++i) {
-    Status ready = ReadyFor(bundles[i]);
-    if (!ready.ok()) {
-      scratch->statuses[i] = std::move(ready);
-      continue;
-    }
-    scratch->statuses[i] = Status::OK();
-    int touched = 0;
-    scratch->view.QuoteBundleInto(bundles[i], &scratch->split,
-                                  &scratch->quotes[i], &touched);
-    ++served;
-    if (touched > 1) ++crossing;
-  }
-  quotes_served_.fetch_add(served, std::memory_order_relaxed);
-  if (crossing > 0) {
-    cross_shard_quotes_.fetch_add(crossing, std::memory_order_relaxed);
-  }
 }
 
 ShardedPricingEngine::ReaderStats ShardedPricingEngine::reader_stats() const {
@@ -488,36 +423,29 @@ ShardedEngineStats ShardedPricingEngine::stats() const {
     out.merged.version += es.version;
     out.merged.num_items += es.num_items;
     out.merged.num_edges += es.num_edges;
-    out.merged.quotes_served += es.quotes_served;
-    out.merged.purchases += es.purchases;
-    out.merged.purchases_accepted += es.purchases_accepted;
-    out.merged.sale_revenue += es.sale_revenue;
     out.merged.total_lps_solved += es.total_lps_solved;
     out.merged.last_reprice.Merge(es.last_reprice);
     out.merged.build_seconds += es.build_seconds;
-    out.merged.conflict.Merge(es.conflict);
     out.merged.incidence.full_builds += es.incidence.full_builds;
     out.merged.incidence.merges += es.incidence.merges;
-    out.merged.prepared.Merge(es.prepared);
     out.merged.publish.bases += es.publish.bases;
     out.shards.push_back(std::move(es));
   }
   // Shards share the router's epoch manager and versioned catalog, so
   // the per-shard copies of those stats all describe the same objects:
-  // report each once, not summed. The catalog staleness samples are the
-  // router's own (shard Purchase paths are unused behind the router).
+  // report each once, not summed.
   out.merged.epoch = epochs_.stats();
   out.merged.catalog = catalog_stats();
   // Router-side: the global prober's probe work and cache, plus the
-  // reader counters (shard engines never see router quotes/purchases).
+  // reader counters (shards never probe and never serve readers).
   out.merged.build_seconds += prober_.seconds();
-  out.merged.conflict.Merge(prober_.stats());
-  out.merged.prepared.Merge(prober_.prepared_stats());
-  out.merged.quotes_served += quotes_served_.load(std::memory_order_relaxed);
-  out.merged.purchases += purchases_.load(std::memory_order_relaxed);
-  out.merged.purchases_accepted +=
+  out.merged.conflict = prober_.stats();
+  out.merged.prepared = prober_.prepared_stats();
+  out.merged.quotes_served = quotes_served_.load(std::memory_order_relaxed);
+  out.merged.purchases = purchases_.load(std::memory_order_relaxed);
+  out.merged.purchases_accepted =
       purchases_accepted_.load(std::memory_order_relaxed);
-  out.merged.sale_revenue += sale_revenue_.load(std::memory_order_relaxed);
+  out.merged.sale_revenue = sale_revenue_.load(std::memory_order_relaxed);
   out.cross_shard_appends =
       cross_shard_appends_.load(std::memory_order_relaxed);
   out.cross_shard_quotes = cross_shard_quotes_.load(std::memory_order_relaxed);

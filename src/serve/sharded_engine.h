@@ -1,18 +1,21 @@
 // Sharded pricing engines behind a merging router.
 //
-// A ShardedPricingEngine owns N serve::PricingEngine shards, one per
-// support partition (market::SupportPartitioner). The shards share one
-// const db::Database — conflict probing is read-only, so no per-shard
-// copies — and each owns a shard-scoped support, hypergraph, valuations
-// and price book. Because the partition keeps every conflict edge inside
-// one shard, per-shard books compose into the global book additively
-// (core/book_merge.h), and the router stays thin:
+// ShardedPricingEngine is the pricing service's one engine surface: every
+// in-process reader and the RPC server go through it, and a single
+// market is a one-shard router (SupportPartitioner::Partition(support,
+// {}, {.num_shards = 1})). It owns N serve::PricingEngine shards, one per
+// support partition (market::SupportPartitioner); a shard is only the
+// writer half of its sub-market (hypergraph, valuations, reprice, book
+// publish). The shards share one const db::Database and each owns a
+// shard-scoped support, hypergraph, valuations and price book. Because
+// the partition keeps every conflict edge inside one shard, per-shard
+// books compose into the global book additively (core/book_merge.h):
 //
 //  * AppendBuyers probes every buyer query ONCE against the global
-//    support (the probe cost is identical to the monolithic engine's),
-//    routes each conflict set to its owning shard as local item ids, and
-//    fans the per-shard appends — conflict-set bookkeeping, incremental
-//    reprice, snapshot publish — across shards on common::ThreadPool.
+//    support, routes each conflict set to its owning shard as local
+//    item ids, and fans the per-shard appends — conflict-set
+//    bookkeeping, incremental reprice, snapshot publish — across shards
+//    on common::ThreadPool.
 //    Routing is decided serially in arrival order before the fan-out, so
 //    published books are bit-identical for every thread count.
 //  * Readers pin a MergedBookView: ONE epoch pin (the shards share the
@@ -24,10 +27,12 @@
 //    shard pricing is monotone subadditive, and the disjoint additive
 //    composition preserves both, so the merged pricing stays
 //    arbitrage-free). The view's version is the sum of shard versions,
-//    which is monotone across any shard's publish.
-//  * Purchase is reader-side end to end, exactly like the monolithic
-//    engine: global overlay probe (through the router's prepared-query
-//    cache), additive quote against a pinned view, atomic sale counters.
+//    which is monotone across any shard's publish. QuoteBundle,
+//    QuoteBatch, TryQuoteBatchInto and Purchase's quote step all price
+//    through one loop; an epoch pin never outlives the call that took it.
+//  * Purchase is reader-side end to end: global overlay probe (through
+//    the router's prepared-query cache), additive quote against a pinned
+//    view, atomic sale counters.
 //
 // Routing policy for conflict sets the partition does not respect (only
 // possible for queries outside the partitioner's seed corpus): the edge
@@ -40,13 +45,14 @@
 // with the fewest edges so far (ties to the lowest id).
 //
 // Parity contract (tests/serve/sharded_engine_test.cc): with one shard
-// the router is bit-identical to the monolithic PricingEngine; with many
-// shards each shard is bit-identical to a monolithic engine running on
-// that shard's sub-instance, for every thread count. Against a single
-// monolithic engine on the full instance, per-algorithm revenue sums
-// agree within 1e-9 on instances whose per-shard optima align (e.g.
-// symmetric copies); in general per-shard optimization can only help, so
-// the merged serving book's revenue is >= the monolithic best.
+// the router's books and quotes are bit-identical to a PricingEngine fed
+// the cold builder's conflict sets (market::BuildHypergraph) directly;
+// with many shards each shard is bit-identical to a PricingEngine running
+// on that shard's sub-instance, for every thread count. Against a single
+// PricingEngine on the full instance, per-algorithm revenue sums agree
+// within 1e-9 on instances whose per-shard optima align (e.g. symmetric
+// copies); in general per-shard optimization can only help, so the
+// merged serving book's revenue is >= the single-book best.
 #ifndef QP_SERVE_SHARDED_ENGINE_H_
 #define QP_SERVE_SHARDED_ENGINE_H_
 
@@ -155,9 +161,11 @@ class MergedBookView {
 
   /// Prices a bundle of *global* item ids additively across the owning
   /// shards (ascending shard order). The quote's algorithm is the owning
-  /// shards' serving algorithms merged via core::MergeAlgorithmLabels
-  /// (all shards' labels when the bundle touches none). `touched_shards`,
-  /// when non-null, receives the number of shards the bundle hit.
+  /// shards' serving algorithms merged via core::MergeAlgorithmLabels.
+  /// A bundle that touches no shard gets every shard's label and costs 0,
+  /// except behind one shard, where it costs that book's empty-bundle
+  /// price (one shard quotes exactly as its book). `touched_shards`, when
+  /// non-null, receives the number of shards the bundle hit.
   Quote QuoteBundle(const std::vector<uint32_t>& bundle,
                     int* touched_shards = nullptr) const;
 
@@ -227,24 +235,13 @@ class ShardedPricingEngine {
   void SnapshotInto(MergedBookView* view) const;
 
   /// Prices a bundle of global item ids against a freshly pinned view;
-  /// lock-free.
+  /// lock-free. Not gated on warming shards (the in-process reference
+  /// path); serving paths use TryQuoteBatchInto.
   Quote QuoteBundle(const std::vector<uint32_t>& bundle) const;
 
   /// Prices many global bundles against ONE pinned view (a single
-  /// generation across the whole batch); lock-free.
+  /// generation across the whole batch); lock-free and not gated.
   std::vector<Quote> QuoteBatch(
-      std::span<const std::vector<uint32_t>> bundles) const;
-
-  /// Graceful-degradation quoting: like QuoteBundle, but a bundle that
-  /// touches a shard still warming after RestoreFromCheckpoint gets
-  /// Status::Unavailable instead of a cold (wrongly low) empty-book
-  /// price. Identical to QuoteBundle once every shard is warm — the
-  /// all-warm fast path is one relaxed atomic load.
-  Result<Quote> TryQuoteBundle(const std::vector<uint32_t>& bundle) const;
-
-  /// Batch form: one pinned view for the whole batch; per-bundle
-  /// Unavailable for bundles touching cold shards.
-  std::vector<Result<Quote>> TryQuoteBatch(
       std::span<const std::vector<uint32_t>> bundles) const;
 
   /// Caller-owned working storage + results for TryQuoteBatchInto. The
@@ -252,6 +249,10 @@ class ShardedPricingEngine {
   /// are stale, never destroyed), so Quote strings and version vectors
   /// keep their capacity across calls with fluctuating batch sizes.
   struct QuoteBatchScratch {
+    /// Pinned only while a call runs: the call releases the pin once the
+    /// quotes are written, so between calls `view` holds no epoch (a
+    /// long-lived scratch never stalls reclamation or catalog folds) and
+    /// its books must not be read.
     MergedBookView view;
     MergedBookView::QuoteScratch split;
     /// quotes[i] is valid iff statuses[i].ok(), for i < batch size.
@@ -259,33 +260,40 @@ class ShardedPricingEngine {
     std::vector<Status> statuses;
   };
 
-  /// TryQuoteBatch into caller-owned scratch: same pinned-view, warm-gate
-  /// and counter semantics, bit-identical quotes. Steady state (all
+  /// QuoteBatch into caller-owned scratch, with graceful degradation: a
+  /// bundle that touches a shard still warming after
+  /// RestoreFromCheckpoint gets statuses[i] = Unavailable instead of a
+  /// cold (wrongly low) empty-book price; that path allocates the
+  /// message. Quotes are bit-identical to QuoteBatch. Steady state (all
   /// shards warm, scratch at high-water capacity) performs zero heap
-  /// allocations — the RPC loop's per-tick batch path. Bundles touching
-  /// cold shards get statuses[i] = Unavailable (that path allocates the
-  /// message, as TryQuoteBatch does).
+  /// allocations — the RPC loop's per-tick batch path; the all-warm
+  /// check is one atomic load per batch.
   void TryQuoteBatchInto(std::span<const std::vector<uint32_t>> bundles,
                          QuoteBatchScratch* scratch) const;
 
   /// Posted-price interaction: global conflict set (read-only overlay
   /// probes through the router's prepared-query cache), additive quote,
-  /// atomic sale accounting. The outcome's bundle holds GLOBAL item ids —
-  /// identical to the monolithic engine's Purchase for the same query.
+  /// atomic sale accounting. The outcome's bundle holds GLOBAL item ids:
+  /// the query's conflict set against the whole support, for any shard
+  /// count.
   PurchaseOutcome Purchase(const db::BoundQuery& query, double valuation);
 
   /// Seller edit: logs the delta (write-ahead), selectively invalidates
-  /// the router's and every shard's prepared-query cache keyed to the
-  /// next catalog generation, and commits ONE new generation to the
-  /// router's shared versioned catalog (db must be the engine's
-  /// database). Fully concurrent with readers — no quiescence: in-flight
-  /// probes keep reading their pinned generation, probes starting after
-  /// the commit see the new value, and the catalog folds the overlay
-  /// into the base every EngineOptions::fold_every cells, gated on
-  /// reader drain (see db/versioned_database.h). The router is the
-  /// catalog's single writer: never call a shard's ApplySellerDelta
-  /// directly.
+  /// the router's prepared-query cache keyed to the next catalog
+  /// generation, and commits ONE new generation to the router's shared
+  /// versioned catalog (db must be the engine's database). Fully
+  /// concurrent with readers — no quiescence: in-flight probes keep
+  /// reading their pinned generation, probes starting after the commit
+  /// see the new value, and the catalog folds the overlay into the base
+  /// every EngineOptions::fold_every cells, gated on reader drain (see
+  /// db/versioned_database.h). The router is the catalog's single
+  /// writer. Published books and stored conflict sets still describe the
+  /// pre-edit market until the next append.
   Status ApplySellerDelta(db::Database& db, const market::CellDelta& delta);
+
+  /// Drops the router's cached prepared probing state without editing
+  /// data (e.g. the seller edited the database out of band).
+  void InvalidatePreparedQueries() { prober_.InvalidatePreparedQueries(); }
 
   /// The router's shared versioned catalog over its database (one
   /// catalog across every shard and the global prober).
@@ -304,8 +312,8 @@ class ShardedPricingEngine {
 
   /// Restores this engine (fresh: no appends since construction) from a
   /// recovered checkpoint + journal, shard by shard: each shard serves
-  /// quotes again (TryQuote*/Purchase) the moment its checkpoint state
-  /// lands, while the remaining shards answer Unavailable. Journal
+  /// quotes again (TryQuoteBatchInto/Purchase) the moment its checkpoint
+  /// state lands, while the remaining shards answer Unavailable. Journal
   /// replay then reapplies post-checkpoint ops in op order; replayed
   /// books are bit-identical to the pre-crash ones (versions, revenues,
   /// LP counts). `mutable_db` must be the engine's own database and is
@@ -317,7 +325,8 @@ class ShardedPricingEngine {
                                db::Database* mutable_db = nullptr);
 
   /// Restore protocol, public for persist + fault tests: BeginRestore
-  /// marks every shard cold (readers get Unavailable from TryQuote*);
+  /// marks every shard cold (TryQuoteBatchInto and Purchase answer
+  /// Unavailable for bundles touching it);
   /// FinishShardRestore warms one shard back up.
   void BeginRestore();
   void FinishShardRestore(int s);
@@ -336,7 +345,8 @@ class ShardedPricingEngine {
     uint64_t purchases = 0;
     uint64_t purchases_accepted = 0;
     double sale_revenue = 0.0;
-    /// TryQuote*/Purchase requests refused because a shard was warming.
+    /// TryQuoteBatchInto bundles and Purchase requests refused because a
+    /// shard was warming.
     uint64_t unavailable = 0;
     market::PreparedQueryCache::Stats prepared;
     /// Shared versioned-catalog churn counters (the catalog is one
@@ -360,9 +370,18 @@ class ShardedPricingEngine {
   Status AppendRouted(std::vector<std::vector<uint32_t>> conflict_sets,
                       const core::Valuations& valuations);
 
-  /// nullptr when every non-empty sub-bundle lands on a warm shard;
-  /// otherwise the first cold shard's Unavailable status (also bumps
-  /// unavailable_). Reader-side, lock-free.
+  /// The one quote loop behind every reader entry point: pins one view
+  /// into scratch->view, prices each bundle into scratch->quotes, counts
+  /// quotes_served_/cross_shard_quotes_, and releases the pin before it
+  /// returns. `gated` refuses bundles touching a warming shard
+  /// (statuses[i] = Unavailable); ungated every status is OK.
+  void PriceInto(std::span<const std::vector<uint32_t>> bundles, bool gated,
+                 QuoteBatchScratch* scratch) const;
+
+  /// OK when every item of the bundle lands on a warm shard; otherwise
+  /// the first cold shard's Unavailable status (also bumps unavailable_).
+  /// Item ids >= num_items() touch no shard and are skipped, as
+  /// SupportPartition::SplitBundleInto skips them. Reader-side, lock-free.
   Status ReadyFor(const std::vector<uint32_t>& bundle) const;
 
   /// Shared-catalog counters + router staleness; lock-free.
@@ -376,10 +395,10 @@ class ShardedPricingEngine {
   /// snapshots here and a merged view pins it once. Declared before the
   /// shards so it outlives their books.
   mutable common::EpochManager epochs_;
-  /// One versioned catalog for the whole router: the global prober and
-  /// every shard resolve cell reads through it, and ApplySellerDelta is
-  /// its single writer. Declared after epochs_ (generations retire
-  /// there) and before prober_/shards_ (they probe through it).
+  /// One versioned catalog for the whole router: the global prober
+  /// resolves cell reads through it, and ApplySellerDelta is its single
+  /// writer. Declared after epochs_ (generations retire there) and
+  /// before prober_ (which probes through it).
   db::VersionedDatabase catalog_;
 
   mutable std::mutex writer_mutex_;

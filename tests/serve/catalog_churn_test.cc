@@ -263,5 +263,27 @@ TEST(CatalogChurnTest, ConcurrentDeltasMatchSerialReferenceBitForBit) {
   EXPECT_EQ(ref.deltas_pending + ref.deltas_folded, deltas.size());
 }
 
+// A reader's epoch pin ends with its batch. A serving loop reuses one
+// QuoteBatchScratch between seller deltas (the RPC tick does); if the
+// scratch kept its view pinned, every fold would wait on it forever and
+// the overlay would grow without bound.
+TEST(CatalogChurnTest, ReusedBatchScratchLetsFoldsLand) {
+  Market m = MakeMarket(/*fold_every=*/4);
+  std::vector<market::CellDelta> deltas = DistinctCellDeltas(m.support);
+  ASSERT_GE(deltas.size(), 40u);
+  deltas.resize(40);
+  auto probes = ProbeBundles(static_cast<uint32_t>(m.support.size()));
+  ShardedPricingEngine::QuoteBatchScratch scratch;
+  for (const market::CellDelta& d : deltas) {
+    m.engine->TryQuoteBatchInto(probes, &scratch);
+    QP_CHECK_OK(m.engine->ApplySellerDelta(*m.db, d));
+  }
+  EngineStats::CatalogStats cs = m.engine->reader_stats().catalog;
+  EXPECT_GT(cs.folds, 0u);
+  EXPECT_EQ(cs.fold_retries, 0u);
+  EXPECT_LT(cs.deltas_pending, 4u);
+  EXPECT_EQ(m.engine->stats().merged.epoch.pending, 0u);
+}
+
 }  // namespace
 }  // namespace qp::serve

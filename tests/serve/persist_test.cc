@@ -8,8 +8,8 @@
 //      deltas and a journal that ends in a torn record;
 //  (c) a corrupt or uncommitted newest checkpoint falls back to an
 //      older one, with the longer journal replay closing the gap;
-//  (d) while shards warm after a restore, TryQuote*/Purchase answer
-//      Unavailable instead of serving cold prices.
+//  (d) while shards warm after a restore, TryQuoteBatchInto/Purchase
+//      answer Unavailable instead of serving cold prices.
 #include "serve/persist/checkpoint.h"
 
 #include <algorithm>
@@ -768,6 +768,15 @@ TEST(PersistRecoveryTest, FallsBackPastCorruptAndUncommittedCheckpoints) {
 
 // --- (d) graceful degradation while warming ----------------------------
 
+// The serving batch path's answer for one bundle.
+Result<Quote> TryQuote(const ShardedPricingEngine& engine,
+                       const std::vector<uint32_t>& bundle) {
+  ShardedPricingEngine::QuoteBatchScratch scratch;
+  engine.TryQuoteBatchInto({&bundle, 1}, &scratch);
+  if (!scratch.statuses[0].ok()) return scratch.statuses[0];
+  return scratch.quotes[0];
+}
+
 TEST(PersistRecoveryTest, WarmingShardsAnswerUnavailable) {
   World w;
   w.Append(0, 4);
@@ -780,9 +789,9 @@ TEST(PersistRecoveryTest, WarmingShardsAnswerUnavailable) {
   w.engine->BeginRestore();
   // Everything cold: per-item readiness refuses, empty bundles (which
   // touch no shard) still serve.
-  EXPECT_EQ(w.engine->TryQuoteBundle(in_shard0).status().code(),
+  EXPECT_EQ(TryQuote(*w.engine, in_shard0).status().code(),
             StatusCode::kUnavailable);
-  QP_CHECK_OK(w.engine->TryQuoteBundle({}).status());
+  QP_CHECK_OK(TryQuote(*w.engine, {}).status());
   // A buyer whose probed bundle is empty conflicts with nothing and may
   // serve even while cold, so find one whose bundle actually touches a
   // shard: that purchase must refuse.
@@ -802,20 +811,28 @@ TEST(PersistRecoveryTest, WarmingShardsAnswerUnavailable) {
   // Warm shard 0: bundles inside it serve, crossing bundles still wait.
   w.engine->FinishShardRestore(0);
   EXPECT_TRUE(w.engine->shard_ready(0));
-  QP_CHECK_OK(w.engine->TryQuoteBundle(in_shard0).status());
-  EXPECT_EQ(w.engine->TryQuoteBundle(crossing).status().code(),
+  QP_CHECK_OK(TryQuote(*w.engine, in_shard0).status());
+  EXPECT_EQ(TryQuote(*w.engine, crossing).status().code(),
             StatusCode::kUnavailable);
-  std::vector<Result<Quote>> batch =
-      w.engine->TryQuoteBatch(std::vector<std::vector<uint32_t>>{
-          in_shard0, crossing});
-  QP_CHECK_OK(batch[0].status());
-  EXPECT_EQ(batch[1].status().code(), StatusCode::kUnavailable);
+  ShardedPricingEngine::QuoteBatchScratch batch;
+  w.engine->TryQuoteBatchInto(
+      std::vector<std::vector<uint32_t>>{in_shard0, crossing}, &batch);
+  QP_CHECK_OK(batch.statuses[0]);
+  EXPECT_EQ(batch.statuses[1].code(), StatusCode::kUnavailable);
+  // Item ids from the wire are arbitrary: ids past the support touch no
+  // shard (as SplitBundle ignores them), so the gate must neither read
+  // out of bounds nor refuse them.
+  for (uint32_t stray : {partition.num_items() + 7, 1u << 30}) {
+    auto quote = TryQuote(*w.engine, {stray});
+    QP_CHECK_OK(quote.status());
+    EXPECT_EQ(quote->price, TryQuote(*w.engine, {})->price);
+  }
 
   // All warm: behavior is exactly QuoteBundle again.
   for (int s = 1; s < w.engine->num_shards(); ++s) {
     w.engine->FinishShardRestore(s);
   }
-  auto quote = w.engine->TryQuoteBundle(crossing);
+  auto quote = TryQuote(*w.engine, crossing);
   QP_CHECK_OK(quote.status());
   Quote direct = w.engine->QuoteBundle(crossing);
   EXPECT_EQ(quote->price, direct.price);

@@ -1,6 +1,8 @@
-// PricingEngine acceptance tests: (a) concurrent quoting against
-// atomically swapped snapshots is safe while the writer republishes,
-// (b) incremental repricing after a buyer append matches a cold
+// Single-market acceptance tests for the pricing service, run through a
+// one-shard ShardedPricingEngine (the one engine surface; its shard is a
+// serve::PricingEngine): (a) concurrent quoting against atomically
+// swapped snapshots is safe while the writer republishes, (b)
+// incremental repricing after a buyer append matches a cold
 // RunAllAlgorithms on the grown instance within 1e-9, (c) the
 // incremental path solves strictly fewer LPs than full recompute, and
 // (d) the quote path pins epochs instead of refcounts, every publish
@@ -99,20 +101,32 @@ EngineOptions MatchedOptions(bool incremental) {
   return options;
 }
 
+// One market behind the pricing service: a one-shard router, whose
+// shard-local item ids are the support's own indices.
+std::unique_ptr<ShardedPricingEngine> OneShardEngine(const Market& m,
+                                                     EngineOptions options,
+                                                     int num_threads = 1) {
+  return std::make_unique<ShardedPricingEngine>(
+      m.db.get(),
+      market::SupportPartitioner::Partition(m.support, {}, {.num_shards = 1}),
+      ShardedEngineOptions{.engine = std::move(options),
+                           .num_threads = num_threads});
+}
+
 TEST(PricingEngineTest, PublishesBooksAndServesQuotes) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
 
   // The constructor publishes an (empty) generation so readers can quote
   // immediately.
-  auto empty_book = engine.snapshot();
+  auto empty_book = engine->shard(0).snapshot();
   ASSERT_NE(empty_book, nullptr);
   EXPECT_EQ(empty_book->version(), 1u);
   EXPECT_EQ(empty_book->num_edges(), 0);
-  EXPECT_DOUBLE_EQ(engine.QuoteBundle({0, 1, 2}).price, 0.0);
+  EXPECT_DOUBLE_EQ(engine->QuoteBundle({0, 1, 2}).price, 0.0);
 
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
-  auto book = engine.snapshot();
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto book = engine->shard(0).snapshot();
   EXPECT_EQ(book->version(), 2u);
   EXPECT_EQ(book->num_edges(), 5);
   EXPECT_EQ(book->results().size(), 6u);
@@ -122,12 +136,12 @@ TEST(PricingEngineTest, PublishesBooksAndServesQuotes) {
 
   // A quote for a real conflict set carries the serving algorithm and the
   // published generation.
-  Quote quote = engine.QuoteBundle(engine.hypergraph().edge(0));
+  Quote quote = engine->QuoteBundle(engine->shard(0).hypergraph().edge(0));
   EXPECT_EQ(quote.version, 2u);
   EXPECT_EQ(quote.algorithm, book->best().algorithm);
   EXPECT_GE(quote.price, 0.0);
 
-  EngineStats stats = engine.stats();
+  EngineStats stats = engine->stats().merged;
   EXPECT_EQ(stats.version, 2u);
   EXPECT_EQ(stats.num_edges, 5);
   EXPECT_GE(stats.quotes_served, 2u);
@@ -136,17 +150,17 @@ TEST(PricingEngineTest, PublishesBooksAndServesQuotes) {
 
 TEST(PricingEngineTest, RepriceAfterAppendMatchesColdRunAllAlgorithms) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(engine.AppendBuyers(m.late_queries, m.late_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(engine->AppendBuyers(m.late_queries, m.late_valuations));
 
   // Cold reference: RunAllAlgorithms from scratch on the grown instance
   // under the same options.
   core::AlgorithmOptions options = MatchedOptions(true).algorithms;
   std::vector<core::PricingResult> cold = core::RunAllAlgorithms(
-      engine.hypergraph(), engine.valuations(), options);
+      engine->shard(0).hypergraph(), engine->shard(0).valuations(), options);
 
-  auto book = engine.snapshot();
+  auto book = engine->shard(0).snapshot();
   ASSERT_EQ(book->results().size(), cold.size());
   for (size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(cold[i].algorithm, book->results()[i].algorithm);
@@ -160,24 +174,24 @@ TEST(PricingEngineTest, RepriceAfterAppendMatchesColdRunAllAlgorithms) {
 
 TEST(PricingEngineTest, IncrementalRepriceSolvesStrictlyFewerLps) {
   Market m = MakeMarket();
-  PricingEngine incremental(m.db.get(), m.support, MatchedOptions(true));
-  PricingEngine full(m.db.get(), m.support, MatchedOptions(false));
+  auto incremental = OneShardEngine(m, MatchedOptions(true));
+  auto full = OneShardEngine(m, MatchedOptions(false));
 
   QP_CHECK_OK(
-      incremental.AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(full.AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(incremental.AppendBuyers(m.late_queries, m.late_valuations));
-  QP_CHECK_OK(full.AppendBuyers(m.late_queries, m.late_valuations));
+      incremental->AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(full->AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(incremental->AppendBuyers(m.late_queries, m.late_valuations));
+  QP_CHECK_OK(full->AppendBuyers(m.late_queries, m.late_valuations));
 
-  core::RepriceStats inc_stats = incremental.stats().last_reprice;
-  core::RepriceStats full_stats = full.stats().last_reprice;
+  core::RepriceStats inc_stats = incremental->stats().merged.last_reprice;
+  core::RepriceStats full_stats = full->stats().merged.last_reprice;
   EXPECT_LT(inc_stats.lps_solved, full_stats.lps_solved);
   EXPECT_GT(inc_stats.lpip_reused, 0);
   EXPECT_EQ(full_stats.lpip_reused, 0);
 
   // Same books regardless of the path taken.
-  auto inc_book = incremental.snapshot();
-  auto full_book = full.snapshot();
+  auto inc_book = incremental->shard(0).snapshot();
+  auto full_book = full->shard(0).snapshot();
   for (size_t i = 0; i < inc_book->results().size(); ++i) {
     EXPECT_NEAR(inc_book->results()[i].revenue, full_book->results()[i].revenue,
                 1e-9 * (1.0 + std::abs(full_book->results()[i].revenue)))
@@ -185,26 +199,26 @@ TEST(PricingEngineTest, IncrementalRepriceSolvesStrictlyFewerLps) {
   }
 
   // The appends took the incidence merge path, not full rebuilds.
-  EXPECT_GT(incremental.stats().incidence.merges, 0);
+  EXPECT_GT(incremental->stats().merged.incidence.merges, 0);
 }
 
 TEST(PricingEngineTest, PurchaseQuotesTheConflictSetAndRecordsSales) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   db::BoundQuery query = m.late_queries[0];
-  PurchaseOutcome rich = engine.Purchase(query, 1e9);
+  PurchaseOutcome rich = engine->Purchase(query, 1e9);
   EXPECT_TRUE(rich.accepted);
   EXPECT_FALSE(rich.bundle.empty());
   EXPECT_GE(rich.quote.price, 0.0);
 
-  PurchaseOutcome broke = engine.Purchase(query, -1.0);
+  PurchaseOutcome broke = engine->Purchase(query, -1.0);
   EXPECT_FALSE(broke.accepted);
   EXPECT_EQ(broke.bundle, rich.bundle);  // same query, same conflict set
   EXPECT_DOUBLE_EQ(broke.quote.price, rich.quote.price);
 
-  EngineStats stats = engine.stats();
+  EngineStats stats = engine->stats().merged;
   EXPECT_EQ(stats.purchases, 2u);
   EXPECT_EQ(stats.purchases_accepted, 1u);
   EXPECT_DOUBLE_EQ(stats.sale_revenue, rich.quote.price);
@@ -212,15 +226,15 @@ TEST(PricingEngineTest, PurchaseQuotesTheConflictSetAndRecordsSales) {
 
 TEST(PricingEngineTest, SnapshotsAreImmutableAcrossPublishes) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
-  auto pinned = engine.snapshot();
-  std::vector<uint32_t> bundle = engine.hypergraph().edge(0);
+  auto pinned = engine->shard(0).snapshot();
+  std::vector<uint32_t> bundle = engine->shard(0).hypergraph().edge(0);
   Quote before = pinned->QuoteBundle(bundle);
 
-  QP_CHECK_OK(engine.AppendBuyers(m.late_queries, m.late_valuations));
-  EXPECT_EQ(engine.snapshot()->version(), pinned->version() + 1);
+  QP_CHECK_OK(engine->AppendBuyers(m.late_queries, m.late_valuations));
+  EXPECT_EQ(engine->shard(0).snapshot()->version(), pinned->version() + 1);
 
   // The pinned generation still answers, unchanged — readers holding it
   // keep a consistent book while the writer moves on.
@@ -240,19 +254,19 @@ TEST(PricingEngineTest, EmptySnapshotDies) {
 // QuoteBatch / merged snapshot takes exactly one epoch pin.
 TEST(PricingEngineTest, QuotePathPinsEpochsNotRefcounts) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
-  uint64_t pins = engine.stats().epoch.pins;
+  uint64_t pins = engine->stats().merged.epoch.pins;
   const int kQuotes = 25;
-  for (int i = 0; i < kQuotes; ++i) engine.QuoteBundle({0, 1, 2});
-  EXPECT_EQ(engine.stats().epoch.pins, pins + kQuotes);
+  for (int i = 0; i < kQuotes; ++i) engine->QuoteBundle({0, 1, 2});
+  EXPECT_EQ(engine->stats().merged.epoch.pins, pins + kQuotes);
 
   // A batch amortizes: one pin for the whole span.
   std::vector<std::vector<uint32_t>> bundles(10, {1, 2});
-  pins = engine.stats().epoch.pins;
-  engine.QuoteBatch(bundles);
-  EXPECT_EQ(engine.stats().epoch.pins, pins + 1);
+  pins = engine->stats().merged.epoch.pins;
+  engine->QuoteBatch(bundles);
+  EXPECT_EQ(engine->stats().merged.epoch.pins, pins + 1);
 
   // Sharded: one pin per merged view, covering every shard.
   ShardedEngineOptions options;
@@ -275,8 +289,8 @@ TEST(PricingEngineTest, QuotePathPinsEpochsNotRefcounts) {
 // books.
 TEST(PricingEngineTest, EveryPublishRetiresOneSnapshotAndReclaims) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  EngineStats stats = engine.stats();
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  EngineStats stats = engine->stats().merged;
   EXPECT_EQ(stats.epoch.retired, 0u);  // the first book replaced nothing
   EXPECT_EQ(stats.publish.bases, 1u);
 
@@ -286,9 +300,9 @@ TEST(PricingEngineTest, EveryPublishRetiresOneSnapshotAndReclaims) {
   valuations.insert(valuations.end(), m.late_valuations.begin(),
                     m.late_valuations.end());
   for (size_t b = 0; b < queries.size(); ++b) {
-    uint64_t retired = engine.stats().epoch.retired;
-    QP_CHECK_OK(engine.AppendBuyers({queries[b]}, {valuations[b]}));
-    stats = engine.stats();
+    uint64_t retired = engine->stats().merged.epoch.retired;
+    QP_CHECK_OK(engine->AppendBuyers({queries[b]}, {valuations[b]}));
+    stats = engine->stats().merged;
     EXPECT_EQ(stats.epoch.retired, retired + 1);
     EXPECT_EQ(stats.epoch.reclaimed, stats.epoch.retired);
     EXPECT_EQ(stats.epoch.pending, 0u);
@@ -351,14 +365,14 @@ TEST(PricingEngineTest, HeldMergedViewSurvivesPublishesUntilReleased) {
 
 TEST(PricingEngineTest, ConcurrentQuotesAreRaceFreeWhileWriterPublishes) {
   Market m = MakeMarket(/*support_size=*/100);
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   // Bundles to hammer, captured before the readers start (the writer-side
   // hypergraph is not safe to read concurrently with appends).
   std::vector<std::vector<uint32_t>> bundles;
-  for (int e = 0; e < engine.hypergraph().num_edges(); ++e) {
-    bundles.push_back(engine.hypergraph().edge(e));
+  for (int e = 0; e < engine->shard(0).hypergraph().num_edges(); ++e) {
+    bundles.push_back(engine->shard(0).hypergraph().edge(e));
   }
   bundles.push_back({0, 1, 2, 3});
   bundles.push_back({});
@@ -374,31 +388,31 @@ TEST(PricingEngineTest, ConcurrentQuotesAreRaceFreeWhileWriterPublishes) {
       for (int i = 0; i < kIterations; ++i) {
         const std::vector<uint32_t>& bundle =
             bundles[static_cast<size_t>(r + i) % bundles.size()];
-        auto book = engine.snapshot();
-        Quote direct = engine.QuoteBundle(bundle);
-        Quote via_book = book->QuoteBundle(bundle);
+        MergedBookView book = engine->snapshot();
+        Quote direct = engine->QuoteBundle(bundle);
+        Quote via_book = book.QuoteBundle(bundle);
         // Versions only move forward, and a held snapshot is internally
         // consistent: same bundle, same price, every time.
-        if (book->version() < last_version ||
-            via_book.price != book->QuoteBundle(bundle).price ||
+        if (book.version() < last_version ||
+            via_book.price != book.QuoteBundle(bundle).price ||
             !std::isfinite(direct.price) || direct.price < 0.0) {
           failed.store(true);
           return;
         }
-        last_version = book->version();
+        last_version = book.version();
       }
     });
   }
 
   // Writer: keep publishing generations while the readers quote.
   for (size_t b = 0; b < m.late_queries.size(); ++b) {
-    QP_CHECK_OK(engine.AppendBuyers({m.late_queries[b]},
-                                    {m.late_valuations[b]}));
+    QP_CHECK_OK(engine->AppendBuyers({m.late_queries[b]},
+                                     {m.late_valuations[b]}));
   }
   for (std::thread& t : readers) t.join();
   EXPECT_FALSE(failed.load());
 
-  EngineStats stats = engine.stats();
+  EngineStats stats = engine->stats().merged;
   EXPECT_GE(stats.quotes_served,
             static_cast<uint64_t>(kReaders) * kIterations);
   EXPECT_EQ(stats.version, 2u + m.late_queries.size());
@@ -406,26 +420,26 @@ TEST(PricingEngineTest, ConcurrentQuotesAreRaceFreeWhileWriterPublishes) {
 
 TEST(PricingEngineTest, QuoteBatchPinsOneGenerationAndCountsExactly) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   std::vector<std::vector<uint32_t>> bundles;
-  for (int e = 0; e < engine.hypergraph().num_edges(); ++e) {
-    bundles.push_back(engine.hypergraph().edge(e));
+  for (int e = 0; e < engine->shard(0).hypergraph().num_edges(); ++e) {
+    bundles.push_back(engine->shard(0).hypergraph().edge(e));
   }
   bundles.push_back({});
 
-  uint64_t before = engine.stats().quotes_served;
-  std::vector<Quote> batch = engine.QuoteBatch(bundles);
+  uint64_t before = engine->stats().merged.quotes_served;
+  std::vector<Quote> batch = engine->QuoteBatch(bundles);
   ASSERT_EQ(batch.size(), bundles.size());
   // One snapshot pin: every quote carries the same generation and agrees
   // with the per-bundle path.
   for (size_t i = 0; i < bundles.size(); ++i) {
     EXPECT_EQ(batch[i].version, batch[0].version);
-    EXPECT_DOUBLE_EQ(batch[i].price, engine.QuoteBundle(bundles[i]).price);
+    EXPECT_DOUBLE_EQ(batch[i].price, engine->QuoteBundle(bundles[i]).price);
   }
   // The batch counts once per bundle (plus the QuoteBundle calls above).
-  EXPECT_EQ(engine.stats().quotes_served,
+  EXPECT_EQ(engine->stats().merged.quotes_served,
             before + 2 * static_cast<uint64_t>(bundles.size()));
 }
 
@@ -437,8 +451,8 @@ TEST(PricingEngineTest, ConcurrentPurchasesRaceAppendBuyersPublishes) {
   // accounting must aggregate exactly.
   Market m = MakeMarket(/*support_size=*/100);
   auto reference_db = db::testing::MakeTestDatabase();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   constexpr int kBuyers = 4;
   constexpr int kPurchases = 60;
@@ -453,7 +467,7 @@ TEST(PricingEngineTest, ConcurrentPurchasesRaceAppendBuyersPublishes) {
         const db::BoundQuery& query =
             m.late_queries[static_cast<size_t>(b + i) % m.late_queries.size()];
         double valuation = (b + i) % 3 == 0 ? 1e9 : 1e-9;
-        PurchaseOutcome outcome = engine.Purchase(query, valuation);
+        PurchaseOutcome outcome = engine->Purchase(query, valuation);
         if (!std::isfinite(outcome.quote.price) || outcome.quote.price < 0.0 ||
             outcome.quote.version == 0) {
           failures.fetch_add(1);
@@ -470,12 +484,12 @@ TEST(PricingEngineTest, ConcurrentPurchasesRaceAppendBuyersPublishes) {
   // Writer: publish a new generation per late buyer while purchases run.
   for (size_t i = 0; i < m.late_queries.size(); ++i) {
     QP_CHECK_OK(
-        engine.AppendBuyers({m.late_queries[i]}, {m.late_valuations[i]}));
+        engine->AppendBuyers({m.late_queries[i]}, {m.late_valuations[i]}));
   }
   for (std::thread& t : buyers) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  EngineStats stats = engine.stats();
+  EngineStats stats = engine->stats().merged;
   EXPECT_EQ(stats.purchases, static_cast<uint64_t>(kBuyers) * kPurchases);
   EXPECT_EQ(stats.purchases_accepted, static_cast<uint64_t>(accepted.load()));
   double spent_total = 0.0;
@@ -499,40 +513,40 @@ TEST(PricingEngineTest, ConcurrentPurchasesRaceAppendBuyersPublishes) {
 
 TEST(PricingEngineTest, PreparedQueryCacheHitsOnRepeatPurchases) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
   // The append prepared each (distinct) initial query once.
-  market::PreparedQueryCache::Stats seeded = engine.stats().prepared;
+  market::PreparedQueryCache::Stats seeded = engine->stats().merged.prepared;
   EXPECT_EQ(seeded.misses, m.initial_queries.size());
   EXPECT_EQ(seeded.hits, 0u);
 
   // First purchase of a new query misses; repeats hit, and the cached
   // probes return the identical conflict set.
-  PurchaseOutcome first = engine.Purchase(m.late_queries[0], 1e9);
-  EXPECT_EQ(engine.stats().prepared.misses, seeded.misses + 1);
-  PurchaseOutcome second = engine.Purchase(m.late_queries[0], 1e9);
-  EXPECT_EQ(engine.stats().prepared.misses, seeded.misses + 1);
-  EXPECT_EQ(engine.stats().prepared.hits, 1u);
+  PurchaseOutcome first = engine->Purchase(m.late_queries[0], 1e9);
+  EXPECT_EQ(engine->stats().merged.prepared.misses, seeded.misses + 1);
+  PurchaseOutcome second = engine->Purchase(m.late_queries[0], 1e9);
+  EXPECT_EQ(engine->stats().merged.prepared.misses, seeded.misses + 1);
+  EXPECT_EQ(engine->stats().merged.prepared.hits, 1u);
   EXPECT_EQ(second.bundle, first.bundle);
   EXPECT_DOUBLE_EQ(second.quote.price, first.quote.price);
 
   // Re-appending a known query hits too (same SQL text).
-  QP_CHECK_OK(engine.AppendBuyers({m.initial_queries[0]}, {4.0}));
-  EXPECT_EQ(engine.stats().prepared.hits, 2u);
+  QP_CHECK_OK(engine->AppendBuyers({m.initial_queries[0]}, {4.0}));
+  EXPECT_EQ(engine->stats().merged.prepared.hits, 2u);
 
   // Explicit invalidation flushes: the next purchase re-prepares.
-  engine.InvalidatePreparedQueries();
-  EXPECT_EQ(engine.stats().prepared.invalidations, 1u);
-  engine.Purchase(m.late_queries[0], 1e9);
-  EXPECT_EQ(engine.stats().prepared.misses, seeded.misses + 2);
+  engine->InvalidatePreparedQueries();
+  EXPECT_EQ(engine->stats().merged.prepared.invalidations, 1u);
+  engine->Purchase(m.late_queries[0], 1e9);
+  EXPECT_EQ(engine->stats().merged.prepared.misses, seeded.misses + 2);
 }
 
 TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   Market m = MakeMarket();
-  PricingEngine engine(m.db.get(), m.support, MatchedOptions(true));
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
-  engine.Purchase(m.late_queries[0], 1e9);
-  uint64_t misses = engine.stats().prepared.misses;
+  auto engine = OneShardEngine(m, MatchedOptions(true));
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
+  engine->Purchase(m.late_queries[0], 1e9);
+  uint64_t misses = engine->stats().merged.prepared.misses;
 
   // The prepared cache holds every appended initial query plus the
   // purchased late query. Partition cells by who reads them.
@@ -566,8 +580,8 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   }
   ASSERT_NE(untouched.table, -1);  // some support cell no cached query reads
   market::CellDelta delta = untouched;
-  EXPECT_FALSE(engine.ApplySellerDelta(*other, delta).ok());
-  EXPECT_EQ(engine.stats().prepared.selective_invalidations, 0u);
+  EXPECT_FALSE(engine->ApplySellerDelta(*other, delta).ok());
+  EXPECT_EQ(engine->stats().merged.prepared.selective_invalidations, 0u);
 
   // An edit to a cell no cached query reads: a new catalog generation is
   // committed (the base cell keeps its old bytes until a fold — default
@@ -575,22 +589,22 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   // survives — the next purchase still hits instead of re-probing (the
   // point of satellite invalidation). No full flush is counted.
   db::Value before = m.db->table(delta.table).cell(delta.row, delta.column);
-  QP_CHECK_OK(engine.ApplySellerDelta(*m.db, delta));
+  QP_CHECK_OK(engine->ApplySellerDelta(*m.db, delta));
   EXPECT_EQ(
       m.db->table(delta.table).cell(delta.row, delta.column).Compare(before),
       0);
-  EXPECT_EQ(engine.catalog()
+  EXPECT_EQ(engine->catalog()
                 .LogicalCell(delta.table, delta.row, delta.column)
                 .Compare(delta.new_value),
             0);
-  EXPECT_EQ(engine.stats().catalog.generations_published, 1u);
-  EXPECT_EQ(engine.stats().catalog.deltas_pending, 1u);
-  EXPECT_EQ(engine.stats().catalog.folds, 0u);
-  EXPECT_EQ(engine.stats().prepared.selective_invalidations, 1u);
-  EXPECT_EQ(engine.stats().prepared.selective_dropped, 0u);
-  EXPECT_EQ(engine.stats().prepared.invalidations, 0u);
-  engine.Purchase(m.late_queries[0], 1e9);
-  EXPECT_EQ(engine.stats().prepared.misses, misses);
+  EXPECT_EQ(engine->stats().merged.catalog.generations_published, 1u);
+  EXPECT_EQ(engine->stats().merged.catalog.deltas_pending, 1u);
+  EXPECT_EQ(engine->stats().merged.catalog.folds, 0u);
+  EXPECT_EQ(engine->stats().merged.prepared.selective_invalidations, 1u);
+  EXPECT_EQ(engine->stats().merged.prepared.selective_dropped, 0u);
+  EXPECT_EQ(engine->stats().merged.prepared.invalidations, 0u);
+  engine->Purchase(m.late_queries[0], 1e9);
+  EXPECT_EQ(engine->stats().merged.prepared.misses, misses);
 
   // An edit to a column the late query IS sensitive to drops its entry
   // (and exactly the other cached entries reading that column): the next
@@ -601,25 +615,25 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   hit.row = 0;
   const db::Table& table = m.db->table(hit.table);
   hit.new_value = table.cell(table.num_rows() > 1 ? 1 : 0, hit.column);
-  QP_CHECK_OK(engine.ApplySellerDelta(*m.db, hit));
-  EXPECT_EQ(engine.stats().catalog.generations_published, 2u);
-  EXPECT_EQ(engine.stats().prepared.selective_invalidations, 2u);
-  EXPECT_EQ(engine.stats().prepared.selective_dropped,
+  QP_CHECK_OK(engine->ApplySellerDelta(*m.db, hit));
+  EXPECT_EQ(engine->stats().merged.catalog.generations_published, 2u);
+  EXPECT_EQ(engine->stats().merged.prepared.selective_invalidations, 2u);
+  EXPECT_EQ(engine->stats().merged.prepared.selective_dropped,
             readers_of(hit.table, hit.column));
-  engine.Purchase(m.late_queries[0], 1e9);
-  EXPECT_EQ(engine.stats().prepared.misses, misses + 1);
+  engine->Purchase(m.late_queries[0], 1e9);
+  EXPECT_EQ(engine->stats().merged.prepared.misses, misses + 1);
   // Every Purchase sampled its probe's staleness (all 0 here: no commit
   // raced the probes).
-  EXPECT_GE(engine.stats().catalog.staleness_samples, 3u);
-  EXPECT_EQ(engine.stats().catalog.staleness_max, 0u);
+  EXPECT_GE(engine->stats().merged.catalog.staleness_samples, 3u);
+  EXPECT_EQ(engine->stats().merged.catalog.staleness_max, 0u);
 }
 
 TEST(PricingEngineTest, ApplySellerDeltaFoldsIntoBaseOnCadence) {
   Market m = MakeMarket();
   EngineOptions options = MatchedOptions(true);
   options.fold_every = 2;
-  PricingEngine engine(m.db.get(), m.support, options);
-  QP_CHECK_OK(engine.AppendBuyers(m.initial_queries, m.initial_valuations));
+  auto engine = OneShardEngine(m, options);
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   // Two commits to distinct cells: the first stays pending in the
   // overlay, the second reaches fold_every and (no reader is pinned)
@@ -635,13 +649,13 @@ TEST(PricingEngineTest, ApplySellerDeltaFoldsIntoBaseOnCadence) {
   }
   ASSERT_NE(b, nullptr);
 
-  QP_CHECK_OK(engine.ApplySellerDelta(*m.db, a));
-  EngineStats mid = engine.stats();
+  QP_CHECK_OK(engine->ApplySellerDelta(*m.db, a));
+  EngineStats mid = engine->stats().merged;
   EXPECT_EQ(mid.catalog.deltas_pending, 1u);
   EXPECT_EQ(mid.catalog.folds, 0u);
 
-  QP_CHECK_OK(engine.ApplySellerDelta(*m.db, *b));
-  EngineStats folded = engine.stats();
+  QP_CHECK_OK(engine->ApplySellerDelta(*m.db, *b));
+  EngineStats folded = engine->stats().merged;
   EXPECT_EQ(folded.catalog.generations_published, 2u);
   EXPECT_EQ(folded.catalog.folds, 1u);
   EXPECT_EQ(folded.catalog.deltas_folded, 2u);
@@ -653,34 +667,37 @@ TEST(PricingEngineTest, ApplySellerDeltaFoldsIntoBaseOnCadence) {
       m.db->table(b->table).cell(b->row, b->column).Compare(b->new_value), 0);
   // ...without changing any logical read or the generation number (a
   // fold commits nothing).
-  EXPECT_EQ(engine.catalog()
+  EXPECT_EQ(engine->catalog()
                 .LogicalCell(a.table, a.row, a.column)
                 .Compare(a.new_value),
             0);
-  EXPECT_EQ(engine.catalog().head_generation(), 2u);
+  EXPECT_EQ(engine->catalog().head_generation(), 2u);
 }
 
 TEST(PricingEngineTest, ParallelBuildMatchesSerialBooks) {
-  // AppendBuyers with build parallelism: conflict sets are bit-identical
+  // AppendBuyers with probe parallelism (the router's num_threads fans the
+  // probes out): conflict sets are bit-identical
   // for every thread count, so the published books match the serial
   // engine's exactly (same edges -> same LPs -> same prices).
   Market m = MakeMarket();
   EngineOptions serial_options = MatchedOptions(true);
   EngineOptions parallel_options = serial_options;
   parallel_options.build.num_threads = 4;
-  PricingEngine serial(m.db.get(), m.support, serial_options);
-  PricingEngine parallel(m.db.get(), m.support, parallel_options);
-  QP_CHECK_OK(serial.AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(parallel.AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(serial.AppendBuyers(m.late_queries, m.late_valuations));
-  QP_CHECK_OK(parallel.AppendBuyers(m.late_queries, m.late_valuations));
+  auto serial = OneShardEngine(m, serial_options);
+  auto parallel = OneShardEngine(m, parallel_options, /*num_threads=*/4);
+  QP_CHECK_OK(serial->AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(parallel->AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(serial->AppendBuyers(m.late_queries, m.late_valuations));
+  QP_CHECK_OK(parallel->AppendBuyers(m.late_queries, m.late_valuations));
 
-  ASSERT_EQ(parallel.hypergraph().num_edges(), serial.hypergraph().num_edges());
-  for (int e = 0; e < serial.hypergraph().num_edges(); ++e) {
-    EXPECT_EQ(parallel.hypergraph().edge(e), serial.hypergraph().edge(e));
+  const core::Hypergraph& sg = serial->shard(0).hypergraph();
+  const core::Hypergraph& pg = parallel->shard(0).hypergraph();
+  ASSERT_EQ(pg.num_edges(), sg.num_edges());
+  for (int e = 0; e < sg.num_edges(); ++e) {
+    EXPECT_EQ(pg.edge(e), sg.edge(e));
   }
-  auto serial_book = serial.snapshot();
-  auto parallel_book = parallel.snapshot();
+  auto serial_book = serial->shard(0).snapshot();
+  auto parallel_book = parallel->shard(0).snapshot();
   ASSERT_EQ(parallel_book->results().size(), serial_book->results().size());
   for (size_t i = 0; i < serial_book->results().size(); ++i) {
     EXPECT_DOUBLE_EQ(parallel_book->results()[i].revenue,
@@ -688,7 +705,7 @@ TEST(PricingEngineTest, ParallelBuildMatchesSerialBooks) {
         << serial_book->results()[i].algorithm;
   }
   // Per-query stats merged in index order: identical accounting too.
-  EngineStats ss = serial.stats(), ps = parallel.stats();
+  EngineStats ss = serial->stats().merged, ps = parallel->stats().merged;
   EXPECT_EQ(ps.conflict.probes, ss.conflict.probes);
   EXPECT_EQ(ps.conflict.pruned, ss.conflict.pruned);
   EXPECT_EQ(ps.conflict.fallback_queries, ss.conflict.fallback_queries);

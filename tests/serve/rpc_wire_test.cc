@@ -1,14 +1,18 @@
 // Wire-protocol hardening: every encode/decode pair roundtrips, and no
 // hostile input — truncated frames, oversized or undersized length
-// prefixes, corrupt counts, trailing garbage, byte-by-byte delivery —
-// crashes, over-reads, or decodes successfully.
+// prefixes, corrupt counts, trailing garbage, byte-by-byte delivery,
+// seeded random byte mutations — crashes, over-reads, or decodes
+// successfully where it must not.
 #include "serve/rpc/wire.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace qp::serve::rpc {
 namespace {
@@ -358,6 +362,130 @@ TEST(RpcWireTest, HostileCountsCannotDriveAllocation) {
   std::vector<std::vector<uint32_t>> bundles;
   EXPECT_FALSE(DecodeQuoteBatchRequest(
       std::span<const uint8_t>(batch.data(), batch.size()), &bundles));
+}
+
+// Runs every body decoder over `body`. Each one must return (true or
+// false) without throwing; ASan/UBSan catch any over-read.
+void DecodeWithEveryDecoder(std::span<const uint8_t> body) {
+  std::vector<uint32_t> bundle;
+  std::vector<std::vector<uint32_t>> bundles;
+  std::string text;
+  double valuation = 0.0;
+  std::vector<WireBuyer> buyers;
+  market::CellDelta delta;
+  Quote quote;
+  std::vector<Quote> quotes;
+  WirePurchase purchase;
+  WireAppendResult append;
+  WireStats stats;
+  WireDeltaResult delta_result;
+  WireCode code = WireCode::kOk;
+  EXPECT_NO_THROW({
+    (void)DecodeQuoteRequest(body, &bundle);
+    (void)DecodeQuoteRequestInto(body, &bundle);
+    (void)DecodeQuoteBatchRequest(body, &bundles);
+    (void)DecodePurchaseRequest(body, &text, &valuation);
+    (void)DecodeAppendRequest(body, &buyers);
+    (void)DecodeApplySellerDeltaRequest(body, &delta);
+    (void)DecodeQuoteReply(body, &quote);
+    (void)DecodeQuoteBatchReply(body, &quotes);
+    (void)DecodePurchaseReply(body, &purchase);
+    (void)DecodeAppendReply(body, &append);
+    (void)DecodeStatsReply(body, &stats);
+    (void)DecodeApplySellerDeltaReply(body, &delta_result);
+    (void)DecodeErrorReply(body, &code, &text);
+  });
+}
+
+TEST(RpcWireTest, RandomByteMutationsNeverCrashDecoders) {
+  // Seed corpus: one well-formed frame of every message type, the frames
+  // the round-trip tests above build.
+  std::vector<std::vector<uint32_t>> bundles = {{1, 2}, {}, {9}};
+  std::vector<WireBuyer> buyers = {{"select A from T", 1.0},
+                                   {"select B from T", 2.0}};
+  market::CellDelta delta;
+  delta.table = 1;
+  delta.row = 42;
+  delta.column = 3;
+  delta.new_value = db::Value::Str("rewritten");
+  WirePurchase purchase;
+  purchase.accepted = true;
+  purchase.valuation = 5.0;
+  purchase.quote = MakeQuote();
+  purchase.bundle = {0, 3, 8};
+  WireStats stats;
+  stats.num_shards = 2;
+  stats.version = 5;
+  stats.shard_versions = {2, 3};
+  stats.quotes_served = 100;
+  stats.folds = 3;
+  std::vector<Quote> quotes = {MakeQuote(), MakeQuote()};
+  const std::vector<std::vector<uint8_t>> corpus = {
+      EncodeQuoteRequest(1, {1, 2, 3}),
+      EncodeQuoteBatchRequest(2, bundles),
+      EncodePurchaseRequest(3, "select * from T", 3.5),
+      EncodeAppendRequest(4, buyers),
+      EncodeStatsRequest(5),
+      EncodeApplySellerDeltaRequest(6, delta),
+      EncodeQuoteReply(7, MakeQuote()),
+      EncodeQuoteBatchReply(8, quotes),
+      EncodePurchaseReply(9, purchase),
+      EncodeAppendReply(10, WireAppendResult{WireCode::kOk, "", 11}),
+      EncodeStatsReply(11, stats),
+      EncodeApplySellerDeltaReply(12, WireDeltaResult{WireCode::kOk, "", 29}),
+      EncodeErrorReply(13, WireCode::kBackpressure, "full"),
+  };
+
+  Rng rng(16);
+  constexpr int kMutantsPerFrame = 400;
+  for (const std::vector<uint8_t>& seed : corpus) {
+    for (int iter = 0; iter < kMutantsPerFrame; ++iter) {
+      std::vector<uint8_t> bytes = seed;
+      const int edits = static_cast<int>(rng.UniformInt(1, 3));
+      for (int e = 0; e < edits; ++e) {
+        const auto pos = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bytes.size())));
+        const auto value = static_cast<uint8_t>(rng.UniformInt(0, 255));
+        switch (rng.UniformInt(0, 2)) {
+          case 0:  // flip: xor a nonzero mask into one byte
+            if (pos < bytes.size()) bytes[pos] ^= std::max<uint8_t>(value, 1);
+            break;
+          case 1:  // insert one byte
+            bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                         value);
+            break;
+          default:  // truncate
+            bytes.resize(pos);
+            break;
+        }
+      }
+      // The extractor must stay inside the buffer whatever the prefix
+      // claims; a frame it accepts must lie within the bytes it consumed.
+      Frame frame;
+      size_t consumed = 0;
+      ExtractResult result = ExtractResult::kError;
+      EXPECT_NO_THROW(result = ExtractFrame(bytes.data(), bytes.size(),
+                                            &consumed, &frame));
+      std::vector<uint8_t> body;
+      if (result == ExtractResult::kFrame) {
+        ASSERT_LE(consumed, bytes.size());
+        ASSERT_GE(frame.body.data(), bytes.data());
+        ASSERT_LE(frame.body.data() + frame.body.size(),
+                  bytes.data() + consumed);
+        body.assign(frame.body.begin(), frame.body.end());
+      } else {
+        // A corrupt prefix hides the body from the extractor; decode the
+        // bytes past the headers anyway.
+        const size_t headers = kFrameHeaderBytes + kMessageHeaderBytes;
+        if (bytes.size() > headers) {
+          body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(headers),
+                      bytes.end());
+        }
+      }
+      // An exact-size copy, so an over-read lands in ASan's redzone.
+      DecodeWithEveryDecoder(body);
+    }
+  }
 }
 
 }  // namespace

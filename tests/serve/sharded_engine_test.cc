@@ -1,12 +1,13 @@
 // ShardedPricingEngine parity suite. The contracts pinned here:
-//  (a) one shard == the monolithic PricingEngine, bit for bit;
-//  (b) with many shards, each shard == a monolithic engine running on
+//  (a) one shard == a PricingEngine fed the cold builder's conflict
+//      sets (market::BuildHypergraph) directly, bit for bit;
+//  (b) with many shards, each shard == a PricingEngine running on
 //      that shard's sub-instance (same batches), bit for bit, and the
 //      router's routing matches an independent NaiveConflictSet oracle;
 //  (c) cross-shard bundles price additively in ascending shard order;
 //  (d) books are bit-identical for every router/build/LP thread count;
 //  (e) on symmetric (identical-copy) instances the per-algorithm revenue
-//      sums match a single monolithic engine on the full instance within
+//      sums match a single PricingEngine on the full instance within
 //      1e-9 — the documented LP-vertex tolerance;
 //  (f) concurrent QuoteBundle/QuoteBatch/Purchase race shard-parallel
 //      AppendBuyers publishes safely (the TSan job runs this file).
@@ -25,6 +26,7 @@
 #include "core/algorithms.h"
 #include "db/parser.h"
 #include "market/conflict.h"
+#include "market/hypergraph_builder.h"
 #include "market/support.h"
 #include "market/support_partitioner.h"
 #include "serve/pricing_engine.h"
@@ -120,13 +122,21 @@ market::SupportPartition PartitionFor(const Market& m, int num_shards) {
 
 TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {
   Market m = MakeMarket();
-  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions());
+  // Reference outside the router: the cold one-shot builder's conflict
+  // sets, fed straight to a PricingEngine with the same batch bounds.
+  common::EpochManager epochs;
+  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions(), epochs);
   ShardedPricingEngine sharded(m.db.get(), PartitionFor(m, 1),
                                MatchedShardedOptions());
 
-  QP_CHECK_OK(mono.AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(mono.AppendBuyersPrecomputed(
+      market::BuildHypergraph(*m.db, m.initial_queries, m.support)
+          .conflict_sets,
+      m.initial_valuations));
   QP_CHECK_OK(sharded.AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(mono.AppendBuyers(m.late_queries, m.late_valuations));
+  QP_CHECK_OK(mono.AppendBuyersPrecomputed(
+      market::BuildHypergraph(*m.db, m.late_queries, m.support).conflict_sets,
+      m.late_valuations));
   QP_CHECK_OK(sharded.AppendBuyers(m.late_queries, m.late_valuations));
 
   // Same instance, bit for bit: edges, every algorithm's revenue, LP
@@ -152,15 +162,52 @@ TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {
 
   // Quotes agree bit for bit, including the empty bundle.
   for (int e = 0; e < mono.hypergraph().num_edges(); ++e) {
-    Quote mq = mono.QuoteBundle(mono.hypergraph().edge(e));
+    Quote mq = mono_book->QuoteBundle(mono.hypergraph().edge(e));
     Quote sq = sharded.QuoteBundle(mono.hypergraph().edge(e));
     EXPECT_EQ(sq.price, mq.price);
     EXPECT_EQ(sq.version, mq.version);
     EXPECT_EQ(sq.algorithm, mq.algorithm);
   }
-  EXPECT_EQ(sharded.QuoteBundle({}).algorithm, mono.QuoteBundle({}).algorithm);
+  EXPECT_EQ(sharded.QuoteBundle({}).algorithm,
+            mono_book->QuoteBundle({}).algorithm);
   EXPECT_EQ(sharded.stats().cross_shard_appends, 0u);
   EXPECT_EQ(sharded.stats().cross_shard_quotes, 0u);
+}
+
+// Uniform bundle pricing charges its price even for a bundle of no items
+// (a buyer whose query conflicts with nothing). One shard quotes exactly
+// as its book, so it charges that price too; across several shards no
+// single book prices the empty bundle, and it stays free.
+TEST(ShardedEngineTest, EmptyBundlePriceFollowsTheBookBehindOneShard) {
+  db::Database empty_db;
+  market::SupportSet support(4);
+  for (size_t i = 0; i < support.size(); ++i) {
+    support[i].row = static_cast<int>(i);
+  }
+  // One buyer: UBP at price 5 earns everything and wins the tie.
+  const std::vector<std::vector<uint32_t>> edges = {{0, 1}};
+  const core::Valuations valuations = {5.0};
+  common::EpochManager epochs;
+  PricingEngine book(&empty_db, support, MatchedEngineOptions(), epochs);
+  QP_CHECK_OK(book.AppendBuyersPrecomputed(edges, valuations));
+  ASSERT_EQ(book.snapshot()->best().algorithm, "UBP");
+  const double empty_price = book.snapshot()->QuoteBundle({}).price;
+  ASSERT_EQ(empty_price, 5.0);
+
+  ShardedPricingEngine one(
+      &empty_db,
+      market::SupportPartitioner::Partition(support, {}, {.num_shards = 1}),
+      MatchedShardedOptions());
+  QP_CHECK_OK(one.AppendBuyersPrecomputed(edges, valuations));
+  EXPECT_EQ(one.QuoteBundle({}).price, empty_price);
+  EXPECT_EQ(one.QuoteBundle({}).algorithm, "UBP");
+
+  ShardedPricingEngine two(
+      &empty_db,
+      market::SupportPartitioner::Partition(support, edges, {.num_shards = 2}),
+      MatchedShardedOptions());
+  QP_CHECK_OK(two.AppendBuyersPrecomputed(edges, valuations));
+  EXPECT_EQ(two.QuoteBundle({}).price, 0.0);
 }
 
 TEST(ShardedEngineTest, ShardsMatchMonolithicEnginesOnSubInstances) {
@@ -217,11 +264,12 @@ TEST(ShardedEngineTest, ShardsMatchMonolithicEnginesOnSubInstances) {
 
   int total_lps = 0;
   for (int s = 0; s < kShards; ++s) {
-    // Reference: a standalone monolithic engine on this shard's support,
-    // fed the expected local edges with the same batch boundaries.
+    // Reference: a standalone PricingEngine on this shard's support, fed
+    // the expected local edges with the same batch boundaries.
+    common::EpochManager epochs;
     PricingEngine reference(m.db.get(),
                             partition.shard_support[static_cast<size_t>(s)],
-                            MatchedEngineOptions());
+                            MatchedEngineOptions(), epochs);
     if (!expected_initial[s].empty()) {
       QP_CHECK_OK(reference.AppendBuyersPrecomputed(expected_initial[s],
                                                     expected_initial_v[s]));
@@ -378,7 +426,8 @@ TEST(ShardedEngineTest, SymmetricCopiesMatchMonolithicWithinTolerance) {
     support[i].row = static_cast<int>(i);
   }
 
-  PricingEngine mono(&empty_db, support, MatchedEngineOptions());
+  common::EpochManager epochs;
+  PricingEngine mono(&empty_db, support, MatchedEngineOptions(), epochs);
   QP_CHECK_OK(mono.AppendBuyersPrecomputed(global_edges, global_v));
 
   market::SupportPartition partition = market::SupportPartitioner::Partition(
@@ -440,17 +489,19 @@ TEST(ShardedEngineTest, VersionVectorDisambiguatesAliasedScalarVersions) {
     EXPECT_GE(vector_after[s], vector_before[s]) << "shard " << s;
   }
 
-  // Quotes from a merged view carry the vector; single-engine quotes
-  // leave it empty (the monolithic scalar version cannot alias).
+  // Quotes from a merged view carry the vector; a single book's own
+  // quotes leave it empty (one book's scalar version cannot alias).
   Quote merged_quote = sharded.QuoteBundle({});
   EXPECT_EQ(merged_quote.shard_versions, vector_after);
-  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions());
-  EXPECT_TRUE(mono.QuoteBundle({}).shard_versions.empty());
+  common::EpochManager epochs;
+  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions(), epochs);
+  EXPECT_TRUE(mono.snapshot()->QuoteBundle({}).shard_versions.empty());
 }
 
 TEST(ShardedEngineTest, PurchaseMatchesMonolithicBundlesAndCountsSales) {
   Market m = MakeMarket();
-  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions());
+  ShardedPricingEngine mono(m.db.get(), PartitionFor(m, 1),
+                            MatchedShardedOptions());
   ShardedPricingEngine sharded(m.db.get(), PartitionFor(m, 3),
                                MatchedShardedOptions());
   QP_CHECK_OK(mono.AppendBuyers(m.initial_queries, m.initial_valuations));
