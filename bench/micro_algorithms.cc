@@ -225,7 +225,7 @@ void BM_DeserializeShardState(benchmark::State& state) {
     EngineOptions options;
     options.algorithms.lpip.max_candidates = 12;
     common::EpochManager epochs;
-    PricingEngine engine(inst.w.database.get(), inst.support, options,
+    PricingEngine engine(static_cast<uint32_t>(inst.support.size()), options,
                          epochs);
     QP_CHECK_OK(engine.AppendBuyersPrecomputed(std::move(built.conflict_sets),
                                                valuations));

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/stopwatch.h"
+
 namespace qp::serve {
 
 namespace {
@@ -12,13 +14,9 @@ void DeleteBook(void* book) {
 
 }  // namespace
 
-PricingEngine::PricingEngine(const db::Database* db,
-                             market::SupportSet support,
-                             EngineOptions options,
+PricingEngine::PricingEngine(uint32_t num_items, EngineOptions options,
                              common::EpochManager& epochs)
-    : options_(std::move(options)),
-      epochs_(epochs),
-      builder_(db, std::move(support), options_.build) {
+    : options_(std::move(options)), epochs_(epochs), hypergraph_(num_items) {
   // Never let the algorithm layer see stale caller-side precompute: the
   // reprice state owns classes and valuation order for this instance.
   options_.algorithms.lpip.classes = nullptr;
@@ -40,7 +38,7 @@ Status PricingEngine::AppendBuyersPrecomputed(
     return Status::InvalidArgument(
         "AppendBuyersPrecomputed: one valuation per conflict set required");
   }
-  const uint32_t num_items = builder_.hypergraph().num_items();
+  const uint32_t num_items = hypergraph_.num_items();
   for (const std::vector<uint32_t>& edge : conflict_sets) {
     for (uint32_t item : edge) {
       if (item >= num_items) {
@@ -52,7 +50,7 @@ Status PricingEngine::AppendBuyersPrecomputed(
   }
   if (conflict_sets.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  int first_new_edge = builder_.AppendEdges(std::move(conflict_sets));
+  int first_new_edge = AppendEdges(std::move(conflict_sets));
   valuations_.insert(valuations_.end(), valuations.begin(), valuations.end());
   RepriceAndPublish(first_new_edge);
   return Status::OK();
@@ -60,13 +58,12 @@ Status PricingEngine::AppendBuyersPrecomputed(
 
 persist::ShardState PricingEngine::CaptureState() const {
   persist::ShardState state;
-  const core::Hypergraph& hypergraph = builder_.hypergraph();
   state.version = version_;
   state.total_lps_solved = total_lps_solved_;
-  state.num_items = hypergraph.num_items();
-  state.edges.reserve(static_cast<size_t>(hypergraph.num_edges()));
-  for (int e = 0; e < hypergraph.num_edges(); ++e) {
-    state.edges.push_back(hypergraph.edge(e));
+  state.num_items = hypergraph_.num_items();
+  state.edges.reserve(static_cast<size_t>(hypergraph_.num_edges()));
+  for (int e = 0; e < hypergraph_.num_edges(); ++e) {
+    state.edges.push_back(hypergraph_.edge(e));
   }
   state.valuations = valuations_;
   state.reprice = reprice_;
@@ -83,11 +80,11 @@ persist::ShardState PricingEngine::CaptureState() const {
 
 Status PricingEngine::RestoreState(persist::ShardState state) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  if (builder_.hypergraph().num_edges() != 0 || version_ != 1) {
+  if (hypergraph_.num_edges() != 0 || version_ != 1) {
     return Status::FailedPrecondition(
         "RestoreState: engine already has appended state");
   }
-  const uint32_t num_items = builder_.hypergraph().num_items();
+  const uint32_t num_items = hypergraph_.num_items();
   if (state.num_items != num_items) {
     return Status::InvalidArgument(
         "RestoreState: state has " + std::to_string(state.num_items) +
@@ -106,7 +103,7 @@ Status PricingEngine::RestoreState(persist::ShardState state) {
     }
   }
   const int num_edges = static_cast<int>(state.edges.size());
-  builder_.AppendEdges(std::move(state.edges));
+  AppendEdges(std::move(state.edges));
   valuations_ = std::move(state.valuations);
   reprice_ = std::move(state.reprice);
   version_ = state.version;
@@ -119,21 +116,31 @@ Status PricingEngine::RestoreState(persist::ShardState state) {
   return Status::OK();
 }
 
+int PricingEngine::AppendEdges(std::vector<std::vector<uint32_t>> edges) {
+  Stopwatch timer;
+  const int first = hypergraph_.num_edges();
+  for (std::vector<uint32_t>& edge : edges) {
+    hypergraph_.AddEdge(std::move(edge));
+  }
+  build_seconds_ += timer.ElapsedSeconds();
+  return first;
+}
+
 void PricingEngine::RepriceAndPublish(int first_new_edge) {
-  const core::Hypergraph& hypergraph = builder_.hypergraph();
   std::vector<core::PricingResult> results;
   if (options_.incremental_reprice && reprice_.seeded()) {
-    results = core::RepriceAfterAppend(hypergraph, valuations_, first_new_edge,
-                                       options_.algorithms, reprice_);
+    results = core::RepriceAfterAppend(hypergraph_, valuations_,
+                                       first_new_edge, options_.algorithms,
+                                       reprice_);
   } else {
-    results = core::SolveAllWithState(hypergraph, valuations_,
+    results = core::SolveAllWithState(hypergraph_, valuations_,
                                       options_.algorithms, reprice_);
   }
   total_lps_solved_ += reprice_.last.lps_solved;
   ++version_;
   Publish(std::make_unique<const PriceBookSnapshot>(
-      version_, std::move(results), reprice_.last, hypergraph.num_items(),
-      hypergraph.num_edges()));
+      version_, std::move(results), reprice_.last, hypergraph_.num_items(),
+      hypergraph_.num_edges()));
 }
 
 void PricingEngine::Publish(std::unique_ptr<const PriceBookSnapshot> next) {
@@ -162,12 +169,12 @@ EngineStats PricingEngine::stats() const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   EngineStats out;
   out.version = version_;
-  out.num_items = builder_.hypergraph().num_items();
-  out.num_edges = builder_.hypergraph().num_edges();
+  out.num_items = hypergraph_.num_items();
+  out.num_edges = hypergraph_.num_edges();
   out.total_lps_solved = total_lps_solved_;
   out.last_reprice = reprice_.last;
-  out.build_seconds = builder_.seconds();
-  out.incidence = builder_.hypergraph().incidence_maintenance();
+  out.build_seconds = build_seconds_;
+  out.incidence = hypergraph_.incidence_maintenance();
   out.publish.bases = publishes_;
   out.epoch = epochs_.stats();
   return out;

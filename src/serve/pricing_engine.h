@@ -2,18 +2,17 @@
 //
 // A PricingEngine is the shard type behind serve::ShardedPricingEngine
 // and has no reader API of its own. It owns one shard-scoped market
-// end-to-end — its support, the growing conflict-set hypergraph, buyer
+// end-to-end — the growing conflict-set hypergraph over its items, buyer
 // valuations, the reprice state and the published price book — and does
 // only the writer's work:
 //
 //  * AppendBuyersPrecomputed appends the router's already-probed
-//    conflict sets (shard-local item ids) to the hypergraph through
-//    market::IncrementalBuilder, reprices either incrementally
-//    (core::RepriceAfterAppend — refined classes and reused LPIP
-//    thresholds; CIP replays its cold capacity grid) or from scratch,
-//    moves the results into a fresh immutable PriceBookSnapshot,
-//    publishes it with one atomic head store and retires the replaced
-//    one through the router's epoch manager.
+//    conflict sets (shard-local item ids) to the hypergraph, reprices
+//    either incrementally (core::RepriceAfterAppend — refined classes
+//    and reused LPIP thresholds; CIP replays its cold capacity grid) or
+//    from scratch, moves the results into a fresh immutable
+//    PriceBookSnapshot, publishes it with one atomic head store and
+//    retires the replaced one through the router's epoch manager.
 //  * CaptureState / RestoreState move the writer state in and out of a
 //    checkpoint (serve/persist).
 //
@@ -35,9 +34,7 @@
 #include "core/algorithms.h"
 #include "core/hypergraph.h"
 #include "core/reprice.h"
-#include "db/database.h"
 #include "market/incremental_builder.h"
-#include "market/support.h"
 #include "serve/persist/state_io.h"
 #include "serve/price_book.h"
 
@@ -47,8 +44,9 @@ struct EngineOptions {
   /// Forwarded to the pricing layer. classes / sorted_order fields are
   /// ignored (the reprice state owns the shared precompute).
   core::AlgorithmOptions algorithms;
-  /// Conflict-set engine selection + build parallelism for hypergraph
-  /// construction.
+  /// Conflict-set engine selection for the router's probes (the router
+  /// overrides num_threads with its own thread budget; shards never
+  /// probe).
   market::BuildOptions build;
   /// false = every AppendBuyers runs a full cold solve (the baseline the
   /// engine_throughput bench compares against).
@@ -139,14 +137,14 @@ struct EngineStats {
 
 class PricingEngine {
  public:
-  /// `db` must outlive the engine; the shard never reads it (the router
-  /// probes), it only backs the hypergraph builder. `epochs` is the
-  /// router's epoch manager: every shard retires its snapshots there so
-  /// one merged view pins once for all shards. It must outlive the
-  /// engine. The constructor publishes an empty generation-1 book so
+  /// `num_items` is the size of this shard's support (the router
+  /// probes, so the shard needs no database or support cells). `epochs`
+  /// is the router's epoch manager: every shard retires its snapshots
+  /// there so one merged view pins once for all shards. It must outlive
+  /// the engine. The constructor publishes an empty generation-1 book so
   /// readers can quote immediately.
-  PricingEngine(const db::Database* db, market::SupportSet support,
-                EngineOptions options, common::EpochManager& epochs);
+  PricingEngine(uint32_t num_items, EngineOptions options,
+                common::EpochManager& epochs);
 
   /// Writer path: appends one edge + valuation per buyer (items are
   /// indices into this shard's support), reprices, and atomically
@@ -200,13 +198,15 @@ class PricingEngine {
   Status RestoreState(persist::ShardState state);
 
   /// Writer-side views; do not call concurrently with an append.
-  const core::Hypergraph& hypergraph() const {
-    return builder_.hypergraph();
-  }
+  const core::Hypergraph& hypergraph() const { return hypergraph_; }
   const core::Valuations& valuations() const { return valuations_; }
   const core::RepriceState& reprice_state() const { return reprice_; }
 
  private:
+  /// Adds `edges` to the hypergraph and returns the first new edge's
+  /// index. Caller holds writer_mutex_.
+  int AppendEdges(std::vector<std::vector<uint32_t>> edges);
+
   /// Reprices [first_new_edge, num_edges) and publishes. Caller holds
   /// writer_mutex_.
   void RepriceAndPublish(int first_new_edge);
@@ -221,8 +221,9 @@ class PricingEngine {
   mutable std::mutex writer_mutex_;
   /// The router's manager; retired snapshots reclaim there.
   common::EpochManager& epochs_;
-  /// Hypergraph owner only: never probes, so it has no catalog.
-  market::IncrementalBuilder builder_;
+  core::Hypergraph hypergraph_;
+  /// Cumulative seconds spent adding edges to hypergraph_.
+  double build_seconds_ = 0.0;
   core::Valuations valuations_;
   core::RepriceState reprice_;
   uint64_t version_ = 0;

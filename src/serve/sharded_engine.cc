@@ -59,17 +59,10 @@ void MergedBookView::QuoteBundleInto(const std::vector<uint32_t>& bundle,
     *touched_shards = static_cast<int>(scratch->prices.size());
   }
   if (scratch->labels.empty()) {
-    // Nothing touched (an empty bundle): report the serving algorithms of
-    // every shard. A one-shard router is exactly its book, so it also
-    // charges the book's empty-bundle price (uniform bundle pricing
-    // charges its price even for no items); across several shards no
-    // single book prices the empty bundle, and it is free.
+    // Nothing touched (an empty bundle): it costs 0 at every shard count,
+    // and the quote reports the serving algorithms of every shard.
     for (const PriceBookSnapshot* book : books_) {
       scratch->labels.push_back(&book->best().algorithm);
-    }
-    if (books_.size() == 1) {
-      scratch->prices.push_back(
-          books_[0]->best().pricing->Price(scratch->parts[0]));
     }
   }
   out->price = core::AdditivePrice(scratch->prices);
@@ -104,7 +97,8 @@ ShardedPricingEngine::ShardedPricingEngine(const db::Database* db,
     // Shards share the router's epoch manager: a merged view costs one
     // pin, not one per shard.
     shards_.push_back(std::make_unique<PricingEngine>(
-        db_, partition_.shard_support[static_cast<size_t>(s)],
+        static_cast<uint32_t>(
+            partition_.shard_support[static_cast<size_t>(s)].size()),
         options_.engine, epochs_));
   }
   shard_edge_counts_.assign(shards_.size(), 0);
@@ -261,14 +255,22 @@ void ShardedPricingEngine::PriceInto(
   if (scratch->statuses.size() < bundles.size()) {
     scratch->statuses.resize(bundles.size());
   }
-  // One pinned view for the whole batch: every quote carries the same
-  // merged generation. The warm gate costs one load per batch while
-  // every shard is warm (the steady state).
-  SnapshotInto(&scratch->view);
+  // Warm gate BEFORE the pin: a shard turns ready (release) only after
+  // its restored book is published, so every bundle that passes here is
+  // priced against a view pinned afterwards, which holds the restored
+  // books. Gating after the pin could price a bundle against a
+  // pre-restore book that a concurrent FinishShardRestore then declares
+  // ready. The gate costs one load per batch while every shard is warm
+  // (the steady state).
   gated = gated && cold_shards_.load(std::memory_order_acquire) > 0;
-  uint64_t served = 0, crossing = 0;
   for (size_t i = 0; i < bundles.size(); ++i) {
     scratch->statuses[i] = gated ? ReadyFor(bundles[i]) : Status::OK();
+  }
+  // One pinned view for the whole batch: every quote carries the same
+  // merged generation.
+  SnapshotInto(&scratch->view);
+  uint64_t served = 0, crossing = 0;
+  for (size_t i = 0; i < bundles.size(); ++i) {
     if (!scratch->statuses[i].ok()) continue;
     int touched = 0;
     scratch->view.QuoteBundleInto(bundles[i], &scratch->split,

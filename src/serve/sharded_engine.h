@@ -6,8 +6,8 @@
 // {}, {.num_shards = 1})). It owns N serve::PricingEngine shards, one per
 // support partition (market::SupportPartitioner); a shard is only the
 // writer half of its sub-market (hypergraph, valuations, reprice, book
-// publish). The shards share one const db::Database and each owns a
-// shard-scoped support, hypergraph, valuations and price book. Because
+// publish). The router probes the one const db::Database; each shard
+// owns a shard-scoped hypergraph, valuations and price book. Because
 // the partition keeps every conflict edge inside one shard, per-shard
 // books compose into the global book additively (core/book_merge.h):
 //
@@ -26,10 +26,11 @@
 //    ascending shard order (the additive cross-shard contract — each
 //    shard pricing is monotone subadditive, and the disjoint additive
 //    composition preserves both, so the merged pricing stays
-//    arbitrage-free). The view's version is the sum of shard versions,
-//    which is monotone across any shard's publish. QuoteBundle,
-//    QuoteBatch, TryQuoteBatchInto and Purchase's quote step all price
-//    through one loop; an epoch pin never outlives the call that took it.
+//    arbitrage-free; a bundle that touches no shard costs 0). The view's
+//    version is the sum of shard versions, which is monotone across any
+//    shard's publish. QuoteBundle, QuoteBatch, TryQuoteBatchInto and
+//    Purchase's quote step all price through one loop; an epoch pin
+//    never outlives the call that took it.
 //  * Purchase is reader-side end to end: global overlay probe (through
 //    the router's prepared-query cache), additive quote against a pinned
 //    view, atomic sale counters.
@@ -162,9 +163,8 @@ class MergedBookView {
   /// Prices a bundle of *global* item ids additively across the owning
   /// shards (ascending shard order). The quote's algorithm is the owning
   /// shards' serving algorithms merged via core::MergeAlgorithmLabels.
-  /// A bundle that touches no shard gets every shard's label and costs 0,
-  /// except behind one shard, where it costs that book's empty-bundle
-  /// price (one shard quotes exactly as its book). `touched_shards`, when
+  /// A bundle that touches no shard (an empty one) gets every shard's
+  /// label and costs 0 at every shard count. `touched_shards`, when
   /// non-null, receives the number of shards the bundle hit.
   Quote QuoteBundle(const std::vector<uint32_t>& bundle,
                     int* touched_shards = nullptr) const;
@@ -370,11 +370,13 @@ class ShardedPricingEngine {
   Status AppendRouted(std::vector<std::vector<uint32_t>> conflict_sets,
                       const core::Valuations& valuations);
 
-  /// The one quote loop behind every reader entry point: pins one view
-  /// into scratch->view, prices each bundle into scratch->quotes, counts
-  /// quotes_served_/cross_shard_quotes_, and releases the pin before it
-  /// returns. `gated` refuses bundles touching a warming shard
-  /// (statuses[i] = Unavailable); ungated every status is OK.
+  /// The one quote loop behind every reader entry point. `gated` first
+  /// refuses bundles touching a warming shard (statuses[i] =
+  /// Unavailable; ungated every status is OK); only then does it pin one
+  /// view into scratch->view, so a bundle that passed the gate is never
+  /// priced against a pre-restore book. It prices each passing bundle
+  /// into scratch->quotes, counts quotes_served_/cross_shard_quotes_, and
+  /// releases the pin before it returns.
   void PriceInto(std::span<const std::vector<uint32_t>> bundles, bool gated,
                  QuoteBatchScratch* scratch) const;
 

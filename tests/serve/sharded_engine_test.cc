@@ -125,7 +125,8 @@ TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {
   // Reference outside the router: the cold one-shot builder's conflict
   // sets, fed straight to a PricingEngine with the same batch bounds.
   common::EpochManager epochs;
-  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions(), epochs);
+  PricingEngine mono(static_cast<uint32_t>(m.support.size()),
+                     MatchedEngineOptions(), epochs);
   ShardedPricingEngine sharded(m.db.get(), PartitionFor(m, 1),
                                MatchedShardedOptions());
 
@@ -174,11 +175,12 @@ TEST(ShardedEngineTest, SingleShardMatchesMonolithicBitForBit) {
   EXPECT_EQ(sharded.stats().cross_shard_quotes, 0u);
 }
 
-// Uniform bundle pricing charges its price even for a bundle of no items
-// (a buyer whose query conflicts with nothing). One shard quotes exactly
-// as its book, so it charges that price too; across several shards no
-// single book prices the empty bundle, and it stays free.
-TEST(ShardedEngineTest, EmptyBundlePriceFollowsTheBookBehindOneShard) {
+// A buyer whose query conflicts with nothing has an empty bundle. The
+// router's additive rule sums only the shards a bundle touches, so the
+// empty bundle costs 0 at every shard count — even when the serving
+// pricing (uniform bundle pricing) would charge a single book's price for
+// it.
+TEST(ShardedEngineTest, EmptyBundleIsFreeAtEveryShardCount) {
   db::Database empty_db;
   market::SupportSet support(4);
   for (size_t i = 0; i < support.size(); ++i) {
@@ -188,26 +190,22 @@ TEST(ShardedEngineTest, EmptyBundlePriceFollowsTheBookBehindOneShard) {
   const std::vector<std::vector<uint32_t>> edges = {{0, 1}};
   const core::Valuations valuations = {5.0};
   common::EpochManager epochs;
-  PricingEngine book(&empty_db, support, MatchedEngineOptions(), epochs);
+  PricingEngine book(static_cast<uint32_t>(support.size()),
+                     MatchedEngineOptions(), epochs);
   QP_CHECK_OK(book.AppendBuyersPrecomputed(edges, valuations));
   ASSERT_EQ(book.snapshot()->best().algorithm, "UBP");
-  const double empty_price = book.snapshot()->QuoteBundle({}).price;
-  ASSERT_EQ(empty_price, 5.0);
+  ASSERT_EQ(book.snapshot()->QuoteBundle({}).price, 5.0);
 
-  ShardedPricingEngine one(
-      &empty_db,
-      market::SupportPartitioner::Partition(support, {}, {.num_shards = 1}),
-      MatchedShardedOptions());
-  QP_CHECK_OK(one.AppendBuyersPrecomputed(edges, valuations));
-  EXPECT_EQ(one.QuoteBundle({}).price, empty_price);
-  EXPECT_EQ(one.QuoteBundle({}).algorithm, "UBP");
-
-  ShardedPricingEngine two(
-      &empty_db,
-      market::SupportPartitioner::Partition(support, edges, {.num_shards = 2}),
-      MatchedShardedOptions());
-  QP_CHECK_OK(two.AppendBuyersPrecomputed(edges, valuations));
-  EXPECT_EQ(two.QuoteBundle({}).price, 0.0);
+  for (int num_shards : {1, 2}) {
+    ShardedPricingEngine engine(
+        &empty_db,
+        market::SupportPartitioner::Partition(support, edges,
+                                              {.num_shards = num_shards}),
+        MatchedShardedOptions());
+    QP_CHECK_OK(engine.AppendBuyersPrecomputed(edges, valuations));
+    EXPECT_EQ(engine.QuoteBundle({}).price, 0.0) << num_shards;
+    EXPECT_EQ(engine.QuoteBundle({0, 1}).price, 5.0) << num_shards;
+  }
 }
 
 TEST(ShardedEngineTest, ShardsMatchMonolithicEnginesOnSubInstances) {
@@ -267,9 +265,10 @@ TEST(ShardedEngineTest, ShardsMatchMonolithicEnginesOnSubInstances) {
     // Reference: a standalone PricingEngine on this shard's support, fed
     // the expected local edges with the same batch boundaries.
     common::EpochManager epochs;
-    PricingEngine reference(m.db.get(),
-                            partition.shard_support[static_cast<size_t>(s)],
-                            MatchedEngineOptions(), epochs);
+    PricingEngine reference(
+        static_cast<uint32_t>(
+            partition.shard_support[static_cast<size_t>(s)].size()),
+        MatchedEngineOptions(), epochs);
     if (!expected_initial[s].empty()) {
       QP_CHECK_OK(reference.AppendBuyersPrecomputed(expected_initial[s],
                                                     expected_initial_v[s]));
@@ -427,7 +426,8 @@ TEST(ShardedEngineTest, SymmetricCopiesMatchMonolithicWithinTolerance) {
   }
 
   common::EpochManager epochs;
-  PricingEngine mono(&empty_db, support, MatchedEngineOptions(), epochs);
+  PricingEngine mono(static_cast<uint32_t>(support.size()),
+                     MatchedEngineOptions(), epochs);
   QP_CHECK_OK(mono.AppendBuyersPrecomputed(global_edges, global_v));
 
   market::SupportPartition partition = market::SupportPartitioner::Partition(
@@ -494,7 +494,8 @@ TEST(ShardedEngineTest, VersionVectorDisambiguatesAliasedScalarVersions) {
   Quote merged_quote = sharded.QuoteBundle({});
   EXPECT_EQ(merged_quote.shard_versions, vector_after);
   common::EpochManager epochs;
-  PricingEngine mono(m.db.get(), m.support, MatchedEngineOptions(), epochs);
+  PricingEngine mono(static_cast<uint32_t>(m.support.size()),
+                     MatchedEngineOptions(), epochs);
   EXPECT_TRUE(mono.snapshot()->QuoteBundle({}).shard_versions.empty());
 }
 
@@ -507,11 +508,17 @@ TEST(ShardedEngineTest, PurchaseMatchesMonolithicBundlesAndCountsSales) {
   QP_CHECK_OK(mono.AppendBuyers(m.initial_queries, m.initial_valuations));
   QP_CHECK_OK(sharded.AppendBuyers(m.initial_queries, m.initial_valuations));
 
+  // Reference outside the router: the cold one-shot builder's conflict
+  // sets over the global support.
+  const std::vector<std::vector<uint32_t>> expected =
+      market::BuildHypergraph(*m.db, m.late_queries, m.support)
+          .conflict_sets;
   for (size_t i = 0; i < m.late_queries.size(); ++i) {
     PurchaseOutcome mo = mono.Purchase(m.late_queries[i], 1e9);
     PurchaseOutcome so = sharded.Purchase(m.late_queries[i], 1e9);
-    // The buyer's bundle is the GLOBAL conflict set either way.
-    EXPECT_EQ(so.bundle, mo.bundle);
+    // The buyer's bundle is the GLOBAL conflict set at every shard count.
+    EXPECT_EQ(mo.bundle, expected[i]);
+    EXPECT_EQ(so.bundle, expected[i]);
     EXPECT_TRUE(so.accepted);
     EXPECT_GE(so.quote.price, 0.0);
   }
