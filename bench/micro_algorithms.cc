@@ -3,10 +3,11 @@
 // Tables 4-6 with statistically stable per-call numbers. The
 // BM_Conflict* rows time the market layer's conflict-set construction —
 // prepare one query, then probe it over the whole support — on the
-// skewed instance. BM_Crc32 and BM_DeserializeShardState time the
-// durability layer's recovery read: the checksum every persisted byte
-// goes through, and decoding one real shard checkpoint file. Uses system
-// google-benchmark when available;
+// skewed instance, and BM_LpipSkewed/BM_CipSkewed time the LP-based
+// algorithms on its seed and grown books. BM_Crc32 and
+// BM_DeserializeShardState time the durability layer's recovery read:
+// the checksum every persisted byte goes through, and decoding one real
+// shard checkpoint file. Uses system google-benchmark when available;
 // otherwise the built-in mini harness (bench/mini_benchmark.h) keeps the
 // target building and running.
 #include <algorithm>
@@ -190,6 +191,48 @@ void BM_ConflictProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictProbe)->Arg(0)->Arg(1);
+
+// The LP-based algorithms as the pricing service runs them (LPIP over 12
+// candidates, CIP with eps 1, one thread) on the skewed instance's book
+// of the first `arg` corpus buyers: 300 is the seed book the service
+// benchmark starts from, 986 the book once every corpus query arrived.
+core::Instance MakeSkewedBook(int buyers) {
+  const ConflictInstance& inst = SkewedConflictInstance();
+  const size_t n = std::min(static_cast<size_t>(buyers), inst.w.queries.size());
+  std::vector<db::BoundQuery> queries(inst.w.queries.begin(),
+                                      inst.w.queries.begin() + n);
+  BuildResult built = BuildHypergraph(*inst.w.database, queries, inst.support);
+  core::Instance out;
+  out.hypergraph = core::Hypergraph(static_cast<uint32_t>(inst.support.size()));
+  for (auto& edge : built.conflict_sets) {
+    out.hypergraph.AddEdge(std::move(edge));
+  }
+  Rng rng(static_cast<uint64_t>(buyers));
+  for (size_t i = 0; i < n; ++i) {
+    out.valuations.push_back(rng.UniformReal(1.0, 100.0));
+  }
+  return out;
+}
+
+void BM_LpipSkewed(benchmark::State& state) {
+  core::Instance book = MakeSkewedBook(static_cast<int>(state.range(0)));
+  core::LpipOptions options;
+  options.max_candidates = 12;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::RunLpip(book.hypergraph, book.valuations, options).revenue);
+  }
+}
+BENCHMARK(BM_LpipSkewed)->Arg(300)->Arg(986);
+
+void BM_CipSkewed(benchmark::State& state) {
+  core::Instance book = MakeSkewedBook(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::RunCip(book.hypergraph, book.valuations).revenue);
+  }
+}
+BENCHMARK(BM_CipSkewed)->Arg(300)->Arg(986);
 
 }  // namespace
 }  // namespace qp::market

@@ -34,7 +34,11 @@ constexpr double kEtaDropTol = 1e-13;
 // Product-form representation of the basis inverse: B^-1 = E_k ... E_1
 // where each eta E pivots one row. A refactorization seeds the file with
 // one eta per basis column (sparsest column first, partial pivoting on the
-// transformed column); every simplex pivot appends one more.
+// transformed column); every simplex pivot appends one more. An identity
+// eta (pivot exactly 1.0, no off-diagonal entry) is not stored: dividing by
+// 1.0 and an empty update loop are exact no-ops, so skipping it leaves
+// FTRAN/BTRAN bit-identical, and the basic slacks that dominate the pricing
+// LPs' bases cost nothing.
 class EtaFile {
  public:
   void Reset() {
@@ -60,7 +64,16 @@ class EtaFile {
       vals_.push_back(v);
     }
     e.end = static_cast<int>(rows_.size());
+    if (e.pivot == 1.0 && e.begin == e.end) return;  // identity
     etas_.push_back(e);
+  }
+
+  /// Appends the eta of the unit-vector column `pivot * e_row`, whose
+  /// transformed column is itself when no stored eta pivots on `row`.
+  void AppendUnit(int row, double pivot) {
+    if (pivot == 1.0) return;  // identity
+    const int at = static_cast<int>(rows_.size());
+    etas_.push_back(Eta{row, pivot, at, at});
   }
 
   /// w <- B^-1 w (apply etas oldest first).
@@ -339,9 +352,10 @@ void SimplexImpl::BuildInitialBasis() {
 bool SimplexImpl::Refactorize() {
   // Product-form refactorization: FTRAN each basis column through the etas
   // built so far, pivot on the largest remaining row. Sparsest columns go
-  // first (slacks and artificials are unit vectors and produce trivial
-  // etas), which keeps fill-in low on the slack-heavy bases the pricing
-  // LPs produce. Ordering and pivoting are deterministic.
+  // first (slacks and artificials are unit vectors: they pivot on their own
+  // row without an FTRAN, and a slack stores no eta at all), which keeps
+  // fill-in low on the slack-heavy bases the pricing LPs produce. Ordering
+  // and pivoting are deterministic.
   //
   // A column with no usable pivot (a dependent set — warm-start repairs
   // and truncated warm bases produce them routinely) is not an error: the
@@ -363,8 +377,21 @@ bool SimplexImpl::Refactorize() {
   std::vector<int> new_basic(m_, -1);
   std::vector<double>& w = work_w_;
   auto try_pivot = [&](int c) {
-    w.assign(m_, 0.0);
     ColRange col = Col(c);
+    if (col.size == 1 && !pivoted[col.rows[0]]) {
+      // Every stored eta pivots on an already pivoted row, so FTRAN would
+      // leave v * e_r unchanged and the scan below would pick r: pivot on
+      // r directly, with the same eta (none when v == 1.0).
+      const int r = col.rows[0];
+      const double v = col.vals[0];
+      // Negated like the scan's test, so a NaN fails here too.
+      if (!(std::abs(v) > opts_.pivot_tol)) return false;
+      etas_.AppendUnit(r, v);
+      pivoted[r] = 1;
+      new_basic[r] = c;
+      return true;
+    }
+    w.assign(m_, 0.0);
     for (int t = 0; t < col.size; ++t) w[col.rows[t]] = col.vals[t];
     etas_.Ftran(w);
     int pivot_row = -1;
@@ -395,15 +422,11 @@ bool SimplexImpl::Refactorize() {
   }
   for (int i = 0; i < m_; ++i) {
     if (pivoted[i]) continue;
+    // Row i's slack is free here: a slack can pivot only on its own row.
+    // In the sorted pass above, the etas stored before it have no
+    // off-diagonal entries, so FTRAN keeps it on row i.
     int slack = ns_ + i;
-    bool slack_free = true;
-    for (int r = 0; r < m_; ++r) {
-      if (new_basic[r] == slack) {
-        slack_free = false;
-        break;
-      }
-    }
-    if (slack_free && try_pivot(slack)) {
+    if (try_pivot(slack)) {
       status_[slack] = BasisStatus::kBasic;
       continue;
     }

@@ -12,6 +12,12 @@
 //    and every simplex pivot appends one more eta. FTRAN/BTRAN apply the
 //    file forward / transposed-in-reverse; the file is rebuilt every
 //    `refactor_interval` pivots to bound fill-in and drift.
+//  * Identity etas are never stored. The refactorization pivots a
+//    single-nonzero column on its own row when no eta has pivoted that row
+//    yet (its transformed column is itself), and an eta with pivot exactly
+//    1.0 and no off-diagonal entry (a basic slack) is dropped. Both are
+//    exact no-ops in IEEE arithmetic, so pivots and duals do not change;
+//    unit columns on an already pivoted row take the general path.
 //  * Warm starts: an optimal LpSolution carries its Basis (variable and
 //    slack statuses). Simplex::ResolveFrom(basis) reinstalls it on a
 //    modified model and picks the cheapest correct path: phase 2 only when

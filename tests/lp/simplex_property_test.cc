@@ -5,6 +5,9 @@
 //     primal feasible and satisfy strong duality / complementary slackness
 //     (duality closes the loop without needing a reference solver).
 //  2. Exact vertex enumeration on random 2-variable LPs.
+//
+// A unit-heavy family rides on oracle 1: it drives the refactorization's
+// unit-column shortcut (and its fallback) at every refactor interval.
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -162,6 +165,121 @@ TEST_P(RandomBoundedLpTest, ArbitraryRhsNeverMisclassified) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBoundedLpTest, ::testing::Range(0, 8));
+
+// --- Unit-heavy family -------------------------------------------------------
+
+struct UnitHeavyLp {
+  RandomLp lp;
+  int unit_var = -1;  // a single-nonzero structural column...
+  int unit_row = -1;  // ...and the row it lives on
+};
+
+// Mostly single-nonzero columns: every row but the first owns one or two
+// structural columns with coefficient +-1 or +-2 (+1 is the identity eta
+// the factorization skips, the others are stored), a few general columns
+// couple the rows, and Le/Ge/Eq senses make cold starts install +-1
+// artificials. The last row repeats the first (general columns only), so
+// the model has a redundant row whose artificial stays basic at zero.
+UnitHeavyLp MakeUnitHeavyLp(Rng& rng, int num_rows) {
+  static constexpr double kUnitCoeffs[] = {1.0, -1.0, 2.0, -2.0};
+  UnitHeavyLp out;
+  LpModel& model = out.lp.model;
+  model = LpModel(ObjectiveSense::kMaximize);
+  std::vector<double>& point = out.lp.feasible_point;
+  auto add_var = [&] {
+    double lo = rng.UniformReal(-3, 1);
+    double hi = lo + rng.UniformReal(0.5, 6);
+    point.push_back(rng.UniformReal(lo, hi));
+    return model.AddVariable(lo, hi, rng.UniformReal(-3, 3));
+  };
+  std::vector<int> general(static_cast<size_t>(rng.UniformInt(2, 4)));
+  for (int& j : general) j = add_var();
+
+  auto add_row = [&](ConstraintSense sense,
+                     std::vector<std::pair<int, double>> terms) {
+    double lhs = 0.0;
+    for (const auto& [var, coeff] : terms) lhs += coeff * point[var];
+    double rhs = sense == ConstraintSense::kLe   ? lhs + rng.UniformReal(0, 2)
+                 : sense == ConstraintSense::kGe ? lhs - rng.UniformReal(0, 2)
+                                                 : lhs;
+    return model.AddConstraint(sense, rhs, std::move(terms));
+  };
+  auto general_terms = [&] {
+    std::vector<std::pair<int, double>> terms;
+    for (int j : general) {
+      if (rng.NextDouble() < 0.5) terms.emplace_back(j, rng.UniformReal(-2, 2));
+    }
+    return terms;
+  };
+  auto pick_sense = [&] {
+    double roll = rng.NextDouble();
+    return roll < 0.4   ? ConstraintSense::kLe
+           : roll < 0.8 ? ConstraintSense::kGe
+                        : ConstraintSense::kEq;
+  };
+
+  add_row(pick_sense(), general_terms());
+  for (int i = 1; i < num_rows - 1; ++i) {
+    std::vector<std::pair<int, double>> terms = general_terms();
+    int units = static_cast<int>(rng.UniformInt(1, 2));
+    for (int u = 0; u < units; ++u) {
+      int j = add_var();
+      terms.emplace_back(j, kUnitCoeffs[rng.UniformInt(0, 3)]);
+      if (out.unit_var < 0) {
+        out.unit_var = j;
+        out.unit_row = i;
+      }
+    }
+    add_row(pick_sense(), std::move(terms));
+  }
+  // The redundant row: the first row again, rhs included.
+  const Constraint& first = model.constraint(0);
+  model.AddConstraint(first.sense, first.rhs, first.terms);
+  return out;
+}
+
+TEST(UnitHeavyLpTest, EveryRefactorIntervalReachesTheSameCertifiedOptimum) {
+  Rng rng(31337);
+  SimplexOptions every_pivot;
+  every_pivot.refactor_interval = 1;
+  for (int trial = 0; trial < 60; ++trial) {
+    int rows = static_cast<int>(rng.UniformInt(3, 12));
+    UnitHeavyLp unit = MakeUnitHeavyLp(rng, rows);
+    const LpModel& model = unit.lp.model;
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+
+    LpSolution by_default = SolveLp(model);
+    ASSERT_EQ(by_default.status, SolveStatus::kOptimal)
+        << SolveStatusToString(by_default.status);
+    CheckOptimalityCertificate(model, by_default);
+    EXPECT_GE(by_default.objective,
+              model.ObjectiveValue(unit.lp.feasible_point) - 1e-5);
+
+    LpSolution refactored = SolveLp(model, every_pivot);
+    ASSERT_EQ(refactored.status, SolveStatus::kOptimal)
+        << SolveStatusToString(refactored.status);
+    CheckOptimalityCertificate(model, refactored);
+    const double tol = 1e-6 * (1.0 + std::abs(by_default.objective));
+    EXPECT_NEAR(refactored.objective, by_default.objective, tol);
+
+    // A warm basis naming both the unit column and its row's slack puts a
+    // unit column on an already pivoted row: the factorization demotes one
+    // and completes the uncovered row, and the solve must still certify.
+    Basis warm;
+    warm.variables.assign(model.num_variables(), BasisStatus::kAtLower);
+    warm.slacks.assign(model.num_constraints(), BasisStatus::kAtLower);
+    warm.basic_of_row.assign(model.num_constraints(), Basis::kNoBasic);
+    warm.basic_of_row[0] = unit.unit_var;
+    warm.basic_of_row[1] = Basis::EncodeSlack(unit.unit_row);
+    for (const SimplexOptions& options : {SimplexOptions{}, every_pivot}) {
+      LpSolution repaired = Simplex(model, options).ResolveFrom(warm);
+      ASSERT_EQ(repaired.status, SolveStatus::kOptimal)
+          << SolveStatusToString(repaired.status);
+      CheckOptimalityCertificate(model, repaired);
+      EXPECT_NEAR(repaired.objective, by_default.objective, tol);
+    }
+  }
+}
 
 // --- 2D exact reference ------------------------------------------------------
 
