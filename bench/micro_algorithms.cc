@@ -3,8 +3,9 @@
 // Tables 4-6 with statistically stable per-call numbers. The
 // BM_Conflict* rows time the market layer's conflict-set construction —
 // prepare one query, then probe it over the whole support — on the
-// skewed instance, and BM_LpipSkewed/BM_CipSkewed time the LP-based
-// algorithms on its seed and grown books. BM_Crc32 and
+// skewed instance, BM_LpipSkewed/BM_CipSkewed time the LP-based
+// algorithms on its seed and grown books, and BM_SolveSeedSkewed times all
+// six algorithms on the seed book. BM_Crc32 and
 // BM_DeserializeShardState time the durability layer's recovery read:
 // the checksum every persisted byte goes through, and decoding one real
 // shard checkpoint file. Uses system google-benchmark when available;
@@ -233,6 +234,24 @@ void BM_CipSkewed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CipSkewed)->Arg(300)->Arg(986);
+
+// All six algorithms on the seed book with valuations in [1, 20] and the
+// service's options: the in-process twin of the service benchmark's
+// solve_s sample.
+void BM_SolveSeedSkewed(benchmark::State& state) {
+  core::Instance book = MakeSkewedBook(static_cast<int>(state.range(0)));
+  Rng rng(1);
+  for (double& v : book.valuations) v = rng.UniformReal(1.0, 20.0);
+  core::AlgorithmOptions options;
+  options.lpip.max_candidates = 12;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::RunAllAlgorithms(book.hypergraph, book.valuations, options)
+            .back()
+            .revenue);
+  }
+}
+BENCHMARK(BM_SolveSeedSkewed)->Arg(300);
 
 }  // namespace
 }  // namespace qp::market

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,58 @@ namespace {
 /// numerical noise and only add fill-in.
 constexpr double kEtaDropTol = 1e-13;
 
+// A set of indices in [0, n), collected in any order while a sparse work
+// vector is built and then sorted: the rows a transformed column may be
+// nonzero on (every other entry is exactly +0.0), or the columns a pivot
+// row touches. Loops over it visit indices in the ascending order of the
+// dense loops they replace, so every tie breaks the same way. Once it holds
+// more than n / kFullDivisor indices it stops tracking and stands for all
+// of [0, n): on a vector that dense, marking and sorting cost more than
+// the zero entries they let a loop skip. The pricing LPs' patterns hold
+// either a few percent of n (skewed books) or over half of it (uniform
+// ones), so the cutoff only has to fall between the two.
+class SparsePattern {
+ public:
+  void Reset(int n) {
+    marked_.assign(static_cast<size_t>(n), 0);
+    indices_.clear();
+    full_ = false;
+  }
+  void Clear() {  // only between Sort and the next Add
+    indices_.clear();
+    full_ = false;
+  }
+  void Add(int i) {
+    if (full_ || marked_[i]) return;
+    marked_[i] = 1;
+    indices_.push_back(i);
+    if (indices_.size() * kFullDivisor > marked_.size()) {
+      for (int k : indices_) marked_[k] = 0;
+      full_ = true;
+    }
+  }
+  /// True once every index counts as a member; further Adds are no-ops.
+  bool full() const { return full_; }
+  /// Sorts the indices ascending and clears the marks for the next use.
+  void Sort() {
+    if (full_) {
+      indices_.resize(marked_.size());
+      std::iota(indices_.begin(), indices_.end(), 0);
+      return;
+    }
+    std::sort(indices_.begin(), indices_.end());
+    for (int i : indices_) marked_[i] = 0;
+  }
+  const std::vector<int>& indices() const { return indices_; }
+
+ private:
+  static constexpr size_t kFullDivisor = 8;
+
+  std::vector<uint8_t> marked_;
+  std::vector<int> indices_;
+  bool full_ = false;
+};
+
 // Product-form representation of the basis inverse: B^-1 = E_k ... E_1
 // where each eta E pivots one row. A refactorization seeds the file with
 // one eta per basis column (sparsest column first, partial pivoting on the
@@ -48,15 +101,16 @@ class EtaFile {
   }
 
   /// Appends the eta that maps the transformed column `w` (= current
-  /// B^-1 A_j) to the unit vector of `pivot_row`. |w[pivot_row]| must
-  /// exceed the caller's pivot tolerance.
-  void Append(const std::vector<double>& w, int pivot_row) {
+  /// B^-1 A_j) to the unit vector of `pivot_row`. `pattern` holds every
+  /// row where `w` may be nonzero. |w[pivot_row]| must exceed the caller's
+  /// pivot tolerance.
+  void Append(const std::vector<double>& w, const SparsePattern& pattern,
+              int pivot_row) {
     Eta e;
     e.pivot_row = pivot_row;
     e.pivot = w[pivot_row];
     e.begin = static_cast<int>(rows_.size());
-    const int m = static_cast<int>(w.size());
-    for (int i = 0; i < m; ++i) {
+    for (int i : pattern.indices()) {
       if (i == pivot_row) continue;
       double v = w[i];
       if (std::abs(v) <= kEtaDropTol) continue;
@@ -76,14 +130,19 @@ class EtaFile {
     etas_.push_back(Eta{row, pivot, at, at});
   }
 
-  /// w <- B^-1 w (apply etas oldest first).
-  void Ftran(std::vector<double>& w) const {
+  /// w <- B^-1 w (apply etas oldest first). When `pattern` holds every row
+  /// where w is nonzero on entry, it holds every such row on exit too.
+  void Ftran(std::vector<double>& w, SparsePattern* pattern = nullptr) const {
     for (const Eta& e : etas_) {
       double p = w[e.pivot_row];
       if (p == 0.0) continue;  // sparse shortcut: eta leaves w unchanged
       p /= e.pivot;
       w[e.pivot_row] = p;
-      for (int t = e.begin; t < e.end; ++t) w[rows_[t]] -= vals_[t] * p;
+      for (int t = e.begin; t < e.end; ++t) {
+        w[rows_[t]] -= vals_[t] * p;
+        if (pattern != nullptr) pattern->Add(rows_[t]);
+      }
+      if (pattern != nullptr && pattern->full()) pattern = nullptr;
     }
   }
 
@@ -134,11 +193,13 @@ class SimplexImpl {
   int AddArtificial(int row, double sign);
   bool Refactorize();
   void RecomputeBasicValues();
-  void FtranColumn(int j, std::vector<double>& w);
+  void FtranColumn(int j);
   void BtranRow(int r, std::vector<double>& rho);
   void ComputeDuals(const std::vector<double>& cost, std::vector<double>& y);
   double ReducedCost(int j, const std::vector<double>& y) const;
-  void AccumulateTransposed(const std::vector<double>& y);
+  void AccumulateTransposed(const std::vector<double>& y,
+                            SparsePattern* cols = nullptr,
+                            std::vector<int>* rows = nullptr);
   bool HasPrimalInfeasibility() const;
   bool IsDualFeasible();
   IterateResult Iterate(int phase);
@@ -204,8 +265,11 @@ class SimplexImpl {
 
   std::vector<double> work_y_;    // BTRAN result (duals)
   std::vector<double> work_w_;    // FTRAN result (transformed column)
+  SparsePattern w_pattern_;       // rows where work_w_ may be nonzero
   std::vector<double> work_rho_;  // BTRAN result (one row of B^-1)
   std::vector<double> work_acc_;  // A^T y accumulator for pricing
+  SparsePattern alpha_cols_;      // structural columns rho's rows touch
+  std::vector<int> alpha_rows_;   // rows where rho is nonzero, ascending
 
   bool maximize_ = false;
   bool warm_dims_match_ = false;  // warm basis covered every row and column
@@ -290,6 +354,9 @@ void SimplexImpl::BuildProblem() {
   }
   n_total_ = n_price_;
   work_acc_.assign(ns_, 0.0);
+  alpha_cols_.Reset(ns_);
+  work_w_.assign(m_, 0.0);
+  w_pattern_.Reset(m_);
 }
 
 BasisStatus SimplexImpl::DefaultNonbasicStatus(int j) const {
@@ -375,7 +442,6 @@ bool SimplexImpl::Refactorize() {
 
   std::vector<uint8_t> pivoted(m_, 0);
   std::vector<int> new_basic(m_, -1);
-  std::vector<double>& w = work_w_;
   auto try_pivot = [&](int c) {
     ColRange col = Col(c);
     if (col.size == 1 && !pivoted[col.rows[0]]) {
@@ -391,21 +457,19 @@ bool SimplexImpl::Refactorize() {
       new_basic[r] = c;
       return true;
     }
-    w.assign(m_, 0.0);
-    for (int t = 0; t < col.size; ++t) w[col.rows[t]] = col.vals[t];
-    etas_.Ftran(w);
+    FtranColumn(c);
     int pivot_row = -1;
     double best = opts_.pivot_tol;
-    for (int i = 0; i < m_; ++i) {
+    for (int i : w_pattern_.indices()) {
       if (pivoted[i]) continue;
-      double v = std::abs(w[i]);
+      double v = std::abs(work_w_[i]);
       if (v > best) {
         best = v;
         pivot_row = i;
       }
     }
     if (pivot_row < 0) return false;
-    etas_.Append(w, pivot_row);
+    etas_.Append(work_w_, w_pattern_, pivot_row);
     pivoted[pivot_row] = 1;
     new_basic[pivot_row] = c;
     return true;
@@ -457,11 +521,19 @@ void SimplexImpl::RecomputeBasicValues() {
   xb_ = std::move(residual);
 }
 
-void SimplexImpl::FtranColumn(int j, std::vector<double>& w) {
-  w.assign(m_, 0.0);
+// work_w_ <- B^-1 A_j, and w_pattern_ <- the rows where it may be nonzero.
+// Zeroing only the previous column's rows keeps work_w_ exactly +0.0
+// everywhere else, as a full reset would.
+void SimplexImpl::FtranColumn(int j) {
+  for (int i : w_pattern_.indices()) work_w_[i] = 0.0;
+  w_pattern_.Clear();
   ColRange col = Col(j);
-  for (int t = 0; t < col.size; ++t) w[col.rows[t]] = col.vals[t];
-  etas_.Ftran(w);
+  for (int t = 0; t < col.size; ++t) {
+    work_w_[col.rows[t]] = col.vals[t];
+    w_pattern_.Add(col.rows[t]);
+  }
+  etas_.Ftran(work_w_, &w_pattern_);
+  w_pattern_.Sort();
 }
 
 void SimplexImpl::BtranRow(int r, std::vector<double>& rho) {
@@ -488,14 +560,21 @@ double SimplexImpl::ReducedCost(int j, const std::vector<double>& y) const {
 // y is nonzero. Duals are sparse on the pricing LPs (few tight rows), so
 // this makes a full pricing pass cost O(nnz of tight rows) instead of
 // O(nnz of the whole matrix); after it, the reduced cost of structural j
-// is cost[j] - work_acc_[j] and of slack i is cost[ns+i] - y[i].
-void SimplexImpl::AccumulateTransposed(const std::vector<double>& y) {
+// is cost[j] - work_acc_[j] and of slack i is cost[ns+i] - y[i]. When
+// given, `cols` gains every structural column the pass touches and `rows`
+// gains the rows where y is nonzero, in ascending order; every other
+// structural column's entry is exactly 0.
+void SimplexImpl::AccumulateTransposed(const std::vector<double>& y,
+                                       SparsePattern* cols,
+                                       std::vector<int>* rows) {
   std::fill(work_acc_.begin(), work_acc_.end(), 0.0);
   for (int i = 0; i < m_; ++i) {
     double yi = y[i];
     if (yi == 0.0) continue;
+    if (rows != nullptr) rows->push_back(i);
     for (const auto& [var, coeff] : model_.constraint(i).terms) {
       work_acc_[var] += yi * coeff;
+      if (cols != nullptr) cols->Add(var);
     }
   }
 }
@@ -549,11 +628,26 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
   int iters_no_progress = 0;
   bool bland = false;
 
+  // The candidates of the last full Dantzig pass that have not entered
+  // since. A bound flip changes neither the basis nor any reduced cost,
+  // only the flipped column's status, which ends its candidacy; so until
+  // the next pivot the best remaining candidate (the highest score, ties
+  // to the lowest index, as the pass breaks them) is exactly what a fresh
+  // pass would choose.
+  struct Candidate {
+    double score;
+    int j;
+    int dir;
+  };
+  std::vector<Candidate> candidates;
+  bool candidates_live = false;  // a full pass, then only bound flips
+
   while (true) {
     if (iterations_ >= max_iterations_) return IterateResult::kIterLimit;
     if (NeedsRefactor()) {
       if (!Refactorize()) return IterateResult::kNumFail;
       RecomputeBasicValues();
+      candidates_live = false;
       if (phase == 1 && static_cast<int>(phase_cost.size()) < n_total_) {
         // Refactorization may have repaired the basis with fresh
         // artificials; they carry phase-1 cost like any other.
@@ -561,45 +655,70 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
       }
     }
 
-    // BTRAN: y = B^-T c_B.
-    ComputeDuals(*cost, work_y_);
-
-    // Pricing (Dantzig, or Bland when stalled).
-    AccumulateTransposed(work_y_);
     int enter = -1;
     int dir = 0;
-    double best_score = opts_.optimality_tol;
-    for (int j = 0; j < n_price_; ++j) {
-      BasisStatus st = status_[j];
-      if (st == BasisStatus::kBasic) continue;
-      if (lo_[j] == up_[j]) continue;  // fixed
-      double dj = (*cost)[j] - (j < ns_ ? work_acc_[j] : work_y_[j - ns_]);
-      int candidate_dir = 0;
-      if (st == BasisStatus::kAtLower && dj < -opts_.optimality_tol) {
-        candidate_dir = +1;
-      } else if (st == BasisStatus::kAtUpper && dj > opts_.optimality_tol) {
-        candidate_dir = -1;
-      } else if (st == BasisStatus::kFreeZero &&
-                 std::abs(dj) > opts_.optimality_tol) {
-        candidate_dir = dj < 0 ? +1 : -1;
+    if (candidates_live && !bland) {
+      if (candidates.empty()) return IterateResult::kOptimal;
+      size_t chosen = 0;
+      for (size_t k = 1; k < candidates.size(); ++k) {
+        const Candidate& c = candidates[k];
+        const Candidate& best = candidates[chosen];
+        if (c.score > best.score || (c.score == best.score && c.j < best.j)) {
+          chosen = k;
+        }
       }
-      if (candidate_dir == 0) continue;
-      if (bland) {
-        enter = j;
-        dir = candidate_dir;
-        break;
+      enter = candidates[chosen].j;
+      dir = candidates[chosen].dir;
+      candidates[chosen] = candidates.back();
+      candidates.pop_back();
+    } else {
+      // BTRAN: y = B^-T c_B.
+      ComputeDuals(*cost, work_y_);
+
+      // Pricing (Dantzig, or Bland when stalled).
+      AccumulateTransposed(work_y_);
+      candidates.clear();
+      candidates_live = !bland;
+      double best_score = opts_.optimality_tol;
+      size_t chosen = 0;
+      for (int j = 0; j < n_price_; ++j) {
+        BasisStatus st = status_[j];
+        if (st == BasisStatus::kBasic) continue;
+        if (lo_[j] == up_[j]) continue;  // fixed
+        double dj = (*cost)[j] - (j < ns_ ? work_acc_[j] : work_y_[j - ns_]);
+        int candidate_dir = 0;
+        if (st == BasisStatus::kAtLower && dj < -opts_.optimality_tol) {
+          candidate_dir = +1;
+        } else if (st == BasisStatus::kAtUpper && dj > opts_.optimality_tol) {
+          candidate_dir = -1;
+        } else if (st == BasisStatus::kFreeZero &&
+                   std::abs(dj) > opts_.optimality_tol) {
+          candidate_dir = dj < 0 ? +1 : -1;
+        }
+        if (candidate_dir == 0) continue;
+        if (bland) {
+          enter = j;
+          dir = candidate_dir;
+          break;
+        }
+        double score = std::abs(dj);
+        candidates.push_back({score, j, candidate_dir});
+        if (score > best_score) {
+          best_score = score;
+          enter = j;
+          dir = candidate_dir;
+          chosen = candidates.size() - 1;
+        }
       }
-      double score = std::abs(dj);
-      if (score > best_score) {
-        best_score = score;
-        enter = j;
-        dir = candidate_dir;
+      if (enter < 0) return IterateResult::kOptimal;
+      if (candidates_live) {
+        candidates[chosen] = candidates.back();
+        candidates.pop_back();
       }
     }
-    if (enter < 0) return IterateResult::kOptimal;
 
     // FTRAN: w = B^-1 A_enter.
-    FtranColumn(enter, work_w_);
+    FtranColumn(enter);
 
     // Ratio test.
     double t_limit = kBigStep;
@@ -608,7 +727,7 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
     }
     int leave = -1;
     double leave_alpha = 0.0;
-    for (int i = 0; i < m_; ++i) {
+    for (int i : w_pattern_.indices()) {
       double alpha = dir * work_w_[i];
       if (std::abs(alpha) <= opts_.pivot_tol) continue;
       int bv = basic_var_[i];
@@ -669,7 +788,9 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
     }
 
     if (leave < 0) {
-      // Bound flip: entering variable jumps to its other bound.
+      // Bound flip: entering variable jumps to its other bound. The xb_
+      // updates stay dense: subtracting a zero term turns a -0.0 into
+      // +0.0, so skipping the rows off the pattern could change a bit.
       for (int i = 0; i < m_; ++i) xb_[i] -= dir * work_w_[i] * step;
       status_[enter] = (status_[enter] == BasisStatus::kAtLower)
                            ? BasisStatus::kAtUpper
@@ -704,8 +825,9 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
     xb_[leave] = enter_val;
 
     // Product-form update of B^-1: append the eta that pivots `leave`.
-    etas_.Append(work_w_, leave);
+    etas_.Append(work_w_, w_pattern_, leave);
     ++pivots_since_refactor_;
+    candidates_live = false;
   }
 }
 
@@ -748,12 +870,22 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
     ComputeDuals(cost_, work_y_);
     BtranRow(r, work_rho_);
 
-    // Entering column: dual ratio test over eligible nonbasic columns.
-    AccumulateTransposed(work_rho_);
+    // Entering column: dual ratio test over eligible nonbasic columns,
+    // in index order: the touched structural columns, then the slacks of
+    // rho's nonzero rows. Every other column has alpha exactly 0.
+    alpha_cols_.Clear();
+    alpha_rows_.clear();
+    AccumulateTransposed(work_rho_, &alpha_cols_, &alpha_rows_);
+    alpha_cols_.Sort();
+    const std::vector<int>& touched = alpha_cols_.indices();
+    const int num_touched = static_cast<int>(touched.size());
+    const int num_visits = num_touched + static_cast<int>(alpha_rows_.size());
     int enter = -1;
     double best_ratio = kInf;
     double best_alpha = 0.0;
-    for (int j = 0; j < n_price_; ++j) {
+    for (int k = 0; k < num_visits; ++k) {
+      const int j = k < num_touched ? touched[k]
+                                    : ns_ + alpha_rows_[k - num_touched];
       if (status_[j] == BasisStatus::kBasic) continue;
       if (lo_[j] == up_[j]) continue;  // fixed
       double alpha = j < ns_ ? work_acc_[j] : work_rho_[j - ns_];
@@ -793,7 +925,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
       return DualResult::kInfeasible;
     }
 
-    FtranColumn(enter, work_w_);
+    FtranColumn(enter);
     double alpha_r = work_w_[r];
     if (std::abs(alpha_r) <= opts_.pivot_tol * 1e-2) return DualResult::kNumFail;
 
@@ -839,7 +971,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
     status_[enter] = BasisStatus::kBasic;
     xb_[r] = enter_val;
 
-    etas_.Append(work_w_, r);
+    etas_.Append(work_w_, w_pattern_, r);
     ++pivots_since_refactor_;
   }
 }
@@ -867,7 +999,7 @@ bool SimplexImpl::DriveOutArtificials() {
       continue;
     }
     // Degenerate pivot (step 0): swap the artificial for pivot_col.
-    FtranColumn(pivot_col, work_w_);
+    FtranColumn(pivot_col);
     double pivot = work_w_[r];
     if (std::abs(pivot) < 1e-9) {
       lo_[bv] = up_[bv] = 0.0;
@@ -881,7 +1013,7 @@ bool SimplexImpl::DriveOutArtificials() {
     basic_pos_[pivot_col] = r;
     xb_[r] = entering_value;
 
-    etas_.Append(work_w_, r);
+    etas_.Append(work_w_, w_pattern_, r);
     ++pivots_since_refactor_;
     RecomputeBasicValues();
   }

@@ -18,6 +18,15 @@
 //    1.0 and no off-diagonal entry (a basic slack) is dropped. Both are
 //    exact no-ops in IEEE arithmetic, so pivots and duals do not change;
 //    unit columns on an already pivoted row take the general path.
+//  * FTRAN tracks its pattern: the transformed column comes with the
+//    sorted rows it may be nonzero on, and the ratio test, the eta append
+//    and the refactorization's pivot-row search visit only those rows, in
+//    the dense loops' ascending order. The dual ratio test likewise visits
+//    only the columns the pivot row touches. Every skipped entry is exactly
+//    zero and failed the same tolerance test before, so every choice is
+//    unchanged; basic-value updates stay dense to keep zeros' sign bits.
+//    A pattern that outgrows an eighth of its range stops being tracked,
+//    and its loops visit every index, as dense columns cost less that way.
 //  * Warm starts: an optimal LpSolution carries its Basis (variable and
 //    slack statuses). Simplex::ResolveFrom(basis) reinstalls it on a
 //    modified model and picks the cheapest correct path: phase 2 only when
@@ -27,7 +36,12 @@
 //    violated rows otherwise (LPIP's nested threshold families, which
 //    append rows and grow objective coefficients).
 //  * Dantzig pricing with a Bland's-rule fallback after a stall, which
-//    guarantees termination on degenerate instances.
+//    guarantees termination on degenerate instances. A bound flip leaves
+//    the basis, and so every reduced cost, unchanged: the next entering
+//    column is the best remaining candidate of the last full pass (ties to
+//    the lowest index, as the pass breaks them), found by a scan of that
+//    pass's candidates instead of a new pass. A pivot, a refactorization
+//    or Bland mode discards them.
 //  * Dual values (shadow prices in the *user's* objective sense) are
 //    reported for optimal solutions; tests check strong duality and
 //    complementary slackness.

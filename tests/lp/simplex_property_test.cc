@@ -7,13 +7,19 @@
 //  2. Exact vertex enumeration on random 2-variable LPs.
 //
 // A unit-heavy family rides on oracle 1: it drives the refactorization's
-// unit-column shortcut (and its fallback) at every refactor interval.
+// unit-column shortcut (and its fallback) at every refactor interval, and a
+// CIP-shaped family (boxed columns, tied integer costs, capacity grids)
+// drives bound flips, the dual simplex and the pivot tie breaks.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "lp/lp_model.h"
 #include "lp/simplex.h"
@@ -279,6 +285,97 @@ TEST(UnitHeavyLpTest, EveryRefactorIntervalReachesTheSameCertifiedOptimum) {
       EXPECT_NEAR(repaired.objective, by_default.objective, tol);
     }
   }
+}
+
+// --- CIP-shaped, flip- and tie-heavy family ----------------------------------
+
+// The CIP welfare LP: max sum_e v_e x_e with x_e in [0, 1] and one `Le k`
+// row per item class over the edges that touch it. Small integer
+// valuations make many reduced costs tie exactly, so the lowest-index tie
+// break decides the entering column; capacities k >= 2 make a cold solve
+// mostly bound flips, and a warm capacity grid runs the dual simplex.
+LpModel MakeCipWelfareLp(Rng& rng, int num_edges, int num_classes) {
+  LpModel model(ObjectiveSense::kMaximize);
+  std::vector<std::vector<std::pair<int, double>>> rows(num_classes);
+  for (int e = 0; e < num_edges; ++e) {
+    model.AddVariable(0.0, 1.0, static_cast<double>(rng.UniformInt(1, 4)));
+    const int touched = static_cast<int>(rng.UniformInt(1, 3));
+    for (int t = 0; t < touched; ++t) {
+      auto& row = rows[rng.UniformInt(0, num_classes - 1)];
+      if (row.empty() || row.back().first != e) row.emplace_back(e, 1.0);
+    }
+  }
+  for (auto& terms : rows) {
+    if (terms.empty()) continue;
+    model.AddConstraint(ConstraintSense::kLe, 1.0, std::move(terms));
+  }
+  return model;
+}
+
+void SetCapacity(LpModel& model, double capacity) {
+  for (int i = 0; i < model.num_constraints(); ++i) model.SetRhs(i, capacity);
+}
+
+uint64_t HashSolution(uint64_t h, const LpSolution& s) {
+  auto bits = [](double x) {
+    uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+  };
+  h = HashCombine(h, static_cast<uint64_t>(s.status));
+  h = HashCombine(h, static_cast<uint64_t>(s.iterations));
+  for (double x : s.primal) h = HashCombine(h, bits(x));
+  for (double y : s.dual) h = HashCombine(h, bits(y));
+  return h;
+}
+
+// Every solve of the family, cold and warm, at both refactor intervals, is
+// certified and agrees on the objective; the hash pins every primal and
+// dual bit and every iteration count, so a pricing or ratio-test change
+// that picks a different (equally optimal) pivot fails here.
+TEST(CipWelfareLpTest, ColdAndWarmCapacityGridsCertifyAndPinEveryBit) {
+  Rng rng(20190);
+  SimplexOptions every_pivot;
+  every_pivot.refactor_interval = 1;
+  uint64_t hash = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const int edges = static_cast<int>(rng.UniformInt(20, 90));
+    const int classes = static_cast<int>(rng.UniformInt(4, 24));
+    LpModel model = MakeCipWelfareLp(rng, edges, classes);
+    int max_degree = 1;
+    for (int i = 0; i < model.num_constraints(); ++i) {
+      max_degree = std::max<int>(max_degree, model.constraint(i).terms.size());
+    }
+    // CIP's grid: k = 1, 1.5, 2.25, ..., capped at the largest row.
+    std::vector<double> capacities;
+    for (double k = 1.0; k < max_degree; k *= 1.5) capacities.push_back(k);
+    capacities.push_back(max_degree);
+
+    for (const SimplexOptions& options : {SimplexOptions{}, every_pivot}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " refactor_interval "
+                   << options.refactor_interval);
+      Simplex solver(model, options);
+      Basis basis;
+      for (double k : capacities) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << k);
+        SetCapacity(model, k);
+        LpSolution cold = solver.Solve();
+        CheckOptimalityCertificate(model, cold);
+        LpSolution warm = basis.empty() ? cold : solver.ResolveFrom(basis);
+        CheckOptimalityCertificate(model, warm);
+        EXPECT_NEAR(warm.objective, cold.objective,
+                    1e-6 * (1.0 + std::abs(cold.objective)));
+        hash = HashSolution(HashSolution(hash, cold), warm);
+        basis = warm.basis;
+      }
+    }
+  }
+  // x86-64 SSE2 arithmetic (no FMA contraction); recorded before the
+  // pricing and ratio-test kernels were made flip-aware and hypersparse.
+#if defined(__x86_64__)
+  EXPECT_EQ(hash, 0x1b694e60d3b17894ULL);
+#endif
 }
 
 // --- 2D exact reference ------------------------------------------------------
