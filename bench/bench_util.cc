@@ -132,7 +132,7 @@ WorkloadHypergraph LoadWorkloadHypergraph(const std::string& name,
   out.support_size = market.support_size;
   market::BuildResult built = market::BuildHypergraph(
       *market.instance.database, market.instance.queries, market.support,
-      {.incremental = true, .num_threads = options.build_threads});
+      {.num_threads = options.build_threads});
   out.hypergraph = std::move(built.hypergraph);
   out.build_seconds = built.seconds;
   out.classes = core::ItemClasses::Compute(out.hypergraph);

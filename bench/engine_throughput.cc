@@ -9,16 +9,19 @@
 //
 // JSON records (one per phase, regression-gated like Table 4):
 //   solve-initial        seed the engine with the initial buyer set
-//                        (--threads > 1 parallelizes the hypergraph build)
+//                        (--threads > 1 fans the router's conflict probes
+//                        out as well as the LPIP/CIP solves)
 //   quotes               serve --quotes bundle quotes (seconds = wall time)
 //   quote-batch          the same quotes through QuoteBatch (--qbatch per
 //                        call: one snapshot pin + stats update per batch)
 //   purchases-serial     --purchases posted-price interactions, 1 thread
 //   purchases-concurrent the same purchases on --pthreads threads — the
-//                        read-only overlay probe path; versus the PR 3
-//                        engine these no longer serialize on the writer
-//                        mutex (lps_solved records accepted sales, which
-//                        are deterministic; revenue reports the book)
+//                        read-only overlay probe path, which takes no
+//                        writer mutex (lps_solved records accepted sales,
+//                        which are deterministic; revenue reports the
+//                        book). The prepared-query cache counters are
+//                        printed after it; the cache holds at most
+//                        market::ConflictProber::kPreparedCacheEntries
 //   reprice-incremental  total reprice latency across the arrival batches
 //   reprice-cold         the same batches re-priced by cold RunAllAlgorithms
 //   solve-sharded        the initial buyer set through the sharded router
@@ -87,6 +90,7 @@
 #include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
+#include "market/conflict_prober.h"
 #include "market/support.h"
 #include "market/support_partitioner.h"
 #include "serve/persist/checkpoint.h"
@@ -136,15 +140,6 @@ int Main(int argc, char** argv) {
   engine_options.algorithms.lpip.num_threads = flags.GetInt("threads", 1);
   engine_options.algorithms.cip.num_threads =
       engine_options.algorithms.lpip.num_threads;
-  // --threads also fans out hypergraph (conflict set) construction;
-  // conflict sets — and therefore revenues — are bit-identical for every
-  // value.
-  engine_options.build.num_threads = engine_options.algorithms.lpip.num_threads;
-  // Prepared-query cache bound (0 = unbounded); eviction counts land in
-  // the prepared stats printed with the purchase phases.
-  engine_options.build.prepared_cache_entries = static_cast<size_t>(
-      flags.GetInt("cache-entries",
-                   static_cast<int>(engine_options.build.prepared_cache_entries)));
 
   BenchRecorder recorder;
   const std::string instance_name = "engine-" + workload;
@@ -154,9 +149,11 @@ int Main(int argc, char** argv) {
 
   // The single-market rows run through a one-shard router (the pricing
   // service's one engine surface); --threads also fans out its probes.
+  // Conflict sets — and therefore revenues — are bit-identical for every
+  // value.
   serve::ShardedEngineOptions single_options;
   single_options.engine = engine_options;
-  single_options.num_threads = engine_options.build.num_threads;
+  single_options.num_threads = engine_options.algorithms.lpip.num_threads;
   auto one_shard = [&](const WorkloadMarket& m) {
     return std::make_unique<serve::ShardedPricingEngine>(
         m.instance.database.get(),
@@ -273,7 +270,7 @@ int Main(int argc, char** argv) {
       static_cast<int>(prepared.hits), static_cast<int>(prepared.misses),
       static_cast<int>(prepared.evictions),
       static_cast<int>(prepared.entries),
-      static_cast<int>(engine_options.build.prepared_cache_entries));
+      static_cast<int>(market::ConflictProber::kPreparedCacheEntries));
 
   // Phase 3: buyer-batch arrivals, repriced incrementally.
   double reprice_seconds = 0.0;

@@ -39,9 +39,11 @@ int main() {
   QP_CHECK_OK(narrow.status());
   QP_CHECK_OK(wide.status());
 
-  market::ConflictSetEngine engine(&database);
-  auto narrow_set = engine.ConflictSet(*narrow, *support);
-  auto wide_set = engine.ConflictSet(*wide, *support);
+  auto narrow_set =
+      market::ConflictSet(market::PreparedConflictQuery(database, *narrow),
+                          *support);
+  auto wide_set = market::ConflictSet(
+      market::PreparedConflictQuery(database, *wide), *support);
   std::cout << "conflict set sizes: narrow query " << narrow_set.size()
             << ", group-by query " << wide_set.size() << "\n";
   bool subset = std::includes(wide_set.begin(), wide_set.end(),

@@ -126,8 +126,11 @@ class DeltaOverlay {
   }
 
  private:
-  // Linear scans: overlays hold one (occasionally a handful of) entries,
-  // so a flat vector beats any hashed container.
+  // Linear scans: a probe overlay holds one entry, and a catalog
+  // generation holds the cells committed since the last fold — up to
+  // fold_every (32 by default), more only while folds defer to pinned
+  // readers (db/versioned_database.h). At those sizes a flat vector beats
+  // any hashed container.
   std::vector<Entry> entries_;
   const DeltaOverlay* parent_ = nullptr;
 };

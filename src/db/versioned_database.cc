@@ -1,5 +1,6 @@
 #include "db/versioned_database.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <utility>
@@ -9,7 +10,7 @@ namespace qp::db {
 VersionedDatabase::VersionedDatabase(const Database* base,
                                      common::EpochManager* epochs,
                                      int fold_every)
-    : base_(base), epochs_(epochs), fold_every_(fold_every) {
+    : base_(base), epochs_(epochs), fold_every_(std::max(fold_every, 1)) {
   auto* root = new Generation;
   root->number = 0;
   root->publish_epoch.store(epochs_->epoch(), std::memory_order_seq_cst);
@@ -60,7 +61,7 @@ void VersionedDatabase::Commit(Database& base_mut, int table, int row,
   const size_t pending = next->overlay.entries().size();
   Publish(next, cur);
   generations_published_.fetch_add(1, std::memory_order_relaxed);
-  if (fold_every_ > 0 && pending >= static_cast<size_t>(fold_every_)) {
+  if (pending >= static_cast<size_t>(fold_every_)) {
     TryFold(base_mut);
   }
 }

@@ -83,8 +83,8 @@ class VersionedDatabase {
   };
 
   /// `base` and `epochs` must outlive this object. `fold_every` is the
-  /// pending-cell threshold that triggers a fold attempt on commit
-  /// (<= 0 disables folding entirely).
+  /// pending-cell threshold that triggers a fold attempt on commit,
+  /// clamped to >= 1: there is no never-fold mode.
   VersionedDatabase(const Database* base, common::EpochManager* epochs,
                     int fold_every = 32);
   ~VersionedDatabase();

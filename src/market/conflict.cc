@@ -23,12 +23,6 @@ db::DeltaOverlay OverlayOf(const CellDelta& delta) {
 
 std::vector<uint32_t> NaiveConflictSet(const db::Database& db,
                                        const db::BoundQuery& query,
-                                       const SupportSet& support) {
-  return NaiveConflictSet(db, query, support, nullptr);
-}
-
-std::vector<uint32_t> NaiveConflictSet(const db::Database& db,
-                                       const db::BoundQuery& query,
                                        const SupportSet& support,
                                        const db::DeltaOverlay* committed) {
   db::ResultTable base = committed != nullptr
@@ -574,45 +568,17 @@ bool PreparedConflictQuery::Probe(const CellDelta& delta, ConflictStats& stats,
   return impl_->Probe(delta, stats, committed);
 }
 
-std::vector<uint32_t> ConflictSetEngine::ConflictSet(
-    const db::BoundQuery& query, const SupportSet& support) const {
-  Stats ignored;
-  return ConflictSet(query, support, ignored);
-}
-
-std::vector<uint32_t> ConflictSetEngine::ConflictSet(
-    const db::BoundQuery& query, const SupportSet& support,
-    Stats& stats) const {
-  return ConflictSet(query, support, nullptr, stats);
-}
-
-std::vector<uint32_t> ConflictSetEngine::ConflictSet(
-    const PreparedConflictQuery& prepared, const SupportSet& support,
-    Stats& stats) const {
-  return ConflictSet(prepared, support, nullptr, stats);
-}
-
-std::vector<uint32_t> ConflictSetEngine::ConflictSet(
-    const db::BoundQuery& query, const SupportSet& support,
-    const db::DeltaOverlay* committed, Stats& stats) const {
-  PreparedConflictQuery prepared(*db_, query, committed);
-  return ConflictSet(prepared, support, committed, stats);
-}
-
-std::vector<uint32_t> ConflictSetEngine::ConflictSet(
-    const PreparedConflictQuery& prepared, const SupportSet& support,
-    const db::DeltaOverlay* committed, Stats& stats) const {
-  Stats local;
+std::vector<uint32_t> ConflictSet(const PreparedConflictQuery& prepared,
+                                  const SupportSet& support,
+                                  const db::DeltaOverlay* committed,
+                                  ConflictStats* stats) {
+  ConflictStats local;
   if (prepared.is_fallback()) ++local.fallback_queries;
   std::vector<uint32_t> conflicts;
   for (uint32_t i = 0; i < support.size(); ++i) {
     if (prepared.Probe(support[i], local, committed)) conflicts.push_back(i);
   }
-  stats.Merge(local);
-  probes_.fetch_add(local.probes, std::memory_order_relaxed);
-  pruned_.fetch_add(local.pruned, std::memory_order_relaxed);
-  fallback_queries_.fetch_add(local.fallback_queries,
-                              std::memory_order_relaxed);
+  if (stats != nullptr) stats->Merge(local);
   return conflicts;
 }
 

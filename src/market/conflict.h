@@ -10,18 +10,18 @@
 //    with the reference evaluator and compares canonical results. O(|S| *
 //    eval(Q)) per query; the correctness oracle.
 //
-//  * ConflictSetEngine / PreparedConflictQuery — prepares per-query state
-//    once (per-row contribution hashes, group aggregate states with exact
-//    integer accumulators, join indexes) and answers each delta in
-//    O(1)-ish: recompute only the patched row's (or its join partners')
-//    contribution, apply the affected groups' updates to a local copy,
-//    compare the visible output. A delta on a column the query never
-//    reads is pruned before anything else: it cannot change the result.
-//    Queries the incremental path cannot answer exactly — LIMIT, and
-//    SUM/AVG over double columns (where incremental float accumulation
-//    could drift from the reference evaluator) — fall back to full
-//    overlay re-evaluation, but only for the deltas that survive the
-//    same pruning. Prepared state is immutable after construction, so
+//  * ConflictSet over a PreparedConflictQuery — the prepared state (per-
+//    row contribution hashes, group aggregate states with exact integer
+//    accumulators, join indexes) is built once per query and answers
+//    each delta in O(1)-ish: recompute only the patched row's (or its
+//    join partners') contribution, apply the affected groups' updates to
+//    a local copy, compare the visible output. A delta on a column the
+//    query never reads is pruned before anything else: it cannot change
+//    the result. Queries the incremental path cannot answer exactly —
+//    LIMIT, and SUM/AVG over double columns (where incremental float
+//    accumulation could drift from the reference evaluator) — fall back
+//    to full overlay re-evaluation, but only for the deltas that survive
+//    the same pruning. Prepared state is immutable after construction, so
 //    one PreparedConflictQuery may be probed from many threads at once.
 //
 //    Each join index is flat (CSR): one array of row ids grouped by
@@ -33,21 +33,24 @@
 //    Probes assemble each joined input row in one reused buffer holding
 //    only the columns the query reads.
 //
-// tests/market/conflict_test.cc checks that both engines match each other
+// market::ConflictProber (market/conflict_prober.h) is the long-lived
+// caller: it shares prepared state across calls through a
+// PreparedQueryCache and keeps exact probe totals.
+//
+// tests/market/conflict_test.cc checks that both paths match each other
 // *and* the pre-overlay apply/evaluate/revert semantics bit-for-bit over
 // randomized queries, datasets and supports, including concurrent probes.
 //
 // Versioned catalogs (db/versioned_database.h) layer in the same way:
 // committed seller deltas live in a published generation overlay, and
-// every entry point here takes an optional `committed` overlay. Build
-// paths read base+committed; probe paths read base+committed with the
+// both functions take an optional `committed` overlay. Prepared state is
+// built over base+committed; probes read base+committed with the
 // probe's one-cell delta chained on top (DeltaOverlay::set_parent), so
 // probing stays correct while the base tables are concurrently folded —
 // no read here touches a base cell the committed overlay shadows.
 #ifndef QP_MARKET_CONFLICT_H_
 #define QP_MARKET_CONFLICT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -59,19 +62,13 @@
 
 namespace qp::market {
 
-/// Reference implementation (overlay / re-evaluate / compare). Read-only:
-/// `db` is never modified.
-std::vector<uint32_t> NaiveConflictSet(const db::Database& db,
-                                       const db::BoundQuery& query,
-                                       const SupportSet& support);
-
-/// Same, reading through `committed` (a published catalog generation's
-/// overlay; nullptr behaves like the overload above). Each probe chains
-/// its one-cell overlay over `committed`.
-std::vector<uint32_t> NaiveConflictSet(const db::Database& db,
-                                       const db::BoundQuery& query,
-                                       const SupportSet& support,
-                                       const db::DeltaOverlay* committed);
+/// Reference implementation (overlay / re-evaluate / compare), reading
+/// through `committed` (a published catalog generation's overlay, or
+/// nullptr for the plain database): each probe chains its one-cell
+/// overlay over it. Read-only: `db` is never modified.
+std::vector<uint32_t> NaiveConflictSet(
+    const db::Database& db, const db::BoundQuery& query,
+    const SupportSet& support, const db::DeltaOverlay* committed = nullptr);
 
 /// Probe accounting. Plain integers: accumulate per thread (or per call)
 /// and Merge for exact, lost-update-free totals.
@@ -129,65 +126,15 @@ class PreparedConflictQuery {
   std::unique_ptr<const Impl> impl_;
 };
 
-class ConflictSetEngine {
- public:
-  using Stats = ConflictStats;
-
-  /// The database must outlive the engine. Probing never writes to it —
-  /// deltas are viewed through per-probe overlays — so concurrent
-  /// ConflictSet calls from any number of threads are safe.
-  explicit ConflictSetEngine(const db::Database* db) : db_(db) {}
-
-  /// Conflict set of `query` as sorted indices into `support`.
-  /// Thread-safe; accounting lands in the engine totals (stats()).
-  std::vector<uint32_t> ConflictSet(const db::BoundQuery& query,
-                                    const SupportSet& support) const;
-
-  /// Same, additionally reporting this call's share of the accounting in
-  /// `stats` (the engine totals still include it). Callers that fan
-  /// queries across threads collect per-slot stats through this overload
-  /// and Merge them in index order for deterministic attribution.
-  std::vector<uint32_t> ConflictSet(const db::BoundQuery& query,
-                                    const SupportSet& support,
-                                    Stats& stats) const;
-
-  /// Same, probing through caller-supplied prepared state (e.g. from a
-  /// PreparedQueryCache) instead of preparing per call. Bit-identical to
-  /// the preparing overloads — prepared state is a pure function of
-  /// (db, query) — including the accounting: fallback_queries counts once
-  /// per answered query, cached or not.
-  std::vector<uint32_t> ConflictSet(const PreparedConflictQuery& prepared,
-                                    const SupportSet& support,
-                                    Stats& stats) const;
-
-  /// Versioned-catalog variants: probe through `committed` (a pinned
-  /// generation's overlay; nullptr degenerates to the overloads above).
-  /// The preparing overload also builds the prepared state against it.
-  std::vector<uint32_t> ConflictSet(const db::BoundQuery& query,
-                                    const SupportSet& support,
-                                    const db::DeltaOverlay* committed,
-                                    Stats& stats) const;
-  std::vector<uint32_t> ConflictSet(const PreparedConflictQuery& prepared,
-                                    const SupportSet& support,
-                                    const db::DeltaOverlay* committed,
-                                    Stats& stats) const;
-
-  /// Exact snapshot of the totals across every probe through this engine
-  /// (atomic accumulation: no lost updates under concurrency).
-  Stats stats() const {
-    Stats out;
-    out.probes = probes_.load(std::memory_order_relaxed);
-    out.pruned = pruned_.load(std::memory_order_relaxed);
-    out.fallback_queries = fallback_queries_.load(std::memory_order_relaxed);
-    return out;
-  }
-
- private:
-  const db::Database* db_;
-  mutable std::atomic<int64_t> probes_{0};
-  mutable std::atomic<int64_t> pruned_{0};
-  mutable std::atomic<int64_t> fallback_queries_{0};
-};
+/// Conflict set of `prepared`'s query as sorted indices into `support`,
+/// probed through `committed` (the caller's pinned catalog overlay;
+/// nullptr for a plain database). Read-only and thread-safe.
+/// `stats` (optional) receives this call's accounting merged in;
+/// fallback_queries counts once per call.
+std::vector<uint32_t> ConflictSet(const PreparedConflictQuery& prepared,
+                                  const SupportSet& support,
+                                  const db::DeltaOverlay* committed = nullptr,
+                                  ConflictStats* stats = nullptr);
 
 }  // namespace qp::market
 

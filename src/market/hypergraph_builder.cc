@@ -1,6 +1,6 @@
 #include "market/hypergraph_builder.h"
 
-#include <utility>
+#include "common/stopwatch.h"
 
 namespace qp::market {
 
@@ -8,13 +8,16 @@ BuildResult BuildHypergraph(const db::Database& db,
                             const std::vector<db::BoundQuery>& queries,
                             const SupportSet& support,
                             const BuildOptions& options) {
-  IncrementalBuilder builder(&db, support, options);
-  builder.Append(queries);
+  ConflictProber prober(&db, support, options);
   BuildResult result;
-  result.hypergraph = std::move(builder.mutable_hypergraph());
-  result.conflict_sets = std::move(builder.mutable_conflict_sets());
-  result.stats = builder.build_stats();
-  result.seconds = builder.seconds();
+  result.conflict_sets = prober.ConflictSets(queries);
+  Stopwatch timer;
+  result.hypergraph = core::Hypergraph(static_cast<uint32_t>(support.size()));
+  for (const std::vector<uint32_t>& edge : result.conflict_sets) {
+    result.hypergraph.AddEdge(edge);
+  }
+  result.stats = prober.build_stats();
+  result.seconds = prober.seconds() + timer.ElapsedSeconds();
   return result;
 }
 

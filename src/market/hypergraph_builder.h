@@ -1,8 +1,9 @@
 // Queries + support set -> pricing hypergraph (paper Section 3.3).
 //
-// One-shot convenience over market::IncrementalBuilder — batch drivers
-// and tests that never grow the market keep this entry point; anything
-// long-lived (the serving engine) holds an IncrementalBuilder instead.
+// One-shot build: a market::ConflictProber computes every query's
+// conflict set, and each becomes one edge over the support deltas.
+// Batch drivers and tests use this; the serving router holds its own
+// ConflictProber and routes the edges to shard-local engines instead.
 #ifndef QP_MARKET_HYPERGRAPH_BUILDER_H_
 #define QP_MARKET_HYPERGRAPH_BUILDER_H_
 
@@ -12,7 +13,7 @@
 #include "db/database.h"
 #include "db/query.h"
 #include "market/conflict.h"
-#include "market/incremental_builder.h"
+#include "market/conflict_prober.h"
 #include "market/support.h"
 
 namespace qp::market {
@@ -21,10 +22,11 @@ struct BuildResult {
   core::Hypergraph hypergraph{0};
   /// Per query: sorted support indices in its conflict set (= the edge).
   std::vector<std::vector<uint32_t>> conflict_sets;
-  /// Wall-clock seconds spent computing conflict sets (the "hypergraph
-  /// construction time" the paper's Tables 4-5 include).
+  /// Wall-clock seconds spent computing conflict sets and adding the
+  /// edges (the "hypergraph construction time" the paper's Tables 4-5
+  /// include).
   double seconds = 0.0;
-  ConflictSetEngine::Stats stats;
+  ConflictStats stats;
 };
 
 /// Builds the hypergraph whose items are support deltas and whose edges are

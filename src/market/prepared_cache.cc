@@ -8,17 +8,12 @@
 namespace qp::market {
 
 std::shared_ptr<const PreparedConflictQuery> PreparedQueryCache::GetOrPrepare(
-    const db::BoundQuery& query) const {
-  return GetOrPrepare(query, nullptr, 0);
-}
-
-std::shared_ptr<const PreparedConflictQuery> PreparedQueryCache::GetOrPrepare(
     const db::BoundQuery& query, const db::DeltaOverlay* overlay,
     uint64_t generation) const {
   // The caller sees only the prepared state; the aliasing shared_ptr
   // keeps the whole entry — including the query copy the prepared state
   // references — alive for as long as any probe holds it (even across a
-  // concurrent Invalidate).
+  // concurrent InvalidateCell or eviction).
   auto view = [](std::shared_ptr<const Entry> entry) {
     const PreparedConflictQuery* prepared = &entry->prepared;
     return std::shared_ptr<const PreparedConflictQuery>(std::move(entry),
@@ -78,7 +73,6 @@ std::shared_ptr<const PreparedConflictQuery> PreparedQueryCache::GetOrPrepare(
 }
 
 void PreparedQueryCache::EvictOverflowLocked() const {
-  if (max_entries_ == 0) return;
   while (entries_.size() > max_entries_) {
     // O(n) min-scan under the exclusive lock the insert already holds:
     // caps are modest, overflow is the rare path, and the scan keeps hits
@@ -95,12 +89,6 @@ void PreparedQueryCache::EvictOverflowLocked() const {
     entries_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void PreparedQueryCache::Invalidate() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  entries_.clear();
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<int, int>> PreparedQueryCache::SortedSensitive(

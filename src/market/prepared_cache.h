@@ -20,23 +20,21 @@
 //
 // Concurrency: lookups take a shared lock, inserts an exclusive lock, and
 // the counters are atomic — safe from any number of prober threads.
-// Invalidate() drops every entry; InvalidateCell(table, column) drops
-// only the entries whose query's SensitiveColumns contain the edited
-// cell's column — sound because PreparedConflictQuery derives all of its
-// row-content-dependent state (per-row contribution hashes, group
-// aggregate states, join indexes) from exactly those columns, so an
-// entry whose sensitive set misses the cell probes bit-identically
-// before and after the edit. Call one of them when the seller actually
-// edits data (market::ApplyDelta), since prepared state bakes in row
-// contents.
+// InvalidateCell(table, column) drops only the entries whose query's
+// SensitiveColumns contain the edited cell's column — sound because
+// PreparedConflictQuery derives all of its row-content-dependent state
+// (per-row contribution hashes, group aggregate states, join indexes)
+// from exactly those columns, so an entry whose sensitive set misses the
+// cell probes bit-identically before and after the edit. Call it for
+// every seller edit, since prepared state bakes in row contents.
 // Cached probes are bit-identical to fresh ones (the prepared state is a
 // pure function of (db, query)), so hit/miss — and eviction — behavior
 // never changes conflict sets or probe accounting.
 //
 // Versioned catalogs (db/versioned_database.h) add a generation key.
-// Each entry records the catalog generation it was built at; the
-// overlay-taking GetOrPrepare accepts a hit only when the entry's build
-// generation is <= the caller's pinned generation. That is sound
+// Each entry records the catalog generation it was built at;
+// GetOrPrepare accepts a hit only when the entry's build generation is
+// <= the caller's pinned generation. That is sound
 // because the engines invalidate *before* publishing a commit
 // (InvalidateCell takes the about-to-publish generation): an entry that
 // survives was built from sensitive-cell contents identical to every
@@ -50,18 +48,19 @@
 // generation *newer* than the caller's pin are bypassed the same
 // transient way (stale_bypasses counts both).
 //
-// Capacity: the cache holds at most `max_entries` entries (0 =
-// unbounded). Eviction is least-recently-used, approximated so lookups
+// Capacity: the cache holds at most `max_entries` entries (clamped to
+// >= 1). Eviction is least-recently-used, approximated so lookups
 // stay shared-locked: every hit stamps the entry with a global use tick
 // (relaxed atomic), and an insert that overflows the cap evicts the
 // entry with the smallest stamp under the exclusive lock it already
 // holds. Probes holding an evicted entry's shared_ptr finish against the
 // state they pinned — eviction only drops the map reference, exactly
-// like Invalidate(). Wire front-ends produce unbounded distinct query
-// texts, so serving engines must run with a cap.
+// like InvalidateCell. There is no unbounded mode: wire front-ends
+// produce unbounded distinct query texts.
 #ifndef QP_MARKET_PREPARED_CACHE_H_
 #define QP_MARKET_PREPARED_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -82,13 +81,11 @@ class PreparedQueryCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t invalidations = 0;
-    /// Entries dropped by the LRU cap (Invalidate() drops are counted in
-    /// invalidations, not here).
+    /// Entries dropped by the LRU cap.
     uint64_t evictions = 0;
     /// Selective (per-cell) invalidations: calls, and the entries they
     /// actually dropped (entries whose SensitiveColumns contained the
-    /// edited cell). Full flushes count under `invalidations`.
+    /// edited cell).
     uint64_t selective_invalidations = 0;
     uint64_t selective_dropped = 0;
     /// Generation-keyed lookups that could not use / populate the cache:
@@ -103,7 +100,6 @@ class PreparedQueryCache {
     Stats& Merge(const Stats& other) {
       hits += other.hits;
       misses += other.misses;
-      invalidations += other.invalidations;
       evictions += other.evictions;
       selective_invalidations += other.selective_invalidations;
       selective_dropped += other.selective_dropped;
@@ -113,11 +109,12 @@ class PreparedQueryCache {
     }
   };
 
-  /// `db` must outlive the cache; its contents must not change between
-  /// Invalidate() calls. `max_entries` bounds the cache (0 = unbounded);
-  /// overflowing inserts evict approximately-LRU entries.
-  explicit PreparedQueryCache(const db::Database* db, size_t max_entries = 0)
-      : db_(db), max_entries_(max_entries) {}
+  /// `db` must outlive the cache; its logical contents may change only
+  /// through edits announced to InvalidateCell. `max_entries` bounds the
+  /// cache (clamped to >= 1); overflowing inserts evict
+  /// approximately-LRU entries.
+  PreparedQueryCache(const db::Database* db, size_t max_entries)
+      : db_(db), max_entries_(std::max<size_t>(max_entries, 1)) {}
 
   /// Returns the cached prepared state for `query` (keyed by its SQL
   /// text), preparing and inserting on miss. Thread-safe. When two
@@ -126,25 +123,20 @@ class PreparedQueryCache {
   /// query it was built from, so each entry owns a copy of the query and
   /// the returned pointer keeps that copy alive (aliasing shared_ptr) —
   /// callers may drop their BoundQuery immediately.
+  ///
+  /// Versioned catalogs: `overlay` is the caller's pinned generation
+  /// overlay (nullptr for the root or a plain database) and `generation`
+  /// its number. Hits require the entry's build generation to be <=
+  /// `generation`; misses build against `overlay` and insert only while
+  /// the catalog floor still matches (see file comment).
   std::shared_ptr<const PreparedConflictQuery> GetOrPrepare(
-      const db::BoundQuery& query) const;
-
-  /// Generation-keyed variant for versioned catalogs: `overlay` is the
-  /// caller's pinned generation overlay (nullptr for the root) and
-  /// `generation` its number. Hits require the entry's build generation
-  /// to be <= `generation`; misses build against `overlay` and insert
-  /// only while the catalog floor still matches (see file comment).
-  std::shared_ptr<const PreparedConflictQuery> GetOrPrepare(
-      const db::BoundQuery& query, const db::DeltaOverlay* overlay,
-      uint64_t generation) const;
-
-  /// Drops every cached entry (seller data edit). Thread-safe; in-flight
-  /// probes holding a shared_ptr finish against the state they pinned.
-  void Invalidate();
+      const db::BoundQuery& query, const db::DeltaOverlay* overlay = nullptr,
+      uint64_t generation = 0) const;
 
   /// Drops only the entries whose query's SensitiveColumns contain
-  /// (table, column) — the selective form for a single-cell seller edit.
-  /// Thread-safe, same in-flight semantics as Invalidate().
+  /// (table, column) — the single-cell seller edit. Thread-safe;
+  /// in-flight probes holding a shared_ptr finish against the state they
+  /// pinned.
   /// `next_generation` is the generation number the edit is about to
   /// publish (the writer calls this BEFORE the publish); it advances the
   /// catalog floor, fencing off in-flight inserts of entries built at
@@ -155,7 +147,6 @@ class PreparedQueryCache {
     Stats out;
     out.hits = hits_.load(std::memory_order_relaxed);
     out.misses = misses_.load(std::memory_order_relaxed);
-    out.invalidations = invalidations_.load(std::memory_order_relaxed);
     out.evictions = evictions_.load(std::memory_order_relaxed);
     out.selective_invalidations =
         selective_invalidations_.load(std::memory_order_relaxed);
@@ -213,7 +204,6 @@ class PreparedQueryCache {
   mutable std::atomic<uint64_t> use_clock_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> invalidations_{0};
   mutable std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> selective_invalidations_{0};
   std::atomic<uint64_t> selective_dropped_{0};

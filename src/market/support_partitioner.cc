@@ -156,9 +156,9 @@ SupportPartition SupportPartitioner::FromQueries(
     const db::Database* db, SupportSet support,
     const std::vector<db::BoundQuery>& seed_queries, const BuildOptions& build,
     const PartitionOptions& options) {
-  IncrementalBuilder prober(db, support, build);
+  ConflictProber prober(db, support, build);
   std::vector<std::vector<uint32_t>> seed_edges =
-      prober.ComputeConflictSets(seed_queries);
+      prober.ConflictSets(seed_queries);
   SupportPartition partition =
       Partition(std::move(support), seed_edges, options);
   // Hand the probed conflict sets back: the probe is the expensive part,

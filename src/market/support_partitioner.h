@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "db/query.h"
-#include "market/incremental_builder.h"
+#include "market/conflict_prober.h"
 #include "market/support.h"
 
 namespace qp::market {

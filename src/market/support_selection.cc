@@ -73,7 +73,6 @@ SupportSelectionResult AugmentSupportWithUniqueItems(
     }
   }
 
-  ConflictSetEngine engine(&db);
   std::set<std::tuple<int, int, int, std::string>> seen;
   for (const CellDelta& d : base_support) {
     seen.insert({d.table, d.row, d.column, d.new_value.ToString()});
@@ -95,11 +94,15 @@ SupportSelectionResult AugmentSupportWithUniqueItems(
       if (seen.count(key) > 0) continue;
       // Private iff it conflicts with query q and with no other query.
       SupportSet probe{candidate};
-      if (engine.ConflictSet(queries[q], probe).empty()) continue;
+      if (ConflictSet(PreparedConflictQuery(db, queries[q]), probe).empty()) {
+        continue;
+      }
       bool clashes = false;
       for (size_t other = 0; other < queries.size() && !clashes; ++other) {
         if (other == q) continue;
-        clashes = !engine.ConflictSet(queries[other], probe).empty();
+        clashes =
+            !ConflictSet(PreparedConflictQuery(db, queries[other]), probe)
+                 .empty();
       }
       if (clashes) continue;
       seen.insert(key);

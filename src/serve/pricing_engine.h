@@ -34,7 +34,8 @@
 #include "core/algorithms.h"
 #include "core/hypergraph.h"
 #include "core/reprice.h"
-#include "market/incremental_builder.h"
+#include "market/conflict.h"
+#include "market/prepared_cache.h"
 #include "serve/persist/state_io.h"
 #include "serve/price_book.h"
 
@@ -44,18 +45,14 @@ struct EngineOptions {
   /// Forwarded to the pricing layer. classes / sorted_order fields are
   /// ignored (the reprice state owns the shared precompute).
   core::AlgorithmOptions algorithms;
-  /// Conflict-set engine selection for the router's probes (the router
-  /// overrides num_threads with its own thread budget; shards never
-  /// probe).
-  market::BuildOptions build;
   /// false = every AppendBuyers runs a full cold solve (the baseline the
   /// engine_throughput bench compares against).
   bool incremental_reprice = true;
   /// Catalog fold cadence: the router's ApplySellerDelta folds the
   /// accumulated overlay into the base database once it holds this many
-  /// distinct cells — gated on reader drain, retried on the next delta when
-  /// readers are still pinned. <= 0 never folds (the overlay grows
-  /// without bound). Logical reads are identical for every value.
+  /// distinct cells (clamped to >= 1) — gated on reader drain, retried on
+  /// the next delta when readers are still pinned. Logical reads are
+  /// identical for every value.
   int fold_every = 32;
 };
 
@@ -92,7 +89,7 @@ struct EngineStats {
   double build_seconds = 0.0;
   /// Probe totals across builds *and* purchases (atomic accumulation:
   /// exact under concurrent Purchase traffic).
-  market::ConflictSetEngine::Stats conflict;
+  market::ConflictStats conflict;
   core::Hypergraph::IncidenceMaintenance incidence;
   /// Prepared-query cache counters (repeat Purchase/append queries share
   /// prepared probing state; invalidated — selectively — by

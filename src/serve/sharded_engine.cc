@@ -83,14 +83,7 @@ ShardedPricingEngine::ShardedPricingEngine(const db::Database* db,
       partition_(std::move(partition)),
       options_(std::move(options)),
       catalog_(db, &epochs_, options_.engine.fold_every),
-      prober_(db, partition_.support,
-              [&] {
-                // The router's probe fan-out width is the router's thread
-                // budget, not the per-shard build width.
-                market::BuildOptions build = options_.engine.build;
-                build.num_threads = options_.num_threads;
-                return build;
-              }(),
+      prober_(db, partition_.support, {.num_threads = options_.num_threads},
               &catalog_) {
   shards_.reserve(static_cast<size_t>(partition_.num_shards));
   for (int s = 0; s < partition_.num_shards; ++s) {
@@ -119,7 +112,7 @@ Status ShardedPricingEngine::AppendBuyers(
   std::lock_guard<std::mutex> lock(writer_mutex_);
   // One probe per query against the GLOBAL support, fanned over the
   // router's threads.
-  return AppendRouted(prober_.ComputeConflictSets(queries), valuations);
+  return AppendRouted(prober_.ConflictSets(queries), valuations);
 }
 
 Status ShardedPricingEngine::AppendBuyersPrecomputed(
@@ -344,7 +337,7 @@ Status ShardedPricingEngine::ApplySellerDelta(db::Database& db,
   // The head read is unguarded but safe: this mutex serializes every
   // commit and fold, so the head cannot be retired under the writer.
   const uint64_t next_generation = catalog_.head()->number + 1;
-  prober_.InvalidatePreparedQueriesFor(delta, next_generation);
+  prober_.InvalidateCell(delta, next_generation);
   catalog_.Commit(db, delta.table, delta.row, delta.column, delta.new_value);
   return Status::OK();
 }

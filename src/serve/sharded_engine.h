@@ -67,7 +67,7 @@
 #include "common/epoch.h"
 #include "common/status.h"
 #include "db/versioned_database.h"
-#include "market/incremental_builder.h"
+#include "market/conflict_prober.h"
 #include "market/support_partitioner.h"
 #include "serve/price_book.h"
 #include "serve/pricing_engine.h"
@@ -100,8 +100,8 @@ class WriterLog {
 };
 
 struct ShardedEngineOptions {
-  /// Forwarded to every shard (algorithm options, incremental reprice,
-  /// per-shard build options).
+  /// Forwarded to every shard (algorithm options, incremental reprice);
+  /// the router reads fold_every.
   EngineOptions engine;
   /// Threads for the router's own fan-outs: the global probe over buyer
   /// queries in AppendBuyers and the per-shard append/solve/reprice fan.
@@ -291,10 +291,6 @@ class ShardedPricingEngine {
   /// pre-edit market until the next append.
   Status ApplySellerDelta(db::Database& db, const market::CellDelta& delta);
 
-  /// Drops the router's cached prepared probing state without editing
-  /// data (e.g. the seller edited the database out of band).
-  void InvalidatePreparedQueries() { prober_.InvalidatePreparedQueries(); }
-
   /// The router's shared versioned catalog over its database (one
   /// catalog across every shard and the global prober).
   const db::VersionedDatabase& catalog() const { return catalog_; }
@@ -404,9 +400,9 @@ class ShardedPricingEngine {
   db::VersionedDatabase catalog_;
 
   mutable std::mutex writer_mutex_;
-  /// Global-support prober (never appends edges): AppendBuyers' probe
-  /// half and Purchase's conflict sets, with the prepared-query cache.
-  market::IncrementalBuilder prober_;
+  /// Global-support prober: AppendBuyers' probes and Purchase's conflict
+  /// sets, with the prepared-query cache.
+  market::ConflictProber prober_;
   std::vector<std::unique_ptr<PricingEngine>> shards_;
   /// Edges routed to each shard so far (guarded by writer_mutex_); the
   /// deterministic tie-break for empty conflict sets.

@@ -13,7 +13,12 @@
 //      pins; gauges must not add any), while LogicalCell pins exactly
 //      once;
 //  (e) a reader pinned on an old generation keeps a valid view of it
-//      after later commits (epoch reclamation, not refcounts).
+//      after later commits (epoch reclamation, not refcounts);
+//  (f) fold_every is clamped to >= 1: a cadence of 0 folds on every
+//      commit instead of never.
+//
+// Tests that pin overlay reads use a cadence above their commit count,
+// so no fold runs.
 #include "db/versioned_database.h"
 
 #include <cstdint>
@@ -33,6 +38,8 @@ namespace {
 // is a guaranteed-visible edit.
 constexpr int kTable = 0;
 constexpr int kNameCol = 1;
+// Above every overlay-pinning test's commit count.
+constexpr int kNoFold = 16;
 
 std::unique_ptr<Database> Db() { return testing::MakeTestDatabase(); }
 
@@ -40,7 +47,7 @@ std::unique_ptr<Database> Db() { return testing::MakeTestDatabase(); }
 TEST(VersionedDatabaseTest, CommitPublishesWithoutTouchingBase) {
   auto db = Db();
   common::EpochManager epochs;
-  VersionedDatabase catalog(db.get(), &epochs, /*fold_every=*/0);
+  VersionedDatabase catalog(db.get(), &epochs, kNoFold);
 
   EXPECT_EQ(catalog.head_generation(), 0u);
   Value original = db->table(kTable).cell(0, kNameCol);
@@ -135,7 +142,7 @@ TEST(VersionedDatabaseTest, FoldDefersToPinnedReaders) {
 TEST(VersionedDatabaseTest, GaugesArePinFreeLogicalReadsPinOnce) {
   auto db = Db();
   common::EpochManager epochs;
-  VersionedDatabase catalog(db.get(), &epochs, /*fold_every=*/0);
+  VersionedDatabase catalog(db.get(), &epochs, kNoFold);
   catalog.Commit(*db, kTable, 0, kNameCol, db->table(kTable).cell(1, kNameCol));
 
   uint64_t pins = epochs.stats().pins;
@@ -156,7 +163,7 @@ TEST(VersionedDatabaseTest, GaugesArePinFreeLogicalReadsPinOnce) {
 TEST(VersionedDatabaseTest, PinnedGenerationSurvivesLaterCommits) {
   auto db = Db();
   common::EpochManager epochs;
-  VersionedDatabase catalog(db.get(), &epochs, /*fold_every=*/0);
+  VersionedDatabase catalog(db.get(), &epochs, kNoFold);
 
   Value first = db->table(kTable).cell(1, kNameCol);
   catalog.Commit(*db, kTable, 0, kNameCol, first);
@@ -184,6 +191,28 @@ TEST(VersionedDatabaseTest, PinnedGenerationSurvivesLaterCommits) {
   common::EpochManager::Stats es = epochs.stats();
   EXPECT_GT(es.retired, 0u);
   EXPECT_EQ(es.pending, 0u);
+}
+
+// (f) a non-positive cadence clamps to 1: with no reader pinned, every
+// commit folds, so nothing stays pending and the overlay never grows.
+TEST(VersionedDatabaseTest, ZeroCadenceFoldsEveryCommit) {
+  auto db = Db();
+  common::EpochManager epochs;
+  VersionedDatabase catalog(db.get(), &epochs, /*fold_every=*/0);
+  EXPECT_EQ(catalog.fold_every(), 1);
+
+  constexpr int kCommits = 5;
+  for (int i = 0; i < kCommits; ++i) {
+    catalog.Commit(*db, kTable, i, kNameCol,
+                   db->table(kTable).cell(i + 1, kNameCol));
+  }
+  VersionedDatabase::Stats stats = catalog.stats();
+  EXPECT_EQ(stats.generations_published, static_cast<uint64_t>(kCommits));
+  EXPECT_EQ(stats.folds, static_cast<uint64_t>(kCommits));
+  EXPECT_EQ(stats.fold_retries, 0u);
+  EXPECT_EQ(stats.deltas_pending, 0u);
+  EXPECT_EQ(stats.deltas_folded, static_cast<uint64_t>(kCommits));
+  EXPECT_EQ(catalog.head_generation(), static_cast<uint64_t>(kCommits));
 }
 
 }  // namespace

@@ -55,9 +55,11 @@ TEST(PipelineTest, IncrementalMatchesNaiveOnRealWorkloads) {
   auto support = market::GenerateSupport(*workload->database,
                                          {.size = 150, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
-  market::ConflictSetEngine engine(workload->database.get());
   for (size_t i = 0; i < workload->queries.size(); i += 31) {
-    auto fast = engine.ConflictSet(workload->queries[i], *support);
+    auto fast = market::ConflictSet(
+        market::PreparedConflictQuery(*workload->database,
+                                      workload->queries[i]),
+        *support);
     auto slow = market::NaiveConflictSet(*workload->database,
                                          workload->queries[i], *support);
     ASSERT_EQ(fast, slow) << workload->sql[i];

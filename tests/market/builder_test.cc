@@ -44,17 +44,21 @@ TEST(HypergraphBuilderTest, EdgesMatchConflictSets) {
   EXPECT_GE(result.seconds, 0.0);
 }
 
-TEST(HypergraphBuilderTest, IncrementalAndNaiveAgree) {
+TEST(HypergraphBuilderTest, EdgesMatchNaiveOracle) {
+  // Every edge equals the naive re-evaluation oracle's conflict set for
+  // its query.
   auto db = db::testing::MakeTestDatabase();
   Rng rng(72);
   auto support = GenerateSupport(*db, {.size = 80, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
   auto queries = TestQueries(*db);
-  BuildResult fast = BuildHypergraph(*db, queries, *support, {.incremental = true});
-  BuildResult slow = BuildHypergraph(*db, queries, *support, {.incremental = false});
-  ASSERT_EQ(fast.hypergraph.num_edges(), slow.hypergraph.num_edges());
-  for (int e = 0; e < fast.hypergraph.num_edges(); ++e) {
-    EXPECT_EQ(fast.conflict_sets[e], slow.conflict_sets[e]) << "edge " << e;
+  BuildResult built = BuildHypergraph(*db, queries, *support);
+  ASSERT_EQ(built.hypergraph.num_edges(), static_cast<int>(queries.size()));
+  for (int e = 0; e < built.hypergraph.num_edges(); ++e) {
+    EXPECT_EQ(built.hypergraph.edge(e),
+              NaiveConflictSet(*db, queries[static_cast<size_t>(e)],
+                               *support))
+        << "edge " << e;
   }
 }
 
@@ -80,11 +84,11 @@ TEST(HypergraphBuilderTest, ParallelBuildIsThreadCountIndependent) {
   auto support = GenerateSupport(*db, {.size = 120, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
   auto queries = TestQueries(*db);
-  BuildResult serial = BuildHypergraph(*db, queries, *support,
-                                       {.incremental = true, .num_threads = 1});
+  BuildResult serial =
+      BuildHypergraph(*db, queries, *support, {.num_threads = 1});
   for (int threads : {2, 4, 7}) {
-    BuildResult parallel = BuildHypergraph(
-        *db, queries, *support, {.incremental = true, .num_threads = threads});
+    BuildResult parallel =
+        BuildHypergraph(*db, queries, *support, {.num_threads = threads});
     ASSERT_EQ(parallel.hypergraph.num_edges(), serial.hypergraph.num_edges())
         << threads << " threads";
     for (int e = 0; e < serial.hypergraph.num_edges(); ++e) {
@@ -98,37 +102,42 @@ TEST(HypergraphBuilderTest, ParallelBuildIsThreadCountIndependent) {
   }
 }
 
-TEST(IncrementalBuilderTest, ConflictSetForIsSafeDuringAppend) {
-  // The builder's read side: ConflictSetFor runs concurrently with one
-  // writer appending batches, and always returns the same (support-only
-  // dependent) conflict set.
+TEST(ConflictProberTest, ConflictSetForIsSafeDuringConflictSets) {
+  // The prober's read side: ConflictSetFor runs concurrently with one
+  // writer probing batches through ConflictSets, and both always return
+  // the same (support-only dependent) conflict sets.
   auto db = db::testing::MakeTestDatabase();
   Rng rng(75);
   auto support = GenerateSupport(*db, {.size = 80, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
   auto queries = TestQueries(*db);
 
-  IncrementalBuilder builder(db.get(), *support, {.num_threads = 2});
-  const std::vector<uint32_t> expected = builder.ConflictSetFor(queries[0]);
+  ConflictProber prober(db.get(), *support, {.num_threads = 2});
+  const std::vector<uint32_t> expected = prober.ConflictSetFor(queries[0]);
 
   std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
   std::thread reader([&]() {
     while (!stop.load(std::memory_order_acquire)) {
-      if (builder.ConflictSetFor(queries[0]) != expected) {
+      if (prober.ConflictSetFor(queries[0]) != expected) {
         mismatches.fetch_add(1);
       }
     }
   });
-  for (int round = 0; round < 8; ++round) builder.Append(queries);
+  const BuildResult reference = BuildHypergraph(*db, queries, *support);
+  for (int round = 0; round < 8; ++round) {
+    EXPECT_EQ(prober.ConflictSets(queries), reference.conflict_sets)
+        << "round " << round;
+  }
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(builder.hypergraph().num_edges(),
-            8 * static_cast<int>(queries.size()));
-  // Build-side stats merged per query slot; totals also cover the
-  // reader's probes (atomic accumulation, so nothing was lost).
-  EXPECT_GE(builder.stats().probes, builder.build_stats().probes);
+  EXPECT_EQ(expected, reference.conflict_sets[0]);
+  // Build-side stats merged per query slot, eight rounds of the one-shot
+  // build's; totals also cover the reader's probes (atomic accumulation,
+  // so nothing was lost).
+  EXPECT_EQ(prober.build_stats().probes, 8 * reference.stats.probes);
+  EXPECT_GE(prober.stats().probes, prober.build_stats().probes);
 }
 
 }  // namespace

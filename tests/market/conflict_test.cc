@@ -11,6 +11,7 @@
 
 #include "db/eval.h"
 #include "db/parser.h"
+#include "market/conflict_prober.h"
 #include "tests/testing/test_db.h"
 #include "workloads/world_queries.h"
 
@@ -92,6 +93,15 @@ std::vector<uint32_t> InPlaceConflictSet(db::Database& db,
   return conflicts;
 }
 
+// The prepared engine, preparing fresh state per call.
+std::vector<uint32_t> FastConflictSet(const db::Database& db,
+                                      const db::BoundQuery& query,
+                                      const SupportSet& support,
+                                      ConflictStats* stats = nullptr) {
+  return ConflictSet(PreparedConflictQuery(db, query), support, nullptr,
+                     stats);
+}
+
 class ConflictEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConflictEquivalenceTest, OverlayEnginesMatchInPlaceSemantics) {
@@ -99,13 +109,12 @@ TEST_P(ConflictEquivalenceTest, OverlayEnginesMatchInPlaceSemantics) {
   Rng rng(500 + GetParam());
   auto support = GenerateSupport(*db, {.size = 120, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
-  ConflictSetEngine engine(db.get());
   for (const char* sql : kQueries) {
     auto query = db::ParseQuery(sql, *db);
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
     auto in_place = InPlaceConflictSet(*db, *query, *support);
     auto naive = NaiveConflictSet(*db, *query, *support);
-    auto fast = engine.ConflictSet(*query, *support);
+    auto fast = FastConflictSet(*db, *query, *support);
     EXPECT_EQ(naive, in_place) << sql;
     EXPECT_EQ(fast, in_place) << sql;
   }
@@ -124,13 +133,12 @@ TEST(ConflictSetTest, DatabaseNeverModifiedDuringProbing) {
   auto support = GenerateSupport(*db, {.size = 80, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
   const db::Database& const_db = *db;
-  ConflictSetEngine engine(&const_db);
   for (const char* sql :
        {"select Continent, count(Code) from Country group by Continent",
         "select Name from City limit 3"}) {
     auto query = db::ParseQuery(sql, *db);
     ASSERT_TRUE(query.ok());
-    engine.ConflictSet(*query, *support);
+    FastConflictSet(const_db, *query, *support);
   }
   for (int t = 0; t < db->num_tables(); ++t) {
     for (int r = 0; r < db->table(t).num_rows(); ++r) {
@@ -144,10 +152,11 @@ TEST(ConflictSetTest, DatabaseNeverModifiedDuringProbing) {
 }
 
 TEST(ConflictSetTest, ManyConcurrentProbesAgainstOneDatabase) {
-  // One const database, one engine, many threads computing conflict sets
-  // for the full query battery at once. Every thread must reproduce the
-  // single-threaded answer, and the shared engine totals must aggregate
-  // exactly (no lost updates).
+  // One const database, one prober, many threads computing conflict sets
+  // for the full query battery at once through ConflictSetFor (shared
+  // prepared cache included). Every thread must reproduce the
+  // single-threaded answer, and the prober's atomic totals must
+  // aggregate exactly (no lost updates).
   auto db = db::testing::MakeTestDatabase();
   Rng rng(97);
   auto support = GenerateSupport(*db, {.size = 60, .max_retries = 32}, rng);
@@ -160,44 +169,37 @@ TEST(ConflictSetTest, ManyConcurrentProbesAgainstOneDatabase) {
     queries.push_back(*query);
   }
 
-  ConflictSetEngine reference_engine(db.get());
   ConflictStats reference_stats;
   std::vector<std::vector<uint32_t>> expected;
   for (const db::BoundQuery& q : queries) {
-    expected.push_back(
-        reference_engine.ConflictSet(q, *support, reference_stats));
+    expected.push_back(FastConflictSet(*db, q, *support, &reference_stats));
   }
 
   constexpr int kThreads = 8;
-  ConflictSetEngine shared_engine(db.get());
-  std::vector<ConflictStats> per_thread(kThreads);
+  ConflictProber prober(db.get(), *support);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
+    threads.emplace_back([&]() {
       for (size_t q = 0; q < queries.size(); ++q) {
-        auto conflicts =
-            shared_engine.ConflictSet(queries[q], *support, per_thread[t]);
-        if (conflicts != expected[q]) mismatches.fetch_add(1);
+        if (prober.ConflictSetFor(queries[q]) != expected[q]) {
+          mismatches.fetch_add(1);
+        }
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Index-ordered merge of the per-thread stats equals the engine totals
-  // equals kThreads * the single-threaded run.
-  ConflictStats merged;
-  for (const ConflictStats& s : per_thread) merged.Merge(s);
-  ConflictStats totals = shared_engine.stats();
-  EXPECT_EQ(merged.probes, totals.probes);
-  EXPECT_EQ(merged.pruned, totals.pruned);
-  EXPECT_EQ(merged.fallback_queries, totals.fallback_queries);
+  // Totals equal kThreads * the single-threaded run, cached or not.
+  ConflictStats totals = prober.stats();
   EXPECT_EQ(totals.probes, kThreads * reference_stats.probes);
   EXPECT_EQ(totals.pruned, kThreads * reference_stats.pruned);
   EXPECT_EQ(totals.fallback_queries,
             kThreads * reference_stats.fallback_queries);
+  // Probes through ConflictSetFor never count as build-side work.
+  EXPECT_EQ(prober.build_stats().probes, 0);
 }
 
 TEST(ConflictSetTest, PreparedQueryIsShareableAcrossThreads) {
@@ -246,10 +248,10 @@ TEST(ConflictSetTest, InsensitiveColumnsArePruned) {
   ASSERT_TRUE(query.ok());
   // Delta on City.Population can never conflict.
   SupportSet support{CellDelta{1, 0, 3, db::Value::Int(123)}};
-  ConflictSetEngine engine(db.get());
-  EXPECT_TRUE(engine.ConflictSet(*query, support).empty());
-  EXPECT_EQ(engine.stats().pruned, 1);
-  EXPECT_EQ(engine.stats().probes, 0);
+  ConflictStats stats;
+  EXPECT_TRUE(FastConflictSet(*db, *query, support, &stats).empty());
+  EXPECT_EQ(stats.pruned, 1);
+  EXPECT_EQ(stats.probes, 0);
 }
 
 TEST(ConflictSetTest, FallbackQueriesArePrunedBySensitivity) {
@@ -278,9 +280,8 @@ TEST(ConflictSetTest, FallbackQueriesArePrunedBySensitivity) {
   for (const Case& c : cases) {
     auto query = db::ParseQuery(c.sql, *db);
     ASSERT_TRUE(query.ok()) << c.sql;
-    ConflictSetEngine engine(db.get());
     ConflictStats stats;
-    const auto conflicts = engine.ConflictSet(*query, support, stats);
+    const auto conflicts = FastConflictSet(*db, *query, support, &stats);
     EXPECT_EQ(conflicts, NaiveConflictSet(*db, *query, support)) << c.sql;
     EXPECT_EQ(conflicts, c.conflicts) << c.sql;
     EXPECT_EQ(stats.fallback_queries, 1) << c.sql;
@@ -355,11 +356,11 @@ TEST(ConflictSetTest, WorldScaleMatchesNaive) {
     if (w->sql[i].find(" limit ") != std::string::npos) picked.push_back(i);
   }
 
-  ConflictSetEngine engine(&db);
   size_t conflicts = 0;
   for (size_t i : picked) {
     const auto naive = NaiveConflictSet(db, w->queries[i], support);
-    EXPECT_EQ(engine.ConflictSet(w->queries[i], support), naive) << w->sql[i];
+    EXPECT_EQ(FastConflictSet(db, w->queries[i], support), naive)
+        << w->sql[i];
     conflicts += naive.size();
   }
   EXPECT_GT(conflicts, 0u);
@@ -378,8 +379,7 @@ TEST(ConflictSetTest, KnownConflicts) {
       CellDelta{0, 3, 2, db::Value::Str("Europe")},        // JPN out of Asia
       CellDelta{0, 1, 3, db::Value::Int(999)},             // population: no
   };
-  ConflictSetEngine engine(db.get());
-  auto conflicts = engine.ConflictSet(*query, support);
+  auto conflicts = FastConflictSet(*db, *query, support);
   EXPECT_EQ(conflicts, (std::vector<uint32_t>{0, 2}));
 }
 
@@ -399,8 +399,7 @@ TEST(ConflictSetTest, JoinKeyDeltaMovesMatches) {
       CellDelta{2, 6, 1, db::Value::Str("Tamil")},
   };
   auto naive = NaiveConflictSet(*db, *query, support);
-  ConflictSetEngine engine(db.get());
-  EXPECT_EQ(engine.ConflictSet(*query, support), naive);
+  EXPECT_EQ(FastConflictSet(*db, *query, support), naive);
   EXPECT_EQ(naive, (std::vector<uint32_t>{0}));
 }
 
@@ -412,8 +411,7 @@ TEST(ConflictSetTest, EmptyConflictSetForIrrelevantQuery) {
   auto support = GenerateSupport(*db, {.size = 60, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
   // Cell deltas never change row counts: bare COUNT(*) has no conflicts.
-  ConflictSetEngine engine(db.get());
-  EXPECT_TRUE(engine.ConflictSet(*query, *support).empty());
+  EXPECT_TRUE(FastConflictSet(*db, *query, *support).empty());
 }
 
 TEST(ConflictSetTest, StatsMergeIsExact) {
@@ -430,15 +428,15 @@ TEST(ConflictSetTest, StatsAccumulateAcrossQueries) {
   Rng rng(41);
   auto support = GenerateSupport(*db, {.size = 40, .max_retries = 32}, rng);
   ASSERT_TRUE(support.ok());
-  ConflictSetEngine engine(db.get());
   auto q1 = db::ParseQuery("select Name from Country", *db);
   auto q2 = db::ParseQuery("select Name from City limit 2", *db);
   ASSERT_TRUE(q1.ok() && q2.ok());
-  engine.ConflictSet(*q1, *support);
-  engine.ConflictSet(*q2, *support);
-  EXPECT_EQ(engine.stats().fallback_queries, 1);
-  EXPECT_GT(engine.stats().probes, 0);
-  EXPECT_GT(engine.stats().pruned, 0);
+  ConflictStats stats;
+  FastConflictSet(*db, *q1, *support, &stats);
+  FastConflictSet(*db, *q2, *support, &stats);
+  EXPECT_EQ(stats.fallback_queries, 1);
+  EXPECT_GT(stats.probes, 0);
+  EXPECT_GT(stats.pruned, 0);
 }
 
 }  // namespace

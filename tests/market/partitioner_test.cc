@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "db/parser.h"
-#include "market/incremental_builder.h"
+#include "market/conflict_prober.h"
 #include "tests/testing/random_instances.h"
 #include "tests/testing/test_db.h"
 
@@ -203,7 +203,7 @@ TEST(SupportPartitionerTest, DeterministicAcrossCallsAndProbeThreadCounts) {
   EXPECT_TRUE(SamePartition(parallel, again));
 
   // And the seeded queries are partition-respecting by construction.
-  IncrementalBuilder prober(db.get(), *support, {});
+  ConflictProber prober(db.get(), *support);
   for (const db::BoundQuery& query : queries) {
     std::vector<uint32_t> edge = prober.ConflictSetFor(query);
     if (edge.empty()) continue;

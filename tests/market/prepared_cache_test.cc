@@ -1,6 +1,7 @@
-// PreparedQueryCache capacity contract: at most max_entries cached,
-// approximate-LRU eviction, eviction never invalidates pinned state, and
-// the whole thing holds under concurrent shared-lock lookups.
+// PreparedQueryCache capacity contract: at most max_entries cached (a cap
+// of 0 clamps to 1; there is no unbounded mode), approximate-LRU
+// eviction, eviction never invalidates pinned state, and the whole thing
+// holds under concurrent shared-lock lookups.
 #include "market/prepared_cache.h"
 
 #include <atomic>
@@ -31,15 +32,25 @@ std::vector<db::BoundQuery> DistinctQueries(const db::Database& db, int n) {
   return queries;
 }
 
-TEST(PreparedCacheTest, UnboundedByDefault) {
+TEST(PreparedCacheTest, EntriesUnderTheCapAreNeverEvicted) {
   auto db = db::testing::MakeTestDatabase();
-  PreparedQueryCache cache(db.get());
+  PreparedQueryCache cache(db.get(), 32);
   auto queries = DistinctQueries(*db, 20);
   for (const auto& q : queries) cache.GetOrPrepare(q);
   PreparedQueryCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 20u);
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(cache.max_entries(), 0u);
+  EXPECT_EQ(cache.max_entries(), 32u);
+}
+
+TEST(PreparedCacheTest, ZeroCapClampsToOne) {
+  auto db = db::testing::MakeTestDatabase();
+  PreparedQueryCache cache(db.get(), 0);
+  EXPECT_EQ(cache.max_entries(), 1u);
+  auto queries = DistinctQueries(*db, 3);
+  for (const auto& q : queries) cache.GetOrPrepare(q);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
 TEST(PreparedCacheTest, CapHoldsAndEvictionsAreCounted) {

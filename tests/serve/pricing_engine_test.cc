@@ -533,12 +533,6 @@ TEST(PricingEngineTest, PreparedQueryCacheHitsOnRepeatPurchases) {
   // Re-appending a known query hits too (same SQL text).
   QP_CHECK_OK(engine->AppendBuyers({m.initial_queries[0]}, {4.0}));
   EXPECT_EQ(engine->stats().merged.prepared.hits, 2u);
-
-  // Explicit invalidation flushes: the next purchase re-prepares.
-  engine->InvalidatePreparedQueries();
-  EXPECT_EQ(engine->stats().merged.prepared.invalidations, 1u);
-  engine->Purchase(m.late_queries[0], 1e9);
-  EXPECT_EQ(engine->stats().merged.prepared.misses, seeded.misses + 2);
 }
 
 TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
@@ -587,7 +581,7 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   // committed (the base cell keeps its old bytes until a fold — default
   // fold_every is far away), the selective scan runs, but every entry
   // survives — the next purchase still hits instead of re-probing (the
-  // point of satellite invalidation). No full flush is counted.
+  // point of satellite invalidation).
   db::Value before = m.db->table(delta.table).cell(delta.row, delta.column);
   QP_CHECK_OK(engine->ApplySellerDelta(*m.db, delta));
   EXPECT_EQ(
@@ -602,7 +596,6 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   EXPECT_EQ(engine->stats().merged.catalog.folds, 0u);
   EXPECT_EQ(engine->stats().merged.prepared.selective_invalidations, 1u);
   EXPECT_EQ(engine->stats().merged.prepared.selective_dropped, 0u);
-  EXPECT_EQ(engine->stats().merged.prepared.invalidations, 0u);
   engine->Purchase(m.late_queries[0], 1e9);
   EXPECT_EQ(engine->stats().merged.prepared.misses, misses);
 
@@ -680,11 +673,9 @@ TEST(PricingEngineTest, ParallelBuildMatchesSerialBooks) {
   // for every thread count, so the published books match the serial
   // engine's exactly (same edges -> same LPs -> same prices).
   Market m = MakeMarket();
-  EngineOptions serial_options = MatchedOptions(true);
-  EngineOptions parallel_options = serial_options;
-  parallel_options.build.num_threads = 4;
-  auto serial = OneShardEngine(m, serial_options);
-  auto parallel = OneShardEngine(m, parallel_options, /*num_threads=*/4);
+  const EngineOptions options = MatchedOptions(true);
+  auto serial = OneShardEngine(m, options);
+  auto parallel = OneShardEngine(m, options, /*num_threads=*/4);
   QP_CHECK_OK(serial->AppendBuyers(m.initial_queries, m.initial_valuations));
   QP_CHECK_OK(parallel->AppendBuyers(m.initial_queries, m.initial_valuations));
   QP_CHECK_OK(serial->AppendBuyers(m.late_queries, m.late_valuations));

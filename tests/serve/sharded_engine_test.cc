@@ -350,7 +350,6 @@ TEST(ShardedEngineTest, BooksAreBitIdenticalForEveryThreadCount) {
   market::SupportPartition partition = PartitionFor(m, 3);
   ShardedEngineOptions serial = MatchedShardedOptions(1);
   ShardedEngineOptions threaded = MatchedShardedOptions(4);
-  threaded.engine.build.num_threads = 4;
   threaded.engine.algorithms.lpip.num_threads = 4;
   threaded.engine.algorithms.cip.num_threads = 4;
 
