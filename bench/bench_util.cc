@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "common/stopwatch.h"
 #include "common/str_util.h"
@@ -191,14 +192,19 @@ bool BenchRecorder::WriteJson(const std::string& path) const {
     return false;
   }
   // Revenues use %.17g so a baseline comparison can check bit-identity.
+  // Every record carries the machine's hardware thread count, so a gate
+  // comparing it against a baseline can say when the two ran on
+  // differently sized machines.
+  const unsigned hardware_concurrency = std::thread::hardware_concurrency();
   out << "[\n";
   for (size_t i = 0; i < records_.size(); ++i) {
     const Record& r = records_[i];
     out << StrFormat(
         "  {\"instance\": \"%s\", \"algorithm\": \"%s\", \"seconds\": %.6f, "
-        "\"lps_solved\": %d, \"revenue\": %.17g}%s\n",
+        "\"lps_solved\": %d, \"revenue\": %.17g, "
+        "\"hardware_concurrency\": %u}%s\n",
         r.instance.c_str(), r.algorithm.c_str(), r.seconds, r.lps_solved,
-        r.revenue, i + 1 == records_.size() ? "" : ",");
+        r.revenue, hardware_concurrency, i + 1 == records_.size() ? "" : ",");
   }
   out << "]\n";
   return out.good();

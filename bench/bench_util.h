@@ -110,9 +110,10 @@ class BenchRecorder {
   void AddAll(const std::string& instance,
               const std::vector<core::PricingResult>& results);
 
-  /// Writes the records as a JSON array. No-op when `path` is empty;
-  /// returns false (with a message on stderr) when the file cannot be
-  /// written.
+  /// Writes the records as a JSON array, each stamped with this
+  /// machine's std::thread::hardware_concurrency(). No-op when `path` is
+  /// empty; returns false (with a message on stderr) when the file cannot
+  /// be written.
   bool WriteJson(const std::string& path) const;
 
  private:

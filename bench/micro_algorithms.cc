@@ -1,9 +1,13 @@
 // Microbenchmarks: per-algorithm scaling on synthetic random hypergraphs
 // (items = 4m, edge size ~ sqrt(m)); complements the wall-clock
 // Tables 4-6 with statistically stable per-call numbers. The
-// BM_Conflict* rows time the market layer's conflict-set construction —
-// prepare one query, then probe it over the whole support — on the
-// skewed instance, BM_LpipSkewed/BM_CipSkewed time the LP-based
+// BM_ConflictPrepare/BM_ConflictProbe rows time the market layer's
+// conflict-set construction for one query template — prepare it, then
+// probe it over the whole support — on the skewed instance, and
+// BM_ConflictSetsCorpus runs the whole skewed corpus through one fresh
+// ConflictProber (Arg = threads), the cost the service benchmark's
+// setup_s pays for its corpus conflict sets, shared column indexes
+// included. BM_LpipSkewed/BM_CipSkewed time the LP-based
 // algorithms on its seed and grown books, and BM_SolveSeedSkewed times all
 // six algorithms on the seed book. BM_Crc32 and
 // BM_DeserializeShardState time the durability layer's recovery read:
@@ -25,6 +29,7 @@
 #include "core/algorithms.h"
 #include "core/valuation.h"
 #include "market/conflict.h"
+#include "market/conflict_prober.h"
 #include "market/hypergraph_builder.h"
 #include "market/support.h"
 #include "serve/persist/format.h"
@@ -192,6 +197,20 @@ void BM_ConflictProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictProbe)->Arg(0)->Arg(1);
+
+// Every corpus query's conflict set through one fresh prober per
+// iteration (Arg = threads), as the service's set-up builds them: each
+// column index is built once and shared, and nothing is cached across
+// iterations.
+void BM_ConflictSetsCorpus(benchmark::State& state) {
+  const ConflictInstance& inst = SkewedConflictInstance();
+  const BuildOptions options{.num_threads = static_cast<int>(state.range(0))};
+  for (auto _ : state) {
+    ConflictProber prober(inst.w.database.get(), inst.support, options);
+    benchmark::DoNotOptimize(prober.ConflictSets(inst.w.queries).size());
+  }
+}
+BENCHMARK(BM_ConflictSetsCorpus)->Arg(1)->Arg(2)->UseRealTime();
 
 // The LP-based algorithms as the pricing service runs them (LPIP over 12
 // candidates, CIP with eps 1, one thread) on the skewed instance's book

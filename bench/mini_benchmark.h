@@ -95,6 +95,8 @@ class Benchmark {
     Registry()[index_].arg_sets.push_back({value});
     return this;
   }
+  // Timing is wall time already.
+  Benchmark* UseRealTime() { return this; }
 
  private:
   size_t index_;

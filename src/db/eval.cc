@@ -30,8 +30,12 @@ bool ResultTable::Equals(const ResultTable& other) const {
   return true;
 }
 
+namespace {
+constexpr uint64_t kRowHashSeed = 0x12345678u;
+}  // namespace
+
 uint64_t ResultTable::RowHash(const Row& row) {
-  uint64_t h = 0x12345678u;
+  uint64_t h = kRowHashSeed;
   for (const Value& v : row) h = HashCombine(h, v.Hash());
   return h;
 }
@@ -211,6 +215,28 @@ Value ComputeAggregate(AggFunc func, int arg_col,
   return Value::Null();
 }
 
+uint64_t ProjectedRowHash(const BoundQuery& query, const Row& input) {
+  uint64_t h = kRowHashSeed;
+  for (const SelectItem& item : query.select) {
+    switch (item.kind) {
+      case SelectItem::Kind::kColumn:
+        h = HashCombine(h, input[item.column].Hash());
+        break;
+      case SelectItem::Kind::kLiteral:
+        h = HashCombine(h, item.literal.Hash());
+        break;
+      case SelectItem::Kind::kAggregate:
+        h = HashCombine(h, Value::Null().Hash());
+        break;
+    }
+  }
+  return h;
+}
+
+namespace {
+
+// Projects one input row through the query's select list (aggregate
+// items yield NULL; only meaningful for non-aggregate queries).
 Row ProjectInputRow(const BoundQuery& query, const Row& input) {
   Row out;
   out.reserve(query.select.size());
@@ -229,8 +255,6 @@ Row ProjectInputRow(const BoundQuery& query, const Row& input) {
   }
   return out;
 }
-
-namespace {
 
 struct GroupKeyLess {
   bool operator()(const Row& a, const Row& b) const {

@@ -56,7 +56,9 @@ Value ComputeAggregate(AggFunc func, int arg_col,
 
 /// The joined + filtered input rows of a query, before projection /
 /// grouping, in deterministic order (left row index, then right row
-/// index). Exposed for the incremental engine's initial state build.
+/// index) — the order the incremental engine's prepared-state build
+/// reproduces from shared column indexes (market/conflict.h). Exposed so
+/// tests can pin this stage directly.
 std::vector<Row> GatherInputRows(const BoundQuery& query, const Database& db);
 
 /// Overlay-aware variant: gathers the input rows of the query against
@@ -64,10 +66,12 @@ std::vector<Row> GatherInputRows(const BoundQuery& query, const Database& db);
 std::vector<Row> GatherInputRows(const BoundQuery& query, const Database& db,
                                  const DeltaOverlay& overlay);
 
-/// Projects one input row through the query's select list (aggregate items
-/// yield NULL; only meaningful for non-aggregate queries). Exposed so the
-/// incremental conflict engine shares projection semantics byte-for-byte.
-Row ProjectInputRow(const BoundQuery& query, const Row& input);
+/// ResultTable::RowHash of one input row projected through the query's
+/// select list (aggregate items project to NULL; only meaningful for
+/// non-aggregate queries), folded in place without building the projected
+/// row. Exposed so the incremental conflict engine hashes projections
+/// bit-identically to the evaluator's rows.
+uint64_t ProjectedRowHash(const BoundQuery& query, const Row& input);
 
 }  // namespace qp::db
 

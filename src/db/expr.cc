@@ -136,11 +136,24 @@ Value Expr::Evaluate(const Row& row) const {
   }
 }
 
+const Value& Expr::OperandRef(const Row& row, Value& scratch) const {
+  switch (kind_) {
+    case ExprKind::kColumn:
+      return row[column_index_];
+    case ExprKind::kLiteral:
+      return literal_;
+    default:
+      scratch = Evaluate(row);
+      return scratch;
+  }
+}
+
 bool Expr::EvaluateBool(const Row& row) const {
   switch (kind_) {
     case ExprKind::kCompare: {
-      Value a = lhs_->Evaluate(row);
-      Value b = rhs_->Evaluate(row);
+      Value lhs_scratch, rhs_scratch;
+      const Value& a = lhs_->OperandRef(row, lhs_scratch);
+      const Value& b = rhs_->OperandRef(row, rhs_scratch);
       if (a.is_null() || b.is_null()) return false;
       int c = a.Compare(b);
       switch (compare_op_) {
@@ -160,17 +173,20 @@ bool Expr::EvaluateBool(const Row& row) const {
       return false;
     }
     case ExprKind::kBetween: {
-      Value v = lhs_->Evaluate(row);
+      Value scratch;
+      const Value& v = lhs_->OperandRef(row, scratch);
       if (v.is_null()) return false;
       return v.Compare(values_[0]) >= 0 && v.Compare(values_[1]) <= 0;
     }
     case ExprKind::kLike: {
-      Value v = lhs_->Evaluate(row);
+      Value scratch;
+      const Value& v = lhs_->OperandRef(row, scratch);
       if (v.type() != ValueType::kString) return false;
       return LikeMatch(v.as_string(), pattern_);
     }
     case ExprKind::kInList: {
-      Value v = lhs_->Evaluate(row);
+      Value scratch;
+      const Value& v = lhs_->OperandRef(row, scratch);
       if (v.is_null()) return false;
       for (const Value& candidate : values_) {
         if (v.Compare(candidate) == 0) return true;
@@ -186,7 +202,8 @@ bool Expr::EvaluateBool(const Row& row) const {
     case ExprKind::kColumn:
     case ExprKind::kLiteral:
     case ExprKind::kArith: {
-      Value v = Evaluate(row);
+      Value scratch;
+      const Value& v = OperandRef(row, scratch);
       if (v.is_null()) return false;
       if (v.type() == ValueType::kString) return !v.as_string().empty();
       return v.ToNumeric() != 0.0;

@@ -55,7 +55,9 @@ class Expr {
   /// yields NULL.
   Value Evaluate(const Row& row) const;
 
-  /// Predicate evaluation (NULL-involved comparisons are false).
+  /// Predicate evaluation (NULL-involved comparisons are false). Column
+  /// and literal operands are read by reference, never copied; other
+  /// operand kinds go through Evaluate.
   bool EvaluateBool(const Row& row) const;
 
   /// Appends every referenced flat column index (with duplicates).
@@ -76,6 +78,11 @@ class Expr {
  private:
   friend struct ExprBuilder;
   Expr() = default;
+
+  /// This node's value on `row` as an operand of a boolean node: a
+  /// reference to the row's cell or the literal, or Evaluate's result
+  /// stored in `scratch`.
+  const Value& OperandRef(const Row& row, Value& scratch) const;
 
   ExprKind kind_ = ExprKind::kLiteral;
   int column_index_ = -1;

@@ -67,24 +67,54 @@ struct GroupState {
 
 using GroupMap = std::map<db::Row, GroupState, RowLess>;
 
-// Flat hash index over one join column, in CSR form: bucket b holds
-// rows[starts[b] .. starts[b+1]), the rows whose key hashes to
-// Hash() & mask, in ascending row order. A bucket may mix keys, so a
-// probe confirms every candidate with Value::Compare; since equal values
-// hash equally, the confirmed rows are exactly the rows with an equal
-// key, ascending — the sequence a per-hash map of row lists gives.
-struct JoinIndex {
-  uint64_t mask = 0;
-  std::vector<int> starts;
-  std::vector<int> rows;
-
-  std::span<const int> Bucket(uint64_t hash) const {
-    const size_t b = static_cast<size_t>(hash & mask);
-    return {rows.data() + starts[b], rows.data() + starts[b + 1]};
+// The first `column = non-NULL literal` conjunct (either operand order)
+// on the top-level AND chain of `e`, or nullptr. Every row `e` accepts
+// holds a cell Compare-equal to that literal, hence hash-equal to it.
+// OR and NOT subtrees are never entered: they constrain no accepted row.
+const db::Expr* EqualityConjunct(const db::Expr* e) {
+  if (e == nullptr) return nullptr;
+  if (e->kind() == db::ExprKind::kAnd) {
+    const db::Expr* left = EqualityConjunct(e->lhs().get());
+    return left != nullptr ? left : EqualityConjunct(e->rhs().get());
   }
-};
+  if (e->kind() != db::ExprKind::kCompare ||
+      e->compare_op() != db::CompareOp::kEq) {
+    return nullptr;
+  }
+  auto column_vs_literal = [](const db::Expr& a, const db::Expr& b) {
+    return a.kind() == db::ExprKind::kColumn &&
+           b.kind() == db::ExprKind::kLiteral && !b.literal().is_null();
+  };
+  return column_vs_literal(*e->lhs(), *e->rhs()) ||
+                 column_vs_literal(*e->rhs(), *e->lhs())
+             ? e
+             : nullptr;
+}
 
 }  // namespace
+
+ColumnIndex ColumnIndex::Build(const db::Database& db, int table, int column,
+                               const db::DeltaOverlay* overlay) {
+  const int n = db.table(table).num_rows();
+  const size_t buckets = std::bit_ceil(static_cast<size_t>(std::max(n, 1)));
+  ColumnIndex index;
+  index.mask = buckets - 1;
+  index.starts.assign(buckets + 1, 0);
+  std::vector<uint32_t> bucket_of(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    const db::Value& cell = overlay != nullptr
+                                ? overlay->Cell(db, table, r, column)
+                                : db.table(table).cell(r, column);
+    bucket_of[r] = static_cast<uint32_t>(cell.Hash() & index.mask);
+    ++index.starts[bucket_of[r] + 1];
+  }
+  std::partial_sum(index.starts.begin(), index.starts.end(),
+                   index.starts.begin());
+  std::vector<int> next(index.starts.begin(), index.starts.end() - 1);
+  index.rows.resize(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) index.rows[next[bucket_of[r]]++] = r;
+  return index;
+}
 
 // All prepared state is written during construction and only read by
 // Probe, which keeps every per-probe intermediate (patched rows, affected
@@ -93,7 +123,8 @@ struct JoinIndex {
 class PreparedConflictQuery::Impl {
  public:
   Impl(const db::Database& db, const db::BoundQuery& query,
-       const db::DeltaOverlay* build_overlay)
+       const db::DeltaOverlay* build_overlay,
+       const ColumnIndexLookup& indexes)
       : db_(db), query_(query) {
     Classify();
     BuildSensitivity();
@@ -103,7 +134,7 @@ class PreparedConflictQuery::Impl {
                          : db::Evaluate(query_, db_);
       return;
     }
-    if (two_tables_) BuildJoinIndexes(build_overlay);
+    LookUpIndexes(build_overlay, indexes);
     if (grouped_) {
       BuildGroups(build_overlay);
     } else {
@@ -177,6 +208,14 @@ class PreparedConflictQuery::Impl {
     }
     std::sort(needed_[0].begin(), needed_[0].end());
     std::sort(needed_[1].begin(), needed_[1].end());
+    if (!two_tables_) {
+      predicate_reads_.assign(sensitive_[0].size(), 0);
+      std::vector<int> columns;
+      if (query_.predicate != nullptr) {
+        query_.predicate->CollectColumns(&columns);
+      }
+      for (int c : columns) predicate_reads_[c] = 1;
+    }
   }
 
   // --- shared row machinery ----------------------------------------------
@@ -196,46 +235,30 @@ class PreparedConflictQuery::Impl {
     return TableOfSlot(slot).cell(row, col);
   }
 
-  // Overlay-aware full-row read; `scratch` backs the patched copy when
-  // the overlay touches the row.
-  const db::Row& RowAt(const db::DeltaOverlay* overlay, int slot, int row,
-                       db::Row& scratch) const {
-    const int table = query_.table_indices[slot];
-    if (overlay != nullptr && overlay->TouchesRow(table, row)) {
-      scratch = overlay->PatchedRow(db_, table, row);
-      return scratch;
+  // Join queries read the indexes of their two join columns; a
+  // single-table query with an equality conjunct reads that column's.
+  void LookUpIndexes(const db::DeltaOverlay* bo,
+                     const ColumnIndexLookup& indexes) {
+    auto index_of = [&](int slot, int col) {
+      const int table = query_.table_indices[slot];
+      return indexes ? indexes(table, col)
+                     : std::make_shared<const ColumnIndex>(
+                           ColumnIndex::Build(db_, table, col, bo));
+    };
+    if (two_tables_) {
+      join_col0_ = query_.join_left;  // table 0 columns start at flat 0
+      join_col1_ = query_.join_right - query_.column_offsets[1];
+      index0_ = index_of(0, join_col0_);
+      index1_ = index_of(1, join_col1_);
+      return;
     }
-    return TableOfSlot(slot).row(row);
-  }
-
-  void BuildJoinIndexes(const db::DeltaOverlay* bo) {
-    join_col0_ = query_.join_left;  // table 0 columns start at flat 0
-    join_col1_ = query_.join_right - query_.column_offsets[1];
-    index0_ = BuildJoinIndex(bo, 0, join_col0_);
-    index1_ = BuildJoinIndex(bo, 1, join_col1_);
-  }
-
-  // Counting sort of the slot's rows by key bucket (power-of-two bucket
-  // count >= rows); the row-order scatter keeps each bucket ascending.
-  JoinIndex BuildJoinIndex(const db::DeltaOverlay* bo, int slot,
-                           int col) const {
-    const int n = TableOfSlot(slot).num_rows();
-    const size_t buckets = std::bit_ceil(static_cast<size_t>(std::max(n, 1)));
-    JoinIndex index;
-    index.mask = buckets - 1;
-    index.starts.assign(buckets + 1, 0);
-    std::vector<uint32_t> bucket_of(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      bucket_of[r] =
-          static_cast<uint32_t>(CellAt(bo, slot, r, col).Hash() & index.mask);
-      ++index.starts[bucket_of[r] + 1];
-    }
-    std::partial_sum(index.starts.begin(), index.starts.end(),
-                     index.starts.begin());
-    std::vector<int> next(index.starts.begin(), index.starts.end() - 1);
-    index.rows.resize(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) index.rows[next[bucket_of[r]]++] = r;
-    return index;
+    const db::Expr* eq = EqualityConjunct(query_.predicate.get());
+    if (eq == nullptr) return;
+    const bool column_left = eq->lhs()->kind() == db::ExprKind::kColumn;
+    const db::Expr& column = column_left ? *eq->lhs() : *eq->rhs();
+    prefilter_key_ = &(column_left ? *eq->rhs() : *eq->lhs()).literal();
+    prefilter_col_ = column.column_index();  // single table: flat == column
+    prefilter_index_ = index_of(0, prefilter_col_);
   }
 
   // Writes row `row` of slot `slot` into `input` at the slot's flat
@@ -268,7 +291,7 @@ class PreparedConflictQuery::Impl {
       const int other = 1 - slot;
       const db::Value& key =
           buffer[slot == 0 ? query_.join_left : query_.join_right];
-      const JoinIndex& index = slot == 0 ? index1_ : index0_;
+      const ColumnIndex& index = slot == 0 ? *index1_ : *index0_;
       const int other_col = slot == 0 ? join_col1_ : join_col0_;
       for (int partner : index.Bucket(key.Hash())) {
         if (key.Compare(CellAt(co, other, partner, other_col)) != 0) continue;
@@ -284,56 +307,92 @@ class PreparedConflictQuery::Impl {
     return query_.predicate == nullptr || query_.predicate->EvaluateBool(input);
   }
 
-  // --- projection (non-aggregate) mode -------------------------------------
-  void BuildProjections(const db::DeltaOverlay* bo) {
-    if (!two_tables_) {
-      const db::Table& t0 = TableOfSlot(0);
-      row_present_.assign(t0.num_rows(), 0);
-      row_hash_.assign(t0.num_rows(), 0);
-      db::Row scratch;
-      for (int r = 0; r < t0.num_rows(); ++r) {
-        const db::Row& row = RowAt(bo, 0, r, scratch);
-        if (query_.predicate != nullptr &&
-            !query_.predicate->EvaluateBool(row)) {
-          continue;
-        }
-        row_present_[r] = 1;
-        row_hash_[r] =
-            db::ResultTable::RowHash(db::ProjectInputRow(query_, row));
-        if (query_.distinct) tuple_counts_[row_hash_[r]]++;
-      }
+  // Calls `visit(row)` for every row of a single-table query's table
+  // its predicate can accept, ascending: the equality prefilter's bucket,
+  // each row confirmed with Value::Compare, or else every row.
+  template <typename Visit>
+  void ForEachCandidateRow(const db::DeltaOverlay* bo, Visit&& visit) const {
+    if (prefilter_index_ == nullptr) {
+      for (int r = 0; r < TableOfSlot(0).num_rows(); ++r) visit(r);
       return;
     }
-    if (query_.distinct) {
-      const std::vector<db::Row> gathered =
-          bo != nullptr ? db::GatherInputRows(query_, db_, *bo)
-                        : db::GatherInputRows(query_, db_);
-      for (const db::Row& input : gathered) {
-        tuple_counts_[db::ResultTable::RowHash(
-            db::ProjectInputRow(query_, input))]++;
+    for (int r : prefilter_index_->Bucket(prefilter_key_->Hash())) {
+      if (CellAt(bo, 0, r, prefilter_col_).Compare(*prefilter_key_) == 0) {
+        visit(r);
       }
     }
   }
 
+  // Calls `visit(row, input)` for every joined + filtered input row read
+  // through `bo`, in the evaluator's order (table-0 row ascending, then
+  // join partners ascending); `row` is the table-0 row. `input` is a
+  // reused buffer holding only the query's sensitive columns.
+  template <typename Visit>
+  void ForEachInput(const db::DeltaOverlay* bo, Visit&& visit) const {
+    db::Row buffer(static_cast<size_t>(query_.total_columns));
+    if (two_tables_) {
+      for (int r = 0; r < TableOfSlot(0).num_rows(); ++r) {
+        ForEachAffectedInput(r, 0, nullptr, bo, buffer,
+                             [&](const db::Row& input) { visit(r, input); });
+      }
+      return;
+    }
+    ForEachCandidateRow(bo, [&](int r) {
+      FillSlot(buffer, 0, r, nullptr, bo);
+      if (Passes(buffer)) visit(r, buffer);
+    });
+  }
+
+  // --- projection (non-aggregate) mode -------------------------------------
+  void BuildProjections(const db::DeltaOverlay* bo) {
+    if (!two_tables_) {
+      row_present_.assign(TableOfSlot(0).num_rows(), 0);
+      row_hash_.assign(TableOfSlot(0).num_rows(), 0);
+    } else if (!query_.distinct) {
+      return;  // join probes read only the column indexes
+    }
+    ForEachInput(bo, [&](int row, const db::Row& input) {
+      const uint64_t hash = db::ProjectedRowHash(query_, input);
+      if (!two_tables_) {
+        row_present_[row] = 1;
+        row_hash_[row] = hash;
+      }
+      if (query_.distinct) tuple_counts_[hash]++;
+    });
+  }
+
   bool ProbeProjection(const CellDelta& delta, int slot,
                        const db::DeltaOverlay* co) const {
-    db::Row buffer(static_cast<size_t>(query_.total_columns));
-    auto hashes_of = [&](const CellDelta* patch) {
-      std::vector<uint64_t> hashes;
-      ForEachAffectedInput(
-          delta.row, slot, patch, co, buffer, [&](const db::Row& input) {
-            hashes.push_back(
-                db::ResultTable::RowHash(db::ProjectInputRow(query_, input)));
-          });
-      return hashes;
-    };
-    std::vector<uint64_t> removed;
     if (two_tables_) {
-      removed = hashes_of(nullptr);
-    } else if (row_present_[delta.row]) {
-      removed.push_back(row_hash_[delta.row]);
+      db::Row buffer(static_cast<size_t>(query_.total_columns));
+      auto hashes_of = [&](const CellDelta* patch) {
+        std::vector<uint64_t> hashes;
+        ForEachAffectedInput(
+            delta.row, slot, patch, co, buffer, [&](const db::Row& input) {
+              hashes.push_back(db::ProjectedRowHash(query_, input));
+            });
+        return hashes;
+      };
+      std::vector<uint64_t> removed = hashes_of(nullptr);
+      std::vector<uint64_t> added = hashes_of(&delta);
+      return ContributionsDiffer(removed, added);
     }
-    std::vector<uint64_t> added = hashes_of(&delta);
+    // A row the predicate rejected stays rejected unless the delta edits
+    // a column the predicate reads: neither side then contributes.
+    const bool present = row_present_[delta.row] != 0;
+    if (!present && !predicate_reads_[delta.column]) return false;
+    db::Row buffer(static_cast<size_t>(query_.total_columns));
+    FillSlot(buffer, 0, delta.row, &delta, co);
+    const bool passes = Passes(buffer);
+    if (!query_.distinct) {
+      // Multiset semantics: at most one contribution leaves, one arrives.
+      if (present != passes) return true;
+      return passes &&
+             db::ProjectedRowHash(query_, buffer) != row_hash_[delta.row];
+    }
+    std::vector<uint64_t> removed, added;
+    if (present) removed.push_back(row_hash_[delta.row]);
+    if (passes) added.push_back(db::ProjectedRowHash(query_, buffer));
     return ContributionsDiffer(removed, added);
   }
 
@@ -382,12 +441,9 @@ class PreparedConflictQuery::Impl {
     if (query_.group_by.empty()) {
       GroupFor(groups_, db::Row{});  // the global group exists even when empty
     }
-    const std::vector<db::Row> gathered =
-        bo != nullptr ? db::GatherInputRows(query_, db_, *bo)
-                      : db::GatherInputRows(query_, db_);
-    for (const db::Row& input : gathered) {
+    ForEachInput(bo, [&](int, const db::Row& input) {
       UpdateGroup(groups_, input, +1);
-    }
+    });
   }
 
   GroupState& GroupFor(GroupMap& groups, const db::Row& key) const {
@@ -542,8 +598,14 @@ class PreparedConflictQuery::Impl {
   std::vector<int> needed_[2];  // sensitive column indices, ascending
   db::ResultTable base_result_;
 
-  JoinIndex index0_, index1_;
+  std::shared_ptr<const ColumnIndex> index0_, index1_;
   int join_col0_ = -1, join_col1_ = -1;
+  // Single table: the equality prefilter (null without one), and which
+  // columns the predicate reads.
+  std::shared_ptr<const ColumnIndex> prefilter_index_;
+  const db::Value* prefilter_key_ = nullptr;  // the query's literal
+  int prefilter_col_ = -1;
+  std::vector<char> predicate_reads_;
 
   std::vector<char> row_present_;
   std::vector<uint64_t> row_hash_;
@@ -554,10 +616,10 @@ class PreparedConflictQuery::Impl {
   std::vector<int> select_key_index_;
 };
 
-PreparedConflictQuery::PreparedConflictQuery(const db::Database& db,
-                                             const db::BoundQuery& query,
-                                             const db::DeltaOverlay* build_overlay)
-    : impl_(std::make_unique<const Impl>(db, query, build_overlay)) {}
+PreparedConflictQuery::PreparedConflictQuery(
+    const db::Database& db, const db::BoundQuery& query,
+    const db::DeltaOverlay* build_overlay, const ColumnIndexLookup& indexes)
+    : impl_(std::make_unique<const Impl>(db, query, build_overlay, indexes)) {}
 
 PreparedConflictQuery::~PreparedConflictQuery() = default;
 

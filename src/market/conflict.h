@@ -12,26 +12,43 @@
 //
 //  * ConflictSet over a PreparedConflictQuery — the prepared state (per-
 //    row contribution hashes, group aggregate states with exact integer
-//    accumulators, join indexes) is built once per query and answers
-//    each delta in O(1)-ish: recompute only the patched row's (or its
-//    join partners') contribution, apply the affected groups' updates to
-//    a local copy, compare the visible output. A delta on a column the
-//    query never reads is pruned before anything else: it cannot change
-//    the result. Queries the incremental path cannot answer exactly —
-//    LIMIT, and SUM/AVG over double columns (where incremental float
-//    accumulation could drift from the reference evaluator) — fall back
-//    to full overlay re-evaluation, but only for the deltas that survive
-//    the same pruning. Prepared state is immutable after construction, so
-//    one PreparedConflictQuery may be probed from many threads at once.
+//    accumulators) is built once per query and answers each delta in
+//    O(1)-ish: recompute only the patched row's (or its join partners')
+//    contribution, apply the affected groups' updates to a local copy,
+//    compare the visible output. A delta on a column the query never
+//    reads is pruned before anything else: it cannot change the result.
+//    Queries the incremental path cannot answer exactly — LIMIT, and
+//    SUM/AVG over double columns (where incremental float accumulation
+//    could drift from the reference evaluator) — fall back to full
+//    overlay re-evaluation, but only for the deltas that survive the same
+//    pruning. Prepared state is immutable after construction, so one
+//    PreparedConflictQuery may be probed from many threads at once.
 //
-//    Each join index is flat (CSR): one array of row ids grouped by
-//    bucket = key Hash() & mask (a power-of-two bucket count no smaller
-//    than the table), ascending within a bucket, plus the bucket start
-//    offsets — two arrays per table instead of a vector per key. A
-//    bucket may mix keys; probes confirm each candidate with
-//    Value::Compare, so join partners come out in ascending row order.
-//    Probes assemble each joined input row in one reused buffer holding
-//    only the columns the query reads.
+//    Facts that do not depend on the query are not re-derived per query:
+//
+//    - Column indexes. A ColumnIndex is a flat (CSR) hash index over one
+//      (table, column): one array of row ids grouped by bucket = key
+//      Hash() & mask (a power-of-two bucket count no smaller than the
+//      table), ascending within a bucket, plus the bucket start offsets.
+//      A bucket may mix keys; readers confirm each candidate with
+//      Value::Compare, so matches come out in ascending row order. An
+//      index is a pure function of that one column's cells, so prepared
+//      states share it: the prepared cache (market/prepared_cache.h)
+//      owns one per (table, column) and hands it to every query that
+//      needs it. Join queries probe partners through the indexes of
+//      their two join columns, assembling each joined input row in one
+//      reused buffer holding only the columns the query reads.
+//    - Equality prefilter. A single-table query whose predicate has a
+//      `column = non-NULL literal` conjunct on its top-level AND chain
+//      builds its prepared state from that literal's bucket of the
+//      column's index, each row confirmed with Value::Compare, instead
+//      of scanning the table: no other row can pass the predicate. OR
+//      and NOT never narrow the scan.
+//    - Rejected-row skip. A single-table projection remembers which rows
+//      its predicate rejected at prepare time. A delta on such a row
+//      that edits a column the predicate does not read leaves it
+//      rejected, so the probe answers "no conflict" without evaluating
+//      anything.
 //
 // market::ConflictProber (market/conflict_prober.h) is the long-lived
 // caller: it shares prepared state across calls through a
@@ -52,7 +69,9 @@
 #define QP_MARKET_CONFLICT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "db/database.h"
@@ -85,11 +104,41 @@ struct ConflictStats {
   }
 };
 
+/// Flat (CSR) hash index over one column of one table: bucket b holds
+/// rows[starts[b] .. starts[b+1]), the rows whose cell hashes to
+/// Hash() & mask, in ascending row order. A bucket may mix keys, so
+/// readers confirm every candidate with Value::Compare; since equal
+/// values hash equally, the confirmed rows are exactly the rows holding
+/// an equal value, ascending. Immutable once built.
+struct ColumnIndex {
+  uint64_t mask = 0;
+  std::vector<int> starts;
+  std::vector<int> rows;
+
+  /// Counting sort of `table`'s rows by the bucket of their `column`
+  /// cell, read through `overlay` (nullptr for the base tables); the
+  /// row-order scatter keeps each bucket ascending.
+  static ColumnIndex Build(const db::Database& db, int table, int column,
+                           const db::DeltaOverlay* overlay);
+
+  std::span<const int> Bucket(uint64_t hash) const {
+    const size_t b = static_cast<size_t>(hash & mask);
+    return {rows.data() + starts[b], rows.data() + starts[b + 1]};
+  }
+};
+
+/// Where prepared state gets the index of (table, column). The index
+/// must be built over the same logical cells as the prepared state:
+/// the build overlay's view, or any generation in which that column is
+/// unchanged.
+using ColumnIndexLookup =
+    std::function<std::shared_ptr<const ColumnIndex>(int table, int column)>;
+
 /// Per-query prepared probing state (contribution hashes, group
-/// accumulators, join indexes), built once against the database's current
-/// contents. Immutable after construction: Probe is const and touches no
-/// shared mutable state, so one prepared query can serve concurrent
-/// probes from many threads.
+/// accumulators, shared column indexes), built once against the
+/// database's current contents. Immutable after construction: Probe is
+/// const and touches no shared mutable state, so one prepared query can
+/// serve concurrent probes from many threads.
 class PreparedConflictQuery {
  public:
   /// `db` and `query` must outlive the prepared state. `build_overlay`
@@ -99,11 +148,13 @@ class PreparedConflictQuery {
   /// later committed overlay — while probes through this state are in
   /// flight (the prepared cache enforces this by generation-keyed
   /// invalidation); base cells shadowed by the committed overlay passed
-  /// to Probe may change freely (catalog folds).
-  explicit PreparedConflictQuery(const db::Database& db,
-                                 const db::BoundQuery& query,
-                                 const db::DeltaOverlay* build_overlay =
-                                     nullptr);
+  /// to Probe may change freely (catalog folds). `indexes` supplies the
+  /// column indexes the state reads and keeps them alive with it; left
+  /// empty, each index is built for this query alone.
+  explicit PreparedConflictQuery(
+      const db::Database& db, const db::BoundQuery& query,
+      const db::DeltaOverlay* build_overlay = nullptr,
+      const ColumnIndexLookup& indexes = {});
   ~PreparedConflictQuery();
 
   PreparedConflictQuery(const PreparedConflictQuery&) = delete;

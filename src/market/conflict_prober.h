@@ -1,6 +1,7 @@
 // Conflict sets C_S(Q, D) of queries against one fixed support set
 // (paper Section 3.3: one edge per query, one item per support delta).
-// ConflictProber shares prepared probing state across calls through a
+// ConflictProber shares prepared probing state across calls, and one
+// column index per (table, column) across queries, through a
 // PreparedQueryCache and keeps exact probe totals; it never holds a
 // hypergraph. BuildHypergraph adds its edges; the serving router routes
 // them to shard-local engines.

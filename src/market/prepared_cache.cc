@@ -23,7 +23,8 @@ std::shared_ptr<const PreparedConflictQuery> PreparedQueryCache::GetOrPrepare(
     // Uncacheable (no stable key): prepare fresh, count the miss so the
     // engine's stats still show what a cache key would have saved.
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return view(std::make_shared<const Entry>(*db_, query, overlay, generation));
+    return view(
+        std::make_shared<const Entry>(*this, query, overlay, generation));
   }
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -46,14 +47,14 @@ std::shared_ptr<const PreparedConflictQuery> PreparedQueryCache::GetOrPrepare(
       lock.unlock();
       stale_bypasses_.fetch_add(1, std::memory_order_relaxed);
       return view(
-          std::make_shared<const Entry>(*db_, query, overlay, generation));
+          std::make_shared<const Entry>(*this, query, overlay, generation));
     }
   }
   // Prepare outside any lock (construction is the expensive part), then
   // race to insert; the first writer wins and everyone shares its entry.
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto entry =
-      std::make_shared<const Entry>(*db_, query, overlay, generation);
+      std::make_shared<const Entry>(*this, query, overlay, generation);
   entry->last_used.store(use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
   std::unique_lock<std::shared_mutex> lock(mutex_);
@@ -70,6 +71,38 @@ std::shared_ptr<const PreparedConflictQuery> PreparedQueryCache::GetOrPrepare(
   std::shared_ptr<const PreparedConflictQuery> prepared = view(it->second);
   if (inserted) EvictOverflowLocked();
   return prepared;
+}
+
+std::shared_ptr<const ColumnIndex> PreparedQueryCache::IndexFor(
+    int table, int column, const db::DeltaOverlay* overlay,
+    uint64_t generation) const {
+  const std::pair<int, int> key{table, column};
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    auto it = indexes_.find(key);
+    if (it != indexes_.end()) {
+      // Same rule as entries: an index built at or before the caller's
+      // pin holds that generation's cells of the column, or
+      // InvalidateCell would have dropped it.
+      if (it->second.built_generation <= generation) return it->second.index;
+      lock.unlock();
+      stale_bypasses_.fetch_add(1, std::memory_order_relaxed);
+      return std::make_shared<const ColumnIndex>(
+          ColumnIndex::Build(*db_, table, column, overlay));
+    }
+  }
+  auto index = std::make_shared<const ColumnIndex>(
+      ColumnIndex::Build(*db_, table, column, overlay));
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (catalog_floor_ != generation) {
+    // The floor fence of GetOrPrepare: a commit was announced after this
+    // build began, so the index may miss it. Use it, never insert it.
+    lock.unlock();
+    stale_bypasses_.fetch_add(1, std::memory_order_relaxed);
+    return index;
+  }
+  return indexes_.emplace(key, IndexEntry{std::move(index), generation})
+      .first->second.index;
 }
 
 void PreparedQueryCache::EvictOverflowLocked() const {
@@ -108,6 +141,7 @@ void PreparedQueryCache::InvalidateCell(int table, int column,
     // insert is ordered against this lock, so an entry present after it
     // was scanned, and an entry built before it can no longer insert.
     if (next_generation > catalog_floor_) catalog_floor_ = next_generation;
+    indexes_.erase(cell);
     for (auto it = entries_.begin(); it != entries_.end();) {
       const Entry& entry = *it->second;
       if (std::binary_search(entry.sensitive.begin(), entry.sensitive.end(),

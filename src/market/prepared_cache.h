@@ -3,7 +3,7 @@
 //
 // Every conflict-set computation starts by building a
 // PreparedConflictQuery — per-row contribution hashes, group aggregate
-// states, join indexes — against the database's current contents. That
+// states — against the database's current contents. That
 // state is immutable and thread-safe to probe, so repeat queries (the
 // serving engine's Purchase traffic is dominated by them) can share one
 // prepared instance instead of re-preparing per call. The cache key is
@@ -23,10 +23,11 @@
 // InvalidateCell(table, column) drops only the entries whose query's
 // SensitiveColumns contain the edited cell's column — sound because
 // PreparedConflictQuery derives all of its row-content-dependent state
-// (per-row contribution hashes, group aggregate states, join indexes)
-// from exactly those columns, so an entry whose sensitive set misses the
-// cell probes bit-identically before and after the edit. Call it for
-// every seller edit, since prepared state bakes in row contents.
+// (per-row contribution hashes, group aggregate states, the column
+// indexes it reads) from exactly those columns, so an entry whose
+// sensitive set misses the cell probes bit-identically before and after
+// the edit. Call it for every seller edit, since prepared state bakes in
+// row contents.
 // Cached probes are bit-identical to fresh ones (the prepared state is a
 // pure function of (db, query)), so hit/miss — and eviction — behavior
 // never changes conflict sets or probe accounting.
@@ -48,6 +49,18 @@
 // generation *newer* than the caller's pin are bypassed the same
 // transient way (stale_bypasses counts both).
 //
+// Column indexes (market/conflict.h: ColumnIndex) live here too, one per
+// (table, column), shared by every prepared entry that reads them — join
+// queries for their join columns, single-table queries for an equality
+// prefilter. An index is a pure function of the cells of its one column,
+// so the argument above covers it unchanged: each index records its
+// build generation and is used only by builds pinned at or after it;
+// InvalidateCell(table, column) drops the edited column's index; and an
+// index built before a floor advance is used transiently, never
+// inserted. Prepared entries hold their indexes by shared_ptr, so a
+// dropped index lives on exactly as long as the entries built from it.
+// There is at most one index per schema column, so indexes need no cap.
+//
 // Capacity: the cache holds at most `max_entries` entries (clamped to
 // >= 1). Eviction is least-recently-used, approximated so lookups
 // stay shared-locked: every hit stamps the entry with a global use tick
@@ -63,6 +76,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -88,14 +102,17 @@ class PreparedQueryCache {
     /// edited cell).
     uint64_t selective_invalidations = 0;
     uint64_t selective_dropped = 0;
-    /// Generation-keyed lookups that could not use / populate the cache:
-    /// cached entry newer than the caller's pinned generation, or the
-    /// catalog floor moved between build and insert. The freshly built
-    /// state is used transiently; correctness is unaffected.
+    /// Generation-keyed lookups of entries or column indexes that could
+    /// not use / populate the cache: cached one newer than the caller's
+    /// pinned generation, or the catalog floor moved between build and
+    /// insert. The freshly built state is used transiently; correctness
+    /// is unaffected.
     uint64_t stale_bypasses = 0;
     /// Current number of cached entries (a gauge; merging sums the
     /// per-cache gauges).
     uint64_t entries = 0;
+    /// Current number of cached column indexes (a gauge, like entries).
+    uint64_t indexes = 0;
 
     Stats& Merge(const Stats& other) {
       hits += other.hits;
@@ -105,6 +122,7 @@ class PreparedQueryCache {
       selective_dropped += other.selective_dropped;
       stale_bypasses += other.stale_bypasses;
       entries += other.entries;
+      indexes += other.indexes;
       return *this;
     }
   };
@@ -134,9 +152,9 @@ class PreparedQueryCache {
       uint64_t generation = 0) const;
 
   /// Drops only the entries whose query's SensitiveColumns contain
-  /// (table, column) — the single-cell seller edit. Thread-safe;
-  /// in-flight probes holding a shared_ptr finish against the state they
-  /// pinned.
+  /// (table, column), and that column's index — the single-cell seller
+  /// edit. Thread-safe; in-flight probes holding a shared_ptr finish
+  /// against the state they pinned.
   /// `next_generation` is the generation number the edit is about to
   /// publish (the writer calls this BEFORE the publish); it advances the
   /// catalog floor, fencing off in-flight inserts of entries built at
@@ -156,6 +174,7 @@ class PreparedQueryCache {
     {
       std::shared_lock<std::shared_mutex> lock(mutex_);
       out.entries = entries_.size();
+      out.indexes = indexes_.size();
     }
     return out;
   }
@@ -163,6 +182,14 @@ class PreparedQueryCache {
   size_t max_entries() const { return max_entries_; }
 
  private:
+  /// The shared index of (table, column) at the caller's pinned
+  /// generation, built against `overlay` on a miss; inserted, kept and
+  /// bypassed by the same generation rules as entries. Thread-safe; never
+  /// called with mutex_ held.
+  std::shared_ptr<const ColumnIndex> IndexFor(int table, int column,
+                                              const db::DeltaOverlay* overlay,
+                                              uint64_t generation) const;
+
   /// Query copy + prepared state with matching lifetime: `prepared`
   /// holds a reference to `query`, so the pair lives and dies together.
   /// `last_used` is the approximate-LRU stamp: written on every hit under
@@ -178,12 +205,20 @@ class PreparedQueryCache {
     uint64_t built_generation = 0;
     mutable std::atomic<uint64_t> last_used{0};
 
-    Entry(const db::Database& db, const db::BoundQuery& q,
+    Entry(const PreparedQueryCache& cache, const db::BoundQuery& q,
           const db::DeltaOverlay* overlay, uint64_t generation)
         : query(q),
-          prepared(db, query, overlay),
+          prepared(*cache.db_, query, overlay,
+                   [&](int table, int column) {
+                     return cache.IndexFor(table, column, overlay, generation);
+                   }),
           sensitive(SortedSensitive(query)),
           built_generation(generation) {}
+  };
+
+  struct IndexEntry {
+    std::shared_ptr<const ColumnIndex> index;
+    uint64_t built_generation = 0;
   };
 
   /// SensitiveColumns come back ordered by flat column index, which is
@@ -201,6 +236,8 @@ class PreparedQueryCache {
   mutable std::shared_mutex mutex_;
   mutable std::unordered_map<std::string, std::shared_ptr<const Entry>>
       entries_;
+  /// Column indexes by (table, column), guarded by mutex_.
+  mutable std::map<std::pair<int, int>, IndexEntry> indexes_;
   mutable std::atomic<uint64_t> use_clock_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};

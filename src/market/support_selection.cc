@@ -6,6 +6,7 @@
 
 #include "market/conflict.h"
 #include "market/hypergraph_builder.h"
+#include "market/prepared_cache.h"
 
 namespace qp::market {
 
@@ -73,6 +74,13 @@ SupportSelectionResult AugmentSupportWithUniqueItems(
     }
   }
 
+  // Prepared state depends on (db, query) only, so each query is
+  // prepared once for all candidates, over shared column indexes.
+  PreparedQueryCache prepared(&db, queries.size());
+  auto conflicts = [&](size_t query, const SupportSet& probe) {
+    return !ConflictSet(*prepared.GetOrPrepare(queries[query]), probe).empty();
+  };
+
   std::set<std::tuple<int, int, int, std::string>> seen;
   for (const CellDelta& d : base_support) {
     seen.insert({d.table, d.row, d.column, d.new_value.ToString()});
@@ -94,15 +102,10 @@ SupportSelectionResult AugmentSupportWithUniqueItems(
       if (seen.count(key) > 0) continue;
       // Private iff it conflicts with query q and with no other query.
       SupportSet probe{candidate};
-      if (ConflictSet(PreparedConflictQuery(db, queries[q]), probe).empty()) {
-        continue;
-      }
+      if (!conflicts(q, probe)) continue;
       bool clashes = false;
       for (size_t other = 0; other < queries.size() && !clashes; ++other) {
-        if (other == q) continue;
-        clashes =
-            !ConflictSet(PreparedConflictQuery(db, queries[other]), probe)
-                 .empty();
+        if (other != q) clashes = conflicts(other, probe);
       }
       if (clashes) continue;
       seen.insert(key);

@@ -126,6 +126,120 @@ TEST(ExprTest, ArithmeticNullPropagates) {
   EXPECT_TRUE(sum->Evaluate(row).is_null());
 }
 
+// EvaluateBool reads column and literal operands by reference; every
+// other operand kind (arithmetic, nested boolean nodes) is evaluated into
+// a scratch value. Both paths must keep the predicate semantics the
+// conflict-set oracle rests on, NULL operands included.
+TEST(ExprTest, ComparisonOverComputedOperands) {
+  Row row = TestRow();  // 10, "Paris", 2.5, NULL
+  auto plus5 = Expr::Arith(ArithOp::kAdd, Expr::Column(0),
+                           Expr::Literal(Value::Int(5)));
+  auto times8 = Expr::Arith(ArithOp::kMul, Expr::Column(2),
+                            Expr::Literal(Value::Int(8)));  // 20.0
+  EXPECT_TRUE(Expr::Compare(CompareOp::kEq, plus5,
+                            Expr::Literal(Value::Int(15)))
+                  ->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Compare(CompareOp::kEq, Expr::Literal(Value::Real(15.0)),
+                            plus5)
+                  ->EvaluateBool(row));
+  EXPECT_FALSE(Expr::Compare(CompareOp::kGt, plus5, times8)
+                   ->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Compare(CompareOp::kLt, plus5, times8)
+                  ->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Compare(CompareOp::kNe, plus5, Expr::Column(0))
+                  ->EvaluateBool(row));
+  // A boolean node as an operand evaluates to Int(0/1).
+  auto is_paris = Expr::Compare(CompareOp::kEq, Expr::Column(1),
+                                Expr::Literal(Value::Str("Paris")));
+  EXPECT_TRUE(Expr::Compare(CompareOp::kEq, is_paris,
+                            Expr::Literal(Value::Int(1)))
+                  ->EvaluateBool(row));
+  // Two literals, and two columns.
+  EXPECT_TRUE(Expr::Compare(CompareOp::kEq, Expr::Literal(Value::Str("a")),
+                            Expr::Literal(Value::Str("a")))
+                  ->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Compare(CompareOp::kGt, Expr::Column(0), Expr::Column(2))
+                  ->EvaluateBool(row));
+}
+
+TEST(ExprTest, ComparisonWithNullOperandsIsFalse) {
+  Row row = TestRow();
+  auto null_sum = Expr::Arith(ArithOp::kAdd, Expr::Column(3),
+                              Expr::Literal(Value::Int(1)));
+  auto by_zero = Expr::Arith(ArithOp::kDiv, Expr::Column(0),
+                             Expr::Literal(Value::Int(0)));
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    EXPECT_FALSE(Expr::Compare(op, null_sum, Expr::Literal(Value::Int(1)))
+                     ->EvaluateBool(row));
+    EXPECT_FALSE(Expr::Compare(op, Expr::Column(0), by_zero)
+                     ->EvaluateBool(row));
+    EXPECT_FALSE(Expr::Compare(op, Expr::Literal(Value::Null()),
+                               Expr::Literal(Value::Null()))
+                     ->EvaluateBool(row));
+    EXPECT_FALSE(Expr::Compare(op, Expr::Column(3), Expr::Column(3))
+                     ->EvaluateBool(row));
+  }
+}
+
+TEST(ExprTest, BetweenLikeInListOverComputedOperands) {
+  Row row = TestRow();
+  auto minus5 = Expr::Arith(ArithOp::kSub, Expr::Column(0),
+                            Expr::Literal(Value::Int(5)));   // 5
+  auto quarter = Expr::Arith(ArithOp::kDiv, Expr::Column(0),
+                             Expr::Literal(Value::Int(4)));  // 2.5
+  EXPECT_TRUE(
+      Expr::Between(minus5, Value::Int(5), Value::Int(5))->EvaluateBool(row));
+  EXPECT_FALSE(
+      Expr::Between(minus5, Value::Int(6), Value::Int(9))->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Between(quarter, Value::Real(2.5), Value::Int(3))
+                  ->EvaluateBool(row));
+  EXPECT_TRUE(Expr::InList(quarter, {Value::Int(2), Value::Real(2.5)})
+                  ->EvaluateBool(row));
+  EXPECT_FALSE(
+      Expr::InList(minus5, {Value::Int(4), Value::Int(6)})->EvaluateBool(row));
+  EXPECT_TRUE(Expr::InList(Expr::Literal(Value::Str("b")),
+                           {Value::Str("a"), Value::Str("b")})
+                  ->EvaluateBool(row));
+  // LIKE wants a string: a numeric result never matches, a literal
+  // string operand does.
+  EXPECT_FALSE(Expr::Like(minus5, "5%")->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Like(Expr::Literal(Value::Str("Lyon")), "L%n")
+                  ->EvaluateBool(row));
+}
+
+TEST(ExprTest, BetweenLikeInListWithNullOperandsAreFalse) {
+  Row row = TestRow();
+  auto null_sum = Expr::Arith(ArithOp::kAdd, Expr::Column(3),
+                              Expr::Literal(Value::Int(1)));
+  auto by_zero = Expr::Arith(ArithOp::kDiv, Expr::Column(0),
+                             Expr::Literal(Value::Int(0)));
+  for (const ExprPtr& operand :
+       {null_sum, by_zero, Expr::Column(3), Expr::Literal(Value::Null())}) {
+    EXPECT_FALSE(Expr::Between(operand, Value::Int(-100), Value::Int(100))
+                     ->EvaluateBool(row));
+    EXPECT_FALSE(Expr::Like(operand, "%")->EvaluateBool(row));
+    EXPECT_FALSE(Expr::InList(operand, {Value::Null(), Value::Int(0)})
+                     ->EvaluateBool(row));
+    EXPECT_FALSE(operand->EvaluateBool(row));
+    EXPECT_TRUE(Expr::Not(operand)->EvaluateBool(row));
+  }
+}
+
+TEST(ExprTest, BareOperandsAsPredicates) {
+  Row row = TestRow();
+  EXPECT_TRUE(Expr::Column(0)->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Column(1)->EvaluateBool(row));  // non-empty string
+  EXPECT_FALSE(Expr::Literal(Value::Str(""))->EvaluateBool(row));
+  EXPECT_FALSE(Expr::Literal(Value::Int(0))->EvaluateBool(row));
+  EXPECT_FALSE(Expr::Arith(ArithOp::kSub, Expr::Column(0),
+                           Expr::Literal(Value::Int(10)))
+                   ->EvaluateBool(row));
+  EXPECT_TRUE(Expr::Arith(ArithOp::kMul, Expr::Column(2),
+                          Expr::Literal(Value::Int(2)))
+                  ->EvaluateBool(row));
+}
+
 TEST(ExprTest, CollectColumns) {
   auto e = Expr::And(
       Expr::Compare(CompareOp::kEq, Expr::Column(2), Expr::Column(0)),

@@ -30,6 +30,23 @@ const char* kQueries[] = {
     "select distinct Continent from Country",
     "select distinct 1 from City where Population > 13000000",
     "select distinct CountryCode from CountryLanguage where IsOfficial = 'T'",
+    // Equality prefilter shapes: a literal on the left, an equality
+    // ANDed with a range (and nested on the right of an AND), equality
+    // under OR and under NOT (neither may narrow the scan), an int column
+    // against an equal double literal, a literal no row holds, and
+    // DISTINCT over a prefiltered scan.
+    "select Name from City where 'JPN' = CountryCode",
+    "select * from City where CountryCode = 'USA' and Population > 3000000",
+    "select Name from Country where Population > 70000000 and (Continent = "
+    "'Europe' and Name like '%e%')",
+    "select Name from City where CountryCode = 'JPN' or Population > "
+    "12000000",
+    "select Name from City where not (CountryCode = 'JPN')",
+    "select Name from City where Population = 13900000.0",
+    "select * from City where CountryCode = 'XXX'",
+    "select distinct CountryCode from City where CountryCode = 'IND'",
+    "select distinct Continent from Country where Continent = 'Asia' and "
+    "Population > 100000000",
     // Aggregates, single table.
     "select count(*) from City",
     "select count(Name) from Country where Continent = 'Asia'",
@@ -364,6 +381,39 @@ TEST(ConflictSetTest, WorldScaleMatchesNaive) {
     conflicts += naive.size();
   }
   EXPECT_GT(conflicts, 0u);
+}
+
+TEST(ConflictSetTest, PredicateDeltaAdmitsRejectedRow) {
+  // The rejected-row skip answers deltas on rows the predicate rejected
+  // at prepare time, unless the delta edits a column the predicate
+  // reads: such a delta can admit the row.
+  auto db = db::testing::MakeTestDatabase();
+  // City rows: 2 = Paris (FRA, 2100000), 4 = Tokyo (JPN, 13900000).
+  const SupportSet support{
+      CellDelta{1, 2, 2, db::Value::Str("JPN")},     // Paris joins JPN
+      CellDelta{1, 2, 1, db::Value::Str("Lyon")},    // Paris renamed
+      CellDelta{1, 2, 3, db::Value::Int(13900000)},  // Tokyo's population
+      CellDelta{1, 4, 2, db::Value::Str("FRA")},     // Tokyo leaves JPN
+  };
+  struct Case {
+    const char* sql;
+    std::vector<uint32_t> conflicts;
+  };
+  const Case cases[] = {
+      {"select Name from City where CountryCode = 'JPN'", {0, 3}},
+      {"select count(*) from City where 'JPN' = CountryCode", {0, 3}},
+      // Osaka keeps JPN in the set whatever Paris and Tokyo do.
+      {"select distinct CountryCode from City where CountryCode = 'JPN'", {}},
+      {"select Name from City where Population = 13900000.0", {2}},
+  };
+  for (const Case& c : cases) {
+    auto query = db::ParseQuery(c.sql, *db);
+    ASSERT_TRUE(query.ok()) << c.sql;
+    EXPECT_EQ(FastConflictSet(*db, *query, support), c.conflicts) << c.sql;
+    EXPECT_EQ(NaiveConflictSet(*db, *query, support), c.conflicts) << c.sql;
+    EXPECT_EQ(InPlaceConflictSet(*db, *query, support), c.conflicts)
+        << c.sql;
+  }
 }
 
 TEST(ConflictSetTest, KnownConflicts) {

@@ -29,6 +29,11 @@ tight enough to flag any alternate-vertex or algorithmic drift, loose
 enough for last-ulp libm differences across machines; repeated CURRENT
 runs are still compared bit-for-bit against each other).
 
+The bench binaries stamp every record with the machine's hardware_concurrency.
+When the baseline's stamps and the run's differ (older baselines carry
+none), the script prints both; this is informational and never fails the
+gate.
+
 Exit status: 0 clean, 1 regression(s), 2 usage/IO error.
 """
 
@@ -57,6 +62,12 @@ def load(path):
     return {(r["instance"], r["algorithm"]): r for r in records}
 
 
+def hardware_concurrency(records):
+    """The distinct hardware_concurrency stamps of `records`, as text."""
+    return ", ".join(sorted({str(r.get("hardware_concurrency", "unrecorded"))
+                             for r in records}))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -79,6 +90,11 @@ def main():
 
     baseline = load(args.baseline)
     runs = [load(path) for path in args.current]
+    baseline_hw = hardware_concurrency(baseline.values())
+    run_hw = hardware_concurrency(r for run in runs for r in run.values())
+    if baseline_hw != run_hw:
+        print(f"note: hardware_concurrency differs: baseline {baseline_hw},"
+              f" run {run_hw} (informational, not gated)")
     current = runs[0]
     for extra in runs[1:]:
         for key, record in extra.items():
