@@ -3,7 +3,9 @@
 // Tables 4-6 with statistically stable per-call numbers. The
 // BM_ConflictPrepare/BM_ConflictProbe rows time the market layer's
 // conflict-set construction for one query template — prepare it, then
-// probe it over the whole support — on the skewed instance, and
+// probe it over the whole support — on the skewed instance (Arg 0 = the
+// Country-City capital join, 1 = the per-country City select, 2 = the
+// Country-CountryLanguage join with a language conjunct), and
 // BM_ConflictSetsCorpus runs the whole skewed corpus through one fresh
 // ConflictProber (Arg = threads), the cost the service benchmark's
 // setup_s pays for its corpus conflict sets, shared column indexes
@@ -140,7 +142,10 @@ namespace {
 // benchmark argument: 0 = the Country-City join
 // ("select T.District from Country C, City T where C.Code = ... and
 // C.Capital = T.ID"), 1 = the per-country City projection
-// ("select * from City where CountryCode = ...").
+// ("select * from City where CountryCode = ..."), 2 = the
+// Country-CountryLanguage join ("select C.Name from Country C,
+// CountryLanguage L where C.Code = L.CountryCode and L.Language = ...
+// and L.Percentage >= 50").
 struct ConflictInstance {
   workload::WorkloadInstance w;
   SupportSet support;
@@ -159,7 +164,9 @@ const ConflictInstance& SkewedConflictInstance() {
     out.support = std::move(*support);
     for (const char* prefix :
          {"select T.District from Country C, City T where C.Code = ",
-          "select * from City where CountryCode = "}) {
+          "select * from City where CountryCode = ",
+          "select C.Name from Country C, CountryLanguage L where C.Code = "
+          "L.CountryCode and L.Language = "}) {
       for (size_t i = 0; i < out.w.sql.size(); ++i) {
         if (out.w.sql[i].rfind(prefix, 0) == 0) {
           out.templates.push_back(&out.w.queries[i]);
@@ -180,7 +187,7 @@ void BM_ConflictPrepare(benchmark::State& state) {
     benchmark::DoNotOptimize(prepared.is_fallback());
   }
 }
-BENCHMARK(BM_ConflictPrepare)->Arg(0)->Arg(1);
+BENCHMARK(BM_ConflictPrepare)->Arg(0)->Arg(1)->Arg(2);
 
 // One pass over the support, as a conflict-set build makes per query.
 void BM_ConflictProbe(benchmark::State& state) {
@@ -196,7 +203,7 @@ void BM_ConflictProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(conflicts);
   }
 }
-BENCHMARK(BM_ConflictProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_ConflictProbe)->Arg(0)->Arg(1)->Arg(2);
 
 // Every corpus query's conflict set through one fresh prober per
 // iteration (Arg = threads), as the service's set-up builds them: each

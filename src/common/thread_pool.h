@@ -1,8 +1,9 @@
-// Small work-stealing thread pool for the LP candidate sweeps.
+// Small work-stealing thread pool for coarse fan-outs: the LP candidate
+// sweeps and the corpus conflict sets of market::ConflictProber.
 //
-// Scope is deliberately narrow: the pricing algorithms fan out a modest
-// number of coarse, independent work units (warm-start chains of candidate
-// LPs) and join before reducing. ParallelFor hands out indices through a
+// Scope is deliberately narrow: callers fan out a modest number of coarse,
+// independent work units (warm-start chains of candidate LPs, one query's
+// conflict set each) and join before reducing. ParallelFor hands out indices through a
 // shared atomic cursor — an idle worker "steals" whatever index the busy
 // ones have not claimed yet — which load-balances uneven chains without
 // per-task queues. The calling thread participates, so `threads = 1`

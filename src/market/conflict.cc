@@ -135,11 +135,8 @@ class PreparedConflictQuery::Impl {
       return;
     }
     LookUpIndexes(build_overlay, indexes);
-    if (grouped_) {
-      BuildGroups(build_overlay);
-    } else {
-      BuildProjections(build_overlay);
-    }
+    if (grouped_) PrepareGroups();
+    BuildContributions(build_overlay);
   }
 
   bool is_fallback() const { return fallback_; }
@@ -159,6 +156,11 @@ class PreparedConflictQuery::Impl {
       probe.set_parent(committed);
       db::ResultTable perturbed = db::Evaluate(query_, db_, probe);
       return !perturbed.Equals(base_result_);
+    }
+    // A row in no accepted input that the delta keeps out of every one:
+    // neither side of the swap has an input, so nothing changes.
+    if (!contributes_[slot][delta.row] && StaysOut(delta, slot, committed)) {
+      return false;
     }
     return grouped_ ? ProbeGrouped(delta, slot, committed)
                     : ProbeProjection(delta, slot, committed);
@@ -208,13 +210,13 @@ class PreparedConflictQuery::Impl {
     }
     std::sort(needed_[0].begin(), needed_[0].end());
     std::sort(needed_[1].begin(), needed_[1].end());
-    if (!two_tables_) {
-      predicate_reads_.assign(sensitive_[0].size(), 0);
-      std::vector<int> columns;
-      if (query_.predicate != nullptr) {
-        query_.predicate->CollectColumns(&columns);
-      }
-      for (int c : columns) predicate_reads_[c] = 1;
+    predicate_reads_[0].assign(sensitive_[0].size(), 0);
+    predicate_reads_[1].assign(sensitive_[1].size(), 0);
+    std::vector<int> columns;
+    if (query_.predicate != nullptr) query_.predicate->CollectColumns(&columns);
+    for (int flat : columns) {
+      auto [table, col] = query_.FlatToTableColumn(flat);
+      predicate_reads_[SlotOfTable(table)][col] = 1;
     }
   }
 
@@ -235,8 +237,8 @@ class PreparedConflictQuery::Impl {
     return TableOfSlot(slot).cell(row, col);
   }
 
-  // Join queries read the indexes of their two join columns; a
-  // single-table query with an equality conjunct reads that column's.
+  // Join queries read the indexes of their two join columns; a query
+  // with an equality conjunct also reads that column's, on either table.
   void LookUpIndexes(const db::DeltaOverlay* bo,
                      const ColumnIndexLookup& indexes) {
     auto index_of = [&](int slot, int col) {
@@ -246,19 +248,20 @@ class PreparedConflictQuery::Impl {
                            ColumnIndex::Build(db_, table, col, bo));
     };
     if (two_tables_) {
-      join_col0_ = query_.join_left;  // table 0 columns start at flat 0
-      join_col1_ = query_.join_right - query_.column_offsets[1];
-      index0_ = index_of(0, join_col0_);
-      index1_ = index_of(1, join_col1_);
-      return;
+      join_col_[0] = query_.join_left;  // table 0 columns start at flat 0
+      join_col_[1] = query_.join_right - query_.column_offsets[1];
+      join_index_[0] = index_of(0, join_col_[0]);
+      join_index_[1] = index_of(1, join_col_[1]);
     }
     const db::Expr* eq = EqualityConjunct(query_.predicate.get());
     if (eq == nullptr) return;
     const bool column_left = eq->lhs()->kind() == db::ExprKind::kColumn;
-    const db::Expr& column = column_left ? *eq->lhs() : *eq->rhs();
-    prefilter_key_ = &(column_left ? *eq->rhs() : *eq->lhs()).literal();
-    prefilter_col_ = column.column_index();  // single table: flat == column
-    prefilter_index_ = index_of(0, prefilter_col_);
+    auto [table, col] = query_.FlatToTableColumn(
+        (column_left ? *eq->lhs() : *eq->rhs()).column_index());
+    conjunct_key_ = &(column_left ? *eq->rhs() : *eq->lhs()).literal();
+    conjunct_slot_ = SlotOfTable(table);
+    conjunct_col_ = col;
+    conjunct_index_ = index_of(conjunct_slot_, conjunct_col_);
   }
 
   // Writes row `row` of slot `slot` into `input` at the slot's flat
@@ -276,12 +279,13 @@ class PreparedConflictQuery::Impl {
     if (delta != nullptr) input[offset + delta->column] = delta->new_value;
   }
 
-  // Calls `visit(input)` for every joined + filtered input row involving
-  // row `row` of slot `slot`, evaluated against base+`co` with `delta`
-  // (when non-null) overlaid on that row; join partners come in
-  // ascending row order. Every input is assembled in `buffer` (one row of
-  // query_.total_columns, reused across partners), so visit must copy
-  // what it keeps. Purely functional: no shared state is touched.
+  // Calls `visit(partner, input)` for every joined + filtered input row
+  // involving row `row` of slot `slot`, evaluated against base+`co` with
+  // `delta` (when non-null) overlaid on that row; `partner` is the other
+  // slot's row (-1 for a single table), ascending. Every input is
+  // assembled in `buffer` (one row of query_.total_columns, reused across
+  // partners), so visit must copy what it keeps. Purely functional: no
+  // shared state is touched.
   template <typename Visit>
   void ForEachAffectedInput(int row, int slot, const CellDelta* delta,
                             const db::DeltaOverlay* co, db::Row& buffer,
@@ -291,15 +295,15 @@ class PreparedConflictQuery::Impl {
       const int other = 1 - slot;
       const db::Value& key =
           buffer[slot == 0 ? query_.join_left : query_.join_right];
-      const ColumnIndex& index = slot == 0 ? *index1_ : *index0_;
-      const int other_col = slot == 0 ? join_col1_ : join_col0_;
-      for (int partner : index.Bucket(key.Hash())) {
-        if (key.Compare(CellAt(co, other, partner, other_col)) != 0) continue;
+      for (int partner : join_index_[other]->Bucket(key.Hash())) {
+        if (key.Compare(CellAt(co, other, partner, join_col_[other])) != 0) {
+          continue;
+        }
         FillSlot(buffer, other, partner, nullptr, co);
-        if (Passes(buffer)) visit(buffer);
+        if (Passes(buffer)) visit(partner, buffer);
       }
     } else if (Passes(buffer)) {
-      visit(buffer);
+      visit(-1, buffer);
     }
   }
 
@@ -307,80 +311,117 @@ class PreparedConflictQuery::Impl {
     return query_.predicate == nullptr || query_.predicate->EvaluateBool(input);
   }
 
-  // Calls `visit(row)` for every row of a single-table query's table
-  // its predicate can accept, ascending: the equality prefilter's bucket,
-  // each row confirmed with Value::Compare, or else every row.
+  // Calls `visit(row)` for every row of slot `conjunct_slot_` the
+  // predicate can accept, ascending: the equality conjunct's bucket, each
+  // row confirmed with Value::Compare, or else (no conjunct) every row of
+  // slot 0.
   template <typename Visit>
-  void ForEachCandidateRow(const db::DeltaOverlay* bo, Visit&& visit) const {
-    if (prefilter_index_ == nullptr) {
+  void ForEachAdmittedRow(const db::DeltaOverlay* bo, Visit&& visit) const {
+    if (conjunct_slot_ < 0) {
       for (int r = 0; r < TableOfSlot(0).num_rows(); ++r) visit(r);
       return;
     }
-    for (int r : prefilter_index_->Bucket(prefilter_key_->Hash())) {
-      if (CellAt(bo, 0, r, prefilter_col_).Compare(*prefilter_key_) == 0) {
+    for (int r : conjunct_index_->Bucket(conjunct_key_->Hash())) {
+      if (CellAt(bo, conjunct_slot_, r, conjunct_col_)
+              .Compare(*conjunct_key_) == 0) {
         visit(r);
       }
     }
   }
 
-  // Calls `visit(row, input)` for every joined + filtered input row read
-  // through `bo`, in the evaluator's order (table-0 row ascending, then
-  // join partners ascending); `row` is the table-0 row. `input` is a
-  // reused buffer holding only the query's sensitive columns.
+  // Calls `visit(rows, input)` for every joined + filtered input row read
+  // through `bo`, walking out from the admitted rows; rows[s] is the
+  // input's slot-s row. Inputs come in no fixed order (every consumer
+  // below is order-free). `input` is a reused buffer holding only the
+  // query's sensitive columns.
   template <typename Visit>
   void ForEachInput(const db::DeltaOverlay* bo, Visit&& visit) const {
     db::Row buffer(static_cast<size_t>(query_.total_columns));
-    if (two_tables_) {
-      for (int r = 0; r < TableOfSlot(0).num_rows(); ++r) {
-        ForEachAffectedInput(r, 0, nullptr, bo, buffer,
-                             [&](const db::Row& input) { visit(r, input); });
-      }
-      return;
-    }
-    ForEachCandidateRow(bo, [&](int r) {
-      FillSlot(buffer, 0, r, nullptr, bo);
-      if (Passes(buffer)) visit(r, buffer);
+    const int seed = std::max(conjunct_slot_, 0);
+    int rows[2] = {-1, -1};
+    ForEachAdmittedRow(bo, [&](int r) {
+      rows[seed] = r;
+      ForEachAffectedInput(r, seed, nullptr, bo, buffer,
+                           [&](int partner, const db::Row& input) {
+                             rows[1 - seed] = partner;
+                             visit(rows, input);
+                           });
     });
+  }
+
+  // One walk over the accepted inputs marks, per slot, the rows in at
+  // least one, and feeds the projection or group state.
+  void BuildContributions(const db::DeltaOverlay* bo) {
+    for (int s = 0; s < (two_tables_ ? 2 : 1); ++s) {
+      contributes_[s].assign(TableOfSlot(s).num_rows(), 0);
+    }
+    if (!two_tables_ && !grouped_) {
+      row_hash_.assign(TableOfSlot(0).num_rows(), 0);
+    }
+    ForEachInput(bo, [&](const int* rows, const db::Row& input) {
+      contributes_[0][rows[0]] = 1;
+      if (two_tables_) contributes_[1][rows[1]] = 1;
+      if (grouped_) {
+        UpdateGroup(groups_, input, +1);
+        return;
+      }
+      if (two_tables_ && !query_.distinct) return;
+      const uint64_t hash = db::ProjectedRowHash(query_, input);
+      if (!two_tables_) row_hash_[rows[0]] = hash;
+      if (query_.distinct) tuple_counts_[hash]++;
+    });
+    if (two_tables_ && conjunct_slot_ >= 0) {
+      ForEachAdmittedRow(bo, [&](int r) {
+        admitted_keys_.push_back(
+            CellAt(bo, conjunct_slot_, r, join_col_[conjunct_slot_]).Hash());
+      });
+      std::sort(admitted_keys_.begin(), admitted_keys_.end());
+    }
+  }
+
+  // Whether `delta` on row delta.row of slot `slot`, a row in no accepted
+  // input, provably leaves it in none:
+  //  (A) the delta's column is neither read by the predicate nor the
+  //      slot's join column, so its partners and every verdict stay;
+  //  (B) on the conjunct's slot, its conjunct cell after the delta is not
+  //      Compare-equal to the literal, so the predicate rejects it;
+  //  (C) on the other slot, its join key after the delta hashes to no
+  //      admitted conjunct-side row's key, so it has no admitted partner.
+  bool StaysOut(const CellDelta& delta, int slot,
+                const db::DeltaOverlay* co) const {
+    const bool join_column = two_tables_ && delta.column == join_col_[slot];
+    if (!predicate_reads_[slot][delta.column] && !join_column) return true;
+    if (conjunct_slot_ < 0) return false;
+    auto after = [&](int col) -> const db::Value& {
+      return delta.column == col ? delta.new_value
+                                 : CellAt(co, slot, delta.row, col);
+    };
+    if (slot == conjunct_slot_) {
+      return after(conjunct_col_).Compare(*conjunct_key_) != 0;
+    }
+    return !std::binary_search(admitted_keys_.begin(), admitted_keys_.end(),
+                               after(join_col_[slot]).Hash());
   }
 
   // --- projection (non-aggregate) mode -------------------------------------
-  void BuildProjections(const db::DeltaOverlay* bo) {
-    if (!two_tables_) {
-      row_present_.assign(TableOfSlot(0).num_rows(), 0);
-      row_hash_.assign(TableOfSlot(0).num_rows(), 0);
-    } else if (!query_.distinct) {
-      return;  // join probes read only the column indexes
-    }
-    ForEachInput(bo, [&](int row, const db::Row& input) {
-      const uint64_t hash = db::ProjectedRowHash(query_, input);
-      if (!two_tables_) {
-        row_present_[row] = 1;
-        row_hash_[row] = hash;
-      }
-      if (query_.distinct) tuple_counts_[hash]++;
-    });
-  }
-
   bool ProbeProjection(const CellDelta& delta, int slot,
                        const db::DeltaOverlay* co) const {
     if (two_tables_) {
       db::Row buffer(static_cast<size_t>(query_.total_columns));
       auto hashes_of = [&](const CellDelta* patch) {
         std::vector<uint64_t> hashes;
-        ForEachAffectedInput(
-            delta.row, slot, patch, co, buffer, [&](const db::Row& input) {
-              hashes.push_back(db::ProjectedRowHash(query_, input));
-            });
+        ForEachAffectedInput(delta.row, slot, patch, co, buffer,
+                             [&](int, const db::Row& input) {
+                               hashes.push_back(
+                                   db::ProjectedRowHash(query_, input));
+                             });
         return hashes;
       };
       std::vector<uint64_t> removed = hashes_of(nullptr);
       std::vector<uint64_t> added = hashes_of(&delta);
       return ContributionsDiffer(removed, added);
     }
-    // A row the predicate rejected stays rejected unless the delta edits
-    // a column the predicate reads: neither side then contributes.
-    const bool present = row_present_[delta.row] != 0;
-    if (!present && !predicate_reads_[delta.column]) return false;
+    const bool present = contributes_[0][delta.row] != 0;
     db::Row buffer(static_cast<size_t>(query_.total_columns));
     FillSlot(buffer, 0, delta.row, &delta, co);
     const bool passes = Passes(buffer);
@@ -425,7 +466,7 @@ class PreparedConflictQuery::Impl {
     return key;
   }
 
-  void BuildGroups(const db::DeltaOverlay* bo) {
+  void PrepareGroups() {
     // Aggregate select items, in select order.
     for (size_t i = 0; i < query_.select.size(); ++i) {
       const db::SelectItem& item = query_.select[i];
@@ -441,9 +482,6 @@ class PreparedConflictQuery::Impl {
     if (query_.group_by.empty()) {
       GroupFor(groups_, db::Row{});  // the global group exists even when empty
     }
-    ForEachInput(bo, [&](int, const db::Row& input) {
-      UpdateGroup(groups_, input, +1);
-    });
   }
 
   GroupState& GroupFor(GroupMap& groups, const db::Row& key) const {
@@ -561,10 +599,10 @@ class PreparedConflictQuery::Impl {
     std::vector<db::Row> old_inputs, new_inputs;
     ForEachAffectedInput(
         delta.row, slot, nullptr, co, buffer,
-        [&](const db::Row& input) { old_inputs.push_back(input); });
+        [&](int, const db::Row& input) { old_inputs.push_back(input); });
     ForEachAffectedInput(
         delta.row, slot, &delta, co, buffer,
-        [&](const db::Row& input) { new_inputs.push_back(input); });
+        [&](int, const db::Row& input) { new_inputs.push_back(input); });
     if (old_inputs == new_inputs) return false;
 
     std::vector<db::Row> keys;
@@ -598,16 +636,20 @@ class PreparedConflictQuery::Impl {
   std::vector<int> needed_[2];  // sensitive column indices, ascending
   db::ResultTable base_result_;
 
-  std::shared_ptr<const ColumnIndex> index0_, index1_;
-  int join_col0_ = -1, join_col1_ = -1;
-  // Single table: the equality prefilter (null without one), and which
-  // columns the predicate reads.
-  std::shared_ptr<const ColumnIndex> prefilter_index_;
-  const db::Value* prefilter_key_ = nullptr;  // the query's literal
-  int prefilter_col_ = -1;
-  std::vector<char> predicate_reads_;
+  std::vector<char> predicate_reads_[2];  // per slot, by column
 
-  std::vector<char> row_present_;
+  std::shared_ptr<const ColumnIndex> join_index_[2];
+  int join_col_[2] = {-1, -1};
+  // The equality conjunct (slot -1 without one): its column's index, its
+  // literal, and, for a join, the hashes of its admitted rows' join keys,
+  // sorted.
+  std::shared_ptr<const ColumnIndex> conjunct_index_;
+  const db::Value* conjunct_key_ = nullptr;
+  int conjunct_slot_ = -1;
+  int conjunct_col_ = -1;
+  std::vector<uint64_t> admitted_keys_;
+
+  std::vector<char> contributes_[2];  // per slot: row in an accepted input
   std::vector<uint64_t> row_hash_;
   std::unordered_map<uint64_t, int64_t> tuple_counts_;
 

@@ -38,17 +38,21 @@
 //      needs it. Join queries probe partners through the indexes of
 //      their two join columns, assembling each joined input row in one
 //      reused buffer holding only the columns the query reads.
-//    - Equality prefilter. A single-table query whose predicate has a
-//      `column = non-NULL literal` conjunct on its top-level AND chain
-//      builds its prepared state from that literal's bucket of the
-//      column's index, each row confirmed with Value::Compare, instead
-//      of scanning the table: no other row can pass the predicate. OR
-//      and NOT never narrow the scan.
-//    - Rejected-row skip. A single-table projection remembers which rows
-//      its predicate rejected at prepare time. A delta on such a row
-//      that edits a column the predicate does not read leaves it
-//      rejected, so the probe answers "no conflict" without evaluating
-//      anything.
+//    - Equality prefilter. A query whose predicate has a `column =
+//      non-NULL literal` conjunct on its top-level AND chain, on either
+//      table of a join, builds its prepared state by walking out from
+//      that literal's bucket of the column's index, each row confirmed
+//      with Value::Compare, instead of scanning the table: no other row
+//      of that table can pass the predicate. OR and NOT never narrow.
+//    - Contributing rows. That walk marks, per table, the rows in at
+//      least one accepted input. A probe on an unmarked row answers "no
+//      conflict" without evaluating anything when the delta keeps it in
+//      none: (A) the delta's column is neither read by the predicate nor
+//      that table's join column; (B) on the conjunct's table, the row's
+//      conjunct cell after the delta is not Compare-equal to the
+//      literal; (C) on a join's other table, the row's join key after
+//      the delta hashes to none of the join keys of the conjunct table's
+//      admitted rows. A skipped delta still counts as a probe.
 //
 // market::ConflictProber (market/conflict_prober.h) is the long-lived
 // caller: it shares prepared state across calls through a
@@ -56,7 +60,9 @@
 //
 // tests/market/conflict_test.cc checks that both paths match each other
 // *and* the pre-overlay apply/evaluate/revert semantics bit-for-bit over
-// randomized queries, datasets and supports, including concurrent probes.
+// randomized queries, datasets and supports, including concurrent probes;
+// tests/market/corpus_bits_test.cc pins the benchmark corpora's conflict
+// sets and probe totals bit for bit.
 //
 // Versioned catalogs (db/versioned_database.h) layer in the same way:
 // committed seller deltas live in a published generation overlay, and

@@ -70,6 +70,26 @@ const char* kQueries[] = {
     "CountryCode",
     "select distinct Continent from Country, City where Code = CountryCode "
     "and City.Population > 3000000",
+    // Equality conjuncts on joins: on the join column itself, on a
+    // non-join column of the second table, on both tables (either first),
+    // DISTINCT and grouped with the conjunct on the partner side, under
+    // OR (it must not narrow), and with the literal on the left.
+    "select City.Name from Country, City where Code = CountryCode and Code "
+    "= 'JPN'",
+    "select Country.Name, City.Population from Country, City where Code = "
+    "CountryCode and City.Name = 'Paris'",
+    "select City.Name from Country, City where Code = CountryCode and "
+    "Continent = 'Asia' and City.Name = 'Osaka'",
+    "select Name from Country, CountryLanguage where Language = 'English' "
+    "and Code = CountryCode and Continent = 'Asia'",
+    "select distinct Continent from Country, CountryLanguage where Code = "
+    "CountryCode and Language = 'English'",
+    "select Continent, sum(Percentage) from Country, CountryLanguage where "
+    "Code = CountryCode and IsOfficial = 'T' group by Continent",
+    "select City.Name from Country, City where Code = CountryCode and "
+    "(Continent = 'Asia' or City.Population > 8000000)",
+    "select Name from Country, CountryLanguage where Code = CountryCode and "
+    "'English' = Language",
     // Joins with aggregation.
     "select count(*) from Country, City where Code = CountryCode and "
     "Continent = 'Asia'",
@@ -384,9 +404,9 @@ TEST(ConflictSetTest, WorldScaleMatchesNaive) {
 }
 
 TEST(ConflictSetTest, PredicateDeltaAdmitsRejectedRow) {
-  // The rejected-row skip answers deltas on rows the predicate rejected
-  // at prepare time, unless the delta edits a column the predicate
-  // reads: such a delta can admit the row.
+  // The contributing-row rules answer deltas on rows the predicate
+  // rejected at prepare time, unless the delta edits a column the
+  // predicate reads and can admit the row.
   auto db = db::testing::MakeTestDatabase();
   // City rows: 2 = Paris (FRA, 2100000), 4 = Tokyo (JPN, 13900000).
   const SupportSet support{
@@ -405,6 +425,59 @@ TEST(ConflictSetTest, PredicateDeltaAdmitsRejectedRow) {
       // Osaka keeps JPN in the set whatever Paris and Tokyo do.
       {"select distinct CountryCode from City where CountryCode = 'JPN'", {}},
       {"select Name from City where Population = 13900000.0", {2}},
+  };
+  for (const Case& c : cases) {
+    auto query = db::ParseQuery(c.sql, *db);
+    ASSERT_TRUE(query.ok()) << c.sql;
+    EXPECT_EQ(FastConflictSet(*db, *query, support), c.conflicts) << c.sql;
+    EXPECT_EQ(NaiveConflictSet(*db, *query, support), c.conflicts) << c.sql;
+    EXPECT_EQ(InPlaceConflictSet(*db, *query, support), c.conflicts)
+        << c.sql;
+  }
+}
+
+TEST(ConflictSetTest, JoinSkipsKeepBoundaryDeltas) {
+  // A row in no accepted input is skipped when the delta (A) edits a
+  // column neither the predicate nor the join reads, (B) leaves its
+  // equality-conjunct cell unequal to the literal, or (C) moves its join
+  // key off every admitted conjunct-side key. Each rule gets a delta it
+  // skips and a boundary delta it must probe.
+  auto db = db::testing::MakeTestDatabase();
+  // Country rows: 0 = USA, 1 = FRA (Europe). City row 2 = Paris (FRA).
+  // CountryLanguage row 2 = (FRA, French).
+  const SupportSet support{
+      CellDelta{1, 2, 1, db::Value::Str("Lyon")},     // 0: Paris renamed
+      CellDelta{1, 2, 2, db::Value::Str("JPN")},      // 1: Paris to JPN
+      CellDelta{1, 2, 2, db::Value::Str("DEU")},      // 2: Paris to DEU
+      CellDelta{0, 1, 2, db::Value::Str("Africa")},   // 3: FRA to Africa
+      CellDelta{0, 1, 2, db::Value::Str("Asia")},     // 4: FRA to Asia
+      CellDelta{0, 1, 0, db::Value::Str("DEU")},      // 5: FRA's code DEU
+      CellDelta{0, 1, 0, db::Value::Str("USA")},      // 6: FRA's code USA
+      CellDelta{2, 2, 1, db::Value::Str("German")},   // 7: French to German
+      CellDelta{2, 2, 1, db::Value::Str("English")},  // 8: French to English
+      CellDelta{0, 1, 1, db::Value::Str("Francia")},  // 9: France renamed
+      CellDelta{0, 0, 1, db::Value::Str("America")},  // 10: USA renamed
+  };
+  struct Case {
+    const char* sql;
+    std::vector<uint32_t> conflicts;
+  };
+  const Case cases[] = {
+      // Conjunct on the first table. A skips 0, B skips 3 and 5 (FRA
+      // stays out of Asia), C skips 2 (DEU is no Asian key). Boundaries:
+      // Paris's key moves onto live JPN (1), FRA's delta writes the
+      // literal (4).
+      {"select City.Name from Country, City where Code = CountryCode and "
+       "Continent = 'Asia'",
+       {1, 4}},
+      // Conjunct on the second table. A skips 9, B skips 7, C skips 5.
+      // Boundaries: FRA's key moves onto live USA (6), French's delta
+      // writes the literal (8), and a contributing row's rename (10).
+      {"select Name from Country, CountryLanguage where Code = CountryCode "
+       "and Language = 'English'",
+       {6, 8, 10}},
+      // A single table: A skips 0, B skips 2; 1 writes the literal.
+      {"select Name from City where CountryCode = 'JPN'", {1}},
   };
   for (const Case& c : cases) {
     auto query = db::ParseQuery(c.sql, *db);

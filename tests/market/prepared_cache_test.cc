@@ -225,23 +225,24 @@ TEST(ColumnIndexCacheTest, SharedIndexFollowsCommittedDeltas) {
   };
 
   // Both queries read City.CountryCode's one index; the join also reads
-  // Country.Code's.
+  // Country.Code's and, for its `Continent = 'Asia'` conjunct,
+  // Country.Continent's.
   const auto initial = probe_all();
-  EXPECT_EQ(prober.prepared_stats().indexes, 2u);
+  EXPECT_EQ(prober.prepared_stats().indexes, 3u);
 
   // Paris joins JPN: the edited column's index goes with the entries,
   // and the rebuilt one lists Paris under JPN.
   commit(CellDelta{kCity, kParis, kCityCode, db::Value::Str("JPN")});
-  EXPECT_EQ(prober.prepared_stats().indexes, 1u);
+  EXPECT_EQ(prober.prepared_stats().indexes, 2u);
   const auto moved = probe_all();
   EXPECT_NE(moved, initial);
-  EXPECT_EQ(prober.prepared_stats().indexes, 2u);
+  EXPECT_EQ(prober.prepared_stats().indexes, 3u);
 
   // A column neither query reads: nothing is dropped and every conflict
   // set stays as it was (this commit also folds the overlay).
   const uint64_t dropped = prober.prepared_stats().selective_dropped;
   commit(CellDelta{kCity, kTokyo, kCityPopulation, db::Value::Int(7)});
-  EXPECT_EQ(prober.prepared_stats().indexes, 2u);
+  EXPECT_EQ(prober.prepared_stats().indexes, 3u);
   EXPECT_EQ(prober.prepared_stats().selective_dropped, dropped);
   EXPECT_EQ(probe_all(), moved);
 }
