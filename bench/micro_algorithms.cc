@@ -13,10 +13,12 @@
 // algorithms on its seed and grown books, and BM_SolveSeedSkewed times all
 // six algorithms on the seed book. BM_Crc32 and
 // BM_DeserializeShardState time the durability layer's recovery read:
-// the checksum every persisted byte goes through, and decoding one real
-// shard checkpoint file. Uses system google-benchmark when available;
-// otherwise the built-in mini harness (bench/mini_benchmark.h) keeps the
-// target building and running.
+// the checksum every persisted byte goes through (Arg = bytes: 63, below
+// the carry-less-multiply kernel's 64-byte minimum, then 4 KiB and
+// 256 KiB through it), and decoding one real shard checkpoint file, its
+// section checks and the folded whole-file CRC included. Uses system
+// google-benchmark when available; otherwise the built-in mini harness
+// (bench/mini_benchmark.h) keeps the target building and running.
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -285,15 +287,17 @@ BENCHMARK(BM_SolveSeedSkewed)->Arg(300);
 namespace qp::serve::persist {
 namespace {
 
+// Arg = buffer bytes: 63 stays below the carry-less-multiply kernel's
+// 64-byte minimum (slicing-by-8 only), 4 KiB and 256 KiB run the kernel.
 void BM_Crc32(benchmark::State& state) {
   Rng rng(31);
-  std::vector<uint8_t> buffer(256 << 10);
+  std::vector<uint8_t> buffer(static_cast<size_t>(state.range(0)));
   for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Crc32(buffer));
   }
 }
-BENCHMARK(BM_Crc32);
+BENCHMARK(BM_Crc32)->Arg(63)->Arg(4 << 10)->Arg(256 << 10);
 
 // One shard checkpoint file as the engine writes it: a single-shard
 // engine over the skewed instance holding the first 300 corpus buyers

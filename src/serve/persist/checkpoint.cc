@@ -93,7 +93,10 @@ std::vector<uint64_t> ListSeqs(const std::string& dir,
 
 /// Loads checkpoint `seq` in full: manifest, then every shard file
 /// validated against the manifest's whole-file CRCs. Any failure means
-/// "this checkpoint is not usable" — the caller falls back.
+/// "this checkpoint is not usable" — the caller falls back. The whole-
+/// file CRC is the one DeserializeShardState folds from its section
+/// checks, so it is compared after decoding; the decoders bound every
+/// read, so bytes the manifest did not commit cannot do harm first.
 Status TryLoadCheckpoint(const std::string& dir, uint64_t seq,
                          Manifest* manifest, std::vector<ShardState>* shards) {
   const std::string ckdir = CheckpointDir(dir, seq);
@@ -109,11 +112,13 @@ Status TryLoadCheckpoint(const std::string& dir, uint64_t seq,
     const std::string path =
         (fs::path(ckdir) / ("shard-" + std::to_string(s) + ".ckpt")).string();
     QP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
-    if (Crc32(bytes) != manifest->shard_file_crcs[s]) {
+    uint32_t file_crc = 0;
+    QP_ASSIGN_OR_RETURN(ShardState state,
+                        DeserializeShardState(bytes, &file_crc));
+    if (file_crc != manifest->shard_file_crcs[s]) {
       return Status::Internal("persist: shard file checksum mismatch: " +
                               path);
     }
-    QP_ASSIGN_OR_RETURN(ShardState state, DeserializeShardState(bytes));
     shards->push_back(std::move(state));
   }
   return Status::OK();

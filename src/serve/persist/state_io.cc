@@ -40,10 +40,8 @@ void PutF64Vec(WireWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> GetF64Vec(WireReader& r) {
-  uint32_t n = r.Count(8);
   std::vector<double> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.push_back(r.F64());
+  r.F64VecInto(&v);
   return v;
 }
 
@@ -224,9 +222,11 @@ Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state) {
   return out;
 }
 
-Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data) {
+Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
+                                         uint32_t* file_crc) {
   QP_ASSIGN_OR_RETURN(size_t offset, CheckFileHeader(data, kShardFileKind));
-  SectionReader sections(data.data() + offset, data.size() - offset);
+  SectionReader sections(data.data() + offset, data.size() - offset,
+                         Crc32(data.data(), offset));
   ShardState state;
   bool saw_meta = false, saw_edges = false, saw_valuations = false,
        saw_reprice = false, saw_book = false;
@@ -312,6 +312,7 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data) {
   if (state.valuations.size() != state.edges.size()) {
     return Status::Internal("persist: shard valuation/edge count mismatch");
   }
+  if (file_crc != nullptr) *file_crc = sections.file_crc();
   return state;
 }
 

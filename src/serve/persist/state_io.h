@@ -63,7 +63,11 @@ struct ShardState {
 /// Fails (Unimplemented) on a PricingFunction subclass the format does
 /// not know — never silently drops a pricing.
 Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state);
-Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data);
+/// On success, stores the Crc32 of all of `data` in `*file_crc` when it
+/// is non-null — folded from the section checks, so the bytes are not
+/// read a second time to compare against Manifest::shard_file_crcs.
+Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
+                                         uint32_t* file_crc = nullptr);
 
 struct Manifest {
   uint64_t checkpoint_seq = 0;

@@ -38,6 +38,7 @@
 #ifndef QP_SERVE_RPC_WIRE_H_
 #define QP_SERVE_RPC_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -220,24 +221,17 @@ class WireReader {
   }
   uint32_t U32() {
     if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t(data_[pos_ + size_t(i)]) << (8 * i);
+    const uint32_t v = LoadLe32(data_ + pos_);
     pos_ += 4;
     return v;
   }
   uint64_t U64() {
     if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= uint64_t(data_[pos_ + size_t(i)]) << (8 * i);
+    const uint64_t v = LoadLe64(data_ + pos_);
     pos_ += 8;
     return v;
   }
-  double F64() {
-    uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+  double F64() { return std::bit_cast<double>(U64()); }
   /// Reads a u32 element count and latches failure (returning 0) unless
   /// that many elements of at least `min_elem_bytes` each fit in the
   /// bytes left — the check to make before a count sizes a reserve().
@@ -261,27 +255,48 @@ class WireReader {
     U32VecInto(&v);
     return v;
   }
-  /// U32Vec into caller-owned storage (cleared first, capacity
-  /// retained) — the server's zero-allocation decode path. Identical
-  /// validation and failure latching; U32Vec delegates here.
+  /// U32Vec into caller-owned storage (overwritten, capacity retained)
+  /// — the server's zero-allocation decode path. Identical validation
+  /// and failure latching; U32Vec delegates here. Once Count() has
+  /// bounded the elements, `out` is sized once and filled in place; on
+  /// failure it is left untouched.
   bool U32VecInto(std::vector<uint32_t>* out) {
     uint32_t n = Count(4);
     if (!ok_) return false;
-    out->clear();
-    out->reserve(n);
-    for (uint32_t i = 0; i < n; ++i) out->push_back(U32());
+    out->resize(n);
+    for (uint32_t& x : *out) x = U32();
+    return true;
+  }
+  /// A u32 count then that many f64s, into caller-owned storage the way
+  /// U32VecInto decodes.
+  bool F64VecInto(std::vector<double>* out) {
+    uint32_t n = Count(8);
+    if (!ok_) return false;
+    out->resize(n);
+    for (double& x : *out) x = F64();
     return true;
   }
   std::vector<uint64_t> U64Vec() {
     uint32_t n = Count(8);
     if (!ok_) return {};
-    std::vector<uint64_t> v;
-    v.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) v.push_back(U64());
+    std::vector<uint64_t> v(n);
+    for (uint64_t& x : v) x = U64();
     return v;
   }
 
  private:
+  // Little-endian loads, assembled from bytes so no host byte order is
+  // assumed. Written as one expression, not a loop over the bytes, so
+  // compilers merge them into a single load on little-endian hosts. The
+  // caller bounds the read.
+  static uint32_t LoadLe32(const uint8_t* p) {
+    return uint32_t(p[0]) | uint32_t(p[1]) << 8 | uint32_t(p[2]) << 16 |
+           uint32_t(p[3]) << 24;
+  }
+  static uint64_t LoadLe64(const uint8_t* p) {
+    return uint64_t(LoadLe32(p)) | uint64_t(LoadLe32(p + 4)) << 32;
+  }
+
   bool Need(size_t n) {
     if (!ok_ || size_ - pos_ < n) {
       ok_ = false;

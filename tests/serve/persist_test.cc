@@ -275,11 +275,12 @@ TEST(PersistFormatTest, Crc32KnownAnswersAndSeedChaining) {
 }
 
 TEST(PersistFormatTest, Crc32MatchesBitwiseReference) {
-  // Every length 0-64 at every offset 0-7 covers each tail length and
-  // each alignment of the 8-byte blocks.
-  std::vector<uint8_t> data = RandomBytes(64 + 8, 12);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
+  // Every length 0-300 at every offset 0-15 covers both sides of the
+  // carry-less-multiply kernel's 64-byte minimum, its 64-byte fold loop,
+  // its 16-byte loop, each slicing-by-8 tail length and each alignment.
+  std::vector<uint8_t> data = RandomBytes(300 + 16, 12);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
       EXPECT_EQ(Crc32(data.data() + offset, len),
                 ReferenceCrc32(data.data() + offset, len))
           << "offset " << offset << " len " << len;
@@ -287,6 +288,26 @@ TEST(PersistFormatTest, Crc32MatchesBitwiseReference) {
   }
   std::vector<uint8_t> big = RandomBytes(1 << 20, 13);
   EXPECT_EQ(Crc32(big), ReferenceCrc32(big.data(), big.size()));
+}
+
+TEST(PersistFormatTest, Crc32CombineMatchesConcatenation) {
+  // Crc32Combine(Crc32(a), Crc32(b), |b|) == Crc32(a + b) at every split,
+  // the empty a and the empty b (len_b = 0) included.
+  std::vector<uint8_t> data = RandomBytes(300, 14);
+  const uint32_t whole = Crc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const size_t len_b = data.size() - split;
+    EXPECT_EQ(Crc32Combine(Crc32(data.data(), split),
+                           Crc32(data.data() + split, len_b), len_b),
+              whole)
+        << "split " << split;
+  }
+  std::vector<uint8_t> big = RandomBytes(1 << 20, 15);
+  const size_t split = 333333;
+  EXPECT_EQ(Crc32Combine(Crc32(big.data(), split),
+                         Crc32(big.data() + split, big.size() - split),
+                         big.size() - split),
+            Crc32(big));
 }
 
 TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
@@ -428,6 +449,11 @@ TEST(PersistFormatTest, SectionsRoundTripAndDetectCorruption) {
   EXPECT_EQ(section.tag, 9u);
   EXPECT_EQ(section.size, 0u);
   EXPECT_TRUE(reader.AtEnd());
+  // Seeded with the header's CRC, the folded CRC covers the whole file.
+  SectionReader whole(file.data() + *offset, file.size() - *offset,
+                      Crc32(file.data(), *offset));
+  while (!whole.AtEnd()) QP_CHECK_OK(whole.Next(&section));
+  EXPECT_EQ(whole.file_crc(), Crc32(file));
 
   // The manifest kind must not load as a shard file.
   EXPECT_EQ(CheckFileHeader(file, kManifestFileKind).status().code(),
@@ -765,6 +791,41 @@ TEST(PersistRecoveryTest, FallsBackPastCorruptAndUncommittedCheckpoints) {
   QP_CHECK_OK(c.engine->RestoreFromCheckpoint(*recovered, c.db.get()));
   ExpectEnginesIdentical(*a.engine, *c.engine);
   ExpectSerializedStateIdentical(*a.engine, *c.engine, "fallback");
+}
+
+// A shard file whose every section CRC is valid but whose bytes are not
+// the ones the MANIFEST committed — checkpoint 3's shard 0 copied over
+// checkpoint 4's — must fail the whole-file check folded from the
+// section checks (file header, section headers, payloads and trailers),
+// so recovery falls back to seq 3.
+TEST(PersistRecoveryTest, SectionValidShardFileFromOtherCheckpointFallsBack) {
+  std::string dir = FreshDir("swapped_shard");
+  World a;
+  CheckpointManager manager({.dir = dir, .checkpoint_every = 1, .keep = 3});
+  QP_CHECK_OK(manager.Attach(a.engine.get()));
+  a.engine->SetWriterLog(&manager);
+  a.Append(0, 2);  // checkpoint 2
+  a.Append(2, 2);  // checkpoint 3
+  a.Append(4, 3);  // checkpoint 4
+  ASSERT_EQ(manager.stats().last_checkpoint_seq, 4u);
+
+  auto older = ReadFile(dir + "/checkpoint-3/shard-0.ckpt");
+  auto newer = ReadFile(dir + "/checkpoint-4/shard-0.ckpt");
+  QP_CHECK_OK(older.status());
+  QP_CHECK_OK(newer.status());
+  ASSERT_NE(*older, *newer) << "shard 0 did not change between checkpoints";
+  QP_CHECK_OK(DeserializeShardState(*older).status());
+  QP_CHECK_OK(
+      WriteFileAtomic(dir + "/checkpoint-4/shard-0.ckpt", *older, false));
+
+  auto recovered = Recover(dir);
+  QP_CHECK_OK(recovered.status());
+  EXPECT_EQ(recovered->checkpoint_seq, 3);
+  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 1);
+  World b;
+  QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
+  ExpectEnginesIdentical(*a.engine, *b.engine);
+  ExpectSerializedStateIdentical(*a.engine, *b.engine, "swapped_shard");
 }
 
 // --- (d) graceful degradation while warming ----------------------------

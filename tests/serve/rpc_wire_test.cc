@@ -6,6 +6,7 @@
 #include "serve/rpc/wire.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -362,6 +363,69 @@ TEST(RpcWireTest, HostileCountsCannotDriveAllocation) {
   std::vector<std::vector<uint32_t>> bundles;
   EXPECT_FALSE(DecodeQuoteBatchRequest(
       std::span<const uint8_t>(batch.data(), batch.size()), &bundles));
+}
+
+// The bulk vector readers at the count boundary: a count whose elements
+// exactly fill the bytes left decodes; one element more latches failure
+// and yields nothing, before any element is read. Each body sits in an
+// exactly-sized heap block, so an over-read is an ASan report.
+TEST(RpcWireTest, VectorCountsAtTheBoundary) {
+  const std::vector<uint32_t> u32s = {1, 0xDEADBEEFu, 0, 0xFFFFFFFFu, 7};
+  const std::vector<double> f64s = {0.5, -3.25, 1e300, 0.0, -0.0};
+  auto encode = [](uint32_t count, auto&& elements) {
+    std::vector<uint8_t> bytes;
+    WireWriter w(&bytes);
+    w.U32(count);
+    elements(w);
+    return std::vector<uint8_t>(bytes.begin(), bytes.end());
+  };
+  auto put_u32s = [&](WireWriter& w) {
+    for (uint32_t x : u32s) w.U32(x);
+  };
+  auto put_f64s = [&](WireWriter& w) {
+    for (double x : f64s) w.F64(x);
+  };
+  const uint32_t n = static_cast<uint32_t>(u32s.size());
+
+  std::vector<uint8_t> exact = encode(n, put_u32s);
+  WireReader r(exact.data(), exact.size());
+  EXPECT_EQ(r.U32Vec(), u32s);
+  EXPECT_TRUE(r.AtEnd());
+
+  std::vector<uint8_t> over = encode(n + 1, put_u32s);
+  WireReader r_over(over.data(), over.size());
+  EXPECT_TRUE(r_over.U32Vec().empty());
+  EXPECT_FALSE(r_over.ok());
+  std::vector<uint32_t> kept = {42};
+  WireReader r_into(over.data(), over.size());
+  EXPECT_FALSE(r_into.U32VecInto(&kept));
+  EXPECT_EQ(kept, std::vector<uint32_t>{42});
+
+  exact = encode(n, put_f64s);
+  std::vector<double> doubles;
+  WireReader f(exact.data(), exact.size());
+  EXPECT_TRUE(f.F64VecInto(&doubles));
+  EXPECT_TRUE(f.AtEnd());
+  ASSERT_EQ(doubles.size(), f64s.size());
+  for (size_t i = 0; i < f64s.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(doubles[i]),
+              std::bit_cast<uint64_t>(f64s[i]))
+        << "element " << i;
+  }
+
+  over = encode(n + 1, put_f64s);
+  std::vector<double> untouched = {1.5};
+  WireReader f_over(over.data(), over.size());
+  EXPECT_FALSE(f_over.F64VecInto(&untouched));
+  EXPECT_FALSE(f_over.ok());
+  EXPECT_EQ(untouched, std::vector<double>{1.5});
+
+  // An empty vector is a count alone.
+  std::vector<uint8_t> empty = encode(0, [](WireWriter&) {});
+  WireReader e(empty.data(), empty.size());
+  EXPECT_TRUE(e.F64VecInto(&doubles));
+  EXPECT_TRUE(doubles.empty());
+  EXPECT_TRUE(e.AtEnd());
 }
 
 // Runs every body decoder over `body`. Each one must return (true or

@@ -6,6 +6,10 @@
 // requires the recovered books to match an in-process reference replay
 // BIT FOR BIT: version vectors, quote prices, and serialized shard state.
 //
+// Recovery must also restore from a checkpoint and skip none: the
+// child's checkpoints are all committed, so a skipped one is a bug in
+// reading them back.
+//
 // Exit codes: 0 = recovered state is bit-identical; 1 = mismatch or
 // recovery failure; 2 = child setup failure (not a durability bug).
 //
@@ -185,6 +189,18 @@ int ParentMain(const std::string& dir, pid_t child) {
   }
   if (!recovered->journal_torn_tail) {
     std::fprintf(stderr, "FAIL: torn journal tail not detected\n");
+    return 1;
+  }
+  // The child is killed after its last op, so every checkpoint it wrote
+  // was committed. Fail a checkpoint read that rejects valid files here,
+  // by name, rather than by whatever journal replay alone reaches.
+  if (recovered->corrupt_checkpoints_skipped != 0 ||
+      recovered->checkpoint_seq < 1) {
+    std::fprintf(stderr,
+                 "FAIL: recovery skipped %d checkpoint(s) and restored "
+                 "checkpoint %lld; every committed checkpoint is valid\n",
+                 recovered->corrupt_checkpoints_skipped,
+                 static_cast<long long>(recovered->checkpoint_seq));
     return 1;
   }
   World restored;
