@@ -35,7 +35,7 @@
 // its loops. Wire quotes are hard-checked bit-identical here too, and
 // the steady-state quote path is asserted to perform ZERO heap
 // allocations on the loop threads (operator-new accounting below, wired
-// into RpcServerOptions::alloc_probe) — the buffer-pooling contract.
+// into RpcServerOptions::alloc_probe) — the buffer-reuse contract.
 //   rpc-loops<N> / quotes-closed, quotes-open   wall seconds as above
 #include <stdlib.h>
 
@@ -418,7 +418,7 @@ int Main(int argc, char** argv) {
     const std::string scaled_name = "rpc-loops" + std::to_string(num_loops);
 
     // Persistent connections reused across warmup and both measured
-    // phases: the per-connection buffer pools must reach their high-
+    // phases: the per-connection send buffers must reach their high-
     // water marks during warmup and then serve allocation-free.
     std::vector<serve::rpc::RpcClient> conns(
         static_cast<size_t>(connections));
@@ -427,7 +427,7 @@ int Main(int argc, char** argv) {
     }
 
     // Warmup: (1) one oversized QuoteBatch per connection forces the
-    // per-loop bundle arena, batch scratch and encode slots past any
+    // per-loop bundle arena, batch scratch and send buffers past any
     // tick the measured phases can produce (a measured tick batches at
     // most window * connections-per-loop quotes); (2) a full-volume
     // pipelined run matches the measured traffic shape so every grow-
@@ -608,21 +608,18 @@ int Main(int argc, char** argv) {
 
     // Zero-allocation assertion: across BOTH measured phases no loop
     // thread may have allocated — decode, batch pricing, encode and
-    // flush all ran out of pooled/grow-only storage primed by warmup.
+    // flush all ran out of reused/grow-only storage primed by warmup.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     const uint64_t allocs_after = scaled.alloc_probe_total();
     serve::rpc::RpcServerStats scaled_stats = scaled.stats();
     std::cout << StrFormat(
-        "loops=%d server: %llu writev calls (%.1f frames each), %llu pool "
-        "hits, %llu pooled bytes, %llu loop-thread allocs in measured "
-        "phases\n",
+        "loops=%d server: %llu send calls (%.1f frames each), %llu "
+        "loop-thread allocs in measured phases\n",
         num_loops, static_cast<unsigned long long>(scaled_stats.writev_calls),
         scaled_stats.writev_calls > 0
             ? static_cast<double>(scaled_stats.writev_frames) /
                   static_cast<double>(scaled_stats.writev_calls)
             : 0.0,
-        static_cast<unsigned long long>(scaled_stats.pool_hits),
-        static_cast<unsigned long long>(scaled_stats.pool_bytes),
         static_cast<unsigned long long>(allocs_after - allocs_before));
     QP_CHECK_OK(allocs_after == allocs_before
                     ? Status::OK()

@@ -127,15 +127,9 @@ int PricingEngine::AppendEdges(std::vector<std::vector<uint32_t>> edges) {
 }
 
 void PricingEngine::RepriceAndPublish(int first_new_edge) {
-  std::vector<core::PricingResult> results;
-  if (options_.incremental_reprice && reprice_.seeded()) {
-    results = core::RepriceAfterAppend(hypergraph_, valuations_,
-                                       first_new_edge, options_.algorithms,
-                                       reprice_);
-  } else {
-    results = core::SolveAllWithState(hypergraph_, valuations_,
-                                      options_.algorithms, reprice_);
-  }
+  // Solves cold (seeding reprice_) on the first append.
+  std::vector<core::PricingResult> results = core::RepriceAfterAppend(
+      hypergraph_, valuations_, first_new_edge, options_.algorithms, reprice_);
   total_lps_solved_ += reprice_.last.lps_solved;
   ++version_;
   Publish(std::make_unique<const PriceBookSnapshot>(

@@ -8,9 +8,9 @@
 //
 //  * AppendBuyersPrecomputed appends the router's already-probed
 //    conflict sets (shard-local item ids) to the hypergraph, reprices
-//    either incrementally (core::RepriceAfterAppend — refined classes
-//    and reused LPIP thresholds; CIP replays its cold capacity grid) or
-//    from scratch, moves the results into a fresh immutable
+//    incrementally (core::RepriceAfterAppend — refined classes and
+//    reused LPIP thresholds; CIP replays its cold capacity grid; the
+//    first append solves cold), moves the results into a fresh immutable
 //    PriceBookSnapshot, publishes it with one atomic head store and
 //    retires the replaced one through the router's epoch manager.
 //  * CaptureState / RestoreState move the writer state in and out of a
@@ -45,9 +45,6 @@ struct EngineOptions {
   /// Forwarded to the pricing layer. classes / sorted_order fields are
   /// ignored (the reprice state owns the shared precompute).
   core::AlgorithmOptions algorithms;
-  /// false = every AppendBuyers runs a full cold solve (the baseline the
-  /// engine_throughput bench compares against).
-  bool incremental_reprice = true;
   /// Catalog fold cadence: the router's ApplySellerDelta folds the
   /// accumulated overlay into the base database once it holds this many
   /// distinct cells (clamped to >= 1) — gated on reader drain, retried on

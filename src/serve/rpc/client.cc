@@ -145,9 +145,11 @@ Status RpcClient::SendFrame(const std::vector<uint8_t>& frame) {
         }
         continue;
       }
+      // Read errno before Disconnect(): close() may overwrite it.
+      const int err = errno;
       Disconnect();
       return Status::Internal("send() failed: " +
-                              std::string(std::strerror(errno)));
+                              std::string(std::strerror(err)));
     }
     sent += static_cast<size_t>(n);
   }
@@ -231,9 +233,11 @@ Status RpcClient::ReceiveFrame(RpcReply* out) {
         // and a later Receive() can finish collecting the reply.
         continue;
       }
+      // Read errno before Disconnect(): close() may overwrite it.
+      const int err = errno;
       Disconnect();
       return Status::Internal("recv() failed: " +
-                              std::string(std::strerror(errno)));
+                              std::string(std::strerror(err)));
     }
     in_.insert(in_.end(), buf, buf + n);
   }
@@ -341,9 +345,9 @@ Status RpcClient::Stats(RpcReply* out) {
   return WaitFor(id, out);
 }
 
-Status RpcClient::QuoteWithRetry(const std::vector<uint32_t>& bundle,
-                                 const RetryPolicy& policy, RpcReply* out,
-                                 RetryStats* stats) {
+template <typename Call>
+Status RpcClient::RetryLoop(const RetryPolicy& policy, bool idempotent,
+                            RpcReply* out, RetryStats* stats, Call call) {
   Rng rng(policy.seed);
   RetryStats local;
   Status last = Status::OK();
@@ -353,16 +357,22 @@ Status RpcClient::QuoteWithRetry(const std::vector<uint32_t>& bundle,
       local.backoff_ms += ms;
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
     }
-    if (fd_ < 0) {
-      // Quotes are idempotent and read-only: reconnecting and resending
-      // can at worst serve the same price twice.
+    // Connecting before the FIRST send is always safe (nothing in
+    // flight). After that, a lost connection is harmless to an idempotent
+    // read-only quote (at worst the same price is served twice) but
+    // leaves a write of unknown fate, which is surfaced rather than risk
+    // a double apply.
+    if (fd_ < 0 && (idempotent || local.attempts == 0)) {
       last = Connect(address_, port_);
       if (!last.ok()) continue;
       ++local.reconnects;
     }
     ++local.attempts;
-    last = Quote(bundle, out);
-    if (!last.ok()) continue;
+    last = call(out);
+    if (!last.ok()) {
+      if (idempotent) continue;
+      break;  // At-most-once: transport failure is terminal.
+    }
     // A pushback reply on the final attempt triggers no retry, so it is
     // not counted as one — the counters tally retries, not replies.
     if (out->code == WireCode::kBackpressure) {
@@ -379,78 +389,30 @@ Status RpcClient::QuoteWithRetry(const std::vector<uint32_t>& bundle,
   return last;
 }
 
+Status RpcClient::QuoteWithRetry(const std::vector<uint32_t>& bundle,
+                                 const RetryPolicy& policy, RpcReply* out,
+                                 RetryStats* stats) {
+  return RetryLoop(policy, /*idempotent=*/true, out, stats,
+                   [&](RpcReply* reply) { return Quote(bundle, reply); });
+}
+
 Status RpcClient::AppendBuyersWithRetry(const std::vector<WireBuyer>& buyers,
                                         const RetryPolicy& policy,
                                         RpcReply* out, RetryStats* stats) {
-  Rng rng(policy.seed);
-  RetryStats local;
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      double ms = RetryBackoffMs(policy, attempt - 1, rng);
-      local.backoff_ms += ms;
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-    }
-    if (fd_ < 0 && local.attempts == 0) {
-      // Connecting before the FIRST send is safe (nothing in flight);
-      // after that a lost connection means an append of unknown fate —
-      // surface it instead of risking a double apply.
-      last = Connect(address_, port_);
-      if (!last.ok()) continue;
-      ++local.reconnects;
-    }
-    ++local.attempts;
-    last = AppendBuyers(buyers, out);
-    if (!last.ok()) break;  // At-most-once: transport failure is terminal.
-    if (out->code == WireCode::kBackpressure) {
-      if (attempt + 1 < policy.max_attempts) ++local.backpressure_retries;
-      continue;
-    }
-    if (out->code == WireCode::kUnavailable) {
-      if (attempt + 1 < policy.max_attempts) ++local.unavailable_retries;
-      continue;
-    }
-    break;
-  }
-  if (stats != nullptr) *stats = local;
-  return last;
+  return RetryLoop(
+      policy, /*idempotent=*/false, out, stats,
+      [&](RpcReply* reply) { return AppendBuyers(buyers, reply); });
 }
 
 Status RpcClient::ApplySellerDeltaWithRetry(const market::CellDelta& delta,
                                             const RetryPolicy& policy,
                                             RpcReply* out, RetryStats* stats) {
-  Rng rng(policy.seed);
-  RetryStats local;
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      double ms = RetryBackoffMs(policy, attempt - 1, rng);
-      local.backoff_ms += ms;
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-    }
-    if (fd_ < 0 && local.attempts == 0) {
-      // Same at-most-once shape as appends: connect only before the
-      // FIRST send; a later lost connection means a delta of unknown
-      // fate, surfaced to the caller rather than resent.
-      last = Connect(address_, port_);
-      if (!last.ok()) continue;
-      ++local.reconnects;
-    }
-    ++local.attempts;
-    last = ApplySellerDelta(delta, out);
-    if (!last.ok()) break;  // At-most-once: transport failure is terminal.
-    if (out->code == WireCode::kBackpressure) {
-      if (attempt + 1 < policy.max_attempts) ++local.backpressure_retries;
-      continue;
-    }
-    if (out->code == WireCode::kUnavailable) {
-      if (attempt + 1 < policy.max_attempts) ++local.unavailable_retries;
-      continue;
-    }
-    break;
-  }
-  if (stats != nullptr) *stats = local;
-  return last;
+  // Same at-most-once shape as appends (a delta sets an absolute cell
+  // value, so a double apply would be harmless — but the loop still
+  // refuses to guess).
+  return RetryLoop(
+      policy, /*idempotent=*/false, out, stats,
+      [&](RpcReply* reply) { return ApplySellerDelta(delta, reply); });
 }
 
 }  // namespace qp::serve::rpc

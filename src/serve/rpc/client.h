@@ -204,6 +204,14 @@ class RpcClient {
   Status ReceiveFrame(RpcReply* out);
   /// Blocks until the reply for `id` arrives, parking any others.
   Status WaitFor(uint64_t id, RpcReply* out);
+  /// The loop behind every *WithRetry call: `call(out)` makes one
+  /// blocking request. Backs off and retries on kBackpressure /
+  /// kUnavailable replies. An `idempotent` call also reconnects and
+  /// resends after a transport failure; otherwise the client connects
+  /// only before the first send and a transport failure ends the loop.
+  template <typename Call>
+  Status RetryLoop(const RetryPolicy& policy, bool idempotent, RpcReply* out,
+                   RetryStats* stats, Call call);
   uint64_t NextId() { return next_id_++; }
 
   int fd_ = -1;

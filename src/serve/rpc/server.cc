@@ -7,7 +7,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -41,12 +40,9 @@ constexpr size_t kReadChunk = 64 * 1024;
 /// frames) is released once empty instead of pinning the high-water
 /// mark forever.
 constexpr size_t kRecvBufCapBytes = 256 * 1024;
-/// Encode-arena slots keep their capacity for reuse up to this; a slot
-/// stretched further by one oversized reply is freed after flushing.
-constexpr size_t kFrameSlotCapBytes = 64 * 1024;
-/// Iovec bound for one vectored flush; frames beyond this wait for the
-/// next writev (bounded stack usage, and IOV_MAX is only 1024 anyway).
-constexpr int kMaxIovPerFlush = 64;
+/// A fully sent send buffer keeps its capacity for the next replies up
+/// to this; one stretched further by a jumbo reply is released.
+constexpr size_t kSendBufCapBytes = 64 * 1024;
 
 }  // namespace
 
@@ -57,17 +53,13 @@ struct RpcServer::Impl {
     /// Receive scratch: reads land directly in the tail; consumed frames
     /// are erased from the front. Capacity is the reuse pool.
     std::vector<uint8_t> in;
-    /// Encode arena: a FIFO of pooled frame buffers. frames[frame_head ..
-    /// frame_head + frame_count) are queued responses (oldest first);
-    /// slots outside that window are free but keep their capacity, so a
-    /// steady request/reply rhythm re-acquires the same storage with no
-    /// allocation. AcquireFrame compacts the window to the front (a
-    /// rotate of vector headers, no heap traffic) before growing.
-    std::vector<std::vector<uint8_t>> frames;
-    size_t frame_head = 0;
-    size_t frame_count = 0;
-    /// Bytes of frames[frame_head] already on the wire.
-    size_t out_offset = 0;
+    /// Send buffer: replies are encoded straight onto its end and
+    /// out[sent, size) is still owed to the peer. Cleared (capacity
+    /// retained) once fully sent, so steady traffic reuses one block.
+    std::vector<uint8_t> out;
+    size_t sent = 0;
+    /// Frames appended since the buffer was last empty (writev_frames).
+    uint64_t out_frames = 0;
     bool epollout_armed = false;
   };
 
@@ -124,17 +116,13 @@ struct RpcServer::Impl {
     ShardedPricingEngine::QuoteBatchScratch batch;
     /// Completions moved out of the shared deque for lock-free replay.
     std::vector<WriterDone> done_scratch;
-    /// Capacity of the most recently acquired encode slot, for the
-    /// pool_bytes delta in CommitFrame.
-    size_t acquired_cap = 0;
 
     // Per-loop counters; stats() aggregates across loops.
     std::atomic<uint64_t> connections_accepted{0}, connections_closed{0},
         frames_received{0}, quote_requests{0}, quote_batch_requests{0},
         purchase_requests{0}, append_requests{0}, seller_delta_requests{0},
         stats_requests{0}, quote_ticks{0}, batched_quotes{0},
-        protocol_errors{0}, writev_calls{0}, writev_frames{0}, pool_hits{0},
-        pool_bytes{0};
+        protocol_errors{0}, writev_calls{0}, writev_frames{0};
     /// Latest options.alloc_probe sample, stored at the end of a tick.
     std::atomic<uint64_t> alloc_probe_last{0};
   };
@@ -330,7 +318,7 @@ struct RpcServer::Impl {
 
   /// Loop-thread only: true once the writer is gone, this loop's
   /// completions are delivered, no handed-off connection awaits
-  /// adoption, and every owned connection's out-queue hit the wire.
+  /// adoption, and every owned connection's send buffer hit the wire.
   bool DrainComplete(EventLoop& loop) {
     if (!writer_exited.load()) return false;
     {
@@ -342,7 +330,7 @@ struct RpcServer::Impl {
       if (!loop.inbox.empty()) return false;
     }
     for (const auto& entry : loop.conns) {
-      if (entry.second.frame_count > 0) return false;
+      if (!entry.second.out.empty()) return false;
     }
     return true;
   }
@@ -487,7 +475,7 @@ struct RpcServer::Impl {
           }
           if (mask & EPOLLOUT) {
             auto again = loop.conns.find(id);
-            if (again != loop.conns.end()) FlushWrites(loop, id, again->second);
+            if (again != loop.conns.end()) Flush(loop, id, again->second);
           }
         }
       }
@@ -527,13 +515,16 @@ struct RpcServer::Impl {
     }
     DeliverWriterCompletions(loop);
     DrainInbox(loop);  // adopt stragglers so their fds close cleanly
+    // By id, not by iterator: a failed send closes (erases) its
+    // connection inside Flush.
     std::vector<uint64_t> ids;
     ids.reserve(loop.conns.size());
-    for (auto& [id, conn] : loop.conns) {
-      FlushWrites(loop, id, conn);
-      ids.push_back(id);
+    for (const auto& entry : loop.conns) ids.push_back(entry.first);
+    for (uint64_t id : ids) {
+      auto it = loop.conns.find(id);
+      if (it != loop.conns.end()) Flush(loop, id, it->second);
+      CloseConn(loop, id);
     }
-    for (uint64_t id : ids) CloseConn(loop, id);
   }
 
   void AcceptAll(EventLoop& loop) {
@@ -598,13 +589,6 @@ struct RpcServer::Impl {
   void CloseConn(EventLoop& loop, uint64_t id) {
     auto it = loop.conns.find(id);
     if (it == loop.conns.end()) return;
-    size_t pooled = 0;
-    for (const std::vector<uint8_t>& slot : it->second.frames) {
-      pooled += slot.capacity();
-    }
-    if (pooled > 0) {
-      loop.pool_bytes.fetch_sub(pooled, std::memory_order_relaxed);
-    }
     epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, it->second.fd, nullptr);
     close(it->second.fd);
     loop.conns.erase(it);
@@ -696,22 +680,13 @@ struct RpcServer::Impl {
       case MsgType::kQuoteBatch: {
         loop.quote_batch_requests.fetch_add(1, std::memory_order_relaxed);
         const size_t first = loop.num_bundles;
-        // Decoded straight into consecutive arena slots (the in-place
-        // form of DecodeQuoteBatchRequest: same bounds checks, same
-        // trailing-garbage rejection).
-        WireReader r(frame.body);
-        uint32_t count = r.U32();
-        bool ok = r.ok();
-        for (uint32_t k = 0; ok && k < count; ++k) {
-          ok = r.U32VecInto(NextBundleSlot(loop));
-        }
-        if (!ok || !r.AtEnd()) {
-          loop.num_bundles = first;
+        if (!DecodeQuoteBatchRequestInto(frame.body, &loop.bundles,
+                                         &loop.num_bundles)) {
           return BadRequest(loop, id, frame.request_id,
                             "malformed QuoteBatch body");
         }
-        loop.tick_quotes.push_back(
-            {id, frame.request_id, true, first, static_cast<size_t>(count)});
+        loop.tick_quotes.push_back({id, frame.request_id, true, first,
+                                    loop.num_bundles - first});
         return true;
       }
       case MsgType::kPurchase: {
@@ -730,24 +705,20 @@ struct RpcServer::Impl {
         // Reader-side end to end (overlay probe + snapshot pin + atomic
         // sale counters): never blocks behind the engine's writer.
         PurchaseOutcome outcome = engine->Purchase(*parsed, valuation);
-        auto it = loop.conns.find(id);
-        if (it == loop.conns.end()) return false;
         if (!outcome.status.ok()) {
           // Bundle touches a shard still warming after restore: the sale
           // was NOT attempted — the client may retry.
-          AppendErrorReplyFrame(frame.request_id, WireCode::kUnavailable,
-                                outcome.status.message(),
-                                AcquireFrame(loop, it->second));
-          return CommitFrame(loop, id, it->second);
+          return ErrorReply(loop, id, frame.request_id,
+                            WireCode::kUnavailable, outcome.status.message());
         }
         WirePurchase reply;
         reply.accepted = outcome.accepted;
         reply.valuation = outcome.valuation;
         reply.quote = std::move(outcome.quote);
         reply.bundle = std::move(outcome.bundle);
-        AppendPurchaseReplyFrame(frame.request_id, reply,
-                                 AcquireFrame(loop, it->second));
-        return CommitFrame(loop, id, it->second);
+        return Reply(loop, id, [&](std::vector<uint8_t>* out) {
+          AppendPurchaseReplyFrame(frame.request_id, reply, out);
+        });
       }
       case MsgType::kAppendBuyers: {
         loop.append_requests.fetch_add(1, std::memory_order_relaxed);
@@ -812,11 +783,10 @@ struct RpcServer::Impl {
       }
       case MsgType::kStats: {
         loop.stats_requests.fetch_add(1, std::memory_order_relaxed);
-        auto it = loop.conns.find(id);
-        if (it == loop.conns.end()) return false;
-        AppendStatsReplyFrame(frame.request_id, BuildStats(),
-                              AcquireFrame(loop, it->second));
-        return CommitFrame(loop, id, it->second);
+        const WireStats stats = BuildStats();
+        return Reply(loop, id, [&](std::vector<uint8_t>* out) {
+          AppendStatsReplyFrame(frame.request_id, stats, out);
+        });
       }
       default:
         loop.protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -825,12 +795,24 @@ struct RpcServer::Impl {
     }
   }
 
-  bool ErrorReply(EventLoop& loop, uint64_t id, uint64_t request_id,
-                  WireCode code, const std::string& msg) {
+  /// Appends one reply frame to connection `id`'s send buffer through
+  /// `encode(&out)` and flushes. Returns false if the connection is gone
+  /// (before or because of the flush).
+  template <typename Encode>
+  bool Reply(EventLoop& loop, uint64_t id, Encode&& encode) {
     auto it = loop.conns.find(id);
     if (it == loop.conns.end()) return false;
-    AppendErrorReplyFrame(request_id, code, msg, AcquireFrame(loop, it->second));
-    return CommitFrame(loop, id, it->second);
+    Connection& conn = it->second;
+    encode(&conn.out);
+    ++conn.out_frames;
+    return Flush(loop, id, conn);
+  }
+
+  bool ErrorReply(EventLoop& loop, uint64_t id, uint64_t request_id,
+                  WireCode code, const std::string& msg) {
+    return Reply(loop, id, [&](std::vector<uint8_t>* out) {
+      AppendErrorReplyFrame(request_id, code, msg, out);
+    });
   }
 
   bool BadRequest(EventLoop& loop, uint64_t id, uint64_t request_id,
@@ -881,8 +863,6 @@ struct RpcServer::Impl {
           loop->connections_accepted.load(std::memory_order_relaxed);
       out.writev_calls += loop->writev_calls.load(std::memory_order_relaxed);
       out.writev_frames += loop->writev_frames.load(std::memory_order_relaxed);
-      out.pool_hits += loop->pool_hits.load(std::memory_order_relaxed);
-      out.pool_bytes += loop->pool_bytes.load(std::memory_order_relaxed);
     }
     return out;
   }
@@ -893,7 +873,7 @@ struct RpcServer::Impl {
   /// whole loop-tick), then the results fan back out to their requests
   /// in arrival order. Allocation-free in the steady state: bundles sit
   /// in the loop's slot arena, the engine fills the loop's batch
-  /// scratch, and replies encode into pooled connection buffers.
+  /// scratch, and replies encode into each connection's send buffer.
   void ServeQuoteTick(EventLoop& loop) {
     if (loop.tick_quotes.empty()) return;
     std::span<const std::vector<uint32_t>> flat(loop.bundles.data(),
@@ -913,26 +893,23 @@ struct RpcServer::Impl {
           break;
         }
       }
-      auto it = loop.conns.find(pending.conn_id);
-      if (it == loop.conns.end()) continue;
-      if (first_bad != nullptr) {
-        // All-or-nothing per request: a batch whose generation cannot be
-        // uniform (some bundles refused) is refused whole.
-        AppendErrorReplyFrame(pending.request_id, WireCode::kUnavailable,
-                              first_bad->message(),
-                              AcquireFrame(loop, it->second));
-      } else if (pending.is_batch) {
-        AppendQuoteBatchReplyFrame(
-            pending.request_id,
-            std::span<const Quote>(loop.batch.quotes.data() + pending.first,
-                                   pending.count),
-            AcquireFrame(loop, it->second));
-      } else {
-        AppendQuoteReplyFrame(pending.request_id,
-                              loop.batch.quotes[pending.first],
-                              AcquireFrame(loop, it->second));
-      }
-      CommitFrame(loop, pending.conn_id, it->second);
+      Reply(loop, pending.conn_id, [&](std::vector<uint8_t>* out) {
+        if (first_bad != nullptr) {
+          // All-or-nothing per request: a batch whose generation cannot
+          // be uniform (some bundles refused) is refused whole.
+          AppendErrorReplyFrame(pending.request_id, WireCode::kUnavailable,
+                                first_bad->message(), out);
+        } else if (pending.is_batch) {
+          AppendQuoteBatchReplyFrame(
+              pending.request_id,
+              std::span<const Quote>(loop.batch.quotes.data() + pending.first,
+                                     pending.count),
+              out);
+        } else {
+          AppendQuoteReplyFrame(pending.request_id,
+                                loop.batch.quotes[pending.first], out);
+        }
+      });
     }
   }
 
@@ -948,139 +925,71 @@ struct RpcServer::Impl {
       }
       mine.clear();
     }
-    for (WriterDone& completion : loop.done_scratch) {
-      auto it = loop.conns.find(completion.conn_id);
-      if (it == loop.conns.end()) continue;
-      if (completion.result.code == WireCode::kOk) {
-        if (completion.op == WriterOp::kSellerDelta) {
-          WireDeltaResult result;
-          result.code = completion.result.code;
-          result.message = completion.result.message;
-          result.generation = completion.result.version;
-          AppendApplySellerDeltaReplyFrame(completion.request_id, result,
-                                           AcquireFrame(loop, it->second));
+    for (const WriterDone& completion : loop.done_scratch) {
+      Reply(loop, completion.conn_id, [&](std::vector<uint8_t>* out) {
+        if (completion.result.code != WireCode::kOk) {
+          AppendErrorReplyFrame(completion.request_id, completion.result.code,
+                                completion.result.message, out);
+        } else if (completion.op == WriterOp::kSellerDelta) {
+          AppendApplySellerDeltaReplyFrame(
+              completion.request_id,
+              {completion.result.code, completion.result.message,
+               completion.result.version},
+              out);
         } else {
           AppendAppendReplyFrame(completion.request_id, completion.result,
-                                 AcquireFrame(loop, it->second));
+                                 out);
         }
-      } else {
-        AppendErrorReplyFrame(completion.request_id, completion.result.code,
-                              completion.result.message,
-                              AcquireFrame(loop, it->second));
-      }
-      CommitFrame(loop, completion.conn_id, it->second);
+      });
     }
     loop.done_scratch.clear();
   }
 
-  /// Claims the next encode-arena slot on `conn` (cleared, capacity
-  /// retained — a pool hit when it served before). The caller appends
-  /// exactly one frame and then calls CommitFrame.
-  std::vector<uint8_t>* AcquireFrame(EventLoop& loop, Connection& conn) {
-    if (conn.frame_head + conn.frame_count == conn.frames.size()) {
-      if (conn.frame_head > 0) {
-        // Compact the active window to the front: a rotate of vector
-        // headers, so freed slots (and their capacity) cycle to the back
-        // for reuse without any heap traffic.
-        std::rotate(conn.frames.begin(),
-                    conn.frames.begin() +
-                        static_cast<ptrdiff_t>(conn.frame_head),
-                    conn.frames.end());
-        conn.frame_head = 0;
-      }
-      if (conn.frame_count == conn.frames.size()) {
-        conn.frames.emplace_back();  // high-water growth, then pooled
-      }
-    }
-    std::vector<uint8_t>& slot = conn.frames[conn.frame_head + conn.frame_count];
-    ++conn.frame_count;
-    if (slot.capacity() > 0) {
-      loop.pool_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    loop.acquired_cap = slot.capacity();
-    slot.clear();
-    return &slot;
-  }
-
-  /// Books the just-encoded frame's capacity growth against pool_bytes
-  /// and flushes. Returns false if the connection is gone.
-  bool CommitFrame(EventLoop& loop, uint64_t id, Connection& conn) {
-    const std::vector<uint8_t>& slot =
-        conn.frames[conn.frame_head + conn.frame_count - 1];
-    if (slot.capacity() > loop.acquired_cap) {
-      loop.pool_bytes.fetch_add(slot.capacity() - loop.acquired_cap,
-                                std::memory_order_relaxed);
-    }
-    FlushWrites(loop, id, conn);
-    return loop.conns.find(id) != loop.conns.end();
-  }
-
-  /// Pops the fully-sent front frame, returning its buffer to the pool
-  /// (or freeing it, if one oversized reply stretched it past the cap).
-  void ReleaseFrontFrame(EventLoop& loop, Connection& conn) {
-    std::vector<uint8_t>& slot = conn.frames[conn.frame_head];
-    if (slot.capacity() > kFrameSlotCapBytes) {
-      loop.pool_bytes.fetch_sub(slot.capacity(), std::memory_order_relaxed);
-      std::vector<uint8_t>().swap(slot);
-    }
-    ++conn.frame_head;
-    --conn.frame_count;
-    conn.out_offset = 0;
-    if (conn.frame_count == 0) conn.frame_head = 0;
-  }
-
-  /// Flushes as much of the connection's queued frames as the socket
-  /// accepts, coalescing up to kMaxIovPerFlush frames per vectored
-  /// write. Partial writes advance out_offset across iovec boundaries;
-  /// EPOLLOUT is armed iff bytes remain.
-  void FlushWrites(EventLoop& loop, uint64_t id, Connection& conn) {
-    while (conn.frame_count > 0) {
-      iovec iov[kMaxIovPerFlush];
-      int iovcnt = 0;
-      size_t skip = conn.out_offset;
-      for (size_t k = 0; k < conn.frame_count && iovcnt < kMaxIovPerFlush;
-           ++k) {
-        std::vector<uint8_t>& frame = conn.frames[conn.frame_head + k];
-        iov[iovcnt].iov_base = frame.data() + skip;
-        iov[iovcnt].iov_len = frame.size() - skip;
-        skip = 0;
-        ++iovcnt;
-      }
-      // sendmsg == writev + MSG_NOSIGNAL: a peer that resets mid-write
-      // must surface as EPIPE (we close the connection) — not SIGPIPE
-      // the whole process.
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(iovcnt);
-      // Count the submission BEFORE the syscall: the kernel can deliver
-      // these bytes to the peer the instant sendmsg runs, and a client
-      // that sees its reply may immediately ask another loop for Stats —
-      // the counters must already cover every frame the reply's flush
+  /// Sends the connection's unsent bytes until they are all on the
+  /// wire or the socket is full. Returns false if a send error closed
+  /// the connection. EPOLLOUT is armed iff bytes remain.
+  bool Flush(EventLoop& loop, uint64_t id, Connection& conn) {
+    while (conn.sent < conn.out.size()) {
+      // Count the call BEFORE the syscall: the kernel can deliver these
+      // bytes to the peer the instant send runs, and a client that sees
+      // its reply may immediately ask another loop for Stats — the
+      // counters must already cover every frame the reply's flush
       // submitted. (EINTR retries and EAGAIN therefore over-count
       // slightly; both gauges are monotone lower-bound checks.)
       loop.writev_calls.fetch_add(1, std::memory_order_relaxed);
-      loop.writev_frames.fetch_add(static_cast<uint64_t>(iovcnt),
-                                   std::memory_order_relaxed);
-      ssize_t n = sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+      loop.writev_frames.fetch_add(conn.out_frames, std::memory_order_relaxed);
+      // MSG_NOSIGNAL: a peer that resets mid-write must surface as EPIPE
+      // (we close the connection) — not SIGPIPE the whole process.
+      ssize_t n = send(conn.fd, conn.out.data() + conn.sent,
+                       conn.out.size() - conn.sent, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         if (errno == EINTR) continue;
         CloseConn(loop, id);
-        return;
+        return false;
       }
-      size_t advanced = static_cast<size_t>(n);
-      while (advanced > 0) {
-        const std::vector<uint8_t>& front = conn.frames[conn.frame_head];
-        const size_t remain = front.size() - conn.out_offset;
-        if (advanced < remain) {
-          conn.out_offset += advanced;
-          break;
-        }
-        advanced -= remain;
-        ReleaseFrontFrame(loop, conn);
-      }
+      conn.sent += static_cast<size_t>(n);
     }
-    bool want_out = conn.frame_count > 0;
+    if (conn.sent == conn.out.size()) {
+      if (conn.out.capacity() > kSendBufCapBytes) {
+        // One jumbo reply must not pin its capacity for the connection's
+        // lifetime.
+        std::vector<uint8_t>().swap(conn.out);
+      } else {
+        conn.out.clear();
+      }
+      conn.sent = 0;
+      conn.out_frames = 0;
+    } else if (conn.sent >= conn.out.size() - conn.sent) {
+      // A peer that reads slowly but steadily may never let the buffer
+      // drain; drop the sent prefix once it outweighs the unsent tail so
+      // it cannot grow without bound (amortized: each byte moves O(1)
+      // times).
+      conn.out.erase(conn.out.begin(),
+                     conn.out.begin() + static_cast<ptrdiff_t>(conn.sent));
+      conn.sent = 0;
+    }
+    const bool want_out = !conn.out.empty();
     if (want_out != conn.epollout_armed) {
       epoll_event ev{};
       ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
@@ -1088,6 +997,7 @@ struct RpcServer::Impl {
       epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
       conn.epollout_armed = want_out;
     }
+    return true;
   }
 };
 
@@ -1136,8 +1046,6 @@ RpcServerStats RpcServer::stats() const {
         loop->protocol_errors.load(std::memory_order_relaxed);
     out.writev_calls += loop->writev_calls.load(std::memory_order_relaxed);
     out.writev_frames += loop->writev_frames.load(std::memory_order_relaxed);
-    out.pool_hits += loop->pool_hits.load(std::memory_order_relaxed);
-    out.pool_bytes += loop->pool_bytes.load(std::memory_order_relaxed);
   }
   out.writer_enqueued =
       impl_->writer_enqueued.load(std::memory_order_relaxed);

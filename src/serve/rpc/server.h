@@ -24,12 +24,14 @@
 //  * Steady-state quote serving does ZERO per-frame heap allocations on
 //    a loop thread: requests decode into reused per-loop bundle slots,
 //    the engine prices through caller-owned scratch
-//    (ShardedPricingEngine::TryQuoteBatchInto), replies encode in place
-//    into pooled per-connection frame buffers (capped high-water marks,
-//    see pool_hits/pool_bytes), and each connection's queued frames
-//    flush with one bounded-iovec vectored write (writev_calls /
-//    writev_frames count the coalescing). The alloc_probe hook lets
-//    benches assert the zero-allocation property from outside.
+//    (ShardedPricingEngine::TryQuoteBatchInto), and replies encode in
+//    place onto the end of the connection's one send buffer, which keeps
+//    its capacity (up to 64 KiB) once fully sent. Each committed reply
+//    is flushed at once with one send(MSG_NOSIGNAL) of the buffer's
+//    unsent tail, so a send carries one frame unless earlier replies
+//    were still waiting on a full socket (EAGAIN arms EPOLLOUT, which
+//    resumes the tail). The alloc_probe hook lets benches and tests
+//    assert the zero-allocation property from outside.
 //  * Writer ops (AppendBuyers, ApplySellerDelta) enter a bounded
 //    admission queue consumed by a dedicated writer thread (the engine
 //    serializes writers anyway, so one thread loses nothing). A full
@@ -50,8 +52,8 @@
 // acknowledged into the admission queue) until the queue empties or the
 // deadline passes — only then are leftovers failed with kShuttingDown.
 // A loop exits once the writer is done, its completions are delivered,
-// and every one of its connections' out-queues flushed (or the deadline
-// passes), then closes its connections.
+// and every one of its connections' send buffers flushed (or the
+// deadline passes), then closes its connections.
 #ifndef QP_SERVE_RPC_SERVER_H_
 #define QP_SERVE_RPC_SERVER_H_
 
@@ -122,15 +124,12 @@ struct RpcServerStats {
   /// Event-loop threads serving connections (RpcServerOptions::num_loops
   /// after clamping).
   uint64_t loops = 0;
-  /// Vectored flushes issued and the response frames they coalesced;
-  /// writev_frames / writev_calls is the realized coalescing factor.
+  /// send() calls issued on reply sockets, and the reply frames they
+  /// carried (each call counts every frame queued in the send buffer).
+  /// writev_frames / writev_calls is 1.0 unless a full socket made
+  /// replies wait; the names predate the single send buffer.
   uint64_t writev_calls = 0;
   uint64_t writev_frames = 0;
-  /// Encode-arena slots acquired that already had capacity (a reused
-  /// pooled buffer — the steady state), and the bytes currently held by
-  /// pooled per-connection encode buffers across all loops.
-  uint64_t pool_hits = 0;
-  uint64_t pool_bytes = 0;
 };
 
 class RpcServer {

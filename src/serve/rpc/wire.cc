@@ -147,11 +147,6 @@ std::vector<uint8_t> EncodeApplySellerDeltaRequest(
   return BuildFrame(MsgType::kApplySellerDelta, id, body);
 }
 
-bool DecodeQuoteRequest(std::span<const uint8_t> body,
-                        std::vector<uint32_t>* bundle) {
-  return DecodeQuoteRequestInto(body, bundle);
-}
-
 bool DecodeQuoteRequestInto(std::span<const uint8_t> body,
                             std::vector<uint32_t>* bundle) {
   WireReader r(body);
@@ -159,13 +154,21 @@ bool DecodeQuoteRequestInto(std::span<const uint8_t> body,
   return r.AtEnd();
 }
 
-bool DecodeQuoteBatchRequest(std::span<const uint8_t> body,
-                             std::vector<std::vector<uint32_t>>* bundles) {
+bool DecodeQuoteBatchRequestInto(std::span<const uint8_t> body,
+                                 std::vector<std::vector<uint32_t>>* slots,
+                                 size_t* used) {
   WireReader r(body);
-  uint32_t n = r.U32();
-  bundles->clear();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) bundles->push_back(r.U32Vec());
-  return r.AtEnd();
+  // Every bundle carries at least its u32 count, which bounds `n` by the
+  // body before it can drive slot growth.
+  const uint32_t n = r.Count(4);
+  size_t next = *used;
+  for (uint32_t k = 0; k < n && r.ok(); ++k, ++next) {
+    if (next == slots->size()) slots->emplace_back();
+    r.U32VecInto(&(*slots)[next]);
+  }
+  if (!r.AtEnd()) return false;
+  *used = next;
+  return true;
 }
 
 bool DecodePurchaseRequest(std::span<const uint8_t> body, std::string* sql,
@@ -197,53 +200,6 @@ bool DecodeApplySellerDeltaRequest(std::span<const uint8_t> body,
   if (!decoded.ok() || !r.AtEnd()) return false;
   *delta = std::move(decoded).value();
   return true;
-}
-
-std::vector<uint8_t> EncodeQuoteReply(uint64_t id, const Quote& quote) {
-  std::vector<uint8_t> frame;
-  AppendQuoteReplyFrame(id, quote, &frame);
-  return frame;
-}
-
-std::vector<uint8_t> EncodeQuoteBatchReply(uint64_t id,
-                                           std::span<const Quote> quotes) {
-  std::vector<uint8_t> frame;
-  AppendQuoteBatchReplyFrame(id, quotes, &frame);
-  return frame;
-}
-
-std::vector<uint8_t> EncodePurchaseReply(uint64_t id,
-                                         const WirePurchase& purchase) {
-  std::vector<uint8_t> frame;
-  AppendPurchaseReplyFrame(id, purchase, &frame);
-  return frame;
-}
-
-std::vector<uint8_t> EncodeAppendReply(uint64_t id,
-                                       const WireAppendResult& result) {
-  std::vector<uint8_t> frame;
-  AppendAppendReplyFrame(id, result, &frame);
-  return frame;
-}
-
-std::vector<uint8_t> EncodeApplySellerDeltaReply(
-    uint64_t id, const WireDeltaResult& result) {
-  std::vector<uint8_t> frame;
-  AppendApplySellerDeltaReplyFrame(id, result, &frame);
-  return frame;
-}
-
-std::vector<uint8_t> EncodeStatsReply(uint64_t id, const WireStats& stats) {
-  std::vector<uint8_t> frame;
-  AppendStatsReplyFrame(id, stats, &frame);
-  return frame;
-}
-
-std::vector<uint8_t> EncodeErrorReply(uint64_t id, WireCode code,
-                                      const std::string& message) {
-  std::vector<uint8_t> frame;
-  AppendErrorReplyFrame(id, code, message, &frame);
-  return frame;
 }
 
 void AppendQuoteReplyFrame(uint64_t id, const Quote& quote,
@@ -329,8 +285,6 @@ void AppendStatsReplyFrame(uint64_t id, const WireStats& stats,
   w.U64(stats.loops);
   w.U64(stats.writev_calls);
   w.U64(stats.writev_frames);
-  w.U64(stats.pool_hits);
-  w.U64(stats.pool_bytes);
   EndFrame(start, out);
 }
 
@@ -413,8 +367,6 @@ bool DecodeStatsReply(std::span<const uint8_t> body, WireStats* stats) {
   stats->loops = r.U64();
   stats->writev_calls = r.U64();
   stats->writev_frames = r.U64();
-  stats->pool_hits = r.U64();
-  stats->pool_bytes = r.U64();
   return r.AtEnd();
 }
 

@@ -161,8 +161,6 @@ struct WireStats {
   uint64_t loops = 0;
   uint64_t writev_calls = 0;
   uint64_t writev_frames = 0;
-  uint64_t pool_hits = 0;
-  uint64_t pool_bytes = 0;
 };
 
 /// Appends little-endian primitives to a byte buffer.
@@ -347,14 +345,18 @@ std::vector<uint8_t> EncodeStatsRequest(uint64_t id);
 std::vector<uint8_t> EncodeApplySellerDeltaRequest(
     uint64_t id, const market::CellDelta& delta);
 
-bool DecodeQuoteRequest(std::span<const uint8_t> body,
-                        std::vector<uint32_t>* bundle);
-/// DecodeQuoteRequest reusing `bundle`'s capacity (cleared first) — the
-/// event loops' per-tick decode path. DecodeQuoteRequest delegates here.
+/// Decodes a Quote body into `bundle`, overwriting it and reusing its
+/// capacity — the event loops' per-tick decode path.
 bool DecodeQuoteRequestInto(std::span<const uint8_t> body,
                             std::vector<uint32_t>* bundle);
-bool DecodeQuoteBatchRequest(std::span<const uint8_t> body,
-                             std::vector<std::vector<uint32_t>>* bundles);
+/// Decodes a QuoteBatch body into the caller-owned slots
+/// (*slots)[*used ..), one bundle per slot, reusing each slot's capacity
+/// and growing `slots` only past its high-water mark. On success *used
+/// advances by the bundle count; on failure it is left unchanged (the
+/// slots past it hold scratch).
+bool DecodeQuoteBatchRequestInto(std::span<const uint8_t> body,
+                                 std::vector<std::vector<uint32_t>>* slots,
+                                 size_t* used);
 bool DecodePurchaseRequest(std::span<const uint8_t> body, std::string* sql,
                            double* valuation);
 bool DecodeAppendRequest(std::span<const uint8_t> body,
@@ -363,24 +365,9 @@ bool DecodeApplySellerDeltaRequest(std::span<const uint8_t> body,
                                    market::CellDelta* delta);
 
 // --- response encoders (server) / decoders (client) ---------------------
-std::vector<uint8_t> EncodeQuoteReply(uint64_t id, const Quote& quote);
-std::vector<uint8_t> EncodeQuoteBatchReply(uint64_t id,
-                                           std::span<const Quote> quotes);
-std::vector<uint8_t> EncodePurchaseReply(uint64_t id,
-                                         const WirePurchase& purchase);
-std::vector<uint8_t> EncodeAppendReply(uint64_t id,
-                                       const WireAppendResult& result);
-std::vector<uint8_t> EncodeStatsReply(uint64_t id, const WireStats& stats);
-std::vector<uint8_t> EncodeApplySellerDeltaReply(uint64_t id,
-                                                 const WireDeltaResult& result);
-std::vector<uint8_t> EncodeErrorReply(uint64_t id, WireCode code,
-                                      const std::string& message);
-
-// --- in-place response encoders (server flush path) ----------------------
-// Append one complete frame (length prefix + message header + body) to
-// `out`, reusing its capacity — the per-connection encode arenas' zero-
-// allocation path. Byte-identical to the Encode* forms above, which
-// delegate here.
+// Each encoder appends one complete frame (length prefix + message
+// header + body) to `out`, reusing its capacity — the server encodes
+// straight into a connection's send buffer.
 void AppendQuoteReplyFrame(uint64_t id, const Quote& quote,
                            std::vector<uint8_t>* out);
 void AppendQuoteBatchReplyFrame(uint64_t id, std::span<const Quote> quotes,

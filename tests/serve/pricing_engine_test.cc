@@ -24,6 +24,7 @@
 
 #include "common/rng.h"
 #include "core/algorithms.h"
+#include "core/reprice.h"
 #include "db/parser.h"
 #include "market/support.h"
 #include "market/support_partitioner.h"
@@ -93,11 +94,10 @@ Market MakeMarket(int support_size = 150) {
 
 // Replay-identical geometry: every LPIP threshold, solved standalone
 // (see core/reprice.h).
-EngineOptions MatchedOptions(bool incremental) {
+EngineOptions MatchedOptions() {
   EngineOptions options;
   options.algorithms.lpip.max_candidates = 0;
   options.algorithms.lpip.chain_length = 1;
-  options.incremental_reprice = incremental;
   return options;
 }
 
@@ -115,7 +115,7 @@ std::unique_ptr<ShardedPricingEngine> OneShardEngine(const Market& m,
 
 TEST(PricingEngineTest, PublishesBooksAndServesQuotes) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
 
   // The constructor publishes an (empty) generation so readers can quote
   // immediately.
@@ -150,13 +150,13 @@ TEST(PricingEngineTest, PublishesBooksAndServesQuotes) {
 
 TEST(PricingEngineTest, RepriceAfterAppendMatchesColdRunAllAlgorithms) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
   QP_CHECK_OK(engine->AppendBuyers(m.late_queries, m.late_valuations));
 
   // Cold reference: RunAllAlgorithms from scratch on the grown instance
   // under the same options.
-  core::AlgorithmOptions options = MatchedOptions(true).algorithms;
+  core::AlgorithmOptions options = MatchedOptions().algorithms;
   std::vector<core::PricingResult> cold = core::RunAllAlgorithms(
       engine->shard(0).hypergraph(), engine->shard(0).valuations(), options);
 
@@ -174,37 +174,37 @@ TEST(PricingEngineTest, RepriceAfterAppendMatchesColdRunAllAlgorithms) {
 
 TEST(PricingEngineTest, IncrementalRepriceSolvesStrictlyFewerLps) {
   Market m = MakeMarket();
-  auto incremental = OneShardEngine(m, MatchedOptions(true));
-  auto full = OneShardEngine(m, MatchedOptions(false));
+  auto engine = OneShardEngine(m, MatchedOptions());
+  QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
+  QP_CHECK_OK(engine->AppendBuyers(m.late_queries, m.late_valuations));
 
-  QP_CHECK_OK(
-      incremental->AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(full->AppendBuyers(m.initial_queries, m.initial_valuations));
-  QP_CHECK_OK(incremental->AppendBuyers(m.late_queries, m.late_valuations));
-  QP_CHECK_OK(full->AppendBuyers(m.late_queries, m.late_valuations));
+  // Cold reference: a fresh full solve of the shard's grown instance.
+  core::RepriceState cold_state;
+  std::vector<core::PricingResult> cold = core::SolveAllWithState(
+      engine->shard(0).hypergraph(), engine->shard(0).valuations(),
+      MatchedOptions().algorithms, cold_state);
 
-  core::RepriceStats inc_stats = incremental->stats().merged.last_reprice;
-  core::RepriceStats full_stats = full->stats().merged.last_reprice;
-  EXPECT_LT(inc_stats.lps_solved, full_stats.lps_solved);
+  core::RepriceStats inc_stats = engine->stats().merged.last_reprice;
+  EXPECT_LT(inc_stats.lps_solved, cold_state.last.lps_solved);
   EXPECT_GT(inc_stats.lpip_reused, 0);
-  EXPECT_EQ(full_stats.lpip_reused, 0);
+  EXPECT_EQ(cold_state.last.lpip_reused, 0);
 
   // Same books regardless of the path taken.
-  auto inc_book = incremental->shard(0).snapshot();
-  auto full_book = full->shard(0).snapshot();
-  for (size_t i = 0; i < inc_book->results().size(); ++i) {
-    EXPECT_NEAR(inc_book->results()[i].revenue, full_book->results()[i].revenue,
-                1e-9 * (1.0 + std::abs(full_book->results()[i].revenue)))
-        << inc_book->results()[i].algorithm;
+  auto book = engine->shard(0).snapshot();
+  ASSERT_EQ(book->results().size(), cold.size());
+  for (size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_NEAR(book->results()[i].revenue, cold[i].revenue,
+                1e-9 * (1.0 + std::abs(cold[i].revenue)))
+        << cold[i].algorithm;
   }
 
   // The appends took the incidence merge path, not full rebuilds.
-  EXPECT_GT(incremental->stats().merged.incidence.merges, 0);
+  EXPECT_GT(engine->stats().merged.incidence.merges, 0);
 }
 
 TEST(PricingEngineTest, PurchaseQuotesTheConflictSetAndRecordsSales) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   db::BoundQuery query = m.late_queries[0];
@@ -226,7 +226,7 @@ TEST(PricingEngineTest, PurchaseQuotesTheConflictSetAndRecordsSales) {
 
 TEST(PricingEngineTest, SnapshotsAreImmutableAcrossPublishes) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   auto pinned = engine->shard(0).snapshot();
@@ -254,7 +254,7 @@ TEST(PricingEngineTest, EmptySnapshotDies) {
 // QuoteBatch / merged snapshot takes exactly one epoch pin.
 TEST(PricingEngineTest, QuotePathPinsEpochsNotRefcounts) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   uint64_t pins = engine->stats().merged.epoch.pins;
@@ -270,7 +270,7 @@ TEST(PricingEngineTest, QuotePathPinsEpochsNotRefcounts) {
 
   // Sharded: one pin per merged view, covering every shard.
   ShardedEngineOptions options;
-  options.engine = MatchedOptions(true);
+  options.engine = MatchedOptions();
   ShardedPricingEngine router(
       m.db.get(),
       market::SupportPartitioner::FromQueries(m.db.get(), m.support,
@@ -289,7 +289,7 @@ TEST(PricingEngineTest, QuotePathPinsEpochsNotRefcounts) {
 // books.
 TEST(PricingEngineTest, EveryPublishRetiresOneSnapshotAndReclaims) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   EngineStats stats = engine->stats().merged;
   EXPECT_EQ(stats.epoch.retired, 0u);  // the first book replaced nothing
   EXPECT_EQ(stats.publish.bases, 1u);
@@ -319,7 +319,7 @@ TEST(PricingEngineTest, EveryPublishRetiresOneSnapshotAndReclaims) {
 TEST(PricingEngineTest, HeldMergedViewSurvivesPublishesUntilReleased) {
   Market m = MakeMarket();
   ShardedEngineOptions options;
-  options.engine = MatchedOptions(true);
+  options.engine = MatchedOptions();
   std::vector<db::BoundQuery> queries = m.initial_queries;
   queries.insert(queries.end(), m.late_queries.begin(), m.late_queries.end());
   ShardedPricingEngine router(
@@ -365,7 +365,7 @@ TEST(PricingEngineTest, HeldMergedViewSurvivesPublishesUntilReleased) {
 
 TEST(PricingEngineTest, ConcurrentQuotesAreRaceFreeWhileWriterPublishes) {
   Market m = MakeMarket(/*support_size=*/100);
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   // Bundles to hammer, captured before the readers start (the writer-side
@@ -420,7 +420,7 @@ TEST(PricingEngineTest, ConcurrentQuotesAreRaceFreeWhileWriterPublishes) {
 
 TEST(PricingEngineTest, QuoteBatchPinsOneGenerationAndCountsExactly) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   std::vector<std::vector<uint32_t>> bundles;
@@ -451,7 +451,7 @@ TEST(PricingEngineTest, ConcurrentPurchasesRaceAppendBuyersPublishes) {
   // accounting must aggregate exactly.
   Market m = MakeMarket(/*support_size=*/100);
   auto reference_db = db::testing::MakeTestDatabase();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   constexpr int kBuyers = 4;
@@ -513,7 +513,7 @@ TEST(PricingEngineTest, ConcurrentPurchasesRaceAppendBuyersPublishes) {
 
 TEST(PricingEngineTest, PreparedQueryCacheHitsOnRepeatPurchases) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
   // The append prepared each (distinct) initial query once.
   market::PreparedQueryCache::Stats seeded = engine->stats().merged.prepared;
@@ -537,7 +537,7 @@ TEST(PricingEngineTest, PreparedQueryCacheHitsOnRepeatPurchases) {
 
 TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
   Market m = MakeMarket();
-  auto engine = OneShardEngine(m, MatchedOptions(true));
+  auto engine = OneShardEngine(m, MatchedOptions());
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
   engine->Purchase(m.late_queries[0], 1e9);
   uint64_t misses = engine->stats().merged.prepared.misses;
@@ -623,7 +623,7 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
 
 TEST(PricingEngineTest, ApplySellerDeltaFoldsIntoBaseOnCadence) {
   Market m = MakeMarket();
-  EngineOptions options = MatchedOptions(true);
+  EngineOptions options = MatchedOptions();
   options.fold_every = 2;
   auto engine = OneShardEngine(m, options);
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
@@ -673,7 +673,7 @@ TEST(PricingEngineTest, ParallelBuildMatchesSerialBooks) {
   // for every thread count, so the published books match the serial
   // engine's exactly (same edges -> same LPs -> same prices).
   Market m = MakeMarket();
-  const EngineOptions options = MatchedOptions(true);
+  const EngineOptions options = MatchedOptions();
   auto serial = OneShardEngine(m, options);
   auto parallel = OneShardEngine(m, options, /*num_threads=*/4);
   QP_CHECK_OK(serial->AppendBuyers(m.initial_queries, m.initial_valuations));

@@ -10,17 +10,24 @@
 //      bodies, bad length prefixes, mid-message disconnects — never takes
 //      the server down for other clients;
 //  (e) Stop() with in-flight requests shuts down cleanly (the TSan job
-//      runs this file).
+//      runs this file);
+//  (f) replies that back up behind a peer that stops reading (send
+//      EAGAIN, resumed on EPOLLOUT) all arrive later, exactly once and
+//      bit-identical, and the connection stays usable.
 #include "serve/rpc/server.h"
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -395,6 +402,130 @@ TEST(RpcServerTest, DripFedFramesDecodeAcrossPartialReads) {
   EXPECT_TRUE(DecodeQuoteReply(reply.body, &quote));
   ExpectQuoteEq(quote, h.engine->QuoteBundle({0, 1}));
   close(fd);
+}
+
+// End-of-tick hook for the backlog test. RpcServerOptions::alloc_probe
+// runs on the loop thread after the tick's replies were committed, so
+// once it sees every quote priced, every reply sits in the send buffer
+// or the kernel.
+std::atomic<const RpcServer*> g_backlog_server{nullptr};
+std::atomic<uint64_t> g_backlog_quotes{0};
+std::atomic<bool> g_backlog_committed{false};
+
+uint64_t LatchRepliesCommitted() {
+  const RpcServer* server = g_backlog_server.load();
+  if (server != nullptr &&
+      server->stats().batched_quotes >= g_backlog_quotes.load()) {
+    g_backlog_committed.store(true);
+  }
+  return 0;
+}
+
+TEST(RpcServerTest, BackloggedRepliesResumeAfterPartialWrites) {
+  Harness h(2, {.alloc_probe = &LatchRepliesCommitted});
+  // A raw client with a tiny receive window pipelines QuoteBatch requests
+  // and reads nothing until every one is served: the replies (~10 MiB)
+  // far exceed both sockets' buffers, so the server's sends hit EAGAIN
+  // and it must resume from EPOLLOUT alone once the client reads.
+  std::vector<std::vector<uint32_t>> sample = h.SampleBundles();
+  std::vector<std::vector<uint32_t>> bundles;
+  for (size_t k = 0; k < 256; ++k) bundles.push_back(sample[k % sample.size()]);
+  const std::vector<Quote> local = h.engine->QuoteBatch(bundles);
+  constexpr uint64_t kRequests = 800;
+  g_backlog_quotes.store(kRequests * bundles.size());
+  g_backlog_server.store(h.server.get());
+
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  int rcvbuf = 4096;  // before connect(), so the window stays small
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  timeval timeout{};
+  timeout.tv_sec = 60;  // a lost reply fails the test instead of hanging
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(h.server->port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  auto send_all = [fd](const std::vector<uint8_t>& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  };
+  // The server keeps reading requests while its replies back up.
+  std::vector<uint8_t> requests;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    std::vector<uint8_t> frame = EncodeQuoteBatchRequest(id, bundles);
+    requests.insert(requests.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(send_all(requests));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!g_backlog_committed.load()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Every reply encodes the same in-process batch; only the id differs.
+  std::vector<uint8_t> expected;
+  AppendQuoteBatchReplyFrame(0, local, &expected);
+  const size_t reply_bytes = expected.size();
+  ASSERT_GT(kRequests * reply_bytes, size_t{8} << 20);
+  std::vector<uint8_t> in;
+  std::set<uint64_t> seen;
+  while (seen.size() < kRequests) {
+    uint8_t buf[64 * 1024];
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "after " << seen.size() << " replies";
+    in.insert(in.end(), buf, buf + n);
+    size_t pos = 0;
+    for (;;) {
+      Frame frame;
+      size_t consumed = 0;
+      ExtractResult result = ExtractFrame(in.data() + pos, in.size() - pos,
+                                          &consumed, &frame);
+      ASSERT_NE(result, ExtractResult::kError);
+      if (result == ExtractResult::kNeedMore) break;
+      ASSERT_EQ(frame.type, MsgType::kQuoteBatchReply);
+      ASSERT_GE(frame.request_id, 1u);
+      ASSERT_LE(frame.request_id, kRequests);
+      ASSERT_TRUE(seen.insert(frame.request_id).second)
+          << "reply " << frame.request_id << " arrived twice";
+      expected.clear();
+      AppendQuoteBatchReplyFrame(frame.request_id, local, &expected);
+      ASSERT_EQ(consumed, expected.size());
+      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                             in.begin() + static_cast<std::ptrdiff_t>(pos)))
+          << "reply " << frame.request_id << " differs from in-process";
+      pos += consumed;
+    }
+    in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+  EXPECT_TRUE(in.empty());
+  // Some send carried more than one frame: replies queued behind a full
+  // socket, which is the path under test.
+  RpcServerStats stats = h.server->stats();
+  EXPECT_GT(stats.writev_frames, stats.writev_calls);
+
+  // The connection still serves: one more round trip.
+  ASSERT_TRUE(send_all(EncodeQuoteRequest(kRequests + 1, bundles[1])));
+  expected.clear();
+  AppendQuoteReplyFrame(kRequests + 1, h.engine->QuoteBundle(bundles[1]),
+                        &expected);
+  while (in.size() < expected.size()) {
+    uint8_t buf[4096];
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    in.insert(in.end(), buf, buf + n);
+  }
+  EXPECT_EQ(in, expected);
+  close(fd);
+  g_backlog_server.store(nullptr);
 }
 
 TEST(RpcServerTest, AbuseDoesNotTakeTheServerDown) {

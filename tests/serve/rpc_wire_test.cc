@@ -58,8 +58,8 @@ TEST(RpcWireTest, FramesNeedEveryByte) {
   Frame out = MustExtract(frame);
   EXPECT_EQ(out.type, MsgType::kQuote);
   EXPECT_EQ(out.request_id, 42u);
-  std::vector<uint32_t> bundle;
-  EXPECT_TRUE(DecodeQuoteRequest(out.body, &bundle));
+  std::vector<uint32_t> bundle = {9, 9, 9, 9};  // overwritten, not appended
+  EXPECT_TRUE(DecodeQuoteRequestInto(out.body, &bundle));
   EXPECT_EQ(bundle, (std::vector<uint32_t>{1, 2, 3}));
 }
 
@@ -117,9 +117,17 @@ TEST(RpcWireTest, RequestsRoundTrip) {
     std::vector<std::vector<uint32_t>> bundles = {{1, 2}, {}, {9}};
     std::vector<uint8_t> bytes = EncodeQuoteBatchRequest(7, bundles);
     Frame f = MustExtract(bytes);
-    std::vector<std::vector<uint32_t>> out;
-    EXPECT_TRUE(DecodeQuoteBatchRequest(f.body, &out));
-    EXPECT_EQ(out, bundles);
+    // Slots are caller-owned and reused: a stale slot is overwritten, and
+    // a second decode lands after the first.
+    std::vector<std::vector<uint32_t>> slots = {{5, 5, 5}};
+    size_t used = 0;
+    EXPECT_TRUE(DecodeQuoteBatchRequestInto(f.body, &slots, &used));
+    EXPECT_TRUE(DecodeQuoteBatchRequestInto(f.body, &slots, &used));
+    ASSERT_EQ(used, 2 * bundles.size());
+    ASSERT_EQ(slots.size(), used);
+    for (size_t k = 0; k < used; ++k) {
+      EXPECT_EQ(slots[k], bundles[k % bundles.size()]) << "slot " << k;
+    }
   }
   {
     std::vector<uint8_t> bytes =
@@ -146,7 +154,8 @@ TEST(RpcWireTest, RequestsRoundTrip) {
 
 TEST(RpcWireTest, RepliesRoundTrip) {
   {
-    std::vector<uint8_t> bytes = EncodeQuoteReply(1, MakeQuote());
+    std::vector<uint8_t> bytes;
+    AppendQuoteReplyFrame(1, MakeQuote(), &bytes);
     Frame f = MustExtract(bytes);
     Quote out;
     EXPECT_TRUE(DecodeQuoteReply(f.body, &out));
@@ -156,7 +165,8 @@ TEST(RpcWireTest, RepliesRoundTrip) {
     std::vector<Quote> quotes = {MakeQuote(), MakeQuote()};
     quotes[1].price = 99.0;
     quotes[1].shard_versions.clear();
-    std::vector<uint8_t> bytes = EncodeQuoteBatchReply(2, quotes);
+    std::vector<uint8_t> bytes;
+    AppendQuoteBatchReplyFrame(2, quotes, &bytes);
     Frame f = MustExtract(bytes);
     std::vector<Quote> out;
     EXPECT_TRUE(DecodeQuoteBatchReply(f.body, &out));
@@ -170,7 +180,8 @@ TEST(RpcWireTest, RepliesRoundTrip) {
     purchase.valuation = 5.0;
     purchase.quote = MakeQuote();
     purchase.bundle = {0, 3, 8};
-    std::vector<uint8_t> bytes = EncodePurchaseReply(3, purchase);
+    std::vector<uint8_t> bytes;
+    AppendPurchaseReplyFrame(3, purchase, &bytes);
     Frame f = MustExtract(bytes);
     WirePurchase out;
     EXPECT_TRUE(DecodePurchaseReply(f.body, &out));
@@ -180,7 +191,8 @@ TEST(RpcWireTest, RepliesRoundTrip) {
   }
   {
     WireAppendResult result{WireCode::kOk, "", 11};
-    std::vector<uint8_t> bytes = EncodeAppendReply(4, result);
+    std::vector<uint8_t> bytes;
+    AppendAppendReplyFrame(4, result, &bytes);
     Frame f = MustExtract(bytes);
     WireAppendResult out;
     EXPECT_TRUE(DecodeAppendReply(f.body, &out));
@@ -195,7 +207,8 @@ TEST(RpcWireTest, RepliesRoundTrip) {
     stats.quotes_served = 100;
     stats.sale_revenue = 12.25;
     stats.batched_quotes = 60;
-    std::vector<uint8_t> bytes = EncodeStatsReply(5, stats);
+    std::vector<uint8_t> bytes;
+    AppendStatsReplyFrame(5, stats, &bytes);
     Frame f = MustExtract(bytes);
     WireStats out;
     EXPECT_TRUE(DecodeStatsReply(f.body, &out));
@@ -205,8 +218,8 @@ TEST(RpcWireTest, RepliesRoundTrip) {
     EXPECT_EQ(out.batched_quotes, 60u);
   }
   {
-    std::vector<uint8_t> bytes =
-        EncodeErrorReply(6, WireCode::kBackpressure, "full");
+    std::vector<uint8_t> bytes;
+    AppendErrorReplyFrame(6, WireCode::kBackpressure, "full", &bytes);
     Frame f = MustExtract(bytes);
     WireCode code = WireCode::kOk;
     std::string message;
@@ -245,7 +258,8 @@ TEST(RpcWireTest, ApplySellerDeltaRoundTrips) {
   }
 
   WireDeltaResult result{WireCode::kOk, "", 29};
-  std::vector<uint8_t> reply = EncodeApplySellerDeltaReply(19, result);
+  std::vector<uint8_t> reply;
+  AppendApplySellerDeltaReplyFrame(19, result, &reply);
   Frame rf = MustExtract(reply);
   EXPECT_EQ(rf.type, MsgType::kApplySellerDeltaReply);
   WireDeltaResult decoded;
@@ -267,7 +281,8 @@ TEST(RpcWireTest, StatsReplyCarriesCatalogCounters) {
   stats.staleness_samples = 100;
   stats.staleness_sum = 7;
   stats.staleness_max = 2;
-  std::vector<uint8_t> bytes = EncodeStatsReply(20, stats);
+  std::vector<uint8_t> bytes;
+  AppendStatsReplyFrame(20, stats, &bytes);
   Frame f = MustExtract(bytes);
   WireStats out;
   ASSERT_TRUE(DecodeStatsReply(f.body, &out));
@@ -291,24 +306,27 @@ TEST(RpcWireTest, TruncatedBodiesNeverDecode) {
       EncodeQuoteBatchRequest(2, std::vector<std::vector<uint32_t>>{{1}, {}}),
       EncodePurchaseRequest(3, "select * from T", 1.0),
       EncodeAppendRequest(4, std::vector<WireBuyer>{{"select A from T", 2.0}}),
-      EncodeQuoteReply(5, MakeQuote()),
   };
+  frames.emplace_back();
+  AppendQuoteReplyFrame(5, MakeQuote(), &frames.back());
   for (const std::vector<uint8_t>& bytes : frames) {
     Frame frame = MustExtract(bytes);
     for (size_t n = 0; n < frame.body.size(); ++n) {
       std::span<const uint8_t> cut = frame.body.subspan(0, n);
       std::vector<uint32_t> bundle;
-      std::vector<std::vector<uint32_t>> bundles;
+      std::vector<std::vector<uint32_t>> slots;
+      size_t used = 0;
       std::string sql;
       double valuation;
       std::vector<WireBuyer> buyers;
       Quote quote;
       switch (frame.type) {
         case MsgType::kQuote:
-          EXPECT_FALSE(DecodeQuoteRequest(cut, &bundle));
+          EXPECT_FALSE(DecodeQuoteRequestInto(cut, &bundle));
           break;
         case MsgType::kQuoteBatch:
-          EXPECT_FALSE(DecodeQuoteBatchRequest(cut, &bundles));
+          EXPECT_FALSE(DecodeQuoteBatchRequestInto(cut, &slots, &used));
+          EXPECT_EQ(used, 0u);
           break;
         case MsgType::kPurchase:
           EXPECT_FALSE(DecodePurchaseRequest(cut, &sql, &valuation));
@@ -337,7 +355,18 @@ TEST(RpcWireTest, TrailingGarbageIsRejected) {
   }
   Frame out = MustExtract(frame);
   std::vector<uint32_t> bundle;
-  EXPECT_FALSE(DecodeQuoteRequest(out.body, &bundle));
+  EXPECT_FALSE(DecodeQuoteRequestInto(out.body, &bundle));
+  // Same for a QuoteBatch body.
+  std::vector<uint8_t> batch = EncodeQuoteBatchRequest(
+      2, std::vector<std::vector<uint32_t>>{{1}, {2, 3}});
+  batch.push_back(0xCD);
+  out.body = std::span<const uint8_t>(
+      batch.data() + kFrameHeaderBytes + kMessageHeaderBytes,
+      batch.size() - kFrameHeaderBytes - kMessageHeaderBytes);
+  std::vector<std::vector<uint32_t>> slots;
+  size_t used = 0;
+  EXPECT_FALSE(DecodeQuoteBatchRequestInto(out.body, &slots, &used));
+  EXPECT_EQ(used, 0u);
 }
 
 TEST(RpcWireTest, HostileCountsCannotDriveAllocation) {
@@ -355,14 +384,22 @@ TEST(RpcWireTest, HostileCountsCannotDriveAllocation) {
   WireReader rs(body.data(), body.size());
   EXPECT_TRUE(rs.String().empty());
   EXPECT_FALSE(rs.ok());
+  // A QuoteBatch claiming 4 billion bundles fails before it grows a
+  // single slot.
+  std::vector<std::vector<uint32_t>> slots;
+  size_t used = 0;
+  EXPECT_FALSE(DecodeQuoteBatchRequestInto(
+      std::span<const uint8_t>(body.data(), body.size()), &slots, &used));
+  EXPECT_TRUE(slots.empty());
   // Nested flavor: a QuoteBatch whose inner vector lies about its size.
   std::vector<uint8_t> batch;
   WireWriter wb(&batch);
   wb.U32(2);            // two bundles...
   wb.U32(0xFFFFFF00u);  // ...the first claiming 4 billion items
-  std::vector<std::vector<uint32_t>> bundles;
-  EXPECT_FALSE(DecodeQuoteBatchRequest(
-      std::span<const uint8_t>(batch.data(), batch.size()), &bundles));
+  EXPECT_FALSE(DecodeQuoteBatchRequestInto(
+      std::span<const uint8_t>(batch.data(), batch.size()), &slots, &used));
+  EXPECT_EQ(used, 0u);
+  EXPECT_LE(slots.size(), 1u);
 }
 
 // The bulk vector readers at the count boundary: a count whose elements
@@ -432,7 +469,8 @@ TEST(RpcWireTest, VectorCountsAtTheBoundary) {
 // false) without throwing; ASan/UBSan catch any over-read.
 void DecodeWithEveryDecoder(std::span<const uint8_t> body) {
   std::vector<uint32_t> bundle;
-  std::vector<std::vector<uint32_t>> bundles;
+  std::vector<std::vector<uint32_t>> slots;
+  size_t used = 0;
   std::string text;
   double valuation = 0.0;
   std::vector<WireBuyer> buyers;
@@ -445,9 +483,8 @@ void DecodeWithEveryDecoder(std::span<const uint8_t> body) {
   WireDeltaResult delta_result;
   WireCode code = WireCode::kOk;
   EXPECT_NO_THROW({
-    (void)DecodeQuoteRequest(body, &bundle);
     (void)DecodeQuoteRequestInto(body, &bundle);
-    (void)DecodeQuoteBatchRequest(body, &bundles);
+    (void)DecodeQuoteBatchRequestInto(body, &slots, &used);
     (void)DecodePurchaseRequest(body, &text, &valuation);
     (void)DecodeAppendRequest(body, &buyers);
     (void)DecodeApplySellerDeltaRequest(body, &delta);
@@ -484,21 +521,25 @@ TEST(RpcWireTest, RandomByteMutationsNeverCrashDecoders) {
   stats.quotes_served = 100;
   stats.folds = 3;
   std::vector<Quote> quotes = {MakeQuote(), MakeQuote()};
-  const std::vector<std::vector<uint8_t>> corpus = {
+  std::vector<std::vector<uint8_t>> corpus = {
       EncodeQuoteRequest(1, {1, 2, 3}),
       EncodeQuoteBatchRequest(2, bundles),
       EncodePurchaseRequest(3, "select * from T", 3.5),
       EncodeAppendRequest(4, buyers),
       EncodeStatsRequest(5),
       EncodeApplySellerDeltaRequest(6, delta),
-      EncodeQuoteReply(7, MakeQuote()),
-      EncodeQuoteBatchReply(8, quotes),
-      EncodePurchaseReply(9, purchase),
-      EncodeAppendReply(10, WireAppendResult{WireCode::kOk, "", 11}),
-      EncodeStatsReply(11, stats),
-      EncodeApplySellerDeltaReply(12, WireDeltaResult{WireCode::kOk, "", 29}),
-      EncodeErrorReply(13, WireCode::kBackpressure, "full"),
   };
+  auto reply = [&corpus]() -> std::vector<uint8_t>* {
+    return &corpus.emplace_back();
+  };
+  AppendQuoteReplyFrame(7, MakeQuote(), reply());
+  AppendQuoteBatchReplyFrame(8, quotes, reply());
+  AppendPurchaseReplyFrame(9, purchase, reply());
+  AppendAppendReplyFrame(10, WireAppendResult{WireCode::kOk, "", 11}, reply());
+  AppendStatsReplyFrame(11, stats, reply());
+  AppendApplySellerDeltaReplyFrame(12, WireDeltaResult{WireCode::kOk, "", 29},
+                                   reply());
+  AppendErrorReplyFrame(13, WireCode::kBackpressure, "full", reply());
 
   Rng rng(16);
   constexpr int kMutantsPerFrame = 400;
