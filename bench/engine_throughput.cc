@@ -751,12 +751,10 @@ int Main(int argc, char** argv) {
 
   serve::EngineStats stats = engine->stats().merged;
   std::cout << StrFormat(
-      "engine: version %llu, %llu quotes served, %d LPs total, incidence "
-      "%d merge(s)/%d build(s)\n",
+      "engine: version %llu, %llu quotes served, %d LPs total\n",
       static_cast<unsigned long long>(stats.version),
       static_cast<unsigned long long>(stats.quotes_served),
-      stats.total_lps_solved, stats.incidence.merges,
-      stats.incidence.full_builds);
+      stats.total_lps_solved);
   std::cout << StrFormat(
       "engine: %llu purchases (%llu accepted, %.2f revenue), %lld probes / "
       "%lld pruned across build+purchase\n",

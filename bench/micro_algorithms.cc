@@ -10,15 +10,16 @@
 // ConflictProber (Arg = threads), the cost the service benchmark's
 // setup_s pays for its corpus conflict sets, shared column indexes
 // included. BM_LpipSkewed/BM_CipSkewed time the LP-based
-// algorithms on its seed and grown books, and BM_SolveSeedSkewed times all
-// six algorithms on the seed book. BM_Crc32 and
-// BM_DeserializeShardState time the durability layer's recovery read:
-// the checksum every persisted byte goes through (Arg = bytes: 63, below
-// the carry-less-multiply kernel's 64-byte minimum, then 4 KiB and
-// 256 KiB through it), and decoding one real shard checkpoint file, its
-// section checks and the folded whole-file CRC included. Uses system
-// google-benchmark when available; otherwise the built-in mini harness
-// (bench/mini_benchmark.h) keeps the target building and running.
+// algorithms on its seed and grown books, BM_ItemClassCompressionSkewed
+// the per-generation class compression on the grown book's shard 0 of
+// 2, and BM_SolveSeedSkewed times all six algorithms on the seed book.
+// BM_Crc32 and BM_DeserializeShardState time the durability layer's
+// recovery read: the checksum every persisted byte goes through (Arg =
+// bytes: 63, below the carry-less-multiply kernel's 64-byte minimum, then
+// 4 KiB and 256 KiB through it), and decoding one real shard checkpoint
+// file, its section checks and the folded whole-file CRC included. Uses
+// system google-benchmark when available; otherwise the built-in mini
+// harness (bench/mini_benchmark.h) keeps the target building and running.
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -36,6 +37,7 @@
 #include "market/conflict_prober.h"
 #include "market/hypergraph_builder.h"
 #include "market/support.h"
+#include "market/support_partitioner.h"
 #include "serve/persist/format.h"
 #include "serve/persist/state_io.h"
 #include "serve/pricing_engine.h"
@@ -262,6 +264,38 @@ void BM_CipSkewed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CipSkewed)->Arg(300)->Arg(986);
+
+// Item-class compression (ItemClasses::Compute over a prebuilt incidence
+// index) on the book a sharded writer reprices: the support split
+// into 2 shards on the first 300 buyers' conflict sets, as the pricing
+// service seeds it, then every one of the first `arg` buyers routed to
+// the shard holding most of its items (ties to the lower shard; empty
+// conflict sets left out). Reported for shard 0. Every reprice
+// generation pays this once.
+void BM_ItemClassCompressionSkewed(benchmark::State& state) {
+  core::Instance book = MakeSkewedBook(static_cast<int>(state.range(0)));
+  const ConflictInstance& inst = SkewedConflictInstance();
+  std::vector<std::vector<uint32_t>> seed;
+  for (int e = 0; e < std::min(300, book.hypergraph.num_edges()); ++e) {
+    seed.push_back(book.hypergraph.edge(e));
+  }
+  SupportPartition partition =
+      SupportPartitioner::Partition(inst.support, seed, {.num_shards = 2});
+  core::Hypergraph shard(
+      static_cast<uint32_t>(partition.shard_items[0].size()));
+  for (int e = 0; e < book.hypergraph.num_edges(); ++e) {
+    std::vector<std::vector<uint32_t>> parts =
+        partition.SplitBundle(book.hypergraph.edge(e));
+    if (!parts[0].empty() && parts[0].size() >= parts[1].size()) {
+      shard.AddEdge(std::move(parts[0]));
+    }
+  }
+  shard.incidence();  // cached: the loop times the class grouping only
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::ItemClasses::Compute(shard).num_classes());
+  }
+}
+BENCHMARK(BM_ItemClassCompressionSkewed)->Arg(986);
 
 // All six algorithms on the seed book with valuations in [1, 20] and the
 // service's options: the in-process twin of the service benchmark's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
@@ -16,67 +15,29 @@ int Hypergraph::AddEdge(std::vector<uint32_t> items) {
   items.erase(std::unique(items.begin(), items.end()), items.end());
   assert(items.empty() || items.back() < num_items_);
   edges_.push_back(std::move(items));
-  // The cached incidence (if any) now lags by this edge; incidence()
-  // merges the pending suffix instead of rebuilding.
   return static_cast<int>(edges_.size()) - 1;
 }
 
 const ItemIncidence& Hypergraph::incidence() const {
   const int m = num_edges();
-  const bool have_index =
-      incidence_.start.size() == static_cast<size_t>(num_items_) + 1;
-  if (have_index && incidence_edges_ == m) return incidence_;
-
-  if (!have_index || incidence_edges_ == 0) {
-    // Cold build: scan every edge.
-    ItemIncidence out;
-    out.start.assign(num_items_ + 1, 0);
-    for (const auto& e : edges_) {
-      for (uint32_t j : e) out.start[j + 1]++;
-    }
-    for (uint32_t j = 0; j < num_items_; ++j) out.start[j + 1] += out.start[j];
-    out.edge.resize(out.start[num_items_]);
-    std::vector<int> fill(num_items_, 0);
-    for (int e = 0; e < m; ++e) {
-      for (uint32_t j : edges_[e]) {
-        out.edge[out.start[j] + fill[j]++] = e;  // ascending: edges in order
-      }
-    }
-    incidence_ = std::move(out);
-    incidence_edges_ = m;
-    maintenance_.full_builds++;
-    return incidence_;
+  if (incidence_edges_ == m) return incidence_;
+  // Cold build over every edge, reusing the stale index's storage.
+  incidence_.start.assign(num_items_ + 1, 0);
+  for (const auto& e : edges_) {
+    for (uint32_t j : e) incidence_.start[j + 1]++;
   }
-
-  // Merge path: edges [incidence_edges_, m) are appended, so within every
-  // item's list they land *after* the existing (smaller) edge ids — one
-  // slice-copy pass preserves the ascending order without touching the
-  // old edges' item lists.
-  std::vector<int> extra(num_items_, 0);
-  for (int e = incidence_edges_; e < m; ++e) {
-    for (uint32_t j : edges_[e]) extra[j]++;
-  }
-  ItemIncidence out;
-  out.start.resize(num_items_ + 1);
-  out.start[0] = 0;
   for (uint32_t j = 0; j < num_items_; ++j) {
-    out.start[j + 1] = out.start[j] + incidence_.degree(j) + extra[j];
+    incidence_.start[j + 1] += incidence_.start[j];
   }
-  out.edge.resize(out.start[num_items_]);
+  incidence_.edge.resize(incidence_.start[num_items_]);
   std::vector<int> fill(num_items_, 0);
-  for (uint32_t j = 0; j < num_items_; ++j) {
-    std::copy(incidence_.begin(j), incidence_.end(j),
-              out.edge.begin() + out.start[j]);
-    fill[j] = incidence_.degree(j);
-  }
-  for (int e = incidence_edges_; e < m; ++e) {
+  for (int e = 0; e < m; ++e) {
     for (uint32_t j : edges_[e]) {
-      out.edge[out.start[j] + fill[j]++] = e;
+      // Ascending per item: edges are visited in order.
+      incidence_.edge[incidence_.start[j] + fill[j]++] = e;
     }
   }
-  incidence_ = std::move(out);
   incidence_edges_ = m;
-  maintenance_.merges++;
   return incidence_;
 }
 
@@ -141,27 +102,38 @@ ItemClasses ItemClasses::Compute(const Hypergraph& hypergraph) {
 
   ItemClasses out;
   out.class_of_item.assign(n, kNoClass);
-  // Group by signature hash, verifying exact equality within buckets.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;  // hash -> reps
+  // Group by signature hash in a flat open-addressing table of (hash,
+  // representative) slots, verifying exact equality on hash hits. The
+  // representatives' signatures are pairwise distinct, so at most one
+  // slot matches an item and the probe order cannot change the class it
+  // joins. There is at most one class per item, so the load stays <= 1/2.
+  struct Slot {
+    uint64_t hash;
+    uint32_t rep;  // kNoClass marks an empty slot
+  };
+  size_t capacity = 16;
+  while (capacity < 2 * static_cast<size_t>(n)) capacity <<= 1;
+  const size_t mask = capacity - 1;
+  std::vector<Slot> table(capacity, Slot{0, kNoClass});
   for (uint32_t j = 0; j < n; ++j) {
     if (inc.degree(j) == 0) continue;
     uint64_t h = 0xabcdef12u;
     for (const int* e = inc.begin(j); e != inc.end(j); ++e) {
       h = HashCombine(h, static_cast<uint32_t>(*e));
     }
-    auto& reps = buckets[h];
-    uint32_t cls = kNoClass;
-    for (uint32_t rep : reps) {
-      if (same_signature(rep, j)) {
-        cls = out.class_of_item[rep];
-        break;
-      }
+    size_t slot = h & mask;
+    while (table[slot].rep != kNoClass &&
+           !(table[slot].hash == h && same_signature(table[slot].rep, j))) {
+      slot = (slot + 1) & mask;
     }
-    if (cls == kNoClass) {
+    uint32_t cls;
+    if (table[slot].rep == kNoClass) {
       cls = static_cast<uint32_t>(out.class_size.size());
       out.class_size.push_back(0);
       out.class_rep.push_back(j);
-      reps.push_back(j);
+      table[slot] = {h, j};
+    } else {
+      cls = out.class_of_item[table[slot].rep];
     }
     out.class_of_item[j] = cls;
     out.class_size[cls]++;
@@ -179,220 +151,6 @@ ItemClasses ItemClasses::Compute(const Hypergraph& hypergraph) {
     classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
   }
   return out;
-}
-
-void ItemClasses::Refine(const Hypergraph& hypergraph, int first_new_edge) {
-  const int m = hypergraph.num_edges();
-  if (first_new_edge >= m) return;
-
-  // Touch list: (item, new edge) pairs, grouped per item below. Within an
-  // item the edges stay ascending because new edges are scanned in order.
-  std::vector<std::pair<uint32_t, int>> touches;
-  for (int e = first_new_edge; e < m; ++e) {
-    for (uint32_t j : hypergraph.edge(e)) touches.emplace_back(j, e);
-  }
-  if (touches.empty()) {
-    // Appended edges are all empty: classes are unchanged, only the
-    // per-edge lists grow (empty for empty edges).
-    edge_classes.resize(m);
-    return;
-  }
-  std::sort(touches.begin(), touches.end());
-
-  // Per touched item: its slice [sig_start, sig_end) of `touches` is the
-  // item's new-edge signature. Items of one old class whose signatures
-  // agree stay together; differing signatures split the class.
-  struct TouchedItem {
-    uint32_t item;
-    size_t sig_start;
-    size_t sig_end;
-  };
-  std::vector<TouchedItem> touched;
-  for (size_t i = 0; i < touches.size();) {
-    size_t k = i;
-    while (k < touches.size() && touches[k].first == touches[i].first) ++k;
-    touched.push_back({touches[i].first, i, k});
-    i = k;
-  }
-
-  auto same_signature = [&](const TouchedItem& a, const TouchedItem& b) {
-    if (a.sig_end - a.sig_start != b.sig_end - b.sig_start) return false;
-    for (size_t i = 0; i < a.sig_end - a.sig_start; ++i) {
-      if (touches[a.sig_start + i].second != touches[b.sig_start + i].second)
-        return false;
-    }
-    return true;
-  };
-  auto signature_less = [&](const TouchedItem& a, const TouchedItem& b) {
-    return std::lexicographical_compare(
-        touches.begin() + static_cast<ptrdiff_t>(a.sig_start),
-        touches.begin() + static_cast<ptrdiff_t>(a.sig_end),
-        touches.begin() + static_cast<ptrdiff_t>(b.sig_start),
-        touches.begin() + static_cast<ptrdiff_t>(b.sig_end),
-        [](const auto& x, const auto& y) { return x.second < y.second; });
-  };
-
-  // Group touched items by (old class, signature). kNoClass items (first
-  // appearance in any edge) group among themselves the same way.
-  std::sort(touched.begin(), touched.end(),
-            [&](const TouchedItem& a, const TouchedItem& b) {
-              uint32_t ca = class_of_item[a.item], cb = class_of_item[b.item];
-              if (ca != cb) return ca < cb;
-              if (signature_less(a, b)) return true;
-              if (signature_less(b, a)) return false;
-              return a.item < b.item;
-            });
-
-  struct Group {
-    uint32_t old_class;            // kNoClass for first-appearance items
-    std::vector<uint32_t> members;  // ascending
-  };
-  std::vector<Group> groups;
-  std::vector<uint32_t> touched_of_class(class_size.size(), 0);
-  for (size_t i = 0; i < touched.size();) {
-    size_t k = i;
-    while (k < touched.size() &&
-           class_of_item[touched[k].item] == class_of_item[touched[i].item] &&
-           same_signature(touched[k], touched[i])) {
-      ++k;
-    }
-    Group g;
-    g.old_class = class_of_item[touched[i].item];
-    for (size_t t = i; t < k; ++t) g.members.push_back(touched[t].item);
-    if (g.old_class != kNoClass) {
-      touched_of_class[g.old_class] +=
-          static_cast<uint32_t>(g.members.size());
-    }
-    groups.push_back(std::move(g));
-    i = k;
-  }
-
-  // Decide which group (if any) inherits each old class id: the class's
-  // untouched remainder when one exists, otherwise the touched group
-  // holding the smallest member (covers the whole-class-moved-together
-  // case, where that is the only group). Everything else gets a fresh id,
-  // assigned in ascending order of smallest member for determinism.
-  const uint32_t old_num_classes = static_cast<uint32_t>(class_size.size());
-  std::vector<char> has_remainder(old_num_classes, 0);
-  for (uint32_t c = 0; c < old_num_classes; ++c) {
-    has_remainder[c] = touched_of_class[c] < class_size[c] ? 1 : 0;
-  }
-  std::vector<int> keeper(old_num_classes, -1);  // group index keeping id
-  for (size_t g = 0; g < groups.size(); ++g) {
-    uint32_t c = groups[g].old_class;
-    if (c == kNoClass || has_remainder[c]) continue;
-    if (keeper[c] < 0 || groups[g].members[0] <
-                             groups[static_cast<size_t>(keeper[c])].members[0]) {
-      keeper[c] = static_cast<int>(g);
-    }
-  }
-
-  std::vector<size_t> fresh;  // group indices needing new ids
-  for (size_t g = 0; g < groups.size(); ++g) {
-    uint32_t c = groups[g].old_class;
-    if (c != kNoClass && keeper[c] == static_cast<int>(g)) continue;
-    fresh.push_back(g);
-  }
-  std::sort(fresh.begin(), fresh.end(), [&](size_t a, size_t b) {
-    return groups[a].members[0] < groups[b].members[0];
-  });
-
-  // Split-off groups must be advertised to the old edges that contain
-  // them; remember one member per split before rewriting memberships (the
-  // old-edge list of a split class is any member's incidence slice
-  // restricted to pre-append edges — all members share it).
-  std::vector<std::pair<uint32_t, uint32_t>> splits;  // (member, new id)
-  for (size_t f : fresh) {
-    Group& g = groups[f];
-    uint32_t id = static_cast<uint32_t>(class_size.size());
-    class_size.push_back(static_cast<uint32_t>(g.members.size()));
-    class_rep.push_back(g.members[0]);
-    if (g.old_class != kNoClass) {
-      splits.emplace_back(g.members[0], id);
-      class_size[g.old_class] -= static_cast<uint32_t>(g.members.size());
-    }
-    for (uint32_t j : g.members) class_of_item[j] = id;
-  }
-  // Keeper groups retain their id but may have lost the old rep to a
-  // split; remainder classes may have lost theirs to any touched group.
-  // Reset keepers directly and repair remainder reps in one item scan
-  // (after the rewrite above, items still carrying an old id are exactly
-  // the untouched remainder).
-  std::vector<char> rep_dirty(old_num_classes, 0);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    uint32_t c = groups[g].old_class;
-    if (c == kNoClass) continue;
-    if (keeper[c] == static_cast<int>(g)) {
-      class_rep[c] = groups[g].members[0];
-    } else if (has_remainder[c]) {
-      rep_dirty[c] = 1;
-    }
-  }
-  for (uint32_t j = 0; j < static_cast<uint32_t>(class_of_item.size()); ++j) {
-    uint32_t c = class_of_item[j];
-    if (c == kNoClass || c >= old_num_classes) continue;
-    if (rep_dirty[c]) {
-      class_rep[c] = j;
-      rep_dirty[c] = 0;
-    }
-  }
-
-  // Per-edge class lists. New edges are computed from the rewritten
-  // memberships; old edges gain the split-off ids (appended in ascending
-  // id order, which keeps the lists sorted since fresh ids exceed every
-  // old id).
-  std::sort(splits.begin(), splits.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  const ItemIncidence& inc = hypergraph.incidence();
-  for (const auto& [member, id] : splits) {
-    for (const int* e = inc.begin(member); e != inc.end(member); ++e) {
-      if (*e >= first_new_edge) break;  // ascending: old edges first
-      edge_classes[*e].push_back(id);
-    }
-  }
-  edge_classes.resize(m);
-  for (int e = first_new_edge; e < m; ++e) {
-    std::vector<uint32_t>& classes = edge_classes[e];
-    classes.clear();
-    for (uint32_t j : hypergraph.edge(e)) classes.push_back(class_of_item[j]);
-    std::sort(classes.begin(), classes.end());
-    classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  }
-
-  // Canonical renumbering: Compute() hands out ids in ascending order of
-  // a class's smallest member (its representative), so one permutation
-  // makes the refined partition bit-indistinguishable from a fresh
-  // Compute on the grown hypergraph — which is what lets the incremental
-  // reprice path feed refined classes into the LP algorithms and land on
-  // exactly the LPs a cold run would build. Reps are distinct items, so
-  // the order is total.
-  const uint32_t num_cls = static_cast<uint32_t>(class_size.size());
-  std::vector<uint32_t> by_rep(num_cls);
-  for (uint32_t c = 0; c < num_cls; ++c) by_rep[c] = c;
-  std::sort(by_rep.begin(), by_rep.end(), [&](uint32_t a, uint32_t b) {
-    return class_rep[a] < class_rep[b];
-  });
-  std::vector<uint32_t> remap(num_cls);
-  bool identity = true;
-  for (uint32_t rank = 0; rank < num_cls; ++rank) {
-    remap[by_rep[rank]] = rank;
-    identity = identity && by_rep[rank] == rank;
-  }
-  if (identity) return;
-  for (uint32_t& c : class_of_item) {
-    if (c != kNoClass) c = remap[c];
-  }
-  std::vector<uint32_t> new_size(num_cls), new_rep(num_cls);
-  for (uint32_t c = 0; c < num_cls; ++c) {
-    new_size[remap[c]] = class_size[c];
-    new_rep[remap[c]] = class_rep[c];
-  }
-  class_size = std::move(new_size);
-  class_rep = std::move(new_rep);
-  for (std::vector<uint32_t>& classes : edge_classes) {
-    for (uint32_t& c : classes) c = remap[c];
-    std::sort(classes.begin(), classes.end());
-  }
 }
 
 std::vector<double> ItemClasses::ExpandClassWeights(

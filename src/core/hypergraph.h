@@ -4,6 +4,11 @@
 // conflict sets of buyer queries. Valuations are kept separate from the
 // structure because every experiment re-draws them from a generative model
 // over the same hypergraph.
+//
+// Everything derived from the edges (the incidence index, the item
+// classes) is computed cold from the current edge list: a growing market
+// recomputes it once per pricing generation instead of patching the
+// previous generation's copy (see core/reprice.h).
 #ifndef QP_CORE_HYPERGRAPH_H_
 #define QP_CORE_HYPERGRAPH_H_
 
@@ -18,7 +23,7 @@ using Valuations = std::vector<double>;
 
 /// CSR item -> edges incidence index: the edges containing item j are
 /// `edge[start[j]], ..., edge[start[j+1] - 1]`, in ascending edge order.
-/// Built once per hypergraph (see Hypergraph::incidence()) so LP
+/// Built once per edge set (see Hypergraph::incidence()) so LP
 /// construction, class compression and degree queries stop re-scanning
 /// every edge per item.
 struct ItemIncidence {
@@ -45,23 +50,12 @@ class Hypergraph {
   const std::vector<uint32_t>& edge(int e) const { return edges_[e]; }
   int edge_size(int e) const { return static_cast<int>(edges_[e].size()); }
 
-  /// The item -> edges index, built on first use and kept current across
-  /// AddEdge: edges appended after the last build are *merged* into the
-  /// CSR arrays (one slice-copy pass over the old index plus the new
-  /// entries) instead of re-scanning every edge — the delta maintenance
-  /// the serving engine's append path relies on. Not thread-safe to
-  /// *build/merge*: callers that share a hypergraph across threads (the
-  /// LPIP/CIP candidate sweeps, the engine's snapshot readers) force the
-  /// build before fanning out and only read afterwards.
+  /// The item -> edges index, built on first use and rebuilt from scratch
+  /// on the first call after an AddEdge. Not thread-safe to *build*:
+  /// callers that share a hypergraph across threads (the LPIP/CIP
+  /// candidate sweeps, the engine's snapshot readers) force the build
+  /// before fanning out and only read afterwards.
   const ItemIncidence& incidence() const;
-
-  /// How the incidence index has been (re)built so far; tests and the
-  /// engine stats use this to prove appends take the merge path.
-  struct IncidenceMaintenance {
-    int full_builds = 0;
-    int merges = 0;
-  };
-  IncidenceMaintenance incidence_maintenance() const { return maintenance_; }
 
   /// Degree of every item (number of edges containing it).
   std::vector<uint32_t> ItemDegrees() const;
@@ -83,11 +77,10 @@ class Hypergraph {
  private:
   uint32_t num_items_;
   std::vector<std::vector<uint32_t>> edges_;
-  // Lazily built incidence cache; edges with index >= incidence_edges_ are
-  // not in it yet and get merged on the next incidence() call.
+  // Lazily built incidence cache, current iff incidence_edges_ equals
+  // num_edges().
   mutable ItemIncidence incidence_;
-  mutable int incidence_edges_ = 0;
-  mutable IncidenceMaintenance maintenance_;
+  mutable int incidence_edges_ = -1;
 };
 
 /// Equivalence classes of items by edge membership. Items contained in
@@ -112,19 +105,10 @@ struct ItemClasses {
     return static_cast<uint32_t>(class_size.size());
   }
 
+  /// Class ids are handed out in ascending order of each class's smallest
+  /// member (its representative), so the result is a pure function of the
+  /// edge list.
   static ItemClasses Compute(const Hypergraph& hypergraph);
-
-  /// Delta maintenance for appended edges: updates `*this` — computed for
-  /// `hypergraph` restricted to edges [0, first_new_edge) — to bit-equal
-  /// what Compute would return on the full hypergraph (tests assert the
-  /// equality field by field). The partition is refined locally: only the
-  /// appended edges' items are re-grouped (a class splits when part of it
-  /// joins a new edge), followed by linear renumber/repair passes —
-  /// Compute's per-item signature hashing and bucket probing over the
-  /// whole instance never reruns. Bit-equality is the property the
-  /// incremental reprice path leans on: LPs built from refined classes
-  /// are exactly the LPs a cold run would build.
-  void Refine(const Hypergraph& hypergraph, int first_new_edge);
 
   /// Expands per-class weights into per-item weights, dividing each class
   /// weight equally among its members. Items in no edge get weight 0.

@@ -14,28 +14,14 @@ namespace qp::core {
 
 namespace {
 
-// Options forwarded to the LP algorithms with the state's shared
-// precompute installed (and any caller-side precompute dropped — it may
-// describe a previous generation).
-AlgorithmOptions WithStatePrecompute(const AlgorithmOptions& options,
-                                     const RepriceState& state) {
-  AlgorithmOptions out = options;
-  out.lpip.classes = &state.classes;
-  out.lpip.use_compression = true;
-  out.lpip.sorted_order = &state.order;
-  out.cip.classes = &state.classes;
-  out.cip.use_compression = true;
-  out.sorted_order = &state.order;
-  return out;
-}
-
 // Rebuilds state.lpip from this generation's per-candidate solutions and
 // returns the LPIP result (earliest candidate wins revenue ties, matching
 // the sweep's reduction rule). When the winner's weights came from the
 // retained book, one standalone solve refreshes them so the published
 // pricing is a function of the grown instance alone.
 PricingResult FinishLpip(RepriceState& state, const Hypergraph& hypergraph,
-                         const Valuations& v, const LpipOptions& lpip_options,
+                         const Valuations& v, const SharedPrecompute& shared,
+                         const LpipOptions& lpip_options,
                          const std::vector<int>& positions,
                          std::vector<RepriceState::LpipCandidate> candidates,
                          const std::vector<double>& revenues,
@@ -62,8 +48,8 @@ PricingResult FinishLpip(RepriceState& state, const Hypergraph& hypergraph,
       // instance (one LP) instead of publishing the retained vertex.
       LpipSweepCapture capture;
       std::vector<int> winner = {positions[b]};
-      RunLpipSweep(hypergraph, v, state.classes, state.order, winner,
-                   lpip_options, &capture);
+      RunLpipSweep(hypergraph, v, shared.classes, shared.order_by_valuation,
+                   winner, lpip_options, &capture);
       ++result.lps_solved;
       state.last.lpip_winner_refreshes = 1;
       if (!capture.item_weights[0].empty()) {
@@ -86,40 +72,11 @@ std::vector<PricingResult> SolveAllWithState(const Hypergraph& hypergraph,
                                              const Valuations& v,
                                              const AlgorithmOptions& options,
                                              RepriceState& state) {
-  Stopwatch timer;
+  // An empty retained book: every candidate solves, none is reused and
+  // no winner is refreshed, which is RunAllAlgorithms' LPIP sweep.
   state = RepriceState{};
-  state.classes = ItemClasses::Compute(hypergraph);
-  state.order = OrderByDescendingValuation(v);
-  AlgorithmOptions resolved = WithStatePrecompute(options, state);
-
-  // LPIP: the RunLpip sweep, with per-candidate capture seeding the state.
-  Stopwatch lpip_timer;
-  std::vector<int> positions =
-      LpipCandidatePositions(v, state.order, options.lpip.max_candidates);
-  LpipSweepCapture capture;
-  PricingResult lpip = RunLpipSweep(hypergraph, v, state.classes, state.order,
-                                    positions, resolved.lpip, &capture);
-  lpip.seconds = lpip_timer.ElapsedSeconds();
-  std::vector<RepriceState::LpipCandidate> candidates(positions.size());
-  for (size_t i = 0; i < positions.size(); ++i) {
-    candidates[i].threshold = v[state.order[static_cast<size_t>(positions[i])]];
-    candidates[i].item_weights = std::move(capture.item_weights[i]);
-    if (candidates[i].item_weights.empty()) {
-      candidates[i].item_weights.assign(hypergraph.num_items(), 0.0);
-    }
-  }
-  state.lpip = std::move(candidates);
-  state.last.lpip_candidates = static_cast<int>(positions.size());
-
-  PricingResult cip = RunCip(hypergraph, v, resolved.cip);
-  state.last.cip_capacities = cip.lps_solved;
-
-  state.last.lps_solved = lpip.lps_solved + cip.lps_solved;
-  state.generation = 1;
-  std::vector<PricingResult> results =
-      AssembleAllResults(hypergraph, v, std::move(lpip), std::move(cip));
-  state.last.seconds = timer.ElapsedSeconds();
-  return results;
+  return RepriceAfterAppend(hypergraph, v, /*first_new_edge=*/0, options,
+                            state);
 }
 
 std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
@@ -127,31 +84,20 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
                                               int first_new_edge,
                                               const AlgorithmOptions& options,
                                               RepriceState& state) {
-  if (!state.seeded()) {
-    return SolveAllWithState(hypergraph, v, options, state);
-  }
   Stopwatch timer;
   const int m = hypergraph.num_edges();
   state.last = RepriceStats{};
 
-  // Shared precompute, delta-maintained: refine the classes in place and
-  // merge the appended edges into the valuation order (both halves are
-  // sorted under the same comparator, and new indices exceed old ones, so
-  // a stable merge reproduces OrderByDescendingValuation exactly).
-  state.classes.Refine(hypergraph, first_new_edge);
-  std::vector<int> appended(static_cast<size_t>(m - first_new_edge));
-  for (int e = first_new_edge; e < m; ++e) {
-    appended[static_cast<size_t>(e - first_new_edge)] = e;
-  }
-  auto by_valuation = [&](int a, int b) {
-    return v[a] > v[b] || (v[a] == v[b] && a < b);
-  };
-  std::sort(appended.begin(), appended.end(), by_valuation);
-  std::vector<int> merged(static_cast<size_t>(m));
-  std::merge(state.order.begin(), state.order.end(), appended.begin(),
-             appended.end(), merged.begin(), by_valuation);
-  state.order = std::move(merged);
-  AlgorithmOptions resolved = WithStatePrecompute(options, state);
+  // Shared precompute, cold as in RunAllAlgorithms. The engine always
+  // prices on compressed classes, and caller-side precompute may describe
+  // another generation, so both are reset before WithShared fills them.
+  AlgorithmOptions cleared = options;
+  cleared.lpip.use_compression = cleared.cip.use_compression = true;
+  cleared.lpip.classes = cleared.cip.classes = nullptr;
+  cleared.sorted_order = cleared.lpip.sorted_order = nullptr;
+  const SharedPrecompute shared = ComputeShared(hypergraph, v);
+  const AlgorithmOptions resolved = WithShared(cleared, shared);
+  const std::vector<int>& order = shared.order_by_valuation;
 
   double max_new_valuation = -std::numeric_limits<double>::infinity();
   for (int e = first_new_edge; e < m; ++e) {
@@ -162,13 +108,13 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
   // exact family, hence their retained optimum; the rest re-solve.
   Stopwatch lpip_timer;
   std::vector<int> positions =
-      LpipCandidatePositions(v, state.order, options.lpip.max_candidates);
+      LpipCandidatePositions(v, order, options.lpip.max_candidates);
   std::vector<int> changed;                            // positions needing an LP
   std::vector<int> reused_from(positions.size(), -1);  // index into state.lpip
   {
     size_t stored = 0;
     for (size_t i = 0; i < positions.size(); ++i) {
-      double threshold = v[state.order[static_cast<size_t>(positions[i])]];
+      double threshold = v[order[static_cast<size_t>(positions[i])]];
       if (threshold <= max_new_valuation) {
         changed.push_back(positions[i]);
         continue;
@@ -188,7 +134,7 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
     }
   }
   LpipSweepCapture capture;
-  PricingResult swept = RunLpipSweep(hypergraph, v, state.classes, state.order,
+  PricingResult swept = RunLpipSweep(hypergraph, v, shared.classes, order,
                                      changed, resolved.lpip, &capture);
 
   std::vector<RepriceState::LpipCandidate> candidates(positions.size());
@@ -197,8 +143,7 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
   {
     size_t ci = 0;
     for (size_t i = 0; i < positions.size(); ++i) {
-      candidates[i].threshold =
-          v[state.order[static_cast<size_t>(positions[i])]];
+      candidates[i].threshold = v[order[static_cast<size_t>(positions[i])]];
       if (reused_from[i] >= 0) {
         candidates[i].item_weights = std::move(
             state.lpip[static_cast<size_t>(reused_from[i])].item_weights);
@@ -220,13 +165,13 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
   state.last.lpip_candidates = static_cast<int>(positions.size());
   state.last.lpip_reused = static_cast<int>(positions.size() - changed.size());
   PricingResult lpip =
-      FinishLpip(state, hypergraph, v, resolved.lpip, positions,
+      FinishLpip(state, hypergraph, v, shared, resolved.lpip, positions,
                  std::move(candidates), revenues, reused, swept.lps_solved);
   lpip.seconds = lpip_timer.ElapsedSeconds();
 
-  // CIP: replay the cold capacity grid on the refined (bit-equal)
-  // classes. Warm-starting from previous-generation bases was evaluated
-  // and rejected — see the header note on dual degeneracy.
+  // CIP: the cold capacity grid on this generation's classes.
+  // Warm-starting from previous-generation bases was evaluated and
+  // rejected — see the header note on dual degeneracy.
   PricingResult cip = RunCip(hypergraph, v, resolved.cip);
   state.last.cip_capacities = cip.lps_solved;
 

@@ -4,13 +4,15 @@
 // A broker that runs as a service sees its instance *grow*: new buyers
 // arrive, each contributing one hyperedge (their query's conflict set)
 // and one valuation. Cold `RunAllAlgorithms` treats every arrival as a
-// brand-new instance; the entry points here retain cross-generation
-// state (RepriceState) and skip the work an append provably cannot
-// change:
+// brand-new instance; the entry points here retain the one piece of
+// cross-generation state that saves LP work (RepriceState) and recompute
+// everything else:
 //
-//  * Shared precompute — the item classes are *refined in place*
-//    (ItemClasses::Refine, bit-equal to a fresh Compute) and the
-//    descending valuation order is merged, never re-sorted from scratch.
+//  * Shared precompute — every generation computes the item classes and
+//    the descending valuation order cold (ComputeShared + WithShared,
+//    exactly as RunAllAlgorithms does), always compressed. Carrying
+//    them, or the incidence index, across appends would save under 1%
+//    of a reprice on the skewed service book, so they are not retained.
 //  * LPIP — a threshold family F_t = { e : v_e >= t } gains exactly the
 //    appended edges with v >= t. Thresholds strictly above the largest
 //    appended valuation keep their exact LP, so the retained
@@ -19,9 +21,8 @@
 //    When the retained book wins, one standalone solve refreshes the
 //    winning threshold so the published weights come from the grown
 //    instance, not from history.
-//  * CIP re-solves its capacity grid through RunCip but *reuses* the
-//    refined classes (the expensive shared precompute) instead of
-//    recompressing the instance.
+//  * CIP re-solves its capacity grid through RunCip on the generation's
+//    classes.
 //  * UBP / UIP / Layering are LP-free and near-linear; they are simply
 //    recomputed. XOS is rebuilt from the fresh LPIP/CIP components.
 //
@@ -29,7 +30,7 @@
 // routinely dual-degenerate, and a warm-started simplex run lands on a
 // different optimal *vertex* than the cold chain — same LP objective,
 // different dual prices, different realized revenue. Replaying the cold
-// trajectory on the (bit-equal) refined classes is what makes the
+// trajectory on the same classes a cold run computes is what makes the
 // incremental path's CIP answer identical to a cold RunAllAlgorithms,
 // which tests/core/reprice_test.cc and tests/serve/pricing_engine_test.cc
 // pin. The same argument is why the LPIP *winner* is refreshed with a
@@ -80,12 +81,6 @@ struct RepriceStats {
 /// writer (the engine serializes appends); not safe to share across
 /// concurrent repricing calls.
 struct RepriceState {
-  /// Shared precompute of the current instance, delta-maintained:
-  /// canonical item classes (== ItemClasses::Compute bit for bit) and the
-  /// descending valuation order (ties by edge index).
-  ItemClasses classes;
-  std::vector<int> order;
-
   /// Per LPIP threshold candidate, descending by threshold: the
   /// candidate's optimal per-item weights. Thresholds whose families an
   /// append leaves untouched are answered from here without an LP.
@@ -95,19 +90,19 @@ struct RepriceState {
   };
   std::vector<LpipCandidate> lpip;
 
-  /// 0 until the first SolveAllWithState seeded the state.
+  /// Generations priced on this state; 0 for a fresh one.
   int generation = 0;
   RepriceStats last;
-
-  bool seeded() const { return generation > 0; }
 };
 
 /// Full (cold) solve of the instance that also (re)seeds `state` so later
-/// appends can go through RepriceAfterAppend. Results come back in
-/// RunAllAlgorithms order (UBP, UIP, LPIP, CIP, Layering, XOS) and are
+/// appends can go through RepriceAfterAppend: resets `state` and runs
+/// RepriceAfterAppend against the empty retained book. Results come back
+/// in RunAllAlgorithms order (UBP, UIP, LPIP, CIP, Layering, XOS) and are
 /// bit-identical to RunAllAlgorithms under the same options.
-/// `options.lpip/cip.classes` and sorted orders are ignored — the state
-/// owns the shared precompute (always compressed).
+/// `options.lpip/cip.classes`, `use_compression` and sorted orders are
+/// ignored — every generation computes its own compressed classes and
+/// valuation order.
 std::vector<PricingResult> SolveAllWithState(const Hypergraph& hypergraph,
                                              const Valuations& v,
                                              const AlgorithmOptions& options,
@@ -116,7 +111,8 @@ std::vector<PricingResult> SolveAllWithState(const Hypergraph& hypergraph,
 /// Incremental reprice after edges [first_new_edge, num_edges) and their
 /// valuations were appended to the instance `state` was last solved on.
 /// Same result contract as SolveAllWithState; `state.last` reports how
-/// much work was reused. With `options.lpip.chain_length == 1` (every
+/// much work was reused. An unseeded `state` has an empty book, so every
+/// candidate solves. With `options.lpip.chain_length == 1` (every
 /// candidate solved standalone) each changed candidate's solve and the
 /// winner refresh are bit-identical to the cold path's solves of the
 /// same thresholds; longer chains keep the cold path's *objective* but

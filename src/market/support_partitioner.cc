@@ -51,7 +51,13 @@ void SupportPartition::SplitBundleInto(
     const std::vector<uint32_t>& bundle,
     std::vector<std::vector<uint32_t>>* parts) const {
   parts->resize(static_cast<size_t>(num_shards));
-  for (std::vector<uint32_t>& part : *parts) part.clear();
+  for (std::vector<uint32_t>& part : *parts) {
+    part.clear();
+    // Room for the whole bundle on every shard: one call with the
+    // largest bundle sizes every part for all later calls, whichever
+    // shards they touch (a no-op once reached).
+    part.reserve(bundle.size());
+  }
   for (uint32_t item : bundle) {
     if (item >= shard_of_item.size()) continue;  // reader path: see header
     (*parts)[static_cast<size_t>(shard_of_item[item])].push_back(

@@ -69,9 +69,10 @@ struct SupportPartition {
       const std::vector<uint32_t>& bundle) const;
 
   /// SplitBundle into caller-owned storage: `parts` is resized to
-  /// num_shards and each part cleared (capacity retained), so repeated
-  /// calls on the same scratch do no heap allocation once the parts have
-  /// grown to their high-water size — the RPC loop's steady-state quote
+  /// num_shards and each part cleared (capacity retained) and sized for
+  /// all of `bundle`, so once one call has seen the largest bundle,
+  /// repeated calls on the same scratch do no heap allocation, whatever
+  /// shards their bundles touch — the RPC loop's steady-state quote
   /// path. Identical output to SplitBundle.
   void SplitBundleInto(const std::vector<uint32_t>& bundle,
                        std::vector<std::vector<uint32_t>>* parts) const;

@@ -32,7 +32,9 @@ namespace qp::serve::persist {
 /// First 8 bytes of every persist file ("QPPERS" + 2 spare).
 inline constexpr uint64_t kFileMagic = 0x0000535245505051ULL;  // "QPPERS\0\0"
 /// Bumped on incompatible layout changes; readers reject other versions.
-inline constexpr uint32_t kFormatVersion = 1;
+/// Version 2 dropped the item classes and the valuation order from the
+/// shard file's reprice section.
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// CRC-32/ISO-HDLC — the zlib/PNG/IEEE 802.3 CRC: reflected polynomial
 /// 0xEDB88320, init and xorout 0xFFFFFFFF, check value 0xCBF43926 for
@@ -45,8 +47,8 @@ inline constexpr uint32_t kFormatVersion = 1;
 /// size % 16 bytes, shorter inputs and every other CPU take slicing-by-8
 /// (eight bytes per step through eight 256-entry tables). Every path
 /// returns the same value as the bitwise definition on every input, so
-/// the kernel is not part of the format: kFormatVersion stays 1 and files
-/// written under one path read back under any other.
+/// the kernel is not part of the format: files written under one path
+/// read back under any other.
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
   return Crc32(data.data(), data.size(), seed);

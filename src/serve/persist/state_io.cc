@@ -123,18 +123,30 @@ core::RepriceStats GetStats(WireReader& r) {
   return stats;
 }
 
-std::vector<uint32_t> ToU32(const std::vector<int>& v) {
-  std::vector<uint32_t> out;
-  out.reserve(v.size());
-  for (int x : v) out.push_back(static_cast<uint32_t>(x));
-  return out;
-}
-
-std::vector<int> ToInt(const std::vector<uint32_t>& v) {
-  std::vector<int> out;
-  out.reserve(v.size());
-  for (uint32_t x : v) out.push_back(static_cast<int>(x));
-  return out;
+// A pricing the engine can serve on a shard of `num_items` items: quotes
+// dereference it and index its weight vectors by local item id.
+Status CheckServable(const core::PricingFunction* pricing,
+                     uint32_t num_items) {
+  if (pricing == nullptr) {
+    return Status::Internal("persist: book result without a pricing");
+  }
+  auto too_short = [num_items](const std::vector<double>& weights) {
+    return weights.size() < num_items;
+  };
+  if (auto* item = dynamic_cast<const core::ItemPricing*>(pricing)) {
+    if (too_short(item->weights())) {
+      return Status::Internal("persist: item weights shorter than the shard");
+    }
+  }
+  if (auto* xos = dynamic_cast<const core::XosPricing*>(pricing)) {
+    for (const std::vector<double>& component : xos->components()) {
+      if (too_short(component)) {
+        return Status::Internal(
+            "persist: XOS component shorter than the shard");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -185,15 +197,6 @@ Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state) {
   std::vector<uint8_t> reprice;
   {
     WireWriter w(&reprice);
-    w.U32Vec(state.reprice.classes.class_of_item);
-    w.U32Vec(state.reprice.classes.class_size);
-    w.U32Vec(state.reprice.classes.class_rep);
-    w.U32(static_cast<uint32_t>(state.reprice.classes.edge_classes.size()));
-    for (const std::vector<uint32_t>& classes :
-         state.reprice.classes.edge_classes) {
-      w.U32Vec(classes);
-    }
-    w.U32Vec(ToU32(state.reprice.order));
     w.U32(static_cast<uint32_t>(state.reprice.lpip.size()));
     for (const core::RepriceState::LpipCandidate& candidate :
          state.reprice.lpip) {
@@ -258,15 +261,6 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
         break;
       }
       case kRepriceSection: {
-        state.reprice.classes.class_of_item = r.U32Vec();
-        state.reprice.classes.class_size = r.U32Vec();
-        state.reprice.classes.class_rep = r.U32Vec();
-        uint32_t num_edge_classes = r.Count(kMinVecBytes);
-        state.reprice.classes.edge_classes.reserve(num_edge_classes);
-        for (uint32_t i = 0; i < num_edge_classes && r.ok(); ++i) {
-          state.reprice.classes.edge_classes.push_back(r.U32Vec());
-        }
-        state.reprice.order = ToInt(r.U32Vec());
         uint32_t num_candidates = r.Count(kMinCandidateBytes);
         state.reprice.lpip.reserve(num_candidates);
         for (uint32_t i = 0; i < num_candidates && r.ok(); ++i) {
@@ -311,6 +305,22 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
   }
   if (state.valuations.size() != state.edges.size()) {
     return Status::Internal("persist: shard valuation/edge count mismatch");
+  }
+  // Shapes a restored engine could not serve: a book needs a result to
+  // serve, and quotes (book pricings) and the next append (retained LPIP
+  // candidates) index every per-item vector by local item id.
+  if (state.results.empty()) {
+    return Status::Internal("persist: shard book has no results");
+  }
+  for (const core::PricingResult& result : state.results) {
+    QP_RETURN_IF_ERROR(CheckServable(result.pricing.get(), state.num_items));
+  }
+  for (const core::RepriceState::LpipCandidate& candidate :
+       state.reprice.lpip) {
+    if (candidate.item_weights.size() < state.num_items) {
+      return Status::Internal(
+          "persist: LPIP candidate weights shorter than the shard");
+    }
   }
   if (file_crc != nullptr) *file_crc = sections.file_crc();
   return state;

@@ -3,9 +3,10 @@
 //
 // A ShardState is everything a PricingEngine's writer owns: the appended
 // conflict-set edges and valuations, the cross-generation RepriceState
-// (refined item classes, valuation order, retained LPIP candidates), the
+// (retained LPIP candidates, reprice generation and last stats), the
 // generation counter + cumulative LP count, and the published book's
-// PricingResults. Restoring it into a fresh engine
+// PricingResults. Item classes and the valuation order are not stored:
+// the next append recomputes them from the edges. Restoring it into a fresh engine
 // (PricingEngine::RestoreState) reproduces the pre-checkpoint engine
 // bit for bit: subsequent appends reprice through exactly the state a
 // never-crashed engine would hold, so replayed books match the pre-crash
@@ -50,7 +51,7 @@ struct ShardState {
   /// valuations.
   std::vector<std::vector<uint32_t>> edges;
   core::Valuations valuations;
-  /// Cross-generation reprice state (classes, order, LPIP candidates).
+  /// Cross-generation reprice state (LPIP candidates, generation, stats).
   core::RepriceState reprice;
   /// The published book: per-algorithm results + the generation's stats.
   std::vector<core::PricingResult> results;
@@ -63,8 +64,11 @@ struct ShardState {
 /// Fails (Unimplemented) on a PricingFunction subclass the format does
 /// not know — never silently drops a pricing.
 Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state);
-/// On success, stores the Crc32 of all of `data` in `*file_crc` when it
-/// is non-null — folded from the section checks, so the bytes are not
+/// Refuses (Internal) CRC-valid bytes whose shape a restored engine could
+/// not serve: an empty book, a book result without a pricing, and item
+/// weights, XOS components or retained LPIP candidate weights shorter
+/// than `num_items`. On success, stores the Crc32 of all of `data` in
+/// `*file_crc` when it is non-null — folded from the section checks, so the bytes are not
 /// read a second time to compare against Manifest::shard_file_crcs.
 Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
                                          uint32_t* file_crc = nullptr);

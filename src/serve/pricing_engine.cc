@@ -17,12 +17,6 @@ void DeleteBook(void* book) {
 PricingEngine::PricingEngine(uint32_t num_items, EngineOptions options,
                              common::EpochManager& epochs)
     : options_(std::move(options)), epochs_(epochs), hypergraph_(num_items) {
-  // Never let the algorithm layer see stale caller-side precompute: the
-  // reprice state owns classes and valuation order for this instance.
-  options_.algorithms.lpip.classes = nullptr;
-  options_.algorithms.cip.classes = nullptr;
-  options_.algorithms.sorted_order = nullptr;
-  options_.algorithms.lpip.sorted_order = nullptr;
   std::lock_guard<std::mutex> lock(writer_mutex_);
   RepriceAndPublish(/*first_new_edge=*/0);
 }
@@ -168,7 +162,6 @@ EngineStats PricingEngine::stats() const {
   out.total_lps_solved = total_lps_solved_;
   out.last_reprice = reprice_.last;
   out.build_seconds = build_seconds_;
-  out.incidence = hypergraph_.incidence_maintenance();
   out.publish.bases = publishes_;
   out.epoch = epochs_.stats();
   return out;

@@ -8,11 +8,12 @@
 //
 //  * AppendBuyersPrecomputed appends the router's already-probed
 //    conflict sets (shard-local item ids) to the hypergraph, reprices
-//    incrementally (core::RepriceAfterAppend — refined classes and
-//    reused LPIP thresholds; CIP replays its cold capacity grid; the
-//    first append solves cold), moves the results into a fresh immutable
-//    PriceBookSnapshot, publishes it with one atomic head store and
-//    retires the replaced one through the router's epoch manager.
+//    incrementally (core::RepriceAfterAppend — reused LPIP thresholds on
+//    cold per-generation item classes; CIP replays its cold capacity
+//    grid; the first append solves cold), moves the results into a fresh
+//    immutable PriceBookSnapshot, publishes it with one atomic head
+//    store and retires the replaced one through the router's epoch
+//    manager.
 //  * CaptureState / RestoreState move the writer state in and out of a
 //    checkpoint (serve/persist).
 //
@@ -42,8 +43,9 @@
 namespace qp::serve {
 
 struct EngineOptions {
-  /// Forwarded to the pricing layer. classes / sorted_order fields are
-  /// ignored (the reprice state owns the shared precompute).
+  /// Forwarded to the pricing layer. The classes, use_compression and
+  /// sorted_order fields are ignored: every generation computes its own
+  /// compressed classes and valuation order (core/reprice.h).
   core::AlgorithmOptions algorithms;
   /// Catalog fold cadence: the router's ApplySellerDelta folds the
   /// accumulated overlay into the base database once it holds this many
@@ -87,7 +89,6 @@ struct EngineStats {
   /// Probe totals across builds *and* purchases (atomic accumulation:
   /// exact under concurrent Purchase traffic).
   market::ConflictStats conflict;
-  core::Hypergraph::IncidenceMaintenance incidence;
   /// Prepared-query cache counters (repeat Purchase/append queries share
   /// prepared probing state; invalidated — selectively — by
   /// ApplySellerDelta).

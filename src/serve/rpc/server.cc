@@ -117,7 +117,7 @@ struct RpcServer::Impl {
     /// Completions moved out of the shared deque for lock-free replay.
     std::vector<WriterDone> done_scratch;
 
-    // Per-loop counters; stats() aggregates across loops.
+    // Per-loop counters; SumCounters() aggregates across loops.
     std::atomic<uint64_t> connections_accepted{0}, connections_closed{0},
         frames_received{0}, quote_requests{0}, quote_batch_requests{0},
         purchase_requests{0}, append_requests{0}, seller_delta_requests{0},
@@ -851,19 +851,44 @@ struct RpcServer::Impl {
     out.staleness_samples = reader.catalog.staleness_samples;
     out.staleness_sum = reader.catalog.staleness_sum;
     out.staleness_max = reader.catalog.staleness_max;
-    out.writer_rejected = writer_rejected.load(std::memory_order_relaxed);
+    const RpcServerStats counters = SumCounters();
+    out.writer_rejected = counters.writer_rejected;
+    out.loops = counters.loops;
+    out.quote_ticks = counters.quote_ticks;
+    out.batched_quotes = counters.batched_quotes;
+    out.protocol_errors = counters.protocol_errors;
+    out.connections_accepted = counters.connections_accepted;
+    out.writev_calls = counters.writev_calls;
+    out.writev_frames = counters.writev_frames;
+    return out;
+  }
+
+  /// Every loop's counters summed, plus the writer queue's: the one walk
+  /// behind both RpcServer::stats() and the wire StatsReply.
+  RpcServerStats SumCounters() const {
+    RpcServerStats out;
     out.loops = static_cast<uint64_t>(loops.size());
+    auto add = [](uint64_t& sum, const std::atomic<uint64_t>& counter) {
+      sum += counter.load(std::memory_order_relaxed);
+    };
     for (const auto& loop : loops) {
-      out.quote_ticks += loop->quote_ticks.load(std::memory_order_relaxed);
-      out.batched_quotes +=
-          loop->batched_quotes.load(std::memory_order_relaxed);
-      out.protocol_errors +=
-          loop->protocol_errors.load(std::memory_order_relaxed);
-      out.connections_accepted +=
-          loop->connections_accepted.load(std::memory_order_relaxed);
-      out.writev_calls += loop->writev_calls.load(std::memory_order_relaxed);
-      out.writev_frames += loop->writev_frames.load(std::memory_order_relaxed);
+      add(out.connections_accepted, loop->connections_accepted);
+      add(out.connections_closed, loop->connections_closed);
+      add(out.frames_received, loop->frames_received);
+      add(out.quote_requests, loop->quote_requests);
+      add(out.quote_batch_requests, loop->quote_batch_requests);
+      add(out.purchase_requests, loop->purchase_requests);
+      add(out.append_requests, loop->append_requests);
+      add(out.seller_delta_requests, loop->seller_delta_requests);
+      add(out.stats_requests, loop->stats_requests);
+      add(out.quote_ticks, loop->quote_ticks);
+      add(out.batched_quotes, loop->batched_quotes);
+      add(out.protocol_errors, loop->protocol_errors);
+      add(out.writev_calls, loop->writev_calls);
+      add(out.writev_frames, loop->writev_frames);
     }
+    out.writer_enqueued = writer_enqueued.load(std::memory_order_relaxed);
+    out.writer_rejected = writer_rejected.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -1020,39 +1045,7 @@ void RpcServer::Stop() { impl_->Stop(); }
 
 uint16_t RpcServer::port() const { return impl_->bound_port; }
 
-RpcServerStats RpcServer::stats() const {
-  RpcServerStats out;
-  out.loops = static_cast<uint64_t>(impl_->loops.size());
-  for (const auto& loop : impl_->loops) {
-    out.connections_accepted +=
-        loop->connections_accepted.load(std::memory_order_relaxed);
-    out.connections_closed +=
-        loop->connections_closed.load(std::memory_order_relaxed);
-    out.frames_received +=
-        loop->frames_received.load(std::memory_order_relaxed);
-    out.quote_requests += loop->quote_requests.load(std::memory_order_relaxed);
-    out.quote_batch_requests +=
-        loop->quote_batch_requests.load(std::memory_order_relaxed);
-    out.purchase_requests +=
-        loop->purchase_requests.load(std::memory_order_relaxed);
-    out.append_requests +=
-        loop->append_requests.load(std::memory_order_relaxed);
-    out.seller_delta_requests +=
-        loop->seller_delta_requests.load(std::memory_order_relaxed);
-    out.stats_requests += loop->stats_requests.load(std::memory_order_relaxed);
-    out.quote_ticks += loop->quote_ticks.load(std::memory_order_relaxed);
-    out.batched_quotes += loop->batched_quotes.load(std::memory_order_relaxed);
-    out.protocol_errors +=
-        loop->protocol_errors.load(std::memory_order_relaxed);
-    out.writev_calls += loop->writev_calls.load(std::memory_order_relaxed);
-    out.writev_frames += loop->writev_frames.load(std::memory_order_relaxed);
-  }
-  out.writer_enqueued =
-      impl_->writer_enqueued.load(std::memory_order_relaxed);
-  out.writer_rejected =
-      impl_->writer_rejected.load(std::memory_order_relaxed);
-  return out;
-}
+RpcServerStats RpcServer::stats() const { return impl_->SumCounters(); }
 
 uint64_t RpcServer::alloc_probe_total() const {
   uint64_t total = 0;

@@ -44,8 +44,12 @@ void MergedBookView::QuoteBundleInto(const std::vector<uint32_t>& bundle,
                                      QuoteScratch* scratch, Quote* out,
                                      int* touched_shards) const {
   partition_->SplitBundleInto(bundle, &scratch->parts);
+  // At most one price and one label per shard; reserving that up front
+  // keeps a scratch primed by any bundle allocation-free afterwards.
   scratch->prices.clear();
+  scratch->prices.reserve(books_.size());
   scratch->labels.clear();
+  scratch->labels.reserve(books_.size());
   for (size_t s = 0; s < books_.size(); ++s) {
     if (scratch->parts[s].empty()) continue;
     // Per-shard quote without the intermediate Quote: the serving
@@ -421,8 +425,6 @@ ShardedEngineStats ShardedPricingEngine::stats() const {
     out.merged.total_lps_solved += es.total_lps_solved;
     out.merged.last_reprice.Merge(es.last_reprice);
     out.merged.build_seconds += es.build_seconds;
-    out.merged.incidence.full_builds += es.incidence.full_builds;
-    out.merged.incidence.merges += es.incidence.merges;
     out.merged.publish.bases += es.publish.bases;
     out.shards.push_back(std::move(es));
   }

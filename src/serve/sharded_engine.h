@@ -170,8 +170,10 @@ class MergedBookView {
                     int* touched_shards = nullptr) const;
 
   /// Caller-owned working storage for QuoteBundleInto. Every vector is
-  /// cleared (capacity retained) per call, so a reused scratch reaches a
-  /// high-water mark and then quotes allocation-free.
+  /// cleared (capacity retained) per call and sized for the worst case of
+  /// that call's bundle (every part the whole bundle, one price and label
+  /// per shard), so one call with the largest bundle primes the scratch
+  /// for every later call.
   struct QuoteScratch {
     std::vector<std::vector<uint32_t>> parts;
     std::vector<double> prices;

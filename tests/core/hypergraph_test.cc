@@ -1,6 +1,9 @@
 #include "core/hypergraph.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -116,34 +119,10 @@ TEST(ItemClassesTest, ExpandClassWeightsSplitsEvenly) {
   // Edge prices are preserved: edge {0,1} costs 6, edge {0,1,2} costs 11.
 }
 
-TEST(HypergraphTest, IncidenceMergesAppendedEdges) {
-  Hypergraph h(5);
-  h.AddEdge({0, 1});
-  h.AddEdge({1, 2, 3});
-  const ItemIncidence& first = h.incidence();  // cold build
-  EXPECT_EQ(first.degree(1), 2);
-  EXPECT_EQ(h.incidence_maintenance().full_builds, 1);
-
-  h.AddEdge({0, 3});
-  h.AddEdge({});
-  h.AddEdge({2, 4});
-  const ItemIncidence& merged = h.incidence();  // merge, not rebuild
-  EXPECT_EQ(h.incidence_maintenance().full_builds, 1);
-  EXPECT_EQ(h.incidence_maintenance().merges, 1);
-
-  // The merged index must equal a from-scratch build of the same graph.
-  Hypergraph fresh(5);
-  for (int e = 0; e < h.num_edges(); ++e) fresh.AddEdge(h.edge(e));
-  const ItemIncidence& rebuilt = fresh.incidence();
-  EXPECT_EQ(merged.start, rebuilt.start);
-  EXPECT_EQ(merged.edge, rebuilt.edge);
-  // And within every item, edge ids stay ascending.
-  for (uint32_t j = 0; j < 5; ++j) {
-    EXPECT_TRUE(std::is_sorted(merged.begin(j), merged.end(j))) << j;
-  }
-}
-
-TEST(HypergraphTest, IncidenceMergeIsRepeatable) {
+TEST(HypergraphTest, IncidenceTracksInterleavedAppends) {
+  // AddEdge and incidence() calls interleave as on the engine's append
+  // path; after every round the cached index must equal a fresh build of
+  // the same edges, with each item's edge ids ascending.
   Rng rng(77);
   Hypergraph h = qp::testing::RandomHypergraph(rng, 20, 15, 5);
   h.incidence();
@@ -156,81 +135,54 @@ TEST(HypergraphTest, IncidenceMergeIsRepeatable) {
       }
       h.AddEdge(std::move(items));
     }
-    const ItemIncidence& merged = h.incidence();
+    const ItemIncidence& cached = h.incidence();
     Hypergraph fresh(20);
     for (int e = 0; e < h.num_edges(); ++e) fresh.AddEdge(h.edge(e));
     const ItemIncidence& rebuilt = fresh.incidence();
-    ASSERT_EQ(merged.start, rebuilt.start) << "round " << round;
-    ASSERT_EQ(merged.edge, rebuilt.edge) << "round " << round;
-  }
-  EXPECT_EQ(h.incidence_maintenance().full_builds, 1);
-  EXPECT_EQ(h.incidence_maintenance().merges, 3);
-}
-
-void ExpectClassesEqual(const ItemClasses& a, const ItemClasses& b) {
-  EXPECT_EQ(a.class_of_item, b.class_of_item);
-  EXPECT_EQ(a.class_size, b.class_size);
-  EXPECT_EQ(a.class_rep, b.class_rep);
-  EXPECT_EQ(a.edge_classes, b.edge_classes);
-}
-
-TEST(ItemClassesTest, RefineMatchesComputeOnSplit) {
-  // Items 0 and 1 share every edge until a new edge separates them.
-  Hypergraph h(4);
-  h.AddEdge({0, 1});
-  h.AddEdge({0, 1, 2});
-  ItemClasses refined = ItemClasses::Compute(h);
-  ASSERT_EQ(refined.num_classes(), 2u);
-
-  int first_new = h.num_edges();
-  h.AddEdge({1, 3});  // splits {0,1}; first appearance of 3
-  refined.Refine(h, first_new);
-  ExpectClassesEqual(refined, ItemClasses::Compute(h));
-  EXPECT_EQ(refined.num_classes(), 4u);  // {0}, {1}, {2}, {3}
-}
-
-TEST(ItemClassesTest, RefineHandlesWholeClassAndEmptyEdges) {
-  Hypergraph h(5);
-  h.AddEdge({0, 1});
-  h.AddEdge({2, 3});
-  ItemClasses refined = ItemClasses::Compute(h);
-
-  int first_new = h.num_edges();
-  h.AddEdge({0, 1});  // whole class {0,1} extends, no split
-  h.AddEdge({});      // empty edge
-  refined.Refine(h, first_new);
-  ExpectClassesEqual(refined, ItemClasses::Compute(h));
-
-  first_new = h.num_edges();
-  h.AddEdge({});  // append of only empty edges
-  refined.Refine(h, first_new);
-  ExpectClassesEqual(refined, ItemClasses::Compute(h));
-}
-
-TEST(ItemClassesTest, RefineMatchesComputeOnRandomAppends) {
-  for (uint64_t seed : {1u, 8u, 31u}) {
-    Rng rng(seed);
-    Hypergraph h = qp::testing::RandomHypergraph(rng, 24, 20, 5);
-    ItemClasses refined = ItemClasses::Compute(h);
-    for (int round = 0; round < 4; ++round) {
-      int first_new = h.num_edges();
-      int extra = static_cast<int>(rng.UniformInt(1, 5));
-      for (int t = 0; t < extra; ++t) {
-        std::vector<uint32_t> items;
-        int size = static_cast<int>(rng.UniformInt(0, 5));
-        for (int s = 0; s < size; ++s) {
-          items.push_back(static_cast<uint32_t>(rng.UniformInt(0, 23)));
-        }
-        h.AddEdge(std::move(items));
-      }
-      refined.Refine(h, first_new);
-      ItemClasses fresh = ItemClasses::Compute(h);
-      ASSERT_EQ(refined.class_of_item, fresh.class_of_item)
-          << "seed " << seed << " round " << round;
-      ASSERT_EQ(refined.class_size, fresh.class_size);
-      ASSERT_EQ(refined.class_rep, fresh.class_rep);
-      ASSERT_EQ(refined.edge_classes, fresh.edge_classes);
+    ASSERT_EQ(cached.start, rebuilt.start) << "round " << round;
+    ASSERT_EQ(cached.edge, rebuilt.edge) << "round " << round;
+    for (uint32_t j = 0; j < 20; ++j) {
+      EXPECT_TRUE(std::is_sorted(cached.begin(j), cached.end(j))) << j;
     }
+  }
+}
+
+TEST(ItemClassesTest, ComputeMatchesSignatureGrouping) {
+  // Reference: group items by their exact edge list, handing out class
+  // ids in item order. Compute's hashed grouping must agree field by
+  // field, including the ids (ascending by smallest member).
+  for (uint64_t seed : {1u, 8u, 31u, 90u}) {
+    Rng rng(seed);
+    Hypergraph h = qp::testing::RandomHypergraph(rng, 40, 30, 4);
+    std::vector<std::vector<int>> signature(40);
+    for (int e = 0; e < h.num_edges(); ++e) {
+      for (uint32_t j : h.edge(e)) signature[j].push_back(e);
+    }
+    std::map<std::vector<int>, uint32_t> class_of_signature;
+    ItemClasses expected;
+    expected.class_of_item.assign(40, ItemClasses::kNoClass);
+    for (uint32_t j = 0; j < 40; ++j) {
+      if (signature[j].empty()) continue;
+      auto [it, inserted] = class_of_signature.emplace(
+          signature[j], static_cast<uint32_t>(expected.class_size.size()));
+      if (inserted) {
+        expected.class_size.push_back(0);
+        expected.class_rep.push_back(j);
+      }
+      expected.class_of_item[j] = it->second;
+      expected.class_size[it->second]++;
+    }
+    for (int e = 0; e < h.num_edges(); ++e) {
+      std::set<uint32_t> classes;
+      for (uint32_t j : h.edge(e)) classes.insert(expected.class_of_item[j]);
+      expected.edge_classes.emplace_back(classes.begin(), classes.end());
+    }
+
+    ItemClasses got = ItemClasses::Compute(h);
+    EXPECT_EQ(got.class_of_item, expected.class_of_item) << "seed " << seed;
+    EXPECT_EQ(got.class_size, expected.class_size) << "seed " << seed;
+    EXPECT_EQ(got.class_rep, expected.class_rep) << "seed " << seed;
+    EXPECT_EQ(got.edge_classes, expected.edge_classes) << "seed " << seed;
   }
 }
 

@@ -20,7 +20,7 @@ namespace {
 // cold reference: every LPIP threshold (no subsampling) solved standalone
 // (chain_length 1), so a changed-candidate sweep builds exactly the LPs a
 // full sweep would. CIP needs no special geometry — the incremental path
-// replays RunCip on bit-equal refined classes.
+// replays RunCip on classes computed cold, as RunAllAlgorithms does.
 AlgorithmOptions MatchedOptions() {
   AlgorithmOptions options;
   options.lpip.max_candidates = 0;
@@ -98,8 +98,8 @@ TEST(RepriceTest, RepriceMatchesColdSolveOnGrownInstance) {
                   1e-9 * (1.0 + std::abs(cold[i].revenue)))
           << cold[i].algorithm << " seed " << seed;
     }
-    // CIP replays the cold trajectory on bit-equal refined classes, so
-    // its answer is not merely close — it is the same double.
+    // CIP replays the cold trajectory on the classes a cold run computes,
+    // so its answer is not merely close — it is the same double.
     EXPECT_DOUBLE_EQ(cold[3].revenue, incremental[3].revenue)
         << "seed " << seed;
     EXPECT_EQ(state.generation, 2);

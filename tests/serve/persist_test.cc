@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/pricing.h"
 #include "db/parser.h"
 #include "market/support.h"
 #include "market/support_partitioner.h"
@@ -322,12 +323,7 @@ TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
   };
   add(kEdgesTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
   add(kValuationsTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
-  add(kRepriceTag, [](rpc::WireWriter& w) {  // edge_classes
-    for (int i = 0; i < 3; ++i) w.U32(0);
-    w.U32(kHugeCount);
-  });
   add(kRepriceTag, [](rpc::WireWriter& w) {  // LPIP candidates
-    for (int i = 0; i < 5; ++i) w.U32(0);
     w.U32(kHugeCount);
   });
   add(kBookTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
@@ -826,6 +822,95 @@ TEST(PersistRecoveryTest, SectionValidShardFileFromOtherCheckpointFallsBack) {
   QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
   ExpectEnginesIdentical(*a.engine, *b.engine);
   ExpectSerializedStateIdentical(*a.engine, *b.engine, "swapped_shard");
+}
+
+// CRC-valid shard files whose shapes a restored engine could not serve.
+// The newest checkpoint's shard 0 is decoded, mutated by `mutate`,
+// written back through SerializeShardState and committed under a
+// matching manifest CRC, so only the decoder's shape checks can refuse
+// it: recovery must fall back to the older checkpoint (and reproduce the
+// same books from its journal) instead of restoring a book that aborts,
+// or reads out of bounds, on the next quote or append.
+void ExpectUnservableShardFallsBack(const std::string& tag,
+                                    void (*mutate)(ShardState&)) {
+  std::string dir = FreshDir("unservable_" + tag);
+  World a;
+  CheckpointManager manager({.dir = dir, .checkpoint_every = 1, .keep = 3});
+  QP_CHECK_OK(manager.Attach(a.engine.get()));
+  a.engine->SetWriterLog(&manager);
+  a.Append(0, 2);  // checkpoint 2
+  a.Append(2, 2);  // checkpoint 3
+  a.Append(4, 2);  // checkpoint 4
+  ASSERT_EQ(manager.stats().last_checkpoint_seq, 4u);
+
+  const std::string ckdir = dir + "/checkpoint-4";
+  auto bytes = ReadFile(ckdir + "/shard-0.ckpt");
+  QP_CHECK_OK(bytes.status());
+  auto state = DeserializeShardState(*bytes);
+  QP_CHECK_OK(state.status());
+  ASSERT_GT(state->num_items, 0u);
+  ASSERT_FALSE(state->reprice.lpip.empty());
+  mutate(*state);
+  auto mutated = SerializeShardState(*state);
+  QP_CHECK_OK(mutated.status());
+  EXPECT_FALSE(DeserializeShardState(*mutated).ok());
+  ReplaceShardFileResealed(ckdir, 0, *mutated);
+
+  auto recovered = Recover(dir);
+  QP_CHECK_OK(recovered.status());
+  EXPECT_EQ(recovered->checkpoint_seq, 3);
+  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 1);
+  World b;
+  QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
+  ExpectEnginesIdentical(*a.engine, *b.engine);
+}
+
+/// The first book result whose pricing is a `T`.
+template <typename T>
+core::PricingResult& FirstResultOf(ShardState& state) {
+  for (core::PricingResult& result : state.results) {
+    if (dynamic_cast<const T*>(result.pricing.get()) != nullptr) return result;
+  }
+  ADD_FAILURE() << "no such pricing in the book";
+  return state.results.front();
+}
+
+TEST(PersistRecoveryTest, EmptyShardBookFallsBack) {
+  ExpectUnservableShardFallsBack(
+      "empty_book", [](ShardState& state) { state.results.clear(); });
+}
+
+TEST(PersistRecoveryTest, BookResultWithoutPricingFallsBack) {
+  ExpectUnservableShardFallsBack("no_pricing", [](ShardState& state) {
+    for (core::PricingResult& result : state.results) result.pricing.reset();
+  });
+}
+
+TEST(PersistRecoveryTest, ShortItemPricingWeightsFallBack) {
+  ExpectUnservableShardFallsBack("short_weights", [](ShardState& state) {
+    core::PricingResult& result = FirstResultOf<core::ItemPricing>(state);
+    std::vector<double> weights =
+        static_cast<const core::ItemPricing&>(*result.pricing).weights();
+    weights.pop_back();
+    result.pricing = std::make_unique<core::ItemPricing>(std::move(weights));
+  });
+}
+
+TEST(PersistRecoveryTest, ShortXosComponentFallsBack) {
+  ExpectUnservableShardFallsBack("short_xos", [](ShardState& state) {
+    core::PricingResult& result = FirstResultOf<core::XosPricing>(state);
+    std::vector<std::vector<double>> components =
+        static_cast<const core::XosPricing&>(*result.pricing).components();
+    components.back().pop_back();
+    result.pricing =
+        std::make_unique<core::XosPricing>(std::move(components));
+  });
+}
+
+TEST(PersistRecoveryTest, ShortLpipCandidateWeightsFallBack) {
+  ExpectUnservableShardFallsBack("short_lpip", [](ShardState& state) {
+    state.reprice.lpip.front().item_weights.pop_back();
+  });
 }
 
 // --- (d) graceful degradation while warming ----------------------------

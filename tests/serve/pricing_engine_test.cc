@@ -168,7 +168,7 @@ TEST(PricingEngineTest, RepriceAfterAppendMatchesColdRunAllAlgorithms) {
                 1e-9 * (1.0 + std::abs(cold[i].revenue)))
         << cold[i].algorithm;
   }
-  // CIP replays the cold trajectory on bit-equal refined classes.
+  // CIP replays the cold trajectory on the classes a cold run computes.
   EXPECT_DOUBLE_EQ(cold[3].revenue, book->results()[3].revenue);
 }
 
@@ -197,9 +197,6 @@ TEST(PricingEngineTest, IncrementalRepriceSolvesStrictlyFewerLps) {
                 1e-9 * (1.0 + std::abs(cold[i].revenue)))
         << cold[i].algorithm;
   }
-
-  // The appends took the incidence merge path, not full rebuilds.
-  EXPECT_GT(engine->stats().merged.incidence.merges, 0);
 }
 
 TEST(PricingEngineTest, PurchaseQuotesTheConflictSetAndRecordsSales) {

@@ -103,7 +103,13 @@ uint64_t SettledAllocs(const RpcServer& server) {
   }
 }
 
-void ExpectQuotePathAllocatesNothing(int num_loops) {
+/// What every warm-up slot holds: the union of all measured bundles, or
+/// copies of the largest one (as the throughput benches prime). The
+/// latter must suffice although the largest bundle touches one shard
+/// and measured bundles touch others.
+enum class Prime { kUnion, kLargest };
+
+void ExpectQuotePathAllocatesNothing(int num_loops, Prime priming) {
   std::unique_ptr<db::Database> db = db::testing::MakeTestDatabase();
   Rng rng(7);
   auto support =
@@ -151,17 +157,23 @@ void ExpectQuotePathAllocatesNothing(int num_loops) {
   }
 
   // Warm-up: one QuoteBatch per connection whose every slot holds the
-  // union of all bundles grows each loop's bundle slots, batch scratch
+  // priming bundle grows each loop's bundle slots, batch scratch
   // (including its per-shard split of each bundle) and the send buffer
   // past anything the measured round trips need. Slots grow
   // independently per index, so each must see the maximum.
-  std::vector<uint32_t> all;
-  for (const auto& bundle : bundles) {
-    all.insert(all.end(), bundle.begin(), bundle.end());
+  std::vector<uint32_t> fill;
+  if (priming == Prime::kUnion) {
+    for (const auto& bundle : bundles) {
+      fill.insert(fill.end(), bundle.begin(), bundle.end());
+    }
+    std::sort(fill.begin(), fill.end());
+    fill.erase(std::unique(fill.begin(), fill.end()), fill.end());
+  } else {
+    fill = *std::max_element(
+        bundles.begin(), bundles.end(),
+        [](const auto& a, const auto& b) { return a.size() < b.size(); });
   }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  const std::vector<std::vector<uint32_t>> prime(4 * bundles.size(), all);
+  const std::vector<std::vector<uint32_t>> prime(4 * bundles.size(), fill);
   for (RpcClient& conn : conns) {
     RpcReply reply;
     QP_CHECK_OK(conn.QuoteBatch(prime, &reply));
@@ -196,11 +208,19 @@ void ExpectQuotePathAllocatesNothing(int num_loops) {
 }
 
 TEST(RpcAllocTest, WarmQuotePathAllocatesNothingOnOneLoop) {
-  ExpectQuotePathAllocatesNothing(1);
+  ExpectQuotePathAllocatesNothing(1, Prime::kUnion);
 }
 
 TEST(RpcAllocTest, WarmQuotePathAllocatesNothingOnTwoLoops) {
-  ExpectQuotePathAllocatesNothing(2);
+  ExpectQuotePathAllocatesNothing(2, Prime::kUnion);
+}
+
+TEST(RpcAllocTest, LargestBundlePrimesQuotePathOnOneLoop) {
+  ExpectQuotePathAllocatesNothing(1, Prime::kLargest);
+}
+
+TEST(RpcAllocTest, LargestBundlePrimesQuotePathOnTwoLoops) {
+  ExpectQuotePathAllocatesNothing(2, Prime::kLargest);
 }
 
 }  // namespace
