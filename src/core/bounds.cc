@@ -1,9 +1,9 @@
 #include "core/bounds.h"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
+#include "core/algorithms.h"
 #include "lp/lp_model.h"
 #include "lp/simplex.h"
 
@@ -21,16 +21,16 @@ namespace {
 // coverage (smallest valuation per newly covered item). Returns the cover
 // or an empty vector when some item of `target` is private to it.
 std::vector<int> GreedyCover(const Hypergraph& hypergraph, const Valuations& v,
-                             int target,
-                             const std::vector<std::vector<int>>& item_edges) {
+                             int target) {
+  const ItemIncidence& incidence = hypergraph.incidence();
   const auto& items = hypergraph.edge(target);
   std::vector<char> covered(items.size(), 0);
   size_t remaining = items.size();
   // Candidate edges: all edges sharing an item with target.
   std::vector<int> candidates;
   for (uint32_t j : items) {
-    for (int e : item_edges[j]) {
-      if (e != target) candidates.push_back(e);
+    for (const int* e = incidence.begin(j); e != incidence.end(j); ++e) {
+      if (*e != target) candidates.push_back(*e);
     }
   }
   std::sort(candidates.begin(), candidates.end());
@@ -41,7 +41,6 @@ std::vector<int> GreedyCover(const Hypergraph& hypergraph, const Valuations& v,
   while (remaining > 0) {
     int best_edge = -1;
     double best_score = 0.0;
-    int best_new = 0;
     for (int e : candidates) {
       int newly = 0;
       const auto& other = hypergraph.edge(e);
@@ -63,11 +62,9 @@ std::vector<int> GreedyCover(const Hypergraph& hypergraph, const Valuations& v,
       if (best_edge < 0 || score < best_score) {
         best_edge = e;
         best_score = score;
-        best_new = newly;
       }
     }
     if (best_edge < 0) return {};  // some item is private to target
-    (void)best_new;
     cover.push_back(best_edge);
     const auto& other = hypergraph.edge(best_edge);
     size_t a = 0, b = 0;
@@ -96,11 +93,6 @@ double SubadditiveBound(const Hypergraph& hypergraph, const Valuations& v,
   const int m = hypergraph.num_edges();
   if (m == 0) return 0.0;
 
-  std::vector<std::vector<int>> item_edges(hypergraph.num_items());
-  for (int e = 0; e < m; ++e) {
-    for (uint32_t j : hypergraph.edge(e)) item_edges[j].push_back(e);
-  }
-
   lp::LpModel model(lp::ObjectiveSense::kMaximize);
   for (int e = 0; e < m; ++e) {
     model.AddVariable(0.0, std::max(0.0, v[e]), 1.0);
@@ -108,18 +100,17 @@ double SubadditiveBound(const Hypergraph& hypergraph, const Valuations& v,
 
   // Generate cover constraints for the highest-valuation edges first —
   // those are the ones whose price the bound would otherwise push to v_e.
-  std::vector<int> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return v[a] > v[b]; });
+  // Ties go to the lower edge index, so the constraint rows (and, under a
+  // budget, which edges get one) do not depend on the sort
+  // implementation.
   int budget = options.max_constraints > 0 ? options.max_constraints : m;
-  for (int e : order) {
+  for (int e : OrderByDescendingValuation(v)) {
     if (budget <= 0) break;
     if (hypergraph.edge_size(e) == 0) continue;
     // Skip when a cover cannot beat v_e anyway (cheap pre-check: the sum
     // over covering values of the greedy cover is compared inside the LP,
     // so only generate the constraint when the cover exists).
-    std::vector<int> cover = GreedyCover(hypergraph, v, e, item_edges);
+    std::vector<int> cover = GreedyCover(hypergraph, v, e);
     if (cover.empty()) continue;
     std::vector<std::pair<int, double>> terms;
     terms.reserve(cover.size() + 1);

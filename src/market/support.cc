@@ -85,15 +85,4 @@ Result<SupportSet> GenerateSupport(const db::Database& db,
   return support;
 }
 
-db::Value ApplyDelta(db::Database& db, const CellDelta& delta) {
-  db::Table& table = db.table(delta.table);
-  db::Value old_value = table.cell(delta.row, delta.column);
-  table.SetCell(delta.row, delta.column, delta.new_value);
-  return old_value;
-}
-
-void UndoDelta(db::Database& db, const CellDelta& delta, db::Value old_value) {
-  db.table(delta.table).SetCell(delta.row, delta.column, std::move(old_value));
-}
-
 }  // namespace qp::market

@@ -41,15 +41,6 @@ struct SupportOptions {
 Result<SupportSet> GenerateSupport(const db::Database& db,
                                    const SupportOptions& options, Rng& rng);
 
-/// Applies the delta, returning the previous cell value (for undo).
-/// Conflict probing no longer uses this (probes read through overlays);
-/// it remains for the *seller* actually changing data, and for tests that
-/// cross-check overlay reads against in-place mutation.
-db::Value ApplyDelta(db::Database& db, const CellDelta& delta);
-
-/// Restores a previously applied delta.
-void UndoDelta(db::Database& db, const CellDelta& delta, db::Value old_value);
-
 }  // namespace qp::market
 
 #endif  // QP_MARKET_SUPPORT_H_

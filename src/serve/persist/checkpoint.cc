@@ -433,10 +433,6 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
     BeginRestore();
     for (size_t s = 0; s < shards_.size(); ++s) {
       QP_RETURN_IF_ERROR(shards_[s]->RestoreState(std::move(state.shards[s])));
-      {
-        std::lock_guard<std::mutex> lock(writer_mutex_);
-        shard_edge_counts_[s] = shards_[s]->hypergraph().num_edges();
-      }
       FinishShardRestore(static_cast<int>(s));
     }
   }

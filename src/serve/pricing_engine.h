@@ -35,6 +35,7 @@
 #include "core/algorithms.h"
 #include "core/hypergraph.h"
 #include "core/reprice.h"
+#include "db/versioned_database.h"
 #include "market/conflict.h"
 #include "market/prepared_cache.h"
 #include "serve/persist/state_io.h"
@@ -112,17 +113,12 @@ struct EngineStats {
   /// refcount traffic.
   common::EpochManager::Stats epoch;
   /// Versioned-catalog churn accounting: generation publishes, folds and
-  /// their cost (db::VersionedDatabase::Stats), plus quote staleness —
-  /// how many committed generations behind the head each Purchase's
-  /// pinned probe ran (sampled per Purchase; max is a high-water mark).
-  /// The router owns the one catalog and reports it once.
-  struct CatalogStats {
-    uint64_t generations_published = 0;
-    uint64_t folds = 0;
-    uint64_t fold_retries = 0;
-    uint64_t deltas_pending = 0;
-    uint64_t deltas_folded = 0;
-    uint64_t fold_nanos = 0;
+  /// their cost (the catalog's own db::VersionedDatabase::Stats), plus
+  /// quote staleness — how many committed generations behind the head
+  /// each Purchase's pinned probe ran (sampled per Purchase; max is a
+  /// high-water mark). The router owns the one catalog and reports it
+  /// once.
+  struct CatalogStats : db::VersionedDatabase::Stats {
     uint64_t staleness_samples = 0;
     uint64_t staleness_sum = 0;
     uint64_t staleness_max = 0;

@@ -106,7 +106,7 @@ struct RpcReply {
   WirePurchase purchase;       // kPurchaseReply
   WireAppendResult append;     // kAppendReply
   WireDeltaResult seller_delta;  // kApplySellerDeltaReply
-  WireStats stats;             // kStatsReply
+  WireStatList stats;          // kStatsReply
 
   bool ok() const { return code == WireCode::kOk; }
   bool backpressure() const { return code == WireCode::kBackpressure; }

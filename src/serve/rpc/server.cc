@@ -15,10 +15,14 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -43,6 +47,79 @@ constexpr size_t kRecvBufCapBytes = 256 * 1024;
 /// A fully sent send buffer keeps its capacity for the next replies up
 /// to this; one stretched further by a jumbo reply is released.
 constexpr size_t kSendBufCapBytes = 64 * 1024;
+
+// --- StatsReply tables ----------------------------------------------------
+// One table per engine stats struct, one row per field: a new field
+// reaches the wire through one row here (RpcServerStats has its table in
+// RpcServer::Impl, next to the per-loop counters it sums).
+
+/// One StatsReply entry: its name and the member of S it reads.
+template <typename S>
+struct StatField {
+  const char* name;
+  std::variant<uint64_t S::*, double S::*> member;
+};
+/// A row named after its field, so a wire name cannot drift from the
+/// struct it reports.
+#define QP_STAT_FIELD(S, field) {#field, &S::field}
+
+using ReaderStats = ShardedPricingEngine::ReaderStats;
+using PreparedStats = market::PreparedQueryCache::Stats;
+using CatalogStats = EngineStats::CatalogStats;
+
+constexpr StatField<ReaderStats> kReaderFields[] = {
+    QP_STAT_FIELD(ReaderStats, quotes_served),
+    QP_STAT_FIELD(ReaderStats, purchases),
+    QP_STAT_FIELD(ReaderStats, purchases_accepted),
+    QP_STAT_FIELD(ReaderStats, sale_revenue),
+    QP_STAT_FIELD(ReaderStats, unavailable),
+};
+constexpr StatField<PreparedStats> kPreparedFields[] = {
+    QP_STAT_FIELD(PreparedStats, hits),
+    QP_STAT_FIELD(PreparedStats, misses),
+    QP_STAT_FIELD(PreparedStats, evictions),
+    QP_STAT_FIELD(PreparedStats, selective_invalidations),
+    QP_STAT_FIELD(PreparedStats, selective_dropped),
+    QP_STAT_FIELD(PreparedStats, stale_bypasses),
+    QP_STAT_FIELD(PreparedStats, entries),
+    QP_STAT_FIELD(PreparedStats, indexes),
+};
+constexpr StatField<CatalogStats> kCatalogFields[] = {
+    QP_STAT_FIELD(CatalogStats, generations_published),
+    QP_STAT_FIELD(CatalogStats, folds),
+    QP_STAT_FIELD(CatalogStats, fold_retries),
+    QP_STAT_FIELD(CatalogStats, deltas_pending),
+    QP_STAT_FIELD(CatalogStats, deltas_folded),
+    QP_STAT_FIELD(CatalogStats, fold_nanos),
+    QP_STAT_FIELD(CatalogStats, staleness_samples),
+    QP_STAT_FIELD(CatalogStats, staleness_sum),
+    QP_STAT_FIELD(CatalogStats, staleness_max),
+};
+// Every field is 8 bytes, so a table that misses a field fails here
+// (ReaderStats' nested structs have their own tables).
+static_assert(sizeof(PreparedStats) ==
+              sizeof(uint64_t) * std::size(kPreparedFields));
+static_assert(sizeof(CatalogStats) ==
+              sizeof(uint64_t) * std::size(kCatalogFields));
+static_assert(sizeof(ReaderStats) ==
+              sizeof(uint64_t) * std::size(kReaderFields) +
+                  sizeof(PreparedStats) + sizeof(CatalogStats));
+#undef QP_STAT_FIELD
+
+/// Appends one entry per row of `fields`, read from `stats` and named
+/// `prefix` followed by the row's name.
+template <typename S, size_t N>
+void AppendFields(std::string_view prefix, const S& stats,
+                  const StatField<S> (&fields)[N],
+                  std::vector<WireStat>* out) {
+  for (const StatField<S>& field : fields) {
+    std::string name(prefix);
+    name += field.name;
+    std::visit(
+        [&](auto member) { out->push_back({std::move(name), stats.*member}); },
+        field.member);
+  }
+}
 
 }  // namespace
 
@@ -122,10 +199,45 @@ struct RpcServer::Impl {
         frames_received{0}, quote_requests{0}, quote_batch_requests{0},
         purchase_requests{0}, append_requests{0}, seller_delta_requests{0},
         stats_requests{0}, quote_ticks{0}, batched_quotes{0},
-        protocol_errors{0}, writev_calls{0}, writev_frames{0};
+        writer_enqueued{0}, writer_rejected{0}, protocol_errors{0},
+        writev_calls{0}, writev_frames{0};
+    /// This loop, counted once: summed over the loops it is the loop
+    /// count.
+    std::atomic<uint64_t> loops{1};
     /// Latest options.alloc_probe sample, stored at the end of a tick.
     std::atomic<uint64_t> alloc_probe_last{0};
   };
+
+  /// One row per RpcServerStats field: its StatsReply name and the
+  /// per-loop counter SumCounters() sums into it.
+  struct CounterRow {
+    const char* name;
+    uint64_t RpcServerStats::*field;
+    std::atomic<uint64_t> EventLoop::*counter;
+  };
+#define QP_COUNTER(field) {#field, &RpcServerStats::field, &EventLoop::field}
+  static constexpr CounterRow kCounters[] = {
+      QP_COUNTER(connections_accepted),
+      QP_COUNTER(connections_closed),
+      QP_COUNTER(frames_received),
+      QP_COUNTER(quote_requests),
+      QP_COUNTER(quote_batch_requests),
+      QP_COUNTER(purchase_requests),
+      QP_COUNTER(append_requests),
+      QP_COUNTER(seller_delta_requests),
+      QP_COUNTER(stats_requests),
+      QP_COUNTER(quote_ticks),
+      QP_COUNTER(batched_quotes),
+      QP_COUNTER(writer_enqueued),
+      QP_COUNTER(writer_rejected),
+      QP_COUNTER(protocol_errors),
+      QP_COUNTER(loops),
+      QP_COUNTER(writev_calls),
+      QP_COUNTER(writev_frames),
+  };
+#undef QP_COUNTER
+  static_assert(sizeof(RpcServerStats) ==
+                sizeof(uint64_t) * std::size(kCounters));
 
   ShardedPricingEngine* engine;
   db::Database* db;
@@ -155,7 +267,6 @@ struct RpcServer::Impl {
   /// writer routes each finished job back to the loop owning its
   /// connection.
   std::vector<std::deque<WriterDone>> writer_done;
-  std::atomic<uint64_t> writer_enqueued{0}, writer_rejected{0};
 
   ~Impl() { CloseFds(); }
 
@@ -720,70 +831,15 @@ struct RpcServer::Impl {
           AppendPurchaseReplyFrame(frame.request_id, reply, out);
         });
       }
-      case MsgType::kAppendBuyers: {
+      case MsgType::kAppendBuyers:
         loop.append_requests.fetch_add(1, std::memory_order_relaxed);
-        if (stopping.load()) {
-          // Draining: only appends admitted BEFORE Stop() get executed;
-          // new ones are refused so the writer can actually finish.
-          return ErrorReply(loop, id, frame.request_id,
-                            WireCode::kShuttingDown, "server stopping");
-        }
-        WriterJob job;
-        job.loop = loop.index;
-        job.conn_id = id;
-        job.request_id = frame.request_id;
-        if (!DecodeAppendRequest(frame.body, &job.buyers)) {
-          return BadRequest(loop, id, frame.request_id,
-                            "malformed AppendBuyers body");
-        }
-        {
-          std::lock_guard<std::mutex> lock(writer_mutex);
-          if (writer_queue.size() >= options.writer_queue_depth) {
-            writer_rejected.fetch_add(1, std::memory_order_relaxed);
-            return ErrorReply(loop, id, frame.request_id,
-                              WireCode::kBackpressure,
-                              "writer queue full; retry later");
-          }
-          writer_queue.push_back(std::move(job));
-          writer_enqueued.fetch_add(1, std::memory_order_relaxed);
-        }
-        writer_cv.notify_one();
-        return true;
-      }
-      case MsgType::kApplySellerDelta: {
+        return AdmitWriterOp(loop, id, frame, WriterOp::kAppend);
+      case MsgType::kApplySellerDelta:
         loop.seller_delta_requests.fetch_add(1, std::memory_order_relaxed);
-        if (stopping.load()) {
-          // Same drain contract as appends: only deltas admitted BEFORE
-          // Stop() execute; new ones are refused, NOT applied.
-          return ErrorReply(loop, id, frame.request_id,
-                            WireCode::kShuttingDown, "server stopping");
-        }
-        WriterJob job;
-        job.loop = loop.index;
-        job.conn_id = id;
-        job.request_id = frame.request_id;
-        job.op = WriterOp::kSellerDelta;
-        if (!DecodeApplySellerDeltaRequest(frame.body, &job.delta)) {
-          return BadRequest(loop, id, frame.request_id,
-                            "malformed ApplySellerDelta body");
-        }
-        {
-          std::lock_guard<std::mutex> lock(writer_mutex);
-          if (writer_queue.size() >= options.writer_queue_depth) {
-            writer_rejected.fetch_add(1, std::memory_order_relaxed);
-            return ErrorReply(loop, id, frame.request_id,
-                              WireCode::kBackpressure,
-                              "writer queue full; retry later");
-          }
-          writer_queue.push_back(std::move(job));
-          writer_enqueued.fetch_add(1, std::memory_order_relaxed);
-        }
-        writer_cv.notify_one();
-        return true;
-      }
+        return AdmitWriterOp(loop, id, frame, WriterOp::kSellerDelta);
       case MsgType::kStats: {
         loop.stats_requests.fetch_add(1, std::memory_order_relaxed);
-        const WireStats stats = BuildStats();
+        const std::vector<WireStat> stats = BuildStats();
         return Reply(loop, id, [&](std::vector<uint8_t>* out) {
           AppendStatsReplyFrame(frame.request_id, stats, out);
         });
@@ -793,6 +849,47 @@ struct RpcServer::Impl {
         return ErrorReply(loop, id, frame.request_id, WireCode::kBadRequest,
                           "unknown message type");
     }
+  }
+
+  /// Queues one writer op for the writer thread. Refused with
+  /// kShuttingDown while stopping (only ops admitted BEFORE Stop()
+  /// execute, so the writer can actually finish), kBadRequest when the
+  /// body does not decode, and kBackpressure when the queue is full —
+  /// in every case the op was NOT applied. Returns false if the
+  /// connection was closed.
+  bool AdmitWriterOp(EventLoop& loop, uint64_t id, const Frame& frame,
+                     WriterOp op) {
+    if (stopping.load()) {
+      return ErrorReply(loop, id, frame.request_id, WireCode::kShuttingDown,
+                        "server stopping");
+    }
+    WriterJob job;
+    job.loop = loop.index;
+    job.conn_id = id;
+    job.request_id = frame.request_id;
+    job.op = op;
+    const bool decoded =
+        op == WriterOp::kAppend
+            ? DecodeAppendRequest(frame.body, &job.buyers)
+            : DecodeApplySellerDeltaRequest(frame.body, &job.delta);
+    if (!decoded) {
+      return BadRequest(loop, id, frame.request_id,
+                        op == WriterOp::kAppend
+                            ? "malformed AppendBuyers body"
+                            : "malformed ApplySellerDelta body");
+    }
+    {
+      std::lock_guard<std::mutex> lock(writer_mutex);
+      if (writer_queue.size() >= options.writer_queue_depth) {
+        loop.writer_rejected.fetch_add(1, std::memory_order_relaxed);
+        return ErrorReply(loop, id, frame.request_id, WireCode::kBackpressure,
+                          "writer queue full; retry later");
+      }
+      writer_queue.push_back(std::move(job));
+      loop.writer_enqueued.fetch_add(1, std::memory_order_relaxed);
+    }
+    writer_cv.notify_one();
+    return true;
   }
 
   /// Appends one reply frame to connection `id`'s send buffer through
@@ -821,74 +918,45 @@ struct RpcServer::Impl {
     return ErrorReply(loop, id, request_id, WireCode::kBadRequest, msg);
   }
 
-  /// Everything here is lock-free against the engine's writer: merged
-  /// view for versions/edges, reader_stats() for the counters.
-  WireStats BuildStats() {
-    WireStats out;
-    MergedBookView view = engine->snapshot();
-    out.num_shards = static_cast<uint32_t>(view.num_shards());
-    out.shard_versions = view.version_vector();
-    out.version = view.version();
-    for (int s = 0; s < view.num_shards(); ++s) {
-      out.num_edges += static_cast<uint64_t>(view.shard(s).num_edges());
+  /// The StatsReply entries: the merged view's shape and the catalog
+  /// head, then one entry per row of the stats tables. Lock-free against
+  /// the engine's writer.
+  std::vector<WireStat> BuildStats() {
+    std::vector<WireStat> out;
+    {
+      MergedBookView view = engine->snapshot();
+      uint64_t edges = 0;
+      for (int s = 0; s < view.num_shards(); ++s) {
+        edges += static_cast<uint64_t>(view.shard(s).num_edges());
+      }
+      out.push_back({"num_shards", static_cast<uint64_t>(view.num_shards())});
+      out.push_back({"version", view.version()});
+      out.push_back({"shard_versions", view.version_vector()});
+      out.push_back({"num_edges", edges});
     }
-    ShardedPricingEngine::ReaderStats reader = engine->reader_stats();
-    out.quotes_served = reader.quotes_served;
-    out.purchases = reader.purchases;
-    out.purchases_accepted = reader.purchases_accepted;
-    out.sale_revenue = reader.sale_revenue;
-    out.prepared_hits = reader.prepared.hits;
-    out.prepared_misses = reader.prepared.misses;
-    out.prepared_evictions = reader.prepared.evictions;
-    out.prepared_entries = reader.prepared.entries;
-    out.catalog_generation = engine->catalog().head_generation();
-    out.generations_published = reader.catalog.generations_published;
-    out.folds = reader.catalog.folds;
-    out.fold_retries = reader.catalog.fold_retries;
-    out.deltas_pending = reader.catalog.deltas_pending;
-    out.deltas_folded = reader.catalog.deltas_folded;
-    out.fold_nanos = reader.catalog.fold_nanos;
-    out.staleness_samples = reader.catalog.staleness_samples;
-    out.staleness_sum = reader.catalog.staleness_sum;
-    out.staleness_max = reader.catalog.staleness_max;
+    out.push_back(
+        {"catalog.head_generation", engine->catalog().head_generation()});
+    const ReaderStats reader = engine->reader_stats();
+    AppendFields("", reader, kReaderFields, &out);
+    AppendFields("prepared.", reader.prepared, kPreparedFields, &out);
+    AppendFields("catalog.", reader.catalog, kCatalogFields, &out);
     const RpcServerStats counters = SumCounters();
-    out.writer_rejected = counters.writer_rejected;
-    out.loops = counters.loops;
-    out.quote_ticks = counters.quote_ticks;
-    out.batched_quotes = counters.batched_quotes;
-    out.protocol_errors = counters.protocol_errors;
-    out.connections_accepted = counters.connections_accepted;
-    out.writev_calls = counters.writev_calls;
-    out.writev_frames = counters.writev_frames;
+    for (const CounterRow& row : kCounters) {
+      out.push_back({row.name, counters.*row.field});
+    }
     return out;
   }
 
-  /// Every loop's counters summed, plus the writer queue's: the one walk
-  /// behind both RpcServer::stats() and the wire StatsReply.
+  /// Every loop's counters summed: the one walk behind both
+  /// RpcServer::stats() and the wire StatsReply.
   RpcServerStats SumCounters() const {
     RpcServerStats out;
-    out.loops = static_cast<uint64_t>(loops.size());
-    auto add = [](uint64_t& sum, const std::atomic<uint64_t>& counter) {
-      sum += counter.load(std::memory_order_relaxed);
-    };
     for (const auto& loop : loops) {
-      add(out.connections_accepted, loop->connections_accepted);
-      add(out.connections_closed, loop->connections_closed);
-      add(out.frames_received, loop->frames_received);
-      add(out.quote_requests, loop->quote_requests);
-      add(out.quote_batch_requests, loop->quote_batch_requests);
-      add(out.purchase_requests, loop->purchase_requests);
-      add(out.append_requests, loop->append_requests);
-      add(out.seller_delta_requests, loop->seller_delta_requests);
-      add(out.stats_requests, loop->stats_requests);
-      add(out.quote_ticks, loop->quote_ticks);
-      add(out.batched_quotes, loop->batched_quotes);
-      add(out.protocol_errors, loop->protocol_errors);
-      add(out.writev_calls, loop->writev_calls);
-      add(out.writev_frames, loop->writev_frames);
+      for (const CounterRow& row : kCounters) {
+        out.*row.field +=
+            ((*loop).*row.counter).load(std::memory_order_relaxed);
+      }
     }
-    out.writer_enqueued = writer_enqueued.load(std::memory_order_relaxed);
-    out.writer_rejected = writer_rejected.load(std::memory_order_relaxed);
     return out;
   }
 

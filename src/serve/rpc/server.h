@@ -102,6 +102,9 @@ struct RpcServerOptions {
   int drain_timeout_ms = 1000;
 };
 
+/// Server counters, each summed over the loops. Every field is a u64
+/// with one row in server.cc's counter table, which pairs it with its
+/// per-loop atomic and names its StatsReply entry.
 struct RpcServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;

@@ -60,6 +60,12 @@ std::vector<uint8_t> BuildFrame(MsgType type, uint64_t request_id,
 
 namespace {
 
+/// The visitor of AppendStatsReplyFrame: one callable per value type.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
 void WriteQuote(WireWriter& w, const Quote& quote) {
   w.F64(quote.price);
   w.U64(quote.version);
@@ -251,40 +257,19 @@ void AppendApplySellerDeltaReplyFrame(uint64_t id,
   EndFrame(start, out);
 }
 
-void AppendStatsReplyFrame(uint64_t id, const WireStats& stats,
+void AppendStatsReplyFrame(uint64_t id, std::span<const WireStat> stats,
                            std::vector<uint8_t>* out) {
   const size_t start = BeginFrame(MsgType::kStatsReply, id, out);
   WireWriter w(out);
-  w.U32(stats.num_shards);
-  w.U64(stats.version);
-  w.U64Vec(stats.shard_versions);
-  w.U64(stats.num_edges);
-  w.U64(stats.quotes_served);
-  w.U64(stats.purchases);
-  w.U64(stats.purchases_accepted);
-  w.F64(stats.sale_revenue);
-  w.U64(stats.prepared_hits);
-  w.U64(stats.prepared_misses);
-  w.U64(stats.prepared_evictions);
-  w.U64(stats.prepared_entries);
-  w.U64(stats.quote_ticks);
-  w.U64(stats.batched_quotes);
-  w.U64(stats.writer_rejected);
-  w.U64(stats.protocol_errors);
-  w.U64(stats.connections_accepted);
-  w.U64(stats.catalog_generation);
-  w.U64(stats.generations_published);
-  w.U64(stats.folds);
-  w.U64(stats.fold_retries);
-  w.U64(stats.deltas_pending);
-  w.U64(stats.deltas_folded);
-  w.U64(stats.fold_nanos);
-  w.U64(stats.staleness_samples);
-  w.U64(stats.staleness_sum);
-  w.U64(stats.staleness_max);
-  w.U64(stats.loops);
-  w.U64(stats.writev_calls);
-  w.U64(stats.writev_frames);
+  w.U32(static_cast<uint32_t>(stats.size()));
+  for (const WireStat& stat : stats) {
+    w.String(stat.name);
+    w.U8(static_cast<uint8_t>(stat.value.index()));
+    std::visit(Overloaded{[&](uint64_t v) { w.U64(v); },
+                          [&](double v) { w.F64(v); },
+                          [&](const std::vector<uint64_t>& v) { w.U64Vec(v); }},
+               stat.value);
+  }
   EndFrame(start, out);
 }
 
@@ -335,38 +320,30 @@ bool DecodeAppendReply(std::span<const uint8_t> body,
   return r.AtEnd();
 }
 
-bool DecodeStatsReply(std::span<const uint8_t> body, WireStats* stats) {
+bool DecodeStatsReply(std::span<const uint8_t> body, WireStatList* stats) {
   WireReader r(body);
-  stats->num_shards = r.U32();
-  stats->version = r.U64();
-  stats->shard_versions = r.U64Vec();
-  stats->num_edges = r.U64();
-  stats->quotes_served = r.U64();
-  stats->purchases = r.U64();
-  stats->purchases_accepted = r.U64();
-  stats->sale_revenue = r.F64();
-  stats->prepared_hits = r.U64();
-  stats->prepared_misses = r.U64();
-  stats->prepared_evictions = r.U64();
-  stats->prepared_entries = r.U64();
-  stats->quote_ticks = r.U64();
-  stats->batched_quotes = r.U64();
-  stats->writer_rejected = r.U64();
-  stats->protocol_errors = r.U64();
-  stats->connections_accepted = r.U64();
-  stats->catalog_generation = r.U64();
-  stats->generations_published = r.U64();
-  stats->folds = r.U64();
-  stats->fold_retries = r.U64();
-  stats->deltas_pending = r.U64();
-  stats->deltas_folded = r.U64();
-  stats->fold_nanos = r.U64();
-  stats->staleness_samples = r.U64();
-  stats->staleness_sum = r.U64();
-  stats->staleness_max = r.U64();
-  stats->loops = r.U64();
-  stats->writev_calls = r.U64();
-  stats->writev_frames = r.U64();
+  // The smallest entry is an empty name (its u32 length), a tag and an
+  // empty vector (its u32 count), which bounds the count by the body.
+  const uint32_t n = r.Count(4 + 1 + 4);
+  stats->entries.clear();
+  stats->entries.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    WireStat& stat = stats->entries.emplace_back();
+    stat.name = r.String();
+    switch (r.U8()) {
+      case 0:
+        stat.value = r.U64();
+        break;
+      case 1:
+        stat.value = r.F64();
+        break;
+      case 2:
+        stat.value = r.U64Vec();
+        break;
+      default:
+        return false;
+    }
+  }
   return r.AtEnd();
 }
 

@@ -29,12 +29,20 @@
 //                                              version}
 //   ApplySellerDelta {cell delta}           → ApplySellerDeltaReply {code,
 //                                              message, generation}
-//   Stats        {}                         → StatsReply
+//   Stats        {}                         → StatsReply {entries:
+//                                              {name, u8 tag, value}[]}
 //
 // Quote responses carry the per-shard version vector (Quote::
 // shard_versions): the scalar `version` is the shards' sum, which is
 // monotone but can alias distinct generations — clients that poll for
 // book changes must compare the vector.
+//
+// StatsReply is a counted list of named, typed entries (WireStat): a u32
+// count, then per entry the name as a string, a u8 type tag (0 = u64,
+// 1 = f64, 2 = u64[]) and the value. The server writes one entry per
+// field of its stats structs (the tables in serve/rpc/server.cc) and
+// clients look entries up by name, so a new counter reaches the wire
+// without a codec change.
 #ifndef QP_SERVE_RPC_WIRE_H_
 #define QP_SERVE_RPC_WIRE_H_
 
@@ -43,6 +51,8 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "market/support.h"
@@ -123,44 +133,28 @@ struct WireDeltaResult {
   uint64_t generation = 0;
 };
 
-/// Server-side counters over the wire (StatsReply).
-struct WireStats {
-  uint32_t num_shards = 0;
-  uint64_t version = 0;
-  std::vector<uint64_t> shard_versions;
-  uint64_t num_edges = 0;
-  uint64_t quotes_served = 0;
-  uint64_t purchases = 0;
-  uint64_t purchases_accepted = 0;
-  double sale_revenue = 0.0;
-  uint64_t prepared_hits = 0;
-  uint64_t prepared_misses = 0;
-  uint64_t prepared_evictions = 0;
-  uint64_t prepared_entries = 0;
-  /// Event-loop ticks that served at least one quote, and the quotes
-  /// they coalesced into single QuoteBatch calls.
-  uint64_t quote_ticks = 0;
-  uint64_t batched_quotes = 0;
-  uint64_t writer_rejected = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t connections_accepted = 0;
-  // Versioned-catalog counters (appended after the original fields so
-  // the StatsReply body stays prefix-compatible).
-  uint64_t catalog_generation = 0;
-  uint64_t generations_published = 0;
-  uint64_t folds = 0;
-  uint64_t fold_retries = 0;
-  uint64_t deltas_pending = 0;
-  uint64_t deltas_folded = 0;
-  uint64_t fold_nanos = 0;
-  uint64_t staleness_samples = 0;
-  uint64_t staleness_sum = 0;
-  uint64_t staleness_max = 0;
-  // Multi-reactor front-end counters (appended after the catalog block,
-  // keeping the StatsReply body prefix-compatible like that block was).
-  uint64_t loops = 0;
-  uint64_t writev_calls = 0;
-  uint64_t writev_frames = 0;
+/// One StatsReply entry: a server-side counter or gauge by name. The
+/// value's type travels with it as a u8 tag, the alternative's index
+/// here (0 = u64, 1 = f64, 2 = u64 vector), so u64 counters never pass
+/// through a double and doubles keep their bits.
+struct WireStat {
+  std::string name;
+  std::variant<uint64_t, double, std::vector<uint64_t>> value;
+};
+
+/// A decoded StatsReply: the entries in the server's order.
+struct WireStatList {
+  std::vector<WireStat> entries;
+
+  /// The value of entry `name` when it is present with type T; nullptr
+  /// otherwise.
+  template <typename T>
+  const T* Get(std::string_view name) const {
+    for (const WireStat& stat : entries) {
+      if (stat.name == name) return std::get_if<T>(&stat.value);
+    }
+    return nullptr;
+  }
 };
 
 /// Appends little-endian primitives to a byte buffer.
@@ -376,7 +370,7 @@ void AppendPurchaseReplyFrame(uint64_t id, const WirePurchase& purchase,
                               std::vector<uint8_t>* out);
 void AppendAppendReplyFrame(uint64_t id, const WireAppendResult& result,
                             std::vector<uint8_t>* out);
-void AppendStatsReplyFrame(uint64_t id, const WireStats& stats,
+void AppendStatsReplyFrame(uint64_t id, std::span<const WireStat> stats,
                            std::vector<uint8_t>* out);
 void AppendApplySellerDeltaReplyFrame(uint64_t id,
                                       const WireDeltaResult& result,
@@ -390,7 +384,7 @@ bool DecodeQuoteBatchReply(std::span<const uint8_t> body,
                            std::vector<Quote>* quotes);
 bool DecodePurchaseReply(std::span<const uint8_t> body, WirePurchase* purchase);
 bool DecodeAppendReply(std::span<const uint8_t> body, WireAppendResult* result);
-bool DecodeStatsReply(std::span<const uint8_t> body, WireStats* stats);
+bool DecodeStatsReply(std::span<const uint8_t> body, WireStatList* stats);
 bool DecodeApplySellerDeltaReply(std::span<const uint8_t> body,
                                  WireDeltaResult* result);
 bool DecodeErrorReply(std::span<const uint8_t> body, WireCode* code,

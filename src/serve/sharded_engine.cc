@@ -98,7 +98,6 @@ ShardedPricingEngine::ShardedPricingEngine(const db::Database* db,
             partition_.shard_support[static_cast<size_t>(s)].size()),
         options_.engine, epochs_));
   }
-  shard_edge_counts_.assign(shards_.size(), 0);
   shard_ready_ = std::make_unique<std::atomic<bool>[]>(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     shard_ready_[s].store(true, std::memory_order_relaxed);
@@ -172,16 +171,20 @@ Status ShardedPricingEngine::AppendRouted(
     }
     if (touched == 0) {
       // Empty conflict set: place on the shard with the fewest edges so
-      // far (ties to the lowest id) so empty edges spread evenly.
+      // far — its book's plus those routed to it earlier in this batch —
+      // (ties to the lowest id) so empty edges spread evenly.
+      auto edges_so_far = [&](size_t s) {
+        return static_cast<size_t>(shards_[s]->hypergraph().num_edges()) +
+               shard_edges[s].size();
+      };
       for (size_t s = 1; s < num_shards; ++s) {
-        if (shard_edge_counts_[s] < shard_edge_counts_[owner]) owner = s;
+        if (edges_so_far(s) < edges_so_far(owner)) owner = s;
       }
     } else if (touched > 1) {
       cross_shard_appends_.fetch_add(1, std::memory_order_relaxed);
     }
     shard_edges[owner].push_back(std::move(parts[owner]));
     shard_valuations[owner].push_back(valuations[i]);
-    ++shard_edge_counts_[owner];
   }
 
   std::vector<Status> statuses(num_shards, Status::OK());
@@ -383,6 +386,8 @@ Status ShardedPricingEngine::ReadyFor(
 }
 
 ShardedPricingEngine::ReaderStats ShardedPricingEngine::reader_stats() const {
+  // Lock-free: every counter here is an atomic, and the catalog's
+  // stats() reads its writer-maintained mirrors without a pin.
   ReaderStats out;
   out.quotes_served = quotes_served_.load(std::memory_order_relaxed);
   out.purchases = purchases_.load(std::memory_order_relaxed);
@@ -390,25 +395,11 @@ ShardedPricingEngine::ReaderStats ShardedPricingEngine::reader_stats() const {
   out.sale_revenue = sale_revenue_.load(std::memory_order_relaxed);
   out.unavailable = unavailable_.load(std::memory_order_relaxed);
   out.prepared = prober_.prepared_stats();
-  out.catalog = catalog_stats();
-  return out;
-}
-
-EngineStats::CatalogStats ShardedPricingEngine::catalog_stats() const {
-  // Lock-free: the catalog's own counters are atomics (its stats() pins
-  // an epoch for the pending-cell gauge) and the staleness samples are
-  // router-side atomics.
-  EngineStats::CatalogStats out;
-  const db::VersionedDatabase::Stats cs = catalog_.stats();
-  out.generations_published = cs.generations_published;
-  out.folds = cs.folds;
-  out.fold_retries = cs.fold_retries;
-  out.deltas_pending = cs.deltas_pending;
-  out.deltas_folded = cs.deltas_folded;
-  out.fold_nanos = cs.fold_nanos;
-  out.staleness_samples = staleness_samples_.load(std::memory_order_relaxed);
-  out.staleness_sum = staleness_sum_.load(std::memory_order_relaxed);
-  out.staleness_max = staleness_max_.load(std::memory_order_relaxed);
+  static_cast<db::VersionedDatabase::Stats&>(out.catalog) = catalog_.stats();
+  out.catalog.staleness_samples =
+      staleness_samples_.load(std::memory_order_relaxed);
+  out.catalog.staleness_sum = staleness_sum_.load(std::memory_order_relaxed);
+  out.catalog.staleness_max = staleness_max_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -432,17 +423,17 @@ ShardedEngineStats ShardedPricingEngine::stats() const {
   // the per-shard copies of those stats all describe the same objects:
   // report each once, not summed.
   out.merged.epoch = epochs_.stats();
-  out.merged.catalog = catalog_stats();
   // Router-side: the global prober's probe work and cache, plus the
   // reader counters (shards never probe and never serve readers).
+  const ReaderStats reader = reader_stats();
+  out.merged.catalog = reader.catalog;
   out.merged.build_seconds += prober_.seconds();
   out.merged.conflict = prober_.stats();
-  out.merged.prepared = prober_.prepared_stats();
-  out.merged.quotes_served = quotes_served_.load(std::memory_order_relaxed);
-  out.merged.purchases = purchases_.load(std::memory_order_relaxed);
-  out.merged.purchases_accepted =
-      purchases_accepted_.load(std::memory_order_relaxed);
-  out.merged.sale_revenue = sale_revenue_.load(std::memory_order_relaxed);
+  out.merged.prepared = reader.prepared;
+  out.merged.quotes_served = reader.quotes_served;
+  out.merged.purchases = reader.purchases;
+  out.merged.purchases_accepted = reader.purchases_accepted;
+  out.merged.sale_revenue = reader.sale_revenue;
   out.cross_shard_appends =
       cross_shard_appends_.load(std::memory_order_relaxed);
   out.cross_shard_quotes = cross_shard_quotes_.load(std::memory_order_relaxed);

@@ -384,9 +384,6 @@ class ShardedPricingEngine {
   /// SupportPartition::SplitBundleInto skips them. Reader-side, lock-free.
   Status ReadyFor(const std::vector<uint32_t>& bundle) const;
 
-  /// Shared-catalog counters + router staleness; lock-free.
-  EngineStats::CatalogStats catalog_stats() const;
-
   const db::Database* db_;
   market::SupportPartition partition_;
   ShardedEngineOptions options_;
@@ -406,9 +403,6 @@ class ShardedPricingEngine {
   /// sets, with the prepared-query cache.
   market::ConflictProber prober_;
   std::vector<std::unique_ptr<PricingEngine>> shards_;
-  /// Edges routed to each shard so far (guarded by writer_mutex_); the
-  /// deterministic tie-break for empty conflict sets.
-  std::vector<int> shard_edge_counts_;
   /// Write-ahead log hook (guarded by writer_mutex_); nullptr when
   /// durability is off.
   WriterLog* log_ = nullptr;

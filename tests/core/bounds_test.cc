@@ -70,6 +70,34 @@ TEST(SubadditiveBoundTest, ConstraintBudgetRespected) {
   EXPECT_NEAR(SubadditiveBound(h, v, opts), 4.0, kTol);
 }
 
+TEST(SubadditiveBoundTest, TiedValuationsGoToTheLowerEdgeIndex) {
+  // Edges 2 and 3 tie at valuation 10 and a budget of one constraint
+  // covers only the first of them in the order. The lower index goes
+  // first: edge 2 = {0, 1} is covered by {0} and {1} (price <= 2), edge
+  // 3 = {0, 2} keeps its valuation. Had edge 3 gone first, {0} and {2}
+  // would cap it at 4 instead and the bound would read 19.
+  Hypergraph h(3);
+  h.AddEdge({0});
+  h.AddEdge({1});
+  h.AddEdge({0, 1});
+  h.AddEdge({0, 2});
+  h.AddEdge({2});
+  Valuations v{1, 1, 10, 10, 3};
+  SubadditiveBoundOptions opts;
+  opts.max_constraints = 1;
+  EXPECT_NEAR(SubadditiveBound(h, v, opts), 1 + 1 + 2 + 10 + 3, kTol);
+  // Swapping the two tied edges' indices swaps which one is capped.
+  Hypergraph swapped(3);
+  swapped.AddEdge({0});
+  swapped.AddEdge({1});
+  swapped.AddEdge({0, 2});
+  swapped.AddEdge({0, 1});
+  swapped.AddEdge({2});
+  EXPECT_NEAR(SubadditiveBound(swapped, v, opts), 1 + 1 + 4 + 10 + 3, kTol);
+  // Without a budget every edge gets its constraint, whatever the order.
+  EXPECT_NEAR(SubadditiveBound(h, v), 1 + 1 + 2 + 4 + 3, kTol);
+}
+
 TEST(SubadditiveBoundTest, EmptyEdgesContributeTheirValue) {
   // An empty edge has no cover; its price is bounded only by v_e.
   Hypergraph h(1);

@@ -12,6 +12,7 @@
 #include "db/eval.h"
 #include "db/parser.h"
 #include "market/conflict_prober.h"
+#include "tests/testing/cell_delta.h"
 #include "tests/testing/test_db.h"
 #include "workloads/world_queries.h"
 
@@ -122,9 +123,9 @@ std::vector<uint32_t> InPlaceConflictSet(db::Database& db,
   db::ResultTable base = db::Evaluate(query, db);
   std::vector<uint32_t> conflicts;
   for (uint32_t i = 0; i < support.size(); ++i) {
-    db::Value saved = ApplyDelta(db, support[i]);
+    db::Value saved = testing::ApplyDelta(db, support[i]);
     db::ResultTable perturbed = db::Evaluate(query, db);
-    UndoDelta(db, support[i], saved);
+    testing::UndoDelta(db, support[i], saved);
     if (!perturbed.Equals(base)) conflicts.push_back(i);
   }
   return conflicts;

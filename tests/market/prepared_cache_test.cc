@@ -20,6 +20,7 @@
 #include "db/parser.h"
 #include "db/versioned_database.h"
 #include "market/conflict_prober.h"
+#include "tests/testing/cell_delta.h"
 #include "tests/testing/test_db.h"
 
 namespace qp::market {
@@ -306,7 +307,7 @@ TEST(ColumnIndexCacheTest, PinnedProbesRaceCommitsOnTheIndexedColumn) {
   auto twin = db::testing::MakeTestDatabase();
   std::vector<std::vector<std::vector<uint32_t>>> expected;  // [gen][query]
   for (size_t g = 0; g <= commits.size(); ++g) {
-    if (g > 0) ApplyDelta(*twin, commits[g - 1]);
+    if (g > 0) testing::ApplyDelta(*twin, commits[g - 1]);
     expected.emplace_back();
     for (const db::BoundQuery& query : queries) {
       expected.back().push_back(NaiveConflictSet(*twin, query, support));

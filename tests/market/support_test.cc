@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/cell_delta.h"
 #include "tests/testing/test_db.h"
 
 namespace qp::market {
@@ -81,10 +82,10 @@ TEST(SupportTest, ApplyUndoRoundTrips) {
   ASSERT_TRUE(support.ok());
   for (const CellDelta& d : *support) {
     db::Value before = db->table(d.table).cell(d.row, d.column);
-    db::Value saved = ApplyDelta(*db, d);
+    db::Value saved = testing::ApplyDelta(*db, d);
     EXPECT_EQ(saved.Compare(before), 0);
     EXPECT_EQ(db->table(d.table).cell(d.row, d.column).Compare(d.new_value), 0);
-    UndoDelta(*db, d, saved);
+    testing::UndoDelta(*db, d, saved);
     EXPECT_EQ(db->table(d.table).cell(d.row, d.column).Compare(before), 0);
   }
 }

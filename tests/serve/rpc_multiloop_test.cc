@@ -18,8 +18,11 @@
 //      binary, rpc_alloc_test.
 // The ASan/TSan jobs run this file under label `rpc`.
 #include <atomic>
+#include <bit>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -111,6 +114,14 @@ struct Harness {
     return bundles;
   }
 };
+
+/// Expects the u64 StatsReply entry `name` to hold `expected`.
+void ExpectStat(const WireStatList& stats, std::string_view name,
+                uint64_t expected) {
+  const uint64_t* value = stats.Get<uint64_t>(name);
+  ASSERT_NE(value, nullptr) << name;
+  EXPECT_EQ(*value, expected) << name;
+}
 
 void ExpectQuoteEq(const Quote& wire, const Quote& local) {
   EXPECT_EQ(wire.price, local.price);
@@ -461,11 +472,125 @@ TEST(RpcMultiLoopTest, StatsAggregateExactlyAcrossLoops) {
   RpcReply wire;
   QP_CHECK_OK(clients[0].Stats(&wire));
   ASSERT_TRUE(wire.ok());
-  EXPECT_EQ(wire.stats.loops, 4u);
-  EXPECT_EQ(wire.stats.batched_quotes, stats.batched_quotes);
-  EXPECT_GE(wire.stats.writev_calls, stats.writev_calls);
-  EXPECT_EQ(wire.stats.connections_accepted,
-            static_cast<uint64_t>(kClients));
+  ExpectStat(wire.stats, "loops", 4);
+  ExpectStat(wire.stats, "batched_quotes", stats.batched_quotes);
+  ASSERT_NE(wire.stats.Get<uint64_t>("writev_calls"), nullptr);
+  EXPECT_GE(*wire.stats.Get<uint64_t>("writev_calls"), stats.writev_calls);
+  ExpectStat(wire.stats, "connections_accepted", kClients);
+}
+
+// Every field of the server's and the engine's in-process stats reaches
+// the StatsReply under its own name with its exact value, after traffic
+// of every kind spread over 4 loops.
+TEST(RpcMultiLoopTest, StatsReplyEqualsInProcessStatsExactly) {
+  Harness h({.num_loops = 4, .force_accept_handoff = true});
+  std::vector<std::vector<uint32_t>> bundles = h.SampleBundles();
+  std::vector<RpcClient> clients(4);
+  for (RpcClient& client : clients) {
+    QP_CHECK_OK(client.Connect("127.0.0.1", h.server->port()));
+    for (const std::vector<uint32_t>& bundle : bundles) {
+      RpcReply reply;
+      QP_CHECK_OK(client.Quote(bundle, &reply));
+      ASSERT_TRUE(reply.ok());
+    }
+  }
+  RpcReply reply;
+  QP_CHECK_OK(clients[1].QuoteBatch(bundles, &reply));
+  ASSERT_TRUE(reply.ok());
+  for (int i = 0; i < 2; ++i) {
+    QP_CHECK_OK(clients[0].Purchase(
+        "select Name from Country where Continent = 'Europe'", 50.0, &reply));
+    ASSERT_TRUE(reply.ok()) << reply.message;
+  }
+  QP_CHECK_OK(clients[2].AppendBuyers(
+      {{"select Name from City where Population > 1000000", 9.5}}, &reply));
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  QP_CHECK_OK(clients[3].ApplySellerDelta(h.support[0], &reply));
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  QP_CHECK_OK(clients[3].Stats(&reply));
+  ASSERT_TRUE(reply.ok());
+  const WireStatList& wire = reply.stats;
+
+  // Every loop is idle now; read the in-process side.
+  const RpcServerStats server = h.server->stats();
+  const ShardedPricingEngine::ReaderStats reader = h.engine->reader_stats();
+  const MergedBookView view = h.engine->snapshot();
+
+  ExpectStat(wire, "num_shards", static_cast<uint64_t>(h.engine->num_shards()));
+  ExpectStat(wire, "version", view.version());
+  ASSERT_NE(wire.Get<std::vector<uint64_t>>("shard_versions"), nullptr);
+  EXPECT_EQ(*wire.Get<std::vector<uint64_t>>("shard_versions"),
+            view.version_vector());
+  ExpectStat(wire, "num_edges",
+             static_cast<uint64_t>(h.engine->stats().merged.num_edges));
+  ExpectStat(wire, "catalog.head_generation",
+             h.engine->catalog().head_generation());
+
+  ExpectStat(wire, "quotes_served", reader.quotes_served);
+  ExpectStat(wire, "purchases", reader.purchases);
+  ExpectStat(wire, "purchases_accepted", reader.purchases_accepted);
+  ASSERT_NE(wire.Get<double>("sale_revenue"), nullptr);
+  EXPECT_EQ(std::bit_cast<uint64_t>(*wire.Get<double>("sale_revenue")),
+            std::bit_cast<uint64_t>(reader.sale_revenue));
+  ExpectStat(wire, "unavailable", reader.unavailable);
+
+  ExpectStat(wire, "prepared.hits", reader.prepared.hits);
+  ExpectStat(wire, "prepared.misses", reader.prepared.misses);
+  ExpectStat(wire, "prepared.evictions", reader.prepared.evictions);
+  ExpectStat(wire, "prepared.selective_invalidations",
+             reader.prepared.selective_invalidations);
+  ExpectStat(wire, "prepared.selective_dropped",
+             reader.prepared.selective_dropped);
+  ExpectStat(wire, "prepared.stale_bypasses", reader.prepared.stale_bypasses);
+  ExpectStat(wire, "prepared.entries", reader.prepared.entries);
+  ExpectStat(wire, "prepared.indexes", reader.prepared.indexes);
+
+  ExpectStat(wire, "catalog.generations_published",
+             reader.catalog.generations_published);
+  ExpectStat(wire, "catalog.folds", reader.catalog.folds);
+  ExpectStat(wire, "catalog.fold_retries", reader.catalog.fold_retries);
+  ExpectStat(wire, "catalog.deltas_pending", reader.catalog.deltas_pending);
+  ExpectStat(wire, "catalog.deltas_folded", reader.catalog.deltas_folded);
+  ExpectStat(wire, "catalog.fold_nanos", reader.catalog.fold_nanos);
+  ExpectStat(wire, "catalog.staleness_samples",
+             reader.catalog.staleness_samples);
+  ExpectStat(wire, "catalog.staleness_sum", reader.catalog.staleness_sum);
+  ExpectStat(wire, "catalog.staleness_max", reader.catalog.staleness_max);
+
+  ExpectStat(wire, "connections_accepted", server.connections_accepted);
+  ExpectStat(wire, "connections_closed", server.connections_closed);
+  ExpectStat(wire, "frames_received", server.frames_received);
+  ExpectStat(wire, "quote_requests", server.quote_requests);
+  ExpectStat(wire, "quote_batch_requests", server.quote_batch_requests);
+  ExpectStat(wire, "purchase_requests", server.purchase_requests);
+  ExpectStat(wire, "append_requests", server.append_requests);
+  ExpectStat(wire, "seller_delta_requests", server.seller_delta_requests);
+  ExpectStat(wire, "stats_requests", server.stats_requests);
+  ExpectStat(wire, "quote_ticks", server.quote_ticks);
+  ExpectStat(wire, "batched_quotes", server.batched_quotes);
+  ExpectStat(wire, "writer_enqueued", server.writer_enqueued);
+  ExpectStat(wire, "writer_rejected", server.writer_rejected);
+  ExpectStat(wire, "protocol_errors", server.protocol_errors);
+  ExpectStat(wire, "loops", server.loops);
+  // The Stats reply's own send is counted after its body was built.
+  ExpectStat(wire, "writev_calls", server.writev_calls - 1);
+  ExpectStat(wire, "writev_frames", server.writev_frames - 1);
+
+  // Nothing else rides along, and every name is distinct.
+  EXPECT_EQ(wire.entries.size(), 5u + 5u + 8u + 9u + 17u);
+  std::set<std::string> names;
+  for (const WireStat& stat : wire.entries) names.insert(stat.name);
+  EXPECT_EQ(names.size(), wire.entries.size());
+
+  // The traffic reached every counter family it should have.
+  EXPECT_EQ(server.loops, 4u);
+  EXPECT_EQ(server.append_requests, 1u);
+  EXPECT_EQ(server.seller_delta_requests, 1u);
+  EXPECT_EQ(server.writer_enqueued, 2u);
+  EXPECT_EQ(reader.purchases, 2u);
+  EXPECT_GT(reader.prepared.hits + reader.prepared.misses, 0u);
+  EXPECT_EQ(reader.catalog.generations_published, 1u);
+  EXPECT_EQ(view.version_vector().size(), 2u);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,6 +45,14 @@
 
 namespace qp::serve::rpc {
 namespace {
+
+/// The u64 StatsReply entry `name`; a missing entry fails the test and
+/// reads as UINT64_MAX.
+uint64_t StatU64(const WireStatList& stats, std::string_view name) {
+  const uint64_t* value = stats.Get<uint64_t>(name);
+  EXPECT_NE(value, nullptr) << name;
+  return value != nullptr ? *value : ~uint64_t{0};
+}
 
 struct Buyer {
   const char* sql;
@@ -278,12 +287,14 @@ TEST(RpcServerTest, PurchaseAndAppendWorkOverTheWire) {
   RpcReply stats;
   QP_CHECK_OK(client.Stats(&stats));
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.stats.num_shards,
-            static_cast<uint32_t>(h.engine->num_shards()));
-  EXPECT_EQ(stats.stats.version, h.engine->snapshot().version());
-  EXPECT_EQ(stats.stats.shard_versions,
+  EXPECT_EQ(StatU64(stats.stats, "num_shards"),
+            static_cast<uint64_t>(h.engine->num_shards()));
+  EXPECT_EQ(StatU64(stats.stats, "version"), h.engine->snapshot().version());
+  ASSERT_NE(stats.stats.Get<std::vector<uint64_t>>("shard_versions"),
+            nullptr);
+  EXPECT_EQ(*stats.stats.Get<std::vector<uint64_t>>("shard_versions"),
             h.engine->snapshot().version_vector());
-  EXPECT_GE(stats.stats.purchases, 1u);
+  EXPECT_GE(StatU64(stats.stats, "purchases"), 1u);
 }
 
 TEST(RpcServerTest, SellerDeltaLandsOverTheWire) {
@@ -328,10 +339,11 @@ TEST(RpcServerTest, SellerDeltaLandsOverTheWire) {
   RpcReply stats;
   QP_CHECK_OK(client.Stats(&stats));
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.stats.catalog_generation, generation_before + 1);
-  EXPECT_GE(stats.stats.generations_published, 1u);
-  EXPECT_EQ(stats.stats.deltas_pending, 1u);
-  EXPECT_EQ(stats.stats.folds, 0u);
+  EXPECT_EQ(StatU64(stats.stats, "catalog.head_generation"),
+            generation_before + 1);
+  EXPECT_GE(StatU64(stats.stats, "catalog.generations_published"), 1u);
+  EXPECT_EQ(StatU64(stats.stats, "catalog.deltas_pending"), 1u);
+  EXPECT_EQ(StatU64(stats.stats, "catalog.folds"), 0u);
   EXPECT_GE(h.server->stats().seller_delta_requests, 2u);
 }
 

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,14 @@ Quote MakeQuote() {
   quote.shard_versions = {3, 4};
   quote.algorithm = "LPIP+XOS";
   return quote;
+}
+
+// A StatsReply body with one entry of every value type.
+std::vector<WireStat> MakeStats() {
+  return {{"num_shards", uint64_t{2}},
+          {"shard_versions", std::vector<uint64_t>{2, 3}},
+          {"sale_revenue", 12.25},
+          {"catalog.folds", uint64_t{3}}};
 }
 
 void ExpectQuoteEq(const Quote& a, const Quote& b) {
@@ -200,22 +209,20 @@ TEST(RpcWireTest, RepliesRoundTrip) {
     EXPECT_EQ(out.version, 11u);
   }
   {
-    WireStats stats;
-    stats.num_shards = 2;
-    stats.version = 5;
-    stats.shard_versions = {2, 3};
-    stats.quotes_served = 100;
-    stats.sale_revenue = 12.25;
-    stats.batched_quotes = 60;
+    const std::vector<WireStat> stats = MakeStats();
     std::vector<uint8_t> bytes;
     AppendStatsReplyFrame(5, stats, &bytes);
     Frame f = MustExtract(bytes);
-    WireStats out;
+    EXPECT_EQ(f.type, MsgType::kStatsReply);
+    WireStatList out;
     EXPECT_TRUE(DecodeStatsReply(f.body, &out));
-    EXPECT_EQ(out.num_shards, 2u);
-    EXPECT_EQ(out.shard_versions, stats.shard_versions);
-    EXPECT_EQ(out.sale_revenue, 12.25);
-    EXPECT_EQ(out.batched_quotes, 60u);
+    ASSERT_NE(out.Get<uint64_t>("num_shards"), nullptr);
+    EXPECT_EQ(*out.Get<uint64_t>("num_shards"), 2u);
+    ASSERT_NE(out.Get<std::vector<uint64_t>>("shard_versions"), nullptr);
+    EXPECT_EQ(*out.Get<std::vector<uint64_t>>("shard_versions"),
+              (std::vector<uint64_t>{2, 3}));
+    ASSERT_NE(out.Get<double>("sale_revenue"), nullptr);
+    EXPECT_EQ(*out.Get<double>("sale_revenue"), 12.25);
   }
   {
     std::vector<uint8_t> bytes;
@@ -268,34 +275,56 @@ TEST(RpcWireTest, ApplySellerDeltaRoundTrips) {
   EXPECT_EQ(decoded.generation, 29u);
 }
 
-TEST(RpcWireTest, StatsReplyCarriesCatalogCounters) {
-  WireStats stats;
-  stats.num_shards = 1;
-  stats.catalog_generation = 12;
-  stats.generations_published = 12;
-  stats.folds = 3;
-  stats.fold_retries = 1;
-  stats.deltas_pending = 2;
-  stats.deltas_folded = 10;
-  stats.fold_nanos = 55555;
-  stats.staleness_samples = 100;
-  stats.staleness_sum = 7;
-  stats.staleness_max = 2;
+TEST(RpcWireTest, StatsReplyRoundTripsEveryValueExactly) {
+  // Values a double could not carry (u64 above 2^53), doubles whose bits
+  // matter (-0.0, a NaN payload, a denormal), vectors empty and full, and
+  // an empty name.
+  const double nan_payload = std::bit_cast<double>(0x7FF8000000000123ull);
+  const std::vector<WireStat> stats = {
+      {"quotes_served", uint64_t{0xFFFFFFFFFFFFFFFFull}},
+      {"odd", uint64_t{(1ull << 53) + 1}},
+      {"sale_revenue", 0.1 + 0.2},
+      {"negative_zero", -0.0},
+      {"nan", nan_payload},
+      {"denormal", 4.9e-324},
+      {"shard_versions",
+       std::vector<uint64_t>{0, 1ull << 63, 0xFFFFFFFFFFFFFFFFull}},
+      {"empty", std::vector<uint64_t>{}},
+      {"", uint64_t{7}},
+  };
   std::vector<uint8_t> bytes;
   AppendStatsReplyFrame(20, stats, &bytes);
   Frame f = MustExtract(bytes);
-  WireStats out;
+  WireStatList out;
   ASSERT_TRUE(DecodeStatsReply(f.body, &out));
-  EXPECT_EQ(out.catalog_generation, 12u);
-  EXPECT_EQ(out.generations_published, 12u);
-  EXPECT_EQ(out.folds, 3u);
-  EXPECT_EQ(out.fold_retries, 1u);
-  EXPECT_EQ(out.deltas_pending, 2u);
-  EXPECT_EQ(out.deltas_folded, 10u);
-  EXPECT_EQ(out.fold_nanos, 55555u);
-  EXPECT_EQ(out.staleness_samples, 100u);
-  EXPECT_EQ(out.staleness_sum, 7u);
-  EXPECT_EQ(out.staleness_max, 2u);
+  ASSERT_EQ(out.entries.size(), stats.size());
+  for (size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(out.entries[i].name, stats[i].name);
+    ASSERT_EQ(out.entries[i].value.index(), stats[i].value.index()) << i;
+    if (const double* d = std::get_if<double>(&stats[i].value)) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(std::get<double>(out.entries[i].value)),
+                std::bit_cast<uint64_t>(*d))
+          << stats[i].name;
+    } else {
+      EXPECT_EQ(out.entries[i].value, stats[i].value) << stats[i].name;
+    }
+  }
+  // By-name lookup: the first entry of that name with the asked type;
+  // a missing name or another type is nullptr.
+  ASSERT_NE(out.Get<uint64_t>("odd"), nullptr);
+  EXPECT_EQ(*out.Get<uint64_t>("odd"), (1ull << 53) + 1);
+  EXPECT_EQ(out.Get<double>("odd"), nullptr);
+  EXPECT_EQ(out.Get<uint64_t>("missing"), nullptr);
+  ASSERT_NE(out.Get<std::vector<uint64_t>>("empty"), nullptr);
+  EXPECT_TRUE(out.Get<std::vector<uint64_t>>("empty")->empty());
+
+  // An empty list is a count alone, and decoding replaces old entries.
+  bytes.clear();
+  AppendStatsReplyFrame(21, std::span<const WireStat>(), &bytes);
+  f = MustExtract(bytes);
+  EXPECT_EQ(f.body.size(), 4u);
+  ASSERT_TRUE(DecodeStatsReply(f.body, &out));
+  EXPECT_TRUE(out.entries.empty());
 }
 
 TEST(RpcWireTest, TruncatedBodiesNeverDecode) {
@@ -309,6 +338,8 @@ TEST(RpcWireTest, TruncatedBodiesNeverDecode) {
   };
   frames.emplace_back();
   AppendQuoteReplyFrame(5, MakeQuote(), &frames.back());
+  frames.emplace_back();
+  AppendStatsReplyFrame(6, MakeStats(), &frames.back());
   for (const std::vector<uint8_t>& bytes : frames) {
     Frame frame = MustExtract(bytes);
     for (size_t n = 0; n < frame.body.size(); ++n) {
@@ -320,6 +351,7 @@ TEST(RpcWireTest, TruncatedBodiesNeverDecode) {
       double valuation;
       std::vector<WireBuyer> buyers;
       Quote quote;
+      WireStatList stats;
       switch (frame.type) {
         case MsgType::kQuote:
           EXPECT_FALSE(DecodeQuoteRequestInto(cut, &bundle));
@@ -336,6 +368,9 @@ TEST(RpcWireTest, TruncatedBodiesNeverDecode) {
           break;
         case MsgType::kQuoteReply:
           EXPECT_FALSE(DecodeQuoteReply(cut, &quote));
+          break;
+        case MsgType::kStatsReply:
+          EXPECT_FALSE(DecodeStatsReply(cut, &stats)) << "prefix " << n;
           break;
         default:
           break;
@@ -367,6 +402,15 @@ TEST(RpcWireTest, TrailingGarbageIsRejected) {
   size_t used = 0;
   EXPECT_FALSE(DecodeQuoteBatchRequestInto(out.body, &slots, &used));
   EXPECT_EQ(used, 0u);
+  // And for a StatsReply body.
+  std::vector<uint8_t> stats;
+  AppendStatsReplyFrame(3, MakeStats(), &stats);
+  stats.push_back(0xEF);
+  out.body = std::span<const uint8_t>(
+      stats.data() + kFrameHeaderBytes + kMessageHeaderBytes,
+      stats.size() - kFrameHeaderBytes - kMessageHeaderBytes);
+  WireStatList list;
+  EXPECT_FALSE(DecodeStatsReply(out.body, &list));
 }
 
 TEST(RpcWireTest, HostileCountsCannotDriveAllocation) {
@@ -400,6 +444,61 @@ TEST(RpcWireTest, HostileCountsCannotDriveAllocation) {
       std::span<const uint8_t>(batch.data(), batch.size()), &slots, &used));
   EXPECT_EQ(used, 0u);
   EXPECT_LE(slots.size(), 1u);
+  // A StatsReply claiming 4 billion entries fails before it reserves any.
+  WireStatList stats;
+  EXPECT_FALSE(DecodeStatsReply(
+      std::span<const uint8_t>(body.data(), body.size()), &stats));
+  EXPECT_EQ(stats.entries.capacity(), 0u);
+  // One entry whose name length runs past the body, and one whose vector
+  // count does: each fails without sizing a string or vector by it.
+  std::vector<uint8_t> long_name;
+  WireWriter wn(&long_name);
+  wn.U32(1);
+  wn.U32(0xFFFFFF00u);
+  wn.U8(0);
+  wn.U64(5);
+  EXPECT_FALSE(DecodeStatsReply(
+      std::span<const uint8_t>(long_name.data(), long_name.size()), &stats));
+  ASSERT_LE(stats.entries.size(), 1u);
+  EXPECT_LE(stats.entries.capacity(), 1u);
+  if (!stats.entries.empty()) {
+    EXPECT_TRUE(stats.entries[0].name.empty());
+  }
+  std::vector<uint8_t> long_vector;
+  WireWriter wv(&long_vector);
+  wv.U32(1);
+  wv.String("shard_versions");
+  wv.U8(2);
+  wv.U32(0xFFFFFF00u);
+  wv.U64(1);
+  EXPECT_FALSE(DecodeStatsReply(
+      std::span<const uint8_t>(long_vector.data(), long_vector.size()),
+      &stats));
+  ASSERT_LE(stats.entries.size(), 1u);
+  if (!stats.entries.empty()) {
+    const auto* v = std::get_if<std::vector<uint64_t>>(&stats.entries[0].value);
+    EXPECT_TRUE(v == nullptr || v->capacity() == 0);
+  }
+  // A count the body could hold by size but whose entries run out, and an
+  // unknown type tag.
+  std::vector<uint8_t> short_list;
+  WireWriter ws(&short_list);
+  ws.U32(2);
+  ws.String("a");
+  ws.U8(0);
+  ws.U64(1);
+  ws.U32(0);
+  ws.U8(0);
+  EXPECT_FALSE(DecodeStatsReply(
+      std::span<const uint8_t>(short_list.data(), short_list.size()), &stats));
+  std::vector<uint8_t> bad_tag;
+  WireWriter wt(&bad_tag);
+  wt.U32(1);
+  wt.String("a");
+  wt.U8(3);
+  wt.U64(1);
+  EXPECT_FALSE(DecodeStatsReply(
+      std::span<const uint8_t>(bad_tag.data(), bad_tag.size()), &stats));
 }
 
 // The bulk vector readers at the count boundary: a count whose elements
@@ -479,7 +578,7 @@ void DecodeWithEveryDecoder(std::span<const uint8_t> body) {
   std::vector<Quote> quotes;
   WirePurchase purchase;
   WireAppendResult append;
-  WireStats stats;
+  WireStatList stats;
   WireDeltaResult delta_result;
   WireCode code = WireCode::kOk;
   EXPECT_NO_THROW({
@@ -514,12 +613,6 @@ TEST(RpcWireTest, RandomByteMutationsNeverCrashDecoders) {
   purchase.valuation = 5.0;
   purchase.quote = MakeQuote();
   purchase.bundle = {0, 3, 8};
-  WireStats stats;
-  stats.num_shards = 2;
-  stats.version = 5;
-  stats.shard_versions = {2, 3};
-  stats.quotes_served = 100;
-  stats.folds = 3;
   std::vector<Quote> quotes = {MakeQuote(), MakeQuote()};
   std::vector<std::vector<uint8_t>> corpus = {
       EncodeQuoteRequest(1, {1, 2, 3}),
@@ -536,7 +629,7 @@ TEST(RpcWireTest, RandomByteMutationsNeverCrashDecoders) {
   AppendQuoteBatchReplyFrame(8, quotes, reply());
   AppendPurchaseReplyFrame(9, purchase, reply());
   AppendAppendReplyFrame(10, WireAppendResult{WireCode::kOk, "", 11}, reply());
-  AppendStatsReplyFrame(11, stats, reply());
+  AppendStatsReplyFrame(11, MakeStats(), reply());
   AppendApplySellerDeltaReplyFrame(12, WireDeltaResult{WireCode::kOk, "", 29},
                                    reply());
   AppendErrorReplyFrame(13, WireCode::kBackpressure, "full", reply());
