@@ -13,11 +13,13 @@
 // algorithms on its seed and grown books, BM_ItemClassCompressionSkewed
 // the per-generation class compression on the grown book's shard 0 of
 // 2, and BM_SolveSeedSkewed times all six algorithms on the seed book.
-// BM_Crc32 and BM_DeserializeShardState time the durability layer's
-// recovery read: the checksum every persisted byte goes through (Arg =
+// BM_Crc32, BM_SerializeShardState and BM_DeserializeShardState time the
+// durability layer: the checksum every persisted byte goes through (Arg =
 // bytes: 63, below the carry-less-multiply kernel's 64-byte minimum, then
-// 4 KiB and 256 KiB through it), and decoding one real shard checkpoint
-// file, its section checks and the folded whole-file CRC included. Uses
+// 4 KiB and 256 KiB through it), encoding one real shard's checkpoint
+// file (the checkpoint write's CPU side), and decoding it back, its
+// section checks and the folded whole-file CRC included; both shard rows
+// report the file size as the "bytes" counter. Uses
 // system google-benchmark when available; otherwise the built-in mini
 // harness (bench/mini_benchmark.h) keeps the target building and running.
 #include <algorithm>
@@ -333,11 +335,11 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(63)->Arg(4 << 10)->Arg(256 << 10);
 
-// One shard checkpoint file as the engine writes it: a single-shard
+// One shard's captured state as the engine checkpoints it: a single-shard
 // engine over the skewed instance holding the first 300 corpus buyers
 // (as many as the pricing service benchmark seeds its book with).
-void BM_DeserializeShardState(benchmark::State& state) {
-  static const std::vector<uint8_t> file = [] {
+const ShardState& SkewedShardState() {
+  static const ShardState shard = [] {
     const market::ConflictInstance& inst = market::SkewedConflictInstance();
     std::vector<db::BoundQuery> queries(inst.w.queries.begin(),
                                         inst.w.queries.begin() + 300);
@@ -355,14 +357,41 @@ void BM_DeserializeShardState(benchmark::State& state) {
                          epochs);
     QP_CHECK_OK(engine.AppendBuyersPrecomputed(std::move(built.conflict_sets),
                                                valuations));
-    auto bytes = SerializeShardState(engine.CaptureState());
+    return engine.CaptureState();
+  }();
+  return shard;
+}
+
+// That state's checkpoint file, as the engine writes it.
+const std::vector<uint8_t>& SkewedShardFile() {
+  static const std::vector<uint8_t> file = [] {
+    auto bytes = SerializeShardState(SkewedShardState());
     QP_CHECK_OK(bytes.status());
     return std::move(*bytes);
   }();
+  return file;
+}
+
+// The checkpoint write's encode step; the "bytes" counter is the file size.
+void BM_SerializeShardState(benchmark::State& state) {
+  const ShardState& shard = SkewedShardState();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    auto file = SerializeShardState(shard);
+    bytes = file->size();
+    benchmark::DoNotOptimize(file.ok());
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SerializeShardState);
+
+void BM_DeserializeShardState(benchmark::State& state) {
+  const std::vector<uint8_t>& file = SkewedShardFile();
   for (auto _ : state) {
     auto shard = DeserializeShardState(file);
     benchmark::DoNotOptimize(shard.ok());
   }
+  state.counters["bytes"] = static_cast<double>(file.size());
 }
 BENCHMARK(BM_DeserializeShardState);
 

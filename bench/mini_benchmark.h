@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,9 @@ class State {
       : ranges_(std::move(ranges)) {}
 
   int64_t range(size_t i = 0) const { return ranges_[i]; }
+
+  /// User counters, printed after the timing as name=value.
+  std::map<std::string, double> counters;
 
   // `for (auto _ : state)` support: the iterator drives the timing loop.
   // The dereferenced value has a user-provided destructor so the idiomatic
@@ -143,8 +147,12 @@ inline int RunAll() {
         value *= 1e3;
         unit = "ms";
       }
-      std::printf("%-40s %13.2f %s %12lld\n", label.c_str(), value, unit,
+      std::printf("%-40s %13.2f %s %12lld", label.c_str(), value, unit,
                   static_cast<long long>(state.iterations_done()));
+      for (const auto& [name, counter] : state.counters) {
+        std::printf("   %s=%g", name.c_str(), counter);
+      }
+      std::printf("\n");
     }
   }
   return 0;

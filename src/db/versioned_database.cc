@@ -52,12 +52,21 @@ void VersionedDatabase::Publish(Generation* next, Generation* old) {
 
 void VersionedDatabase::Commit(Database& base_mut, int table, int row,
                                int column, Value value) {
+  const DeltaOverlay::Entry cell{table, row, column, std::move(value)};
+  Commit(base_mut, {&cell, 1});
+}
+
+void VersionedDatabase::Commit(Database& base_mut,
+                               std::span<const DeltaOverlay::Entry> cells) {
   assert(&base_mut == base_ && "Commit requires the catalog's own base");
+  if (cells.empty()) return;
   Generation* cur = head_.load(std::memory_order_seq_cst);
   auto* next = new Generation;
-  next->number = cur->number + 1;
+  next->number = cur->number + cells.size();
   next->overlay = cur->overlay;
-  next->overlay.Set(table, row, column, std::move(value));
+  for (const DeltaOverlay::Entry& cell : cells) {
+    next->overlay.Set(cell.table, cell.row, cell.column, cell.value);
+  }
   const size_t pending = next->overlay.entries().size();
   Publish(next, cur);
   generations_published_.fetch_add(1, std::memory_order_relaxed);

@@ -31,8 +31,10 @@
 //    in `fold_retries`) and retried at the next commit — the writer
 //    never spins.
 //
-// Generation numbers count commits: a fold republishes the same number
-// with an empty overlay, because it changes no logical cell value.
+// Generation numbers count committed deltas: a batch of k deltas
+// publishes one generation k past its predecessor (the number k single
+// commits would reach), and a fold republishes the same number with an
+// empty overlay, because it changes no logical cell value.
 // "Staleness" of a reader is therefore head_generation() minus its
 // pinned generation's number — the number of committed deltas it cannot
 // yet see.
@@ -48,6 +50,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 
 #include "common/epoch.h"
 #include "db/database.h"
@@ -61,7 +64,7 @@ class VersionedDatabase {
   /// One published catalog state. Immutable after publication; readers
   /// hold it through an epoch guard.
   struct Generation {
-    /// Commit count at publication (folds republish the same number).
+    /// Committed deltas at publication (folds republish the same number).
     uint64_t number = 0;
     /// Every committed cell not yet folded into the base. No parent.
     DeltaOverlay overlay;
@@ -122,6 +125,13 @@ class VersionedDatabase {
   /// const away.
   void Commit(Database& base_mut, int table, int row, int column,
               Value value);
+
+  /// Commits `cells` in order as ONE published generation whose number
+  /// advances by cells.size(): readers see none of them or all of them,
+  /// and head_generation() lands where one Commit per cell would. At most
+  /// one fold attempt follows. No-op when empty. Same caller contract as
+  /// the single-cell Commit.
+  void Commit(Database& base_mut, std::span<const DeltaOverlay::Entry> cells);
 
   /// Attempts to fold the head overlay into the base. Returns true when
   /// the fold ran; false when there was nothing to fold or readers on

@@ -55,10 +55,17 @@ std::string JournalPath(const std::string& dir, uint64_t seq) {
       .string();
 }
 
-bool ParseSeq(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
+/// The <seq> of a "<prefix><seq><suffix>" file name, if `name` is one.
+bool ParseSeq(const std::string& name, const std::string& prefix,
+              const std::string& suffix, uint64_t* out) {
+  if (name.size() <= prefix.size() + suffix.size()) return false;
+  if (name.compare(0, prefix.size(), prefix) != 0) return false;
+  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    return false;
+  }
   uint64_t value = 0;
-  for (char c : text) {
+  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
+    const char c = name[i];
     if (c < '0' || c > '9') return false;
     value = value * 10 + static_cast<uint64_t>(c - '0');
   }
@@ -66,29 +73,28 @@ bool ParseSeq(const std::string& text, uint64_t* out) {
   return true;
 }
 
-/// Ascending sequence numbers of "<prefix><seq><suffix>"-named entries.
-std::vector<uint64_t> ListSeqs(const std::string& dir,
-                               const std::string& prefix,
-                               const std::string& suffix) {
-  std::vector<uint64_t> seqs;
+/// Ascending sequence numbers of a persist directory's checkpoints and
+/// journal segments, from one listing. A missing directory lists empty.
+struct DirListing {
+  std::vector<uint64_t> checkpoints;  ///< "checkpoint-<seq>"
+  std::vector<uint64_t> journals;     ///< "journal-<seq>.log"
+};
+
+DirListing ListDir(const std::string& dir) {
+  DirListing out;
   std::error_code ec;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
+    const std::string name = entry.path().filename().string();
     uint64_t seq = 0;
-    if (ParseSeq(name.substr(prefix.size(),
-                             name.size() - prefix.size() - suffix.size()),
-                 &seq)) {
-      seqs.push_back(seq);
+    if (ParseSeq(name, "checkpoint-", "", &seq)) {
+      out.checkpoints.push_back(seq);
+    } else if (ParseSeq(name, "journal-", ".log", &seq)) {
+      out.journals.push_back(seq);
     }
   }
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
+  std::sort(out.checkpoints.begin(), out.checkpoints.end());
+  std::sort(out.journals.begin(), out.journals.end());
+  return out;
 }
 
 /// Loads checkpoint `seq` in full: manifest, then every shard file
@@ -189,13 +195,12 @@ Result<Journal> ReadJournal(const std::string& path) {
 
 Result<RecoveredState> Recover(const std::string& dir) {
   RecoveredState out;
-  std::error_code ec;
-  if (!fs::exists(dir, ec)) return out;
+  const DirListing listing = ListDir(dir);
 
   // Newest fully-valid checkpoint wins; torn/corrupt ones (e.g. a crash
   // before the MANIFEST rename, or a bit-rotted shard file) fall back to
   // the next-newest, whose journal segments are still retained.
-  std::vector<uint64_t> seqs = ListSeqs(dir, "checkpoint-", "");
+  const std::vector<uint64_t>& seqs = listing.checkpoints;
   Manifest manifest;
   uint64_t last_op_id = 0;
   for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
@@ -214,7 +219,7 @@ Result<RecoveredState> Recover(const std::string& dir) {
   // Replay every journal segment at or after the chosen checkpoint (all
   // of them when none was usable), skipping ops the checkpoint subsumes.
   uint64_t max_op_id = last_op_id;
-  for (uint64_t seq : ListSeqs(dir, "journal-", ".log")) {
+  for (uint64_t seq : listing.journals) {
     if (out.checkpoint_seq >= 0 &&
         seq < static_cast<uint64_t>(out.checkpoint_seq)) {
       continue;
@@ -392,7 +397,8 @@ Status CheckpointManager::WriteCheckpoint(ShardedPricingEngine& engine) {
 
 void CheckpointManager::PruneOld() {
   const int keep = std::max(1, options_.keep);
-  std::vector<uint64_t> seqs = ListSeqs(options_.dir, "checkpoint-", "");
+  const DirListing listing = ListDir(options_.dir);
+  const std::vector<uint64_t>& seqs = listing.checkpoints;
   if (seqs.size() <= static_cast<size_t>(keep)) return;
   const uint64_t oldest_kept = seqs[seqs.size() - static_cast<size_t>(keep)];
   std::error_code ec;
@@ -400,7 +406,7 @@ void CheckpointManager::PruneOld() {
     if (seq >= oldest_kept) break;
     fs::remove_all(CheckpointDir(options_.dir, seq), ec);
   }
-  for (uint64_t seq : ListSeqs(options_.dir, "journal-", ".log")) {
+  for (uint64_t seq : listing.journals) {
     // journal-<seq> holds ops AFTER checkpoint <seq>; segments older
     // than the oldest kept checkpoint can never be replayed again.
     if (seq >= oldest_kept) break;
@@ -414,6 +420,15 @@ namespace qp::serve {
 
 Status ShardedPricingEngine::RestoreFromCheckpoint(
     persist::RecoveredState& state, db::Database* mutable_db) {
+  bool needs_db = !state.seller_deltas.empty();
+  for (const persist::JournalOp& op : state.ops) {
+    if (op.type == persist::kSellerDeltaOp) needs_db = true;
+  }
+  if (needs_db && mutable_db == nullptr) {
+    return Status::InvalidArgument(
+        "RestoreFromCheckpoint: recovered seller deltas require the "
+        "engine's mutable database");
+  }
   if (state.checkpoint_seq >= 0) {
     if (state.partition_fingerprint !=
         persist::PartitionFingerprint(partition_)) {
@@ -427,26 +442,31 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
           std::to_string(state.shards.size()) + " shards, engine has " +
           std::to_string(shards_.size()));
     }
+    // Refuse before anything lands: the deltas commit ahead of the
+    // shards, whose RestoreState would refuse a non-fresh engine too late.
+    for (const std::unique_ptr<PricingEngine>& shard : shards_) {
+      if (shard->hypergraph().num_edges() != 0) {
+        return Status::FailedPrecondition(
+            "RestoreFromCheckpoint: engine already has appended state");
+      }
+    }
+    BeginRestore();
+  }
+  // The checkpoint's seller-delta history lands as one catalog commit
+  // before the first shard turns ready, so no purchase served from a
+  // restored book probes a catalog that lacks them (Purchase samples
+  // readiness before its probe).
+  if (!state.seller_deltas.empty()) {
+    QP_RETURN_IF_ERROR(ApplySellerDeltas(*mutable_db, state.seller_deltas));
+  }
+  if (state.checkpoint_seq >= 0) {
     // Warm shard by shard: each shard serves again (TryQuoteBatchInto,
     // Purchase) the moment its state lands, while the rest answer
     // Unavailable.
-    BeginRestore();
     for (size_t s = 0; s < shards_.size(); ++s) {
       QP_RETURN_IF_ERROR(shards_[s]->RestoreState(std::move(state.shards[s])));
       FinishShardRestore(static_cast<int>(s));
     }
-  }
-  bool needs_db = !state.seller_deltas.empty();
-  for (const persist::JournalOp& op : state.ops) {
-    if (op.type == persist::kSellerDeltaOp) needs_db = true;
-  }
-  if (needs_db && mutable_db == nullptr) {
-    return Status::InvalidArgument(
-        "RestoreFromCheckpoint: recovered seller deltas require the "
-        "engine's mutable database");
-  }
-  for (const market::CellDelta& delta : state.seller_deltas) {
-    QP_RETURN_IF_ERROR(ApplySellerDelta(*mutable_db, delta));
   }
   // Journal replay, in op order. Appends carry precomputed GLOBAL
   // conflict sets, so replay routes and reprices exactly as the original

@@ -33,8 +33,10 @@ namespace qp::serve::persist {
 inline constexpr uint64_t kFileMagic = 0x0000535245505051ULL;  // "QPPERS\0\0"
 /// Bumped on incompatible layout changes; readers reject other versions.
 /// Version 2 dropped the item classes and the valuation order from the
-/// shard file's reprice section.
-inline constexpr uint32_t kFormatVersion = 2;
+/// shard file's reprice section. Version 3 writes each item-indexed f64
+/// vector of a shard file dense or sparse, whichever is shorter, with its
+/// length fixed to the shard's item count (serve/persist/state_io.h).
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// CRC-32/ISO-HDLC — the zlib/PNG/IEEE 802.3 CRC: reflected polynomial
 /// 0xEDB88320, init and xorout 0xFFFFFFFF, check value 0xCBF43926 for

@@ -1,5 +1,7 @@
 #include "serve/persist/state_io.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "core/pricing.h"
@@ -30,19 +32,23 @@ constexpr uint8_t kXosPricing = 3;
 // Smallest encodings of the variable-size elements, the per-element
 // bound WireReader::Count checks a decoded count against.
 constexpr size_t kMinVecBytes = 4;         // u32 count of an empty vector
-constexpr size_t kMinCandidateBytes = 12;  // f64 threshold + empty weights
+constexpr size_t kMinItemVecBytes = 5;     // form + length of an empty one
+constexpr size_t kMinCandidateBytes = 13;  // f64 threshold + item vector
 constexpr size_t kMinResultBytes = 25;     // "" + kNoPricing + 2 f64 + u32
 constexpr size_t kMinCellDeltaBytes = 13;  // 3 u32 + kNull type tag
+constexpr size_t kSparseEntryBytes = 12;   // u32 index + f64 value
 
-void PutF64Vec(WireWriter& w, const std::vector<double>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (double x : v) w.F64(x);
-}
+/// Largest `num_items` a shard file may declare. A sparse item vector's
+/// length is not bounded by its bytes, so this caps what one vector can
+/// make the decoder zero-fill (8 MiB).
+constexpr uint32_t kMaxShardItems = 1u << 20;
 
-std::vector<double> GetF64Vec(WireReader& r) {
-  std::vector<double> v;
-  r.F64VecInto(&v);
-  return v;
+bool NonzeroBits(double x) { return std::bit_cast<uint64_t>(x) != 0; }
+
+// The encoding rule: sparse exactly when its body (u32 nnz, then 12
+// bytes per nonzero) is smaller than the dense one (8 bytes per entry).
+bool SparseIsSmaller(size_t length, size_t nnz) {
+  return 4 + kSparseEntryBytes * nnz < 8 * length;
 }
 
 Status PutPricing(WireWriter& w, const core::PricingFunction* pricing) {
@@ -57,14 +63,14 @@ Status PutPricing(WireWriter& w, const core::PricingFunction* pricing) {
   }
   if (auto* item = dynamic_cast<const core::ItemPricing*>(pricing)) {
     w.U8(kItemPricing);
-    PutF64Vec(w, item->weights());
+    PutItemVec(w, item->weights());
     return Status::OK();
   }
   if (auto* xos = dynamic_cast<const core::XosPricing*>(pricing)) {
     w.U8(kXosPricing);
     w.U32(static_cast<uint32_t>(xos->components().size()));
     for (const std::vector<double>& component : xos->components()) {
-      PutF64Vec(w, component);
+      PutItemVec(w, component);
     }
     return Status::OK();
   }
@@ -72,7 +78,8 @@ Status PutPricing(WireWriter& w, const core::PricingFunction* pricing) {
       "persist: unknown PricingFunction subclass: " + pricing->Describe());
 }
 
-Result<std::unique_ptr<core::PricingFunction>> GetPricing(WireReader& r) {
+Result<std::unique_ptr<core::PricingFunction>> GetPricing(
+    WireReader& r, uint32_t num_items) {
   uint8_t tag = r.U8();
   switch (tag) {
     case kNoPricing:
@@ -80,15 +87,17 @@ Result<std::unique_ptr<core::PricingFunction>> GetPricing(WireReader& r) {
     case kUniformBundle:
       return std::unique_ptr<core::PricingFunction>(
           std::make_unique<core::UniformBundlePricing>(r.F64()));
-    case kItemPricing:
+    case kItemPricing: {
+      std::vector<double> weights;
+      QP_RETURN_IF_ERROR(GetItemVec(r, num_items, &weights));
       return std::unique_ptr<core::PricingFunction>(
-          std::make_unique<core::ItemPricing>(GetF64Vec(r)));
+          std::make_unique<core::ItemPricing>(std::move(weights)));
+    }
     case kXosPricing: {
-      uint32_t n = r.Count(kMinVecBytes);
-      std::vector<std::vector<double>> components;
-      components.reserve(n);
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        components.push_back(GetF64Vec(r));
+      uint32_t n = r.Count(kMinItemVecBytes);
+      std::vector<std::vector<double>> components(n);
+      for (std::vector<double>& component : components) {
+        QP_RETURN_IF_ERROR(GetItemVec(r, num_items, &component));
       }
       return std::unique_ptr<core::PricingFunction>(
           std::make_unique<core::XosPricing>(std::move(components)));
@@ -123,33 +132,67 @@ core::RepriceStats GetStats(WireReader& r) {
   return stats;
 }
 
-// A pricing the engine can serve on a shard of `num_items` items: quotes
-// dereference it and index its weight vectors by local item id.
-Status CheckServable(const core::PricingFunction* pricing,
-                     uint32_t num_items) {
-  if (pricing == nullptr) {
-    return Status::Internal("persist: book result without a pricing");
+}  // namespace
+
+void PutItemVec(WireWriter& w, const std::vector<double>& v) {
+  const size_t nnz = static_cast<size_t>(
+      std::count_if(v.begin(), v.end(), NonzeroBits));
+  const bool sparse = SparseIsSmaller(v.size(), nnz);
+  w.U8(sparse ? kSparseItemVec : kDenseItemVec);
+  w.U32(static_cast<uint32_t>(v.size()));
+  if (!sparse) {
+    for (double x : v) w.F64(x);
+    return;
   }
-  auto too_short = [num_items](const std::vector<double>& weights) {
-    return weights.size() < num_items;
-  };
-  if (auto* item = dynamic_cast<const core::ItemPricing*>(pricing)) {
-    if (too_short(item->weights())) {
-      return Status::Internal("persist: item weights shorter than the shard");
-    }
+  w.U32(static_cast<uint32_t>(nnz));
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (!NonzeroBits(v[i])) continue;
+    w.U32(static_cast<uint32_t>(i));
+    w.F64(v[i]);
   }
-  if (auto* xos = dynamic_cast<const core::XosPricing*>(pricing)) {
-    for (const std::vector<double>& component : xos->components()) {
-      if (too_short(component)) {
-        return Status::Internal(
-            "persist: XOS component shorter than the shard");
-      }
+}
+
+Status GetItemVec(WireReader& r, uint32_t num_items, std::vector<double>* out) {
+  const uint8_t form = r.U8();
+  if (form == kDenseItemVec) {
+    // The dense length doubles as the element count: Count bounds it by
+    // the bytes left before it can size anything.
+    const uint32_t n = r.Count(8);
+    if (!r.ok()) return Status::Internal("persist: truncated item vector");
+    if (n != num_items) {
+      return Status::Internal("persist: item vector of " + std::to_string(n) +
+                              " entries on a shard of " +
+                              std::to_string(num_items) + " items");
     }
+    out->resize(n);
+    for (double& x : *out) x = r.F64();
+    return Status::OK();
+  }
+  if (form != kSparseItemVec) {
+    return Status::Internal("persist: unknown item vector form " +
+                            std::to_string(form));
+  }
+  const uint32_t length = r.U32();
+  if (r.ok() && length != num_items) {
+    return Status::Internal("persist: item vector of " +
+                            std::to_string(length) + " entries on a shard of " +
+                            std::to_string(num_items) + " items");
+  }
+  const uint32_t nnz = r.Count(kSparseEntryBytes);
+  if (!r.ok()) return Status::Internal("persist: truncated item vector");
+  out->assign(num_items, 0.0);
+  uint32_t next = 0;  // smallest index the next entry may carry
+  for (uint32_t k = 0; k < nnz; ++k) {
+    const uint32_t index = r.U32();
+    if (index < next || index >= num_items) {
+      return Status::Internal(
+          "persist: sparse item index out of order or range");
+    }
+    (*out)[index] = r.F64();
+    next = index + 1;
   }
   return Status::OK();
 }
-
-}  // namespace
 
 ShardState ShardState::Clone() const {
   ShardState out;
@@ -190,7 +233,8 @@ Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state) {
   std::vector<uint8_t> valuations;
   {
     WireWriter w(&valuations);
-    PutF64Vec(w, state.valuations);
+    w.U32(static_cast<uint32_t>(state.valuations.size()));
+    for (double v : state.valuations) w.F64(v);
   }
   AppendSection(kValuationsSection, valuations, &out);
 
@@ -201,7 +245,7 @@ Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state) {
     for (const core::RepriceState::LpipCandidate& candidate :
          state.reprice.lpip) {
       w.F64(candidate.threshold);
-      PutF64Vec(w, candidate.item_weights);
+      PutItemVec(w, candidate.item_weights);
     }
     w.U32(static_cast<uint32_t>(state.reprice.generation));
     PutStats(w, state.reprice.last);
@@ -237,12 +281,27 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
     Section section;
     QP_RETURN_IF_ERROR(sections.Next(&section));
     WireReader r(section.payload, section.size);
+    // Item vectors are checked against the meta section's num_items,
+    // which the writer puts first.
+    if ((section.tag == kRepriceSection || section.tag == kBookSection) &&
+        !saw_meta) {
+      return Status::Internal("persist: shard section " +
+                              std::to_string(section.tag) +
+                              " before the meta section");
+    }
     switch (section.tag) {
       case kMetaSection: {
+        // One num_items for every item vector in the file.
+        if (saw_meta) return Status::Internal("persist: second meta section");
         state.version = r.U64();
         state.total_lps_solved = static_cast<int>(r.U32());
         state.num_items = r.U32();
         r.U32();  // num_edges; implied by the edges section
+        if (state.num_items > kMaxShardItems) {
+          return Status::Internal("persist: shard of " +
+                                  std::to_string(state.num_items) +
+                                  " items exceeds the format's limit");
+        }
         saw_meta = true;
         break;
       }
@@ -256,18 +315,18 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
         break;
       }
       case kValuationsSection: {
-        state.valuations = GetF64Vec(r);
+        r.F64VecInto(&state.valuations);
         saw_valuations = true;
         break;
       }
       case kRepriceSection: {
         uint32_t num_candidates = r.Count(kMinCandidateBytes);
-        state.reprice.lpip.reserve(num_candidates);
-        for (uint32_t i = 0; i < num_candidates && r.ok(); ++i) {
-          core::RepriceState::LpipCandidate candidate;
+        state.reprice.lpip.resize(num_candidates);
+        for (core::RepriceState::LpipCandidate& candidate :
+             state.reprice.lpip) {
           candidate.threshold = r.F64();
-          candidate.item_weights = GetF64Vec(r);
-          state.reprice.lpip.push_back(std::move(candidate));
+          QP_RETURN_IF_ERROR(
+              GetItemVec(r, state.num_items, &candidate.item_weights));
         }
         state.reprice.generation = static_cast<int>(r.U32());
         state.reprice.last = GetStats(r);
@@ -280,7 +339,11 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
         for (uint32_t i = 0; i < n && r.ok(); ++i) {
           core::PricingResult result;
           result.algorithm = r.String();
-          QP_ASSIGN_OR_RETURN(result.pricing, GetPricing(r));
+          QP_ASSIGN_OR_RETURN(result.pricing, GetPricing(r, state.num_items));
+          // Quotes dereference every book pricing.
+          if (result.pricing == nullptr) {
+            return Status::Internal("persist: book result without a pricing");
+          }
           result.revenue = r.F64();
           result.seconds = r.F64();
           result.lps_solved = static_cast<int>(r.U32());
@@ -306,21 +369,9 @@ Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
   if (state.valuations.size() != state.edges.size()) {
     return Status::Internal("persist: shard valuation/edge count mismatch");
   }
-  // Shapes a restored engine could not serve: a book needs a result to
-  // serve, and quotes (book pricings) and the next append (retained LPIP
-  // candidates) index every per-item vector by local item id.
+  // A restored book needs a result to serve.
   if (state.results.empty()) {
     return Status::Internal("persist: shard book has no results");
-  }
-  for (const core::PricingResult& result : state.results) {
-    QP_RETURN_IF_ERROR(CheckServable(result.pricing.get(), state.num_items));
-  }
-  for (const core::RepriceState::LpipCandidate& candidate :
-       state.reprice.lpip) {
-    if (candidate.item_weights.size() < state.num_items) {
-      return Status::Internal(
-          "persist: LPIP candidate weights shorter than the shard");
-    }
   }
   if (file_crc != nullptr) *file_crc = sections.file_crc();
   return state;

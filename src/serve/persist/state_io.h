@@ -6,12 +6,27 @@
 // (retained LPIP candidates, reprice generation and last stats), the
 // generation counter + cumulative LP count, and the published book's
 // PricingResults. Item classes and the valuation order are not stored:
-// the next append recomputes them from the edges. Restoring it into a fresh engine
-// (PricingEngine::RestoreState) reproduces the pre-checkpoint engine
-// bit for bit: subsequent appends reprice through exactly the state a
-// never-crashed engine would hold, so replayed books match the pre-crash
-// ones in versions, revenues and LP counts — the replay-parity contract
-// tests/serve/persist_test.cc pins.
+// the next append recomputes them from the edges. Restoring it into a
+// fresh engine (PricingEngine::RestoreState) reproduces the
+// pre-checkpoint engine bit for bit: subsequent appends reprice through
+// exactly the state a never-crashed engine would hold, so replayed books
+// match the pre-crash ones in versions, revenues and LP counts — the
+// replay-parity contract tests/serve/persist_test.cc pins.
+//
+// Item-indexed f64 vectors — ItemPricing weights, XOS components and the
+// retained LPIP candidates' weights — are written in one of two forms
+// (format version 3), picked by one fixed rule on the contents:
+//
+//   dense:  [u8 0] [u32 length] [length x f64]
+//   sparse: [u8 1] [u32 length] [u32 nnz] [nnz x (u32 index, f64 value)]
+//
+// The sparse form lists, in strictly ascending index order, the entries
+// whose bits are nonzero (so -0.0 and NaN payloads survive), and it is
+// chosen exactly when it is the shorter of the two. LP weights are
+// mostly zero (every class whose row is slack gets weight 0), so most
+// vectors take it. The decoder requires every length to equal the meta
+// section's num_items (capped at 2^20), and sparse indices to be
+// strictly ascending and below it; it fills one zero-initialised vector.
 //
 // The manifest is a checkpoint's commit record: written last (atomic
 // rename), it carries the sequence number, the per-shard version vector
@@ -62,14 +77,16 @@ struct ShardState {
 };
 
 /// Fails (Unimplemented) on a PricingFunction subclass the format does
-/// not know — never silently drops a pricing.
+/// not know — never silently drops a pricing. Deterministic: equal states
+/// give equal bytes.
 Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state);
 /// Refuses (Internal) CRC-valid bytes whose shape a restored engine could
-/// not serve: an empty book, a book result without a pricing, and item
-/// weights, XOS components or retained LPIP candidate weights shorter
-/// than `num_items`. On success, stores the Crc32 of all of `data` in
-/// `*file_crc` when it is non-null — folded from the section checks, so the bytes are not
-/// read a second time to compare against Manifest::shard_file_crcs.
+/// not serve: an empty book, a book result without a pricing, and an item
+/// vector (item weights, XOS component or retained LPIP candidate
+/// weights) whose length is not `num_items`. On success, stores the Crc32
+/// of all of `data` in `*file_crc` when it is non-null — folded from the
+/// section checks, so the bytes are not read a second time to compare
+/// against Manifest::shard_file_crcs.
 Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
                                          uint32_t* file_crc = nullptr);
 
@@ -101,6 +118,20 @@ Result<Manifest> DeserializeManifest(const std::vector<uint8_t>& data);
 /// Stable fingerprint of (num_items, shard_of_item) — the part of the
 /// partition that determines routing and local item ids.
 uint64_t PartitionFingerprint(const market::SupportPartition& partition);
+
+/// Item-vector form tags (see the file comment).
+inline constexpr uint8_t kDenseItemVec = 0;
+inline constexpr uint8_t kSparseItemVec = 1;
+
+/// Writes `v` as one item vector, in the shorter of the two forms.
+void PutItemVec(rpc::WireWriter& w, const std::vector<double>& v);
+/// Reads one item vector into `*out` (resized to `num_items`). Internal
+/// on an unknown form, a length other than `num_items`, a sparse index
+/// that is not strictly ascending or not below `num_items`, and an entry
+/// count past the bytes left. Neither the length nor the entry count
+/// sizes anything before it is checked.
+Status GetItemVec(rpc::WireReader& r, uint32_t num_items,
+                  std::vector<double>* out);
 
 /// CellDelta wire encoding, shared by the manifest and journal records.
 void PutCellDelta(rpc::WireWriter& w, const market::CellDelta& delta);

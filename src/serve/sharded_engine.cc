@@ -291,6 +291,12 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
                                                double valuation) {
   PurchaseOutcome outcome;
   outcome.valuation = valuation;
+  // Sampled before the probe pins a catalog generation: RestoreFromCheckpoint
+  // commits the recovered seller deltas before the first shard turns
+  // ready, so once any shard is ready (acquire) the probe sees them. While
+  // every shard is cold, the catalog may still lack them.
+  const bool catalog_recovered =
+      cold_shards_.load(std::memory_order_acquire) < num_shards();
   // Reader side end to end: the global probe reads the const database
   // through overlays (prepared state shared via the router's cache), the
   // quote pins one view, and the sale lands in atomic counters.
@@ -305,6 +311,12 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
   while (behind > prev_max && !staleness_max_.compare_exchange_weak(
                                   prev_max, behind,
                                   std::memory_order_relaxed)) {
+  }
+  if (!catalog_recovered) {
+    unavailable_.fetch_add(1, std::memory_order_relaxed);
+    outcome.status =
+        Status::Unavailable("seller deltas are being recovered after restore");
+    return outcome;
   }
   QuoteBatchScratch priced;
   PriceInto({&outcome.bundle, 1}, /*gated=*/true, &priced);
@@ -324,28 +336,40 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
 
 Status ShardedPricingEngine::ApplySellerDelta(db::Database& db,
                                               const market::CellDelta& delta) {
+  return ApplySellerDeltas(db, {&delta, 1});
+}
+
+Status ShardedPricingEngine::ApplySellerDeltas(
+    db::Database& db, std::span<const market::CellDelta> deltas) {
   if (&db != db_) {
     return Status::InvalidArgument(
         "ApplySellerDelta: database is not this engine's database");
   }
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  // Write-ahead, like appends: the delta is durable before the commit so
-  // a crash between log and commit re-applies it on recovery (idempotent
-  // — deltas set absolute cell values).
+  // Write-ahead, like appends: the deltas are durable before the commit
+  // so a crash between log and commit re-applies them on recovery
+  // (idempotent — deltas set absolute cell values).
   if (log_ != nullptr) {
-    QP_RETURN_IF_ERROR(log_->LogSellerDelta(delta));
+    for (const market::CellDelta& delta : deltas) {
+      QP_RETURN_IF_ERROR(log_->LogSellerDelta(delta));
+    }
   }
   // Invalidate the cache BEFORE the single catalog commit, keyed to the
   // generation it will publish: a probe pinned on the pre-commit
   // head may keep (or even re-insert) pre-edit prepared state — correct
   // for its generation — while any probe that pins the new head rebuilds.
-  // Selective: only prepared entries whose SensitiveColumns contain the
+  // Selective: only prepared entries whose SensitiveColumns contain an
   // edited cell can have baked its old value into their probing state.
   // The head read is unguarded but safe: this mutex serializes every
   // commit and fold, so the head cannot be retired under the writer.
-  const uint64_t next_generation = catalog_.head()->number + 1;
-  prober_.InvalidateCell(delta, next_generation);
-  catalog_.Commit(db, delta.table, delta.row, delta.column, delta.new_value);
+  const uint64_t next_generation = catalog_.head()->number + deltas.size();
+  std::vector<db::DeltaOverlay::Entry> cells;
+  cells.reserve(deltas.size());
+  for (const market::CellDelta& delta : deltas) {
+    prober_.InvalidateCell(delta, next_generation);
+    cells.push_back({delta.table, delta.row, delta.column, delta.new_value});
+  }
+  catalog_.Commit(db, cells);
   return Status::OK();
 }
 

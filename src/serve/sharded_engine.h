@@ -277,7 +277,9 @@ class ShardedPricingEngine {
   /// probes through the router's prepared-query cache), additive quote,
   /// atomic sale accounting. The outcome's bundle holds GLOBAL item ids:
   /// the query's conflict set against the whole support, for any shard
-  /// count.
+  /// count. During a restore it answers Unavailable when its probe began
+  /// while every shard was cold (the catalog may lack the recovered
+  /// seller deltas) or when the bundle touches a cold shard.
   PurchaseOutcome Purchase(const db::BoundQuery& query, double valuation);
 
   /// Seller edit: logs the delta (write-ahead), selectively invalidates
@@ -309,13 +311,19 @@ class ShardedPricingEngine {
   void SetWriterLog(WriterLog* log);
 
   /// Restores this engine (fresh: no appends since construction) from a
-  /// recovered checkpoint + journal, shard by shard: each shard serves
-  /// quotes again (TryQuoteBatchInto/Purchase) the moment its checkpoint
-  /// state lands, while the remaining shards answer Unavailable. Journal
-  /// replay then reapplies post-checkpoint ops in op order; replayed
-  /// books are bit-identical to the pre-crash ones (versions, revenues,
-  /// LP counts). `mutable_db` must be the engine's own database and is
-  /// only required when the recovered state carries seller deltas.
+  /// recovered checkpoint + journal, in three steps:
+  ///  1. the checkpoint's seller-delta history commits to the catalog as
+  ///     one generation (ApplySellerDeltas), while every shard is cold;
+  ///  2. the shards restore one by one: each serves quotes again
+  ///     (TryQuoteBatchInto/Purchase) the moment its checkpoint state
+  ///     lands, while the remaining shards answer Unavailable;
+  ///  3. journal replay reapplies post-checkpoint ops in op order.
+  /// So no served quote or purchase sees a catalog without the recovered
+  /// deltas, and replayed books are bit-identical to the pre-crash ones
+  /// (versions, revenues, LP counts, catalog head generation). A non-fresh
+  /// engine is refused before anything lands. `mutable_db` must be the
+  /// engine's own database and is only required when the recovered state
+  /// carries seller deltas.
   /// Consumes the heavy parts of `state` (shard states, append conflict
   /// sets); the metadata CheckpointManager::Attach reads (op ids,
   /// sequence, seller deltas) stays valid, so pass the same state on.
@@ -363,6 +371,13 @@ class ShardedPricingEngine {
   const market::SupportPartition& partition() const { return partition_; }
 
  private:
+  /// ApplySellerDelta for many deltas: logs each (write-ahead, in order),
+  /// invalidates each edited column, and commits them all as ONE catalog
+  /// generation whose number advances by deltas.size(), so
+  /// head_generation() lands where one ApplySellerDelta per delta would.
+  Status ApplySellerDeltas(db::Database& db,
+                           std::span<const market::CellDelta> deltas);
+
   /// Routes global conflict sets to shards and fans the appends out.
   /// Caller holds writer_mutex_.
   Status AppendRouted(std::vector<std::vector<uint32_t>> conflict_sets,

@@ -15,7 +15,10 @@
 //  (e) a reader pinned on an old generation keeps a valid view of it
 //      after later commits (epoch reclamation, not refcounts);
 //  (f) fold_every is clamped to >= 1: a cadence of 0 folds on every
-//      commit instead of never.
+//      commit instead of never;
+//  (g) a batch commit publishes one generation whose number advances by
+//      the batch size, applies the cells in order (a later write to a
+//      cell wins), and folds at most once.
 //
 // Tests that pin overlay reads use a cadence above their commit count,
 // so no fold runs.
@@ -23,6 +26,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -213,6 +218,55 @@ TEST(VersionedDatabaseTest, ZeroCadenceFoldsEveryCommit) {
   EXPECT_EQ(stats.deltas_pending, 0u);
   EXPECT_EQ(stats.deltas_folded, static_cast<uint64_t>(kCommits));
   EXPECT_EQ(catalog.head_generation(), static_cast<uint64_t>(kCommits));
+}
+
+// (g) one generation for the whole batch, numbered as per-cell commits
+// would number it, and at most one fold however far past the cadence.
+TEST(VersionedDatabaseTest, BatchCommitPublishesOneGenerationPerBatch) {
+  auto db = Db();
+  common::EpochManager epochs;
+  VersionedDatabase catalog(db.get(), &epochs, /*fold_every=*/2);
+  const Value a = db->table(kTable).cell(3, kNameCol);
+  const Value b = db->table(kTable).cell(4, kNameCol);
+  const Value c = db->table(kTable).cell(5, kNameCol);
+
+  catalog.Commit(*db, std::span<const DeltaOverlay::Entry>{});
+  EXPECT_EQ(catalog.head_generation(), 0u);
+  EXPECT_EQ(catalog.stats().generations_published, 0u);
+
+  // Cell 0 is written twice: the later value wins.
+  const std::vector<DeltaOverlay::Entry> cells = {{kTable, 0, kNameCol, a},
+                                                  {kTable, 1, kNameCol, b},
+                                                  {kTable, 0, kNameCol, c},
+                                                  {kTable, 2, kNameCol, a}};
+  {
+    // A pinned reader defers the fold, so the batch stays in the overlay.
+    common::EpochManager::Guard guard(epochs);
+    const VersionedDatabase::Generation* before = catalog.head();
+    catalog.Commit(*db, cells);
+    EXPECT_EQ(catalog.head_generation(), 4u);
+    EXPECT_EQ(before->number, 0u);
+    VersionedDatabase::Stats stats = catalog.stats();
+    EXPECT_EQ(stats.generations_published, 1u);
+    EXPECT_EQ(stats.folds, 0u);
+    EXPECT_EQ(stats.fold_retries, 1u);
+    EXPECT_EQ(stats.deltas_pending, 3u);
+  }
+  EXPECT_EQ(catalog.LogicalCell(kTable, 0, kNameCol), c);
+  EXPECT_EQ(catalog.LogicalCell(kTable, 1, kNameCol), b);
+  EXPECT_EQ(catalog.LogicalCell(kTable, 2, kNameCol), a);
+
+  // With no reader pinned, the next batch folds once for all its cells.
+  catalog.Commit(*db, std::span<const DeltaOverlay::Entry>(cells).first(2));
+  VersionedDatabase::Stats stats = catalog.stats();
+  EXPECT_EQ(catalog.head_generation(), 6u);
+  EXPECT_EQ(stats.generations_published, 2u);
+  EXPECT_EQ(stats.folds, 1u);
+  EXPECT_EQ(stats.deltas_folded, 3u);
+  EXPECT_EQ(stats.deltas_pending, 0u);
+  EXPECT_EQ(db->table(kTable).cell(0, kNameCol), a);
+  EXPECT_EQ(db->table(kTable).cell(1, kNameCol), b);
+  EXPECT_EQ(db->table(kTable).cell(2, kNameCol), a);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Durability suite (serve/persist). The contracts pinned here:
 //  (a) the checkpoint/journal format detects corruption: section CRCs,
-//      file-kind tags, torn journal tails — and CRC-valid bytes with
-//      absurd element counts decode to an error Status, never a throw;
+//      file-kind tags and versions, torn journal tails — and CRC-valid
+//      bytes with absurd element counts, item-vector lengths or sparse
+//      indices decode to an error Status, never a throw; item vectors
+//      round-trip bit for bit in either form, and encoding is
+//      deterministic;
 //  (b) crash recovery (checkpoint + write-ahead journal replay into a
 //      fresh engine) reproduces the pre-crash books BIT FOR BIT —
 //      versions, prices, serialized shard state — including seller
@@ -10,11 +13,13 @@
 //      older one, with the longer journal replay closing the gap;
 //  (d) while shards warm after a restore, TryQuoteBatchInto/Purchase
 //      answer Unavailable instead of serving cold prices, also when the
-//      restore races live readers.
+//      restore races live readers, and no served purchase probes a
+//      catalog that lacks the recovered seller deltas.
 #include "serve/persist/checkpoint.h"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -240,6 +245,144 @@ std::vector<uint8_t> HugeEdgeCountShardFile() {
   return OneSectionFile(kShardFileKind, kEdgesTag, payload);
 }
 
+constexpr uint32_t kMetaTag = 1;
+
+/// A meta section payload declaring `num_items` items and no edges.
+std::vector<uint8_t> MetaPayload(uint32_t num_items) {
+  std::vector<uint8_t> payload;
+  rpc::WireWriter w(&payload);
+  w.U64(1);  // version
+  w.U32(0);  // total_lps_solved
+  w.U32(num_items);
+  w.U32(0);  // num_edges
+  return payload;
+}
+
+/// A shard file holding a meta section for `num_items` items, then one
+/// section `tag` with `payload`, both CRC-sealed.
+std::vector<uint8_t> MetaThenSectionFile(uint32_t num_items, uint32_t tag,
+                                         const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> file;
+  AppendFileHeader(kShardFileKind, &file);
+  AppendSection(kMetaTag, MetaPayload(num_items), &file);
+  AppendSection(tag, payload, &file);
+  return file;
+}
+
+/// Bit-for-bit vector equality (NaN payloads and -0.0 included).
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Item vectors that exercise both forms and every special bit pattern.
+std::vector<std::vector<double>> ItemVectorCorpus(uint32_t n) {
+  const double neg_zero = -0.0;
+  const double quiet_nan = std::bit_cast<double>(0x7FF8000000C0FFEEull);
+  const double signal_nan = std::bit_cast<double>(0xFFF0000000000001ull);
+  const double denormal = std::bit_cast<double>(0x0000000000000001ull);
+  const double max_denormal = std::bit_cast<double>(0x000FFFFFFFFFFFFFull);
+  std::vector<std::vector<double>> corpus;
+  corpus.emplace_back(n, 0.0);  // all zero
+  std::vector<double> full(n);
+  for (uint32_t i = 0; i < n; ++i) full[i] = 1.5 + i;
+  corpus.push_back(full);  // all nonzero
+  std::vector<double> last(n, 0.0);
+  last[n - 1] = 7.25;
+  corpus.push_back(last);  // one nonzero, at num_items - 1
+  std::vector<double> special(n, 0.0);
+  special[0] = neg_zero;
+  special[1] = quiet_nan;
+  special[2] = signal_nan;
+  special[3] = denormal;
+  special[n - 1] = max_denormal;
+  corpus.push_back(special);  // sparse, special bits
+  std::vector<double> dense_special = full;
+  dense_special[0] = neg_zero;
+  dense_special[1] = quiet_nan;
+  dense_special[2] = signal_nan;
+  dense_special[3] = denormal;
+  dense_special[4] = 0.0;
+  corpus.push_back(dense_special);  // dense, special bits
+  std::vector<double> all_neg_zero(n, neg_zero);
+  corpus.push_back(all_neg_zero);  // -0.0 is nonzero bits: dense
+  return corpus;
+}
+
+/// The bytes of one item vector: `form`, `length`, then `body`.
+std::vector<uint8_t> ItemVecBytes(uint8_t form, uint32_t length,
+                                  const std::vector<uint8_t>& body = {}) {
+  std::vector<uint8_t> out;
+  rpc::WireWriter w(&out);
+  w.U8(form);
+  w.U32(length);
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+/// `RepriceStats` as PutStats writes them (all zero).
+void PutZeroStats(rpc::WireWriter& w) {
+  for (int i = 0; i < 5; ++i) w.U32(0);
+  w.F64(0.0);
+}
+
+/// A reprice section payload whose one LPIP candidate has `weights`.
+std::vector<uint8_t> RepriceWith(const std::vector<uint8_t>& weights) {
+  std::vector<uint8_t> out;
+  rpc::WireWriter w(&out);
+  w.U32(1);
+  w.F64(0.5);
+  out.insert(out.end(), weights.begin(), weights.end());
+  w.U32(0);  // generation
+  PutZeroStats(w);
+  return out;
+}
+
+// Pricing tags (state_io.cc).
+constexpr uint8_t kUniformBundleTag = 1;
+constexpr uint8_t kItemPricingTag = 2;
+constexpr uint8_t kXosPricingTag = 3;
+
+/// A book section payload with one result: an item pricing whose
+/// weights are `vec`, an XOS pricing whose one component is `vec`, or
+/// (empty `vec`) a uniform bundle price.
+std::vector<uint8_t> BookWith(uint8_t pricing_tag,
+                              const std::vector<uint8_t>& vec = {}) {
+  std::vector<uint8_t> out;
+  rpc::WireWriter w(&out);
+  w.U32(1);
+  w.String("a");
+  w.U8(pricing_tag);
+  if (pricing_tag == kUniformBundleTag) w.F64(3.0);
+  if (pricing_tag == kXosPricingTag) w.U32(1);
+  out.insert(out.end(), vec.begin(), vec.end());
+  w.F64(1.0);  // revenue
+  w.F64(0.0);  // seconds
+  w.U32(0);    // lps_solved
+  PutZeroStats(w);
+  return out;
+}
+
+/// A complete shard file for a `num_items`-item shard with no edges,
+/// carrying the given reprice and book section payloads.
+std::vector<uint8_t> ShardFile(uint32_t num_items,
+                               const std::vector<uint8_t>& reprice,
+                               const std::vector<uint8_t>& book) {
+  std::vector<uint8_t> file;
+  AppendFileHeader(kShardFileKind, &file);
+  AppendSection(kMetaTag, MetaPayload(num_items), &file);
+  AppendSection(kEdgesTag, {0, 0, 0, 0}, &file);
+  AppendSection(kValuationsTag, {0, 0, 0, 0}, &file);
+  AppendSection(kRepriceTag, reprice, &file);
+  AppendSection(kBookTag, book, &file);
+  return file;
+}
+
 /// Overwrites shard `s` of checkpoint directory `ckdir` with `bytes` and
 /// re-seals its MANIFEST's whole-file CRC over them, so only the shard
 /// decoder can reject the checkpoint.
@@ -311,6 +454,147 @@ TEST(PersistFormatTest, Crc32CombineMatchesConcatenation) {
             Crc32(big));
 }
 
+TEST(PersistFormatTest, ItemVectorsRoundTripBitForBitInEitherForm) {
+  const uint32_t n = 40;
+  // Sparse exactly when it is the shorter form.
+  const std::vector<uint8_t> forms = {kSparseItemVec, kDenseItemVec,
+                                      kSparseItemVec, kSparseItemVec,
+                                      kDenseItemVec,  kDenseItemVec};
+  const std::vector<std::vector<double>> corpus = ItemVectorCorpus(n);
+  ASSERT_EQ(corpus.size(), forms.size());
+  for (size_t c = 0; c < corpus.size(); ++c) {
+    std::vector<uint8_t> bytes;
+    rpc::WireWriter w(&bytes);
+    PutItemVec(w, corpus[c]);
+    const size_t nnz = static_cast<size_t>(
+        std::count_if(corpus[c].begin(), corpus[c].end(), [](double x) {
+          return std::bit_cast<uint64_t>(x) != 0;
+        }));
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes[0], forms[c]) << "vector " << c;
+    EXPECT_EQ(bytes.size(),
+              forms[c] == kSparseItemVec ? 9 + 12 * nnz : 5 + 8 * size_t{n})
+        << "vector " << c;
+    rpc::WireReader r(bytes.data(), bytes.size());
+    std::vector<double> back;
+    QP_CHECK_OK(GetItemVec(r, n, &back));
+    EXPECT_TRUE(r.AtEnd()) << "vector " << c;
+    EXPECT_TRUE(SameBits(back, corpus[c])) << "vector " << c;
+  }
+  // Every (length, nnz) up to the break-even sizes: the rule picks the
+  // shorter form (dense on a tie), and both forms round-trip.
+  for (uint32_t length = 0; length <= 8; ++length) {
+    for (uint32_t nnz = 0; nnz <= length; ++nnz) {
+      std::vector<double> v(length, 0.0);
+      for (uint32_t k = 0; k < nnz; ++k) v[length - 1 - k] = 2.0 + k;
+      std::vector<uint8_t> bytes;
+      rpc::WireWriter w(&bytes);
+      PutItemVec(w, v);
+      const size_t dense = 5 + 8 * size_t{length};
+      const size_t sparse = 9 + 12 * size_t{nnz};
+      EXPECT_EQ(bytes.size(), std::min(dense, sparse))
+          << "length " << length << " nnz " << nnz;
+      EXPECT_EQ(bytes[0], sparse < dense ? kSparseItemVec : kDenseItemVec);
+      rpc::WireReader r(bytes.data(), bytes.size());
+      std::vector<double> back;
+      QP_CHECK_OK(GetItemVec(r, length, &back));
+      EXPECT_TRUE(r.AtEnd());
+      EXPECT_TRUE(SameBits(back, v)) << "length " << length << " nnz " << nnz;
+    }
+  }
+}
+
+TEST(PersistFormatTest, ShardStateBytesRoundTripAndAreDeterministic) {
+  // Every item-vector field of a shard file, each carrying the corpus.
+  const uint32_t n = 40;
+  const std::vector<std::vector<double>> corpus = ItemVectorCorpus(n);
+  ShardState state;
+  state.version = 3;
+  state.total_lps_solved = 5;
+  state.num_items = n;
+  state.edges = {{0, 1}, {n - 1}};
+  state.valuations = {2.0, 3.0};
+  for (size_t c = 0; c < corpus.size(); ++c) {
+    state.reprice.lpip.push_back({0.5 + static_cast<double>(c), corpus[c]});
+    core::PricingResult item;
+    item.algorithm = "item" + std::to_string(c);
+    item.pricing = std::make_unique<core::ItemPricing>(corpus[c]);
+    state.results.push_back(std::move(item));
+  }
+  core::PricingResult xos;
+  xos.algorithm = "xos";
+  xos.pricing = std::make_unique<core::XosPricing>(corpus);
+  state.results.push_back(std::move(xos));
+  state.reprice.generation = 2;
+
+  auto bytes = SerializeShardState(state);
+  QP_CHECK_OK(bytes.status());
+  auto again = SerializeShardState(state.Clone());
+  QP_CHECK_OK(again.status());
+  EXPECT_EQ(*bytes, *again);
+  auto back = DeserializeShardState(*bytes);
+  QP_CHECK_OK(back.status());
+  ASSERT_EQ(back->reprice.lpip.size(), corpus.size());
+  ASSERT_EQ(back->results.size(), corpus.size() + 1);
+  for (size_t c = 0; c < corpus.size(); ++c) {
+    EXPECT_TRUE(SameBits(back->reprice.lpip[c].item_weights, corpus[c]))
+        << "candidate " << c;
+    const auto& item =
+        dynamic_cast<const core::ItemPricing&>(*back->results[c].pricing);
+    EXPECT_TRUE(SameBits(item.weights(), corpus[c])) << "pricing " << c;
+    const auto& decoded_xos =
+        dynamic_cast<const core::XosPricing&>(*back->results.back().pricing);
+    EXPECT_TRUE(SameBits(decoded_xos.components()[c], corpus[c]))
+        << "component " << c;
+  }
+  auto reencoded = SerializeShardState(*back);
+  QP_CHECK_OK(reencoded.status());
+  EXPECT_EQ(*reencoded, *bytes);
+
+  // A real engine's shards: equal bytes on every encode and after a
+  // decode.
+  World w;
+  w.Append(0, AllBuyers().size());
+  for (int s = 0; s < w.engine->num_shards(); ++s) {
+    auto first = SerializeShardState(w.engine->shard(s).CaptureState());
+    auto second = SerializeShardState(w.engine->shard(s).CaptureState());
+    QP_CHECK_OK(first.status());
+    QP_CHECK_OK(second.status());
+    EXPECT_EQ(*first, *second) << "shard " << s;
+    auto decoded = DeserializeShardState(*first);
+    QP_CHECK_OK(decoded.status());
+    EXPECT_EQ(*SerializeShardState(*decoded), *first) << "shard " << s;
+  }
+}
+
+TEST(PersistFormatTest, OtherFormatVersionsAreRefused) {
+  World w;
+  w.Append(0, 3);
+  auto shard = SerializeShardState(w.engine->shard(0).CaptureState());
+  QP_CHECK_OK(shard.status());
+  QP_CHECK_OK(DeserializeShardState(*shard).status());
+  Manifest manifest;
+  manifest.num_shards = 1;
+  manifest.shard_versions = {1};
+  manifest.shard_file_crcs = {Crc32(*shard)};
+  std::vector<uint8_t> manifest_bytes = SerializeManifest(manifest);
+  QP_CHECK_OK(DeserializeManifest(manifest_bytes).status());
+  // The format version is the u32 at bytes 12..15 of every persist file.
+  for (uint32_t version : {1u, 2u, kFormatVersion + 1}) {
+    for (std::vector<uint8_t>* file : {&*shard, &manifest_bytes}) {
+      std::vector<uint8_t> le;
+      rpc::WireWriter(&le).U32(version);
+      std::copy(le.begin(), le.end(), file->begin() + 12);
+    }
+    EXPECT_EQ(DeserializeShardState(*shard).status().code(),
+              StatusCode::kInternal)
+        << "version " << version;
+    EXPECT_EQ(DeserializeManifest(manifest_bytes).status().code(),
+              StatusCode::kInternal)
+        << "version " << version;
+  }
+}
+
 TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
   // CRC-valid payloads whose element count (2^32 - 1) exceeds the bytes
   // behind it, one per counted field of a shard file.
@@ -327,33 +611,140 @@ TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
     w.U32(kHugeCount);
   });
   add(kBookTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
-  add(kBookTag, [](rpc::WireWriter& w) {  // item-pricing weights
-    w.U32(1);
-    w.String("");
-    w.U8(2);
-    w.U32(kHugeCount);
-  });
   add(kBookTag, [](rpc::WireWriter& w) {  // XOS components
     w.U32(1);
     w.String("");
-    w.U8(3);
-    w.U32(kHugeCount);
-  });
-  add(kBookTag, [](rpc::WireWriter& w) {  // one XOS component's weights
-    w.U32(1);
-    w.String("");
-    w.U8(3);
-    w.U32(1);
+    w.U8(kXosPricingTag);
     w.U32(kHugeCount);
   });
   for (size_t i = 0; i < shard_sections.size(); ++i) {
     const auto& [tag, payload] = shard_sections[i];
-    EXPECT_EQ(DeserializeShardState(
-                  OneSectionFile(kShardFileKind, tag, payload))
+    EXPECT_EQ(DeserializeShardState(MetaThenSectionFile(4, tag, payload))
                   .status()
                   .code(),
               StatusCode::kInternal)
         << "case " << i;
+  }
+
+  // Item vectors on a 4-item shard. The length must equal num_items and
+  // a sparse entry count must fit the bytes left; both are checked before
+  // they size anything. Sparse indices must ascend strictly below 4.
+  constexpr uint32_t kItems = 4;
+  auto f64s = [](std::initializer_list<double> xs) {
+    std::vector<uint8_t> out;
+    rpc::WireWriter w(&out);
+    for (double x : xs) w.F64(x);
+    return out;
+  };
+  auto entries = [](uint32_t nnz,
+                    std::initializer_list<std::pair<uint32_t, double>> es) {
+    std::vector<uint8_t> out;
+    rpc::WireWriter w(&out);
+    w.U32(nnz);
+    for (const auto& [index, value] : es) {
+      w.U32(index);
+      w.F64(value);
+    }
+    return out;
+  };
+  struct BadVector {
+    const char* what;
+    std::vector<uint8_t> bytes;
+    bool sizes_nothing;  // fails before the output vector is sized
+  };
+  const std::vector<BadVector> bad_vectors = {
+      {"dense, length 5",
+       ItemVecBytes(kDenseItemVec, 5, f64s({1, 2, 3, 4, 5})), true},
+      {"dense, length 3", ItemVecBytes(kDenseItemVec, 3, f64s({1, 2, 3})),
+       true},
+      {"dense, huge length", ItemVecBytes(kDenseItemVec, kHugeCount), true},
+      {"sparse, length 5", ItemVecBytes(kSparseItemVec, 5, entries(0, {})),
+       true},
+      {"sparse, length 0", ItemVecBytes(kSparseItemVec, 0, entries(0, {})),
+       true},
+      {"sparse, huge length",
+       ItemVecBytes(kSparseItemVec, kHugeCount, entries(0, {})), true},
+      {"sparse, huge nnz",
+       ItemVecBytes(kSparseItemVec, kItems, entries(kHugeCount, {})), true},
+      {"sparse, nnz one past the body",
+       ItemVecBytes(kSparseItemVec, kItems, entries(2, {{0, 1.0}})), true},
+      {"sparse, index out of range",
+       ItemVecBytes(kSparseItemVec, kItems, entries(1, {{kItems, 1.0}})),
+       false},
+      {"sparse, huge index",
+       ItemVecBytes(kSparseItemVec, kItems, entries(1, {{kHugeCount, 1.0}})),
+       false},
+      {"sparse, descending indices",
+       ItemVecBytes(kSparseItemVec, kItems,
+                    entries(2, {{2, 1.0}, {1, 1.0}})),
+       false},
+      {"sparse, duplicate index",
+       ItemVecBytes(kSparseItemVec, kItems,
+                    entries(2, {{1, 1.0}, {1, 2.0}})),
+       false},
+      {"unknown form", ItemVecBytes(2, kItems, f64s({1, 2, 3, 4})), true},
+  };
+  // The same placements hold a valid vector without complaint.
+  const std::vector<uint8_t> good = ItemVecBytes(
+      kSparseItemVec, kItems, entries(2, {{0, -0.0}, {kItems - 1, 1.0}}));
+  const std::vector<uint8_t> ubp = BookWith(kUniformBundleTag);
+  QP_CHECK_OK(DeserializeShardState(ShardFile(kItems, RepriceWith(good),
+                                              BookWith(kItemPricingTag, good)))
+                  .status());
+  QP_CHECK_OK(
+      DeserializeShardState(ShardFile(kItems, RepriceWith(good),
+                                      BookWith(kXosPricingTag, good)))
+          .status());
+  for (const BadVector& bad : bad_vectors) {
+    rpc::WireReader r(bad.bytes.data(), bad.bytes.size());
+    std::vector<double> out;
+    EXPECT_EQ(GetItemVec(r, kItems, &out).code(), StatusCode::kInternal)
+        << bad.what;
+    if (bad.sizes_nothing) {
+      EXPECT_EQ(out.capacity(), 0u) << bad.what;
+    }
+    const std::vector<std::vector<uint8_t>> files = {
+        ShardFile(kItems, RepriceWith(bad.bytes), ubp),
+        ShardFile(kItems, RepriceWith(good),
+                  BookWith(kItemPricingTag, bad.bytes)),
+        ShardFile(kItems, RepriceWith(good),
+                  BookWith(kXosPricingTag, bad.bytes))};
+    for (size_t f = 0; f < files.size(); ++f) {
+      EXPECT_EQ(DeserializeShardState(files[f]).status().code(),
+                StatusCode::kInternal)
+          << bad.what << ", placement " << f;
+    }
+  }
+  // The meta section's num_items sizes every item vector, so a huge one
+  // is refused, and no item vector may come before it.
+  std::vector<uint8_t> no_candidates;
+  {
+    rpc::WireWriter w(&no_candidates);
+    w.U32(0);  // LPIP candidates
+    w.U32(0);  // generation
+    PutZeroStats(w);
+  }
+  QP_CHECK_OK(
+      DeserializeShardState(ShardFile(kItems, no_candidates, ubp)).status());
+  EXPECT_EQ(DeserializeShardState(ShardFile(kHugeCount, no_candidates, ubp))
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  {
+    std::vector<uint8_t> file;
+    AppendFileHeader(kShardFileKind, &file);
+    AppendSection(kBookTag, BookWith(kItemPricingTag, good), &file);
+    AppendSection(kMetaTag, MetaPayload(kItems), &file);
+    EXPECT_EQ(DeserializeShardState(file).status().code(),
+              StatusCode::kInternal);
+  }
+  // Nor may a second meta section change num_items after them.
+  {
+    std::vector<uint8_t> file =
+        ShardFile(kItems, RepriceWith(good), BookWith(kItemPricingTag, good));
+    AppendSection(kMetaTag, MetaPayload(kItems + 1), &file);
+    EXPECT_EQ(DeserializeShardState(file).status().code(),
+              StatusCode::kInternal);
   }
 
   std::vector<uint8_t> manifest;
@@ -406,6 +797,22 @@ TEST(PersistFormatTest, RandomSealedPayloadsNeverThrow) {
       std::vector<uint8_t> file =
           OneSectionFile(kShardFileKind, tag, random_payload(64));
       EXPECT_NO_THROW((void)DeserializeShardState(file)) << "tag " << tag;
+      // Behind a meta section, so item vectors are decoded.
+      file = MetaThenSectionFile(3, tag, random_payload(64));
+      EXPECT_NO_THROW((void)DeserializeShardState(file)) << "tag " << tag;
+    }
+    // Item vectors whose form and length are right, so the random bytes
+    // reach the dense and sparse entry loops.
+    for (uint8_t form : {kDenseItemVec, kSparseItemVec}) {
+      const std::vector<uint8_t> vec =
+          ItemVecBytes(form, 3, random_payload(48));
+      for (const std::vector<uint8_t>& file :
+           {ShardFile(3, RepriceWith(vec), BookWith(kUniformBundleTag)),
+            ShardFile(3, RepriceWith(vec), BookWith(kItemPricingTag, vec)),
+            ShardFile(3, RepriceWith(vec), BookWith(kXosPricingTag, vec))}) {
+        EXPECT_NO_THROW((void)DeserializeShardState(file))
+            << "form " << int{form};
+      }
     }
     std::vector<uint8_t> manifest =
         OneSectionFile(kManifestFileKind, 1, random_payload(64));
@@ -714,9 +1121,16 @@ TEST(PersistRecoveryTest, RestoreRefusesNonFreshEngineAndWrongPartition) {
   auto recovered = Recover(dir);
   QP_CHECK_OK(recovered.status());
 
-  // Not fresh: an engine that already appended refuses the restore.
+  // Not fresh: an engine that already appended refuses the restore,
+  // before the recovered seller deltas reach its catalog.
   World dirty;
   dirty.Append(0, 1);
+  recovered->seller_deltas.push_back(dirty.support[0]);
+  EXPECT_EQ(dirty.engine->RestoreFromCheckpoint(*recovered, dirty.db.get())
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dirty.engine->catalog().head_generation(), 0u);
+  recovered->seller_deltas.pop_back();
   EXPECT_EQ(dirty.engine->RestoreFromCheckpoint(*recovered, dirty.db.get())
                 .code(),
             StatusCode::kFailedPrecondition);
@@ -1096,6 +1510,100 @@ TEST(PersistRecoveryTest, RestoreRacingReadersNeverServesPreRestoreBooks) {
   // The gate let bundles through while a shard was still cold (those
   // avoiding it), so the check above ran on the interleavings it targets.
   EXPECT_GT(served_while_cold, 0u);
+}
+
+// The checkpoint's seller deltas land as one catalog commit before the
+// first shard turns ready, and Purchase samples readiness before it
+// probes, so a purchase racing the restore is either refused or probes a
+// catalog that holds every recovered delta. The deltas here change
+// buyers' conflict sets: every served purchase's bundle must equal the
+// source engine's conflict set for its query.
+TEST(PersistRecoveryTest, RestoreRacingPurchasesProbeRecoveredSellerDeltas) {
+  World source;
+  // A long history, as a manifest that keeps every delta ever applied
+  // carries, then an edit that moves max(Population).
+  std::vector<market::CellDelta> deltas;
+  for (size_t k = 0; k < 240; ++k) deltas.push_back(source.support[k % 24]);
+  deltas.push_back({0, 1, 3, db::Value::Int(500000000)});
+  for (const market::CellDelta& delta : deltas) {
+    QP_CHECK_OK(source.engine->ApplySellerDelta(*source.db, delta));
+  }
+  source.Append(0, AllBuyers().size());
+
+  auto parse_all = [](const db::Database& db) {
+    std::vector<db::BoundQuery> queries;
+    for (const Buyer& buyer : AllBuyers()) {
+      auto query = db::ParseQuery(buyer.sql, db);
+      QP_CHECK_OK(query.status());
+      queries.push_back(*query);
+    }
+    return queries;
+  };
+  World pristine;  // the same market without the deltas
+  const std::vector<db::BoundQuery> source_queries = parse_all(*source.db);
+  const std::vector<db::BoundQuery> pristine_queries =
+      parse_all(*pristine.db);
+  std::vector<std::vector<uint32_t>> expected;
+  size_t changed = 0;
+  for (size_t q = 0; q < source_queries.size(); ++q) {
+    expected.push_back(source.engine->Purchase(source_queries[q], 1e9).bundle);
+    if (pristine.engine->Purchase(pristine_queries[q], 1e9).bundle !=
+        expected.back()) {
+      ++changed;
+    }
+  }
+  ASSERT_GT(changed, 0u) << "the deltas change no buyer's conflict set";
+
+  const int num_shards = source.engine->num_shards();
+  uint64_t served = 0;
+  for (int round = 0; round < 12; ++round) {
+    World target;
+    const std::vector<db::BoundQuery> queries = parse_all(*target.db);
+    RecoveredState state;
+    state.checkpoint_seq = 0;
+    state.partition_fingerprint =
+        PartitionFingerprint(target.engine->partition());
+    for (int s = 0; s < num_shards; ++s) {
+      state.shards.push_back(source.engine->shard(s).CaptureState());
+    }
+    state.seller_deltas = deltas;
+
+    std::atomic<bool> done{false};
+    std::atomic<int> loops{0};
+    std::atomic<uint64_t> ok{0}, wrong{0};
+    target.engine->BeginRestore();
+    std::vector<std::thread> buyers;
+    for (int t = 0; t < 2; ++t) {
+      buyers.emplace_back([&] {
+        while (!done.load(std::memory_order_acquire)) {
+          for (size_t q = 0; q < queries.size(); ++q) {
+            PurchaseOutcome outcome = target.engine->Purchase(queries[q], 1e9);
+            if (!outcome.status.ok()) continue;
+            ok.fetch_add(1, std::memory_order_relaxed);
+            if (outcome.bundle != expected[q]) {
+              wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          loops.fetch_add(1, std::memory_order_release);
+        }
+      });
+    }
+    while (loops.load(std::memory_order_acquire) < 4) {
+      std::this_thread::yield();
+    }
+    QP_CHECK_OK(target.engine->RestoreFromCheckpoint(state, target.db.get()));
+    const int at_restore = loops.load();
+    while (loops.load(std::memory_order_acquire) < at_restore + 4) {
+      std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& th : buyers) th.join();
+    EXPECT_EQ(wrong.load(), 0u) << "round " << round;
+    served += ok.load();
+    EXPECT_EQ(target.engine->catalog().head_generation(),
+              source.engine->catalog().head_generation());
+  }
+  EXPECT_GT(served, 0u);
 }
 
 }  // namespace
