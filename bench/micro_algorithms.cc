@@ -13,13 +13,13 @@
 // algorithms on its seed and grown books, BM_ItemClassCompressionSkewed
 // the per-generation class compression on the grown book's shard 0 of
 // 2, and BM_SolveSeedSkewed times all six algorithms on the seed book.
-// BM_Crc32, BM_SerializeShardState and BM_DeserializeShardState time the
+// BM_Crc32, BM_SerializeCheckpoint and BM_DeserializeCheckpoint time the
 // durability layer: the checksum every persisted byte goes through (Arg =
 // bytes: 63, below the carry-less-multiply kernel's 64-byte minimum, then
-// 4 KiB and 256 KiB through it), encoding one real shard's checkpoint
-// file (the checkpoint write's CPU side), and decoding it back, its
-// section checks and the folded whole-file CRC included; both shard rows
-// report the file size as the "bytes" counter. Uses
+// 4 KiB and 256 KiB through it), encoding a one-shard checkpoint file of
+// one real shard (the checkpoint write's CPU side), and decoding it back,
+// section checks included; both checkpoint rows report the file size as
+// the "bytes" counter. Uses
 // system google-benchmark when available; otherwise the built-in mini
 // harness (bench/mini_benchmark.h) keeps the target building and running.
 #include <algorithm>
@@ -362,10 +362,19 @@ const ShardState& SkewedShardState() {
   return shard;
 }
 
-// That state's checkpoint file, as the engine writes it.
-const std::vector<uint8_t>& SkewedShardFile() {
+// That state as a one-shard checkpoint.
+Checkpoint SkewedCheckpoint() {
+  Checkpoint checkpoint;
+  checkpoint.manifest.num_shards = 1;
+  checkpoint.manifest.shard_versions = {SkewedShardState().version};
+  checkpoint.shards.push_back(SkewedShardState().Clone());
+  return checkpoint;
+}
+
+// That checkpoint's file, as the engine writes it.
+const std::vector<uint8_t>& SkewedCheckpointFile() {
   static const std::vector<uint8_t> file = [] {
-    auto bytes = SerializeShardState(SkewedShardState());
+    auto bytes = SerializeCheckpoint(SkewedCheckpoint());
     QP_CHECK_OK(bytes.status());
     return std::move(*bytes);
   }();
@@ -373,27 +382,27 @@ const std::vector<uint8_t>& SkewedShardFile() {
 }
 
 // The checkpoint write's encode step; the "bytes" counter is the file size.
-void BM_SerializeShardState(benchmark::State& state) {
-  const ShardState& shard = SkewedShardState();
+void BM_SerializeCheckpoint(benchmark::State& state) {
+  const Checkpoint checkpoint = SkewedCheckpoint();
   size_t bytes = 0;
   for (auto _ : state) {
-    auto file = SerializeShardState(shard);
+    auto file = SerializeCheckpoint(checkpoint);
     bytes = file->size();
     benchmark::DoNotOptimize(file.ok());
   }
   state.counters["bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_SerializeShardState);
+BENCHMARK(BM_SerializeCheckpoint);
 
-void BM_DeserializeShardState(benchmark::State& state) {
-  const std::vector<uint8_t>& file = SkewedShardFile();
+void BM_DeserializeCheckpoint(benchmark::State& state) {
+  const std::vector<uint8_t>& file = SkewedCheckpointFile();
   for (auto _ : state) {
-    auto shard = DeserializeShardState(file);
-    benchmark::DoNotOptimize(shard.ok());
+    auto checkpoint = DeserializeCheckpoint(file);
+    benchmark::DoNotOptimize(checkpoint.ok());
   }
   state.counters["bytes"] = static_cast<double>(file.size());
 }
-BENCHMARK(BM_DeserializeShardState);
+BENCHMARK(BM_DeserializeCheckpoint);
 
 }  // namespace
 }  // namespace qp::serve::persist

@@ -20,13 +20,6 @@ namespace fs = std::filesystem;
 using rpc::WireReader;
 using rpc::WireWriter;
 
-/// Hard cap on one journal record (an append op carries every conflict
-/// set of one AppendBuyers call). Larger means a corrupt length prefix,
-/// not a real record.
-constexpr uint32_t kMaxRecordBytes = 64u << 20;
-/// u8 type + u64 op_id: the smallest valid record body.
-constexpr uint32_t kMinRecordBytes = 9;
-
 void PutAppendPayload(WireWriter& w,
                       const std::vector<std::vector<uint32_t>>& conflict_sets,
                       const core::Valuations& valuations) {
@@ -35,15 +28,46 @@ void PutAppendPayload(WireWriter& w,
   for (double v : valuations) w.F64(v);
 }
 
-/// [u32 len][body][u32 crc(body)] around an encoded record body.
-std::vector<uint8_t> WrapRecord(const std::vector<uint8_t>& body) {
+/// One journal record: a section tagged `type` whose payload is `op_id`,
+/// then what `put_op` writes.
+template <typename PutOp>
+std::vector<uint8_t> Record(uint8_t type, uint64_t op_id, PutOp&& put_op) {
+  std::vector<uint8_t> payload;
+  WireWriter w(&payload);
+  w.U64(op_id);
+  put_op(w);
   std::vector<uint8_t> out;
-  out.reserve(body.size() + 8);
-  WireWriter w(&out);
-  w.U32(static_cast<uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
-  w.U32(Crc32(body));
+  AppendSection(type, payload, &out);
   return out;
+}
+
+std::vector<uint8_t> AppendRecord(
+    uint64_t op_id, const std::vector<std::vector<uint32_t>>& conflict_sets,
+    const core::Valuations& valuations) {
+  return Record(kAppendOp, op_id, [&](WireWriter& w) {
+    PutAppendPayload(w, conflict_sets, valuations);
+  });
+}
+
+std::vector<uint8_t> DeltaRecord(uint64_t op_id,
+                                 const market::CellDelta& delta) {
+  return Record(kSellerDeltaOp, op_id,
+                [&](WireWriter& w) { PutCellDelta(w, delta); });
+}
+
+/// Writes all of `bytes` to `fd`, retrying short writes.
+Status WriteAll(int fd, const std::vector<uint8_t>& bytes) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    ssize_t n = write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("persist: journal write failed: ") +
+                              std::strerror(errno));
+    }
+    written += static_cast<size_t>(n);
+  }
+  return Status::OK();
 }
 
 std::string CheckpointDir(const std::string& dir, uint64_t seq) {
@@ -97,74 +121,49 @@ DirListing ListDir(const std::string& dir) {
   return out;
 }
 
-/// Loads checkpoint `seq` in full: manifest, then every shard file
-/// validated against the manifest's whole-file CRCs. Any failure means
-/// "this checkpoint is not usable" — the caller falls back. The whole-
-/// file CRC is the one DeserializeShardState folds from its section
-/// checks, so it is compared after decoding; the decoders bound every
-/// read, so bytes the manifest did not commit cannot do harm first.
-Status TryLoadCheckpoint(const std::string& dir, uint64_t seq,
-                         Manifest* manifest, std::vector<ShardState>* shards) {
-  const std::string ckdir = CheckpointDir(dir, seq);
-  QP_ASSIGN_OR_RETURN(std::vector<uint8_t> manifest_bytes,
-                      ReadFile((fs::path(ckdir) / "MANIFEST").string()));
-  QP_ASSIGN_OR_RETURN(*manifest, DeserializeManifest(manifest_bytes));
-  if (manifest->checkpoint_seq != seq) {
-    return Status::Internal("persist: manifest seq mismatch in " + ckdir);
+std::string CheckpointPath(const std::string& dir, uint64_t seq) {
+  return (fs::path(CheckpointDir(dir, seq)) / "CHECKPOINT").string();
+}
+
+/// Loads checkpoint `seq` in full. Any failure means "this checkpoint is
+/// not usable" — the caller falls back.
+Result<Checkpoint> TryLoadCheckpoint(const std::string& dir, uint64_t seq) {
+  const std::string path = CheckpointPath(dir, seq);
+  QP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
+  QP_ASSIGN_OR_RETURN(Checkpoint checkpoint, DeserializeCheckpoint(bytes));
+  if (checkpoint.manifest.checkpoint_seq != seq) {
+    return Status::Internal("persist: manifest seq mismatch in " + path);
   }
-  shards->clear();
-  shards->reserve(manifest->num_shards);
-  for (uint32_t s = 0; s < manifest->num_shards; ++s) {
-    const std::string path =
-        (fs::path(ckdir) / ("shard-" + std::to_string(s) + ".ckpt")).string();
-    QP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
-    uint32_t file_crc = 0;
-    QP_ASSIGN_OR_RETURN(ShardState state,
-                        DeserializeShardState(bytes, &file_crc));
-    if (file_crc != manifest->shard_file_crcs[s]) {
-      return Status::Internal("persist: shard file checksum mismatch: " +
-                              path);
-    }
-    shards->push_back(std::move(state));
-  }
-  return Status::OK();
+  return checkpoint;
 }
 
 }  // namespace
 
 std::vector<uint8_t> EncodeJournalRecord(const JournalOp& op) {
-  std::vector<uint8_t> body;
-  WireWriter w(&body);
-  w.U8(op.type);
-  w.U64(op.op_id);
-  if (op.type == kAppendOp) {
-    PutAppendPayload(w, op.conflict_sets, op.valuations);
-  } else {
-    PutCellDelta(w, op.delta);
-  }
-  return WrapRecord(body);
+  return op.type == kAppendOp
+             ? AppendRecord(op.op_id, op.conflict_sets, op.valuations)
+             : DeltaRecord(op.op_id, op.delta);
 }
 
 Result<Journal> ReadJournal(const std::string& path) {
   QP_ASSIGN_OR_RETURN(std::vector<uint8_t> data, ReadFile(path));
   Journal journal;
-  size_t pos = 0;
-  while (pos < data.size()) {
+  // A crash before the header landed leaves an empty segment.
+  if (data.size() < kFileHeaderBytes) return journal;
+  QP_ASSIGN_OR_RETURN(size_t offset, CheckFileHeader(data, kJournalFileKind));
+  SectionReader records(data.data() + offset, data.size() - offset);
+  while (!records.AtEnd()) {
     // A record that does not fully parse and checksum is the torn tail:
     // the crash signature, not an error. Everything before it is valid.
-    if (data.size() - pos < 4) break;
-    const uint32_t len = LoadLe32(data.data() + pos);
-    if (len < kMinRecordBytes || len > kMaxRecordBytes ||
-        data.size() - pos - 4 < static_cast<size_t>(len) + 4) {
+    Section record;
+    if (!records.Next(&record).ok()) {
+      journal.torn_tail = true;
       break;
     }
-    const uint8_t* body = data.data() + pos + 4;
-    if (Crc32(body, len) != LoadLe32(body + len)) break;
-    WireReader r(body, len);
+    WireReader r(record.payload, record.size);
     JournalOp op;
-    op.type = r.U8();
     op.op_id = r.U64();
-    if (op.type == kAppendOp) {
+    if (record.tag == kAppendOp) {
       // Each buyer takes at least a u32 edge count and an f64 valuation.
       uint32_t n = r.Count(4 + 8);
       op.conflict_sets.reserve(n);
@@ -175,21 +174,20 @@ Result<Journal> ReadJournal(const std::string& path) {
       for (uint32_t i = 0; i < n && r.ok(); ++i) {
         op.valuations.push_back(r.F64());
       }
-    } else if (op.type == kSellerDeltaOp) {
+    } else if (record.tag == kSellerDeltaOp) {
       QP_ASSIGN_OR_RETURN(op.delta, GetCellDelta(r));
     } else {
       // CRC-valid bytes we cannot parse: a format incompatibility, not a
       // torn write. Refuse rather than silently dropping applied ops.
       return Status::Internal("persist: unknown journal op type " +
-                              std::to_string(op.type) + " in " + path);
+                              std::to_string(record.tag) + " in " + path);
     }
     if (!r.ok() || !r.AtEnd()) {
       return Status::Internal("persist: malformed journal record in " + path);
     }
+    op.type = static_cast<uint8_t>(record.tag);
     journal.ops.push_back(std::move(op));
-    pos += 4 + static_cast<size_t>(len) + 4;
   }
-  journal.torn_tail = pos != data.size();
   return journal;
 }
 
@@ -198,21 +196,21 @@ Result<RecoveredState> Recover(const std::string& dir) {
   const DirListing listing = ListDir(dir);
 
   // Newest fully-valid checkpoint wins; torn/corrupt ones (e.g. a crash
-  // before the MANIFEST rename, or a bit-rotted shard file) fall back to
-  // the next-newest, whose journal segments are still retained.
+  // before the CHECKPOINT rename, or a bit-rotted file) fall back to the
+  // next-newest, whose journal segments are still retained.
   const std::vector<uint64_t>& seqs = listing.checkpoints;
-  Manifest manifest;
   uint64_t last_op_id = 0;
   for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
-    Status loaded = TryLoadCheckpoint(dir, *it, &manifest, &out.shards);
+    Result<Checkpoint> loaded = TryLoadCheckpoint(dir, *it);
     if (loaded.ok()) {
+      Manifest& manifest = loaded->manifest;
       out.checkpoint_seq = static_cast<int64_t>(*it);
       out.partition_fingerprint = manifest.partition_fingerprint;
       out.seller_deltas = std::move(manifest.seller_deltas);
+      out.shards = std::move(loaded->shards);
       last_op_id = manifest.last_op_id;
       break;
     }
-    out.shards.clear();
     ++out.corrupt_checkpoints_skipped;
   }
 
@@ -278,22 +276,14 @@ Status CheckpointManager::Attach(ShardedPricingEngine* engine,
 Status CheckpointManager::LogAppend(
     const std::vector<std::vector<uint32_t>>& conflict_sets,
     const core::Valuations& valuations) {
-  std::vector<uint8_t> body;
-  WireWriter w(&body);
-  w.U8(kAppendOp);
-  w.U64(next_op_id_);
-  PutAppendPayload(w, conflict_sets, valuations);
-  QP_RETURN_IF_ERROR(WriteRecord(WrapRecord(body)));
+  QP_RETURN_IF_ERROR(
+      WriteRecord(AppendRecord(next_op_id_, conflict_sets, valuations)));
   ++next_op_id_;
   return Status::OK();
 }
 
 Status CheckpointManager::LogSellerDelta(const market::CellDelta& delta) {
-  JournalOp op;
-  op.type = kSellerDeltaOp;
-  op.op_id = next_op_id_;
-  op.delta = delta;
-  QP_RETURN_IF_ERROR(WriteRecord(EncodeJournalRecord(op)));
+  QP_RETURN_IF_ERROR(WriteRecord(DeltaRecord(next_op_id_, delta)));
   ++next_op_id_;
   seller_deltas_.push_back(delta);
   return Status::OK();
@@ -319,17 +309,7 @@ Status CheckpointManager::WriteRecord(const std::vector<uint8_t>& record) {
     return Status::FailedPrecondition(
         "persist: journal not open (Attach first)");
   }
-  size_t written = 0;
-  while (written < record.size()) {
-    ssize_t n =
-        write(journal_fd_, record.data() + written, record.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("persist: journal write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
+  QP_RETURN_IF_ERROR(WriteAll(journal_fd_, record));
   if (options_.fsync && fsync(journal_fd_) != 0) {
     return Status::Internal(std::string("persist: journal fsync failed: ") +
                             std::strerror(errno));
@@ -352,6 +332,13 @@ Status CheckpointManager::OpenJournal(uint64_t seq) {
                             ") failed: " + std::strerror(errno));
   }
   journal_fd_ = fd;
+  std::vector<uint8_t> header;
+  AppendFileHeader(kJournalFileKind, &header);
+  QP_RETURN_IF_ERROR(WriteAll(journal_fd_, header));
+  if (options_.fsync && fsync(journal_fd_) != 0) {
+    return Status::Internal(std::string("persist: journal fsync failed: ") +
+                            std::strerror(errno));
+  }
   return Status::OK();
 }
 
@@ -364,33 +351,31 @@ Status CheckpointManager::WriteCheckpoint(ShardedPricingEngine& engine) {
     return Status::Internal("persist: cannot create " + ckdir + ": " +
                             ec.message());
   }
-  Manifest manifest;
+  Checkpoint checkpoint;
+  Manifest& manifest = checkpoint.manifest;
   manifest.checkpoint_seq = seq;
   manifest.last_op_id = next_op_id_ - 1;
   manifest.num_shards = static_cast<uint32_t>(engine.num_shards());
   manifest.partition_fingerprint = PartitionFingerprint(engine.partition());
   manifest.seller_deltas = seller_deltas_;
   for (int s = 0; s < engine.num_shards(); ++s) {
-    ShardState state = engine.shard(s).CaptureState();
-    QP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                        SerializeShardState(state));
-    QP_RETURN_IF_ERROR(WriteFileAtomic(
-        (fs::path(ckdir) / ("shard-" + std::to_string(s) + ".ckpt")).string(),
-        bytes, options_.fsync));
-    manifest.shard_versions.push_back(state.version);
-    manifest.shard_file_crcs.push_back(Crc32(bytes));
+    checkpoint.shards.push_back(engine.shard(s).CaptureState());
+    manifest.shard_versions.push_back(checkpoint.shards.back().version);
   }
-  // The MANIFEST rename is the commit point: a crash anywhere before it
+  QP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                      SerializeCheckpoint(checkpoint));
+  // The CHECKPOINT rename is the commit point: a crash anywhere before it
   // leaves a directory Recover() skips.
-  QP_RETURN_IF_ERROR(
-      WriteFileAtomic((fs::path(ckdir) / "MANIFEST").string(),
-                      SerializeManifest(manifest), options_.fsync));
-  if (options_.fsync) QP_RETURN_IF_ERROR(SyncDir(options_.dir));
+  QP_RETURN_IF_ERROR(WriteFileAtomic(CheckpointPath(options_.dir, seq), bytes,
+                                     options_.fsync));
   checkpoint_seq_ = seq;
   publishes_since_checkpoint_ = 0;
   ++stats_.checkpoints_written;
   stats_.last_checkpoint_seq = seq;
   QP_RETURN_IF_ERROR(OpenJournal(seq));
+  // One directory sync makes both new entries durable: checkpoint-<seq>/
+  // and its journal segment, header included. Records only follow it.
+  if (options_.fsync) QP_RETURN_IF_ERROR(SyncDir(options_.dir));
   PruneOld();
   return Status::OK();
 }
@@ -429,6 +414,18 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
         "RestoreFromCheckpoint: recovered seller deltas require the "
         "engine's mutable database");
   }
+  // Refuse a non-fresh engine before anything lands, with or without a
+  // checkpoint: the deltas commit ahead of the shards (whose RestoreState
+  // would refuse too late), and journal-only replay would land on top.
+  bool fresh = catalog().head_generation() == 0;
+  for (const std::unique_ptr<PricingEngine>& shard : shards_) {
+    if (shard->hypergraph().num_edges() != 0) fresh = false;
+  }
+  if (!fresh) {
+    return Status::FailedPrecondition(
+        "RestoreFromCheckpoint: engine already has appended state or "
+        "seller deltas");
+  }
   if (state.checkpoint_seq >= 0) {
     if (state.partition_fingerprint !=
         persist::PartitionFingerprint(partition_)) {
@@ -441,14 +438,6 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
           "RestoreFromCheckpoint: checkpoint has " +
           std::to_string(state.shards.size()) + " shards, engine has " +
           std::to_string(shards_.size()));
-    }
-    // Refuse before anything lands: the deltas commit ahead of the
-    // shards, whose RestoreState would refuse a non-fresh engine too late.
-    for (const std::unique_ptr<PricingEngine>& shard : shards_) {
-      if (shard->hypergraph().num_edges() != 0) {
-        return Status::FailedPrecondition(
-            "RestoreFromCheckpoint: engine already has appended state");
-      }
     }
     BeginRestore();
   }

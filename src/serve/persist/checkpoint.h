@@ -3,33 +3,40 @@
 //
 // Directory layout (one directory per sharded engine):
 //
-//   <dir>/checkpoint-<seq>/shard-<i>.ckpt   one ShardState per shard
-//   <dir>/checkpoint-<seq>/MANIFEST         commit record, written last
-//   <dir>/journal-<seq>.log                 ops after checkpoint <seq>
+//   <dir>/checkpoint-<seq>/CHECKPOINT   manifest + every ShardState
+//   <dir>/journal-<seq>.log             ops after checkpoint <seq>
 //
-// A checkpoint is only real once its MANIFEST lands (atomic rename): the
-// manifest carries the per-shard version vector, whole-file CRCs binding
-// it to the exact shard bytes it committed, the partition fingerprint,
-// the last journal op id it subsumes, and the cumulative seller deltas.
-// journal-<seq>.log starts fresh when checkpoint <seq> commits, so each
-// retained checkpoint owns the journal segment that follows it.
+// A checkpoint is one file (serve/persist/state_io.h), and the atomic
+// rename of CHECKPOINT.tmp onto CHECKPOINT is its commit point: a crash
+// before it leaves a directory without a CHECKPOINT, which recovery
+// skips, and no committed file can mix shards from two writes. Its
+// manifest section carries the per-shard version vector, the partition
+// fingerprint, the last journal op id it subsumes and the cumulative
+// seller deltas. journal-<seq>.log starts fresh when checkpoint <seq>
+// commits, so each retained checkpoint owns the journal segment that
+// follows it.
 //
-// Journal records are self-delimiting and individually checksummed:
+// A journal segment is the file header (kJournalFileKind) followed by
+// one section per op (format.h): its tag is the op type, and its
+// payload is the u64 op id, then the op:
 //
-//   [u32 len] [u8 op_type] [u64 op_id] [payload] [u32 crc]
+//   [u32 op_type] [u32 len] [u64 op_id] [op payload] [u32 crc]
 //
-// where len counts type+id+payload and crc covers those same bytes. A
-// torn tail (crash mid-append) fails the length or CRC check and simply
-// ends the valid journal — everything before it replays.
+// where len counts the op id and payload, and crc covers those same
+// bytes.
+// A torn tail (crash mid-append) fails the section's length or CRC
+// check and simply ends the valid journal — everything before it
+// replays. A segment shorter than the file header (a crash before the
+// header landed) is empty.
 //
-// Recovery = newest checkpoint whose manifest and shard CRCs all
-// validate (older checkpoints are fallbacks when the newest is torn or
-// bit-rotted), plus every journal segment at or after it, replayed in op
-// order with ops the checkpoint already subsumes skipped. Because
-// appends journal their GLOBAL conflict sets (pure functions of
-// (db, query, support)) and replay routes them through the same
-// deterministic router, the replayed books are bit-identical to the
-// pre-crash ones: versions, revenues, LP counts.
+// Recovery = newest checkpoint that decodes in full (older checkpoints
+// are fallbacks when the newest is torn or bit-rotted), plus every
+// journal segment at or after it, replayed in op order with ops the
+// checkpoint already subsumes skipped. Because appends journal their
+// GLOBAL conflict sets (pure functions of (db, query, support)) and
+// replay routes them through the same deterministic router, the
+// replayed books are bit-identical to the pre-crash ones: versions,
+// revenues, LP counts.
 //
 // The CheckpointManager is the engine's WriterLog: every append/delta is
 // journaled BEFORE it applies (write-ahead), and every N publishes it
@@ -68,9 +75,9 @@ struct JournalOp {
   market::CellDelta delta;
 };
 
-/// Encodes one record ([len][type][op_id][payload][crc]). Exposed so
-/// fault tests and the crash-recovery smoke tool can write torn records
-/// (a prefix of these bytes) on purpose.
+/// Encodes one record (a section tagged with the op type): an append
+/// when `op.type` is kAppendOp, else a seller delta. Exposed so fault
+/// tests can write torn records (a prefix of these bytes) on purpose.
 std::vector<uint8_t> EncodeJournalRecord(const JournalOp& op);
 
 struct Journal {
@@ -81,7 +88,8 @@ struct Journal {
 };
 
 /// Reads a journal segment, tolerating a torn tail. NotFound when the
-/// file does not exist.
+/// file does not exist; Internal on a header of another kind or format
+/// version, and on a CRC-valid record it cannot parse.
 Result<Journal> ReadJournal(const std::string& path);
 
 struct CheckpointOptions {
@@ -121,10 +129,10 @@ struct RecoveredState {
   bool journal_torn_tail = false;
 };
 
-/// Scans `dir` for the newest fully-valid checkpoint (manifest present,
-/// shard count and whole-file CRCs matching) and the journal segments to
-/// replay on top. Corrupt/torn checkpoints fall back to the next-newest;
-/// an empty or missing directory recovers to the empty state.
+/// Scans `dir` for the newest checkpoint whose file decodes in full and
+/// the journal segments to replay on top. Corrupt/torn checkpoints fall
+/// back to the next-newest; an empty or missing directory recovers to
+/// the empty state.
 Result<RecoveredState> Recover(const std::string& dir);
 
 /// The engine's write-ahead log + periodic checkpointer. Single-owner:

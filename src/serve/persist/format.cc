@@ -42,29 +42,6 @@ constexpr CrcTables BuildCrcTables() {
 
 constexpr CrcTables kCrcTables = BuildCrcTables();
 
-// a * b for polynomials over GF(2) modulo P, in the reflected bit order
-// of the CRC state (bit 31 is x^0, bit 0 is x^31).
-constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
-  uint32_t p = 0;
-  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
-    if (a & m) p ^= b;
-    b = (b & 1u) ? 0xEDB88320u ^ (b >> 1) : b >> 1;
-  }
-  return p;
-}
-
-// kX2n[k] = x^(2^k) mod P. The order of x modulo P divides 2^32 - 1,
-// so x^(2^(k + 32)) == x^(2^k) and 32 entries serve every exponent.
-constexpr std::array<uint32_t, 32> BuildX2nTable() {
-  std::array<uint32_t, 32> t{};
-  uint32_t p = 1u << 30;  // x^1
-  t[0] = p;
-  for (size_t k = 1; k < t.size(); ++k) t[k] = p = MultModP(p, p);
-  return t;
-}
-
-constexpr std::array<uint32_t, 32> kX2n = BuildX2nTable();
-
 #if defined(__x86_64__) && defined(__GNUC__)
 
 __m128i Load128(const uint8_t* p) {
@@ -168,17 +145,6 @@ uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b) {
-  // crc(a + b) = crc_a * x^(8 * len_b) mod P, xor crc_b: the init and
-  // xorout terms cancel. The power is built from the binary digits of
-  // len_b; kX2n[3] is x^8, one byte.
-  uint32_t shift = 1u << 31;  // x^0
-  for (size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
-    if (len_b & 1u) shift = MultModP(kX2n[k & 31], shift);
-  }
-  return MultModP(shift, crc_a) ^ crc_b;
-}
-
 void AppendSection(uint32_t tag, const std::vector<uint8_t>& payload,
                    std::vector<uint8_t>* out) {
   rpc::WireWriter w(out);
@@ -204,13 +170,9 @@ Status SectionReader::Next(Section* out) {
   pos_ += len;
   const uint8_t* trailer = data_ + pos_;
   pos_ += 4;
-  const uint32_t payload_crc = Crc32(out->payload, out->size);
-  if (payload_crc != LoadLe32(trailer)) {
+  if (Crc32(out->payload, out->size) != LoadLe32(trailer)) {
     return Status::Internal("persist: section checksum mismatch");
   }
-  file_crc_ = Crc32(header, 8, file_crc_);
-  file_crc_ = Crc32Combine(file_crc_, payload_crc, len);
-  file_crc_ = Crc32(trailer, 4, file_crc_);
   return Status::OK();
 }
 
@@ -223,8 +185,10 @@ void AppendFileHeader(uint32_t file_kind, std::vector<uint8_t>* out) {
 
 Result<size_t> CheckFileHeader(const std::vector<uint8_t>& data,
                                uint32_t expected_kind) {
-  if (data.size() < 16) return Status::Internal("persist: file too short");
-  rpc::WireReader r(data.data(), 16);
+  if (data.size() < kFileHeaderBytes) {
+    return Status::Internal("persist: file too short");
+  }
+  rpc::WireReader r(data.data(), kFileHeaderBytes);
   if (r.U64() != kFileMagic) {
     return Status::Internal("persist: bad file magic");
   }
@@ -238,7 +202,7 @@ Result<size_t> CheckFileHeader(const std::vector<uint8_t>& data,
     return Status::Internal("persist: unsupported format version " +
                             std::to_string(version));
   }
-  return size_t{16};
+  return kFileHeaderBytes;
 }
 
 Result<std::vector<uint8_t>> ReadFile(const std::string& path) {

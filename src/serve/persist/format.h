@@ -1,8 +1,11 @@
 // On-disk format primitives for the durability subsystem (serve/persist).
 //
-// Every persisted file — shard checkpoints, the manifest, the op journal
-// — is built from the same two pieces:
+// Every persisted file — a checkpoint, a journal segment — is built from
+// the same three pieces:
 //
+//  * A 16-byte file header: kFileMagic, a file-kind tag and
+//    kFormatVersion. Readers refuse another kind or version up front
+//    rather than mis-parsing a misplaced file or another layout.
 //  * CRC32-checksummed *sections*: a section is [u32 tag] [u32 byte_len]
 //    [payload] [u32 crc32(payload)]. Readers validate the checksum before
 //    handing the payload out, so a torn or bit-rotted file is detected as
@@ -14,10 +17,6 @@
 //    "<path>.tmp", optionally fsyncs, and rename()s over the target, so a
 //    crash mid-write leaves either the old file or the new one, never a
 //    half-written hybrid. (A same-directory rename is atomic on POSIX.)
-//
-// Checkpoint files open with kFileMagic + a format version; readers
-// reject unknown versions up front rather than mis-parsing future
-// layouts.
 #ifndef QP_SERVE_PERSIST_FORMAT_H_
 #define QP_SERVE_PERSIST_FORMAT_H_
 
@@ -33,10 +32,14 @@ namespace qp::serve::persist {
 inline constexpr uint64_t kFileMagic = 0x0000535245505051ULL;  // "QPPERS\0\0"
 /// Bumped on incompatible layout changes; readers reject other versions.
 /// Version 2 dropped the item classes and the valuation order from the
-/// shard file's reprice section. Version 3 writes each item-indexed f64
-/// vector of a shard file dense or sparse, whichever is shorter, with its
-/// length fixed to the shard's item count (serve/persist/state_io.h).
-inline constexpr uint32_t kFormatVersion = 3;
+/// shard state. Version 3 writes each item-indexed f64 vector dense or
+/// sparse, whichever is shorter, with its length fixed to the shard's
+/// item count (serve/persist/state_io.h). Version 4 writes a checkpoint
+/// as one file (manifest section, then every shard's sections) and opens
+/// journal segments with this header, their records being sections.
+inline constexpr uint32_t kFormatVersion = 4;
+/// Bytes of the file header (magic, kind, version).
+inline constexpr size_t kFileHeaderBytes = 16;
 
 /// CRC-32/ISO-HDLC — the zlib/PNG/IEEE 802.3 CRC: reflected polynomial
 /// 0xEDB88320, init and xorout 0xFFFFFFFF, check value 0xCBF43926 for
@@ -56,11 +59,6 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
   return Crc32(data.data(), data.size(), seed);
 }
 
-/// zlib's crc32_combine: the CRC of a + b from crc_a = Crc32(a),
-/// crc_b = Crc32(b) and len_b = |b|, without touching the bytes again.
-/// Costs O(log len_b) 32-bit carry-less products.
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b);
-
 /// The little-endian u32 at `p`; the caller bounds the read.
 inline uint32_t LoadLe32(const uint8_t* p) {
   return uint32_t(p[0]) | uint32_t(p[1]) << 8 | uint32_t(p[2]) << 16 |
@@ -79,15 +77,10 @@ struct Section {
 };
 
 /// Iterates the sections of a persist file body, validating each
-/// section's CRC as it is pulled. It also keeps the CRC of the whole
-/// file: `prefix_crc` is the Crc32 of the bytes before `data` (the file
-/// header), and each pulled section's 8-byte header, payload and 4-byte
-/// trailer are folded onto it — the payload through Crc32Combine of the
-/// section CRC already computed, so every byte is checksummed once.
+/// section's CRC as it is pulled.
 class SectionReader {
  public:
-  SectionReader(const uint8_t* data, size_t size, uint32_t prefix_crc = 0)
-      : data_(data), size_(size), file_crc_(prefix_crc) {}
+  SectionReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit SectionReader(const std::vector<uint8_t>& data)
       : SectionReader(data.data(), data.size()) {}
 
@@ -97,23 +90,18 @@ class SectionReader {
   /// a truncated header/payload or a CRC mismatch.
   Status Next(Section* out);
 
-  /// Crc32 of the prefix and every byte of the sections pulled so far;
-  /// once AtEnd(), the Crc32 of the whole file.
-  uint32_t file_crc() const { return file_crc_; }
-
  private:
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
-  uint32_t file_crc_;
 };
 
 /// Prepends the file header (magic, kind tag, format version) to `out`.
 void AppendFileHeader(uint32_t file_kind, std::vector<uint8_t>* out);
 
-/// Validates the header and returns the offset of the first section.
-/// `expected_kind` distinguishes shard files from manifests so a
-/// misplaced rename cannot cross-load them.
+/// Validates the header and returns the offset of the first section
+/// (kFileHeaderBytes). `expected_kind` distinguishes checkpoints from
+/// journal segments so a misplaced rename cannot cross-load them.
 Result<size_t> CheckFileHeader(const std::vector<uint8_t>& data,
                                uint32_t expected_kind);
 

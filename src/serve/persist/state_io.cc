@@ -14,14 +14,14 @@ namespace {
 using rpc::WireReader;
 using rpc::WireWriter;
 
-// Section tags inside a shard file.
+// Section tags inside a checkpoint file: the manifest, then these five
+// per shard, in this order.
+constexpr uint32_t kManifestSection = 6;
 constexpr uint32_t kMetaSection = 1;
 constexpr uint32_t kEdgesSection = 2;
 constexpr uint32_t kValuationsSection = 3;
 constexpr uint32_t kRepriceSection = 4;
 constexpr uint32_t kBookSection = 5;
-// The manifest's single section.
-constexpr uint32_t kManifestSection = 1;
 
 // Pricing-function encoding tags (see core/pricing.h).
 constexpr uint8_t kNoPricing = 0;
@@ -38,7 +38,7 @@ constexpr size_t kMinResultBytes = 25;     // "" + kNoPricing + 2 f64 + u32
 constexpr size_t kMinCellDeltaBytes = 13;  // 3 u32 + kNull type tag
 constexpr size_t kSparseEntryBytes = 12;   // u32 index + f64 value
 
-/// Largest `num_items` a shard file may declare. A sparse item vector's
+/// Largest `num_items` a shard may declare. A sparse item vector's
 /// length is not bounded by its bytes, so this caps what one vector can
 /// make the decoder zero-fill (8 MiB).
 constexpr uint32_t kMaxShardItems = 1u << 20;
@@ -132,6 +132,147 @@ core::RepriceStats GetStats(WireReader& r) {
   return stats;
 }
 
+/// Pulls the next section, which must carry `tag`, decodes its payload
+/// with `decode` and requires the payload consumed exactly.
+template <typename Decode>
+Status ReadSection(SectionReader& sections, uint32_t tag, Decode&& decode) {
+  Section section;
+  QP_RETURN_IF_ERROR(sections.Next(&section));
+  if (section.tag != tag) {
+    return Status::Internal("persist: section " + std::to_string(section.tag) +
+                            " where section " + std::to_string(tag) +
+                            " belongs");
+  }
+  WireReader r(section.payload, section.size);
+  QP_RETURN_IF_ERROR(decode(r));
+  if (!r.AtEnd()) {
+    return Status::Internal("persist: malformed section " +
+                            std::to_string(tag));
+  }
+  return Status::OK();
+}
+
+/// Appends one shard's five sections to `out`, in order.
+Status AppendShardSections(const ShardState& state, std::vector<uint8_t>* out) {
+  // One payload buffer, sealed into `out` as each section ends.
+  std::vector<uint8_t> payload;
+  WireWriter w(&payload);
+  auto seal = [&](uint32_t tag) {
+    AppendSection(tag, payload, out);
+    payload.clear();
+  };
+  w.U64(state.version);
+  w.U32(static_cast<uint32_t>(state.total_lps_solved));
+  w.U32(state.num_items);
+  w.U32(static_cast<uint32_t>(state.edges.size()));
+  seal(kMetaSection);
+
+  w.U32(static_cast<uint32_t>(state.edges.size()));
+  for (const std::vector<uint32_t>& edge : state.edges) w.U32Vec(edge);
+  seal(kEdgesSection);
+
+  w.U32(static_cast<uint32_t>(state.valuations.size()));
+  for (double v : state.valuations) w.F64(v);
+  seal(kValuationsSection);
+
+  w.U32(static_cast<uint32_t>(state.reprice.lpip.size()));
+  for (const core::RepriceState::LpipCandidate& candidate :
+       state.reprice.lpip) {
+    w.F64(candidate.threshold);
+    PutItemVec(w, candidate.item_weights);
+  }
+  w.U32(static_cast<uint32_t>(state.reprice.generation));
+  PutStats(w, state.reprice.last);
+  seal(kRepriceSection);
+
+  w.U32(static_cast<uint32_t>(state.results.size()));
+  for (const core::PricingResult& result : state.results) {
+    w.String(result.algorithm);
+    QP_RETURN_IF_ERROR(PutPricing(w, result.pricing.get()));
+    w.F64(result.revenue);
+    w.F64(0.0);  // wall-clock: excluded from the contract, see PutStats
+    w.U32(static_cast<uint32_t>(result.lps_solved));
+  }
+  PutStats(w, state.book_stats);
+  seal(kBookSection);
+  return Status::OK();
+}
+
+/// One shard's five sections, in order.
+Result<ShardState> ReadShard(SectionReader& sections) {
+  ShardState state;
+  // The meta section comes first: its num_items sizes every item vector.
+  QP_RETURN_IF_ERROR(
+      ReadSection(sections, kMetaSection, [&](WireReader& r) -> Status {
+        state.version = r.U64();
+        state.total_lps_solved = static_cast<int>(r.U32());
+        state.num_items = r.U32();
+        r.U32();  // num_edges; implied by the edges section
+        if (state.num_items > kMaxShardItems) {
+          return Status::Internal("persist: shard of " +
+                                  std::to_string(state.num_items) +
+                                  " items exceeds the format's limit");
+        }
+        return Status::OK();
+      }));
+  QP_RETURN_IF_ERROR(
+      ReadSection(sections, kEdgesSection, [&](WireReader& r) -> Status {
+        uint32_t n = r.Count(kMinVecBytes);
+        state.edges.reserve(n);
+        for (uint32_t i = 0; i < n && r.ok(); ++i) {
+          state.edges.push_back(r.U32Vec());
+        }
+        return Status::OK();
+      }));
+  QP_RETURN_IF_ERROR(
+      ReadSection(sections, kValuationsSection, [&](WireReader& r) -> Status {
+        r.F64VecInto(&state.valuations);
+        return Status::OK();
+      }));
+  QP_RETURN_IF_ERROR(
+      ReadSection(sections, kRepriceSection, [&](WireReader& r) -> Status {
+        uint32_t num_candidates = r.Count(kMinCandidateBytes);
+        state.reprice.lpip.resize(num_candidates);
+        for (core::RepriceState::LpipCandidate& candidate :
+             state.reprice.lpip) {
+          candidate.threshold = r.F64();
+          QP_RETURN_IF_ERROR(
+              GetItemVec(r, state.num_items, &candidate.item_weights));
+        }
+        state.reprice.generation = static_cast<int>(r.U32());
+        state.reprice.last = GetStats(r);
+        return Status::OK();
+      }));
+  QP_RETURN_IF_ERROR(
+      ReadSection(sections, kBookSection, [&](WireReader& r) -> Status {
+        uint32_t n = r.Count(kMinResultBytes);
+        state.results.reserve(n);
+        for (uint32_t i = 0; i < n && r.ok(); ++i) {
+          core::PricingResult result;
+          result.algorithm = r.String();
+          QP_ASSIGN_OR_RETURN(result.pricing, GetPricing(r, state.num_items));
+          // Quotes dereference every book pricing.
+          if (result.pricing == nullptr) {
+            return Status::Internal("persist: book result without a pricing");
+          }
+          result.revenue = r.F64();
+          result.seconds = r.F64();
+          result.lps_solved = static_cast<int>(r.U32());
+          state.results.push_back(std::move(result));
+        }
+        state.book_stats = GetStats(r);
+        return Status::OK();
+      }));
+  if (state.valuations.size() != state.edges.size()) {
+    return Status::Internal("persist: shard valuation/edge count mismatch");
+  }
+  // A restored book needs a result to serve.
+  if (state.results.empty()) {
+    return Status::Internal("persist: shard book has no results");
+  }
+  return state;
+}
+
 }  // namespace
 
 void PutItemVec(WireWriter& w, const std::vector<double>& v) {
@@ -208,226 +349,68 @@ ShardState ShardState::Clone() const {
   return out;
 }
 
-Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state) {
+Result<std::vector<uint8_t>> SerializeCheckpoint(const Checkpoint& checkpoint) {
   std::vector<uint8_t> out;
-  AppendFileHeader(kShardFileKind, &out);
-
-  std::vector<uint8_t> meta;
-  {
-    WireWriter w(&meta);
-    w.U64(state.version);
-    w.U32(static_cast<uint32_t>(state.total_lps_solved));
-    w.U32(state.num_items);
-    w.U32(static_cast<uint32_t>(state.edges.size()));
+  AppendFileHeader(kCheckpointFileKind, &out);
+  const Manifest& manifest = checkpoint.manifest;
+  std::vector<uint8_t> payload;
+  WireWriter w(&payload);
+  w.U64(manifest.checkpoint_seq);
+  w.U64(manifest.last_op_id);
+  w.U32(manifest.num_shards);
+  w.U64Vec(manifest.shard_versions);
+  w.U64(manifest.partition_fingerprint);
+  w.U32(static_cast<uint32_t>(manifest.seller_deltas.size()));
+  for (const market::CellDelta& delta : manifest.seller_deltas) {
+    PutCellDelta(w, delta);
   }
-  AppendSection(kMetaSection, meta, &out);
-
-  std::vector<uint8_t> edges;
-  {
-    WireWriter w(&edges);
-    w.U32(static_cast<uint32_t>(state.edges.size()));
-    for (const std::vector<uint32_t>& edge : state.edges) w.U32Vec(edge);
+  AppendSection(kManifestSection, payload, &out);
+  for (const ShardState& shard : checkpoint.shards) {
+    QP_RETURN_IF_ERROR(AppendShardSections(shard, &out));
   }
-  AppendSection(kEdgesSection, edges, &out);
-
-  std::vector<uint8_t> valuations;
-  {
-    WireWriter w(&valuations);
-    w.U32(static_cast<uint32_t>(state.valuations.size()));
-    for (double v : state.valuations) w.F64(v);
-  }
-  AppendSection(kValuationsSection, valuations, &out);
-
-  std::vector<uint8_t> reprice;
-  {
-    WireWriter w(&reprice);
-    w.U32(static_cast<uint32_t>(state.reprice.lpip.size()));
-    for (const core::RepriceState::LpipCandidate& candidate :
-         state.reprice.lpip) {
-      w.F64(candidate.threshold);
-      PutItemVec(w, candidate.item_weights);
-    }
-    w.U32(static_cast<uint32_t>(state.reprice.generation));
-    PutStats(w, state.reprice.last);
-  }
-  AppendSection(kRepriceSection, reprice, &out);
-
-  std::vector<uint8_t> book;
-  {
-    WireWriter w(&book);
-    w.U32(static_cast<uint32_t>(state.results.size()));
-    for (const core::PricingResult& result : state.results) {
-      w.String(result.algorithm);
-      QP_RETURN_IF_ERROR(PutPricing(w, result.pricing.get()));
-      w.F64(result.revenue);
-      w.F64(0.0);  // wall-clock: excluded from the contract, see PutStats
-      w.U32(static_cast<uint32_t>(result.lps_solved));
-    }
-    PutStats(w, state.book_stats);
-  }
-  AppendSection(kBookSection, book, &out);
   return out;
 }
 
-Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
-                                         uint32_t* file_crc) {
-  QP_ASSIGN_OR_RETURN(size_t offset, CheckFileHeader(data, kShardFileKind));
-  SectionReader sections(data.data() + offset, data.size() - offset,
-                         Crc32(data.data(), offset));
-  ShardState state;
-  bool saw_meta = false, saw_edges = false, saw_valuations = false,
-       saw_reprice = false, saw_book = false;
-  while (!sections.AtEnd()) {
-    Section section;
-    QP_RETURN_IF_ERROR(sections.Next(&section));
-    WireReader r(section.payload, section.size);
-    // Item vectors are checked against the meta section's num_items,
-    // which the writer puts first.
-    if ((section.tag == kRepriceSection || section.tag == kBookSection) &&
-        !saw_meta) {
-      return Status::Internal("persist: shard section " +
-                              std::to_string(section.tag) +
-                              " before the meta section");
-    }
-    switch (section.tag) {
-      case kMetaSection: {
-        // One num_items for every item vector in the file.
-        if (saw_meta) return Status::Internal("persist: second meta section");
-        state.version = r.U64();
-        state.total_lps_solved = static_cast<int>(r.U32());
-        state.num_items = r.U32();
-        r.U32();  // num_edges; implied by the edges section
-        if (state.num_items > kMaxShardItems) {
-          return Status::Internal("persist: shard of " +
-                                  std::to_string(state.num_items) +
-                                  " items exceeds the format's limit");
-        }
-        saw_meta = true;
-        break;
-      }
-      case kEdgesSection: {
-        uint32_t n = r.Count(kMinVecBytes);
-        state.edges.reserve(n);
-        for (uint32_t i = 0; i < n && r.ok(); ++i) {
-          state.edges.push_back(r.U32Vec());
-        }
-        saw_edges = true;
-        break;
-      }
-      case kValuationsSection: {
-        r.F64VecInto(&state.valuations);
-        saw_valuations = true;
-        break;
-      }
-      case kRepriceSection: {
-        uint32_t num_candidates = r.Count(kMinCandidateBytes);
-        state.reprice.lpip.resize(num_candidates);
-        for (core::RepriceState::LpipCandidate& candidate :
-             state.reprice.lpip) {
-          candidate.threshold = r.F64();
-          QP_RETURN_IF_ERROR(
-              GetItemVec(r, state.num_items, &candidate.item_weights));
-        }
-        state.reprice.generation = static_cast<int>(r.U32());
-        state.reprice.last = GetStats(r);
-        saw_reprice = true;
-        break;
-      }
-      case kBookSection: {
-        uint32_t n = r.Count(kMinResultBytes);
-        state.results.reserve(n);
-        for (uint32_t i = 0; i < n && r.ok(); ++i) {
-          core::PricingResult result;
-          result.algorithm = r.String();
-          QP_ASSIGN_OR_RETURN(result.pricing, GetPricing(r, state.num_items));
-          // Quotes dereference every book pricing.
-          if (result.pricing == nullptr) {
-            return Status::Internal("persist: book result without a pricing");
-          }
-          result.revenue = r.F64();
-          result.seconds = r.F64();
-          result.lps_solved = static_cast<int>(r.U32());
-          state.results.push_back(std::move(result));
-        }
-        state.book_stats = GetStats(r);
-        saw_book = true;
-        break;
-      }
-      default:
-        // Unknown sections from a newer minor writer are skipped (their
-        // CRC was still validated).
-        break;
-    }
-    if (!r.ok()) {
-      return Status::Internal("persist: malformed shard section " +
-                              std::to_string(section.tag));
-    }
-  }
-  if (!(saw_meta && saw_edges && saw_valuations && saw_reprice && saw_book)) {
-    return Status::Internal("persist: shard file missing sections");
-  }
-  if (state.valuations.size() != state.edges.size()) {
-    return Status::Internal("persist: shard valuation/edge count mismatch");
-  }
-  // A restored book needs a result to serve.
-  if (state.results.empty()) {
-    return Status::Internal("persist: shard book has no results");
-  }
-  if (file_crc != nullptr) *file_crc = sections.file_crc();
-  return state;
-}
-
-std::vector<uint8_t> SerializeManifest(const Manifest& manifest) {
-  std::vector<uint8_t> out;
-  AppendFileHeader(kManifestFileKind, &out);
-  std::vector<uint8_t> body;
-  {
-    WireWriter w(&body);
-    w.U64(manifest.checkpoint_seq);
-    w.U64(manifest.last_op_id);
-    w.U32(manifest.num_shards);
-    w.U64Vec(manifest.shard_versions);
-    w.U64(manifest.partition_fingerprint);
-    w.U32Vec(manifest.shard_file_crcs);
-    w.U32(static_cast<uint32_t>(manifest.seller_deltas.size()));
-    for (const market::CellDelta& delta : manifest.seller_deltas) {
-      PutCellDelta(w, delta);
-    }
-  }
-  AppendSection(kManifestSection, body, &out);
-  return out;
-}
-
-Result<Manifest> DeserializeManifest(const std::vector<uint8_t>& data) {
-  QP_ASSIGN_OR_RETURN(size_t offset, CheckFileHeader(data, kManifestFileKind));
+Result<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& data) {
+  QP_ASSIGN_OR_RETURN(size_t offset,
+                      CheckFileHeader(data, kCheckpointFileKind));
   SectionReader sections(data.data() + offset, data.size() - offset);
-  Section section;
-  QP_RETURN_IF_ERROR(sections.Next(&section));
-  if (section.tag != kManifestSection) {
-    return Status::Internal("persist: manifest section missing");
-  }
-  WireReader r(section.payload, section.size);
-  Manifest manifest;
-  manifest.checkpoint_seq = r.U64();
-  manifest.last_op_id = r.U64();
-  manifest.num_shards = r.U32();
-  manifest.shard_versions = r.U64Vec();
-  manifest.partition_fingerprint = r.U64();
-  manifest.shard_file_crcs = r.U32Vec();
-  uint32_t num_deltas = r.Count(kMinCellDeltaBytes);
-  manifest.seller_deltas.reserve(num_deltas);
-  for (uint32_t i = 0; i < num_deltas && r.ok(); ++i) {
-    QP_ASSIGN_OR_RETURN(market::CellDelta delta, GetCellDelta(r));
-    manifest.seller_deltas.push_back(std::move(delta));
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return Status::Internal("persist: malformed manifest");
-  }
-  if (manifest.shard_versions.size() != manifest.num_shards ||
-      manifest.shard_file_crcs.size() != manifest.num_shards) {
+  Checkpoint checkpoint;
+  Manifest& manifest = checkpoint.manifest;
+  QP_RETURN_IF_ERROR(
+      ReadSection(sections, kManifestSection, [&](WireReader& r) -> Status {
+        manifest.checkpoint_seq = r.U64();
+        manifest.last_op_id = r.U64();
+        manifest.num_shards = r.U32();
+        manifest.shard_versions = r.U64Vec();
+        manifest.partition_fingerprint = r.U64();
+        uint32_t num_deltas = r.Count(kMinCellDeltaBytes);
+        manifest.seller_deltas.reserve(num_deltas);
+        for (uint32_t i = 0; i < num_deltas && r.ok(); ++i) {
+          QP_ASSIGN_OR_RETURN(market::CellDelta delta, GetCellDelta(r));
+          manifest.seller_deltas.push_back(std::move(delta));
+        }
+        return Status::OK();
+      }));
+  if (manifest.shard_versions.size() != manifest.num_shards) {
     return Status::Internal("persist: manifest shard-count mismatch");
   }
-  return manifest;
+  // Shards are pushed as they decode, so a forged shard count sizes
+  // nothing: it runs out of sections first.
+  for (uint32_t s = 0; s < manifest.num_shards; ++s) {
+    QP_ASSIGN_OR_RETURN(ShardState shard, ReadShard(sections));
+    if (shard.version != manifest.shard_versions[s]) {
+      return Status::Internal("persist: shard " + std::to_string(s) +
+                              " at version " + std::to_string(shard.version) +
+                              ", manifest says " +
+                              std::to_string(manifest.shard_versions[s]));
+    }
+    checkpoint.shards.push_back(std::move(shard));
+  }
+  if (!sections.AtEnd()) {
+    return Status::Internal("persist: bytes after the last shard");
+  }
+  return checkpoint;
 }
 
 void PutCellDelta(rpc::WireWriter& w, const market::CellDelta& delta) {

@@ -1,5 +1,5 @@
-// Serialization of one shard's complete pricing state, and the
-// checkpoint manifest (serve/persist).
+// The checkpoint codec (serve/persist): one file holding the manifest
+// and every shard's complete pricing state.
 //
 // A ShardState is everything a PricingEngine's writer owns: the appended
 // conflict-set edges and valuations, the cross-generation RepriceState
@@ -28,14 +28,17 @@
 // section's num_items (capped at 2^20), and sparse indices to be
 // strictly ascending and below it; it fills one zero-initialised vector.
 //
-// The manifest is a checkpoint's commit record: written last (atomic
-// rename), it carries the sequence number, the per-shard version vector
-// (MergedBookView::version_vector() at checkpoint time), the journal
-// op id the checkpoint subsumes, a fingerprint of the support partition
-// (a checkpoint must not restore into a differently-sharded router), and
-// a whole-file CRC per shard file binding the manifest to the exact
-// bytes it committed. A checkpoint directory without a valid manifest is
-// not a checkpoint.
+// A checkpoint file (format version 4) is the file header, one manifest
+// section, then each shard's meta, edges, valuations, reprice and book
+// sections, in shard order and in that section order, and nothing else.
+// The manifest carries the sequence number, the per-shard version vector
+// (MergedBookView::version_vector() at checkpoint time), the journal op
+// id the checkpoint subsumes, a fingerprint of the support partition (a
+// checkpoint must not restore into a differently-sharded router) and the
+// seller-delta history. The decoder refuses a file whose shard count or
+// shard versions disagree with the manifest, or that does not end right
+// after the last shard's book section. The file is replaced by one atomic
+// rename, so its shards cannot come from two different writes.
 #ifndef QP_SERVE_PERSIST_STATE_IO_H_
 #define QP_SERVE_PERSIST_STATE_IO_H_
 
@@ -52,8 +55,8 @@
 namespace qp::serve::persist {
 
 /// File-kind tags (format.h header field).
-inline constexpr uint32_t kShardFileKind = 1;
-inline constexpr uint32_t kManifestFileKind = 2;
+inline constexpr uint32_t kCheckpointFileKind = 1;
+inline constexpr uint32_t kJournalFileKind = 2;
 
 /// One shard's full writer + published-book state.
 struct ShardState {
@@ -76,20 +79,6 @@ struct ShardState {
   ShardState Clone() const;
 };
 
-/// Fails (Unimplemented) on a PricingFunction subclass the format does
-/// not know — never silently drops a pricing. Deterministic: equal states
-/// give equal bytes.
-Result<std::vector<uint8_t>> SerializeShardState(const ShardState& state);
-/// Refuses (Internal) CRC-valid bytes whose shape a restored engine could
-/// not serve: an empty book, a book result without a pricing, and an item
-/// vector (item weights, XOS component or retained LPIP candidate
-/// weights) whose length is not `num_items`. On success, stores the Crc32
-/// of all of `data` in `*file_crc` when it is non-null — folded from the
-/// section checks, so the bytes are not read a second time to compare
-/// against Manifest::shard_file_crcs.
-Result<ShardState> DeserializeShardState(const std::vector<uint8_t>& data,
-                                         uint32_t* file_crc = nullptr);
-
 struct Manifest {
   uint64_t checkpoint_seq = 0;
   /// Journal ops with id <= this are baked into the checkpoint; replay
@@ -101,8 +90,6 @@ struct Manifest {
   /// Fingerprint of the partition's item->shard map; restore refuses a
   /// checkpoint taken under a different partition.
   uint64_t partition_fingerprint = 0;
-  /// Whole-file CRC32 of each committed shard file.
-  std::vector<uint32_t> shard_file_crcs;
   /// Every seller delta applied before this checkpoint, in apply order.
   /// Shard books bake the deltas' effects in (conflict sets were probed
   /// against the edited database), but the database itself is the
@@ -112,8 +99,23 @@ struct Manifest {
   std::vector<market::CellDelta> seller_deltas;
 };
 
-std::vector<uint8_t> SerializeManifest(const Manifest& manifest);
-Result<Manifest> DeserializeManifest(const std::vector<uint8_t>& data);
+/// The contents of one checkpoint file.
+struct Checkpoint {
+  Manifest manifest;
+  /// One per shard, in shard order.
+  std::vector<ShardState> shards;
+};
+
+/// Writes the manifest and the shards as given. Fails (Unimplemented) on
+/// a PricingFunction subclass the format does not know — never silently
+/// drops a pricing. Deterministic: equal checkpoints give equal bytes.
+Result<std::vector<uint8_t>> SerializeCheckpoint(const Checkpoint& checkpoint);
+/// Refuses (Internal) CRC-valid bytes that are not one well-formed
+/// checkpoint (see the file comment), and shard states a restored engine
+/// could not serve: an empty book, a book result without a pricing, and
+/// an item vector (item weights, XOS component or retained LPIP
+/// candidate weights) whose length is not the shard's `num_items`.
+Result<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& data);
 
 /// Stable fingerprint of (num_items, shard_of_item) — the part of the
 /// partition that determines routing and local item ids.

@@ -321,7 +321,9 @@ class ShardedPricingEngine {
   /// So no served quote or purchase sees a catalog without the recovered
   /// deltas, and replayed books are bit-identical to the pre-crash ones
   /// (versions, revenues, LP counts, catalog head generation). A non-fresh
-  /// engine is refused before anything lands. `mutable_db` must be the
+  /// engine (one whose shards hold edges or whose catalog is past
+  /// generation 0) is refused before anything lands, whether or not a
+  /// checkpoint was recovered. `mutable_db` must be the
   /// engine's own database and is only required when the recovered state
   /// carries seller deltas.
   /// Consumes the heavy parts of `state` (shard states, append conflict

@@ -2,15 +2,18 @@
 //  (a) the checkpoint/journal format detects corruption: section CRCs,
 //      file-kind tags and versions, torn journal tails — and CRC-valid
 //      bytes with absurd element counts, item-vector lengths or sparse
-//      indices decode to an error Status, never a throw; item vectors
-//      round-trip bit for bit in either form, and encoding is
-//      deterministic;
+//      indices, sections out of place, or shard counts and versions
+//      that disagree with the manifest decode to an error Status, never
+//      a throw; item vectors round-trip bit for bit in either form, and
+//      encoding is deterministic;
 //  (b) crash recovery (checkpoint + write-ahead journal replay into a
 //      fresh engine) reproduces the pre-crash books BIT FOR BIT —
 //      versions, prices, serialized shard state — including seller
 //      deltas and a journal that ends in a torn record;
-//  (c) a corrupt or uncommitted newest checkpoint falls back to an
-//      older one, with the longer journal replay closing the gap;
+//  (c) a corrupt, hostile or uncommitted newest checkpoint falls back
+//      to an older one, with the longer journal replay closing the gap,
+//      and a non-fresh engine refuses any restore, journal-only ones
+//      included;
 //  (d) while shards warm after a restore, TryQuoteBatchInto/Purchase
 //      answer Unavailable instead of serving cold prices, also when the
 //      restore races live readers, and no served purchase probes a
@@ -153,9 +156,10 @@ void ExpectEnginesIdentical(const ShardedPricingEngine& a,
 }
 
 /// The strongest equality: checkpoint both engines into scratch dirs and
-/// compare the serialized shard files byte for byte (serialization is
-/// deterministic, so identical bytes == identical writer state: edges,
-/// valuations, reprice state, LP counts, published books).
+/// compare the checkpoint files byte for byte (serialization is
+/// deterministic, and both fresh managers write the same manifest, so
+/// identical bytes == identical writer state: edges, valuations, reprice
+/// state, LP counts, published books).
 void ExpectSerializedStateIdentical(ShardedPricingEngine& a,
                                     ShardedPricingEngine& b,
                                     const std::string& tag) {
@@ -165,14 +169,11 @@ void ExpectSerializedStateIdentical(ShardedPricingEngine& a,
   CheckpointManager mb({.dir = dir_b});
   QP_CHECK_OK(ma.Attach(&a));
   QP_CHECK_OK(mb.Attach(&b));
-  for (int s = 0; s < a.num_shards(); ++s) {
-    std::string name = "/checkpoint-1/shard-" + std::to_string(s) + ".ckpt";
-    auto bytes_a = ReadFile(dir_a + name);
-    auto bytes_b = ReadFile(dir_b + name);
-    QP_CHECK_OK(bytes_a.status());
-    QP_CHECK_OK(bytes_b.status());
-    EXPECT_EQ(*bytes_a, *bytes_b) << "shard " << s << " (" << tag << ")";
-  }
+  auto bytes_a = ReadFile(dir_a + "/checkpoint-1/CHECKPOINT");
+  auto bytes_b = ReadFile(dir_b + "/checkpoint-1/CHECKPOINT");
+  QP_CHECK_OK(bytes_a.status());
+  QP_CHECK_OK(bytes_b.status());
+  EXPECT_EQ(*bytes_a, *bytes_b) << tag;
 }
 
 void AppendRawBytes(const std::string& path, const std::vector<uint8_t>& bytes,
@@ -211,41 +212,80 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
-// Shard-file section tags (state_io.cc).
+// Checkpoint section tags (state_io.cc): the manifest, then per shard
+// meta, edges, valuations, reprice and book.
+constexpr uint32_t kManifestTag = 6;
+constexpr uint32_t kMetaTag = 1;
 constexpr uint32_t kEdgesTag = 2;
 constexpr uint32_t kValuationsTag = 3;
 constexpr uint32_t kRepriceTag = 4;
 constexpr uint32_t kBookTag = 5;
 constexpr uint32_t kHugeCount = 0xFFFFFFFFu;
 
-/// A file of kind `kind` whose only section is `payload`, CRC-sealed.
-std::vector<uint8_t> OneSectionFile(uint32_t kind, uint32_t tag,
-                                    const std::vector<uint8_t>& payload) {
+/// One section of a persist file, decoded or to be sealed.
+struct RawSection {
+  uint32_t tag = 0;
+  std::vector<uint8_t> payload;
+};
+
+/// A file of kind `kind` holding `sections`, each CRC-sealed.
+std::vector<uint8_t> FileOf(uint32_t kind,
+                            const std::vector<RawSection>& sections) {
   std::vector<uint8_t> file;
   AppendFileHeader(kind, &file);
-  AppendSection(tag, payload, &file);
+  for (const RawSection& section : sections) {
+    AppendSection(section.tag, section.payload, &file);
+  }
   return file;
 }
 
-/// A journal record ([len][body][crc]) around a raw body.
-std::vector<uint8_t> SealRecord(const std::vector<uint8_t>& body) {
+/// The sections of a well-formed checkpoint file, in file order.
+std::vector<RawSection> SectionsOf(const std::vector<uint8_t>& file) {
+  auto offset = CheckFileHeader(file, kCheckpointFileKind);
+  QP_CHECK_OK(offset.status());
+  SectionReader reader(file.data() + *offset, file.size() - *offset);
+  std::vector<RawSection> out;
+  while (!reader.AtEnd()) {
+    Section section;
+    QP_CHECK_OK(reader.Next(&section));
+    out.push_back(
+        {section.tag, {section.payload, section.payload + section.size}});
+  }
+  return out;
+}
+
+/// A journal segment: the file header, then `records`.
+std::vector<uint8_t> JournalFile(
+    const std::vector<std::vector<uint8_t>>& records) {
+  std::vector<uint8_t> file;
+  AppendFileHeader(kJournalFileKind, &file);
+  for (const std::vector<uint8_t>& record : records) {
+    file.insert(file.end(), record.begin(), record.end());
+  }
+  return file;
+}
+
+/// A journal record sealed around a raw payload.
+std::vector<uint8_t> SealRecord(uint32_t type,
+                                const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> record;
-  record.reserve(body.size() + 8);
-  rpc::WireWriter w(&record);
-  w.U32(static_cast<uint32_t>(body.size()));
-  record.insert(record.end(), body.begin(), body.end());
-  w.U32(Crc32(body));
+  AppendSection(type, payload, &record);
   return record;
 }
 
-/// The bytes of a shard file whose edges section claims 2^32 - 1 edges.
-std::vector<uint8_t> HugeEdgeCountShardFile() {
+/// A manifest section payload for checkpoint 1 of one shard at version 1.
+std::vector<uint8_t> ManifestPayload() {
   std::vector<uint8_t> payload;
-  rpc::WireWriter(&payload).U32(kHugeCount);
-  return OneSectionFile(kShardFileKind, kEdgesTag, payload);
+  rpc::WireWriter w(&payload);
+  w.U64(1);   // checkpoint_seq
+  w.U64(0);   // last_op_id
+  w.U32(1);   // num_shards
+  w.U32(1);   // shard_versions
+  w.U64(1);
+  w.U64(0);   // partition_fingerprint
+  w.U32(0);   // seller_deltas
+  return payload;
 }
-
-constexpr uint32_t kMetaTag = 1;
 
 /// A meta section payload declaring `num_items` items and no edges.
 std::vector<uint8_t> MetaPayload(uint32_t num_items) {
@@ -256,17 +296,6 @@ std::vector<uint8_t> MetaPayload(uint32_t num_items) {
   w.U32(num_items);
   w.U32(0);  // num_edges
   return payload;
-}
-
-/// A shard file holding a meta section for `num_items` items, then one
-/// section `tag` with `payload`, both CRC-sealed.
-std::vector<uint8_t> MetaThenSectionFile(uint32_t num_items, uint32_t tag,
-                                         const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> file;
-  AppendFileHeader(kShardFileKind, &file);
-  AppendSection(kMetaTag, MetaPayload(num_items), &file);
-  AppendSection(tag, payload, &file);
-  return file;
 }
 
 /// Bit-for-bit vector equality (NaN payloads and -0.0 included).
@@ -368,36 +397,94 @@ std::vector<uint8_t> BookWith(uint8_t pricing_tag,
   return out;
 }
 
-/// A complete shard file for a `num_items`-item shard with no edges,
-/// carrying the given reprice and book section payloads.
-std::vector<uint8_t> ShardFile(uint32_t num_items,
-                               const std::vector<uint8_t>& reprice,
-                               const std::vector<uint8_t>& book) {
-  std::vector<uint8_t> file;
-  AppendFileHeader(kShardFileKind, &file);
-  AppendSection(kMetaTag, MetaPayload(num_items), &file);
-  AppendSection(kEdgesTag, {0, 0, 0, 0}, &file);
-  AppendSection(kValuationsTag, {0, 0, 0, 0}, &file);
-  AppendSection(kRepriceTag, reprice, &file);
-  AppendSection(kBookTag, book, &file);
-  return file;
+/// A reprice section payload with no LPIP candidates.
+std::vector<uint8_t> NoCandidates() {
+  std::vector<uint8_t> out;
+  rpc::WireWriter w(&out);
+  w.U32(0);  // LPIP candidates
+  w.U32(0);  // generation
+  PutZeroStats(w);
+  return out;
 }
 
-/// Overwrites shard `s` of checkpoint directory `ckdir` with `bytes` and
-/// re-seals its MANIFEST's whole-file CRC over them, so only the shard
-/// decoder can reject the checkpoint.
-void ReplaceShardFileResealed(const std::string& ckdir, uint32_t s,
-                              const std::vector<uint8_t>& bytes) {
-  auto manifest_bytes = ReadFile(ckdir + "/MANIFEST");
-  QP_CHECK_OK(manifest_bytes.status());
-  auto manifest = DeserializeManifest(*manifest_bytes);
-  QP_CHECK_OK(manifest.status());
-  manifest->shard_file_crcs[s] = Crc32(bytes);
-  QP_CHECK_OK(WriteFileAtomic(
-      ckdir + "/shard-" + std::to_string(s) + ".ckpt", bytes, false));
-  QP_CHECK_OK(WriteFileAtomic(ckdir + "/MANIFEST",
-                              SerializeManifest(*manifest), false));
+/// The sections of a one-shard checkpoint (checkpoint 1, shard version 1)
+/// of a `num_items`-item shard with no edges, carrying the given reprice
+/// and book section payloads.
+std::vector<RawSection> OneShardSections(uint32_t num_items,
+                                         const std::vector<uint8_t>& reprice,
+                                         const std::vector<uint8_t>& book) {
+  return {{kManifestTag, ManifestPayload()},
+          {kMetaTag, MetaPayload(num_items)},
+          {kEdgesTag, {0, 0, 0, 0}},
+          {kValuationsTag, {0, 0, 0, 0}},
+          {kRepriceTag, reprice},
+          {kBookTag, book}};
 }
+
+std::vector<uint8_t> CheckpointFile(uint32_t num_items,
+                                    const std::vector<uint8_t>& reprice,
+                                    const std::vector<uint8_t>& book) {
+  return FileOf(kCheckpointFileKind,
+                OneShardSections(num_items, reprice, book));
+}
+
+/// A valid one-shard checkpoint of a 4-item shard, except that section
+/// `tag` carries `payload`.
+std::vector<uint8_t> CheckpointFileWith(uint32_t tag,
+                                        const std::vector<uint8_t>& payload) {
+  std::vector<RawSection> sections =
+      OneShardSections(4, NoCandidates(), BookWith(kUniformBundleTag));
+  for (RawSection& section : sections) {
+    if (section.tag == tag) section.payload = payload;
+  }
+  return FileOf(kCheckpointFileKind, sections);
+}
+
+/// A World whose CheckpointManager checkpoints after every publish and
+/// keeps 3, taken through three appends: checkpoints 2, 3 and 4 are on
+/// disk, and 4 is the newest.
+struct CheckpointedWorld {
+  std::string dir;
+  World live;
+  CheckpointManager manager;
+
+  explicit CheckpointedWorld(const std::string& name)
+      : dir(FreshDir(name)),
+        manager({.dir = dir, .checkpoint_every = 1, .keep = 3}) {
+    QP_CHECK_OK(manager.Attach(live.engine.get()));
+    live.engine->SetWriterLog(&manager);
+    live.Append(0, 2);  // checkpoint 2
+    live.Append(2, 2);  // checkpoint 3
+    live.Append(4, 3);  // checkpoint 4
+    EXPECT_EQ(manager.stats().last_checkpoint_seq, 4u);
+  }
+
+  std::string CheckpointPath(uint64_t seq) const {
+    return dir + "/checkpoint-" + std::to_string(seq) + "/CHECKPOINT";
+  }
+  std::vector<uint8_t> Read(uint64_t seq) const {
+    auto bytes = ReadFile(CheckpointPath(seq));
+    QP_CHECK_OK(bytes.status());
+    return *bytes;
+  }
+  void Write(uint64_t seq, const std::vector<uint8_t>& bytes) const {
+    QP_CHECK_OK(WriteFileAtomic(CheckpointPath(seq), bytes, false));
+  }
+
+  /// Recovery must skip `skipped` checkpoints, restore checkpoint `seq`
+  /// and, with the longer journal replay, reproduce the live books.
+  void ExpectRecoversFrom(int64_t seq, int skipped,
+                          const std::string& what) const {
+    auto recovered = Recover(dir);
+    QP_CHECK_OK(recovered.status());
+    EXPECT_EQ(recovered->checkpoint_seq, seq) << what;
+    EXPECT_EQ(recovered->corrupt_checkpoints_skipped, skipped) << what;
+    World restored;
+    QP_CHECK_OK(restored.engine->RestoreFromCheckpoint(*recovered,
+                                                       restored.db.get()));
+    ExpectEnginesIdentical(*live.engine, *restored.engine);
+  }
+};
 
 // --- (a) format --------------------------------------------------------
 
@@ -432,26 +519,6 @@ TEST(PersistFormatTest, Crc32MatchesBitwiseReference) {
   }
   std::vector<uint8_t> big = RandomBytes(1 << 20, 13);
   EXPECT_EQ(Crc32(big), ReferenceCrc32(big.data(), big.size()));
-}
-
-TEST(PersistFormatTest, Crc32CombineMatchesConcatenation) {
-  // Crc32Combine(Crc32(a), Crc32(b), |b|) == Crc32(a + b) at every split,
-  // the empty a and the empty b (len_b = 0) included.
-  std::vector<uint8_t> data = RandomBytes(300, 14);
-  const uint32_t whole = Crc32(data);
-  for (size_t split = 0; split <= data.size(); ++split) {
-    const size_t len_b = data.size() - split;
-    EXPECT_EQ(Crc32Combine(Crc32(data.data(), split),
-                           Crc32(data.data() + split, len_b), len_b),
-              whole)
-        << "split " << split;
-  }
-  std::vector<uint8_t> big = RandomBytes(1 << 20, 15);
-  const size_t split = 333333;
-  EXPECT_EQ(Crc32Combine(Crc32(big.data(), split),
-                         Crc32(big.data() + split, big.size() - split),
-                         big.size() - split),
-            Crc32(big));
 }
 
 TEST(PersistFormatTest, ItemVectorsRoundTripBitForBitInEitherForm) {
@@ -504,8 +571,8 @@ TEST(PersistFormatTest, ItemVectorsRoundTripBitForBitInEitherForm) {
   }
 }
 
-TEST(PersistFormatTest, ShardStateBytesRoundTripAndAreDeterministic) {
-  // Every item-vector field of a shard file, each carrying the corpus.
+TEST(PersistFormatTest, CheckpointBytesRoundTripAndAreDeterministic) {
+  // Every item-vector field of a shard, each carrying the corpus.
   const uint32_t n = 40;
   const std::vector<std::vector<double>> corpus = ItemVectorCorpus(n);
   ShardState state;
@@ -527,27 +594,45 @@ TEST(PersistFormatTest, ShardStateBytesRoundTripAndAreDeterministic) {
   state.results.push_back(std::move(xos));
   state.reprice.generation = 2;
 
-  auto bytes = SerializeShardState(state);
+  Checkpoint checkpoint;
+  checkpoint.manifest = {.checkpoint_seq = 9,
+                         .last_op_id = 17,
+                         .num_shards = 1,
+                         .shard_versions = {3},
+                         .partition_fingerprint = 0xFEEDu,
+                         .seller_deltas = {{0, 1, 3, db::Value::Int(42)},
+                                           {1, 2, 0, db::Value::Str("x")}}};
+  checkpoint.shards.push_back(state.Clone());
+  auto bytes = SerializeCheckpoint(checkpoint);
   QP_CHECK_OK(bytes.status());
-  auto again = SerializeShardState(state.Clone());
+  checkpoint.shards[0] = state.Clone();
+  auto again = SerializeCheckpoint(checkpoint);
   QP_CHECK_OK(again.status());
   EXPECT_EQ(*bytes, *again);
-  auto back = DeserializeShardState(*bytes);
+  auto back = DeserializeCheckpoint(*bytes);
   QP_CHECK_OK(back.status());
-  ASSERT_EQ(back->reprice.lpip.size(), corpus.size());
-  ASSERT_EQ(back->results.size(), corpus.size() + 1);
+  EXPECT_EQ(back->manifest.checkpoint_seq, 9u);
+  EXPECT_EQ(back->manifest.last_op_id, 17u);
+  EXPECT_EQ(back->manifest.partition_fingerprint, 0xFEEDu);
+  ASSERT_EQ(back->manifest.seller_deltas.size(), 2u);
+  EXPECT_EQ(back->manifest.seller_deltas[1].new_value.as_string(), "x");
+  ASSERT_EQ(back->shards.size(), 1u);
+  const ShardState& shard = back->shards[0];
+  EXPECT_EQ(shard.edges, state.edges);
+  ASSERT_EQ(shard.reprice.lpip.size(), corpus.size());
+  ASSERT_EQ(shard.results.size(), corpus.size() + 1);
   for (size_t c = 0; c < corpus.size(); ++c) {
-    EXPECT_TRUE(SameBits(back->reprice.lpip[c].item_weights, corpus[c]))
+    EXPECT_TRUE(SameBits(shard.reprice.lpip[c].item_weights, corpus[c]))
         << "candidate " << c;
     const auto& item =
-        dynamic_cast<const core::ItemPricing&>(*back->results[c].pricing);
+        dynamic_cast<const core::ItemPricing&>(*shard.results[c].pricing);
     EXPECT_TRUE(SameBits(item.weights(), corpus[c])) << "pricing " << c;
     const auto& decoded_xos =
-        dynamic_cast<const core::XosPricing&>(*back->results.back().pricing);
+        dynamic_cast<const core::XosPricing&>(*shard.results.back().pricing);
     EXPECT_TRUE(SameBits(decoded_xos.components()[c], corpus[c]))
         << "component " << c;
   }
-  auto reencoded = SerializeShardState(*back);
+  auto reencoded = SerializeCheckpoint(*back);
   QP_CHECK_OK(reencoded.status());
   EXPECT_EQ(*reencoded, *bytes);
 
@@ -555,41 +640,55 @@ TEST(PersistFormatTest, ShardStateBytesRoundTripAndAreDeterministic) {
   // decode.
   World w;
   w.Append(0, AllBuyers().size());
-  for (int s = 0; s < w.engine->num_shards(); ++s) {
-    auto first = SerializeShardState(w.engine->shard(s).CaptureState());
-    auto second = SerializeShardState(w.engine->shard(s).CaptureState());
-    QP_CHECK_OK(first.status());
-    QP_CHECK_OK(second.status());
-    EXPECT_EQ(*first, *second) << "shard " << s;
-    auto decoded = DeserializeShardState(*first);
-    QP_CHECK_OK(decoded.status());
-    EXPECT_EQ(*SerializeShardState(*decoded), *first) << "shard " << s;
-  }
+  auto capture = [&w] {
+    Checkpoint out;
+    out.manifest.num_shards = static_cast<uint32_t>(w.engine->num_shards());
+    for (int s = 0; s < w.engine->num_shards(); ++s) {
+      out.shards.push_back(w.engine->shard(s).CaptureState());
+      out.manifest.shard_versions.push_back(out.shards.back().version);
+    }
+    return out;
+  };
+  auto first = SerializeCheckpoint(capture());
+  auto second = SerializeCheckpoint(capture());
+  QP_CHECK_OK(first.status());
+  QP_CHECK_OK(second.status());
+  EXPECT_EQ(*first, *second);
+  auto decoded = DeserializeCheckpoint(*first);
+  QP_CHECK_OK(decoded.status());
+  EXPECT_EQ(*SerializeCheckpoint(*decoded), *first);
 }
 
 TEST(PersistFormatTest, OtherFormatVersionsAreRefused) {
   World w;
   w.Append(0, 3);
-  auto shard = SerializeShardState(w.engine->shard(0).CaptureState());
-  QP_CHECK_OK(shard.status());
-  QP_CHECK_OK(DeserializeShardState(*shard).status());
-  Manifest manifest;
-  manifest.num_shards = 1;
-  manifest.shard_versions = {1};
-  manifest.shard_file_crcs = {Crc32(*shard)};
-  std::vector<uint8_t> manifest_bytes = SerializeManifest(manifest);
-  QP_CHECK_OK(DeserializeManifest(manifest_bytes).status());
+  std::string dir = FreshDir("versions");
+  CheckpointManager manager({.dir = dir});
+  QP_CHECK_OK(manager.Attach(w.engine.get()));
+  w.engine->SetWriterLog(&manager);
+  w.Append(3, 1);
+  w.engine->SetWriterLog(nullptr);
+  auto checkpoint = ReadFile(dir + "/checkpoint-1/CHECKPOINT");
+  QP_CHECK_OK(checkpoint.status());
+  QP_CHECK_OK(DeserializeCheckpoint(*checkpoint).status());
+  const std::string journal_path = dir + "/journal-1.log";
+  auto journal = ReadFile(journal_path);
+  QP_CHECK_OK(journal.status());
+  auto ops = ReadJournal(journal_path);
+  QP_CHECK_OK(ops.status());
+  ASSERT_EQ(ops->ops.size(), 1u);
   // The format version is the u32 at bytes 12..15 of every persist file.
-  for (uint32_t version : {1u, 2u, kFormatVersion + 1}) {
-    for (std::vector<uint8_t>* file : {&*shard, &manifest_bytes}) {
+  for (uint32_t version : {1u, 2u, 3u, kFormatVersion + 1}) {
+    for (std::vector<uint8_t>* file : {&*checkpoint, &*journal}) {
       std::vector<uint8_t> le;
       rpc::WireWriter(&le).U32(version);
       std::copy(le.begin(), le.end(), file->begin() + 12);
     }
-    EXPECT_EQ(DeserializeShardState(*shard).status().code(),
+    EXPECT_EQ(DeserializeCheckpoint(*checkpoint).status().code(),
               StatusCode::kInternal)
         << "version " << version;
-    EXPECT_EQ(DeserializeManifest(manifest_bytes).status().code(),
+    QP_CHECK_OK(WriteFileAtomic(journal_path, *journal, false));
+    EXPECT_EQ(ReadJournal(journal_path).status().code(),
               StatusCode::kInternal)
         << "version " << version;
   }
@@ -597,13 +696,14 @@ TEST(PersistFormatTest, OtherFormatVersionsAreRefused) {
 
 TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
   // CRC-valid payloads whose element count (2^32 - 1) exceeds the bytes
-  // behind it, one per counted field of a shard file.
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> shard_sections;
+  // behind it, one per counted field of a checkpoint, each in its place
+  // in an otherwise valid file so the decoder reaches it.
+  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> cases;
   auto add = [&](uint32_t tag, auto&& write) {
     std::vector<uint8_t> payload;
     rpc::WireWriter w(&payload);
     write(w);
-    shard_sections.emplace_back(tag, std::move(payload));
+    cases.emplace_back(tag, std::move(payload));
   };
   add(kEdgesTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
   add(kValuationsTag, [](rpc::WireWriter& w) { w.U32(kHugeCount); });
@@ -617,15 +717,33 @@ TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
     w.U8(kXosPricingTag);
     w.U32(kHugeCount);
   });
-  for (size_t i = 0; i < shard_sections.size(); ++i) {
-    const auto& [tag, payload] = shard_sections[i];
-    EXPECT_EQ(DeserializeShardState(MetaThenSectionFile(4, tag, payload))
+  auto manifest = [&](uint32_t num_shards, uint32_t num_versions,
+                      uint32_t num_deltas) {
+    add(kManifestTag, [=](rpc::WireWriter& w) {
+      w.U64(1);  // checkpoint_seq
+      w.U64(0);  // last_op_id
+      w.U32(num_shards);
+      w.U32(num_versions);
+      if (num_versions == 1) w.U64(1);
+      w.U64(0);  // partition_fingerprint
+      w.U32(num_deltas);
+    });
+  };
+  manifest(1, 1, kHugeCount);           // seller deltas
+  manifest(1, kHugeCount, 0);           // shard versions
+  manifest(kHugeCount, 1, 0);           // shards, against one version
+  // The file they are placed in decodes as it is.
+  QP_CHECK_OK(
+      DeserializeCheckpoint(CheckpointFileWith(kMetaTag, MetaPayload(4)))
+          .status());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [tag, payload] = cases[i];
+    EXPECT_EQ(DeserializeCheckpoint(CheckpointFileWith(tag, payload))
                   .status()
                   .code(),
               StatusCode::kInternal)
         << "case " << i;
   }
-
   // Item vectors on a 4-item shard. The length must equal num_items and
   // a sparse entry count must fit the bytes left; both are checked before
   // they size anything. Sparse indices must ascend strictly below 4.
@@ -688,11 +806,11 @@ TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
   const std::vector<uint8_t> good = ItemVecBytes(
       kSparseItemVec, kItems, entries(2, {{0, -0.0}, {kItems - 1, 1.0}}));
   const std::vector<uint8_t> ubp = BookWith(kUniformBundleTag);
-  QP_CHECK_OK(DeserializeShardState(ShardFile(kItems, RepriceWith(good),
+  QP_CHECK_OK(DeserializeCheckpoint(CheckpointFile(kItems, RepriceWith(good),
                                               BookWith(kItemPricingTag, good)))
                   .status());
   QP_CHECK_OK(
-      DeserializeShardState(ShardFile(kItems, RepriceWith(good),
+      DeserializeCheckpoint(CheckpointFile(kItems, RepriceWith(good),
                                       BookWith(kXosPricingTag, good)))
           .status());
   for (const BadVector& bad : bad_vectors) {
@@ -704,77 +822,56 @@ TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
       EXPECT_EQ(out.capacity(), 0u) << bad.what;
     }
     const std::vector<std::vector<uint8_t>> files = {
-        ShardFile(kItems, RepriceWith(bad.bytes), ubp),
-        ShardFile(kItems, RepriceWith(good),
+        CheckpointFile(kItems, RepriceWith(bad.bytes), ubp),
+        CheckpointFile(kItems, RepriceWith(good),
                   BookWith(kItemPricingTag, bad.bytes)),
-        ShardFile(kItems, RepriceWith(good),
+        CheckpointFile(kItems, RepriceWith(good),
                   BookWith(kXosPricingTag, bad.bytes))};
     for (size_t f = 0; f < files.size(); ++f) {
-      EXPECT_EQ(DeserializeShardState(files[f]).status().code(),
+      EXPECT_EQ(DeserializeCheckpoint(files[f]).status().code(),
                 StatusCode::kInternal)
           << bad.what << ", placement " << f;
     }
   }
   // The meta section's num_items sizes every item vector, so a huge one
   // is refused, and no item vector may come before it.
-  std::vector<uint8_t> no_candidates;
-  {
-    rpc::WireWriter w(&no_candidates);
-    w.U32(0);  // LPIP candidates
-    w.U32(0);  // generation
-    PutZeroStats(w);
-  }
   QP_CHECK_OK(
-      DeserializeShardState(ShardFile(kItems, no_candidates, ubp)).status());
-  EXPECT_EQ(DeserializeShardState(ShardFile(kHugeCount, no_candidates, ubp))
-                .status()
-                .code(),
-            StatusCode::kInternal);
+      DeserializeCheckpoint(CheckpointFile(kItems, NoCandidates(), ubp))
+          .status());
+  EXPECT_EQ(
+      DeserializeCheckpoint(CheckpointFile(kHugeCount, NoCandidates(), ubp))
+          .status()
+          .code(),
+      StatusCode::kInternal);
   {
-    std::vector<uint8_t> file;
-    AppendFileHeader(kShardFileKind, &file);
-    AppendSection(kBookTag, BookWith(kItemPricingTag, good), &file);
-    AppendSection(kMetaTag, MetaPayload(kItems), &file);
-    EXPECT_EQ(DeserializeShardState(file).status().code(),
+    std::vector<RawSection> sections = OneShardSections(
+        kItems, RepriceWith(good), BookWith(kItemPricingTag, good));
+    std::swap(sections[1], sections[5]);  // the book where the meta goes
+    EXPECT_EQ(DeserializeCheckpoint(FileOf(kCheckpointFileKind, sections))
+                  .status()
+                  .code(),
               StatusCode::kInternal);
   }
   // Nor may a second meta section change num_items after them.
   {
-    std::vector<uint8_t> file =
-        ShardFile(kItems, RepriceWith(good), BookWith(kItemPricingTag, good));
+    std::vector<uint8_t> file = CheckpointFile(
+        kItems, RepriceWith(good), BookWith(kItemPricingTag, good));
     AppendSection(kMetaTag, MetaPayload(kItems + 1), &file);
-    EXPECT_EQ(DeserializeShardState(file).status().code(),
+    EXPECT_EQ(DeserializeCheckpoint(file).status().code(),
               StatusCode::kInternal);
   }
 
-  std::vector<uint8_t> manifest;
-  {
-    rpc::WireWriter w(&manifest);
-    w.U64(1);  // checkpoint_seq
-    w.U64(0);  // last_op_id
-    w.U32(0);  // num_shards
-    w.U32(0);  // shard_versions
-    w.U64(0);  // partition_fingerprint
-    w.U32(0);  // shard_file_crcs
-    w.U32(kHugeCount);  // seller_deltas
-  }
-  EXPECT_EQ(DeserializeManifest(
-                OneSectionFile(kManifestFileKind, 1, manifest))
-                .status()
-                .code(),
-            StatusCode::kInternal);
-
   std::string dir = FreshDir("huge_journal");
   fs::create_directories(dir);
-  std::vector<uint8_t> body;
+  std::vector<uint8_t> payload;
   {
-    rpc::WireWriter w(&body);
-    w.U8(kAppendOp);
-    w.U64(1);
+    rpc::WireWriter w(&payload);
+    w.U64(1);           // op id
     w.U32(kHugeCount);  // conflict sets (and as many valuations)
   }
-  QP_CHECK_OK(
-      WriteFileAtomic(dir + "/journal-1.log", SealRecord(body), false));
+  QP_CHECK_OK(WriteFileAtomic(dir + "/journal-1.log",
+                              JournalFile({SealRecord(kAppendOp, payload)}),
+                              false));
   EXPECT_EQ(ReadJournal(dir + "/journal-1.log").status().code(),
             StatusCode::kInternal);
 }
@@ -793,13 +890,24 @@ TEST(PersistFormatTest, RandomSealedPayloadsNeverThrow) {
     return payload;
   };
   for (int iter = 0; iter < 300; ++iter) {
-    for (uint32_t tag = 1; tag <= 6; ++tag) {
-      std::vector<uint8_t> file =
-          OneSectionFile(kShardFileKind, tag, random_payload(64));
-      EXPECT_NO_THROW((void)DeserializeShardState(file)) << "tag " << tag;
-      // Behind a meta section, so item vectors are decoded.
-      file = MetaThenSectionFile(3, tag, random_payload(64));
-      EXPECT_NO_THROW((void)DeserializeShardState(file)) << "tag " << tag;
+    // Random bytes in each section of an otherwise valid checkpoint, the
+    // manifest's included; behind the meta section, item vectors are
+    // decoded against its num_items.
+    for (uint32_t tag : {kManifestTag, kMetaTag, kEdgesTag, kValuationsTag,
+                         kRepriceTag, kBookTag}) {
+      const std::vector<uint8_t> file =
+          CheckpointFileWith(tag, random_payload(64));
+      EXPECT_NO_THROW((void)DeserializeCheckpoint(file)) << "tag " << tag;
+    }
+    // A random section in place of the manifest, then of the meta.
+    const uint32_t random_tag = static_cast<uint32_t>(rng.UniformInt(1, 7));
+    for (size_t at : {size_t{0}, size_t{1}}) {
+      std::vector<RawSection> sections =
+          OneShardSections(3, NoCandidates(), BookWith(kUniformBundleTag));
+      sections[at] = {random_tag, random_payload(64)};
+      EXPECT_NO_THROW(
+          (void)DeserializeCheckpoint(FileOf(kCheckpointFileKind, sections)))
+          << "tag " << random_tag << " at " << at;
     }
     // Item vectors whose form and length are right, so the random bytes
     // reach the dense and sparse entry loops.
@@ -807,41 +915,42 @@ TEST(PersistFormatTest, RandomSealedPayloadsNeverThrow) {
       const std::vector<uint8_t> vec =
           ItemVecBytes(form, 3, random_payload(48));
       for (const std::vector<uint8_t>& file :
-           {ShardFile(3, RepriceWith(vec), BookWith(kUniformBundleTag)),
-            ShardFile(3, RepriceWith(vec), BookWith(kItemPricingTag, vec)),
-            ShardFile(3, RepriceWith(vec), BookWith(kXosPricingTag, vec))}) {
-        EXPECT_NO_THROW((void)DeserializeShardState(file))
+           {CheckpointFile(3, RepriceWith(vec), BookWith(kUniformBundleTag)),
+            CheckpointFile(3, RepriceWith(vec), BookWith(kItemPricingTag, vec)),
+            CheckpointFile(3, RepriceWith(vec),
+                           BookWith(kXosPricingTag, vec))}) {
+        EXPECT_NO_THROW((void)DeserializeCheckpoint(file))
             << "form " << int{form};
       }
     }
-    std::vector<uint8_t> manifest =
-        OneSectionFile(kManifestFileKind, 1, random_payload(64));
-    EXPECT_NO_THROW((void)DeserializeManifest(manifest));
   }
 
   std::string dir = FreshDir("random_journal");
   fs::create_directories(dir);
   const std::string path = dir + "/journal-1.log";
   for (int iter = 0; iter < 300; ++iter) {
-    std::vector<uint8_t> body;
-    rpc::WireWriter w(&body);
-    w.U8(static_cast<uint8_t>(rng.UniformInt(kAppendOp, kSellerDeltaOp + 1)));
+    std::vector<uint8_t> payload;
+    rpc::WireWriter w(&payload);
     w.U64(static_cast<uint64_t>(iter) + 1);
     std::vector<uint8_t> tail = random_payload(64);
-    body.insert(body.end(), tail.begin(), tail.end());
-    QP_CHECK_OK(WriteFileAtomic(path, SealRecord(body), false));
+    payload.insert(payload.end(), tail.begin(), tail.end());
+    const uint32_t type =
+        static_cast<uint32_t>(rng.UniformInt(kAppendOp, kSellerDeltaOp + 1));
+    QP_CHECK_OK(WriteFileAtomic(
+        path, JournalFile({SealRecord(type, payload)}), false));
     EXPECT_NO_THROW((void)ReadJournal(path)) << "iter " << iter;
   }
 }
 
 TEST(PersistFormatTest, SectionsRoundTripAndDetectCorruption) {
   std::vector<uint8_t> file;
-  AppendFileHeader(kShardFileKind, &file);
+  AppendFileHeader(kCheckpointFileKind, &file);
   AppendSection(7, {1, 2, 3, 4, 5}, &file);
   AppendSection(9, {}, &file);
 
-  auto offset = CheckFileHeader(file, kShardFileKind);
+  auto offset = CheckFileHeader(file, kCheckpointFileKind);
   QP_CHECK_OK(offset.status());
+  EXPECT_EQ(*offset, kFileHeaderBytes);
   SectionReader reader(file.data() + *offset, file.size() - *offset);
   Section section;
   QP_CHECK_OK(reader.Next(&section));
@@ -852,14 +961,9 @@ TEST(PersistFormatTest, SectionsRoundTripAndDetectCorruption) {
   EXPECT_EQ(section.tag, 9u);
   EXPECT_EQ(section.size, 0u);
   EXPECT_TRUE(reader.AtEnd());
-  // Seeded with the header's CRC, the folded CRC covers the whole file.
-  SectionReader whole(file.data() + *offset, file.size() - *offset,
-                      Crc32(file.data(), *offset));
-  while (!whole.AtEnd()) QP_CHECK_OK(whole.Next(&section));
-  EXPECT_EQ(whole.file_crc(), Crc32(file));
 
-  // The manifest kind must not load as a shard file.
-  EXPECT_EQ(CheckFileHeader(file, kManifestFileKind).status().code(),
+  // A checkpoint must not load as a journal segment.
+  EXPECT_EQ(CheckFileHeader(file, kJournalFileKind).status().code(),
             StatusCode::kInternal);
 
   // One flipped payload byte fails that section's CRC.
@@ -903,9 +1007,27 @@ TEST(PersistJournalTest, TornAndCorruptTailsEndReplay) {
   std::vector<uint8_t> r1 = EncodeJournalRecord(op1);
   std::vector<uint8_t> r2 = EncodeJournalRecord(op2);
   std::vector<uint8_t> r3 = EncodeJournalRecord(op3);
+  const std::vector<uint8_t> header = JournalFile({});
 
   // Missing file is NotFound (recovery treats it as an empty segment).
   EXPECT_EQ(ReadJournal(path).status().code(), StatusCode::kNotFound);
+
+  // A file shorter than the header (a crash before it landed) is an
+  // empty segment, not a torn one.
+  for (size_t cut : {size_t{0}, size_t{1}, kFileHeaderBytes - 1}) {
+    QP_CHECK_OK(WriteFileAtomic(
+        path, std::vector<uint8_t>(header.begin(), header.begin() + cut),
+        false));
+    auto empty = ReadJournal(path);
+    QP_CHECK_OK(empty.status());
+    EXPECT_TRUE(empty->ops.empty()) << "cut " << cut;
+    EXPECT_FALSE(empty->torn_tail) << "cut " << cut;
+  }
+  QP_CHECK_OK(WriteFileAtomic(path, header, false));
+  auto bare = ReadJournal(path);
+  QP_CHECK_OK(bare.status());
+  EXPECT_TRUE(bare->ops.empty());
+  EXPECT_FALSE(bare->torn_tail);
 
   // Two whole records + a torn third: the torn tail ends the journal.
   AppendRawBytes(path, r1, r1.size());
@@ -919,17 +1041,27 @@ TEST(PersistJournalTest, TornAndCorruptTailsEndReplay) {
   EXPECT_EQ(journal->ops[0].conflict_sets, op1.conflict_sets);
   EXPECT_EQ(journal->ops[0].valuations, op1.valuations);
   EXPECT_EQ(journal->ops[1].type, kSellerDeltaOp);
+  EXPECT_EQ(journal->ops[1].op_id, 2u);
   EXPECT_EQ(journal->ops[1].delta.column, 3);
   EXPECT_EQ(journal->ops[1].delta.new_value.as_int(), 42);
 
+  // Every proper prefix of a record is a torn tail behind the records
+  // before it: a header alone, a header whose length runs past EOF, a
+  // payload without its CRC.
+  for (size_t cut = 1; cut < r3.size(); ++cut) {
+    QP_CHECK_OK(WriteFileAtomic(path, JournalFile({r1}), false));
+    AppendRawBytes(path, r3, cut);
+    journal = ReadJournal(path);
+    QP_CHECK_OK(journal.status());
+    EXPECT_TRUE(journal->torn_tail) << "cut " << cut;
+    EXPECT_EQ(journal->ops.size(), 1u) << "cut " << cut;
+  }
+
   // A flipped byte inside record 2 fails its CRC: record 1 survives,
   // everything after the corruption is dropped.
-  fs::remove(path);
-  AppendRawBytes(path, r1, r1.size());
   std::vector<uint8_t> bad = r2;
   bad[bad.size() / 2] ^= 0x10;
-  AppendRawBytes(path, bad, bad.size());
-  AppendRawBytes(path, r3, r3.size());
+  QP_CHECK_OK(WriteFileAtomic(path, JournalFile({r1, bad, r3}), false));
   journal = ReadJournal(path);
   QP_CHECK_OK(journal.status());
   EXPECT_TRUE(journal->torn_tail);
@@ -937,20 +1069,22 @@ TEST(PersistJournalTest, TornAndCorruptTailsEndReplay) {
 
   // A CRC-VALID record with an unknown op type is a format
   // incompatibility, not a crash signature: hard error, no silent drop.
-  fs::remove(path);
-  std::vector<uint8_t> unknown;
-  std::vector<uint8_t> body = {/*type=*/9, /*op_id u64*/ 1, 0, 0, 0,
-                               0,          0,              0, 0};
-  uint32_t len = static_cast<uint32_t>(body.size());
-  for (int i = 0; i < 4; ++i) {
-    unknown.push_back(static_cast<uint8_t>(len >> (8 * i)));
+  // So is one too short to hold its op id, and a segment whose header
+  // is of another kind.
+  // A tag is a u32: 257 is no append, though its low byte is 1.
+  const std::vector<uint8_t> op_id_only = {1, 0, 0, 0, 0, 0, 0, 0};
+  std::vector<uint8_t> empty_append = op_id_only;
+  rpc::WireWriter(&empty_append).U32(0);  // no buyers
+  for (const std::vector<uint8_t>& record :
+       {SealRecord(9, op_id_only), SealRecord(kAppendOp + 256, empty_append),
+        SealRecord(kAppendOp, {1, 0, 0, 0})}) {
+    QP_CHECK_OK(WriteFileAtomic(path, JournalFile({r1, record}), false));
+    EXPECT_EQ(ReadJournal(path).status().code(), StatusCode::kInternal);
   }
-  unknown.insert(unknown.end(), body.begin(), body.end());
-  uint32_t crc = Crc32(body);
-  for (int i = 0; i < 4; ++i) {
-    unknown.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-  }
-  AppendRawBytes(path, unknown, unknown.size());
+  std::vector<uint8_t> checkpoint_kind;
+  AppendFileHeader(kCheckpointFileKind, &checkpoint_kind);
+  checkpoint_kind.insert(checkpoint_kind.end(), r1.begin(), r1.end());
+  QP_CHECK_OK(WriteFileAtomic(path, checkpoint_kind, false));
   EXPECT_EQ(ReadJournal(path).status().code(), StatusCode::kInternal);
 }
 
@@ -1142,141 +1276,271 @@ TEST(PersistRecoveryTest, RestoreRefusesNonFreshEngineAndWrongPartition) {
             StatusCode::kFailedPrecondition);
 }
 
+// With fsync on, every fsync and directory sync runs — checkpoint files,
+// their directories, journal headers and records, the persist directory
+// — and recovery is as bit-identical as without.
+TEST(PersistRecoveryTest, FsyncCrashRecoveryIsBitIdentical) {
+  std::string dir = FreshDir("fsync");
+  World a;
+  CheckpointManager manager(
+      {.dir = dir, .checkpoint_every = 2, .keep = 2, .fsync = true});
+  QP_CHECK_OK(manager.Attach(a.engine.get()));
+  a.engine->SetWriterLog(&manager);
+  a.Append(0, 2);
+  QP_CHECK_OK(a.engine->ApplySellerDelta(*a.db, a.support[0]));
+  a.Append(2, 2);  // publish 2 -> checkpoint 2
+  a.Append(4, 3);
+  EXPECT_EQ(manager.stats().last_checkpoint_seq, 2u);
+  JournalOp torn{kAppendOp, 999, {{0, 1}}, {1.0}, {}};
+  std::vector<uint8_t> torn_bytes = EncodeJournalRecord(torn);
+  AppendRawBytes(dir + "/journal-2.log", torn_bytes, torn_bytes.size() / 2);
+
+  auto recovered = Recover(dir);
+  QP_CHECK_OK(recovered.status());
+  EXPECT_EQ(recovered->checkpoint_seq, 2);
+  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 0);
+  EXPECT_TRUE(recovered->journal_torn_tail);
+  World b;
+  QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
+  ExpectEnginesIdentical(*a.engine, *b.engine);
+  ExpectSerializedStateIdentical(*a.engine, *b.engine, "fsync");
+  EXPECT_EQ(b.engine->catalog().head_generation(),
+            a.engine->catalog().head_generation());
+
+  // The restarted process checkpoints and journals with fsync too.
+  CheckpointManager manager_b(
+      {.dir = dir, .checkpoint_every = 2, .keep = 2, .fsync = true});
+  QP_CHECK_OK(manager_b.Attach(b.engine.get(), &*recovered));
+  b.engine->SetWriterLog(&manager_b);
+  a.engine->SetWriterLog(nullptr);
+  a.Append(5, 2);
+  b.Append(5, 2);
+  auto again = Recover(dir);
+  QP_CHECK_OK(again.status());
+  EXPECT_FALSE(again->journal_torn_tail);
+  World c;
+  QP_CHECK_OK(c.engine->RestoreFromCheckpoint(*again, c.db.get()));
+  ExpectEnginesIdentical(*a.engine, *c.engine);
+}
+
+// With every checkpoint corrupt, recovery is journal-only
+// (checkpoint_seq == -1). Such a state must still refuse an engine that
+// is not fresh — one with appended edges, or with a seller delta in its
+// catalog — before any op lands, and restore into a fresh one.
+TEST(PersistRecoveryTest, JournalOnlyRestoreRefusesNonFreshEngine) {
+  std::string dir = FreshDir("journal_only_refuse");
+  World a;
+  CheckpointManager manager({.dir = dir, .checkpoint_every = 0});
+  QP_CHECK_OK(manager.Attach(a.engine.get()));
+  a.engine->SetWriterLog(&manager);
+  a.Append(0, 2);
+  QP_CHECK_OK(a.engine->ApplySellerDelta(*a.db, a.support[1]));
+  a.Append(2, 3);
+  FlipByteInFile(dir + "/checkpoint-1/CHECKPOINT", 0);
+
+  auto recovered = Recover(dir);
+  QP_CHECK_OK(recovered.status());
+  ASSERT_EQ(recovered->checkpoint_seq, -1);
+  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 1);
+  ASSERT_EQ(recovered->ops.size(), 3u);
+
+  auto edge_counts = [](const ShardedPricingEngine& engine) {
+    std::vector<size_t> counts;
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      counts.push_back(engine.shard(s).hypergraph().num_edges());
+    }
+    return counts;
+  };
+  World with_edges;
+  with_edges.Append(0, 1);
+  World with_delta;
+  QP_CHECK_OK(
+      with_delta.engine->ApplySellerDelta(*with_delta.db, a.support[2]));
+  for (World* dirty : {&with_edges, &with_delta}) {
+    const std::vector<size_t> edges = edge_counts(*dirty->engine);
+    const uint64_t generation = dirty->engine->catalog().head_generation();
+    EXPECT_EQ(
+        dirty->engine->RestoreFromCheckpoint(*recovered, dirty->db.get())
+            .code(),
+        StatusCode::kFailedPrecondition);
+    EXPECT_EQ(edge_counts(*dirty->engine), edges);
+    EXPECT_EQ(dirty->engine->catalog().head_generation(), generation);
+  }
+
+  World fresh;
+  QP_CHECK_OK(fresh.engine->RestoreFromCheckpoint(*recovered, fresh.db.get()));
+  ExpectEnginesIdentical(*a.engine, *fresh.engine);
+  EXPECT_EQ(fresh.engine->catalog().head_generation(),
+            a.engine->catalog().head_generation());
+}
+
 // --- (c) corrupt-checkpoint fallback -----------------------------------
 
 TEST(PersistRecoveryTest, FallsBackPastCorruptAndUncommittedCheckpoints) {
-  std::string dir = FreshDir("fallback");
-  World a;
-  CheckpointManager manager({.dir = dir, .checkpoint_every = 1, .keep = 3});
-  QP_CHECK_OK(manager.Attach(a.engine.get()));
-  a.engine->SetWriterLog(&manager);
-  a.Append(0, 2);  // checkpoint 2
-  a.Append(2, 2);  // checkpoint 3
-  a.Append(4, 2);  // checkpoint 4
-  EXPECT_EQ(manager.stats().last_checkpoint_seq, 4u);
+  CheckpointedWorld w("fallback");
+  const std::vector<uint8_t> committed = w.Read(4);
 
-  // A CRC-valid shard file with an absurd edge count, committed by a
-  // manifest that matches its bytes: only the decoder can reject it, and
-  // it must fail that checkpoint (not throw out of Recover), so recovery
-  // falls back to seq 3. The committed files are put back afterwards.
-  {
-    const std::string ckdir = dir + "/checkpoint-4";
-    auto shard_bytes = ReadFile(ckdir + "/shard-0.ckpt");
-    auto manifest_bytes = ReadFile(ckdir + "/MANIFEST");
-    QP_CHECK_OK(shard_bytes.status());
-    QP_CHECK_OK(manifest_bytes.status());
-    ReplaceShardFileResealed(ckdir, 0, HugeEdgeCountShardFile());
-    auto huge = Recover(dir);
-    QP_CHECK_OK(huge.status());
-    EXPECT_EQ(huge->checkpoint_seq, 3);
-    EXPECT_EQ(huge->corrupt_checkpoints_skipped, 1);
-    World h;
-    QP_CHECK_OK(h.engine->RestoreFromCheckpoint(*huge, h.db.get()));
-    ExpectEnginesIdentical(*a.engine, *h.engine);
-    QP_CHECK_OK(WriteFileAtomic(ckdir + "/shard-0.ckpt", *shard_bytes, false));
-    QP_CHECK_OK(WriteFileAtomic(ckdir + "/MANIFEST", *manifest_bytes, false));
-  }
+  // A CRC-valid checkpoint whose shard 0 claims an absurd edge count:
+  // only the decoder can reject it, and it must fail that checkpoint
+  // (not throw out of Recover), so recovery falls back to seq 3. The
+  // committed file is put back afterwards.
+  std::vector<RawSection> sections = SectionsOf(committed);
+  ASSERT_EQ(sections[2].tag, kEdgesTag);
+  sections[2].payload = {0xFF, 0xFF, 0xFF, 0xFF};
+  w.Write(4, FileOf(kCheckpointFileKind, sections));
+  w.ExpectRecoversFrom(3, 1, "huge edge count");
+  w.Write(4, committed);
+  w.ExpectRecoversFrom(4, 0, "committed");
 
-  // Bit-rot the newest checkpoint's shard file: its whole-file CRC no
-  // longer matches the manifest, so recovery falls back to seq 3 and
-  // replays that checkpoint's (longer) journal to the same end state.
-  FlipByteInFile(dir + "/checkpoint-4/shard-0.ckpt", 0);
-  auto recovered = Recover(dir);
+  // Bit-rot the newest checkpoint: a section CRC fails, so recovery
+  // falls back to seq 3 and replays that checkpoint's (longer) journal
+  // to the same end state.
+  FlipByteInFile(w.CheckpointPath(4), 0);
+  w.ExpectRecoversFrom(3, 1, "bit rot");
+
+  // Also uncommit seq 3: a crash mid-checkpoint leaves its directory
+  // with a CHECKPOINT.tmp and no CHECKPOINT. Recovery now reaches back
+  // to seq 2 and still reproduces the same books.
+  QP_CHECK_OK(WriteFileAtomic(w.CheckpointPath(3) + ".tmp", w.Read(3), false));
+  fs::remove(w.CheckpointPath(3));
+  w.ExpectRecoversFrom(2, 2, "uncommitted");
+  auto recovered = Recover(w.dir);
   QP_CHECK_OK(recovered.status());
-  EXPECT_EQ(recovered->checkpoint_seq, 3);
-  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 1);
-  World b;
-  QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
-  ExpectEnginesIdentical(*a.engine, *b.engine);
-
-  // Also drop seq 3's MANIFEST (a crash mid-checkpoint leaves exactly
-  // this: shard files without the commit record). Recovery now reaches
-  // back to seq 2 and still reproduces the same books.
-  fs::remove(dir + "/checkpoint-3/MANIFEST");
-  recovered = Recover(dir);
-  QP_CHECK_OK(recovered.status());
-  EXPECT_EQ(recovered->checkpoint_seq, 2);
-  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 2);
   World c;
   QP_CHECK_OK(c.engine->RestoreFromCheckpoint(*recovered, c.db.get()));
-  ExpectEnginesIdentical(*a.engine, *c.engine);
-  ExpectSerializedStateIdentical(*a.engine, *c.engine, "fallback");
+  ExpectSerializedStateIdentical(*w.live.engine, *c.engine, "fallback");
 }
 
-// A shard file whose every section CRC is valid but whose bytes are not
-// the ones the MANIFEST committed — checkpoint 3's shard 0 copied over
-// checkpoint 4's — must fail the whole-file check folded from the
-// section checks (file header, section headers, payloads and trailers),
-// so recovery falls back to seq 3.
-TEST(PersistRecoveryTest, SectionValidShardFileFromOtherCheckpointFallsBack) {
-  std::string dir = FreshDir("swapped_shard");
-  World a;
-  CheckpointManager manager({.dir = dir, .checkpoint_every = 1, .keep = 3});
-  QP_CHECK_OK(manager.Attach(a.engine.get()));
-  a.engine->SetWriterLog(&manager);
-  a.Append(0, 2);  // checkpoint 2
-  a.Append(2, 2);  // checkpoint 3
-  a.Append(4, 3);  // checkpoint 4
-  ASSERT_EQ(manager.stats().last_checkpoint_seq, 4u);
+// Hostile versions of one real checkpoint file (two shards, so eleven
+// sections), each committed as the newest checkpoint: recovery must
+// refuse it, count it skipped, and fall back to the previous checkpoint
+// with the same books — never crash, never restore it.
+TEST(PersistRecoveryTest, HostileCheckpointFilesFallBack) {
+  CheckpointedWorld w("hostile");
+  const std::vector<uint8_t> newest = w.Read(4);
+  const std::vector<uint8_t> older = w.Read(3);
+  const std::vector<RawSection> sections = SectionsOf(newest);
+  const std::vector<RawSection> older_sections = SectionsOf(older);
+  ASSERT_EQ(sections.size(), 11u);
+  ASSERT_EQ(older_sections.size(), 11u);
+  auto decoded = [](const std::vector<uint8_t>& bytes) {
+    auto checkpoint = DeserializeCheckpoint(bytes);
+    QP_CHECK_OK(checkpoint.status());
+    return std::move(*checkpoint);
+  };
+  auto encoded = [](const Checkpoint& checkpoint) {
+    auto bytes = SerializeCheckpoint(checkpoint);
+    QP_CHECK_OK(bytes.status());
+    return *bytes;
+  };
+  ASSERT_NE(decoded(newest).manifest.shard_versions,
+            decoded(older).manifest.shard_versions);
 
-  auto older = ReadFile(dir + "/checkpoint-3/shard-0.ckpt");
-  auto newer = ReadFile(dir + "/checkpoint-4/shard-0.ckpt");
-  QP_CHECK_OK(older.status());
-  QP_CHECK_OK(newer.status());
-  ASSERT_NE(*older, *newer) << "shard 0 did not change between checkpoints";
-  QP_CHECK_OK(DeserializeShardState(*older).status());
-  QP_CHECK_OK(
-      WriteFileAtomic(dir + "/checkpoint-4/shard-0.ckpt", *older, false));
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> cases;
+  cases.emplace_back("empty file", std::vector<uint8_t>{});
+  for (size_t k = 0; k < sections.size(); ++k) {
+    cases.emplace_back(
+        "truncated after " + std::to_string(k) + " sections",
+        FileOf(kCheckpointFileKind, {sections.begin(), sections.begin() + k}));
+    std::vector<RawSection> dropped = sections;
+    dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(k));
+    cases.emplace_back("section " + std::to_string(k) + " dropped",
+                       FileOf(kCheckpointFileKind, dropped));
+    std::vector<RawSection> changed = sections;
+    changed[k].tag = 99;
+    cases.emplace_back("section " + std::to_string(k) + " retagged",
+                       FileOf(kCheckpointFileKind, changed));
+    changed = sections;
+    changed[k].payload.push_back(0);
+    cases.emplace_back("section " + std::to_string(k) + " one byte too long",
+                       FileOf(kCheckpointFileKind, changed));
+  }
+  // The manifest of one checkpoint on the shard sections of the other:
+  // the shard versions (or the sequence number) disagree.
+  {
+    std::vector<RawSection> spliced = older_sections;
+    spliced[0] = sections[0];
+    cases.emplace_back("newest manifest, older shards",
+                       FileOf(kCheckpointFileKind, spliced));
+    spliced = sections;
+    spliced[0] = older_sections[0];
+    cases.emplace_back("older manifest, newest shards",
+                       FileOf(kCheckpointFileKind, spliced));
+  }
+  {
+    Checkpoint c = decoded(newest);
+    c.manifest.num_shards = 1;
+    c.manifest.shard_versions.pop_back();
+    cases.emplace_back("manifest of 1 shard, file of 2", encoded(c));
+  }
+  {
+    Checkpoint c = decoded(newest);
+    c.shards.pop_back();
+    cases.emplace_back("manifest of 2 shards, file of 1", encoded(c));
+  }
+  {
+    Checkpoint c = decoded(newest);
+    c.manifest.shard_versions.push_back(1);
+    cases.emplace_back("3 shard versions for 2 shards", encoded(c));
+    c = decoded(newest);
+    c.manifest.num_shards = 3;
+    cases.emplace_back("2 shard versions for 3 shards", encoded(c));
+    c.manifest.shard_versions.push_back(1);
+    cases.emplace_back("manifest of 3 shards, file of 2", encoded(c));
+  }
+  for (size_t s = 0; s < 2; ++s) {
+    Checkpoint c = decoded(newest);
+    ++c.manifest.shard_versions[s];
+    cases.emplace_back("manifest version of shard " + std::to_string(s),
+                       encoded(c));
+    c = decoded(newest);
+    ++c.shards[s].version;
+    cases.emplace_back("meta version of shard " + std::to_string(s),
+                       encoded(c));
+  }
+  {
+    std::vector<uint8_t> v3 = newest;
+    v3[12] = 3;  // the format version's low byte
+    cases.emplace_back("v3 header", v3);
+    std::vector<uint8_t> trailing = newest;
+    AppendSection(kBookTag, sections.back().payload, &trailing);
+    cases.emplace_back("a section after the last shard", trailing);
+    trailing = newest;
+    trailing.push_back(0);
+    cases.emplace_back("a byte after the last shard", trailing);
+  }
 
-  auto recovered = Recover(dir);
-  QP_CHECK_OK(recovered.status());
-  EXPECT_EQ(recovered->checkpoint_seq, 3);
-  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 1);
-  World b;
-  QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
-  ExpectEnginesIdentical(*a.engine, *b.engine);
-  ExpectSerializedStateIdentical(*a.engine, *b.engine, "swapped_shard");
+  w.ExpectRecoversFrom(4, 0, "committed");
+  for (const auto& [what, bytes] : cases) {
+    EXPECT_FALSE(DeserializeCheckpoint(bytes).ok()) << what;
+    w.Write(4, bytes);
+    w.ExpectRecoversFrom(3, 1, what);
+  }
+  w.Write(4, newest);
+  w.ExpectRecoversFrom(4, 0, "restored");
 }
 
-// CRC-valid shard files whose shapes a restored engine could not serve.
-// The newest checkpoint's shard 0 is decoded, mutated by `mutate`,
-// written back through SerializeShardState and committed under a
-// matching manifest CRC, so only the decoder's shape checks can refuse
-// it: recovery must fall back to the older checkpoint (and reproduce the
-// same books from its journal) instead of restoring a book that aborts,
-// or reads out of bounds, on the next quote or append.
+// CRC-valid checkpoint files whose shapes a restored engine could not
+// serve. The newest checkpoint is decoded, its shard 0 mutated by
+// `mutate`, and the file written back through SerializeCheckpoint, so
+// only the decoder's shape checks can refuse it: recovery must fall back
+// to the older checkpoint (and reproduce the same books from its
+// journal) instead of restoring a book that aborts, or reads out of
+// bounds, on the next quote or append.
 void ExpectUnservableShardFallsBack(const std::string& tag,
                                     void (*mutate)(ShardState&)) {
-  std::string dir = FreshDir("unservable_" + tag);
-  World a;
-  CheckpointManager manager({.dir = dir, .checkpoint_every = 1, .keep = 3});
-  QP_CHECK_OK(manager.Attach(a.engine.get()));
-  a.engine->SetWriterLog(&manager);
-  a.Append(0, 2);  // checkpoint 2
-  a.Append(2, 2);  // checkpoint 3
-  a.Append(4, 2);  // checkpoint 4
-  ASSERT_EQ(manager.stats().last_checkpoint_seq, 4u);
-
-  const std::string ckdir = dir + "/checkpoint-4";
-  auto bytes = ReadFile(ckdir + "/shard-0.ckpt");
-  QP_CHECK_OK(bytes.status());
-  auto state = DeserializeShardState(*bytes);
-  QP_CHECK_OK(state.status());
-  ASSERT_GT(state->num_items, 0u);
-  ASSERT_FALSE(state->reprice.lpip.empty());
-  mutate(*state);
-  auto mutated = SerializeShardState(*state);
+  CheckpointedWorld w("unservable_" + tag);
+  auto checkpoint = DeserializeCheckpoint(w.Read(4));
+  QP_CHECK_OK(checkpoint.status());
+  ShardState& state = checkpoint->shards[0];
+  ASSERT_GT(state.num_items, 0u);
+  ASSERT_FALSE(state.reprice.lpip.empty());
+  mutate(state);
+  auto mutated = SerializeCheckpoint(*checkpoint);
   QP_CHECK_OK(mutated.status());
-  EXPECT_FALSE(DeserializeShardState(*mutated).ok());
-  ReplaceShardFileResealed(ckdir, 0, *mutated);
-
-  auto recovered = Recover(dir);
-  QP_CHECK_OK(recovered.status());
-  EXPECT_EQ(recovered->checkpoint_seq, 3);
-  EXPECT_EQ(recovered->corrupt_checkpoints_skipped, 1);
-  World b;
-  QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
-  ExpectEnginesIdentical(*a.engine, *b.engine);
+  EXPECT_FALSE(DeserializeCheckpoint(*mutated).ok());
+  w.Write(4, *mutated);
+  w.ExpectRecoversFrom(3, 1, tag);
 }
 
 /// The first book result whose pricing is a `T`.

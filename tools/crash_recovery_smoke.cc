@@ -1,14 +1,16 @@
 // CI smoke for the durability path: a child process builds a sharded
 // engine with a CheckpointManager attached, runs a deterministic op
-// sequence (appends + a seller delta), appends a torn half-record to the
-// live journal — exactly what a crash mid-write leaves behind — and
-// SIGKILLs itself. The parent then recovers from the directory and
-// requires the recovered books to match an in-process reference replay
-// BIT FOR BIT: version vectors, quote prices, and serialized shard state.
+// sequence (appends + a seller delta), appends a torn record to the
+// live journal and leaves a newer checkpoint half-written and
+// uncommitted (a CHECKPOINT.tmp, never renamed) — exactly what a crash
+// mid-write leaves behind — and SIGKILLs itself. The parent then
+// recovers from the directory and requires the recovered books to match
+// an in-process reference replay BIT FOR BIT: version vectors, quote
+// prices, and the serialized checkpoint file.
 //
-// Recovery must also restore from a checkpoint and skip none: the
-// child's checkpoints are all committed, so a skipped one is a bug in
-// reading them back.
+// Recovery must skip exactly the uncommitted checkpoint and restore the
+// committed one before it: the child's other checkpoints are all
+// committed, so another skipped one is a bug in reading them back.
 //
 // Exit codes: 0 = recovered state is bit-identical; 1 = mismatch or
 // recovery failure; 2 = child setup failure (not a durability bug).
@@ -128,36 +130,43 @@ Status RunOps(World& world) {
     _exit(2);
   }
   // A crash mid-journal-write leaves a torn record at the tail. Forge
-  // one (a plausible length prefix, then silence) on the live segment.
-  std::string journal =
-      dir + "/journal-" + std::to_string(manager.stats().last_checkpoint_seq) +
-      ".log";
+  // one on the live segment: a plausible section header (an append op
+  // whose payload length runs past EOF), then silence.
+  const uint64_t seq = manager.stats().last_checkpoint_seq;
   {
-    std::ofstream out(journal, std::ios::binary | std::ios::app);
-    const uint32_t len = 64;
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write("\x01torn", 5);
+    std::ofstream out(dir + "/journal-" + std::to_string(seq) + ".log",
+                      std::ios::binary | std::ios::app);
+    const uint32_t header[2] = {kAppendOp, 64};  // tag, payload length
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out.write("torn", 4);
+  }
+  // A crash mid-checkpoint leaves the next checkpoint's directory with
+  // a half-written CHECKPOINT.tmp that was never renamed.
+  {
+    const std::string next = dir + "/checkpoint-" + std::to_string(seq + 1);
+    fs::create_directories(next);
+    std::ifstream in(dir + "/checkpoint-" + std::to_string(seq) +
+                         "/CHECKPOINT",
+                     std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::ofstream out(next + "/CHECKPOINT.tmp", std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   kill(getpid(), SIGKILL);
   _exit(2);  // unreachable
 }
 
 /// Serializes an engine's full state through a fresh CheckpointManager
-/// in `scratch` and returns the shard files' raw bytes.
-std::vector<std::vector<char>> DumpShardFiles(ShardedPricingEngine& engine,
-                                              const std::string& scratch) {
+/// in `scratch` and returns the checkpoint file's raw bytes.
+std::vector<char> DumpCheckpoint(ShardedPricingEngine& engine,
+                                 const std::string& scratch) {
   fs::remove_all(scratch);
   CheckpointManager dumper({.dir = scratch, .checkpoint_every = 0});
   QP_CHECK_OK(dumper.Attach(&engine));
-  std::vector<std::vector<char>> files;
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    std::ifstream in(scratch + "/checkpoint-1/shard-" + std::to_string(s) +
-                         ".ckpt",
-                     std::ios::binary);
-    files.emplace_back(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  }
-  return files;
+  std::ifstream in(scratch + "/checkpoint-1/CHECKPOINT", std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 int ParentMain(const std::string& dir, pid_t child) {
@@ -191,14 +200,19 @@ int ParentMain(const std::string& dir, pid_t child) {
     std::fprintf(stderr, "FAIL: torn journal tail not detected\n");
     return 1;
   }
-  // The child is killed after its last op, so every checkpoint it wrote
-  // was committed. Fail a checkpoint read that rejects valid files here,
-  // by name, rather than by whatever journal replay alone reaches.
-  if (recovered->corrupt_checkpoints_skipped != 0 ||
-      recovered->checkpoint_seq < 1) {
+  // Only the newest checkpoint is uncommitted: every other checkpoint
+  // the child wrote is valid. Fail a checkpoint read that rejects valid
+  // files here, by name, rather than by whatever journal replay alone
+  // reaches.
+  const std::string uncommitted =
+      dir + "/checkpoint-" + std::to_string(recovered->checkpoint_seq + 1) +
+      "/CHECKPOINT.tmp";
+  if (recovered->corrupt_checkpoints_skipped != 1 ||
+      recovered->checkpoint_seq < 1 || !fs::exists(uncommitted)) {
     std::fprintf(stderr,
                  "FAIL: recovery skipped %d checkpoint(s) and restored "
-                 "checkpoint %lld; every committed checkpoint is valid\n",
+                 "checkpoint %lld; it must skip exactly the uncommitted "
+                 "one and restore the committed one before it\n",
                  recovered->corrupt_checkpoints_skipped,
                  static_cast<long long>(recovered->checkpoint_seq));
     return 1;
@@ -233,21 +247,19 @@ int ParentMain(const std::string& dir, pid_t child) {
       break;
     }
   }
-  std::vector<std::vector<char>> want =
-      DumpShardFiles(*reference.engine, dir + "/.smoke-ref");
-  std::vector<std::vector<char>> got =
-      DumpShardFiles(*restored.engine, dir + "/.smoke-got");
-  for (size_t s = 0; s < want.size(); ++s) {
-    if (want[s] != got[s]) {
-      std::fprintf(stderr, "FAIL: shard %zu serialized state differs\n", s);
-      ++failures;
-    }
+  const std::vector<char> want =
+      DumpCheckpoint(*reference.engine, dir + "/.smoke-ref");
+  const std::vector<char> got =
+      DumpCheckpoint(*restored.engine, dir + "/.smoke-got");
+  if (want.empty() || want != got) {
+    std::fprintf(stderr, "FAIL: serialized checkpoint differs\n");
+    ++failures;
   }
 
   if (failures > 0) return 1;
   std::printf(
-      "crash_recovery_smoke: OK (checkpoint %lld, %zu replayed ops, torn "
-      "tail, %u items bit-identical)\n",
+      "crash_recovery_smoke: OK (checkpoint %lld, uncommitted one skipped, "
+      "%zu replayed ops, torn tail, %u items bit-identical)\n",
       static_cast<long long>(recovered->checkpoint_seq),
       recovered->ops.size(), partition.num_items());
   return 0;
