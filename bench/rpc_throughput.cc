@@ -86,6 +86,16 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t alignment) {
   return p;
 }
 
+/// The nothrow forms: nullptr where the others throw.
+template <typename Alloc>
+void* OrNull(Alloc alloc) noexcept {
+  try {
+    return alloc();
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 uint64_t LoopAllocProbe() { return tl_alloc_calls; }
 }  // namespace
 
@@ -97,6 +107,23 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
 void* operator new[](std::size_t size, std::align_val_t alignment) {
   return CountedAlignedAlloc(size, alignment);
 }
+// The nothrow family too: left to the runtime, a nothrow allocation would
+// go uncounted and be freed by the std::free below (a new/free mismatch
+// under ASan).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlloc(size); });
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlloc(size); });
+}
+void* operator new(std::size_t size, std::align_val_t alignment,
+                   const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlignedAlloc(size, alignment); });
+}
+void* operator new[](std::size_t size, std::align_val_t alignment,
+                     const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlignedAlloc(size, alignment); });
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -107,6 +134,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

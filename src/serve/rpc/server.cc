@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -200,12 +202,14 @@ struct RpcServer::Impl {
         purchase_requests{0}, append_requests{0}, seller_delta_requests{0},
         stats_requests{0}, quote_ticks{0}, batched_quotes{0},
         writer_enqueued{0}, writer_rejected{0}, protocol_errors{0},
-        writev_calls{0}, writev_frames{0};
+        writev_calls{0}, writev_frames{0}, spin_hits{0}, parks{0};
     /// This loop, counted once: summed over the loops it is the loop
     /// count.
     std::atomic<uint64_t> loops{1};
     /// Latest options.alloc_probe sample, stored at the end of a tick.
     std::atomic<uint64_t> alloc_probe_last{0};
+    /// How long WaitForEvents polls before it parks; loop-thread-private.
+    int64_t spin_window_ns = 0;
   };
 
   /// One row per RpcServerStats field: its StatsReply name and the
@@ -234,6 +238,8 @@ struct RpcServer::Impl {
       QP_COUNTER(loops),
       QP_COUNTER(writev_calls),
       QP_COUNTER(writev_frames),
+      QP_COUNTER(spin_hits),
+      QP_COUNTER(parks),
   };
 #undef QP_COUNTER
   static_assert(sizeof(RpcServerStats) ==
@@ -535,16 +541,60 @@ struct RpcServer::Impl {
     return {WireCode::kOk, "", engine->catalog().head_generation()};
   }
 
+  // --- waiting for work -------------------------------------------------
+  // Spin, then block, as KVM's halt polling does for an idle vCPU: a
+  // thread woken from epoll_wait(-1) pays a scheduler wake-up that costs
+  // far more than pricing the quote, so a loop whose recent waits
+  // were short first polls epoll_wait(0) for up to its spin window,
+  // yielding its CPU after each empty poll to the writer or a client
+  // thread that shares it. The window sizes itself from the blocking
+  // waits: one that ended in events within kSpinCapNs grows it (doubled,
+  // at least kSpinStartNs, at most kSpinCapNs), a longer one resets it to
+  // 0, so an idle server stops spinning. The constants are KVM's
+  // halt_poll_ns defaults (grow start 10 us, growth x2, cap 200 us): the
+  // same trade of a short burn against a wake-up, sized for a wake-up of
+  // a few tens of microseconds. Draining never spins; its 10 ms tick is
+  // what notices drain progress (writer exit, blocked sends opening up)
+  // without socket events.
+  static constexpr int64_t kSpinStartNs = 10'000;
+  static constexpr int64_t kSpinCapNs = 200'000;
+
+  int WaitForEvents(EventLoop& loop, epoll_event* events, int max_events,
+                    bool draining) {
+    using Clock = std::chrono::steady_clock;
+    if (!draining && loop.spin_window_ns > 0) {
+      const Clock::time_point deadline =
+          Clock::now() + std::chrono::nanoseconds(loop.spin_window_ns);
+      int n = 0;
+      for (;;) {
+        n = epoll_wait(loop.epoll_fd, events, max_events, 0);
+        if (n != 0 || Clock::now() >= deadline) break;
+        sched_yield();
+      }
+      if (n > 0) loop.spin_hits.fetch_add(1, std::memory_order_relaxed);
+      if (n != 0) return n;
+    }
+    loop.parks.fetch_add(1, std::memory_order_relaxed);
+    const Clock::time_point parked = Clock::now();
+    const int n = epoll_wait(loop.epoll_fd, events, max_events,
+                             draining ? 10 : -1);
+    const bool short_wait =
+        Clock::now() - parked <= std::chrono::nanoseconds(kSpinCapNs);
+    loop.spin_window_ns =
+        n > 0 && short_wait
+            ? std::min(kSpinCapNs,
+                       std::max(kSpinStartNs, 2 * loop.spin_window_ns))
+            : 0;
+    return n;
+  }
+
   // --- event loop -------------------------------------------------------
   void LoopThread(EventLoop& loop) {
     constexpr int kMaxEvents = 64;
     epoll_event events[kMaxEvents];
     bool draining = false;
     for (;;) {
-      // While draining, tick at ~10ms so drain progress (writer exit,
-      // blocked out-queues opening up) is noticed without socket events.
-      int n = epoll_wait(loop.epoll_fd, events, kMaxEvents,
-                         draining ? 10 : -1);
+      int n = WaitForEvents(loop, events, kMaxEvents, draining);
       if (n < 0 && errno != EINTR) break;
       if (!draining && stopping.load()) {
         draining = true;

@@ -48,6 +48,16 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t alignment) {
   return p;
 }
 
+/// The nothrow forms: nullptr where the others throw.
+template <typename Alloc>
+void* OrNull(Alloc alloc) noexcept {
+  try {
+    return alloc();
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 uint64_t LoopAllocs() { return tl_allocs; }
 }  // namespace
 
@@ -59,6 +69,23 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
 void* operator new[](std::size_t size, std::align_val_t alignment) {
   return CountedAlignedAlloc(size, alignment);
 }
+// The nothrow family too: left to the runtime, a nothrow allocation would
+// go uncounted and be freed by the std::free below (a new/free mismatch
+// under ASan).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlloc(size); });
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlloc(size); });
+}
+void* operator new(std::size_t size, std::align_val_t alignment,
+                   const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlignedAlloc(size, alignment); });
+}
+void* operator new[](std::size_t size, std::align_val_t alignment,
+                     const std::nothrow_t&) noexcept {
+  return OrNull([&] { return CountedAlignedAlloc(size, alignment); });
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -69,6 +96,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -221,6 +260,34 @@ TEST(RpcAllocTest, LargestBundlePrimesQuotePathOnOneLoop) {
 
 TEST(RpcAllocTest, LargestBundlePrimesQuotePathOnTwoLoops) {
   ExpectQuotePathAllocatesNothing(2, Prime::kLargest);
+}
+
+// Every replaced allocation form counts, the nothrow ones included, so no
+// loop-thread allocation can slip past the probe.
+TEST(RpcAllocTest, ProbeCountsEveryAllocationForm) {
+  constexpr std::align_val_t kAlign{64};
+  const uint64_t before = LoopAllocs();
+  void* const blocks[] = {
+      ::operator new(16),
+      ::operator new[](16),
+      ::operator new(16, kAlign),
+      ::operator new[](16, kAlign),
+      ::operator new(16, std::nothrow),
+      ::operator new[](16, std::nothrow),
+      ::operator new(16, kAlign, std::nothrow),
+      ::operator new[](16, kAlign, std::nothrow),
+  };
+  const uint64_t counted = LoopAllocs() - before;
+  for (void* block : blocks) EXPECT_NE(block, nullptr);
+  ::operator delete(blocks[0]);
+  ::operator delete[](blocks[1]);
+  ::operator delete(blocks[2], kAlign);
+  ::operator delete[](blocks[3], kAlign);
+  ::operator delete(blocks[4], std::nothrow);
+  ::operator delete[](blocks[5], std::nothrow);
+  ::operator delete(blocks[6], kAlign, std::nothrow);
+  ::operator delete[](blocks[7], kAlign, std::nothrow);
+  EXPECT_EQ(counted, std::size(blocks));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -575,9 +576,16 @@ TEST(RpcMultiLoopTest, StatsReplyEqualsInProcessStatsExactly) {
   // The Stats reply's own send is counted after its body was built.
   ExpectStat(wire, "writev_calls", server.writev_calls - 1);
   ExpectStat(wire, "writev_frames", server.writev_frames - 1);
+  // Loops still spinning when the body was built park later, so the
+  // wait counters may have grown since.
+  for (const auto& [name, value] : {std::pair{"spin_hits", server.spin_hits},
+                                    std::pair{"parks", server.parks}}) {
+    ASSERT_NE(wire.Get<uint64_t>(name), nullptr) << name;
+    EXPECT_LE(*wire.Get<uint64_t>(name), value) << name;
+  }
 
   // Nothing else rides along, and every name is distinct.
-  EXPECT_EQ(wire.entries.size(), 5u + 5u + 8u + 9u + 17u);
+  EXPECT_EQ(wire.entries.size(), 5u + 5u + 8u + 9u + 19u);
   std::set<std::string> names;
   for (const WireStat& stat : wire.entries) names.insert(stat.name);
   EXPECT_EQ(names.size(), wire.entries.size());

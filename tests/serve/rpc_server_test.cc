@@ -13,12 +13,15 @@
 //      runs this file);
 //  (f) replies that back up behind a peer that stops reading (send
 //      EAGAIN, resumed on EPOLLOUT) all arrive later, exactly once and
-//      bit-identical, and the connection stays usable.
+//      bit-identical, and the connection stays usable;
+//  (g) a loop spins before it blocks while requests keep coming, and
+//      parks, burning no CPU, once they stop.
 #include "serve/rpc/server.h"
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
@@ -131,6 +134,35 @@ struct Harness {
     return bundles;
   }
 };
+
+/// Streams `count` quotes over `client` with `in_flight` requests
+/// outstanding: each reply received sends the next request, so the
+/// server sees a steady stream whose gaps are one client turnaround.
+void StreamPipelinedQuotes(RpcClient& client,
+                           const std::vector<std::vector<uint32_t>>& bundles,
+                           int count, int in_flight) {
+  int sent = 0;
+  auto send_next = [&] {
+    QP_CHECK_OK(
+        client.SendQuote(bundles[static_cast<size_t>(sent) % bundles.size()])
+            .status());
+    ++sent;
+  };
+  while (sent < std::min(count, in_flight)) send_next();
+  for (int received = 0; received < count; ++received) {
+    RpcReply reply;
+    QP_CHECK_OK(client.Receive(&reply));
+    ASSERT_TRUE(reply.ok()) << reply.message;
+    if (sent < count) send_next();
+  }
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 void ExpectQuoteEq(const Quote& wire, const Quote& local) {
   EXPECT_EQ(wire.price, local.price);
@@ -652,6 +684,40 @@ TEST(RpcServerTest, StopWithInFlightRequestsShutsDownCleanly) {
     // Stop() is idempotent and the destructor may run it again.
     h.server->Stop();
   }
+}
+
+// A steady quote stream, whose gaps stay far under the loop's 200 us spin
+// cap, grows the spin window, and the spin then catches requests before
+// the loop parks.
+TEST(RpcServerTest, SteadyQuoteStreamIsCaughtBySpin) {
+  Harness h;
+  RpcClient client = h.Connect();
+  constexpr int kQuotes = 2000;
+  StreamPipelinedQuotes(client, h.SampleBundles(), kQuotes, /*in_flight=*/4);
+  const RpcServerStats stats = h.server->stats();
+  EXPECT_EQ(stats.batched_quotes, static_cast<uint64_t>(kQuotes));
+  EXPECT_GT(stats.spin_hits, 0u);
+  EXPECT_GT(stats.parks, 0u);
+}
+
+// Once traffic stops, every loop parks in epoll_wait(-1) after at most one
+// spin window and stays parked: an idle server burns no CPU in its loops.
+TEST(RpcServerTest, IdleLoopsParkAndBurnNoCpu) {
+  Harness h(2, {.num_loops = 2, .force_accept_handoff = true});
+  std::vector<std::vector<uint32_t>> bundles = h.SampleBundles();
+  RpcClient first = h.Connect();
+  RpcClient second = h.Connect();  // handed to the other loop
+  for (RpcClient* client : {&first, &second}) {
+    StreamPipelinedQuotes(*client, bundles, 500, /*in_flight=*/4);
+  }
+  // Far past any spin window (200 us at most), even under sanitizers.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const uint64_t parks = h.server->stats().parks;
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double cpu_idle = ProcessCpuSeconds() - cpu_before;
+  EXPECT_EQ(h.server->stats().parks, parks);
+  EXPECT_LT(cpu_idle, 0.020) << "an idle server kept spinning";
 }
 
 }  // namespace
