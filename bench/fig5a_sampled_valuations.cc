@@ -1,7 +1,11 @@
 // Figure 5(a): normalized revenue under *sampled* bundle valuations
 // (Uniform[1,k] for k in {100..500} and Zipf(a) for a in {1.5..2.5}) on
-// the skewed and uniform workloads.
+// the skewed and uniform workloads. --workloads= takes a comma-separated
+// list instead (default skewed,uniform); --workloads=ssb,tpch gives
+// Figure 6(a).
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/str_util.h"
@@ -14,11 +18,13 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   LoadOptions load = LoadOptionsFromFlags(flags);
   int runs = flags.GetInt("runs", 1);
-  std::cout << "=== Figure 5a: sampled bundle valuations "
-               "(skewed + uniform workloads) ===\n";
+  const std::vector<std::string> workloads =
+      Split(flags.GetString("workloads", "skewed,uniform"), ',');
+  std::cout << "=== Figure 5a/6a: sampled bundle valuations ("
+            << Join(workloads, " + ") << ") ===\n";
   TablePrinter table({"workload", "config", "algorithm", "norm-revenue",
                       "seconds"});
-  for (const char* name : {"skewed", "uniform"}) {
+  for (const std::string& name : workloads) {
     WorkloadHypergraph wh = LoadWorkloadHypergraph(name, load);
     core::AlgorithmOptions options = AlgorithmOptionsFor(wh, flags);
     for (int k : {100, 200, 300, 400, 500}) {

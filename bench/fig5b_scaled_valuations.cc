@@ -1,7 +1,11 @@
 // Figure 5(b): normalized revenue under *scaled* bundle valuations
 // (Exponential(mean=|e|^kappa) and Normal(mu=|e|^kappa, sigma^2=10)) on
 // the skewed and uniform workloads, kappa in {2, 3/2, 1, 1/2, 1/4}.
+// --workloads= takes a comma-separated list instead (default
+// skewed,uniform); --workloads=ssb,tpch gives Figure 6(b).
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/str_util.h"
@@ -14,12 +18,14 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   LoadOptions load = LoadOptionsFromFlags(flags);
   int runs = flags.GetInt("runs", 1);
-  std::cout << "=== Figure 5b: scaled bundle valuations "
-               "(skewed + uniform workloads) ===\n";
+  const std::vector<std::string> workloads =
+      Split(flags.GetString("workloads", "skewed,uniform"), ',');
+  std::cout << "=== Figure 5b/6b: scaled bundle valuations ("
+            << Join(workloads, " + ") << ") ===\n";
   TablePrinter table({"workload", "config", "algorithm", "norm-revenue",
                       "seconds"});
   const double kappas[] = {2.0, 1.5, 1.0, 0.5, 0.25};
-  for (const char* name : {"skewed", "uniform"}) {
+  for (const std::string& name : workloads) {
     WorkloadHypergraph wh = LoadWorkloadHypergraph(name, load);
     core::AlgorithmOptions options = AlgorithmOptionsFor(wh, flags);
     for (double kappa : kappas) {

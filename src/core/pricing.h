@@ -18,13 +18,13 @@ namespace qp::core {
 /// kSellTolerance. This is the single place the contract lives.
 ///
 /// LP-derived prices (LPIP, CIP, the UBP refinement) satisfy p(e) <= v_e
-/// only up to the simplex feasibility tolerance (SimplexOptions::
-/// feasibility_tol, 1e-7 by default), scaled by the usual accumulation of
-/// rounding over basis solves — not to 1e-9. kSellTolerance is therefore
-/// held an order of magnitude above the solver's feasibility tolerance so
-/// every edge an LP *constrained to sell* actually counts as sold;
+/// only up to the simplex feasibility tolerance (lp::kFeasibilityTol,
+/// 1e-7), scaled by the usual accumulation of rounding over basis solves
+/// — not to 1e-9. kSellTolerance is therefore held an order of magnitude
+/// above the solver's feasibility tolerance so every edge an LP
+/// *constrained to sell* actually counts as sold;
 /// tests/core/pricing_test.cc pins both the ordering against the solver
-/// default and the end-to-end behavior on LP-derived prices.
+/// constant and the end-to-end behavior on LP-derived prices.
 inline constexpr double kSellTolerance = 1e-6;
 
 class PricingFunction {

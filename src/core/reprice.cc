@@ -176,7 +176,6 @@ std::vector<PricingResult> RepriceAfterAppend(const Hypergraph& hypergraph,
   state.last.cip_capacities = cip.lps_solved;
 
   state.last.lps_solved = lpip.lps_solved + cip.lps_solved;
-  state.generation++;
   std::vector<PricingResult> results =
       AssembleAllResults(hypergraph, v, std::move(lpip), std::move(cip));
   state.last.seconds = timer.ElapsedSeconds();

@@ -90,8 +90,7 @@ struct RepriceState {
   };
   std::vector<LpipCandidate> lpip;
 
-  /// Generations priced on this state; 0 for a fresh one.
-  int generation = 0;
+  /// What the last generation priced on this state cost.
   RepriceStats last;
 };
 

@@ -38,15 +38,18 @@
 
 namespace qp::db {
 
+/// One edited cell: the value `new_value` at (table, row, column). A
+/// support element (market::CellDelta), a seller edit and an overlay
+/// entry are all this one type.
+struct CellDelta {
+  int table = 0;
+  int row = 0;
+  int column = 0;
+  Value new_value;
+};
+
 class DeltaOverlay {
  public:
-  struct Entry {
-    int table = 0;
-    int row = 0;
-    int column = 0;
-    Value value;
-  };
-
   DeltaOverlay() = default;
 
   /// Convenience: an overlay of exactly one patched cell (the common
@@ -58,13 +61,13 @@ class DeltaOverlay {
   /// Adds or replaces one patched cell (in this overlay; the parent is
   /// never mutated through the child).
   void Set(int table, int row, int column, Value value) {
-    for (Entry& e : entries_) {
+    for (CellDelta& e : entries_) {
       if (e.table == table && e.row == row && e.column == column) {
-        e.value = std::move(value);
+        e.new_value = std::move(value);
         return;
       }
     }
-    entries_.push_back(Entry{table, row, column, std::move(value)});
+    entries_.push_back(CellDelta{table, row, column, std::move(value)});
   }
 
   /// Chains this overlay over `parent`: lookups that miss here fall
@@ -78,28 +81,28 @@ class DeltaOverlay {
     return entries_.empty() && (parent_ == nullptr || parent_->empty());
   }
   /// Own entries only — excludes the parent chain.
-  const std::vector<Entry>& entries() const { return entries_; }
+  const std::vector<CellDelta>& entries() const { return entries_; }
 
   /// The patched value of a cell, or nullptr when the base table's value
   /// is in effect. Own entries shadow the parent's.
   const Value* Find(int table, int row, int column) const {
-    for (const Entry& e : entries_) {
+    for (const CellDelta& e : entries_) {
       if (e.table == table && e.row == row && e.column == column) {
-        return &e.value;
+        return &e.new_value;
       }
     }
     return parent_ != nullptr ? parent_->Find(table, row, column) : nullptr;
   }
 
   bool TouchesTable(int table) const {
-    for (const Entry& e : entries_) {
+    for (const CellDelta& e : entries_) {
       if (e.table == table) return true;
     }
     return parent_ != nullptr && parent_->TouchesTable(table);
   }
 
   bool TouchesRow(int table, int row) const {
-    for (const Entry& e : entries_) {
+    for (const CellDelta& e : entries_) {
       if (e.table == table && e.row == row) return true;
     }
     return parent_ != nullptr && parent_->TouchesRow(table, row);
@@ -131,7 +134,7 @@ class DeltaOverlay {
   // fold_every (32 by default), more only while folds defer to pinned
   // readers (db/versioned_database.h). At those sizes a flat vector beats
   // any hashed container.
-  std::vector<Entry> entries_;
+  std::vector<CellDelta> entries_;
   const DeltaOverlay* parent_ = nullptr;
 };
 

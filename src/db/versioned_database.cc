@@ -52,20 +52,22 @@ void VersionedDatabase::Publish(Generation* next, Generation* old) {
 
 void VersionedDatabase::Commit(Database& base_mut, int table, int row,
                                int column, Value value) {
-  const DeltaOverlay::Entry cell{table, row, column, std::move(value)};
-  Commit(base_mut, {&cell, 1});
+  const CellDelta cell{table, row, column, std::move(value)};
+  Commit(base_mut, {&cell, 1}, 1);
 }
 
 void VersionedDatabase::Commit(Database& base_mut,
-                               std::span<const DeltaOverlay::Entry> cells) {
+                               std::span<const CellDelta> cells,
+                               uint64_t num_deltas) {
   assert(&base_mut == base_ && "Commit requires the catalog's own base");
+  assert(num_deltas >= cells.size() && "every cell is at least one delta");
   if (cells.empty()) return;
   Generation* cur = head_.load(std::memory_order_seq_cst);
   auto* next = new Generation;
-  next->number = cur->number + cells.size();
+  next->number = cur->number + num_deltas;
   next->overlay = cur->overlay;
-  for (const DeltaOverlay::Entry& cell : cells) {
-    next->overlay.Set(cell.table, cell.row, cell.column, cell.value);
+  for (const CellDelta& cell : cells) {
+    next->overlay.Set(cell.table, cell.row, cell.column, cell.new_value);
   }
   const size_t pending = next->overlay.entries().size();
   Publish(next, cur);
@@ -92,8 +94,8 @@ bool VersionedDatabase::TryFold(Database& base_mut) {
   }
   const auto start = std::chrono::steady_clock::now();
   const size_t folded = cur->overlay.entries().size();
-  for (const DeltaOverlay::Entry& e : cur->overlay.entries()) {
-    base_mut.table(e.table).SetCell(e.row, e.column, e.value);
+  for (const CellDelta& e : cur->overlay.entries()) {
+    base_mut.table(e.table).SetCell(e.row, e.column, e.new_value);
   }
   auto* next = new Generation;
   next->number = cur->number;  // A fold commits nothing.

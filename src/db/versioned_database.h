@@ -127,11 +127,14 @@ class VersionedDatabase {
               Value value);
 
   /// Commits `cells` in order as ONE published generation whose number
-  /// advances by cells.size(): readers see none of them or all of them,
-  /// and head_generation() lands where one Commit per cell would. At most
-  /// one fold attempt follows. No-op when empty. Same caller contract as
-  /// the single-cell Commit.
-  void Commit(Database& base_mut, std::span<const DeltaOverlay::Entry> cells);
+  /// advances by `num_deltas`: readers see none of them or all of them.
+  /// With `num_deltas == cells.size()`, head_generation() lands where one
+  /// Commit per cell would; a larger count stands for deltas that `cells`
+  /// already collapsed into their cell's last value (a recovered seller
+  /// history). At most one fold attempt follows. No-op when `cells` is
+  /// empty. Same caller contract as the single-cell Commit.
+  void Commit(Database& base_mut, std::span<const CellDelta> cells,
+              uint64_t num_deltas);
 
   /// Attempts to fold the head overlay into the base. Returns true when
   /// the fold ran; false when there was nothing to fold or readers on

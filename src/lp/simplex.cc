@@ -394,8 +394,8 @@ void SimplexImpl::BuildInitialBasis() {
   for (int i = 0; i < m_; ++i) {
     int slack = ns_ + i;
     double sval = residual[i];
-    if (sval >= lo_[slack] - opts_.feasibility_tol &&
-        sval <= up_[slack] + opts_.feasibility_tol) {
+    if (sval >= lo_[slack] - kFeasibilityTol &&
+        sval <= up_[slack] + kFeasibilityTol) {
       // Slack basic and feasible.
       basic_var_[i] = slack;
       status_[slack] = BasisStatus::kBasic;
@@ -451,7 +451,7 @@ bool SimplexImpl::Refactorize() {
       const int r = col.rows[0];
       const double v = col.vals[0];
       // Negated like the scan's test, so a NaN fails here too.
-      if (!(std::abs(v) > opts_.pivot_tol)) return false;
+      if (!(std::abs(v) > kPivotTol)) return false;
       etas_.AppendUnit(r, v);
       pivoted[r] = 1;
       new_basic[r] = c;
@@ -459,7 +459,7 @@ bool SimplexImpl::Refactorize() {
     }
     FtranColumn(c);
     int pivot_row = -1;
-    double best = opts_.pivot_tol;
+    double best = kPivotTol;
     for (int i : w_pattern_.indices()) {
       if (pivoted[i]) continue;
       double v = std::abs(work_w_[i]);
@@ -582,8 +582,8 @@ void SimplexImpl::AccumulateTransposed(const std::vector<double>& y,
 bool SimplexImpl::HasPrimalInfeasibility() const {
   for (int i = 0; i < m_; ++i) {
     int bv = basic_var_[i];
-    if (xb_[i] < lo_[bv] - opts_.feasibility_tol) return true;
-    if (xb_[i] > up_[bv] + opts_.feasibility_tol) return true;
+    if (xb_[i] < lo_[bv] - kFeasibilityTol) return true;
+    if (xb_[i] > up_[bv] + kFeasibilityTol) return true;
   }
   return false;
 }
@@ -593,7 +593,7 @@ bool SimplexImpl::IsDualFeasible() {
   AccumulateTransposed(work_y_);
   // A slightly loose tolerance: a warm basis carries its previous solve's
   // rounding, and the dual-simplex path re-verifies optimality at the end.
-  const double tol = std::max(opts_.optimality_tol * 100.0, 1e-7);
+  const double tol = std::max(kOptimalityTol * 100.0, 1e-7);
   for (int j = 0; j < n_price_; ++j) {
     if (status_[j] == BasisStatus::kBasic) continue;
     if (lo_[j] == up_[j]) continue;  // fixed
@@ -679,7 +679,7 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
       AccumulateTransposed(work_y_);
       candidates.clear();
       candidates_live = !bland;
-      double best_score = opts_.optimality_tol;
+      double best_score = kOptimalityTol;
       size_t chosen = 0;
       for (int j = 0; j < n_price_; ++j) {
         BasisStatus st = status_[j];
@@ -687,12 +687,12 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
         if (lo_[j] == up_[j]) continue;  // fixed
         double dj = (*cost)[j] - (j < ns_ ? work_acc_[j] : work_y_[j - ns_]);
         int candidate_dir = 0;
-        if (st == BasisStatus::kAtLower && dj < -opts_.optimality_tol) {
+        if (st == BasisStatus::kAtLower && dj < -kOptimalityTol) {
           candidate_dir = +1;
-        } else if (st == BasisStatus::kAtUpper && dj > opts_.optimality_tol) {
+        } else if (st == BasisStatus::kAtUpper && dj > kOptimalityTol) {
           candidate_dir = -1;
         } else if (st == BasisStatus::kFreeZero &&
-                   std::abs(dj) > opts_.optimality_tol) {
+                   std::abs(dj) > kOptimalityTol) {
           candidate_dir = dj < 0 ? +1 : -1;
         }
         if (candidate_dir == 0) continue;
@@ -729,7 +729,7 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
     double leave_alpha = 0.0;
     for (int i : w_pattern_.indices()) {
       double alpha = dir * work_w_[i];
-      if (std::abs(alpha) <= opts_.pivot_tol) continue;
+      if (std::abs(alpha) <= kPivotTol) continue;
       int bv = basic_var_[i];
       double lim;
       if (alpha > 0.0) {
@@ -780,7 +780,7 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
     bool degenerate = step <= 1e-12;
     if (degenerate) {
       ++iters_no_progress;
-      if (iters_no_progress >= opts_.stall_threshold) bland = true;
+      if (iters_no_progress >= kStallThreshold) bland = true;
     } else {
       iters_no_progress = 0;
       // Bland's rule is only needed while stalled; drop back to Dantzig.
@@ -850,7 +850,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
 
     // Leaving row: the most violated basic variable.
     int r = -1;
-    double worst = opts_.feasibility_tol;
+    double worst = kFeasibilityTol;
     bool above = false;
     for (int i = 0; i < m_; ++i) {
       int bv = basic_var_[i];
@@ -889,7 +889,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
       if (status_[j] == BasisStatus::kBasic) continue;
       if (lo_[j] == up_[j]) continue;  // fixed
       double alpha = j < ns_ ? work_acc_[j] : work_rho_[j - ns_];
-      if (std::abs(alpha) <= opts_.pivot_tol) continue;
+      if (std::abs(alpha) <= kPivotTol) continue;
       // Moving x_j in its allowed direction must push xb_r toward the
       // violated bound: d(xb_r)/d(x_j) = -alpha.
       bool eligible = false;
@@ -927,7 +927,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
 
     FtranColumn(enter);
     double alpha_r = work_w_[r];
-    if (std::abs(alpha_r) <= opts_.pivot_tol * 1e-2) return DualResult::kNumFail;
+    if (std::abs(alpha_r) <= kPivotTol * 1e-2) return DualResult::kNumFail;
 
     int bv = basic_var_[r];
     double target = above ? up_[bv] : lo_[bv];
@@ -954,7 +954,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
 
     ++iterations_;
     if (std::abs(delta) <= 1e-12) {
-      if (++stall >= opts_.stall_threshold) bland = true;
+      if (++stall >= kStallThreshold) bland = true;
     } else {
       stall = 0;
       bland = false;
@@ -1034,8 +1034,8 @@ bool SimplexImpl::RepairPrimal() {
     for (int r = 0; r < m_; ++r) {
       int bv = basic_var_[r];
       double x = xb_[r];
-      bool below = std::isfinite(lo_[bv]) && x < lo_[bv] - opts_.feasibility_tol;
-      bool above = std::isfinite(up_[bv]) && x > up_[bv] + opts_.feasibility_tol;
+      bool below = std::isfinite(lo_[bv]) && x < lo_[bv] - kFeasibilityTol;
+      bool above = std::isfinite(up_[bv]) && x > up_[bv] + kFeasibilityTol;
       if (!below && !above) continue;
       violated = true;
       if (bv >= n_price_) {

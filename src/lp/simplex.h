@@ -66,20 +66,21 @@ enum class SolveStatus {
 
 const char* SolveStatusToString(SolveStatus status);
 
+/// Feasibility tolerance (bounds / constraint residuals).
+inline constexpr double kFeasibilityTol = 1e-7;
+/// Reduced-cost optimality tolerance.
+inline constexpr double kOptimalityTol = 1e-9;
+/// Pivot element magnitude floor.
+inline constexpr double kPivotTol = 1e-8;
+/// Switch to Bland's anti-cycling rule after this many iterations
+/// without objective progress.
+inline constexpr int kStallThreshold = 300;
+
 struct SimplexOptions {
-  /// Feasibility tolerance (bounds / constraint residuals).
-  double feasibility_tol = 1e-7;
-  /// Reduced-cost optimality tolerance.
-  double optimality_tol = 1e-9;
-  /// Pivot element magnitude floor.
-  double pivot_tol = 1e-8;
   /// Hard iteration cap; <= 0 means 200 + 40 * (rows + cols).
   int max_iterations = 0;
   /// Rebuild the eta file from scratch every this many pivots.
   int refactor_interval = 120;
-  /// Switch to Bland's anti-cycling rule after this many iterations
-  /// without objective progress.
-  int stall_threshold = 300;
 };
 
 /// Status of one variable relative to an optimal basis. Nonbasic variables

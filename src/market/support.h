@@ -13,16 +13,12 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "db/database.h"
+#include "db/delta_overlay.h"
 
 namespace qp::market {
 
 /// One neighboring database: D with a single cell overwritten.
-struct CellDelta {
-  int table = 0;
-  int row = 0;
-  int column = 0;
-  db::Value new_value;
-};
+using CellDelta = db::CellDelta;
 
 using SupportSet = std::vector<CellDelta>;
 

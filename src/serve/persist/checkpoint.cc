@@ -206,6 +206,7 @@ Result<RecoveredState> Recover(const std::string& dir) {
       Manifest& manifest = loaded->manifest;
       out.checkpoint_seq = static_cast<int64_t>(*it);
       out.partition_fingerprint = manifest.partition_fingerprint;
+      out.seller_delta_count = manifest.seller_delta_count;
       out.seller_deltas = std::move(manifest.seller_deltas);
       out.shards = std::move(loaded->shards);
       last_op_id = manifest.last_op_id;
@@ -262,9 +263,12 @@ Status CheckpointManager::Attach(ShardedPricingEngine* engine,
     checkpoint_seq_ = recovered->checkpoint_seq < 0
                           ? 0
                           : static_cast<uint64_t>(recovered->checkpoint_seq);
-    seller_deltas_ = recovered->seller_deltas;
+    for (const market::CellDelta& cell : recovered->seller_deltas) {
+      seller_cells_.Set(cell.table, cell.row, cell.column, cell.new_value);
+    }
+    seller_delta_count_ = recovered->seller_delta_count;
     for (const JournalOp& op : recovered->ops) {
-      if (op.type == kSellerDeltaOp) seller_deltas_.push_back(op.delta);
+      if (op.type == kSellerDeltaOp) NoteSellerDelta(op.delta);
     }
   }
   // Checkpoint immediately: restart recovery never depends on how the
@@ -285,8 +289,13 @@ Status CheckpointManager::LogAppend(
 Status CheckpointManager::LogSellerDelta(const market::CellDelta& delta) {
   QP_RETURN_IF_ERROR(WriteRecord(DeltaRecord(next_op_id_, delta)));
   ++next_op_id_;
-  seller_deltas_.push_back(delta);
+  NoteSellerDelta(delta);
   return Status::OK();
+}
+
+void CheckpointManager::NoteSellerDelta(const market::CellDelta& delta) {
+  seller_cells_.Set(delta.table, delta.row, delta.column, delta.new_value);
+  ++seller_delta_count_;
 }
 
 Status CheckpointManager::OnPublish(ShardedPricingEngine& engine) {
@@ -357,7 +366,8 @@ Status CheckpointManager::WriteCheckpoint(ShardedPricingEngine& engine) {
   manifest.last_op_id = next_op_id_ - 1;
   manifest.num_shards = static_cast<uint32_t>(engine.num_shards());
   manifest.partition_fingerprint = PartitionFingerprint(engine.partition());
-  manifest.seller_deltas = seller_deltas_;
+  manifest.seller_delta_count = seller_delta_count_;
+  manifest.seller_deltas = seller_cells_.entries();
   for (int s = 0; s < engine.num_shards(); ++s) {
     checkpoint.shards.push_back(engine.shard(s).CaptureState());
     manifest.shard_versions.push_back(checkpoint.shards.back().version);
@@ -444,9 +454,11 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
   // The checkpoint's seller-delta history lands as one catalog commit
   // before the first shard turns ready, so no purchase served from a
   // restored book probes a catalog that lacks them (Purchase samples
-  // readiness before its probe).
+  // readiness before its probe). It advances the generation by every
+  // delta applied, not by the cells that hold their last values.
   if (!state.seller_deltas.empty()) {
-    QP_RETURN_IF_ERROR(ApplySellerDeltas(*mutable_db, state.seller_deltas));
+    QP_RETURN_IF_ERROR(ApplySellerDeltas(*mutable_db, state.seller_deltas,
+                                         state.seller_delta_count));
   }
   if (state.checkpoint_seq >= 0) {
     // Warm shard by shard: each shard serves again (TryQuoteBatchInto,

@@ -11,10 +11,12 @@
 // before it leaves a directory without a CHECKPOINT, which recovery
 // skips, and no committed file can mix shards from two writes. Its
 // manifest section carries the per-shard version vector, the partition
-// fingerprint, the last journal op id it subsumes and the cumulative
-// seller deltas. journal-<seq>.log starts fresh when checkpoint <seq>
-// commits, so each retained checkpoint owns the journal segment that
-// follows it.
+// fingerprint, the last journal op id it subsumes and the seller-delta
+// history: the last value of every cell ever edited, in first-edit
+// order, and the number of deltas applied, so it grows with the cells a
+// seller touches, not with every edit. journal-<seq>.log starts fresh
+// when checkpoint <seq> commits, so each retained checkpoint owns the
+// journal segment that follows it.
 //
 // A journal segment is the file header (kJournalFileKind) followed by
 // one section per op (format.h): its tag is the op type, and its
@@ -38,10 +40,10 @@
 // replayed books are bit-identical to the pre-crash ones: versions,
 // revenues, LP counts.
 //
-// The CheckpointManager is the engine's WriterLog: every append/delta is
-// journaled BEFORE it applies (write-ahead), and every N publishes it
-// captures a new checkpoint and rotates the journal. It runs entirely
-// under the engine's writer mutex — single-threaded by construction.
+// The CheckpointManager is the engine's write-ahead log (SetWriterLog):
+// every append/delta is journaled BEFORE it applies, and every N
+// publishes it captures a new checkpoint and rotates the journal. It runs
+// entirely under the engine's writer mutex — single-threaded.
 #ifndef QP_SERVE_PERSIST_CHECKPOINT_H_
 #define QP_SERVE_PERSIST_CHECKPOINT_H_
 
@@ -50,6 +52,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "db/delta_overlay.h"
 #include "serve/persist/state_io.h"
 #include "serve/sharded_engine.h"
 
@@ -118,7 +121,8 @@ struct RecoveredState {
   uint64_t partition_fingerprint = 0;
   /// One per shard (empty when checkpoint_seq < 0).
   std::vector<ShardState> shards;
-  /// Seller deltas the checkpoint subsumes (manifest), in apply order.
+  /// The manifest's seller-delta history (see Manifest).
+  uint64_t seller_delta_count = 0;
   std::vector<market::CellDelta> seller_deltas;
   /// Post-checkpoint ops in op order, already filtered to op_id >
   /// manifest.last_op_id.
@@ -136,7 +140,7 @@ struct RecoveredState {
 Result<RecoveredState> Recover(const std::string& dir);
 
 /// The engine's write-ahead log + periodic checkpointer. Single-owner:
-/// all WriterLog calls arrive under the engine's writer mutex.
+/// the engine makes every Log*/OnPublish call under its writer mutex.
 ///
 /// Lifecycle: Recover(dir) → engine.RestoreFromCheckpoint(state, db) →
 /// manager.Attach(engine, state) → engine.SetWriterLog(&manager).
@@ -144,10 +148,10 @@ Result<RecoveredState> Recover(const std::string& dir);
 /// starts that checkpoint's fresh journal segment — never appending
 /// after a torn tail, and making restart recovery independent of how
 /// the previous process died.
-class CheckpointManager : public WriterLog {
+class CheckpointManager {
  public:
   explicit CheckpointManager(CheckpointOptions options);
-  ~CheckpointManager() override;
+  ~CheckpointManager();
 
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
@@ -156,15 +160,16 @@ class CheckpointManager : public WriterLog {
   /// (pass `recovered == nullptr` for a brand-new directory), writes the
   /// initial checkpoint, and opens its journal. The engine must outlive
   /// the manager (or detach it first) and must not yet have this manager
-  /// attached as its WriterLog.
+  /// attached (SetWriterLog).
   Status Attach(ShardedPricingEngine* engine,
                 const RecoveredState* recovered = nullptr);
 
-  // WriterLog: called by the engine under its writer mutex.
+  // Called by the engine under its writer mutex: Log* before an op
+  // applies, OnPublish after the shards published.
   Status LogAppend(const std::vector<std::vector<uint32_t>>& conflict_sets,
-                   const core::Valuations& valuations) override;
-  Status LogSellerDelta(const market::CellDelta& delta) override;
-  Status OnPublish(ShardedPricingEngine& engine) override;
+                   const core::Valuations& valuations);
+  Status LogSellerDelta(const market::CellDelta& delta);
+  Status OnPublish(ShardedPricingEngine& engine);
 
   /// Takes a checkpoint now. Writer-side: only call when no append /
   /// seller delta is in flight (tests, orderly shutdown).
@@ -183,6 +188,8 @@ class CheckpointManager : public WriterLog {
   Status WriteRecord(const std::vector<uint8_t>& record);
   Status WriteCheckpoint(ShardedPricingEngine& engine);
   Status OpenJournal(uint64_t seq);
+  /// Folds one logged delta into the manifest's seller-delta history.
+  void NoteSellerDelta(const market::CellDelta& delta);
   void PruneOld();
 
   CheckpointOptions options_;
@@ -191,10 +198,11 @@ class CheckpointManager : public WriterLog {
   uint64_t next_op_id_ = 1;
   uint64_t checkpoint_seq_ = 0;
   int publishes_since_checkpoint_ = 0;
-  /// Every delta ever logged, in order — baked into each manifest so
-  /// recovery can rebuild the database view regardless of which
-  /// checkpoint it falls back to.
-  std::vector<market::CellDelta> seller_deltas_;
+  /// Every delta ever logged, as the last value per edited cell and a
+  /// count — baked into each manifest so recovery can rebuild the
+  /// database view regardless of which checkpoint it falls back to.
+  db::DeltaOverlay seller_cells_;
+  uint64_t seller_delta_count_ = 0;
   Stats stats_;
 };
 

@@ -37,7 +37,12 @@ inline constexpr uint64_t kFileMagic = 0x0000535245505051ULL;  // "QPPERS\0\0"
 /// item count (serve/persist/state_io.h). Version 4 writes a checkpoint
 /// as one file (manifest section, then every shard's sections) and opens
 /// journal segments with this header, their records being sections.
-inline constexpr uint32_t kFormatVersion = 4;
+/// Version 5 drops the fields a checkpoint held twice or always as 0 (the
+/// book's copy of the reprice stats, the reprice generation, the meta
+/// section's edge count, every wall-clock seconds field) and stores the
+/// seller-delta history as one last value per edited cell plus the
+/// number of deltas applied.
+inline constexpr uint32_t kFormatVersion = 5;
 /// Bytes of the file header (magic, kind, version).
 inline constexpr size_t kFileHeaderBytes = 16;
 

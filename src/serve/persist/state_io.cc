@@ -34,7 +34,7 @@ constexpr uint8_t kXosPricing = 3;
 constexpr size_t kMinVecBytes = 4;         // u32 count of an empty vector
 constexpr size_t kMinItemVecBytes = 5;     // form + length of an empty one
 constexpr size_t kMinCandidateBytes = 13;  // f64 threshold + item vector
-constexpr size_t kMinResultBytes = 25;     // "" + kNoPricing + 2 f64 + u32
+constexpr size_t kMinResultBytes = 17;     // "" + kNoPricing + f64 + u32
 constexpr size_t kMinCellDeltaBytes = 13;  // 3 u32 + kNull type tag
 constexpr size_t kSparseEntryBytes = 12;   // u32 index + f64 value
 
@@ -108,30 +108,6 @@ Result<std::unique_ptr<core::PricingFunction>> GetPricing(
   }
 }
 
-void PutStats(WireWriter& w, const core::RepriceStats& stats) {
-  w.U32(static_cast<uint32_t>(stats.lps_solved));
-  w.U32(static_cast<uint32_t>(stats.lpip_candidates));
-  w.U32(static_cast<uint32_t>(stats.lpip_reused));
-  w.U32(static_cast<uint32_t>(stats.lpip_winner_refreshes));
-  w.U32(static_cast<uint32_t>(stats.cip_capacities));
-  // Wall-clock is not part of the durability contract (versions, revenues,
-  // LP counts are). Persisting 0 keeps checkpoint bytes a deterministic
-  // function of the logical book, so live state and journal-replayed state
-  // serialize bit-identically.
-  w.F64(0.0);
-}
-
-core::RepriceStats GetStats(WireReader& r) {
-  core::RepriceStats stats;
-  stats.lps_solved = static_cast<int>(r.U32());
-  stats.lpip_candidates = static_cast<int>(r.U32());
-  stats.lpip_reused = static_cast<int>(r.U32());
-  stats.lpip_winner_refreshes = static_cast<int>(r.U32());
-  stats.cip_capacities = static_cast<int>(r.U32());
-  stats.seconds = r.F64();
-  return stats;
-}
-
 /// Pulls the next section, which must carry `tag`, decodes its payload
 /// with `decode` and requires the payload consumed exactly.
 template <typename Decode>
@@ -152,7 +128,11 @@ Status ReadSection(SectionReader& sections, uint32_t tag, Decode&& decode) {
   return Status::OK();
 }
 
-/// Appends one shard's five sections to `out`, in order.
+/// Appends one shard's five sections to `out`, in order. Wall-clock
+/// seconds (RepriceStats, PricingResult) are not part of the durability
+/// contract (versions, revenues, LP counts are) and are not stored, so
+/// live and journal-replayed state serialize bit-identically; a restored
+/// engine reads them as 0.
 Status AppendShardSections(const ShardState& state, std::vector<uint8_t>* out) {
   // One payload buffer, sealed into `out` as each section ends.
   std::vector<uint8_t> payload;
@@ -164,7 +144,6 @@ Status AppendShardSections(const ShardState& state, std::vector<uint8_t>* out) {
   w.U64(state.version);
   w.U32(static_cast<uint32_t>(state.total_lps_solved));
   w.U32(state.num_items);
-  w.U32(static_cast<uint32_t>(state.edges.size()));
   seal(kMetaSection);
 
   w.U32(static_cast<uint32_t>(state.edges.size()));
@@ -181,8 +160,11 @@ Status AppendShardSections(const ShardState& state, std::vector<uint8_t>* out) {
     w.F64(candidate.threshold);
     PutItemVec(w, candidate.item_weights);
   }
-  w.U32(static_cast<uint32_t>(state.reprice.generation));
-  PutStats(w, state.reprice.last);
+  const core::RepriceStats& last = state.reprice.last;
+  for (int count : {last.lps_solved, last.lpip_candidates, last.lpip_reused,
+                    last.lpip_winner_refreshes, last.cip_capacities}) {
+    w.U32(static_cast<uint32_t>(count));
+  }
   seal(kRepriceSection);
 
   w.U32(static_cast<uint32_t>(state.results.size()));
@@ -190,10 +172,8 @@ Status AppendShardSections(const ShardState& state, std::vector<uint8_t>* out) {
     w.String(result.algorithm);
     QP_RETURN_IF_ERROR(PutPricing(w, result.pricing.get()));
     w.F64(result.revenue);
-    w.F64(0.0);  // wall-clock: excluded from the contract, see PutStats
     w.U32(static_cast<uint32_t>(result.lps_solved));
   }
-  PutStats(w, state.book_stats);
   seal(kBookSection);
   return Status::OK();
 }
@@ -207,7 +187,6 @@ Result<ShardState> ReadShard(SectionReader& sections) {
         state.version = r.U64();
         state.total_lps_solved = static_cast<int>(r.U32());
         state.num_items = r.U32();
-        r.U32();  // num_edges; implied by the edges section
         if (state.num_items > kMaxShardItems) {
           return Status::Internal("persist: shard of " +
                                   std::to_string(state.num_items) +
@@ -239,8 +218,12 @@ Result<ShardState> ReadShard(SectionReader& sections) {
           QP_RETURN_IF_ERROR(
               GetItemVec(r, state.num_items, &candidate.item_weights));
         }
-        state.reprice.generation = static_cast<int>(r.U32());
-        state.reprice.last = GetStats(r);
+        core::RepriceStats& last = state.reprice.last;
+        for (int* count : {&last.lps_solved, &last.lpip_candidates,
+                           &last.lpip_reused, &last.lpip_winner_refreshes,
+                           &last.cip_capacities}) {
+          *count = static_cast<int>(r.U32());
+        }
         return Status::OK();
       }));
   QP_RETURN_IF_ERROR(
@@ -256,11 +239,9 @@ Result<ShardState> ReadShard(SectionReader& sections) {
             return Status::Internal("persist: book result without a pricing");
           }
           result.revenue = r.F64();
-          result.seconds = r.F64();
           result.lps_solved = static_cast<int>(r.U32());
           state.results.push_back(std::move(result));
         }
-        state.book_stats = GetStats(r);
         return Status::OK();
       }));
   if (state.valuations.size() != state.edges.size()) {
@@ -345,7 +326,6 @@ ShardState ShardState::Clone() const {
   out.reprice = reprice;
   out.results.reserve(results.size());
   for (const core::PricingResult& r : results) out.results.push_back(r.Clone());
-  out.book_stats = book_stats;
   return out;
 }
 
@@ -360,6 +340,7 @@ Result<std::vector<uint8_t>> SerializeCheckpoint(const Checkpoint& checkpoint) {
   w.U32(manifest.num_shards);
   w.U64Vec(manifest.shard_versions);
   w.U64(manifest.partition_fingerprint);
+  w.U64(manifest.seller_delta_count);
   w.U32(static_cast<uint32_t>(manifest.seller_deltas.size()));
   for (const market::CellDelta& delta : manifest.seller_deltas) {
     PutCellDelta(w, delta);
@@ -384,11 +365,17 @@ Result<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& data) {
         manifest.num_shards = r.U32();
         manifest.shard_versions = r.U64Vec();
         manifest.partition_fingerprint = r.U64();
-        uint32_t num_deltas = r.Count(kMinCellDeltaBytes);
-        manifest.seller_deltas.reserve(num_deltas);
-        for (uint32_t i = 0; i < num_deltas && r.ok(); ++i) {
+        manifest.seller_delta_count = r.U64();
+        uint32_t num_cells = r.Count(kMinCellDeltaBytes);
+        manifest.seller_deltas.reserve(num_cells);
+        for (uint32_t i = 0; i < num_cells && r.ok(); ++i) {
           QP_ASSIGN_OR_RETURN(market::CellDelta delta, GetCellDelta(r));
           manifest.seller_deltas.push_back(std::move(delta));
+        }
+        // Every stored cell is the last of at least one applied delta.
+        if (manifest.seller_delta_count < manifest.seller_deltas.size()) {
+          return Status::Internal(
+              "persist: manifest counts fewer seller deltas than cells");
         }
         return Status::OK();
       }));

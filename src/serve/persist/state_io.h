@@ -3,10 +3,11 @@
 //
 // A ShardState is everything a PricingEngine's writer owns: the appended
 // conflict-set edges and valuations, the cross-generation RepriceState
-// (retained LPIP candidates, reprice generation and last stats), the
+// (retained LPIP candidates and the last generation's stats), the
 // generation counter + cumulative LP count, and the published book's
 // PricingResults. Item classes and the valuation order are not stored:
-// the next append recomputes them from the edges. Restoring it into a
+// the next append recomputes them from the edges, and neither are
+// wall-clock seconds, which restore as 0. Restoring it into a
 // fresh engine (PricingEngine::RestoreState) reproduces the
 // pre-checkpoint engine bit for bit: subsequent appends reprice through
 // exactly the state a never-crashed engine would hold, so replayed books
@@ -15,7 +16,7 @@
 //
 // Item-indexed f64 vectors — ItemPricing weights, XOS components and the
 // retained LPIP candidates' weights — are written in one of two forms
-// (format version 3), picked by one fixed rule on the contents:
+// (since format version 3), picked by one fixed rule on the contents:
 //
 //   dense:  [u8 0] [u32 length] [length x f64]
 //   sparse: [u8 1] [u32 length] [u32 nnz] [nnz x (u32 index, f64 value)]
@@ -28,17 +29,20 @@
 // section's num_items (capped at 2^20), and sparse indices to be
 // strictly ascending and below it; it fills one zero-initialised vector.
 //
-// A checkpoint file (format version 4) is the file header, one manifest
+// A checkpoint file (format version 5) is the file header, one manifest
 // section, then each shard's meta, edges, valuations, reprice and book
 // sections, in shard order and in that section order, and nothing else.
-// The manifest carries the sequence number, the per-shard version vector
+// Meta holds the version, LP count and num_items; reprice the LPIP
+// candidates and the last stats' five counters; book each result's
+// algorithm, pricing, revenue and LP count. The manifest carries the sequence number, the per-shard version vector
 // (MergedBookView::version_vector() at checkpoint time), the journal op
 // id the checkpoint subsumes, a fingerprint of the support partition (a
 // checkpoint must not restore into a differently-sharded router) and the
-// seller-delta history. The decoder refuses a file whose shard count or
-// shard versions disagree with the manifest, or that does not end right
-// after the last shard's book section. The file is replaced by one atomic
-// rename, so its shards cannot come from two different writes.
+// seller-delta history, bounded by the cells it edits. The decoder
+// refuses a file whose shard count or shard versions disagree with the
+// manifest, whose delta count is below its cell count, or that does not
+// end right after the last shard's book section. The file is replaced by
+// one atomic rename, so its shards cannot come from two different writes.
 #ifndef QP_SERVE_PERSIST_STATE_IO_H_
 #define QP_SERVE_PERSIST_STATE_IO_H_
 
@@ -69,11 +73,10 @@ struct ShardState {
   /// valuations.
   std::vector<std::vector<uint32_t>> edges;
   core::Valuations valuations;
-  /// Cross-generation reprice state (LPIP candidates, generation, stats).
+  /// Cross-generation reprice state (LPIP candidates, last stats).
   core::RepriceState reprice;
-  /// The published book: per-algorithm results + the generation's stats.
+  /// The published book's per-algorithm results.
   std::vector<core::PricingResult> results;
-  core::RepriceStats book_stats;
 
   /// Deep copy (PricingResult holds unique_ptr pricing functions).
   ShardState Clone() const;
@@ -90,12 +93,14 @@ struct Manifest {
   /// Fingerprint of the partition's item->shard map; restore refuses a
   /// checkpoint taken under a different partition.
   uint64_t partition_fingerprint = 0;
-  /// Every seller delta applied before this checkpoint, in apply order.
-  /// Shard books bake the deltas' effects in (conflict sets were probed
-  /// against the edited database), but the database itself is the
-  /// caller's to reload — recovery re-applies these so post-restore
-  /// probes see the same data a never-crashed engine would. Re-applying
-  /// an already-applied delta is a no-op (deltas set absolute values).
+  /// Seller deltas applied before this checkpoint (never below
+  /// seller_deltas.size()), and the last value of every cell they
+  /// edited, in first-edit order. Shard books bake the deltas' effects
+  /// in, but the database is the caller's to reload — recovery commits
+  /// these cells as one catalog generation that advances by the count,
+  /// so post-restore probes see the data and head generation a
+  /// never-crashed engine would. Re-applying a value is a no-op.
+  uint64_t seller_delta_count = 0;
   std::vector<market::CellDelta> seller_deltas;
 };
 

@@ -1,10 +1,12 @@
 // Immutable price-book snapshots (the read side of the serving engine).
 //
 // A snapshot freezes one pricing generation: every algorithm's
-// PricingResult, the generation number, and the reprice cost that
-// produced it. The engine publishes one whole snapshot per generation
-// (the writer moves its reprice results in, so a publish copies
-// nothing) behind an atomic head pointer; readers pin a
+// PricingResult and the generation number (its version). What the
+// generation cost is the writer's (core::RepriceState::last, reported
+// through EngineStats::last_reprice), not the book's. The engine
+// publishes one whole snapshot per generation (the writer moves its
+// reprice results in, so a publish copies nothing) behind an atomic
+// head pointer; readers pin a
 // common::EpochManager epoch instead of bumping a shared_ptr, and a
 // replaced snapshot is reclaimed once every reader pinned before the
 // swap has left.
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "core/algorithms.h"
-#include "core/reprice.h"
 
 namespace qp::serve {
 
@@ -43,33 +44,16 @@ struct Quote {
 
 class PriceBookSnapshot {
  public:
-  /// Deep-copies `results` (PricingResult::Clone) so the caller — the
-  /// engine's standalone snapshot() copy, a test — retains its own.
+  /// Takes ownership of `results` (the engine's publish and restore move
+  /// theirs in; a caller that keeps its own passes clones).
   /// `results` must be non-empty: a book with nothing to serve is a
   /// construction bug, checked here (abort) so best() never indexes out
   /// of bounds.
-  PriceBookSnapshot(uint64_t version,
-                    const std::vector<core::PricingResult>& results,
-                    const core::RepriceStats& reprice_stats,
+  PriceBookSnapshot(uint64_t version, std::vector<core::PricingResult> results,
                     uint32_t num_items, int num_edges)
       : version_(version),
         num_items_(num_items),
         num_edges_(num_edges),
-        reprice_stats_(reprice_stats) {
-    results_.reserve(results.size());
-    for (const core::PricingResult& r : results) results_.push_back(r.Clone());
-    Seal();
-  }
-
-  /// Move-in overload for callers that already own their results (the
-  /// engine's publish and restore): no copy. Same non-empty contract.
-  PriceBookSnapshot(uint64_t version, std::vector<core::PricingResult>&& results,
-                    const core::RepriceStats& reprice_stats, uint32_t num_items,
-                    int num_edges)
-      : version_(version),
-        num_items_(num_items),
-        num_edges_(num_edges),
-        reprice_stats_(reprice_stats),
         results_(std::move(results)) {
     Seal();
   }
@@ -77,8 +61,6 @@ class PriceBookSnapshot {
   uint64_t version() const { return version_; }
   uint32_t num_items() const { return num_items_; }
   int num_edges() const { return num_edges_; }
-  /// What the generation cost (lps solved, thresholds reused, seconds).
-  const core::RepriceStats& reprice_stats() const { return reprice_stats_; }
 
   const std::vector<core::PricingResult>& results() const { return results_; }
 
@@ -133,7 +115,6 @@ class PriceBookSnapshot {
   uint64_t version_;
   uint32_t num_items_;
   int num_edges_;
-  core::RepriceStats reprice_stats_;
   std::vector<core::PricingResult> results_;
   int best_ = -1;
 };

@@ -12,6 +12,14 @@ void DeleteBook(void* book) {
   delete static_cast<const PriceBookSnapshot*>(book);
 }
 
+std::vector<core::PricingResult> CloneResults(
+    const std::vector<core::PricingResult>& results) {
+  std::vector<core::PricingResult> out;
+  out.reserve(results.size());
+  for (const core::PricingResult& r : results) out.push_back(r.Clone());
+  return out;
+}
+
 }  // namespace
 
 PricingEngine::PricingEngine(uint32_t num_items, EngineOptions options,
@@ -64,11 +72,7 @@ persist::ShardState PricingEngine::CaptureState() const {
   // Writer-side, so the head cannot be retired under us: only the writer
   // publishes.
   const PriceBookSnapshot& head = *head_.load(std::memory_order_relaxed);
-  state.results.reserve(head.results().size());
-  for (const core::PricingResult& r : head.results()) {
-    state.results.push_back(r.Clone());
-  }
-  state.book_stats = head.reprice_stats();
+  state.results = CloneResults(head.results());
   return state;
 }
 
@@ -105,8 +109,7 @@ Status PricingEngine::RestoreState(persist::ShardState state) {
   // The restored book replaces the constructor's empty generation, which
   // retires through the epoch manager.
   Publish(std::make_unique<const PriceBookSnapshot>(
-      version_, std::move(state.results), state.book_stats, num_items,
-      num_edges));
+      version_, std::move(state.results), num_items, num_edges));
   return Status::OK();
 }
 
@@ -127,7 +130,7 @@ void PricingEngine::RepriceAndPublish(int first_new_edge) {
   total_lps_solved_ += reprice_.last.lps_solved;
   ++version_;
   Publish(std::make_unique<const PriceBookSnapshot>(
-      version_, std::move(results), reprice_.last, hypergraph_.num_items(),
+      version_, std::move(results), hypergraph_.num_items(),
       hypergraph_.num_edges()));
 }
 
@@ -149,7 +152,7 @@ std::shared_ptr<const PriceBookSnapshot> PricingEngine::snapshot() const {
   common::EpochManager::Guard guard(epochs_);
   const PriceBookSnapshot& head = book();
   return std::make_shared<const PriceBookSnapshot>(
-      head.version(), head.results(), head.reprice_stats(), head.num_items(),
+      head.version(), CloneResults(head.results()), head.num_items(),
       head.num_edges());
 }
 

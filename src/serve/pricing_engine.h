@@ -48,12 +48,6 @@ struct EngineOptions {
   /// sorted_order fields are ignored: every generation computes its own
   /// compressed classes and valuation order (core/reprice.h).
   core::AlgorithmOptions algorithms;
-  /// Catalog fold cadence: the router's ApplySellerDelta folds the
-  /// accumulated overlay into the base database once it holds this many
-  /// distinct cells (clamped to >= 1) — gated on reader drain, retried on
-  /// the next delta when readers are still pinned. Logical reads are
-  /// identical for every value.
-  int fold_every = 32;
 };
 
 /// Outcome of a posted-price interaction: the buyer saw `quote` for the

@@ -5,6 +5,7 @@
 #include "common/thread_pool.h"
 #include "core/book_merge.h"
 #include "core/pricing.h"
+#include "serve/persist/checkpoint.h"
 
 namespace qp::serve {
 
@@ -86,7 +87,7 @@ ShardedPricingEngine::ShardedPricingEngine(const db::Database* db,
     : db_(db),
       partition_(std::move(partition)),
       options_(std::move(options)),
-      catalog_(db, &epochs_, options_.engine.fold_every),
+      catalog_(db, &epochs_, options_.fold_every),
       prober_(db, partition_.support, {.num_threads = options_.num_threads},
               &catalog_) {
   shards_.reserve(static_cast<size_t>(partition_.num_shards));
@@ -336,11 +337,12 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
 
 Status ShardedPricingEngine::ApplySellerDelta(db::Database& db,
                                               const market::CellDelta& delta) {
-  return ApplySellerDeltas(db, {&delta, 1});
+  return ApplySellerDeltas(db, {&delta, 1}, 1);
 }
 
 Status ShardedPricingEngine::ApplySellerDeltas(
-    db::Database& db, std::span<const market::CellDelta> deltas) {
+    db::Database& db, std::span<const market::CellDelta> deltas,
+    uint64_t num_deltas) {
   if (&db != db_) {
     return Status::InvalidArgument(
         "ApplySellerDelta: database is not this engine's database");
@@ -362,18 +364,15 @@ Status ShardedPricingEngine::ApplySellerDeltas(
   // edited cell can have baked its old value into their probing state.
   // The head read is unguarded but safe: this mutex serializes every
   // commit and fold, so the head cannot be retired under the writer.
-  const uint64_t next_generation = catalog_.head()->number + deltas.size();
-  std::vector<db::DeltaOverlay::Entry> cells;
-  cells.reserve(deltas.size());
+  const uint64_t next_generation = catalog_.head()->number + num_deltas;
   for (const market::CellDelta& delta : deltas) {
     prober_.InvalidateCell(delta, next_generation);
-    cells.push_back({delta.table, delta.row, delta.column, delta.new_value});
   }
-  catalog_.Commit(db, cells);
+  catalog_.Commit(db, deltas, num_deltas);
   return Status::OK();
 }
 
-void ShardedPricingEngine::SetWriterLog(WriterLog* log) {
+void ShardedPricingEngine::SetWriterLog(persist::CheckpointManager* log) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   log_ = log;
 }

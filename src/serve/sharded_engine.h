@@ -75,34 +75,16 @@
 namespace qp::serve {
 
 namespace persist {
+class CheckpointManager;
 struct RecoveredState;
 }  // namespace persist
 
-class ShardedPricingEngine;
-
-/// Write-ahead durability hook for the sharded engine's writer path
-/// (implemented by persist::CheckpointManager). The engine calls
-/// LogAppend / LogSellerDelta BEFORE applying an op — a failing log
-/// aborts the op, so nothing reaches the books that is not on disk —
-/// and OnPublish after the shards published, which is where periodic
-/// checkpoints run. All three run under the engine's writer mutex, so
-/// implementations may read the shards' writer-side state
-/// (PricingEngine::CaptureState) without extra locking but must not
-/// call back into engine writer entry points.
-class WriterLog {
- public:
-  virtual ~WriterLog() = default;
-  virtual Status LogAppend(
-      const std::vector<std::vector<uint32_t>>& conflict_sets,
-      const core::Valuations& valuations) = 0;
-  virtual Status LogSellerDelta(const market::CellDelta& delta) = 0;
-  virtual Status OnPublish(ShardedPricingEngine& engine) = 0;
-};
-
 struct ShardedEngineOptions {
-  /// Forwarded to every shard (algorithm options, incremental reprice);
-  /// the router reads fold_every.
+  /// Forwarded to every shard (algorithm options, incremental reprice).
   EngineOptions engine;
+  /// Catalog fold cadence in distinct cells (clamped to >= 1; see
+  /// ApplySellerDelta). Logical reads are identical for every value.
+  int fold_every = 32;
   /// Threads for the router's own fan-outs: the global probe over buyer
   /// queries in AppendBuyers and the per-shard append/solve/reprice fan.
   /// Books are bit-identical for every value. <= 1 runs inline.
@@ -289,7 +271,7 @@ class ShardedPricingEngine {
   /// concurrent with readers — no quiescence: in-flight probes keep
   /// reading their pinned generation, probes starting after the commit
   /// see the new value, and the catalog folds the overlay into the base
-  /// every EngineOptions::fold_every cells, gated on reader drain (see
+  /// every ShardedEngineOptions::fold_every cells, gated on reader drain (see
   /// db/versioned_database.h). The router is the catalog's single
   /// writer. Published books and stored conflict sets still describe the
   /// pre-edit market until the next append.
@@ -303,12 +285,13 @@ class ShardedPricingEngine {
 
   // --- durability (serve/persist) --------------------------------------
 
-  /// Attaches (or detaches, with nullptr) the write-ahead log. Taken
-  /// under the writer mutex, so an in-flight append either fully
+  /// Attaches (or detaches, with nullptr) the write-ahead log: a failing
+  /// log aborts the op, so nothing reaches the books that is not on disk.
+  /// Taken under the writer mutex, so an in-flight append either fully
   /// precedes or fully follows the attach. Attach AFTER
   /// RestoreFromCheckpoint — replayed ops must not be re-logged. The log
   /// must outlive the engine or be detached first.
-  void SetWriterLog(WriterLog* log);
+  void SetWriterLog(persist::CheckpointManager* log);
 
   /// Restores this engine (fresh: no appends since construction) from a
   /// recovered checkpoint + journal, in three steps:
@@ -375,10 +358,13 @@ class ShardedPricingEngine {
  private:
   /// ApplySellerDelta for many deltas: logs each (write-ahead, in order),
   /// invalidates each edited column, and commits them all as ONE catalog
-  /// generation whose number advances by deltas.size(), so
-  /// head_generation() lands where one ApplySellerDelta per delta would.
+  /// generation whose number advances by `num_deltas` (more than
+  /// deltas.size() for a recovered history of one last value per cell),
+  /// so head_generation() lands where one ApplySellerDelta per delta
+  /// would.
   Status ApplySellerDeltas(db::Database& db,
-                           std::span<const market::CellDelta> deltas);
+                           std::span<const market::CellDelta> deltas,
+                           uint64_t num_deltas);
 
   /// Routes global conflict sets to shards and fans the appends out.
   /// Caller holds writer_mutex_.
@@ -422,7 +408,7 @@ class ShardedPricingEngine {
   std::vector<std::unique_ptr<PricingEngine>> shards_;
   /// Write-ahead log hook (guarded by writer_mutex_); nullptr when
   /// durability is off.
-  WriterLog* log_ = nullptr;
+  persist::CheckpointManager* log_ = nullptr;
 
   /// Per-shard warm/cold flags for the restore protocol. All true from
   /// construction; BeginRestore clears them, FinishShardRestore sets one.

@@ -98,10 +98,10 @@ TEST(SellToleranceTest, SitsAboveTheSolverFeasibilityTolerance) {
   // The contract documented at kSellTolerance: LP-derived prices respect
   // p(e) <= v_e only up to the simplex feasibility tolerance, so the sell
   // test must keep at least an order of magnitude of headroom over the
-  // solver default. This pins the two constants against each other so a
+  // solver's. This pins the two constants against each other so a
   // future solver-tolerance change cannot silently break the "an LP
   // constrained to sell e actually sells e" guarantee.
-  EXPECT_GE(kSellTolerance, 10.0 * lp::SimplexOptions{}.feasibility_tol);
+  EXPECT_GE(kSellTolerance, 10.0 * lp::kFeasibilityTol);
 }
 
 TEST(SellToleranceTest, LpDerivedPricesStillSell) {

@@ -71,7 +71,6 @@ TEST(RepriceTest, SeededSolveMatchesRunAllAlgorithms) {
       EXPECT_EQ(cold[i].lps_solved, seeded[i].lps_solved)
           << cold[i].algorithm << " seed " << seed;
     }
-    EXPECT_EQ(state.generation, 1);
   }
 }
 
@@ -102,7 +101,6 @@ TEST(RepriceTest, RepriceMatchesColdSolveOnGrownInstance) {
     // so its answer is not merely close — it is the same double.
     EXPECT_DOUBLE_EQ(cold[3].revenue, incremental[3].revenue)
         << "seed " << seed;
-    EXPECT_EQ(state.generation, 2);
   }
 }
 
@@ -152,7 +150,6 @@ TEST(RepriceTest, SuccessiveAppendsStayConsistent) {
           << cold[i].algorithm << " round " << round;
     }
   }
-  EXPECT_EQ(state.generation, 4);
 }
 
 TEST(RepriceTest, AppendWithHighValuationsStillMatches) {

@@ -17,8 +17,9 @@
 //  (f) fold_every is clamped to >= 1: a cadence of 0 folds on every
 //      commit instead of never;
 //  (g) a batch commit publishes one generation whose number advances by
-//      the batch size, applies the cells in order (a later write to a
-//      cell wins), and folds at most once.
+//      the delta count it is given (the batch size, or more for cells
+//      that already hold the last of several deltas), applies the cells
+//      in order (a later write to a cell wins), and folds at most once.
 //
 // Tests that pin overlay reads use a cadence above their commit count,
 // so no fold runs.
@@ -230,20 +231,20 @@ TEST(VersionedDatabaseTest, BatchCommitPublishesOneGenerationPerBatch) {
   const Value b = db->table(kTable).cell(4, kNameCol);
   const Value c = db->table(kTable).cell(5, kNameCol);
 
-  catalog.Commit(*db, std::span<const DeltaOverlay::Entry>{});
+  catalog.Commit(*db, std::span<const CellDelta>{}, 0);
   EXPECT_EQ(catalog.head_generation(), 0u);
   EXPECT_EQ(catalog.stats().generations_published, 0u);
 
   // Cell 0 is written twice: the later value wins.
-  const std::vector<DeltaOverlay::Entry> cells = {{kTable, 0, kNameCol, a},
-                                                  {kTable, 1, kNameCol, b},
-                                                  {kTable, 0, kNameCol, c},
-                                                  {kTable, 2, kNameCol, a}};
+  const std::vector<CellDelta> cells = {{kTable, 0, kNameCol, a},
+                                        {kTable, 1, kNameCol, b},
+                                        {kTable, 0, kNameCol, c},
+                                        {kTable, 2, kNameCol, a}};
   {
     // A pinned reader defers the fold, so the batch stays in the overlay.
     common::EpochManager::Guard guard(epochs);
     const VersionedDatabase::Generation* before = catalog.head();
-    catalog.Commit(*db, cells);
+    catalog.Commit(*db, cells, cells.size());
     EXPECT_EQ(catalog.head_generation(), 4u);
     EXPECT_EQ(before->number, 0u);
     VersionedDatabase::Stats stats = catalog.stats();
@@ -257,9 +258,10 @@ TEST(VersionedDatabaseTest, BatchCommitPublishesOneGenerationPerBatch) {
   EXPECT_EQ(catalog.LogicalCell(kTable, 2, kNameCol), a);
 
   // With no reader pinned, the next batch folds once for all its cells.
-  catalog.Commit(*db, std::span<const DeltaOverlay::Entry>(cells).first(2));
+  // Its two cells stand for five deltas, so the number advances by five.
+  catalog.Commit(*db, std::span<const CellDelta>(cells).first(2), 5);
   VersionedDatabase::Stats stats = catalog.stats();
-  EXPECT_EQ(catalog.head_generation(), 6u);
+  EXPECT_EQ(catalog.head_generation(), 9u);
   EXPECT_EQ(stats.generations_published, 2u);
   EXPECT_EQ(stats.folds, 1u);
   EXPECT_EQ(stats.deltas_folded, 3u);

@@ -88,7 +88,7 @@ Market MakeMarket(int fold_every) {
   ShardedEngineOptions options;
   options.engine.algorithms.lpip.max_candidates = 0;
   options.engine.algorithms.lpip.chain_length = 1;
-  options.engine.fold_every = fold_every;
+  options.fold_every = fold_every;
   m.engine = std::make_unique<ShardedPricingEngine>(
       m.db.get(),
       market::SupportPartitioner::FromQueries(m.db.get(), m.support, m.queries,

@@ -283,18 +283,18 @@ std::vector<uint8_t> ManifestPayload() {
   w.U32(1);   // shard_versions
   w.U64(1);
   w.U64(0);   // partition_fingerprint
+  w.U64(0);   // seller_delta_count
   w.U32(0);   // seller_deltas
   return payload;
 }
 
-/// A meta section payload declaring `num_items` items and no edges.
+/// A meta section payload declaring `num_items` items.
 std::vector<uint8_t> MetaPayload(uint32_t num_items) {
   std::vector<uint8_t> payload;
   rpc::WireWriter w(&payload);
   w.U64(1);  // version
   w.U32(0);  // total_lps_solved
   w.U32(num_items);
-  w.U32(0);  // num_edges
   return payload;
 }
 
@@ -357,7 +357,6 @@ std::vector<uint8_t> ItemVecBytes(uint8_t form, uint32_t length,
 /// `RepriceStats` as PutStats writes them (all zero).
 void PutZeroStats(rpc::WireWriter& w) {
   for (int i = 0; i < 5; ++i) w.U32(0);
-  w.F64(0.0);
 }
 
 /// A reprice section payload whose one LPIP candidate has `weights`.
@@ -367,7 +366,6 @@ std::vector<uint8_t> RepriceWith(const std::vector<uint8_t>& weights) {
   w.U32(1);
   w.F64(0.5);
   out.insert(out.end(), weights.begin(), weights.end());
-  w.U32(0);  // generation
   PutZeroStats(w);
   return out;
 }
@@ -391,9 +389,7 @@ std::vector<uint8_t> BookWith(uint8_t pricing_tag,
   if (pricing_tag == kXosPricingTag) w.U32(1);
   out.insert(out.end(), vec.begin(), vec.end());
   w.F64(1.0);  // revenue
-  w.F64(0.0);  // seconds
   w.U32(0);    // lps_solved
-  PutZeroStats(w);
   return out;
 }
 
@@ -402,7 +398,6 @@ std::vector<uint8_t> NoCandidates() {
   std::vector<uint8_t> out;
   rpc::WireWriter w(&out);
   w.U32(0);  // LPIP candidates
-  w.U32(0);  // generation
   PutZeroStats(w);
   return out;
 }
@@ -592,7 +587,6 @@ TEST(PersistFormatTest, CheckpointBytesRoundTripAndAreDeterministic) {
   xos.algorithm = "xos";
   xos.pricing = std::make_unique<core::XosPricing>(corpus);
   state.results.push_back(std::move(xos));
-  state.reprice.generation = 2;
 
   Checkpoint checkpoint;
   checkpoint.manifest = {.checkpoint_seq = 9,
@@ -600,6 +594,7 @@ TEST(PersistFormatTest, CheckpointBytesRoundTripAndAreDeterministic) {
                          .num_shards = 1,
                          .shard_versions = {3},
                          .partition_fingerprint = 0xFEEDu,
+                         .seller_delta_count = 5,
                          .seller_deltas = {{0, 1, 3, db::Value::Int(42)},
                                            {1, 2, 0, db::Value::Str("x")}}};
   checkpoint.shards.push_back(state.Clone());
@@ -614,6 +609,7 @@ TEST(PersistFormatTest, CheckpointBytesRoundTripAndAreDeterministic) {
   EXPECT_EQ(back->manifest.checkpoint_seq, 9u);
   EXPECT_EQ(back->manifest.last_op_id, 17u);
   EXPECT_EQ(back->manifest.partition_fingerprint, 0xFEEDu);
+  EXPECT_EQ(back->manifest.seller_delta_count, 5u);
   ASSERT_EQ(back->manifest.seller_deltas.size(), 2u);
   EXPECT_EQ(back->manifest.seller_deltas[1].new_value.as_string(), "x");
   ASSERT_EQ(back->shards.size(), 1u);
@@ -678,7 +674,7 @@ TEST(PersistFormatTest, OtherFormatVersionsAreRefused) {
   QP_CHECK_OK(ops.status());
   ASSERT_EQ(ops->ops.size(), 1u);
   // The format version is the u32 at bytes 12..15 of every persist file.
-  for (uint32_t version : {1u, 2u, 3u, kFormatVersion + 1}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, kFormatVersion + 1}) {
     for (std::vector<uint8_t>* file : {&*checkpoint, &*journal}) {
       std::vector<uint8_t> le;
       rpc::WireWriter(&le).U32(version);
@@ -726,6 +722,7 @@ TEST(PersistFormatTest, HugeCountsAreErrorsNotAllocations) {
       w.U32(num_versions);
       if (num_versions == 1) w.U64(1);
       w.U64(0);  // partition_fingerprint
+      w.U64(num_deltas);  // seller_delta_count: never below the cells
       w.U32(num_deltas);
     });
   };
@@ -1222,6 +1219,53 @@ TEST(PersistRecoveryTest, InterleavedChurnJournalRecoversBitIdentical) {
             a.engine->catalog().head_generation());
 }
 
+// The manifest's seller-delta history keeps one last value per edited
+// cell plus the number of deltas: 50 edits to 2 cells checkpoint as 2
+// entries, and recovery lands on the live engine's head generation and
+// cell values, also after a manager re-checkpoints the recovered history.
+TEST(PersistRecoveryTest, SellerDeltaHistoryKeepsOneValuePerCell) {
+  std::string dir = FreshDir("delta_history");
+  World a;
+  CheckpointManager manager({.dir = dir, .checkpoint_every = 1});
+  QP_CHECK_OK(manager.Attach(a.engine.get()));
+  a.engine->SetWriterLog(&manager);
+  for (int k = 0; k < 50; ++k) {
+    const market::CellDelta delta{0, 1 + k % 2, 3, db::Value::Int(1000 + k)};
+    QP_CHECK_OK(a.engine->ApplySellerDelta(*a.db, delta));
+  }
+  a.Append(0, 2);  // checkpoint 2 subsumes all 50 deltas
+  ASSERT_EQ(a.engine->catalog().head_generation(), 50u);
+
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    auto recovered = Recover(dir);
+    QP_CHECK_OK(recovered.status());
+    EXPECT_EQ(recovered->checkpoint_seq, 2 + cycle);
+    EXPECT_TRUE(recovered->ops.empty());
+    EXPECT_EQ(recovered->seller_delta_count, 50u);
+    ASSERT_EQ(recovered->seller_deltas.size(), 2u);
+    // First-edit order, each cell at its last value.
+    EXPECT_EQ(recovered->seller_deltas[0].row, 1);
+    EXPECT_EQ(recovered->seller_deltas[0].new_value.as_int(), 1048);
+    EXPECT_EQ(recovered->seller_deltas[1].row, 2);
+    EXPECT_EQ(recovered->seller_deltas[1].new_value.as_int(), 1049);
+
+    World b;
+    QP_CHECK_OK(b.engine->RestoreFromCheckpoint(*recovered, b.db.get()));
+    EXPECT_EQ(b.engine->catalog().head_generation(),
+              a.engine->catalog().head_generation());
+    for (int row : {1, 2}) {
+      EXPECT_EQ(b.engine->catalog().LogicalCell(0, row, 3).as_int(),
+                a.engine->catalog().LogicalCell(0, row, 3).as_int())
+          << "row " << row;
+    }
+    ExpectEnginesIdentical(*a.engine, *b.engine);
+    // A restarted process checkpoints the recovered history on Attach;
+    // the next cycle recovers from that checkpoint.
+    CheckpointManager restarted({.dir = dir, .checkpoint_every = 1});
+    QP_CHECK_OK(restarted.Attach(b.engine.get(), &*recovered));
+  }
+}
+
 TEST(PersistRecoveryTest, EmptyDirectoryRecoversToEmptyEngine) {
   std::string dir = FreshDir("empty");
   auto recovered = Recover(dir);
@@ -1488,6 +1532,12 @@ TEST(PersistRecoveryTest, HostileCheckpointFilesFallBack) {
     c.manifest.shard_versions.push_back(1);
     cases.emplace_back("manifest of 3 shards, file of 2", encoded(c));
   }
+  {
+    Checkpoint c = decoded(newest);
+    c.manifest.seller_deltas.push_back({0, 1, 3, db::Value::Int(7)});
+    c.manifest.seller_delta_count = 0;
+    cases.emplace_back("fewer seller deltas than edited cells", encoded(c));
+  }
   for (size_t s = 0; s < 2; ++s) {
     Checkpoint c = decoded(newest);
     ++c.manifest.shard_versions[s];
@@ -1499,9 +1549,12 @@ TEST(PersistRecoveryTest, HostileCheckpointFilesFallBack) {
                        encoded(c));
   }
   {
-    std::vector<uint8_t> v3 = newest;
-    v3[12] = 3;  // the format version's low byte
-    cases.emplace_back("v3 header", v3);
+    for (uint8_t version : {3, 4}) {
+      std::vector<uint8_t> old_version = newest;
+      old_version[12] = version;  // the format version's low byte
+      cases.emplace_back("v" + std::to_string(version) + " header",
+                         old_version);
+    }
     std::vector<uint8_t> trailing = newest;
     AppendSection(kBookTag, sections.back().payload, &trailing);
     cases.emplace_back("a section after the last shard", trailing);
@@ -1784,8 +1837,9 @@ TEST(PersistRecoveryTest, RestoreRacingReadersNeverServesPreRestoreBooks) {
 // source engine's conflict set for its query.
 TEST(PersistRecoveryTest, RestoreRacingPurchasesProbeRecoveredSellerDeltas) {
   World source;
-  // A long history, as a manifest that keeps every delta ever applied
-  // carries, then an edit that moves max(Population).
+  // A long history: 240 deltas cycling over 24 cells, then an edit that
+  // moves max(Population). The restore below commits them as given,
+  // repeats included, counted as every delta applied.
   std::vector<market::CellDelta> deltas;
   for (size_t k = 0; k < 240; ++k) deltas.push_back(source.support[k % 24]);
   deltas.push_back({0, 1, 3, db::Value::Int(500000000)});
@@ -1830,6 +1884,7 @@ TEST(PersistRecoveryTest, RestoreRacingPurchasesProbeRecoveredSellerDeltas) {
     for (int s = 0; s < num_shards; ++s) {
       state.shards.push_back(source.engine->shard(s).CaptureState());
     }
+    state.seller_delta_count = deltas.size();
     state.seller_deltas = deltas;
 
     std::atomic<bool> done{false};

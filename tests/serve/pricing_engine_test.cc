@@ -241,10 +241,7 @@ TEST(PricingEngineTest, SnapshotsAreImmutableAcrossPublishes) {
 }
 
 TEST(PricingEngineTest, EmptySnapshotDies) {
-  core::RepriceStats stats;
-  std::vector<core::PricingResult> none;
-  EXPECT_DEATH(PriceBookSnapshot(1, std::move(none), stats, 10, 0),
-               "no results");
+  EXPECT_DEATH(PriceBookSnapshot(1, {}, 10, 0), "no results");
 }
 
 // The refcount-free hot path is observable: every QuoteBundle /
@@ -620,9 +617,10 @@ TEST(PricingEngineTest, ApplySellerDeltaEditsDataAndInvalidatesSelectively) {
 
 TEST(PricingEngineTest, ApplySellerDeltaFoldsIntoBaseOnCadence) {
   Market m = MakeMarket();
-  EngineOptions options = MatchedOptions();
-  options.fold_every = 2;
-  auto engine = OneShardEngine(m, options);
+  auto engine = std::make_unique<ShardedPricingEngine>(
+      m.db.get(),
+      market::SupportPartitioner::Partition(m.support, {}, {.num_shards = 1}),
+      ShardedEngineOptions{.engine = MatchedOptions(), .fold_every = 2});
   QP_CHECK_OK(engine->AppendBuyers(m.initial_queries, m.initial_valuations));
 
   // Two commits to distinct cells: the first stays pending in the
