@@ -652,12 +652,16 @@ int Main(int argc, char** argv) {
     const uint64_t allocs_after = scaled.alloc_probe_total();
     serve::rpc::RpcServerStats scaled_stats = scaled.stats();
     std::cout << StrFormat(
-        "loops=%d server: %llu send calls (%.1f frames each), %llu "
-        "loop-thread allocs in measured phases\n",
+        "loops=%d server: %llu send calls (%.1f frames each), %.2f reads "
+        "per received frame, %llu loop-thread allocs in measured phases\n",
         num_loops, static_cast<unsigned long long>(scaled_stats.writev_calls),
         scaled_stats.writev_calls > 0
             ? static_cast<double>(scaled_stats.writev_frames) /
                   static_cast<double>(scaled_stats.writev_calls)
+            : 0.0,
+        scaled_stats.frames_received > 0
+            ? static_cast<double>(scaled_stats.reads) /
+                  static_cast<double>(scaled_stats.frames_received)
             : 0.0,
         static_cast<unsigned long long>(allocs_after - allocs_before));
     QP_CHECK_OK(allocs_after == allocs_before

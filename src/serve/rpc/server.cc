@@ -39,12 +39,8 @@ void SetNoDelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Read chunk for a connection's receive scratch; the buffer grows to
-/// this once and is reused for every subsequent read.
-constexpr size_t kReadChunk = 64 * 1024;
-/// A receive buffer that ballooned past this (a burst of max-size
-/// frames) is released once empty instead of pinning the high-water
-/// mark forever.
+/// A connection's receive buffer: sized to this at admit, doubled only
+/// for a frame that does not fit, and trimmed back to it once empty.
 constexpr size_t kRecvBufCapBytes = 256 * 1024;
 /// A fully sent send buffer keeps its capacity for the next replies up
 /// to this; one stretched further by a jumbo reply is released.
@@ -129,9 +125,16 @@ struct RpcServer::Impl {
   // --- connection state (owning-loop-thread-private) --------------------
   struct Connection {
     int fd = -1;
-    /// Receive scratch: reads land directly in the tail; consumed frames
-    /// are erased from the front. Capacity is the reuse pool.
+    /// Receive buffer: in[0, in_len) holds bytes not yet framed, and
+    /// reads land in the free tail in[in_len, in.size()). Its size is
+    /// the buffer's capacity, so a read never initializes a byte.
     std::vector<uint8_t> in;
+    size_t in_len = 0;
+    /// The peer shut down its sending side: EPOLLIN is no longer
+    /// watched, and the connection closes once its replies are out.
+    bool read_closed = false;
+    /// Writer ops admitted from this connection whose replies are owed.
+    uint32_t writer_ops = 0;
     /// Send buffer: replies are encoded straight onto its end and
     /// out[sent, size) is still owed to the peer. Cleared (capacity
     /// retained) once fully sent, so steady traffic reuses one block.
@@ -195,12 +198,16 @@ struct RpcServer::Impl {
     ShardedPricingEngine::QuoteBatchScratch batch;
     /// Completions moved out of the shared deque for lock-free replay.
     std::vector<WriterDone> done_scratch;
+    /// Connections whose peer shut down its sending side, closed at the
+    /// end of the first tick that leaves them nothing to send.
+    std::vector<uint64_t> half_closed;
 
     // Per-loop counters; SumCounters() aggregates across loops.
     std::atomic<uint64_t> connections_accepted{0}, connections_closed{0},
-        frames_received{0}, quote_requests{0}, quote_batch_requests{0},
-        purchase_requests{0}, append_requests{0}, seller_delta_requests{0},
-        stats_requests{0}, quote_ticks{0}, batched_quotes{0},
+        reads{0}, frames_received{0}, quote_requests{0},
+        quote_batch_requests{0}, purchase_requests{0}, append_requests{0},
+        seller_delta_requests{0}, stats_requests{0}, quote_ticks{0},
+        batched_quotes{0},
         writer_enqueued{0}, writer_rejected{0}, protocol_errors{0},
         writev_calls{0}, writev_frames{0}, spin_hits{0}, parks{0};
     /// This loop, counted once: summed over the loops it is the loop
@@ -223,6 +230,7 @@ struct RpcServer::Impl {
   static constexpr CounterRow kCounters[] = {
       QP_COUNTER(connections_accepted),
       QP_COUNTER(connections_closed),
+      QP_COUNTER(reads),
       QP_COUNTER(frames_received),
       QP_COUNTER(quote_requests),
       QP_COUNTER(quote_batch_requests),
@@ -642,6 +650,7 @@ struct RpcServer::Impl {
       }
       DeliverWriterCompletions(loop);
       ServeQuoteTick(loop);
+      CloseHalfClosed(loop);
       if (options.alloc_probe != nullptr) {
         loop.alloc_probe_last.store(options.alloc_probe(),
                                     std::memory_order_release);
@@ -724,10 +733,9 @@ struct RpcServer::Impl {
     uint64_t id = loop.next_conn_id++;
     Connection& conn = loop.conns[id];
     conn.fd = fd;
-    // The receive scratch lives at its cap from the start: reads resize
-    // within this capacity, so the steady-state read path never touches
-    // the allocator (and never oscillates around the trim threshold).
-    conn.in.reserve(kRecvBufCapBytes);
+    // Sized once here: reads fill its tail, so the steady-state read
+    // path neither allocates nor initializes.
+    conn.in.resize(kRecvBufCapBytes);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = id;
@@ -756,34 +764,59 @@ struct RpcServer::Impl {
     loop.connections_closed.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Reads everything available into the connection's reusable receive
-  /// buffer, extracting and dispatching complete frames. Returns false
-  /// if the connection was closed.
+  /// Reads what the socket holds into the connection's receive buffer
+  /// and dispatches every complete frame. Reading stops at a short read,
+  /// which drained the socket; level-triggered epoll reports any bytes
+  /// that arrive later. Returns false if the connection was closed.
   bool ReadConn(EventLoop& loop, uint64_t id, Connection& conn) {
     for (;;) {
-      const size_t have = conn.in.size();
-      // Read straight into the buffer's tail: the capacity grows to its
-      // high-water mark once and every later read reuses it.
-      conn.in.resize(have + kReadChunk);
-      ssize_t n = read(conn.fd, conn.in.data() + have, kReadChunk);
+      const size_t room = conn.in.size() - conn.in_len;
+      const ssize_t n = read(conn.fd, conn.in.data() + conn.in_len, room);
+      loop.reads.fetch_add(1, std::memory_order_relaxed);
       if (n > 0) {
-        conn.in.resize(have + static_cast<size_t>(n));
+        conn.in_len += static_cast<size_t>(n);
+        if (static_cast<size_t>(n) < room) break;
+        // A full buffer: frame what it holds, and double it only when
+        // that freed nothing (the next frame is larger than the buffer).
+        if (!DispatchFrames(loop, id, conn)) return false;
+        if (conn.in_len == conn.in.size()) conn.in.resize(2 * conn.in.size());
         continue;
       }
-      conn.in.resize(have);
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      // Peer closed (possibly mid-frame) or hard error: any buffered
-      // partial frame dies with the connection.
-      CloseConn(loop, id);
-      return false;
+      if (n < 0) {
+        // Hard error: any buffered partial frame dies with the connection.
+        CloseConn(loop, id);
+        return false;
+      }
+      // The peer shut down its sending side. Every complete frame it sent
+      // still gets its reply (a trailing partial frame is dropped); the
+      // connection closes once those are out (CloseHalfClosed).
+      if (!DispatchFrames(loop, id, conn)) return false;
+      conn.read_closed = true;
+      WatchConn(loop, id, conn);
+      loop.half_closed.push_back(id);
+      return true;
     }
+    if (!DispatchFrames(loop, id, conn)) return false;
+    if (conn.in_len == 0 && conn.in.size() > kRecvBufCapBytes) {
+      // One burst of jumbo frames must not pin the grown buffer; drop
+      // back to the standing cap-sized one.
+      std::vector<uint8_t>(kRecvBufCapBytes).swap(conn.in);
+    }
+    return true;
+  }
+
+  /// Dispatches every complete frame in the receive buffer, then moves
+  /// a trailing partial frame to its front. Returns false if the
+  /// connection was closed.
+  bool DispatchFrames(EventLoop& loop, uint64_t id, Connection& conn) {
     size_t pos = 0;
-    while (pos < conn.in.size()) {
+    while (pos < conn.in_len) {
       Frame frame;
       size_t consumed = 0;
       ExtractResult result =
-          ExtractFrame(conn.in.data() + pos, conn.in.size() - pos, &consumed,
+          ExtractFrame(conn.in.data() + pos, conn.in_len - pos, &consumed,
                        &frame, options.max_frame_bytes);
       if (result == ExtractResult::kNeedMore) break;
       if (result == ExtractResult::kError) {
@@ -802,16 +835,26 @@ struct RpcServer::Impl {
       // Dispatch may have queued writes, but never touches conn.in.
     }
     if (pos > 0) {
-      conn.in.erase(conn.in.begin(),
-                    conn.in.begin() + static_cast<ptrdiff_t>(pos));
-    }
-    if (conn.in.empty() && conn.in.capacity() > kRecvBufCapBytes) {
-      // One burst of jumbo frames must not pin the high-water capacity;
-      // drop back to the standing cap-sized scratch.
-      std::vector<uint8_t>().swap(conn.in);
-      conn.in.reserve(kRecvBufCapBytes);
+      std::memmove(conn.in.data(), conn.in.data() + pos, conn.in_len - pos);
+      conn.in_len -= pos;
     }
     return true;
+  }
+
+  /// Closes every half-closed connection that owes its peer nothing:
+  /// no unsent reply and no writer op in flight.
+  void CloseHalfClosed(EventLoop& loop) {
+    size_t kept = 0;
+    for (const uint64_t id : loop.half_closed) {
+      auto it = loop.conns.find(id);
+      if (it == loop.conns.end()) continue;
+      if (it->second.out.empty() && it->second.writer_ops == 0) {
+        CloseConn(loop, id);
+      } else {
+        loop.half_closed[kept++] = id;
+      }
+    }
+    loop.half_closed.resize(kept);
   }
 
   /// Next free bundle slot in the loop's tick arena (cleared, capacity
@@ -939,6 +982,7 @@ struct RpcServer::Impl {
       loop.writer_enqueued.fetch_add(1, std::memory_order_relaxed);
     }
     writer_cv.notify_one();
+    ++loop.conns.at(id).writer_ops;
     return true;
   }
 
@@ -1069,6 +1113,8 @@ struct RpcServer::Impl {
       mine.clear();
     }
     for (const WriterDone& completion : loop.done_scratch) {
+      auto conn = loop.conns.find(completion.conn_id);
+      if (conn != loop.conns.end()) --conn->second.writer_ops;
       Reply(loop, completion.conn_id, [&](std::vector<uint8_t>* out) {
         if (completion.result.code != WireCode::kOk) {
           AppendErrorReplyFrame(completion.request_id, completion.result.code,
@@ -1134,13 +1180,20 @@ struct RpcServer::Impl {
     }
     const bool want_out = !conn.out.empty();
     if (want_out != conn.epollout_armed) {
-      epoll_event ev{};
-      ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
-      ev.data.u64 = id;
-      epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
       conn.epollout_armed = want_out;
+      WatchConn(loop, id, conn);
     }
     return true;
+  }
+
+  /// Points epoll at what the connection waits for: requests until the
+  /// peer stops sending, and send room while replies wait.
+  void WatchConn(EventLoop& loop, uint64_t id, const Connection& conn) {
+    epoll_event ev{};
+    ev.events = (conn.read_closed ? 0u : EPOLLIN) |
+                (conn.epollout_armed ? EPOLLOUT : 0u);
+    ev.data.u64 = id;
+    epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 };
 

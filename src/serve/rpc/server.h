@@ -117,6 +117,10 @@ struct RpcServerOptions {
 struct RpcServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
+  /// read() calls on request sockets. A loop reads a readable socket
+  /// until a read comes back short, so reads / frames_received is about
+  /// 1 when requests arrive one at a time and below 1 when they batch.
+  uint64_t reads = 0;
   uint64_t frames_received = 0;
   uint64_t quote_requests = 0;
   uint64_t quote_batch_requests = 0;

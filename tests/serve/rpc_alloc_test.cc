@@ -24,6 +24,7 @@
 #include "market/support_partitioner.h"
 #include "serve/rpc/client.h"
 #include "serve/rpc/server.h"
+#include "serve/rpc/wire.h"
 #include "serve/sharded_engine.h"
 #include "tests/testing/test_db.h"
 
@@ -211,6 +212,26 @@ void ExpectQuotePathAllocatesNothing(int num_loops, Prime priming) {
     fill = *std::max_element(
         bundles.begin(), bundles.end(),
         [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  }
+  // First a ~600 KiB QuoteBatch of the same bundles per connection: more
+  // than the 256 KiB receive buffer holds, under the 1 MiB frame cap. The
+  // buffer doubles to take it and is trimmed back once it drains, so the
+  // measured traffic below must not allocate for it. Its reply equals the
+  // in-process batch byte for byte.
+  const std::vector<std::vector<uint32_t>> jumbo(
+      600 * 1024 / (4 + 4 * fill.size()) + 1, fill);
+  const size_t jumbo_bytes = EncodeQuoteBatchRequest(0, jumbo).size();
+  ASSERT_GT(jumbo_bytes, size_t{256} << 10);
+  ASSERT_LT(jumbo_bytes, size_t{1} << 20);
+  std::vector<uint8_t> jumbo_local;
+  AppendQuoteBatchReplyFrame(0, engine.QuoteBatch(jumbo), &jumbo_local);
+  for (RpcClient& conn : conns) {
+    RpcReply reply;
+    QP_CHECK_OK(conn.QuoteBatch(jumbo, &reply));
+    ASSERT_TRUE(reply.ok()) << reply.message;
+    std::vector<uint8_t> jumbo_wire;
+    AppendQuoteBatchReplyFrame(0, reply.quotes, &jumbo_wire);
+    EXPECT_EQ(jumbo_wire, jumbo_local);
   }
   const std::vector<std::vector<uint32_t>> prime(4 * bundles.size(), fill);
   for (RpcClient& conn : conns) {

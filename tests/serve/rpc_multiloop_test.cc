@@ -560,6 +560,7 @@ TEST(RpcMultiLoopTest, StatsReplyEqualsInProcessStatsExactly) {
 
   ExpectStat(wire, "connections_accepted", server.connections_accepted);
   ExpectStat(wire, "connections_closed", server.connections_closed);
+  ExpectStat(wire, "reads", server.reads);
   ExpectStat(wire, "frames_received", server.frames_received);
   ExpectStat(wire, "quote_requests", server.quote_requests);
   ExpectStat(wire, "quote_batch_requests", server.quote_batch_requests);
@@ -585,7 +586,7 @@ TEST(RpcMultiLoopTest, StatsReplyEqualsInProcessStatsExactly) {
   }
 
   // Nothing else rides along, and every name is distinct.
-  EXPECT_EQ(wire.entries.size(), 5u + 5u + 8u + 9u + 19u);
+  EXPECT_EQ(wire.entries.size(), 5u + 5u + 8u + 9u + 20u);
   std::set<std::string> names;
   for (const WireStat& stat : wire.entries) names.insert(stat.name);
   EXPECT_EQ(names.size(), wire.entries.size());

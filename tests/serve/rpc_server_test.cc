@@ -15,10 +15,15 @@
 //      EAGAIN, resumed on EPOLLOUT) all arrive later, exactly once and
 //      bit-identical, and the connection stays usable;
 //  (g) a loop spins before it blocks while requests keep coming, and
-//      parks, burning no CPU, once they stop.
+//      parks, burning no CPU, once they stop;
+//  (h) a peer that shuts down its sending side right after its requests
+//      gets every reply, a writer op's included, then EOF; closed-loop
+//      requests cost one read each.
 #include "serve/rpc/server.h"
 
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <time.h>
@@ -28,12 +33,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +163,49 @@ void StreamPipelinedQuotes(RpcClient& client,
     QP_CHECK_OK(client.Receive(&reply));
     ASSERT_TRUE(reply.ok()) << reply.message;
     if (sent < count) send_next();
+  }
+}
+
+/// A blocking loopback socket connected to `port`. A reply that never
+/// comes fails its recv after 60 s instead of hanging the test.
+int RawConnect(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 60;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+bool SendAll(int fd, std::span<const uint8_t> bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Every byte `fd` receives until the peer closes; a receive error or
+/// timeout fails the test and ends the read early.
+std::vector<uint8_t> ReceiveUntilEof(int fd) {
+  std::vector<uint8_t> in;
+  for (;;) {
+    uint8_t buf[64 * 1024];
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) return in;
+    if (n < 0) {
+      ADD_FAILURE() << "recv before EOF: " << std::strerror(errno);
+      return in;
+    }
+    in.insert(in.end(), buf, buf + n);
   }
 }
 
@@ -414,13 +466,7 @@ TEST(RpcServerTest, FullWriterQueueRejectsWithBackpressure) {
 TEST(RpcServerTest, DripFedFramesDecodeAcrossPartialReads) {
   Harness h;
   // Raw socket, one byte per send: the server must reassemble.
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(h.server->port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const int fd = RawConnect(h.server->port());
 
   std::vector<uint8_t> frame = EncodeQuoteRequest(77, {0, 1});
   for (uint8_t byte : frame) {
@@ -446,6 +492,178 @@ TEST(RpcServerTest, DripFedFramesDecodeAcrossPartialReads) {
   EXPECT_TRUE(DecodeQuoteReply(reply.body, &quote));
   ExpectQuoteEq(quote, h.engine->QuoteBundle({0, 1}));
   close(fd);
+}
+
+// End-of-tick hook of the half-close test: while g_hold_loop is set, the
+// loop thread waits here, so that everything sent meanwhile is queued on
+// the socket before the loop's next read.
+std::atomic<bool> g_hold_loop{false};
+std::atomic<bool> g_loop_held{false};
+
+uint64_t HoldLoop() {
+  while (g_hold_loop.load()) {
+    g_loop_held.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return 0;
+}
+
+/// Waits until the peer acknowledged every byte sent on `fd`, a FIN
+/// included, so all of it is queued on the peer's socket; false after
+/// 10 s.
+bool WaitUntilDelivered(int fd) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    int unacked = 0;
+    if (ioctl(fd, SIOCOUTQ, &unacked) != 0) return false;
+    if (unacked == 0) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// A peer may send its requests and shut down its sending side at once.
+// Every complete request still gets its reply, in request order, before
+// the server closes.
+TEST(RpcServerTest, HalfClosedPeerGetsEveryReplyThenEof) {
+  Harness h(2, {.alloc_probe = &HoldLoop});
+  const std::vector<std::vector<uint32_t>> bundles = h.SampleBundles();
+
+  // Two Quote frames, then the FIN.
+  {
+    std::vector<uint8_t> requests, expected;
+    for (uint64_t id : {1, 2}) {
+      const std::vector<uint8_t> frame = EncodeQuoteRequest(id, bundles[id]);
+      requests.insert(requests.end(), frame.begin(), frame.end());
+      AppendQuoteReplyFrame(id, h.engine->QuoteBundle(bundles[id]),
+                            &expected);
+    }
+    const int fd = RawConnect(h.server->port());
+    ASSERT_TRUE(SendAll(fd, requests));
+    ASSERT_EQ(shutdown(fd, SHUT_WR), 0);
+    EXPECT_EQ(ReceiveUntilEof(fd), expected);
+    close(fd);
+  }
+
+  // A Quote and an AppendBuyers, then the FIN: the connection stays open
+  // until the writer has answered the append.
+  {
+    std::vector<uint8_t> requests = EncodeQuoteRequest(1, bundles[1]);
+    const std::vector<WireBuyer> buyers = {
+        {"select min(LifeExpectancy) from Country", 0.75}};
+    const std::vector<uint8_t> append = EncodeAppendRequest(2, buyers);
+    requests.insert(requests.end(), append.begin(), append.end());
+    const uint64_t version_before = h.engine->snapshot().version();
+    const int fd = RawConnect(h.server->port());
+    ASSERT_TRUE(SendAll(fd, requests));
+    ASSERT_EQ(shutdown(fd, SHUT_WR), 0);
+    const std::vector<uint8_t> replies = ReceiveUntilEof(fd);
+    close(fd);
+    std::vector<std::pair<MsgType, uint64_t>> frames;
+    for (size_t pos = 0; pos < replies.size();) {
+      Frame frame;
+      size_t consumed = 0;
+      ASSERT_EQ(ExtractFrame(replies.data() + pos, replies.size() - pos,
+                             &consumed, &frame),
+                ExtractResult::kFrame);
+      frames.emplace_back(frame.type, frame.request_id);
+      pos += consumed;
+    }
+    // A fast writer may answer the append in the tick that reads it,
+    // before the tick's quotes are priced.
+    std::sort(frames.begin(), frames.end());
+    EXPECT_EQ(frames, (std::vector<std::pair<MsgType, uint64_t>>{
+                          {MsgType::kQuoteReply, 1},
+                          {MsgType::kAppendReply, 2}}));
+    EXPECT_GT(h.engine->snapshot().version(), version_before);
+  }
+
+  // Frames that add up to the server's receive buffer (256 KiB) exactly:
+  // a QuoteBatch, then three Quotes. The server reads all but the last
+  // 256 bytes of the batch; then, while its loop is held, the rest
+  // arrives with the FIN. The loop's next read fills the buffer, and the
+  // read after it returns 0 in the same call that framed the requests.
+  {
+    constexpr size_t kRecvBufBytes = 256 * 1024;
+    constexpr size_t kLast = 256;
+    std::vector<uint8_t> quotes, expected_quotes;
+    for (uint64_t id : {2, 3, 4}) {
+      const std::vector<uint8_t> frame = EncodeQuoteRequest(id, bundles[id]);
+      quotes.insert(quotes.end(), frame.begin(), frame.end());
+      AppendQuoteReplyFrame(id, h.engine->QuoteBundle(bundles[id]),
+                            &expected_quotes);
+    }
+    // 17 bytes of prefix, header and bundle count, then 4 bytes plus 4
+    // per item for each bundle: whole-book bundles fill the batch and
+    // empty ones pad it to size.
+    const size_t batch_bytes = kRecvBufBytes - quotes.size();
+    std::vector<uint32_t> all_items(h.engine->partition().num_items());
+    for (uint32_t i = 0; i < all_items.size(); ++i) all_items[i] = i;
+    std::vector<std::vector<uint32_t>> batch;
+    size_t bytes = 17;
+    while (bytes + 4 + 4 * all_items.size() <= batch_bytes) {
+      batch.push_back(all_items);
+      bytes += 4 + 4 * all_items.size();
+    }
+    for (; bytes < batch_bytes; bytes += 4) batch.emplace_back();
+    std::vector<uint8_t> frames = EncodeQuoteBatchRequest(1, batch);
+    ASSERT_EQ(frames.size(), batch_bytes);
+    std::vector<uint8_t> expected;
+    AppendQuoteBatchReplyFrame(1, h.engine->QuoteBatch(batch), &expected);
+    frames.insert(frames.end(), quotes.begin(), quotes.end());
+    expected.insert(expected.end(), expected_quotes.begin(),
+                    expected_quotes.end());
+    const size_t first_part = batch_bytes - kLast;
+
+    const int fd = RawConnect(h.server->port());
+    RpcClient other = h.Connect();
+    ASSERT_TRUE(SendAll(fd, std::span(frames).first(first_part)));
+    ASSERT_TRUE(WaitUntilDelivered(fd));
+    // The tick that serves this quote reads whatever of the first part
+    // the loop has not read yet.
+    RpcReply reply;
+    QP_CHECK_OK(other.Quote(bundles[1], &reply));
+    g_loop_held.store(false);
+    g_hold_loop.store(true);
+    QP_CHECK_OK(other.SendQuote(bundles[1]).status());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!g_loop_held.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool held = g_loop_held.load();
+    const bool sent = held &&
+                      SendAll(fd, std::span(frames).subspan(first_part)) &&
+                      shutdown(fd, SHUT_WR) == 0 && WaitUntilDelivered(fd);
+    g_hold_loop.store(false);
+    ASSERT_TRUE(held);
+    ASSERT_TRUE(sent);
+    EXPECT_EQ(ReceiveUntilEof(fd), expected);
+    close(fd);
+    QP_CHECK_OK(other.Receive(&reply));
+    ASSERT_TRUE(reply.ok()) << reply.message;
+  }
+}
+
+// A loop reads a readable socket until a read comes back short, so a
+// closed-loop client's requests cost one read each (the read after it
+// that would only return EAGAIN is never issued).
+TEST(RpcServerTest, ClosedLoopRequestsCostOneReadEach) {
+  Harness h;
+  RpcClient client = h.Connect();
+  const std::vector<std::vector<uint32_t>> bundles = h.SampleBundles();
+  constexpr uint64_t kRounds = 200;
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    RpcReply reply;
+    QP_CHECK_OK(client.Quote(bundles[i % bundles.size()], &reply));
+    ASSERT_TRUE(reply.ok()) << reply.message;
+  }
+  const RpcServerStats stats = h.server->stats();
+  EXPECT_EQ(stats.frames_received, kRounds);
+  EXPECT_GE(stats.reads, stats.frames_received);
+  EXPECT_LE(stats.reads, stats.frames_received + 2);
 }
 
 // End-of-tick hook for the backlog test. RpcServerOptions::alloc_probe
@@ -574,17 +792,7 @@ TEST(RpcServerTest, BackloggedRepliesResumeAfterPartialWrites) {
 
 TEST(RpcServerTest, AbuseDoesNotTakeTheServerDown) {
   Harness h;
-  auto raw_connect = [&]() {
-    int fd = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(h.server->port());
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    return fd;
-  };
+  auto raw_connect = [&] { return RawConnect(h.server->port()); };
 
   // (1) Mid-message disconnect: half a frame, then gone.
   {
