@@ -157,11 +157,8 @@ core::AlgorithmOptions AlgorithmOptionsFor(const WorkloadHypergraph& wh,
   // saturates well before that). --candidates=0 restores every-edge LPs.
   options.lpip.max_candidates =
       flags.GetInt("candidates", flags.paper() ? 0 : 12);
-  // LP pipeline knobs: --warm=0 cold-solves every candidate LP (the
-  // pre-warm-start behavior), --threads=N runs candidate chains on N
-  // threads (results are bit-identical for every N).
-  options.lpip.warm_start = flags.GetBool("warm", true);
-  options.cip.warm_start = options.lpip.warm_start;
+  // --threads=N runs candidate chains on N threads (results are
+  // bit-identical for every N).
   options.lpip.num_threads = flags.GetInt("threads", 1);
   options.cip.num_threads = options.lpip.num_threads;
   return options;

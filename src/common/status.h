@@ -22,8 +22,8 @@ enum class StatusCode {
   kFailedPrecondition,
   kUnimplemented,
   kInternal,
-  /// The target exists but cannot serve right now (a shard still warming
-  /// after restore, a refused connection); retrying later may succeed.
+  /// The target exists but cannot serve right now (a refused or closed
+  /// connection); retrying later may succeed.
   kUnavailable,
   /// A caller-supplied deadline elapsed before the operation finished.
   kDeadlineExceeded,

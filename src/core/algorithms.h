@@ -64,13 +64,13 @@ struct LpipOptions {
   const ItemClasses* classes = nullptr;
   /// Disable item-class compression (ablation).
   bool use_compression = true;
-  /// Build each candidate LP incrementally from the previous one (the
-  /// families F_e are nested in descending-valuation order) and restart
-  /// the simplex from its optimal basis. Off = cold-solve every candidate.
-  bool warm_start = true;
-  /// Candidates per warm-start chain. Chains are the parallel work units;
-  /// the partition depends only on the candidate list — never on
-  /// num_threads — so prices are bit-identical for every thread count.
+  /// Candidates per warm-start chain: the families F_e are nested in
+  /// descending-valuation order, so each chain builds its candidate LPs
+  /// incrementally and restarts the simplex from the previous optimal
+  /// basis (the chain's first solve is cold). Chains are the parallel
+  /// work units; the partition depends only on the candidate list —
+  /// never on num_threads — so prices are bit-identical for every
+  /// thread count.
   /// The default trades a little serial speed (each chain cold-solves one
   /// anchor) for parallelism that engages already at the bench default of
   /// 12 candidates; paper-scale runs (max_candidates = 0) produce many
@@ -93,12 +93,12 @@ struct CipOptions {
   double eps = 1.0;
   const ItemClasses* classes = nullptr;
   bool use_compression = true;
-  /// Reuse one LP across the capacity grid: consecutive capacities only
-  /// move the RHS (primal form) or the objective (dual form), so each
-  /// solve warm-starts from the previous optimal basis — a pure
-  /// dual-simplex (resp. phase-2) reoptimization.
-  bool warm_start = true;
   /// Capacities per warm-start chain; fixed partition, see LpipOptions.
+  /// Each chain reuses one LP across its capacities: consecutive
+  /// capacities only move the RHS (primal form) or the objective (dual
+  /// form), so each solve after the chain's first warm-starts from the
+  /// previous optimal basis — a pure dual-simplex (resp. phase-2)
+  /// reoptimization.
   int chain_length = 4;
   /// Threads for independent chains; <= 1 runs serially inline.
   int num_threads = 1;

@@ -127,12 +127,11 @@ PricingResult RunCip(const Hypergraph& hypergraph, const Valuations& v,
         }
       }
 
-      lp::LpSolution solution = (options.warm_start && !basis.empty())
-                                    ? solver.ResolveFrom(basis)
-                                    : solver.Solve();
+      lp::LpSolution solution =
+          basis.empty() ? solver.Solve() : solver.ResolveFrom(basis);
       ++out.lps_solved;
       if (!solution.ok()) continue;
-      if (options.warm_start) basis = std::move(solution.basis);
+      basis = std::move(solution.basis);
 
       for (uint32_t cls = 0; cls < num_classes; ++cls) {
         class_duals[cls] = primal_form ? std::max(0.0, solution.dual[cls])

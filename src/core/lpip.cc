@@ -155,12 +155,11 @@ PricingResult RunLpipSweep(const Hypergraph& hypergraph, const Valuations& v,
     };
 
     auto solve_and_score = [&](int candidate_index) {
-      lp::LpSolution solution = (options.warm_start && !basis.empty())
-                                    ? solver.ResolveFrom(basis)
-                                    : solver.Solve();
+      lp::LpSolution solution =
+          basis.empty() ? solver.Solve() : solver.ResolveFrom(basis);
       ++out.lps_solved;
       if (!solution.ok()) return;
-      if (options.warm_start) basis = std::move(solution.basis);
+      basis = std::move(solution.basis);
 
       std::vector<double> class_weights(classes.num_classes(), 0.0);
       for (uint32_t cls = 0; cls < classes.num_classes(); ++cls) {
@@ -192,9 +191,8 @@ PricingResult RunLpipSweep(const Hypergraph& hypergraph, const Valuations& v,
     };
 
     // Shrinking-F sweep: build the chain's largest family, solve cold,
-    // then truncate back to each earlier candidate and resolve warm. With
-    // warm_start off every candidate is an independent cold solve of the
-    // identical truncated model, i.e. the paper's original sweep.
+    // then truncate back to each earlier candidate and resolve warm. Each
+    // truncated model is the one the paper's sweep would solve cold.
     for (int c = begin; c < end; ++c) {
       append_edges_up_to(positions[c]);
       dims[c - begin] = {model.num_variables(), model.num_constraints()};

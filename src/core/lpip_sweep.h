@@ -37,7 +37,7 @@ std::vector<int> LpipCandidatePositions(const Valuations& v,
 /// on `positions`, never on num_threads, so results are bit-identical for
 /// every thread count. `options.max_candidates` and `options.classes` /
 /// `options.sorted_order` are ignored here (the caller already resolved
-/// them); chain_length / warm_start / num_threads apply.
+/// them); chain_length / num_threads apply.
 PricingResult RunLpipSweep(const Hypergraph& hypergraph, const Valuations& v,
                            const ItemClasses& classes,
                            const std::vector<int>& order,

@@ -277,7 +277,7 @@ class SimplexImpl {
   int iterations_ = 0;
   int phase1_iterations_ = 0;
   int pivots_since_refactor_ = 0;
-  int max_iterations_ = 0;
+  int iteration_budget_ = 0;
   int refactor_nnz_ = 0;  // eta nnz right after the last refactorization
 
   // Refactorize on a pivot-count schedule, or early when update etas have
@@ -643,7 +643,7 @@ SimplexImpl::IterateResult SimplexImpl::Iterate(int phase) {
   bool candidates_live = false;  // a full pass, then only bound flips
 
   while (true) {
-    if (iterations_ >= max_iterations_) return IterateResult::kIterLimit;
+    if (iterations_ >= iteration_budget_) return IterateResult::kIterLimit;
     if (NeedsRefactor()) {
       if (!Refactorize()) return IterateResult::kNumFail;
       RecomputeBasicValues();
@@ -842,7 +842,7 @@ SimplexImpl::DualResult SimplexImpl::DualIterate() {
   int consecutive_flips = 0;
   bool bland = false;
   while (true) {
-    if (iterations_ >= max_iterations_) return DualResult::kIterLimit;
+    if (iterations_ >= iteration_budget_) return DualResult::kIterLimit;
     if (NeedsRefactor()) {
       if (!Refactorize()) return DualResult::kNumFail;
       RecomputeBasicValues();
@@ -1205,9 +1205,7 @@ LpSolution SimplexImpl::RunPhases() {
 }
 
 void SimplexImpl::SetIterationBudget() {
-  max_iterations_ = opts_.max_iterations > 0
-                        ? opts_.max_iterations
-                        : 200 + 40 * (m_ + n_total_);
+  iteration_budget_ = 200 + 40 * (m_ + n_total_);
 }
 
 LpSolution SimplexImpl::SolveCold() {

@@ -77,8 +77,6 @@ inline constexpr double kPivotTol = 1e-8;
 inline constexpr int kStallThreshold = 300;
 
 struct SimplexOptions {
-  /// Hard iteration cap; <= 0 means 200 + 40 * (rows + cols).
-  int max_iterations = 0;
   /// Rebuild the eta file from scratch every this many pivots.
   int refactor_interval = 120;
 };

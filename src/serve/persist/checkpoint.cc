@@ -427,14 +427,18 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
   // Refuse a non-fresh engine before anything lands, with or without a
   // checkpoint: the deltas commit ahead of the shards (whose RestoreState
   // would refuse too late), and journal-only replay would land on top.
-  bool fresh = catalog().head_generation() == 0;
+  // An engine that has served a quote or a purchase (which prices
+  // through the same loop, so quotes_served_ counts it) is not fresh
+  // either: restore, then serve.
+  bool fresh = catalog().head_generation() == 0 &&
+               quotes_served_.load(std::memory_order_relaxed) == 0;
   for (const std::unique_ptr<PricingEngine>& shard : shards_) {
     if (shard->hypergraph().num_edges() != 0) fresh = false;
   }
   if (!fresh) {
     return Status::FailedPrecondition(
-        "RestoreFromCheckpoint: engine already has appended state or "
-        "seller deltas");
+        "RestoreFromCheckpoint: engine already has appended state, "
+        "seller deltas or served readers");
   }
   if (state.checkpoint_seq >= 0) {
     if (state.partition_fingerprint !=
@@ -449,24 +453,17 @@ Status ShardedPricingEngine::RestoreFromCheckpoint(
           std::to_string(state.shards.size()) + " shards, engine has " +
           std::to_string(shards_.size()));
     }
-    BeginRestore();
   }
-  // The checkpoint's seller-delta history lands as one catalog commit
-  // before the first shard turns ready, so no purchase served from a
-  // restored book probes a catalog that lacks them (Purchase samples
-  // readiness before its probe). It advances the generation by every
-  // delta applied, not by the cells that hold their last values.
+  // The checkpoint's seller-delta history lands as one catalog commit.
+  // It advances the generation by every delta applied, not by the cells
+  // that hold their last values.
   if (!state.seller_deltas.empty()) {
     QP_RETURN_IF_ERROR(ApplySellerDeltas(*mutable_db, state.seller_deltas,
                                          state.seller_delta_count));
   }
   if (state.checkpoint_seq >= 0) {
-    // Warm shard by shard: each shard serves again (TryQuoteBatchInto,
-    // Purchase) the moment its state lands, while the rest answer
-    // Unavailable.
     for (size_t s = 0; s < shards_.size(); ++s) {
       QP_RETURN_IF_ERROR(shards_[s]->RestoreState(std::move(state.shards[s])));
-      FinishShardRestore(static_cast<int>(s));
     }
   }
   // Journal replay, in op order. Appends carry precomputed GLOBAL

@@ -58,10 +58,6 @@ struct PurchaseOutcome {
   bool accepted = false;
   double valuation = 0.0;
   std::vector<uint32_t> bundle;
-  /// kUnavailable when the bundle touches a shard still warming after a
-  /// restore: the buyer saw no quote and no sale was recorded. OK
-  /// otherwise.
-  Status status;
 };
 
 struct EngineStats {

@@ -379,10 +379,6 @@ Status RpcClient::RetryLoop(const RetryPolicy& policy, bool idempotent,
       if (attempt + 1 < policy.max_attempts) ++local.backpressure_retries;
       continue;
     }
-    if (out->code == WireCode::kUnavailable) {
-      if (attempt + 1 < policy.max_attempts) ++local.unavailable_retries;
-      continue;
-    }
     break;  // Served, or a terminal application error (kBadRequest, ...).
   }
   if (stats != nullptr) *stats = local;

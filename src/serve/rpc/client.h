@@ -30,11 +30,11 @@
 //    wrap the blocking calls in a RetryPolicy (exponential backoff +
 //    jitter). Quotes are idempotent and read-only, so transport failures
 //    reconnect and resend. Appends and seller deltas are at-most-once:
-//    only an explicit kBackpressure / kUnavailable reply — the server
-//    saying "NOT applied" — is retried; a transport failure mid-op is
-//    returned to the caller, who cannot know whether it landed. (A
-//    seller delta sets an absolute cell value, so a double apply would
-//    be harmless — but the retry loop still refuses to guess.)
+//    only an explicit kBackpressure reply — the server saying "NOT
+//    applied" — is retried; a transport failure mid-op is returned to
+//    the caller, who cannot know whether it landed. (A seller delta sets
+//    an absolute cell value, so a double apply would be harmless — but
+//    the retry loop still refuses to guess.)
 #ifndef QP_SERVE_RPC_CLIENT_H_
 #define QP_SERVE_RPC_CLIENT_H_
 
@@ -81,8 +81,6 @@ struct RetryStats {
   int attempts = 0;
   /// Retries triggered by an explicit kBackpressure reply.
   int backpressure_retries = 0;
-  /// Retries triggered by a kUnavailable reply (shard warming).
-  int unavailable_retries = 0;
   /// Successful re-connects (transport failure or lost connection).
   int reconnects = 0;
   /// Total milliseconds slept backing off.
@@ -161,24 +159,24 @@ class RpcClient {
   // --- retrying calls --------------------------------------------------
 
   /// Quote with reconnect-and-resend on transport failure and backoff on
-  /// kBackpressure/kUnavailable replies (quotes are idempotent). Returns
-  /// the last attempt's transport status; `stats`, when non-null,
-  /// reports what the retry loop did.
+  /// kBackpressure replies (quotes are idempotent). Returns the last
+  /// attempt's transport status; `stats`, when non-null, reports what
+  /// the retry loop did.
   Status QuoteWithRetry(const std::vector<uint32_t>& bundle,
                         const RetryPolicy& policy, RpcReply* out,
                         RetryStats* stats = nullptr);
 
-  /// AppendBuyers with backoff ONLY on explicit kBackpressure /
-  /// kUnavailable replies — the server's guarantee that the append was
-  /// NOT applied. Transport failures are returned immediately
-  /// (at-most-once: the op may have landed).
+  /// AppendBuyers with backoff ONLY on explicit kBackpressure replies —
+  /// the server's guarantee that the append was NOT applied. Transport
+  /// failures are returned immediately (at-most-once: the op may have
+  /// landed).
   Status AppendBuyersWithRetry(const std::vector<WireBuyer>& buyers,
                                const RetryPolicy& policy, RpcReply* out,
                                RetryStats* stats = nullptr);
 
   /// ApplySellerDelta with the same at-most-once contract as appends:
-  /// backoff only on explicit kBackpressure / kUnavailable replies;
-  /// transport failures are returned immediately.
+  /// backoff only on explicit kBackpressure replies; transport failures
+  /// are returned immediately.
   Status ApplySellerDeltaWithRetry(const market::CellDelta& delta,
                                    const RetryPolicy& policy, RpcReply* out,
                                    RetryStats* stats = nullptr);
@@ -205,10 +203,10 @@ class RpcClient {
   /// Blocks until the reply for `id` arrives, parking any others.
   Status WaitFor(uint64_t id, RpcReply* out);
   /// The loop behind every *WithRetry call: `call(out)` makes one
-  /// blocking request. Backs off and retries on kBackpressure /
-  /// kUnavailable replies. An `idempotent` call also reconnects and
-  /// resends after a transport failure; otherwise the client connects
-  /// only before the first send and a transport failure ends the loop.
+  /// blocking request. Backs off and retries on kBackpressure replies.
+  /// An `idempotent` call also reconnects and resends after a transport
+  /// failure; otherwise the client connects only before the first send
+  /// and a transport failure ends the loop.
   template <typename Call>
   Status RetryLoop(const RetryPolicy& policy, bool idempotent, RpcReply* out,
                    RetryStats* stats, Call call);

@@ -533,8 +533,11 @@ struct RpcServer::Impl {
   }
 
   WireAppendResult ExecuteSellerDelta(const WriterJob& job) {
-    // Bounds-check against the live schema before the engine sees it: a
-    // hostile delta must fail as kBadRequest, not corrupt the catalog.
+    // Check against the live schema before the engine sees it: a hostile
+    // delta must fail as kBadRequest, not corrupt the catalog. A value
+    // must be NULL or of the column's type (Table::AppendRow's rule);
+    // the prepared prober and the reference evaluator sum a mistyped
+    // cell differently.
     const market::CellDelta& d = job.delta;
     if (d.table < 0 || d.table >= db->num_tables()) {
       return {WireCode::kBadRequest, "ApplySellerDelta: table out of range", 0};
@@ -543,6 +546,14 @@ struct RpcServer::Impl {
     if (d.row < 0 || d.row >= table.num_rows() || d.column < 0 ||
         d.column >= table.schema().num_columns()) {
       return {WireCode::kBadRequest, "ApplySellerDelta: cell out of range", 0};
+    }
+    const db::ValueType type = table.schema().column(d.column).type;
+    if (!d.new_value.is_null() && d.new_value.type() != type) {
+      std::string msg = "ApplySellerDelta: column expects ";
+      msg += db::ValueTypeToString(type);
+      msg += ", got ";
+      msg += db::ValueTypeToString(d.new_value.type());
+      return {WireCode::kBadRequest, std::move(msg), 0};
     }
     Status status = engine->ApplySellerDelta(*db, d);
     if (!status.ok()) return {WireCode::kInternal, status.ToString(), 0};
@@ -909,12 +920,6 @@ struct RpcServer::Impl {
         // Reader-side end to end (overlay probe + snapshot pin + atomic
         // sale counters): never blocks behind the engine's writer.
         PurchaseOutcome outcome = engine->Purchase(*parsed, valuation);
-        if (!outcome.status.ok()) {
-          // Bundle touches a shard still warming after restore: the sale
-          // was NOT attempted — the client may retry.
-          return ErrorReply(loop, id, frame.request_id,
-                            WireCode::kUnavailable, outcome.status.message());
-        }
         WirePurchase reply;
         reply.accepted = outcome.accepted;
         reply.valuation = outcome.valuation;
@@ -1065,28 +1070,12 @@ struct RpcServer::Impl {
     if (loop.tick_quotes.empty()) return;
     std::span<const std::vector<uint32_t>> flat(loop.bundles.data(),
                                                 loop.num_bundles);
-    // TryQuoteBatchInto degrades gracefully during a restore: bundles
-    // that touch a still-warming shard come back Unavailable instead of
-    // a wrongly-low cold price. Identical to QuoteBatch once all shards
-    // are warm (one relaxed load on that path).
     engine->TryQuoteBatchInto(flat, &loop.batch);
     loop.quote_ticks.fetch_add(1, std::memory_order_relaxed);
     loop.batched_quotes.fetch_add(flat.size(), std::memory_order_relaxed);
     for (const PendingQuote& pending : loop.tick_quotes) {
-      const Status* first_bad = nullptr;
-      for (size_t k = 0; k < pending.count; ++k) {
-        if (!loop.batch.statuses[pending.first + k].ok()) {
-          first_bad = &loop.batch.statuses[pending.first + k];
-          break;
-        }
-      }
       Reply(loop, pending.conn_id, [&](std::vector<uint8_t>* out) {
-        if (first_bad != nullptr) {
-          // All-or-nothing per request: a batch whose generation cannot
-          // be uniform (some bundles refused) is refused whole.
-          AppendErrorReplyFrame(pending.request_id, WireCode::kUnavailable,
-                                first_bad->message(), out);
-        } else if (pending.is_batch) {
+        if (pending.is_batch) {
           AppendQuoteBatchReplyFrame(
               pending.request_id,
               std::span<const Quote>(loop.batch.quotes.data() + pending.first,

@@ -19,8 +19,6 @@ const char* WireCodeToString(WireCode code) {
       return "ShuttingDown";
     case WireCode::kInternal:
       return "Internal";
-    case WireCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

@@ -96,9 +96,7 @@ enum class WireCode : uint8_t {
   /// Server is stopping; the request was not applied.
   kShuttingDown = 3,
   kInternal = 4,
-  /// The bundle touches a shard that is still warming after a restore
-  /// (graceful degradation); retry later — warm shards keep serving.
-  kUnavailable = 5,
+  // 5 is unassigned and stays free, so the other codes keep their bytes.
 };
 
 const char* WireCodeToString(WireCode code);

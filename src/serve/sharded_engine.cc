@@ -99,10 +99,6 @@ ShardedPricingEngine::ShardedPricingEngine(const db::Database* db,
             partition_.shard_support[static_cast<size_t>(s)].size()),
         options_.engine, epochs_));
   }
-  shard_ready_ = std::make_unique<std::atomic<bool>[]>(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shard_ready_[s].store(true, std::memory_order_relaxed);
-  }
 }
 
 Status ShardedPricingEngine::AppendBuyers(
@@ -228,61 +224,39 @@ void ShardedPricingEngine::SnapshotInto(MergedBookView* view) const {
 Quote ShardedPricingEngine::QuoteBundle(
     const std::vector<uint32_t>& bundle) const {
   QuoteBatchScratch scratch;
-  PriceInto({&bundle, 1}, /*gated=*/false, &scratch);
+  TryQuoteBatchInto({&bundle, 1}, &scratch);
   return std::move(scratch.quotes[0]);
 }
 
 std::vector<Quote> ShardedPricingEngine::QuoteBatch(
     std::span<const std::vector<uint32_t>> bundles) const {
   QuoteBatchScratch scratch;
-  PriceInto(bundles, /*gated=*/false, &scratch);
+  TryQuoteBatchInto(bundles, &scratch);
   return std::move(scratch.quotes);
 }
 
 void ShardedPricingEngine::TryQuoteBatchInto(
     std::span<const std::vector<uint32_t>> bundles,
     QuoteBatchScratch* scratch) const {
-  PriceInto(bundles, /*gated=*/true, scratch);
-}
-
-void ShardedPricingEngine::PriceInto(
-    std::span<const std::vector<uint32_t>> bundles, bool gated,
-    QuoteBatchScratch* scratch) const {
   // Grow-only result storage: shrinking would destroy Quote elements and
   // forfeit their string/vector capacity when the batch size fluctuates.
   if (scratch->quotes.size() < bundles.size()) {
     scratch->quotes.resize(bundles.size());
   }
-  if (scratch->statuses.size() < bundles.size()) {
-    scratch->statuses.resize(bundles.size());
-  }
-  // Warm gate BEFORE the pin: a shard turns ready (release) only after
-  // its restored book is published, so every bundle that passes here is
-  // priced against a view pinned afterwards, which holds the restored
-  // books. Gating after the pin could price a bundle against a
-  // pre-restore book that a concurrent FinishShardRestore then declares
-  // ready. The gate costs one load per batch while every shard is warm
-  // (the steady state).
-  gated = gated && cold_shards_.load(std::memory_order_acquire) > 0;
-  for (size_t i = 0; i < bundles.size(); ++i) {
-    scratch->statuses[i] = gated ? ReadyFor(bundles[i]) : Status::OK();
-  }
   // One pinned view for the whole batch: every quote carries the same
   // merged generation.
   SnapshotInto(&scratch->view);
-  uint64_t served = 0, crossing = 0;
+  uint64_t crossing = 0;
   for (size_t i = 0; i < bundles.size(); ++i) {
-    if (!scratch->statuses[i].ok()) continue;
     int touched = 0;
     scratch->view.QuoteBundleInto(bundles[i], &scratch->split,
                                   &scratch->quotes[i], &touched);
-    ++served;
     if (touched > 1) ++crossing;
   }
   // The quotes are self-contained copies: drop the pin now, so an idle
   // scratch never holds back reclamation or a catalog fold.
   scratch->view.guard_.Release();
-  quotes_served_.fetch_add(served, std::memory_order_relaxed);
+  quotes_served_.fetch_add(bundles.size(), std::memory_order_relaxed);
   if (crossing > 0) {
     cross_shard_quotes_.fetch_add(crossing, std::memory_order_relaxed);
   }
@@ -292,12 +266,6 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
                                                double valuation) {
   PurchaseOutcome outcome;
   outcome.valuation = valuation;
-  // Sampled before the probe pins a catalog generation: RestoreFromCheckpoint
-  // commits the recovered seller deltas before the first shard turns
-  // ready, so once any shard is ready (acquire) the probe sees them. While
-  // every shard is cold, the catalog may still lack them.
-  const bool catalog_recovered =
-      cold_shards_.load(std::memory_order_acquire) < num_shards();
   // Reader side end to end: the global probe reads the const database
   // through overlays (prepared state shared via the router's cache), the
   // quote pins one view, and the sale lands in atomic counters.
@@ -313,19 +281,7 @@ PurchaseOutcome ShardedPricingEngine::Purchase(const db::BoundQuery& query,
                                   prev_max, behind,
                                   std::memory_order_relaxed)) {
   }
-  if (!catalog_recovered) {
-    unavailable_.fetch_add(1, std::memory_order_relaxed);
-    outcome.status =
-        Status::Unavailable("seller deltas are being recovered after restore");
-    return outcome;
-  }
-  QuoteBatchScratch priced;
-  PriceInto({&outcome.bundle, 1}, /*gated=*/true, &priced);
-  outcome.status = std::move(priced.statuses[0]);
-  // A cold shard would misprice the bundle: the buyer saw no quote and
-  // no purchase is recorded.
-  if (!outcome.status.ok()) return outcome;
-  outcome.quote = std::move(priced.quotes[0]);
+  outcome.quote = QuoteBundle(outcome.bundle);
   outcome.accepted = outcome.quote.price <= valuation + core::kSellTolerance;
   purchases_.fetch_add(1, std::memory_order_relaxed);
   if (outcome.accepted) {
@@ -377,37 +333,6 @@ void ShardedPricingEngine::SetWriterLog(persist::CheckpointManager* log) {
   log_ = log;
 }
 
-void ShardedPricingEngine::BeginRestore() {
-  cold_shards_.store(static_cast<int>(shards_.size()),
-                     std::memory_order_relaxed);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shard_ready_[s].store(false, std::memory_order_release);
-  }
-}
-
-void ShardedPricingEngine::FinishShardRestore(int s) {
-  if (!shard_ready_[static_cast<size_t>(s)].exchange(
-          true, std::memory_order_release)) {
-    cold_shards_.fetch_sub(1, std::memory_order_release);
-  }
-}
-
-Status ShardedPricingEngine::ReadyFor(
-    const std::vector<uint32_t>& bundle) const {
-  for (uint32_t item : bundle) {
-    // Wire bundles carry arbitrary ids; out-of-range ones touch no shard.
-    if (item >= partition_.num_items()) continue;
-    int s = partition_.shard_of_item[item];
-    if (!shard_ready_[static_cast<size_t>(s)].load(
-            std::memory_order_acquire)) {
-      unavailable_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("shard " + std::to_string(s) +
-                                 " is warming after restore");
-    }
-  }
-  return Status::OK();
-}
-
 ShardedPricingEngine::ReaderStats ShardedPricingEngine::reader_stats() const {
   // Lock-free: every counter here is an atomic, and the catalog's
   // stats() reads its writer-maintained mirrors without a pin.
@@ -416,7 +341,6 @@ ShardedPricingEngine::ReaderStats ShardedPricingEngine::reader_stats() const {
   out.purchases = purchases_.load(std::memory_order_relaxed);
   out.purchases_accepted = purchases_accepted_.load(std::memory_order_relaxed);
   out.sale_revenue = sale_revenue_.load(std::memory_order_relaxed);
-  out.unavailable = unavailable_.load(std::memory_order_relaxed);
   out.prepared = prober_.prepared_stats();
   static_cast<db::VersionedDatabase::Stats&>(out.catalog) = catalog_.stats();
   out.catalog.staleness_samples =

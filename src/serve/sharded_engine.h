@@ -219,12 +219,11 @@ class ShardedPricingEngine {
   void SnapshotInto(MergedBookView* view) const;
 
   /// Prices a bundle of global item ids against a freshly pinned view;
-  /// lock-free. Not gated on warming shards (the in-process reference
-  /// path); serving paths use TryQuoteBatchInto.
+  /// lock-free.
   Quote QuoteBundle(const std::vector<uint32_t>& bundle) const;
 
   /// Prices many global bundles against ONE pinned view (a single
-  /// generation across the whole batch); lock-free and not gated.
+  /// generation across the whole batch); lock-free.
   std::vector<Quote> QuoteBatch(
       std::span<const std::vector<uint32_t>> bundles) const;
 
@@ -239,19 +238,19 @@ class ShardedPricingEngine {
     /// its books must not be read.
     MergedBookView view;
     MergedBookView::QuoteScratch split;
-    /// quotes[i] is valid iff statuses[i].ok(), for i < batch size.
+    /// quotes[i] answers bundles[i], for i < batch size.
     std::vector<Quote> quotes;
-    std::vector<Status> statuses;
   };
 
-  /// QuoteBatch into caller-owned scratch, with graceful degradation: a
-  /// bundle that touches a shard still warming after
-  /// RestoreFromCheckpoint gets statuses[i] = Unavailable instead of a
-  /// cold (wrongly low) empty-book price; that path allocates the
-  /// message. Quotes are bit-identical to QuoteBatch. Steady state (all
-  /// shards warm, scratch at high-water capacity) performs zero heap
-  /// allocations — the RPC loop's per-tick batch path; the all-warm
-  /// check is one atomic load per batch.
+  /// QuoteBatch into caller-owned scratch, and the one quote loop behind
+  /// every reader entry point (QuoteBundle, QuoteBatch, Purchase): pins
+  /// one view into scratch->view, prices every bundle into
+  /// scratch->quotes, counts quotes_served_/cross_shard_quotes_, and
+  /// releases the pin before it returns. Once the scratch is at its
+  /// high-water capacity a call performs zero heap allocations — the RPC
+  /// loop's per-tick batch path. The "Try" in the name is historical (it
+  /// predates restoring before serving) and stays because existing
+  /// callers (the service benchmark's runner) use it.
   void TryQuoteBatchInto(std::span<const std::vector<uint32_t>> bundles,
                          QuoteBatchScratch* scratch) const;
 
@@ -259,9 +258,8 @@ class ShardedPricingEngine {
   /// probes through the router's prepared-query cache), additive quote,
   /// atomic sale accounting. The outcome's bundle holds GLOBAL item ids:
   /// the query's conflict set against the whole support, for any shard
-  /// count. During a restore it answers Unavailable when its probe began
-  /// while every shard was cold (the catalog may lack the recovered
-  /// seller deltas) or when the bundle touches a cold shard.
+  /// count. Every call is priced and counted; an engine being restored
+  /// must not be read yet (see RestoreFromCheckpoint).
   PurchaseOutcome Purchase(const db::BoundQuery& query, double valuation);
 
   /// Seller edit: logs the delta (write-ahead), selectively invalidates
@@ -275,6 +273,10 @@ class ShardedPricingEngine {
   /// db/versioned_database.h). The router is the catalog's single
   /// writer. Published books and stored conflict sets still describe the
   /// pre-edit market until the next append.
+  /// Precondition: the cell exists and its value is NULL or of the
+  /// column's ColumnDef::type (the rule Table::AppendRow applies); the
+  /// RPC server answers kBadRequest otherwise. A mistyped value would
+  /// make the prepared prober and the reference evaluator disagree.
   Status ApplySellerDelta(db::Database& db, const market::CellDelta& delta);
 
   /// The router's shared versioned catalog over its database (one
@@ -293,19 +295,18 @@ class ShardedPricingEngine {
   /// must outlive the engine or be detached first.
   void SetWriterLog(persist::CheckpointManager* log);
 
-  /// Restores this engine (fresh: no appends since construction) from a
-  /// recovered checkpoint + journal, in three steps:
+  /// Restores this engine from a recovered checkpoint + journal, in
+  /// three steps:
   ///  1. the checkpoint's seller-delta history commits to the catalog as
-  ///     one generation (ApplySellerDeltas), while every shard is cold;
-  ///  2. the shards restore one by one: each serves quotes again
-  ///     (TryQuoteBatchInto/Purchase) the moment its checkpoint state
-  ///     lands, while the remaining shards answer Unavailable;
+  ///     one generation (ApplySellerDeltas);
+  ///  2. every shard restores its checkpoint state;
   ///  3. journal replay reapplies post-checkpoint ops in op order.
-  /// So no served quote or purchase sees a catalog without the recovered
-  /// deltas, and replayed books are bit-identical to the pre-crash ones
-  /// (versions, revenues, LP counts, catalog head generation). A non-fresh
-  /// engine (one whose shards hold edges or whose catalog is past
-  /// generation 0) is refused before anything lands, whether or not a
+  /// Restore, then serve: the engine must be fresh and no reader may
+  /// reach it until this returns. Replayed books are bit-identical to
+  /// the pre-crash ones (versions, revenues, LP counts, catalog head
+  /// generation). A non-fresh engine (one whose shards hold edges, whose
+  /// catalog is past generation 0, or that has already served a quote
+  /// or a purchase) is refused before anything lands, whether or not a
   /// checkpoint was recovered. `mutable_db` must be the
   /// engine's own database and is only required when the recovered state
   /// carries seller deltas.
@@ -314,17 +315,6 @@ class ShardedPricingEngine {
   /// sequence, seller deltas) stays valid, so pass the same state on.
   Status RestoreFromCheckpoint(persist::RecoveredState& state,
                                db::Database* mutable_db = nullptr);
-
-  /// Restore protocol, public for persist + fault tests: BeginRestore
-  /// marks every shard cold (TryQuoteBatchInto and Purchase answer
-  /// Unavailable for bundles touching it);
-  /// FinishShardRestore warms one shard back up.
-  void BeginRestore();
-  void FinishShardRestore(int s);
-  bool shard_ready(int s) const {
-    return shard_ready_[static_cast<size_t>(s)].load(
-        std::memory_order_acquire);
-  }
 
   /// Router-side reader counters plus the global prober's prepared-cache
   /// stats, gathered WITHOUT the writer mutex — safe from serving paths
@@ -336,8 +326,9 @@ class ShardedPricingEngine {
     uint64_t purchases = 0;
     uint64_t purchases_accepted = 0;
     double sale_revenue = 0.0;
-    /// TryQuoteBatchInto bundles and Purchase requests refused because a
-    /// shard was warming.
+    /// Always 0: the engine restores before it serves, so it refuses no
+    /// reader. It stays because existing stats readers (the service
+    /// benchmark's runner) still read it.
     uint64_t unavailable = 0;
     market::PreparedQueryCache::Stats prepared;
     /// Shared versioned-catalog churn counters (the catalog is one
@@ -371,22 +362,6 @@ class ShardedPricingEngine {
   Status AppendRouted(std::vector<std::vector<uint32_t>> conflict_sets,
                       const core::Valuations& valuations);
 
-  /// The one quote loop behind every reader entry point. `gated` first
-  /// refuses bundles touching a warming shard (statuses[i] =
-  /// Unavailable; ungated every status is OK); only then does it pin one
-  /// view into scratch->view, so a bundle that passed the gate is never
-  /// priced against a pre-restore book. It prices each passing bundle
-  /// into scratch->quotes, counts quotes_served_/cross_shard_quotes_, and
-  /// releases the pin before it returns.
-  void PriceInto(std::span<const std::vector<uint32_t>> bundles, bool gated,
-                 QuoteBatchScratch* scratch) const;
-
-  /// OK when every item of the bundle lands on a warm shard; otherwise
-  /// the first cold shard's Unavailable status (also bumps unavailable_).
-  /// Item ids >= num_items() touch no shard and are skipped, as
-  /// SupportPartition::SplitBundleInto skips them. Reader-side, lock-free.
-  Status ReadyFor(const std::vector<uint32_t>& bundle) const;
-
   const db::Database* db_;
   market::SupportPartition partition_;
   ShardedEngineOptions options_;
@@ -410,20 +385,12 @@ class ShardedPricingEngine {
   /// durability is off.
   persist::CheckpointManager* log_ = nullptr;
 
-  /// Per-shard warm/cold flags for the restore protocol. All true from
-  /// construction; BeginRestore clears them, FinishShardRestore sets one.
-  /// cold_shards_ counts the cold ones so the all-warm serving fast path
-  /// is a single relaxed load.
-  std::unique_ptr<std::atomic<bool>[]> shard_ready_;
-  std::atomic<int> cold_shards_{0};
-
   mutable std::atomic<uint64_t> quotes_served_{0};
   std::atomic<uint64_t> purchases_{0};
   std::atomic<uint64_t> purchases_accepted_{0};
   std::atomic<double> sale_revenue_{0.0};
   std::atomic<uint64_t> cross_shard_appends_{0};
   mutable std::atomic<uint64_t> cross_shard_quotes_{0};
-  mutable std::atomic<uint64_t> unavailable_{0};
   // Router Purchase staleness: head generation minus the probe's pinned
   // generation, sampled per Purchase (reader-side, hence atomic).
   std::atomic<uint64_t> staleness_samples_{0};

@@ -12,12 +12,8 @@
 //      deltas and a journal that ends in a torn record;
 //  (c) a corrupt, hostile or uncommitted newest checkpoint falls back
 //      to an older one, with the longer journal replay closing the gap,
-//      and a non-fresh engine refuses any restore, journal-only ones
-//      included;
-//  (d) while shards warm after a restore, TryQuoteBatchInto/Purchase
-//      answer Unavailable instead of serving cold prices, also when the
-//      restore races live readers, and no served purchase probes a
-//      catalog that lacks the recovered seller deltas.
+//      and a non-fresh engine (appended, edited or already serving)
+//      refuses any restore, journal-only ones included.
 #include "serve/persist/checkpoint.h"
 
 #include <algorithm>
@@ -1313,6 +1309,22 @@ TEST(PersistRecoveryTest, RestoreRefusesNonFreshEngineAndWrongPartition) {
                 .code(),
             StatusCode::kFailedPrecondition);
 
+  // Not fresh either: an engine that has served a quote or a purchase
+  // (restore, then serve). Nothing lands.
+  World quoted;
+  quoted.engine->QuoteBundle({0});
+  World purchased;
+  auto query = db::ParseQuery(AllBuyers()[0].sql, *purchased.db);
+  QP_CHECK_OK(query.status());
+  purchased.engine->Purchase(*query, AllBuyers()[0].valuation);
+  for (World* served : {&quoted, &purchased}) {
+    EXPECT_EQ(served->engine->RestoreFromCheckpoint(*recovered,
+                                                    served->db.get())
+                  .code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(served->engine->stats().merged.num_edges, 0);
+  }
+
   // Different partition: the fingerprint check refuses.
   World other(/*num_shards=*/3);
   EXPECT_EQ(other.engine->RestoreFromCheckpoint(*recovered, other.db.get())
@@ -1642,287 +1654,6 @@ TEST(PersistRecoveryTest, ShortLpipCandidateWeightsFallBack) {
   ExpectUnservableShardFallsBack("short_lpip", [](ShardState& state) {
     state.reprice.lpip.front().item_weights.pop_back();
   });
-}
-
-// --- (d) graceful degradation while warming ----------------------------
-
-// The serving batch path's answer for one bundle.
-Result<Quote> TryQuote(const ShardedPricingEngine& engine,
-                       const std::vector<uint32_t>& bundle) {
-  ShardedPricingEngine::QuoteBatchScratch scratch;
-  engine.TryQuoteBatchInto({&bundle, 1}, &scratch);
-  if (!scratch.statuses[0].ok()) return scratch.statuses[0];
-  return scratch.quotes[0];
-}
-
-TEST(PersistRecoveryTest, WarmingShardsAnswerUnavailable) {
-  World w;
-  w.Append(0, 4);
-  const market::SupportPartition& partition = w.engine->partition();
-  ASSERT_GE(partition.num_shards, 2);
-  std::vector<uint32_t> in_shard0 = {partition.shard_items[0][0]};
-  std::vector<uint32_t> crossing = {partition.shard_items[0][0],
-                                    partition.shard_items[1][0]};
-
-  w.engine->BeginRestore();
-  // Everything cold: per-item readiness refuses, empty bundles (which
-  // touch no shard) still serve.
-  EXPECT_EQ(TryQuote(*w.engine, in_shard0).status().code(),
-            StatusCode::kUnavailable);
-  QP_CHECK_OK(TryQuote(*w.engine, {}).status());
-  // A buyer whose probed bundle is empty conflicts with nothing and may
-  // serve even while cold, so find one whose bundle actually touches a
-  // shard: that purchase must refuse.
-  bool purchase_refused = false;
-  for (const Buyer& buyer : AllBuyers()) {
-    auto query = db::ParseQuery(buyer.sql, *w.db);
-    QP_CHECK_OK(query.status());
-    PurchaseOutcome outcome = w.engine->Purchase(*query, 1e9);
-    if (outcome.bundle.empty()) continue;
-    EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable);
-    EXPECT_FALSE(outcome.accepted);
-    purchase_refused = true;
-    break;
-  }
-  EXPECT_TRUE(purchase_refused) << "no buyer probed a non-empty bundle";
-
-  // Warm shard 0: bundles inside it serve, crossing bundles still wait.
-  w.engine->FinishShardRestore(0);
-  EXPECT_TRUE(w.engine->shard_ready(0));
-  QP_CHECK_OK(TryQuote(*w.engine, in_shard0).status());
-  EXPECT_EQ(TryQuote(*w.engine, crossing).status().code(),
-            StatusCode::kUnavailable);
-  ShardedPricingEngine::QuoteBatchScratch batch;
-  w.engine->TryQuoteBatchInto(
-      std::vector<std::vector<uint32_t>>{in_shard0, crossing}, &batch);
-  QP_CHECK_OK(batch.statuses[0]);
-  EXPECT_EQ(batch.statuses[1].code(), StatusCode::kUnavailable);
-  // Item ids from the wire are arbitrary: ids past the support touch no
-  // shard (as SplitBundle ignores them), so the gate must neither read
-  // out of bounds nor refuse them.
-  for (uint32_t stray : {partition.num_items() + 7, 1u << 30}) {
-    auto quote = TryQuote(*w.engine, {stray});
-    QP_CHECK_OK(quote.status());
-    EXPECT_EQ(quote->price, TryQuote(*w.engine, {})->price);
-  }
-
-  // All warm: behavior is exactly QuoteBundle again.
-  for (int s = 1; s < w.engine->num_shards(); ++s) {
-    w.engine->FinishShardRestore(s);
-  }
-  auto quote = TryQuote(*w.engine, crossing);
-  QP_CHECK_OK(quote.status());
-  Quote direct = w.engine->QuoteBundle(crossing);
-  EXPECT_EQ(quote->price, direct.price);
-  EXPECT_GE(w.engine->reader_stats().unavailable, 3u);
-}
-
-// Restore runs while readers are live. A shard turns ready only after
-// its restored book is published, and the gate is checked before the
-// reader pins its view, so no served quote (batch or Purchase) may be
-// priced against a shard's pre-restore book. Each round restores a fresh
-// engine from the same captured state while one thread quotes a large
-// batch in a loop and another buys; every served quote must match the
-// source engine's price and, for each shard it touches, its version.
-TEST(PersistRecoveryTest, RestoreRacingReadersNeverServesPreRestoreBooks) {
-  World source;
-  source.Append(0, AllBuyers().size());
-  const int num_shards = source.engine->num_shards();
-  std::vector<std::vector<uint32_t>> batch;
-  for (int copy = 0; copy < 16; ++copy) {
-    for (std::vector<uint32_t>& bundle : SampleBundles(*source.engine)) {
-      batch.push_back(std::move(bundle));
-    }
-  }
-  const std::vector<Quote> expected = source.engine->QuoteBatch(batch);
-
-  // True iff `got` is priced against the source's books on every shard
-  // the bundle touches.
-  auto matches_source = [&](const std::vector<uint32_t>& bundle,
-                            const Quote& got, const Quote& want) {
-    if (got.price != want.price) return false;
-    std::vector<std::vector<uint32_t>> parts =
-        source.engine->partition().SplitBundle(bundle);
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (!parts[s].empty() && got.shard_versions[s] != want.shard_versions[s]) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  uint64_t served_while_cold = 0;
-  for (int round = 0; round < 12; ++round) {
-    World target;
-    std::vector<db::BoundQuery> queries;
-    for (const Buyer& buyer : AllBuyers()) {
-      auto query = db::ParseQuery(buyer.sql, *target.db);
-      QP_CHECK_OK(query.status());
-      queries.push_back(*query);
-    }
-    RecoveredState state;
-    state.checkpoint_seq = 0;
-    state.partition_fingerprint =
-        PartitionFingerprint(target.engine->partition());
-    for (int s = 0; s < num_shards; ++s) {
-      state.shards.push_back(source.engine->shard(s).CaptureState());
-    }
-
-    std::atomic<bool> done{false};
-    std::atomic<int> quote_loops{0}, purchase_loops{0};
-    std::atomic<uint64_t> stale{0}, cold_served{0};
-    target.engine->BeginRestore();
-    std::thread quoter([&] {
-      ShardedPricingEngine::QuoteBatchScratch scratch;
-      while (!done.load(std::memory_order_acquire)) {
-        const bool cold = !target.engine->shard_ready(num_shards - 1);
-        target.engine->TryQuoteBatchInto(batch, &scratch);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (!scratch.statuses[i].ok()) continue;
-          if (cold && !batch[i].empty()) {
-            cold_served.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!matches_source(batch[i], scratch.quotes[i], expected[i])) {
-            stale.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        quote_loops.fetch_add(1, std::memory_order_release);
-      }
-    });
-    std::thread buyer([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        for (const db::BoundQuery& query : queries) {
-          PurchaseOutcome outcome = target.engine->Purchase(query, 1e9);
-          if (!outcome.status.ok()) continue;
-          if (!matches_source(outcome.bundle, outcome.quote,
-                              source.engine->QuoteBundle(outcome.bundle))) {
-            stale.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        purchase_loops.fetch_add(1, std::memory_order_release);
-      }
-    });
-    // Let both readers run against the cold engine before the restore
-    // starts, so they straddle every shard's warm-up.
-    while (quote_loops.load(std::memory_order_acquire) < 2 ||
-           purchase_loops.load(std::memory_order_acquire) < 2) {
-      std::this_thread::yield();
-    }
-    QP_CHECK_OK(target.engine->RestoreFromCheckpoint(state));
-    const int quotes_at_restore = quote_loops.load();
-    const int purchases_at_restore = purchase_loops.load();
-    while (quote_loops.load(std::memory_order_acquire) <
-               quotes_at_restore + 2 ||
-           purchase_loops.load(std::memory_order_acquire) <
-               purchases_at_restore + 2) {
-      std::this_thread::yield();
-    }
-    done.store(true, std::memory_order_release);
-    quoter.join();
-    buyer.join();
-    EXPECT_EQ(stale.load(), 0u) << "round " << round;
-    served_while_cold += cold_served.load();
-    ExpectEnginesIdentical(*source.engine, *target.engine);
-  }
-  // The gate let bundles through while a shard was still cold (those
-  // avoiding it), so the check above ran on the interleavings it targets.
-  EXPECT_GT(served_while_cold, 0u);
-}
-
-// The checkpoint's seller deltas land as one catalog commit before the
-// first shard turns ready, and Purchase samples readiness before it
-// probes, so a purchase racing the restore is either refused or probes a
-// catalog that holds every recovered delta. The deltas here change
-// buyers' conflict sets: every served purchase's bundle must equal the
-// source engine's conflict set for its query.
-TEST(PersistRecoveryTest, RestoreRacingPurchasesProbeRecoveredSellerDeltas) {
-  World source;
-  // A long history: 240 deltas cycling over 24 cells, then an edit that
-  // moves max(Population). The restore below commits them as given,
-  // repeats included, counted as every delta applied.
-  std::vector<market::CellDelta> deltas;
-  for (size_t k = 0; k < 240; ++k) deltas.push_back(source.support[k % 24]);
-  deltas.push_back({0, 1, 3, db::Value::Int(500000000)});
-  for (const market::CellDelta& delta : deltas) {
-    QP_CHECK_OK(source.engine->ApplySellerDelta(*source.db, delta));
-  }
-  source.Append(0, AllBuyers().size());
-
-  auto parse_all = [](const db::Database& db) {
-    std::vector<db::BoundQuery> queries;
-    for (const Buyer& buyer : AllBuyers()) {
-      auto query = db::ParseQuery(buyer.sql, db);
-      QP_CHECK_OK(query.status());
-      queries.push_back(*query);
-    }
-    return queries;
-  };
-  World pristine;  // the same market without the deltas
-  const std::vector<db::BoundQuery> source_queries = parse_all(*source.db);
-  const std::vector<db::BoundQuery> pristine_queries =
-      parse_all(*pristine.db);
-  std::vector<std::vector<uint32_t>> expected;
-  size_t changed = 0;
-  for (size_t q = 0; q < source_queries.size(); ++q) {
-    expected.push_back(source.engine->Purchase(source_queries[q], 1e9).bundle);
-    if (pristine.engine->Purchase(pristine_queries[q], 1e9).bundle !=
-        expected.back()) {
-      ++changed;
-    }
-  }
-  ASSERT_GT(changed, 0u) << "the deltas change no buyer's conflict set";
-
-  const int num_shards = source.engine->num_shards();
-  uint64_t served = 0;
-  for (int round = 0; round < 12; ++round) {
-    World target;
-    const std::vector<db::BoundQuery> queries = parse_all(*target.db);
-    RecoveredState state;
-    state.checkpoint_seq = 0;
-    state.partition_fingerprint =
-        PartitionFingerprint(target.engine->partition());
-    for (int s = 0; s < num_shards; ++s) {
-      state.shards.push_back(source.engine->shard(s).CaptureState());
-    }
-    state.seller_delta_count = deltas.size();
-    state.seller_deltas = deltas;
-
-    std::atomic<bool> done{false};
-    std::atomic<int> loops{0};
-    std::atomic<uint64_t> ok{0}, wrong{0};
-    target.engine->BeginRestore();
-    std::vector<std::thread> buyers;
-    for (int t = 0; t < 2; ++t) {
-      buyers.emplace_back([&] {
-        while (!done.load(std::memory_order_acquire)) {
-          for (size_t q = 0; q < queries.size(); ++q) {
-            PurchaseOutcome outcome = target.engine->Purchase(queries[q], 1e9);
-            if (!outcome.status.ok()) continue;
-            ok.fetch_add(1, std::memory_order_relaxed);
-            if (outcome.bundle != expected[q]) {
-              wrong.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          loops.fetch_add(1, std::memory_order_release);
-        }
-      });
-    }
-    while (loops.load(std::memory_order_acquire) < 4) {
-      std::this_thread::yield();
-    }
-    QP_CHECK_OK(target.engine->RestoreFromCheckpoint(state, target.db.get()));
-    const int at_restore = loops.load();
-    while (loops.load(std::memory_order_acquire) < at_restore + 4) {
-      std::this_thread::yield();
-    }
-    done.store(true, std::memory_order_release);
-    for (std::thread& th : buyers) th.join();
-    EXPECT_EQ(wrong.load(), 0u) << "round " << round;
-    served += ok.load();
-    EXPECT_EQ(target.engine->catalog().head_generation(),
-              source.engine->catalog().head_generation());
-  }
-  EXPECT_GT(served, 0u);
 }
 
 }  // namespace

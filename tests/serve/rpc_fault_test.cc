@@ -9,16 +9,13 @@
 //  (c) Stop() drains: every writer op (append or seller delta) admitted
 //      before shutdown gets a real reply (ok or kShuttingDown), never
 //      silence;
-//  (d) warming shards surface kUnavailable over the wire and
-//      QuoteWithRetry rides the warm-up out;
-//  (e) mangled streams — tiny delayed chunks, duplicated chunks, hard
+//  (d) mangled streams — tiny delayed chunks, duplicated chunks, hard
 //      RSTs — never take the server down, and MSG_NOSIGNAL keeps
 //      peer resets from killing the process (the ASan/TSan jobs run
 //      this file under label `fault`).
 #include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -313,62 +310,7 @@ TEST(RpcFaultTest, StopDrainsAdmittedSellerDeltasToRealReplies) {
             generation_before + static_cast<uint64_t>(ok_count));
 }
 
-// --- (d) kUnavailable over the wire -------------------------------------
-
-TEST(RpcFaultTest, WarmingShardsSurfaceUnavailableAndRetriesRideItOut) {
-  Harness h;
-  RpcClient client;
-  QP_CHECK_OK(client.Connect("127.0.0.1", h.server->port()));
-  const market::SupportPartition& partition = h.engine->partition();
-  std::vector<uint32_t> bundle = {partition.shard_items[0][0],
-                                  partition.shard_items[1][0]};
-
-  h.engine->BeginRestore();
-  RpcReply reply;
-  QP_CHECK_OK(client.Quote(bundle, &reply));
-  EXPECT_FALSE(reply.ok());
-  EXPECT_EQ(reply.code, WireCode::kUnavailable);
-  QP_CHECK_OK(client.QuoteBatch({bundle, {}}, &reply));
-  EXPECT_EQ(reply.code, WireCode::kUnavailable);
-  // A buyer with an EMPTY conflict set serves even while cold (it touches
-  // no shard), so probe in-process for one whose bundle is non-empty and
-  // purchase that over the wire.
-  const char* conflicting_sql = nullptr;
-  for (const Buyer& buyer : InitialBuyers()) {
-    auto q = db::ParseQuery(buyer.sql, *h.db);
-    QP_CHECK_OK(q.status());
-    if (!h.engine->Purchase(*q, 1e9).bundle.empty()) {
-      conflicting_sql = buyer.sql;
-      break;
-    }
-  }
-  ASSERT_NE(conflicting_sql, nullptr) << "no buyer probes a non-empty bundle";
-  QP_CHECK_OK(client.Purchase(conflicting_sql, 1e9, &reply));
-  EXPECT_EQ(reply.code, WireCode::kUnavailable);
-
-  // A warm-up finishing mid-retry: QuoteWithRetry backs off on the
-  // kUnavailable replies and succeeds once the shards are ready.
-  std::thread warmer([&h] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    for (int s = 0; s < h.engine->num_shards(); ++s) {
-      h.engine->FinishShardRestore(s);
-    }
-  });
-  RetryPolicy policy;
-  policy.max_attempts = 50;
-  policy.initial_backoff_ms = 5;
-  policy.max_backoff_ms = 20;
-  RetryStats stats;
-  QP_CHECK_OK(client.QuoteWithRetry(bundle, policy, &reply, &stats));
-  warmer.join();
-  EXPECT_TRUE(reply.ok()) << reply.message;
-  EXPECT_GE(stats.unavailable_retries, 1);
-  EXPECT_GT(stats.backoff_ms, 0.0);
-  EXPECT_EQ(reply.quote.price, h.engine->QuoteBundle(bundle).price);
-  EXPECT_GE(h.engine->reader_stats().unavailable, 2u);
-}
-
-// --- (e) mangled streams ------------------------------------------------
+// --- (d) mangled streams ------------------------------------------------
 
 TEST(RpcFaultTest, ChunkedAndDelayedStreamStaysExact) {
   Harness h;

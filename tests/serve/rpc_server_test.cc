@@ -411,13 +411,26 @@ TEST(RpcServerTest, SellerDeltaLandsOverTheWire) {
   QP_CHECK_OK(client.Quote({}, &quote));
   EXPECT_TRUE(quote.ok());
 
-  // An out-of-range delta is a kBadRequest and commits nothing.
+  // An out-of-range delta is a kBadRequest and commits nothing; so is a
+  // value that is neither NULL nor of the column's type (the rule
+  // Table::AppendRow applies): a double in an INT column would make the
+  // prepared prober, which sums INT columns as integers, disagree with
+  // the reference evaluator.
   market::CellDelta bogus;
   bogus.table = h.db->num_tables();
-  QP_CHECK_OK(client.ApplySellerDelta(bogus, &reply));
-  EXPECT_FALSE(reply.ok());
-  EXPECT_EQ(reply.code, WireCode::kBadRequest);
-  EXPECT_EQ(h.engine->catalog().head_generation(), generation_before + 1);
+  market::CellDelta mistyped;
+  mistyped.table = h.db->FindTableIndex("City");
+  ASSERT_GE(mistyped.table, 0);
+  const db::Schema& schema = h.db->table(mistyped.table).schema();
+  mistyped.column = schema.FindColumn("Population");
+  ASSERT_EQ(schema.column(mistyped.column).type, db::ValueType::kInt);
+  mistyped.new_value = db::Value::Real(3.5);
+  for (const market::CellDelta& bad : {bogus, mistyped}) {
+    QP_CHECK_OK(client.ApplySellerDelta(bad, &reply));
+    EXPECT_FALSE(reply.ok());
+    EXPECT_EQ(reply.code, WireCode::kBadRequest) << reply.message;
+    EXPECT_EQ(h.engine->catalog().head_generation(), generation_before + 1);
+  }
 
   // Stats surface the catalog counters over the wire.
   RpcReply stats;
@@ -428,7 +441,7 @@ TEST(RpcServerTest, SellerDeltaLandsOverTheWire) {
   EXPECT_GE(StatU64(stats.stats, "catalog.generations_published"), 1u);
   EXPECT_EQ(StatU64(stats.stats, "catalog.deltas_pending"), 1u);
   EXPECT_EQ(StatU64(stats.stats, "catalog.folds"), 0u);
-  EXPECT_GE(h.server->stats().seller_delta_requests, 2u);
+  EXPECT_GE(h.server->stats().seller_delta_requests, 3u);
 }
 
 TEST(RpcServerTest, FullWriterQueueRejectsWithBackpressure) {
